@@ -1,0 +1,205 @@
+"""Degenerate diffusion coefficients on [0, 1].
+
+The built-in profiles are the power law ``a(x) = scale * |x - x0|**K`` and
+the constant ``a(x) = scale``.  A coefficient is *weakly* degenerate when
+1/a is integrable across the zero of a (power law with K < 1), *strongly*
+degenerate when it is not (K >= 1).  Strong results additionally need a
+monotone comparison against a reference power with exponent in [1, 2);
+see :func:`check_power_comparison`.
+"""
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import roots_legendre
+
+from .powers import PiecewisePower
+
+__all__ = [
+    "Profile",
+    "DegeneracyClass",
+    "DegenerateCoefficient",
+    "power_profile",
+    "constant_profile",
+    "classify",
+    "classify_callable",
+    "ComparisonCheck",
+    "check_power_comparison",
+    "check_power_comparison_callable",
+    "singular_moment",
+]
+
+
+class Profile(enum.Enum):
+    POWER_LAW = "power"
+    CONSTANT = "constant"
+
+
+class DegeneracyClass(enum.Enum):
+    WEAK = "weak"
+    STRONG = "strong"
+    NONDEGENERATE = "nondegenerate"
+
+
+@dataclass(frozen=True)
+class DegenerateCoefficient:
+    """Immutable weight function; safe to share between threads."""
+
+    profile: Profile
+    x0: float
+    K: float
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.x0 <= 1.0:
+            raise ValueError(f"x0 must lie in [0, 1], got {self.x0}")
+        if self.K < 0.0:
+            raise ValueError(f"exponent K must be nonnegative, got {self.K}")
+        if not self.scale > 0.0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        if self.profile is Profile.CONSTANT or self.K == 0.0:
+            out = np.full_like(x, self.scale)
+        else:
+            out = self.scale * np.abs(x - self.x0) ** self.K
+        return out if out.ndim else float(out)
+
+    def as_power(self, sign=1):
+        """The coefficient (sign=+1) or its reciprocal (sign=-1) as an
+        exact piecewise power function."""
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        exponent = 0.0 if self.profile is Profile.CONSTANT else sign * self.K
+        return PiecewisePower.power_weight(self.x0, exponent, self.scale**sign)
+
+    def boundary_values(self):
+        return float(self(0.0)), float(self(1.0))
+
+
+def power_profile(x0, K, scale=1.0) -> DegenerateCoefficient:
+    """a(x) = scale * |x - x0|**K, exact pointwise to machine precision."""
+    return DegenerateCoefficient(Profile.POWER_LAW, float(x0), float(K), float(scale))
+
+
+def constant_profile(value=1.0, x0=0.5) -> DegenerateCoefficient:
+    """a(x) = value everywhere; the nondegenerate reference case."""
+    return DegenerateCoefficient(Profile.CONSTANT, float(x0), 0.0, float(value))
+
+
+def classify(coeff: DegenerateCoefficient) -> DegeneracyClass:
+    """Weak iff 1/a is integrable across the zero of a, strong iff not,
+    nondegenerate iff min a > 0.  Exact for the built-in profiles."""
+    if coeff.profile is Profile.CONSTANT or coeff.K == 0.0:
+        return DegeneracyClass.NONDEGENERATE
+    return DegeneracyClass.WEAK if coeff.K < 1.0 else DegeneracyClass.STRONG
+
+
+def classify_callable(fn, x0, threshold=1e8, rtol=1e-6, max_levels=50):
+    """Numerical integrability test of 1/fn for tabulated profiles.
+
+    Integrates 1/fn over dyadically shrinking exclusion neighbourhoods of
+    x0.  Declared strong when the partial integrals exceed ``threshold``
+    or fail to Cauchy-converge at relative ``rtol`` before the exclusion
+    radius reaches floating-point resolution; weak otherwise.
+    """
+    x0 = float(x0)
+    if fn(x0) > 1e-13 * max(fn(0.0), fn(1.0), 1.0):
+        return DegeneracyClass.NONDEGENERATE
+    xi, wi = roots_legendre(32)
+
+    def shell(lo, hi):
+        if hi <= lo:
+            return 0.0
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        pts = mid + half * xi
+        return half * float(np.sum(wi / np.array([fn(p) for p in pts])))
+
+    delta = 0.25 * min(x0, 1.0 - x0) if 0.0 < x0 < 1.0 else 0.25
+    total = shell(0.0, max(x0 - delta, 0.0)) + shell(min(x0 + delta, 1.0), 1.0)
+    for _ in range(max_levels):
+        new_delta = delta / 2.0
+        inc = shell(max(x0 - delta, 0.0), max(x0 - new_delta, 0.0))
+        inc += shell(min(x0 + new_delta, 1.0), min(x0 + delta, 1.0))
+        total += inc
+        delta = new_delta
+        if total > threshold:
+            return DegeneracyClass.STRONG
+        if inc <= rtol * abs(total):
+            return DegeneracyClass.WEAK
+    return DegeneracyClass.STRONG
+
+
+@dataclass(frozen=True)
+class ComparisonCheck:
+    """Outcome of the monotone power-comparison admissibility test."""
+
+    ok: bool
+    reason: str = ""
+
+    def __bool__(self):
+        return self.ok
+
+
+def check_power_comparison(coeff: DegenerateCoefficient, K: float) -> ComparisonCheck:
+    """Verify that |x - x0|**K / a(x) is non-increasing left of x0 and
+    non-decreasing right of x0 for some comparison exponent K in [1, 2).
+
+    Exact for the built-in profiles: the ratio is a pure power of the
+    distance, monotone in the required sense iff its exponent K - K_a is
+    nonnegative.  When x0 sits on a boundary only the interior side is
+    checked.
+    """
+    if not 1.0 <= K < 2.0:
+        return ComparisonCheck(False, f"comparison exponent {K} outside [1, 2)")
+    own = 0.0 if coeff.profile is Profile.CONSTANT else coeff.K
+    if K >= own:
+        return ComparisonCheck(True)
+    sides = []
+    if coeff.x0 > 0.0:
+        sides.append("ratio increasing toward x0 on the left (must be non-increasing)")
+    if coeff.x0 < 1.0:
+        sides.append("ratio decreasing away from x0 on the right (must be non-decreasing)")
+    return ComparisonCheck(False, "; ".join(sides))
+
+
+def check_power_comparison_callable(fn, x0, K, n=2001, slack=1e-12):
+    """Grid-based version of :func:`check_power_comparison` for tabulated
+    profiles.  Only monotonicity on the sample grid is checkable."""
+    if not 1.0 <= K < 2.0:
+        return ComparisonCheck(False, f"comparison exponent {K} outside [1, 2)")
+    xs = np.linspace(0.0, 1.0, n)
+    xs = xs[np.abs(xs - x0) > 1e-9]
+    ratio = np.abs(xs - x0) ** K / np.array([fn(x) for x in xs])
+    bad = []
+    left = ratio[xs < x0]
+    if left.size > 1 and np.any(np.diff(left) > slack * np.abs(left[:-1])):
+        bad.append("not non-increasing on the left of x0")
+    right = ratio[xs > x0]
+    if right.size > 1 and np.any(np.diff(right) < -slack * np.abs(right[:-1])):
+        bad.append("not non-decreasing on the right of x0")
+    return ComparisonCheck(not bad, "; ".join(bad))
+
+
+def singular_moment(coeff, interval, m, sign):
+    """Exact ``integral of x**m * a(x)**sign`` over ``interval``.
+
+    Closed-form antiderivatives of distance powers times the binomial
+    re-expansion of x**m about x0.  Raises DivergentIntegralError when the
+    integral does not converge (reciprocal weight across a strong zero).
+    """
+    lo, hi = float(interval[0]), float(interval[1])
+    if not 0.0 <= lo <= hi <= 1.0:
+        raise ValueError("interval must satisfy 0 <= l <= r <= 1")
+    if m < 0 or int(m) != m:
+        raise ValueError("moment order m must be a nonnegative integer")
+    monomial = PiecewisePower.from_polynomial([0.0] * int(m) + [1.0], coeff.x0)
+    return (monomial * coeff.as_power(sign)).integrate(lo, hi)
+
+
+def reciprocal_integral(coeff, lo=0.0, hi=1.0):
+    """Exact ``integral of 1/a``; DivergentIntegralError in the strong case."""
+    return singular_moment(coeff, (lo, hi), 0, -1)

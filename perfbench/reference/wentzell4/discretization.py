@@ -1,0 +1,352 @@
+"""Graded interval meshes, C1 cubic Hermite spaces, weighted quadrature.
+
+The degeneracy point is always a mesh node, so the singular behaviour of
+the weights a and 1/a is confined to the two adjacent elements.  There the
+quadrature weights are moment-fitted against exact closed-form moments of
+the power-law weight; any polynomial integrand up to the declared degree
+is then integrated exactly, so assembled matrices carry no quadrature
+error.  Away from the degeneracy a high-order Gauss rule applied to the
+full integrand is accurate to rounding.
+"""
+from __future__ import annotations
+
+import enum
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+from numpy.polynomial import Legendre, Polynomial
+from scipy.special import roots_legendre
+
+from .coefficient import DegeneracyClass, classify
+from .powers import DivergentIntegralError
+
+__all__ = [
+    "Mesh",
+    "DofMap",
+    "WeightKind",
+    "QuadratureRule",
+    "build_mesh",
+    "hermite_basis",
+    "constrain",
+    "shape_values",
+    "evaluate",
+    "interpolate",
+    "interpolate_poly",
+    "basis_row",
+    "weighted_rule",
+    "l2_error",
+]
+
+
+class WeightKind(enum.Enum):
+    UNIT = "unit"
+    COEFF_A = "coeff_a"
+    COEFF_RECIP_A = "coeff_recip_a"
+
+
+@dataclass(frozen=True)
+class Mesh:
+    nodes: np.ndarray
+    x0_index: int
+    grading: float
+
+    @property
+    def n_elements(self):
+        return len(self.nodes) - 1
+
+    @property
+    def x0(self):
+        return float(self.nodes[self.x0_index])
+
+    def element(self, e):
+        return float(self.nodes[e]), float(self.nodes[e + 1])
+
+    def lengths(self):
+        return np.diff(self.nodes)
+
+
+def _graded_lengths(total, count, grading, shrink_toward_end):
+    """Geometric progression of element lengths summing to ``total``;
+    ratio between neighbours is ``grading``, smallest at the chosen end."""
+    weights = grading ** np.arange(count, dtype=float)
+    if shrink_toward_end:
+        weights = weights[::-1]
+    return total * weights / weights.sum()
+
+
+def build_mesh(n, x0, grading=1.0) -> Mesh:
+    """Mesh of ``n`` elements on [0, 1] with ``x0`` as an interior node.
+
+    grading = 1 gives near-uniform spacing on each side of x0; grading > 1
+    shrinks element lengths geometrically toward x0 with ratio 1/grading.
+    """
+    if n < 2 or int(n) != n:
+        raise ValueError("need at least 2 elements")
+    if not 0.0 < x0 < 1.0:
+        raise ValueError("x0 must be interior; evolution problems require 0 < x0 < 1")
+    if grading < 1.0:
+        raise ValueError("grading must be >= 1")
+    n = int(n)
+    n_left = min(n - 1, max(1, round(n * x0)))
+    n_right = n - n_left
+    left = _graded_lengths(x0, n_left, grading, shrink_toward_end=True)
+    right = _graded_lengths(1.0 - x0, n_right, grading, shrink_toward_end=False)
+    nodes = np.concatenate([[0.0], np.cumsum(left), x0 + np.cumsum(right)])
+    nodes[n_left] = x0
+    nodes[-1] = 1.0
+    nodes.setflags(write=False)
+    return Mesh(nodes, n_left, float(grading))
+
+
+@dataclass(frozen=True)
+class DofMap:
+    """Two dofs per node (value, slope); discrete functions are globally C1.
+
+    ``constrained`` dofs are pinned to zero in every represented function.
+    """
+
+    mesh: Mesh
+    constrained: frozenset = field(default_factory=frozenset)
+
+    @property
+    def n_nodes(self):
+        return len(self.mesh.nodes)
+
+    @property
+    def total_dofs(self):
+        return 2 * self.n_nodes
+
+    def value_dof(self, node):
+        return 2 * node
+
+    def slope_dof(self, node):
+        return 2 * node + 1
+
+    def element_dofs(self, e):
+        return np.array([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3])
+
+    def free_dofs(self):
+        return np.array(
+            [i for i in range(self.total_dofs) if i not in self.constrained]
+        )
+
+
+def hermite_basis(mesh: Mesh) -> DofMap:
+    """Standard cubic Hermite space on the mesh, no constraints."""
+    return DofMap(mesh)
+
+
+def constrain(dofmap: DofMap, dofs) -> DofMap:
+    return DofMap(dofmap.mesh, dofmap.constrained | frozenset(int(d) for d in dofs))
+
+
+def shape_values(s, h, d=0):
+    """Cubic Hermite shape functions on the reference element s in [0, 1].
+
+    Returns an (..., 4) array: value/slope at the left node, value/slope at
+    the right node.  ``d`` is the x-derivative order, 0..3.
+    """
+    s = np.asarray(s, dtype=float)
+    one = np.ones_like(s)
+    if d == 0:
+        cols = [
+            1.0 - 3.0 * s**2 + 2.0 * s**3,
+            h * (s - 2.0 * s**2 + s**3),
+            3.0 * s**2 - 2.0 * s**3,
+            h * (s**3 - s**2),
+        ]
+    elif d == 1:
+        cols = [
+            6.0 * (s**2 - s) / h,
+            1.0 - 4.0 * s + 3.0 * s**2,
+            6.0 * (s - s**2) / h,
+            3.0 * s**2 - 2.0 * s,
+        ]
+    elif d == 2:
+        cols = [
+            (12.0 * s - 6.0) / h**2,
+            (6.0 * s - 4.0) / h,
+            (6.0 - 12.0 * s) / h**2,
+            (6.0 * s - 2.0) / h,
+        ]
+    elif d == 3:
+        cols = [12.0 / h**3 * one, 6.0 / h**2 * one, -12.0 / h**3 * one, 6.0 / h**2 * one]
+    else:
+        raise ValueError("derivative order must be 0..3")
+    return np.stack(cols, axis=-1)
+
+
+def _locate(mesh, x):
+    idx = np.searchsorted(mesh.nodes, x, side="right") - 1
+    return np.clip(idx, 0, mesh.n_elements - 1)
+
+
+def evaluate(dofs, dofmap: DofMap, x, d=0):
+    """Value of the d-th derivative of the represented piecewise cubic at x
+    (one-sided at element boundaries for d >= 2)."""
+    dofs = np.asarray(dofs, dtype=float)
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    idx = _locate(dofmap.mesh, x_arr)
+    xa = dofmap.mesh.nodes[idx]
+    h = dofmap.mesh.nodes[idx + 1] - xa
+    out = np.empty_like(x_arr)
+    for e in np.unique(idx):
+        mask = idx == e
+        phi = shape_values((x_arr[mask] - xa[mask]) / h[mask][0], float(h[mask][0]), d)
+        out[mask] = phi @ dofs[dofmap.element_dofs(e)]
+    return out if np.ndim(x) else float(out[0])
+
+
+def basis_row(dofmap: DofMap, x, d=0):
+    """Row vector of all shape functions' d-th derivative at a point."""
+    row = np.zeros(dofmap.total_dofs)
+    e = int(_locate(dofmap.mesh, np.array([x]))[0])
+    xa, xb = dofmap.mesh.element(e)
+    row[dofmap.element_dofs(e)] = shape_values((x - xa) / (xb - xa), xb - xa, d)
+    return row
+
+
+def interpolate(dofmap: DofMap, f, df):
+    """Dofs of the Hermite interpolant: nodal values from f, slopes from df."""
+    dofs = np.zeros(dofmap.total_dofs)
+    for i, xn in enumerate(dofmap.mesh.nodes):
+        dofs[dofmap.value_dof(i)] = f(xn)
+        dofs[dofmap.slope_dof(i)] = df(xn)
+    for c in dofmap.constrained:
+        dofs[c] = 0.0
+    return dofs
+
+
+def interpolate_poly(dofmap: DofMap, coeffs):
+    p = Polynomial(np.asarray(coeffs, dtype=float))
+    return interpolate(dofmap, p, p.deriv())
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Per-element points and weights; the weight function is folded into
+    the weights, so ``integrate(f)`` approximates the weighted integral of
+    a bare integrand f.
+
+    ``exactness`` is the polynomial degree integrated exactly against the
+    weight on elements adjacent to the degeneracy (moment-fitted there);
+    elsewhere a high-order Gauss rule on the full integrand is accurate to
+    rounding.  Under the constrained convention the guarantee holds for
+    polynomials with a double zero at x0.
+    """
+
+    mesh: Mesh
+    weight_kind: WeightKind
+    exactness: int
+    points: tuple
+    weights: tuple
+    constrained_convention: bool = False
+
+    def integrate(self, fn):
+        return sum(
+            float(np.dot(w, fn(p))) for p, w in zip(self.points, self.weights)
+        )
+
+
+_MAX_FIT_DEGREE = 7
+
+
+def _shifted_legendre_coeffs(r):
+    return Legendre.basis(r).convert(kind=Polynomial)(Polynomial([-1.0, 2.0])).coef
+
+
+def _fitted_singular_rule(coeff, xa, xb, sign, min_degree):
+    """Weights at Gauss nodes reproducing the exact moments of the power
+    weight over an element with x0 at one end."""
+    h = xb - xa
+    at_left = abs(coeff.x0 - xa) <= abs(coeff.x0 - xb)
+    p = sign * (0.0 if coeff.K == 0.0 else coeff.K)
+    amp = coeff.scale**sign
+    ncond = _MAX_FIT_DEGREE + 1 - min_degree
+    xi, _ = roots_legendre(ncond)
+    sigma = 0.5 * (xi + 1.0)
+
+    A = np.empty((ncond, ncond))
+    rhs = np.empty(ncond)
+    # exact moments of sigma**j against the weight, sigma = d/h in [0, 1];
+    # moments below min_degree may diverge (strong reciprocal weight) and
+    # are never used by the fit
+    moments = {
+        j: amp * h ** (p + 1.0) / (j + p + 1.0)
+        for j in range(min_degree, _MAX_FIT_DEGREE + 1)
+    }
+    for r in range(ncond):
+        cp = _shifted_legendre_coeffs(r)
+        A[r] = sigma**min_degree * np.polynomial.polynomial.polyval(sigma, cp)
+        rhs[r] = sum(c * moments[min_degree + j] for j, c in enumerate(cp))
+    w = np.linalg.solve(A, rhs)
+    x = xa + h * sigma if at_left else xb - h * sigma
+    order = np.argsort(x)
+    return x[order], w[order]
+
+
+def weighted_rule(mesh, dofmap, coeff, kind, npoints=None):
+    """Quadrature rule for the weight 1 (UNIT), a (COEFF_A) or 1/a
+    (COEFF_RECIP_A) on every element.
+
+    On the two elements adjacent to x0 the rule is moment-fitted and exact
+    for polynomial integrands of degree <= 7 against the power-law weight.
+    For a strongly degenerate reciprocal weight this requires the value dof
+    at x0 to be constrained (every represented product then carries a
+    (x - x0)**2 factor); otherwise the integral diverges.
+    """
+    kind = WeightKind(kind)
+    if kind is WeightKind.UNIT:
+        n_gauss = npoints or 4
+    else:
+        n_gauss = npoints or 16
+    xi, wi = roots_legendre(n_gauss)
+
+    klass = classify(coeff)
+    singular = set()
+    min_degree = 0
+    if kind is not WeightKind.UNIT and klass is not DegeneracyClass.NONDEGENERATE:
+        if abs(mesh.x0 - coeff.x0) > 1e-12:
+            raise ValueError("mesh must place the degeneracy point on a node")
+        singular = {mesh.x0_index - 1, mesh.x0_index} & set(range(mesh.n_elements))
+        if kind is WeightKind.COEFF_RECIP_A and klass is DegeneracyClass.STRONG:
+            x0_value_dof = dofmap.value_dof(mesh.x0_index)
+            if x0_value_dof not in dofmap.constrained:
+                raise DivergentIntegralError(
+                    "1/a is not integrable across a strong degeneracy unless the "
+                    "value dof at x0 is constrained to zero"
+                )
+            min_degree = 2
+
+    sign = -1 if kind is WeightKind.COEFF_RECIP_A else 1
+    points, weights = [], []
+    for e in range(mesh.n_elements):
+        xa, xb = mesh.element(e)
+        h = xb - xa
+        if e in singular:
+            x, w = _fitted_singular_rule(coeff, xa, xb, sign, min_degree)
+        else:
+            x = xa + 0.5 * h * (xi + 1.0)
+            w = 0.5 * h * wi
+            if kind is not WeightKind.UNIT:
+                w = w * coeff(x) ** sign
+        points.append(x)
+        weights.append(w)
+    exactness = 2 * n_gauss - 1 if kind is WeightKind.UNIT else _MAX_FIT_DEGREE
+    return QuadratureRule(
+        mesh, kind, exactness, tuple(points), tuple(weights), min_degree > 0
+    )
+
+
+def l2_error(dofs, dofmap, fn, npoints=8):
+    """L2 distance between a represented function and a callable."""
+    xi, wi = roots_legendre(npoints)
+    total = 0.0
+    for e in range(dofmap.mesh.n_elements):
+        xa, xb = dofmap.mesh.element(e)
+        h = xb - xa
+        x = xa + 0.5 * h * (xi + 1.0)
+        diff = evaluate(dofs, dofmap, x) - np.asarray(fn(x), dtype=float)
+        total += 0.5 * h * float(np.dot(wi, diff**2))
+    return math.sqrt(total)

@@ -1,0 +1,219 @@
+"""Exact algebra for piecewise power sums around one breakpoint.
+
+Functions of the form ``sum_q c_q * d**p_q``, where ``d`` is the distance
+to a fixed point ``x0`` and the terms may differ on the two sides of
+``x0``, are closed under products, differentiation and antidifferentiation.
+All integrals, one-sided limits and boundary values used by the
+verification battery therefore come out in closed form; residuals of the
+integration-by-parts identities are limited by floating-point rounding
+only, never by quadrature error.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from numpy.polynomial import Polynomial
+
+__all__ = ["DivergentIntegralError", "PiecewisePower"]
+
+# exponents are combined with a tolerance: they arise as j + s*K for small
+# integers j, s, so distinct values are well separated
+_EXP_TOL = 1e-9
+
+
+class DivergentIntegralError(ArithmeticError):
+    """A requested weighted integral does not converge."""
+
+
+def _merge(terms):
+    out: list[list[float]] = []
+    for p, c in sorted(terms):
+        if c == 0.0:
+            continue
+        if out and abs(out[-1][0] - p) < _EXP_TOL:
+            out[-1][1] += c
+        else:
+            out.append([float(p), float(c)])
+    return tuple((p, c) for p, c in out if c != 0.0)
+
+
+def _poly_in_distance(coeffs, x0, side):
+    """Re-expand a polynomial in x as a polynomial in the distance to x0."""
+    sign = -1.0 if side == "left" else 1.0
+    shifted = Polynomial(np.asarray(coeffs, dtype=float))(Polynomial([x0, sign]))
+    return tuple((float(j), float(c)) for j, c in enumerate(shifted.coef))
+
+
+def _side_value(terms, d):
+    return sum(c * d**p for p, c in terms)
+
+
+def _side_integral(terms, lo, hi):
+    """Integrate sum c*d**p over d in [lo, hi], 0 <= lo <= hi."""
+    if hi <= lo:
+        return 0.0
+    total = 0.0
+    for p, c in terms:
+        q = p + 1.0
+        if abs(q) < _EXP_TOL:
+            if lo <= 0.0:
+                raise DivergentIntegralError(
+                    f"integral of d**{p} diverges logarithmically at the breakpoint"
+                )
+            total += c * math.log(hi / lo)
+        elif q < 0.0 and lo <= 0.0:
+            raise DivergentIntegralError(
+                f"integral of d**{p} diverges at the breakpoint"
+            )
+        else:
+            lo_pow = 0.0 if lo == 0.0 else lo**q
+            total += c * (hi**q - lo_pow) / q
+    return total
+
+
+@dataclass(frozen=True)
+class PiecewisePower:
+    """Two-sided sum of real powers of the distance to ``x0``.
+
+    ``left`` holds (exponent, coefficient) pairs in s = x0 - x, valid on
+    [0, x0]; ``right`` holds pairs in t = x - x0, valid on [x0, 1].  A side
+    may be empty when x0 sits on the corresponding end of the interval.
+    """
+
+    x0: float
+    left: tuple[tuple[float, float], ...]
+    right: tuple[tuple[float, float], ...]
+
+    # ---- constructors -------------------------------------------------
+    @classmethod
+    def from_polynomial(cls, coeffs, x0):
+        """Polynomial with ascending coefficients in x, same on both sides."""
+        return cls(
+            float(x0),
+            _poly_in_distance(coeffs, x0, "left") if x0 > 0.0 else (),
+            _poly_in_distance(coeffs, x0, "right") if x0 < 1.0 else (),
+        )
+
+    @classmethod
+    def from_sides(cls, left_coeffs, right_coeffs, x0):
+        """Separate polynomials in x on each side of x0."""
+        return cls(
+            float(x0),
+            _poly_in_distance(left_coeffs, x0, "left") if x0 > 0.0 else (),
+            _poly_in_distance(right_coeffs, x0, "right") if x0 < 1.0 else (),
+        )
+
+    @classmethod
+    def power_weight(cls, x0, exponent, amplitude=1.0):
+        """amplitude * d**exponent on both sides (the weight prototype)."""
+        term = ((float(exponent), float(amplitude)),)
+        return cls(
+            float(x0),
+            term if x0 > 0.0 else (),
+            term if x0 < 1.0 else (),
+        )
+
+    # ---- algebra ------------------------------------------------------
+    def _check_compatible(self, other):
+        if abs(self.x0 - other.x0) > 1e-14:
+            raise ValueError("operands have different breakpoints")
+
+    def __add__(self, other):
+        if isinstance(other, (int, float)):
+            other = PiecewisePower.from_polynomial([float(other)], self.x0)
+        self._check_compatible(other)
+        return PiecewisePower(
+            self.x0, _merge(self.left + other.left), _merge(self.right + other.right)
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self * -1.0
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float)):
+            c = float(other)
+            return PiecewisePower(
+                self.x0,
+                _merge((p, c * a) for p, a in self.left),
+                _merge((p, c * a) for p, a in self.right),
+            )
+        self._check_compatible(other)
+
+        def conv(a, b):
+            return _merge((pa + pb, ca * cb) for pa, ca in a for pb, cb in b)
+
+        return PiecewisePower(
+            self.x0, conv(self.left, other.left), conv(self.right, other.right)
+        )
+
+    __rmul__ = __mul__
+
+    def derivative(self, order=1):
+        f = self
+        for _ in range(order):
+            # on the left side d/dx = -d/ds
+            f = PiecewisePower(
+                f.x0,
+                _merge((p - 1.0, -c * p) for p, c in f.left if p != 0.0),
+                _merge((p - 1.0, c * p) for p, c in f.right if p != 0.0),
+            )
+        return f
+
+    # ---- evaluation ---------------------------------------------------
+    def __call__(self, x):
+        x = float(x)
+        if x < self.x0:
+            return _side_value(self.left, self.x0 - x)
+        if x > self.x0:
+            return _side_value(self.right, x - self.x0)
+        if not self.left:
+            return self.limit("right")
+        if not self.right:
+            return self.limit("left")
+        lv, rv = self.limit("left"), self.limit("right")
+        if not math.isclose(lv, rv, rel_tol=1e-12, abs_tol=1e-12):
+            raise ValueError("two-sided values disagree at the breakpoint")
+        return 0.5 * (lv + rv)
+
+    def sample(self, xs):
+        return np.array([self(x) for x in np.asarray(xs, dtype=float)])
+
+    def limit(self, side):
+        """One-sided limit at the breakpoint; raises if unbounded."""
+        terms = self.left if side == "left" else self.right
+        value = 0.0
+        for p, c in terms:
+            if p < -_EXP_TOL:
+                raise ValueError(f"{side} limit at the breakpoint is unbounded")
+            if abs(p) < _EXP_TOL:
+                value += c
+        return value
+
+    def jump(self):
+        """Right limit minus left limit at the breakpoint."""
+        return self.limit("right") - self.limit("left")
+
+    def min_exponent(self, side):
+        terms = self.left if side == "left" else self.right
+        return min((p for p, _ in terms), default=math.inf)
+
+    # ---- integrals ----------------------------------------------------
+    def integrate(self, lo=0.0, hi=1.0):
+        if not lo <= hi:
+            raise ValueError("empty interval")
+        total = 0.0
+        cut_hi = min(hi, self.x0)
+        if lo < cut_hi:
+            total += _side_integral(self.left, self.x0 - cut_hi, self.x0 - lo)
+        cut_lo = max(lo, self.x0)
+        if cut_lo < hi:
+            total += _side_integral(self.right, cut_lo - self.x0, hi - self.x0)
+        return total
+
+    def l2_norm_sq(self, lo=0.0, hi=1.0):
+        return (self * self).integrate(lo, hi)

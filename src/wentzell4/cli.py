@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficient import DegeneracyClass, classify, constant_profile, power_profile
+from .coefficient import DegeneracyClass, ParameterError, classify, constant_profile, power_profile
 from .evolution import (
     ProblemConfig,
     Scheme,
     build_system,
     initial_dofs,
+    parse_forcing,
     resolve_space_spec,
     resolvent_solve,
     run,
@@ -60,6 +61,15 @@ def _number(mapping, where, key, default=None, required=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key}" if where else key, "must be a number")
     return float(value)
+
+
+def _checked(section, build, *args, **kwargs):
+    """Call a library constructor, which enforces its own bounds; its
+    ParameterError becomes a ConfigError on ``section.<parameter>``."""
+    try:
+        return build(*args, **kwargs)
+    except ParameterError as exc:
+        raise ConfigError(f"{section}.{exc.name}", exc.reason) from None
 
 
 @dataclass(frozen=True)
@@ -107,18 +117,13 @@ def parse_config(text) -> CliConfig:
     if profile not in ("power", "constant"):
         raise ConfigError("coefficient.profile", "must be 'power' or 'constant'")
     scale = _number(cdoc, "coefficient", "scale", default=1.0)
-    if scale <= 0.0:
-        raise ConfigError("coefficient.scale", "must be > 0")
     if profile == "constant":
-        coeff = constant_profile(scale, _number(cdoc, "coefficient", "x0", default=0.5))
+        x0 = _number(cdoc, "coefficient", "x0", default=0.5)
+        coeff = _checked("coefficient", constant_profile, scale, x0)
     else:
         x0 = _number(cdoc, "coefficient", "x0", required=True)
         K = _number(cdoc, "coefficient", "K", required=True)
-        if not 0.0 <= x0 <= 1.0:
-            raise ConfigError("coefficient.x0", "must lie in [0, 1]")
-        if K < 0.0:
-            raise ConfigError("coefficient.K", "must be >= 0")
-        coeff = power_profile(x0, K, scale)
+        coeff = _checked("coefficient", power_profile, x0, K, scale)
     if classify(coeff) is DegeneracyClass.STRONG and coeff.K >= 2.0:
         raise ConfigError(
             "coefficient.K", "strong degeneracy requires K in [1, 2)"
@@ -128,17 +133,14 @@ def parse_config(text) -> CliConfig:
     if not isinstance(wdoc, dict):
         raise ConfigError("wentzell", "missing or not an object")
     _reject_unknown(wdoc, {"beta0", "beta1", "gamma0", "gamma1"}, "wentzell")
-    beta0 = _number(wdoc, "wentzell", "beta0", required=True)
-    beta1 = _number(wdoc, "wentzell", "beta1", required=True)
-    gamma0 = _number(wdoc, "wentzell", "gamma0", default=0.0)
-    gamma1 = _number(wdoc, "wentzell", "gamma1", default=0.0)
-    for name, value in (("beta0", beta0), ("beta1", beta1)):
-        if value <= 0.0:
-            raise ConfigError(f"wentzell.{name}", "must be > 0")
-    for name, value in (("gamma0", gamma0), ("gamma1", gamma1)):
-        if value > 0.0:
-            raise ConfigError(f"wentzell.{name}", "must be <= 0")
-    params = WentzellParams(beta0, beta1, gamma0, gamma1)
+    params = _checked(
+        "wentzell",
+        WentzellParams,
+        _number(wdoc, "wentzell", "beta0", required=True),
+        _number(wdoc, "wentzell", "beta1", required=True),
+        _number(wdoc, "wentzell", "gamma0", default=0.0),
+        _number(wdoc, "wentzell", "gamma1", default=0.0),
+    )
 
     mdoc = doc.get("mesh", {})
     if not isinstance(mdoc, dict):
@@ -156,11 +158,7 @@ def parse_config(text) -> CliConfig:
         raise ConfigError("time", "missing or not an object")
     _reject_unknown(tdoc, {"T", "dt"}, "time")
     T = _number(tdoc, "time", "T", required=True)
-    if T <= 0.0:
-        raise ConfigError("time.T", "must be > 0")
     dt = _number(tdoc, "time", "dt")
-    if dt is not None and not 0.0 < dt <= T:
-        raise ConfigError("time.dt", "must satisfy 0 < dt <= T")
 
     scheme_name = doc.get("scheme", "implicit_euler")
     try:
@@ -180,14 +178,13 @@ def parse_config(text) -> CliConfig:
         raise ConfigError("project_u0", "must be a boolean")
 
     forcing = doc.get("forcing")
-    if forcing is not None and not isinstance(forcing, (str, dict)):
+    if forcing is not None and forcing != "zero" and not isinstance(forcing, dict):
         raise ConfigError("forcing", "must be 'zero' or an object")
-    if isinstance(forcing, dict):
-        _reject_unknown(forcing, {"kind", "space", "rate"}, "forcing")
-        if forcing.get("kind") == "manufactured" and form is not OperatorForm.DIVERGENCE:
-            raise ConfigError(
-                "forcing.kind", "manufactured forcing targets the divergence form"
-            )
+    forcing_kind, _, _ = _checked("forcing", parse_forcing, forcing)
+    if forcing_kind == "manufactured" and form is not OperatorForm.DIVERGENCE:
+        raise ConfigError(
+            "forcing.kind", "manufactured forcing targets the divergence form"
+        )
 
     vdoc = doc.get("verify", {})
     if not isinstance(vdoc, dict):
@@ -205,7 +202,7 @@ def parse_config(text) -> CliConfig:
         raise ConfigError("spectrum", "must be an object")
     _reject_unknown(sdoc, {"count"}, "spectrum")
     count = sdoc.get("count")
-    if count is not None and (not isinstance(count, int) or count < 1):
+    if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 1):
         raise ConfigError("spectrum.count", "must be a positive integer")
 
     rdoc = doc.get("resolvent", {})
@@ -213,7 +210,7 @@ def parse_config(text) -> CliConfig:
         raise ConfigError("resolvent", "must be an object")
     _reject_unknown(rdoc, {"lambda", "f"}, "resolvent")
     lam = _number(rdoc, "resolvent", "lambda", default=1.0)
-    if lam <= max(0.0, gamma0, gamma1):
+    if lam <= max(0.0, params.gamma0, params.gamma1):
         raise ConfigError("resolvent.lambda", "must exceed max(0, gamma0, gamma1)")
     rf = rdoc.get("f", "one")
     try:
@@ -221,7 +218,10 @@ def parse_config(text) -> CliConfig:
     except ValueError as exc:
         raise ConfigError("resolvent.f", str(exc)) from None
 
-    problem = ProblemConfig(
+    # ProblemConfig bounds T and dt only, both under "time"
+    problem = _checked(
+        "time",
+        ProblemConfig,
         form=form,
         coeff=coeff,
         params=params,
@@ -249,7 +249,7 @@ def _cmd_run(config: CliConfig, out: Path, seed):
     summary = traj.summary()
     _write_json(out / "summary.json", summary)
     checks = [v for v in (summary["contraction_ok"], summary["energy_bound_ok"]) if v is not None]
-    return all(checks)
+    return summary["aborted"] is None and all(checks)
 
 
 def _cmd_verify(config: CliConfig, out: Path, seed):
@@ -266,8 +266,7 @@ def _cmd_spectrum(config: CliConfig, out: Path, seed):
         fh.write("index,eigenvalue\n")
         for i, lam in enumerate(decomp.eigenvalues[:count]):
             fh.write(f"{i},{lam:.17g}\n")
-    lam_max = max(float(decomp.eigenvalues[-1]), 1.0)
-    psd_ok = bool(decomp.eigenvalues[0] >= -1e-10 * lam_max)
+    psd_ok = decomp.psd_ok()
     _write_json(
         out / "spectrum.json",
         {
@@ -321,12 +320,10 @@ _COMMANDS = {
 }
 
 
-def dispatch(command, config: CliConfig, out, seed=0, threads=1):
+def dispatch(command, config: CliConfig, out, seed=0):
     """Execute one subcommand; returns the process exit status."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    if threads < 1:
-        raise ConfigError("threads", "must be >= 1")
     ok = _COMMANDS[command](config, out, seed)
     return 0 if ok else 1
 
@@ -347,19 +344,12 @@ def main(argv=None):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default="./out", help="output directory")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker threads for element-parallel sections (default 1 "
-            "for reproducibility; the current build is sequential)",
-        )
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     args = parser.parse_args(argv)
 
     try:
         config = parse_config(Path(args.config).read_text())
-        return dispatch(args.command, config, args.out, seed=args.seed, threads=args.threads)
+        return dispatch(args.command, config, args.out, seed=args.seed)
     except ConfigError as exc:
         print(json.dumps({"error": exc.reason, "key": exc.key}), file=sys.stderr)
         return 2

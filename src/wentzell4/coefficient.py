@@ -18,6 +18,7 @@ from scipy.special import roots_legendre
 from .powers import PiecewisePower
 
 __all__ = [
+    "ParameterError",
     "Profile",
     "DegeneracyClass",
     "DegenerateCoefficient",
@@ -30,6 +31,14 @@ __all__ = [
     "check_power_comparison_callable",
     "singular_moment",
 ]
+
+
+class ParameterError(ValueError):
+    """An out-of-range constructor argument; ``name`` is the parameter."""
+
+    def __init__(self, name, reason):
+        super().__init__(f"{name} {reason}")
+        self.name, self.reason = name, reason
 
 
 class Profile(enum.Enum):
@@ -54,11 +63,11 @@ class DegenerateCoefficient:
 
     def __post_init__(self):
         if not 0.0 <= self.x0 <= 1.0:
-            raise ValueError(f"x0 must lie in [0, 1], got {self.x0}")
-        if self.K < 0.0:
-            raise ValueError(f"exponent K must be nonnegative, got {self.K}")
+            raise ParameterError("x0", f"must lie in [0, 1], got {self.x0}")
+        if not self.K >= 0.0:
+            raise ParameterError("K", f"must be >= 0, got {self.K}")
         if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+            raise ParameterError("scale", f"must be > 0, got {self.scale}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -198,8 +207,3 @@ def singular_moment(coeff, interval, m, sign):
         raise ValueError("moment order m must be a nonnegative integer")
     monomial = PiecewisePower.from_polynomial([0.0] * int(m) + [1.0], coeff.x0)
     return (monomial * coeff.as_power(sign)).integrate(lo, hi)
-
-
-def reciprocal_integral(coeff, lo=0.0, hi=1.0):
-    """Exact ``integral of 1/a``; DivergentIntegralError in the strong case."""
-    return singular_moment(coeff, (lo, hi), 0, -1)

@@ -225,28 +225,21 @@ def interpolate_poly(dofmap: DofMap, coeffs):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Per-element points and weights; the weight function is folded into
-    the weights, so ``integrate(f)`` approximates the weighted integral of
-    a bare integrand f.
+    """Per-element points and weights with the weight function folded into
+    the weights.
 
-    ``exactness`` is the polynomial degree integrated exactly against the
-    weight on elements adjacent to the degeneracy (moment-fitted there);
-    elsewhere a high-order Gauss rule on the full integrand is accurate to
-    rounding.  Under the constrained convention the guarantee holds for
-    polynomials with a double zero at x0.
+    On the elements adjacent to the degeneracy the rule is moment-fitted
+    and exact to polynomial degree 7 against the weight; elsewhere a
+    high-order Gauss rule on the full integrand is accurate to rounding.
+    Under the constrained convention the guarantee holds for polynomials
+    with a double zero at x0.
     """
 
     mesh: Mesh
     weight_kind: WeightKind
-    exactness: int
     points: tuple
     weights: tuple
     constrained_convention: bool = False
-
-    def integrate(self, fn):
-        return sum(
-            float(np.dot(w, fn(p))) for p, w in zip(self.points, self.weights)
-        )
 
 
 _MAX_FIT_DEGREE = 7
@@ -333,10 +326,7 @@ def weighted_rule(mesh, dofmap, coeff, kind, npoints=None):
                 w = w * coeff(x) ** sign
         points.append(x)
         weights.append(w)
-    exactness = 2 * n_gauss - 1 if kind is WeightKind.UNIT else _MAX_FIT_DEGREE
-    return QuadratureRule(
-        mesh, kind, exactness, tuple(points), tuple(weights), min_degree > 0
-    )
+    return QuadratureRule(mesh, kind, tuple(points), tuple(weights), min_degree > 0)
 
 
 def l2_error(dofs, dofmap, fn, npoints=8):

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-from .coefficient import DegeneracyClass, DegenerateCoefficient, classify
+from .coefficient import DegeneracyClass, DegenerateCoefficient, ParameterError, classify
 from .discretization import (
     WeightKind,
     build_mesh,
@@ -53,6 +53,7 @@ __all__ = [
     "WeakLoadForcing",
     "manufactured_divergence_forcing",
     "resolve_space_spec",
+    "parse_forcing",
     "resolve_forcing",
     "initial_dofs",
     "SPACE_PRESETS",
@@ -385,26 +386,40 @@ def resolve_space_spec(spec):
     return np.asarray(spec, dtype=float)
 
 
-def resolve_forcing(system, spec) -> Forcing:
-    """Forcing from a spec: None / 'zero', {'kind': 'separable', 'space':
-    ..., 'rate': r} or {'kind': 'manufactured', 'space': ..., 'rate': r}."""
-    if spec is None or spec == "zero" or spec == {"kind": "zero"}:
-        return ZeroForcing(system)
-    if not isinstance(spec, dict) or "kind" not in spec:
+def parse_forcing(spec):
+    """``(kind, space_coeffs, rate)`` from a forcing spec: None / 'zero' or
+    {'kind': 'zero' | 'separable' | 'manufactured', 'space': ..., 'rate': r}.
+    A bad entry of the mapping raises ParameterError naming its key."""
+    if spec is None or spec == "zero":
+        return "zero", None, 0.0
+    if not isinstance(spec, dict):
         raise ValueError("forcing spec must be 'zero' or a mapping with 'kind'")
-    kind = spec["kind"]
     extra = set(spec) - {"kind", "space", "rate"}
     if extra:
-        raise ValueError(f"unknown forcing keys {sorted(extra)}")
-    rate = float(spec.get("rate", 0.0))
+        raise ParameterError(sorted(extra)[0], "unknown key")
+    kind = spec.get("kind")
+    if kind not in ("zero", "separable", "manufactured"):
+        raise ParameterError("kind", "must be 'zero', 'separable' or 'manufactured'")
+    rate = spec.get("rate", 0.0)
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+        raise ParameterError("rate", "must be a number")
+    default_space = "bump_cubed" if kind == "manufactured" else "one"
+    try:
+        coeffs = resolve_space_spec(spec.get("space", default_space))
+    except ValueError as exc:
+        raise ParameterError("space", str(exc)) from None
+    return kind, coeffs, float(rate)
+
+
+def resolve_forcing(system, spec) -> Forcing:
+    """Forcing from a spec accepted by :func:`parse_forcing`."""
+    kind, coeffs, rate = parse_forcing(spec)
     if kind == "separable":
         profile = TimeProfile("exp", rate) if rate != 0.0 else TimeProfile("const")
-        coeffs = resolve_space_spec(spec.get("space", "one"))
         return SeparableForcing(system, profile, interpolate_poly(system.dofmap, coeffs))
     if kind == "manufactured":
-        coeffs = resolve_space_spec(spec.get("space", "bump_cubed"))
         return manufactured_divergence_forcing(system, coeffs, rate=rate or 1.0)
-    raise ValueError(f"unknown forcing kind {kind!r}")
+    return ZeroForcing(system)
 
 
 def initial_dofs(system, spec, project=False):
@@ -449,10 +464,10 @@ class ProblemConfig:
     project_u0: bool = False
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError("T must be positive")
+        if not self.T > 0.0:
+            raise ParameterError("T", "must be > 0")
         if self.dt is not None and not 0.0 < self.dt <= self.T:
-            raise ValueError("need 0 < dt <= T")
+            raise ParameterError("dt", "must satisfy 0 < dt <= T")
 
     def resolved_dt(self):
         return self.dt if self.dt is not None else self.T / 100.0
@@ -547,6 +562,7 @@ class Trajectory:
             "energy_integral": self.energy_integral,
             "contraction_ok": self.contraction_ok(),
             "energy_bound_ok": self.energy_bound_ok(),
+            "aborted": self.aborted,
         }
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from .coefficient import (
     DegeneracyClass,
     DegenerateCoefficient,
+    ParameterError,
     check_power_comparison,
     classify,
 )
@@ -70,10 +71,10 @@ class WentzellParams:
     def __post_init__(self):
         for name in ("beta0", "beta1"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
+                raise ParameterError(name, "must be > 0")
         for name in ("gamma0", "gamma1"):
-            if getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be <= 0")
+            if not getattr(self, name) <= 0.0:
+                raise ParameterError(name, "must be <= 0")
 
 
 def gram_matrix(rule, dofmap: DofMap, d):
@@ -142,10 +143,6 @@ class AssembledSystem:
 
     def energy(self, dofs):
         return float(dofs @ self.K @ dofs)
-
-    def boundary_value(self, dofs, end):
-        node = 0 if end == 0 else self.dofmap.n_nodes - 1
-        return float(dofs[self.dofmap.value_dof(node)])
 
     # quadrature rules reused by norms and load assembly
     @cached_property

@@ -180,9 +180,6 @@ class PiecewisePower:
             raise ValueError("two-sided values disagree at the breakpoint")
         return 0.5 * (lv + rv)
 
-    def sample(self, xs):
-        return np.array([self(x) for x in np.asarray(xs, dtype=float)])
-
     def limit(self, side):
         """One-sided limit at the breakpoint; raises if unbounded."""
         terms = self.left if side == "left" else self.right

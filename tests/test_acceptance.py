@@ -1,6 +1,10 @@
 """Acceptance gate: one test per structural property, each at its stated
 tolerance and time budget, printing one PASS/FAIL line per criterion.
 
+The structural criteria are evaluated by the ``oracle`` suites behind
+``wentzell4 verify``; the tests here assert on the report entries those
+suites return and pin each entry's tolerance.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 import math
@@ -8,29 +12,19 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
-from scipy.linalg import eigh
 
 from wentzell4.coefficient import constant_profile, power_profile
 from wentzell4.discretization import l2_error
 from wentzell4.evolution import (
+    CONTRACTION_TOL,
     ProblemConfig,
     Scheme,
     TimeStepper,
     resolve_space_spec,
-    resolvent_solve,
     run,
 )
 from wentzell4.forms import OperatorForm, WentzellParams
-from wentzell4.oracle import (
-    best_linear_fit,
-    dense_decompose,
-    exact_propagator,
-    green_battery,
-    green_residual,
-    hardy_bound,
-    pointwise_sqrt_bound,
-)
+from wentzell4.oracle import dense_decompose, exact_propagator, verification_report
 from wentzell4.oracle import _case_matrix
 
 D, ND = OperatorForm.DIVERGENCE, OperatorForm.NON_DIVERGENCE
@@ -49,32 +43,36 @@ def criterion(number, name, budget_seconds):
     assert elapsed < budget_seconds
 
 
+def _suite(name, seed):
+    """Entries of one oracle suite; every one of them must pass."""
+    checks = verification_report([name], seed=seed)["checks"]
+    failed = [c["name"] for c in checks if not c["pass"]]
+    assert not failed, failed
+    return checks
+
+
 def test_01_symmetry():
     with criterion(1, "symmetry of mass and energy matrices", 1.0):
-        cases = list(_case_matrix(n=16))
-        assert len(cases) == 16
-        for name, system in cases:
-            assert np.max(np.abs(system.M - system.M.T)) == 0.0, name
-            assert np.max(np.abs(system.K - system.K.T)) == 0.0, name
+        checks = _suite("spectral", seed=0)
+        assert len(checks) == 16
+        assert {c["tolerance"] for c in checks} == {1e-10}
+        for c in checks:
+            assert c["computed"]["symmetry_gap"] == 0.0, c["name"]
 
 
 def test_02_nonnegativity_and_kernels():
     with criterion(2, "non-negativity and kernel dimensions", 5.0):
-        for name, system in _case_matrix(n=16):
-            decomp = dense_decompose(system)
-            w = decomp.eigenvalues
-            assert w[0] >= -1e-10 * max(w[-1], 1.0), name
-            if system.params.gamma0 == 0.0:
-                if system.form is D:
-                    assert decomp.near_zero_count(1e-9) == 2, name
-                elif system.dofmap.constrained:
-                    assert decomp.near_zero_count(1e-9) == 1, name
+        checks = _suite("spectral", seed=0)
+        assert {c["tolerance"] for c in checks} == {1e-10}
+        for c in checks:
+            # the kernel dimension is gated exactly for the neutral cases
+            assert ("expected_kernel" in c["computed"]) == c["name"].endswith("_neutral")
 
 
 def test_03_contraction_semigroup():
     with criterion(3, "implicit Euler contraction, 100 random data x 200 steps", 30.0):
         rng = np.random.default_rng(123)
-        bound = (1.0 + 1e-12) ** 2
+        bound = (1.0 + CONTRACTION_TOL) ** 2
         for name, system in _case_matrix(n=16):
             Mf, _ = system.free_matrices()
             stepper = TimeStepper(system, 0.05, Scheme.IMPLICIT_EULER)
@@ -89,36 +87,24 @@ def test_03_contraction_semigroup():
 
 def test_04_resolvent_surjectivity_and_coercivity():
     with criterion(4, "resolvent residuals and shifted coercivity", 10.0):
-        rng = np.random.default_rng(42)
-        for name, system in _case_matrix(n=16):
-            if system.params.gamma0 != -1.0:
-                continue
-            Mf, Kf = system.free_matrices()
-            p = system.params
-            for lam in (0.5, 1.0, 10.0):
-                for _ in range(20):
-                    f = rng.standard_normal(system.dofmap.total_dofs)
-                    u = resolvent_solve(system, lam, f)
-                    b = (system.M @ f)[system.free]
-                    res = np.linalg.norm((lam * Mf + Kf) @ u[system.free] - b)
-                    assert res <= 1e-10 * np.linalg.norm(b), (name, lam)
-                delta = min(lam, 1.0, lam - p.gamma0, lam - p.gamma1)
-                shifted = lam * Mf + Kf - delta * Mf
-                w = eigh(shifted, eigvals_only=True)
-                assert w[0] >= -1e-8 * max(abs(w[-1]), 1.0), (name, lam)
+        checks = _suite("resolvent", seed=42)
+        assert len(checks) == 8 * 3  # damped cases x lambda in (0.5, 1, 10)
+        assert {c["tolerance"] for c in checks} == {1e-10}
+        assert min(c["inputs"]["samples"] for c in checks) >= 20
 
 
 def test_05_green_identities():
     with criterion(5, "integration-by-parts battery incl. jump and one-sided", 1.0):
-        cases = green_battery()
-        assert len(cases) >= 12
-        names = [c[0] for c in cases]
+        checks = _suite("green", seed=0)
+        assert len(checks) >= 12
+        names = [c["name"] for c in checks]
         assert any("jump" in n for n in names)
         assert any("x0_left" in n for n in names)
         assert any("x0_right" in n for n in names)
-        for name, form, coeff, u, v in cases:
-            rep = green_residual(form, u, v, coeff)
-            assert rep.residual <= 1e-11 * max(rep.scale, 1e-30), name
+        for c in checks:
+            terms = ("lhs", "boundary_first", "boundary_second", "jump", "rhs")
+            scale = max(abs(c["computed"][t]) for t in terms)
+            assert c["tolerance"] == 1e-11 * max(scale, 1e-30), c["name"]
 
 
 ENERGY_CONFIGS = [
@@ -158,12 +144,8 @@ def test_06_energy_estimate():
         assert len(ENERGY_CONFIGS) == 10
         for i, cfg in enumerate(ENERGY_CONFIGS):
             traj = run(cfg)
-            lhs = traj.sup_norm_sq + traj.energy_integral
-            t_final = traj.states[-1].t
-            rhs = math.exp(t_final) * (
-                traj.states[0].norm_mu_sq + traj.dt * sum(traj.forcing_norm_sq)
-            )
-            assert lhs <= rhs * (1.0 + 1e-8), f"config {i}"
+            assert traj.aborted is None, f"config {i}"
+            assert traj.energy_bound_ok(), f"config {i}"
 
 
 def _temporal_order(form, coeff, scheme):
@@ -203,27 +185,17 @@ def test_07_scheme_consistency_against_propagator():
 
 def test_08_hardy_type_bound():
     with criterion(8, "nested reciprocal integrals, prototype closed form", 1.0):
-        y0 = 0.4
-        for K in (1.0, 1.25, 1.5, 1.75):
-            left, right = hardy_bound(power_profile(0.0, K), y0)
-            expected = y0 ** (2.0 - K) / (2.0 - K)
-            assert abs(left - expected) <= 1e-12 * expected, K
-            assert math.isfinite(right) and right > 0.0, K
+        checks = _suite("hardy", seed=0)
+        assert [c["inputs"]["K"] for c in checks] == [1.0, 1.25, 1.5, 1.75]
+        assert {c["tolerance"] for c in checks} == {1e-12}
 
 
 def test_09_best_linear_fit():
     with criterion(9, "best linear fit: orthogonality and sign changes", 1.0):
-        exp_like = [1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0]
-        for coeffs in ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0], exp_like):
-            fit = best_linear_fit(coeffs)
-            assert len(fit.zeros) >= 2
-            r = np.polynomial.Polynomial(fit.residual_coeffs)
-            assert abs(r.integ()(1.0) - r.integ()(0.0)) <= 1e-12
-            xr = np.polynomial.Polynomial([0.0, 1.0]) * r
-            assert abs(xr.integ()(1.0) - xr.integ()(0.0)) <= 1e-12
-        fit = best_linear_fit([0.0, 0.0, 1.0])
-        assert fit.slope == pytest.approx(1.0, abs=1e-14)
-        assert fit.intercept == pytest.approx(-1.0 / 6.0, abs=1e-14)
+        # the oracle also gates the square's slope and intercept at 1e-14
+        checks = _suite("linear_fit", seed=0)
+        assert [c["name"] for c in checks] == ["square", "cube", "exp_surrogate"]
+        assert {c["tolerance"] for c in checks} == {1e-12}
 
 
 def test_10_manufactured_solution_convergence():
@@ -260,13 +232,6 @@ def test_10_manufactured_solution_convergence():
 
 def test_11_pointwise_sqrt_bounds():
     with criterion(11, "pointwise square-root bounds", 1.0):
-        a1 = power_profile(0.5, 1.0)
-        battery = [
-            ([1.0], a1, 0),
-            ([0.0, 1.0], a1, 1),
-            ([1.0, 1.0, 1.0], a1, 2),
-            ([0.0, 0.0, 1.0], power_profile(0.5, 1.5), 2),
-            ([0.0], a1, 0),
-        ]
-        for coeffs, coeff, k in battery:
-            assert pointwise_sqrt_bound(coeffs, coeff, k) <= 1.0 + 1e-8
+        checks = _suite("pointwise", seed=0)
+        assert len(checks) == 5
+        assert {c["tolerance"] for c in checks} == {1e-8}

@@ -91,11 +91,24 @@ def test_run_writes_trajectory_and_summary(tmp_path):
     assert set(summary) == {
         "operator", "class", "n", "dt", "T", "final_norm_mu_sq",
         "sup_norm_mu_sq", "energy_integral", "contraction_ok", "energy_bound_ok",
+        "aborted",
     }
     assert summary["contraction_ok"] is True and summary["energy_bound_ok"] is True
+    assert summary["aborted"] is None
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "step,t,norm_mu_sq,energy_form,slack"
     assert len(lines) == 12
+
+
+def test_aborted_run_fails(tmp_path):
+    # exp(800 t) forcing overflows the state before T
+    path = tmp_path / "config.json"
+    path.write_text(cfg(mesh={"n": 16}, time={"T": 1.0},
+                        forcing={"kind": "separable", "space": "one", "rate": -800}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["aborted"].startswith("step from t = ")
+    assert summary["T"] < 1.0
 
 
 def test_verify_writes_report(tmp_path):
@@ -148,9 +161,35 @@ def test_main_end_to_end(tmp_path):
 
 
 def test_main_reports_config_errors(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(cfg(wentzell={"gamma1": 3.0}))
-    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["key"] == "wentzell.gamma1"
+    # bad values are covered key by key below; here the file is missing
     assert main(["run", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["key"] == "--config"
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"coefficient": {"x0": 1.5}}, "coefficient.x0"),
+        ({"coefficient": {"K": -0.5}}, "coefficient.K"),
+        ({"coefficient": {"scale": 0.0}}, "coefficient.scale"),
+        ({"coefficient": {"profile": "constant", "scale": -1.0}}, "coefficient.scale"),
+        ({"wentzell": {"beta0": 0.0}}, "wentzell.beta0"),
+        ({"wentzell": {"beta1": -1.0}}, "wentzell.beta1"),
+        ({"wentzell": {"gamma0": 0.5}}, "wentzell.gamma0"),
+        ({"wentzell": {"gamma1": 2.0}}, "wentzell.gamma1"),
+        ({"time": {"T": 0.0}}, "time.T"),
+        ({"time": {"T": 1.0, "dt": 2.0}}, "time.dt"),
+        ({"forcing": {"kind": "separable", "space": "nope"}}, "forcing.space"),
+        ({"forcing": {"kind": "bogus"}}, "forcing.kind"),
+        ({"forcing": {"kind": "separable", "rate": "fast"}}, "forcing.rate"),
+        ({"forcing": {"kind": "separable", "speed": 1.0}}, "forcing.speed"),
+        ({"spectrum": {"count": True}}, "spectrum.count"),
+    ],
+)
+def test_main_config_diagnostic_names_key(tmp_path, capsys, overrides, key):
+    path = tmp_path / "bad.json"
+    path.write_text(cfg(mesh={"n": 4}, **overrides))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in lines[0]
+    assert json.loads(lines[0])["key"] == key

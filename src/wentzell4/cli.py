@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import eigvals_banded
 
 from .coefficient import DegeneracyClass, ParameterError, classify, constant_profile, power_profile
 from .evolution import (
@@ -28,7 +29,8 @@ from .evolution import (
     resolvent_solve,
     run,
 )
-from .forms import OperatorForm, WentzellParams
+from .discretization import check_interior
+from .forms import OperatorForm, WentzellParams, band_matvec, row_band
 from .oracle import SUITES, dense_decompose, verification_report
 
 __all__ = ["ConfigError", "CliConfig", "parse_config", "dispatch", "main"]
@@ -124,6 +126,7 @@ def parse_config(text) -> CliConfig:
         x0 = _number(cdoc, "coefficient", "x0", required=True)
         K = _number(cdoc, "coefficient", "K", required=True)
         coeff = _checked("coefficient", power_profile, x0, K, scale)
+    _checked("coefficient", check_interior, coeff.x0)
     if classify(coeff) is DegeneracyClass.STRONG and coeff.K >= 2.0:
         raise ConfigError(
             "coefficient.K", "strong degeneracy requires K in [1, 2)"
@@ -289,16 +292,17 @@ def _cmd_resolvent(config: CliConfig, out: Path, seed):
             fh.write(f"{i},{v:.17g}\n")
     Mf, Kf = system.free_matrices()
     A = config.resolvent_lambda * Mf + Kf
-    b = (system.M @ f)[system.free]
-    r = float(np.linalg.norm(A @ u[system.free] - b))
+    b = band_matvec(row_band(system.M), f)[system.free]
+    r = float(np.linalg.norm(band_matvec(row_band(A), u[system.free]) - b))
     b_norm = max(float(np.linalg.norm(b)), 1e-300)
     relative = r / b_norm
     # the plain relative residual has a floor of eps*||A||*||u|| / ||b||
     # that grows with refinement; the gate uses the normwise backward
-    # error, which is mesh-independent
-    backward = r / (
-        float(np.linalg.norm(A, 2)) * float(np.linalg.norm(u[system.free])) + b_norm
-    )
+    # error, which is mesh-independent.  A is SPD: ||A||_2 is its top
+    # eigenvalue
+    top = A.shape[1] - 1
+    a_norm = float(eigvals_banded(A, lower=True, select="i", select_range=(top, top))[0])
+    backward = r / (a_norm * float(np.linalg.norm(u[system.free])) + b_norm)
     ok = backward <= 1e-14
     _write_json(
         out / "resolvent.json",

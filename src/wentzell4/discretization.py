@@ -11,6 +11,7 @@ full integrand is accurate to rounding.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ import numpy as np
 from numpy.polynomial import Legendre, Polynomial
 from scipy.special import roots_legendre
 
-from .coefficient import DegeneracyClass, classify
+from .coefficient import DegeneracyClass, ParameterError, classify
 from .powers import DivergentIntegralError
 
 __all__ = [
@@ -26,14 +27,15 @@ __all__ = [
     "DofMap",
     "WeightKind",
     "QuadratureRule",
+    "check_interior",
     "build_mesh",
     "hermite_basis",
     "constrain",
     "shape_values",
+    "element_shape_values",
     "evaluate",
     "interpolate",
     "interpolate_poly",
-    "basis_row",
     "weighted_rule",
     "l2_error",
 ]
@@ -75,6 +77,13 @@ def _graded_lengths(total, count, grading, shrink_toward_end):
     return total * weights / weights.sum()
 
 
+def check_interior(x0):
+    """Meshes, and so every discrete problem, need 0 < x0 < 1; the
+    coefficient itself admits the end points."""
+    if not 0.0 < x0 < 1.0:
+        raise ParameterError("x0", f"must be interior, 0 < x0 < 1, got {x0}")
+
+
 def build_mesh(n, x0, grading=1.0) -> Mesh:
     """Mesh of ``n`` elements on [0, 1] with ``x0`` as an interior node.
 
@@ -83,8 +92,7 @@ def build_mesh(n, x0, grading=1.0) -> Mesh:
     """
     if n < 2 or int(n) != n:
         raise ValueError("need at least 2 elements")
-    if not 0.0 < x0 < 1.0:
-        raise ValueError("x0 must be interior; evolution problems require 0 < x0 < 1")
+    check_interior(x0)
     if grading < 1.0:
         raise ValueError("grading must be >= 1")
     n = int(n)
@@ -177,6 +185,25 @@ def shape_values(s, h, d=0):
     return np.stack(cols, axis=-1)
 
 
+def element_shape_values(rule, d=0):
+    """Basis derivatives at all points of a quadrature rule at once.
+
+    Returns ``phi`` (n_elements, P, 4), ``weights`` (n_elements, P) and
+    ``points`` (n_elements, P), P the largest per-element point count;
+    shorter elements are padded with zero weights at their left node, so
+    sums over P equal sums over the element's own points.
+    """
+    counts = np.fromiter(map(len, rule.weights), np.intp, len(rule.weights))
+    pad = np.arange(counts.max()) < counts[:, None]
+    xa = rule.mesh.nodes[:-1, None]
+    h = np.diff(rule.mesh.nodes)[:, None]
+    points = np.repeat(xa, pad.shape[1], axis=1)
+    points[pad] = np.concatenate(rule.points)
+    weights = np.zeros(pad.shape)
+    weights[pad] = np.concatenate(rule.weights)
+    return shape_values((points - xa) / h, h, d), weights, points
+
+
 def _locate(mesh, x):
     idx = np.searchsorted(mesh.nodes, x, side="right") - 1
     return np.clip(idx, 0, mesh.n_elements - 1)
@@ -196,15 +223,6 @@ def evaluate(dofs, dofmap: DofMap, x, d=0):
         phi = shape_values((x_arr[mask] - xa[mask]) / h[mask][0], float(h[mask][0]), d)
         out[mask] = phi @ dofs[dofmap.element_dofs(e)]
     return out if np.ndim(x) else float(out[0])
-
-
-def basis_row(dofmap: DofMap, x, d=0):
-    """Row vector of all shape functions' d-th derivative at a point."""
-    row = np.zeros(dofmap.total_dofs)
-    e = int(_locate(dofmap.mesh, np.array([x]))[0])
-    xa, xb = dofmap.mesh.element(e)
-    row[dofmap.element_dofs(e)] = shape_values((x - xa) / (xb - xa), xb - xa, d)
-    return row
 
 
 def interpolate(dofmap: DofMap, f, df):
@@ -245,8 +263,13 @@ class QuadratureRule:
 _MAX_FIT_DEGREE = 7
 
 
+@functools.lru_cache(maxsize=None)
 def _shifted_legendre_coeffs(r):
-    return Legendre.basis(r).convert(kind=Polynomial)(Polynomial([-1.0, 2.0])).coef
+    """Monomial coefficients of the Legendre polynomial P_r(2s - 1); only
+    r <= _MAX_FIT_DEGREE occurs.  Cached, hence read-only."""
+    coef = Legendre.basis(r).convert(kind=Polynomial)(Polynomial([-1.0, 2.0])).coef
+    coef.setflags(write=False)
+    return coef
 
 
 def _fitted_singular_rule(coeff, xa, xb, sign, min_degree):

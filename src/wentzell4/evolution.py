@@ -10,10 +10,14 @@ slack of the discrete energy inequality
 (E the energy quadratic form), whose time-summed version is the Gronwall
 bound with constant e^T checked by the acceptance suite.
 
-Linear systems are solved with a banded Cholesky factorization after
-symmetric diagonal equilibration, plus iterative refinement: Hermite slope
-dofs scale like h^3 against h for value dofs, and graded meshes would
-otherwise cost several digits in the residual.
+Every matrix is read in the lower band storage of :mod:`forms`, so a step
+costs O(n).  Linear systems are solved with a banded Cholesky
+factorization after symmetric diagonal equilibration, plus iterative
+refinement: Hermite slope dofs scale like h^3 against h for value dofs,
+and graded meshes would otherwise cost several digits in the residual.
+The refinement residual is formed in longdouble from the band, summed in
+the order of the dense product, so it equals the dense residual bit for
+bit.
 """
 from __future__ import annotations
 
@@ -24,18 +28,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from .coefficient import DegeneracyClass, DegenerateCoefficient, ParameterError, classify
 from .discretization import (
     WeightKind,
     build_mesh,
+    element_shape_values,
     hermite_basis,
     interpolate_poly,
-    shape_values,
     weighted_rule,
 )
-from .forms import AssembledSystem, OperatorForm, WentzellParams, assemble
+from .forms import (
+    AssembledSystem,
+    OperatorForm,
+    WentzellParams,
+    assemble,
+    band_congruence,
+    band_matvec,
+    row_band,
+)
 
 __all__ = [
     "NotCoerciveError",
@@ -75,28 +88,26 @@ class Scheme(enum.Enum):
 
 
 class _BandedSPD:
-    """Banded SPD solver with Jacobi equilibration and refinement."""
+    """Banded SPD solver with Jacobi equilibration and refinement; takes
+    the matrix as a lower band (4, n)."""
 
-    def __init__(self, A):
-        A = np.asarray(A, dtype=float)
-        self.A = A
-        diag = np.diag(A)
+    def __init__(self, ab):
+        ab = np.asarray(ab, dtype=float)
+        diag = ab[0]
         if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
             raise LinAlgError("matrix has a nonpositive diagonal")
         self.dinv = 1.0 / np.sqrt(diag)
-        scaled = A * np.outer(self.dinv, self.dinv)
-        nz = np.nonzero(scaled)
-        band = int(np.max(np.abs(nz[0] - nz[1]))) if len(nz[0]) else 0
-        n = A.shape[0]
-        ab = np.zeros((band + 1, n))
-        for k in range(band + 1):
-            ab[k, : n - k] = np.diagonal(scaled, -k)
-        self.factor = cholesky_banded(ab, lower=True)
-        self._A_ext = None
+        self.factor = cholesky_banded(band_congruence(ab, self.dinv), lower=True)
+        self._rows_ext = row_band(ab.astype(np.longdouble))
 
     def _solve_once(self, b):
+        # LAPACK's banded Cholesky solve, as cho_solve_banded calls it but
+        # without the wrapper's argument checks, which cost more than the
+        # solve itself on small systems; solve() checks b once
         scale = self.dinv if b.ndim == 1 else self.dinv[:, None]
-        y = cho_solve_banded((self.factor, True), scale * b)
+        y, info = dpbtrs(self.factor, scale * b, lower=1)
+        if info:
+            raise LinAlgError(f"dpbtrs argument {-info} is invalid")
         return scale * y
 
     def solve(self, b, rtol=1e-14, max_refine=4):
@@ -104,15 +115,15 @@ class _BandedSPD:
         refinement with extended-precision residuals recovers the digits
         the dof scaling h**3 vs h costs on graded meshes."""
         b = np.asarray(b, dtype=float)
+        if not np.all(np.isfinite(b)):
+            raise ValueError("array must not contain infs or NaNs")
         scale = np.linalg.norm(b)
         if scale == 0.0:
             return np.zeros_like(b)
-        if self._A_ext is None:
-            self._A_ext = self.A.astype(np.longdouble)
         b_ext = b.astype(np.longdouble)
         x = self._solve_once(b)
         for _ in range(max_refine):
-            r = (b_ext - self._A_ext @ x.astype(np.longdouble)).astype(float)
+            r = (b_ext - band_matvec(self._rows_ext, x)).astype(float)
             if np.linalg.norm(r) <= rtol * scale:
                 break
             x = x + self._solve_once(r)
@@ -133,7 +144,7 @@ def resolvent_solve(system: AssembledSystem, lam, f):
     the factorization fails.
     """
     Mf, Kf = system.free_matrices()
-    rhs = (system.M @ np.asarray(f, dtype=float))[system.free]
+    rhs = band_matvec(row_band(system.M), np.asarray(f, dtype=float))[system.free]
     try:
         solver = _BandedSPD(lam * Mf + Kf)
     except LinAlgError as exc:
@@ -199,7 +210,7 @@ class SeparableForcing(Forcing):
     def __init__(self, system, profile: TimeProfile, space_dofs):
         self.profile = profile
         self.space_dofs = np.asarray(space_dofs, dtype=float)
-        self._mp = system.M @ self.space_dofs
+        self._mp = band_matvec(row_band(system.M), self.space_dofs)
         self._norm_sq = float(self.space_dofs @ self._mp)
 
     def load(self, t):
@@ -239,14 +250,13 @@ def _polynomial_load(system, coeffs, weight_kind, derivative):
     rule = weighted_rule(
         system.mesh, system.dofmap, system.coeff, weight_kind, npoints=npts
     )
-    out = np.zeros(system.dofmap.total_dofs)
-    for e in range(system.mesh.n_elements):
-        pts, wts = rule.points[e], rule.weights[e]
-        xa, xb = system.mesh.element(e)
-        h = xb - xa
-        phi = shape_values((pts - xa) / h, h, derivative)
-        out[system.dofmap.element_dofs(e)] += (wts * p(pts)) @ phi
-    return out
+    phi, weights, points = element_shape_values(rule, derivative)
+    local = ((weights * p(points))[:, None, :] @ phi)[:, 0, :]
+    n_el = system.mesh.n_elements
+    dofs = 2 * np.arange(n_el)[:, None] + np.arange(4)
+    return np.bincount(
+        dofs.ravel(), weights=local.ravel(), minlength=system.dofmap.total_dofs
+    )
 
 
 def manufactured_divergence_forcing(system, witness_coeffs, rate=1.0):
@@ -313,20 +323,21 @@ class TimeStepper:
         self.dt = float(dt)
         self.scheme = Scheme(scheme)
         Mf, Kf = system.free_matrices()
-        self._Mf, self._Kf = Mf, Kf
-        shift = dt if self.scheme is Scheme.IMPLICIT_EULER else 0.5 * dt
-        self._solver = _BandedSPD(Mf + shift * Kf)
+        if self.scheme is Scheme.IMPLICIT_EULER:
+            self._solver = _BandedSPD(Mf + dt * Kf)
+            self._rhs = row_band(Mf)
+        else:
+            self._solver = _BandedSPD(Mf + (0.5 * dt) * Kf)
+            self._rhs = row_band(Mf - (0.5 * dt) * Kf)
 
     def step_free(self, u_free, load_now=None, load_next=None):
         """Advance free-dof coefficients; vectorized over trailing axes."""
         dt = self.dt
-        if self.scheme is Scheme.IMPLICIT_EULER:
-            rhs = self._Mf @ u_free
-            if load_next is not None:
+        rhs = band_matvec(self._rhs, u_free)
+        if load_next is not None:
+            if self.scheme is Scheme.IMPLICIT_EULER:
                 rhs = rhs + dt * load_next
-        else:
-            rhs = self._Mf @ u_free - 0.5 * dt * (self._Kf @ u_free)
-            if load_next is not None:
+            else:
                 rhs = rhs + 0.5 * dt * (load_now + load_next)
         return self._solver.solve(rhs)
 
@@ -371,7 +382,8 @@ SPACE_PRESETS = {
 
 def resolve_space_spec(spec):
     """Polynomial coefficients from a preset name, {'poly': [...]} mapping
-    or a bare coefficient sequence."""
+    or a bare coefficient sequence: a non-empty flat list of finite
+    numbers."""
     if isinstance(spec, str):
         try:
             return np.asarray(SPACE_PRESETS[spec], dtype=float)
@@ -382,8 +394,22 @@ def resolve_space_spec(spec):
     if isinstance(spec, dict):
         if set(spec) != {"poly"}:
             raise ValueError("space spec mapping must have exactly the key 'poly'")
-        return np.asarray(spec["poly"], dtype=float)
-    return np.asarray(spec, dtype=float)
+        spec = spec["poly"]
+    try:
+        coeffs = np.asarray(spec)
+        valid = (
+            coeffs.ndim == 1
+            and coeffs.size > 0
+            and coeffs.dtype.kind in "iuf"
+            and bool(np.all(np.isfinite(coeffs)))
+        )
+    except ValueError:  # ragged nesting
+        valid = False
+    if not valid:
+        raise ValueError(
+            "polynomial coefficients must be a non-empty list of finite numbers"
+        )
+    return coeffs.astype(float)
 
 
 def parse_forcing(spec):

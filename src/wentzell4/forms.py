@@ -9,16 +9,27 @@ boundary terms without the factor a(j).  The boundary conditions are
 natural: no dof manipulation is needed, except that a strongly degenerate
 non-divergence problem pins the value dof at x0 to zero.
 
-Element contributions are accumulated in a fixed order and are exactly
-symmetric, so M = M^T and K = K^T hold with no rounding gap.
+Storage.  Cubic Hermite dofs couple at most three apart, so every matrix
+is held in LAPACK lower band storage ``ab`` of shape (4, n):
+``ab[k, j] = A[j + k, j]``, entries past the end of a diagonal kept at
+zero.  Assembly computes all element blocks in one batch and scatters
+them into the band; the time step, the norms and the solvers read the
+band directly, at O(n) cost.  Dense copies exist only through
+:meth:`AssembledSystem.to_dense`, for the oracle, spectra and tests.
+
+The element blocks are exactly symmetric and an entry of the band sums
+at most two of them, so the band is that of a dense accumulation, bit for
+bit, and M = M^T and K = K^T hold with no rounding gap.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,9 +44,8 @@ from .discretization import (
     DofMap,
     Mesh,
     WeightKind,
-    basis_row,
     constrain,
-    shape_values,
+    element_shape_values,
     weighted_rule,
 )
 from .powers import DivergentIntegralError
@@ -47,7 +57,15 @@ __all__ = [
     "assemble_divergence",
     "assemble_nondivergence",
     "assemble",
+    "BANDWIDTH",
+    "band_congruence",
+    "band_matvec",
+    "band_quadratic",
+    "band_to_dense",
+    "element_blocks",
+    "free_band",
     "gram_matrix",
+    "row_band",
     "norm",
     "export_matrix",
     "load_matrix",
@@ -77,29 +95,134 @@ class WentzellParams:
                 raise ParameterError(name, "must be <= 0")
 
 
-def gram_matrix(rule, dofmap: DofMap, d):
-    """Weighted Gram matrix of the d-th basis derivatives.
+# ---------------------------------------------------------------------------
+# band kernels: a fixed number of numpy calls each, whatever n is
+# ---------------------------------------------------------------------------
 
-    Element loops run in index order with a per-element einsum, so the
-    result is exactly symmetric and runs are bit-identical.
+BANDWIDTH = 3
+_LOCAL_ROW, _LOCAL_COL = np.tril_indices(4)
+_QUAD_WEIGHTS = np.array([1.0, 2.0, 2.0, 2.0])
+
+
+class _BandIndex(NamedTuple):
+    """Read-only index arrays for bands of n dofs.
+
+    ``shift[k, j] = min(j + k, n - 1)`` is the row of ab[k, j].  Entry
+    (o, i) of :func:`row_band` is A[i, c] with c = i + o - 3: ``column`` is
+    c clipped into range, ``inside`` says whether it was in range, and
+    (``lower_k``, ``lower_j``) locate A[i, c] in the band.
     """
-    n = dofmap.total_dofs
-    G = np.zeros((n, n))
-    mesh = dofmap.mesh
-    for e in range(mesh.n_elements):
-        pts = rule.points[e]
-        if len(pts) == 0:
-            continue
-        xa, xb = mesh.element(e)
-        h = xb - xa
-        phi = shape_values((pts - xa) / h, h, d)
-        # phi_i * phi_j is computed before the weight contraction so the
-        # local block is exactly symmetric, not just up to rounding
-        products = phi[:, :, None] * phi[:, None, :]
-        local = np.einsum("p,pij->ij", rule.weights[e], products)
-        ix = dofmap.element_dofs(e)
-        G[np.ix_(ix, ix)] += local
-    return G
+
+    shift: np.ndarray
+    column: np.ndarray
+    lower_k: np.ndarray
+    lower_j: np.ndarray
+    inside: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _band_index(n):
+    i = np.arange(n)
+    shift = np.minimum(i + np.arange(BANDWIDTH + 1)[:, None], n - 1)
+    offset = np.arange(-BANDWIDTH, BANDWIDTH + 1)[:, None]
+    column = i + offset
+    inside = (column >= 0) & (column < n)
+    lower_k = np.broadcast_to(np.abs(offset), column.shape)
+    lower_j = np.clip(np.minimum(i, column), 0, n - 1)
+    index = _BandIndex(shift, np.clip(column, 0, n - 1), lower_k, lower_j, inside)
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
+def row_band(ab):
+    """The rows of the symmetric matrix with lower band ``ab``, as an
+    array (7, n) with entry (o, i) = A[i, i + o - 3] and zero outside the
+    matrix; the dtype of ``ab`` is kept.  :func:`band_matvec` takes this
+    form, so a matrix applied many times is expanded once."""
+    index = _band_index(ab.shape[1])
+    return np.where(index.inside, ab[index.lower_k, index.lower_j], 0)
+
+
+def band_matvec(rows, x):
+    """A @ x from ``rows = row_band(A)``; x may carry trailing columns.
+
+    The seven products of a row are added as a running sum in ascending
+    column order, the order of numpy's dense product, so a longdouble
+    ``rows`` reproduces the dense longdouble ``A @ x`` bit for bit.
+    """
+    x = np.asarray(x, dtype=rows.dtype)
+    products = x[_band_index(rows.shape[1]).column]
+    products *= rows.reshape(rows.shape + (1,) * (x.ndim - 1))
+    np.cumsum(products, axis=0, out=products)
+    return products[-1]
+
+
+def band_quadratic(ab, x):
+    """x^T A x for the symmetric matrix with lower band ``ab``."""
+    x = np.asarray(x, dtype=float)
+    per_diagonal = np.einsum("kj,kj,j->k", ab, x[_band_index(ab.shape[1]).shift], x)
+    return float(per_diagonal @ _QUAD_WEIGHTS)
+
+
+def band_congruence(ab, d):
+    """Lower band of diag(d) A diag(d): entry (k, j) times d[j + k] * d[j]."""
+    return ab * (d[_band_index(ab.shape[1]).shift] * d)
+
+
+def free_band(ab, free):
+    """Lower band of A[free][:, free].  Dropping dofs never widens the
+    band: two free dofs at most 3 apart after renumbering but more than 3
+    apart before meet in a zero entry."""
+    n = len(free)
+    if n == ab.shape[1]:
+        return ab
+    rows = np.arange(n) + np.arange(BANDWIDTH + 1)[:, None]
+    offset = free[np.minimum(rows, n - 1)] - free
+    keep = (rows < n) & (offset <= BANDWIDTH)
+    return np.where(keep, ab[np.minimum(offset, BANDWIDTH), free], 0.0)
+
+
+def band_to_dense(ab):
+    """Dense symmetric matrix from a lower band of any width."""
+    n = ab.shape[1]
+    k = np.broadcast_to(np.arange(ab.shape[0])[:, None], ab.shape)
+    j = np.broadcast_to(np.arange(n), ab.shape)
+    inside = j + k < n
+    k, j = k[inside], j[inside]
+    dense = np.zeros((n, n), dtype=ab.dtype)
+    dense[j + k, j] = ab[inside]
+    dense[j, j + k] = ab[inside]
+    return dense
+
+
+def element_blocks(rule, d):
+    """Local Gram blocks (n_elements, 4, 4) of the d-th basis derivatives:
+    entry (i, j) of block e is the rule's sum of w phi_i^(d) phi_j^(d)
+    over element e.  phi_i * phi_j is formed before the weight
+    contraction, so every block is exactly symmetric."""
+    phi, weights, _ = element_shape_values(rule, d)
+    products = phi[..., :, None] * phi[..., None, :]
+    return np.einsum("ep,epij->eij", weights, products)
+
+
+def gram_matrix(rule, d):
+    """Lower band of the weighted Gram matrix of the d-th basis
+    derivatives: the element blocks scattered into the band.  Element e
+    owns dofs 2e..2e+3, so an entry receives at most two contributions;
+    they are added to zero in element order."""
+    blocks = element_blocks(rule, d)
+    n = 2 * len(blocks) + 2
+    cols = 2 * np.arange(len(blocks))[:, None] + _LOCAL_COL
+    flat = (_LOCAL_ROW - _LOCAL_COL) * n + cols
+    values = blocks[:, _LOCAL_ROW, _LOCAL_COL]
+    summed = np.bincount(flat.ravel(), weights=values.ravel(), minlength=4 * n)
+    return summed.reshape(BANDWIDTH + 1, n)
+
+
+# ---------------------------------------------------------------------------
+# assembled systems
+# ---------------------------------------------------------------------------
 
 
 @dataclass(eq=False)
@@ -107,8 +230,10 @@ class AssembledSystem:
     """Symmetric positive-definite inner-product matrix M, positive
     semidefinite energy matrix K, and the constraint metadata.
 
-    Constrained rows/columns are zeroed with a unit mass diagonal; solvers
-    and eigenproblems operate on the ``free`` submatrices.
+    M, K and ``stiffness_interior`` (K without its boundary terms) are
+    lower bands of shape (4, total_dofs).  Constrained rows/columns are
+    zeroed with a unit mass diagonal; solvers and eigenproblems operate on
+    the ``free`` submatrices.
     """
 
     form: OperatorForm
@@ -135,14 +260,24 @@ class AssembledSystem:
         return tuple(sorted(self.dofmap.constrained))
 
     def free_matrices(self):
-        ix = np.ix_(self.free, self.free)
-        return self.M[ix], self.K[ix]
+        """Lower bands of M and K on the free dofs."""
+        return free_band(self.M, self.free), free_band(self.K, self.free)
+
+    def to_dense(self, *names, free=False):
+        """Dense copies of the named matrices ("M" and "K" by default;
+        "stiffness_interior"), on the free dofs only when ``free`` is set.
+        O(n^2) memory: for the oracle, spectra and tests."""
+        out = []
+        for name in names or ("M", "K"):
+            dense = band_to_dense(getattr(self, name))
+            out.append(dense[np.ix_(self.free, self.free)] if free else dense)
+        return tuple(out)
 
     def mass_norm_sq(self, dofs):
-        return float(dofs @ self.M @ dofs)
+        return band_quadratic(self.M, dofs)
 
     def energy(self, dofs):
-        return float(dofs @ self.K @ dofs)
+        return band_quadratic(self.K, dofs)
 
     # quadrature rules reused by norms and load assembly
     @cached_property
@@ -161,38 +296,43 @@ class AssembledSystem:
 
     @cached_property
     def _gram_d0(self):
-        return gram_matrix(self.unit_rule, self.dofmap, 0)
+        return gram_matrix(self.unit_rule, 0)
 
     @cached_property
     def _gram_d1(self):
-        return gram_matrix(self.unit_rule, self.dofmap, 1)
+        return gram_matrix(self.unit_rule, 1)
 
     @cached_property
     def _gram_d2(self):
-        return gram_matrix(self.unit_rule, self.dofmap, 2)
+        return gram_matrix(self.unit_rule, 2)
 
     @cached_property
     def _gram_d2_a(self):
-        return gram_matrix(self.a_rule, self.dofmap, 2)
+        return gram_matrix(self.a_rule, 2)
 
     @cached_property
     def _gram_d0_recip(self):
-        return gram_matrix(self.recip_rule, self.dofmap, 0)
+        return gram_matrix(self.recip_rule, 0)
 
 
-def _boundary_projectors(dofmap):
-    e0 = basis_row(dofmap, 0.0)
-    e1 = basis_row(dofmap, 1.0)
-    return np.outer(e0, e0), np.outer(e1, e1)
+def _add_boundary_terms(dofmap, band, at_zero, at_one):
+    """Add point terms to the diagonal entries of the value dofs at 0, 1."""
+    ends = [dofmap.value_dof(0), dofmap.value_dof(dofmap.n_nodes - 1)]
+    band[0, ends] += (at_zero, at_one)
 
 
-def _apply_constraints(dofmap, *matrices, mass=None):
-    for c in dofmap.constrained:
-        for A in matrices:
-            A[c, :] = 0.0
-            A[:, c] = 0.0
-        if mass is not None:
-            mass[c, c] = 1.0
+def _apply_constraints(dofmap, *bands, mass=None):
+    """Zero the rows and columns of the constrained dofs and put a unit
+    diagonal into ``mass`` there."""
+    c = np.array(sorted(dofmap.constrained), dtype=np.intp)
+    k = np.broadcast_to(np.arange(BANDWIDTH + 1)[:, None], (BANDWIDTH + 1, len(c)))
+    left = c - k  # row c left of the diagonal: A[c, c - k] = ab[k, c - k]
+    inside = left >= 0
+    for ab in bands:
+        ab[:, c] = 0.0
+        ab[k[inside], left[inside]] = 0.0
+    if mass is not None:
+        mass[0, c] = 1.0
 
 
 def _require_admissible(coeff):
@@ -214,18 +354,20 @@ def assemble_divergence(mesh, dofmap, coeff, params) -> AssembledSystem:
     boundary terms -gamma_j/beta_j a(j).  No essential constraints: the
     boundary conditions are recovered variationally.
     """
-    if not 0.0 < coeff.x0 < 1.0:
-        raise ValueError("interior degeneracy required: 0 < x0 < 1")
     _require_admissible(coeff)
-    E0, E1 = _boundary_projectors(dofmap)
     a0, a1 = coeff.boundary_values()
     unit = weighted_rule(mesh, dofmap, coeff, WeightKind.UNIT)
     a_rule = weighted_rule(mesh, dofmap, coeff, WeightKind.COEFF_A)
-    M = gram_matrix(unit, dofmap, 0) + (a0 / params.beta0) * E0
-    M += (a1 / params.beta1) * E1
-    S = gram_matrix(a_rule, dofmap, 2)
-    K = S - (params.gamma0 / params.beta0) * a0 * E0
-    K -= (params.gamma1 / params.beta1) * a1 * E1
+    M = gram_matrix(unit, 0)
+    _add_boundary_terms(dofmap, M, a0 / params.beta0, a1 / params.beta1)
+    S = gram_matrix(a_rule, 2)
+    K = S.copy()
+    _add_boundary_terms(
+        dofmap,
+        K,
+        -((params.gamma0 / params.beta0) * a0),
+        -((params.gamma1 / params.beta1) * a1),
+    )
     _apply_constraints(dofmap, M, K, S, mass=M)
     return AssembledSystem(
         OperatorForm.DIVERGENCE, mesh, dofmap, coeff, params, M, K, S
@@ -242,8 +384,6 @@ def assemble_nondivergence(
     pins the value dof at x0 (functions vanish there), which is exactly
     what makes the 1/a mass integrals finite for exponents K < 2.
     """
-    if not 0.0 < coeff.x0 < 1.0:
-        raise ValueError("interior degeneracy required: 0 < x0 < 1")
     klass = _require_admissible(coeff)
     if klass is DegeneracyClass.STRONG:
         if not constrain_strong:
@@ -251,13 +391,15 @@ def assemble_nondivergence(
                 "strong 1/a mass matrix requires the value constraint at x0"
             )
         dofmap = constrain(dofmap, [dofmap.value_dof(mesh.x0_index)])
-    E0, E1 = _boundary_projectors(dofmap)
     unit = weighted_rule(mesh, dofmap, coeff, WeightKind.UNIT)
     recip = weighted_rule(mesh, dofmap, coeff, WeightKind.COEFF_RECIP_A)
-    M = gram_matrix(recip, dofmap, 0) + E0 / params.beta0 + E1 / params.beta1
-    S = gram_matrix(unit, dofmap, 2)
-    K = S - (params.gamma0 / params.beta0) * E0
-    K -= (params.gamma1 / params.beta1) * E1
+    M = gram_matrix(recip, 0)
+    _add_boundary_terms(dofmap, M, 1.0 / params.beta0, 1.0 / params.beta1)
+    S = gram_matrix(unit, 2)
+    K = S.copy()
+    _add_boundary_terms(
+        dofmap, K, -(params.gamma0 / params.beta0), -(params.gamma1 / params.beta1)
+    )
     _apply_constraints(dofmap, M, K, S, mass=M)
     return AssembledSystem(
         OperatorForm.NON_DIVERGENCE, mesh, dofmap, coeff, params, M, K, S
@@ -301,7 +443,7 @@ def norm(system: AssembledSystem, dofs, kind):
     dofs = np.asarray(dofs, dtype=float)
 
     def quad(G):
-        return float(dofs @ G @ dofs)
+        return band_quadratic(G, dofs)
 
     def recip_sq():
         if classify(system.coeff) is DegeneracyClass.STRONG:
@@ -347,22 +489,27 @@ def norm(system: AssembledSystem, dofs, kind):
     return math.sqrt(max(sq, 0.0))
 
 
-def export_matrix(matrix, destination):
-    """Write a symmetric matrix as sorted (row, col, value) triplets.
+def export_matrix(band, destination):
+    """Write a symmetric matrix, given by its lower band, as sorted
+    (row, col, value) triplets.
 
     Format: comment header, one ``size bandwidth`` line, then one line per
     structurally nonzero lower-triangle entry (row >= col), row-major,
     values with 17 significant digits.
     """
-    matrix = np.asarray(matrix)
-    n = matrix.shape[0]
-    rows, cols = np.nonzero(np.tril(matrix))
-    band = int(np.max(rows - cols)) if len(rows) else 0
+    band = np.asarray(band)
+    width, n = band.shape[0] - 1, band.shape[1]
+    # by_row[i, c] = A[i, i - offset[c]]: np.nonzero walks it row-major
+    offset = width - np.arange(width + 1)
+    cols = np.arange(n)[:, None] - offset
+    by_row = np.where(cols >= 0, band[offset, np.maximum(cols, 0)], 0.0)
+    rows, c = np.nonzero(by_row)
+    bandwidth = int(np.max(offset[c])) if len(rows) else 0
     buf = io.StringIO()
     buf.write("# symmetric banded matrix: lower-triangle row col value\n")
-    buf.write(f"{n} {band}\n")
-    for i, j in zip(rows, cols):
-        buf.write(f"{i} {j} {matrix[i, j]:.17g}\n")
+    buf.write(f"{n} {bandwidth}\n")
+    for i, j, v in zip(rows, cols[rows, c], by_row[rows, c]):
+        buf.write(f"{i} {j} {v:.17g}\n")
     text = buf.getvalue()
     if hasattr(destination, "write"):
         destination.write(text)
@@ -372,17 +519,17 @@ def export_matrix(matrix, destination):
 
 
 def load_matrix(source):
-    """Inverse of :func:`export_matrix`."""
+    """Inverse of :func:`export_matrix`: the lower band, of shape
+    (bandwidth + 1, size)."""
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
         with open(source) as fh:
             lines = fh.read().splitlines()
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    n = int(lines[0].split()[0])
-    out = np.zeros((n, n))
+    n, bandwidth = map(int, lines[0].split())
+    band = np.zeros((bandwidth + 1, n))
     for ln in lines[1:]:
         i, j, v = ln.split()
-        out[int(i), int(j)] = float(v)
-        out[int(j), int(i)] = float(v)
-    return out
+        band[int(i) - int(j), int(j)] = float(v)
+    return band

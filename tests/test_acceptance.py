@@ -74,7 +74,7 @@ def test_03_contraction_semigroup():
         rng = np.random.default_rng(123)
         bound = (1.0 + CONTRACTION_TOL) ** 2
         for name, system in _case_matrix(n=16):
-            Mf, _ = system.free_matrices()
+            Mf, _ = system.to_dense(free=True)
             stepper = TimeStepper(system, 0.05, Scheme.IMPLICIT_EULER)
             U = rng.standard_normal((len(system.free), 100))
             norms = np.einsum("if,if->f", U, Mf @ U)

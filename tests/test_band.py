@@ -1,0 +1,268 @@
+"""The lower band storage of M and K against dense copies."""
+import io
+import json
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_solve_banded, cholesky_banded
+
+from wentzell4.cli import main
+from wentzell4.coefficient import power_profile
+from wentzell4.discretization import build_mesh, hermite_basis, shape_values
+from wentzell4.evolution import ProblemConfig, Scheme, _BandedSPD, _polynomial_load, run
+from wentzell4.forms import (
+    OperatorForm,
+    WentzellParams,
+    assemble,
+    band_matvec,
+    band_quadratic,
+    band_to_dense,
+    export_matrix,
+    gram_matrix,
+    load_matrix,
+    norm,
+    row_band,
+)
+
+# (form, strong class, n, x0, K - 1 or K, gamma, beta)
+systems = st.tuples(
+    st.sampled_from(list(OperatorForm)),
+    st.booleans(),
+    st.integers(min_value=2, max_value=64),
+    st.floats(min_value=0.1, max_value=0.9),
+    st.floats(min_value=0.1, max_value=0.9),
+    st.floats(min_value=-2.0, max_value=0.0),
+    st.floats(min_value=0.5, max_value=2.0),
+)
+
+
+def build(spec):
+    form, strong, n, x0, K, gamma, beta = spec
+    coeff = power_profile(x0, 1.0 + K if strong else K)
+    mesh = build_mesh(n, x0, 1.0)
+    params = WentzellParams(beta, 1.0 / beta, gamma, 0.5 * gamma)
+    return assemble(form, mesh, hermite_basis(mesh), coeff, params)
+
+
+def dense_export(matrix):
+    """The triplet file of a dense matrix, as the format defines it."""
+    rows, cols = np.nonzero(np.tril(matrix))
+    band = int(np.max(rows - cols)) if len(rows) else 0
+    lines = ["# symmetric banded matrix: lower-triangle row col value", f"{len(matrix)} {band}"]
+    lines += [f"{i} {j} {matrix[i, j]:.17g}" for i, j in zip(rows, cols)]
+    return "\n".join(lines) + "\n"
+
+
+def loop_gram(rule, d):
+    """Element-by-element dense assembly, the reference for the batch."""
+    mesh = rule.mesh
+    G = np.zeros((2 * len(mesh.nodes), 2 * len(mesh.nodes)))
+    for e in range(mesh.n_elements):
+        xa, xb = mesh.element(e)
+        phi = shape_values((rule.points[e] - xa) / (xb - xa), xb - xa, d)
+        local = np.einsum("p,pij->ij", rule.weights[e], phi[:, :, None] * phi[:, None, :])
+        ix = np.arange(2 * e, 2 * e + 4)
+        G[np.ix_(ix, ix)] += local
+    return G
+
+
+def loop_load(sys, rule, coeffs, d):
+    p = np.polynomial.Polynomial(coeffs).deriv(d)
+    out = np.zeros(sys.dofmap.total_dofs)
+    for e in range(sys.mesh.n_elements):
+        xa, xb = sys.mesh.element(e)
+        pts, wts = rule.points[e], rule.weights[e]
+        phi = shape_values((pts - xa) / (xb - xa), xb - xa, d)
+        out[2 * e : 2 * e + 4] += (wts * p(pts)) @ phi
+    return out
+
+
+def dense_refined_solve(A, b, rtol=1e-14, max_refine=4):
+    """Dense statement of the banded solver: equilibrated banded Cholesky
+    with refinement against the dense longdouble residual."""
+    dinv = 1.0 / np.sqrt(np.diag(A))
+    scaled = A * np.outer(dinv, dinv)
+    n = len(A)
+    ab = np.zeros((4, n))
+    for k in range(4):
+        ab[k, : n - k] = np.diagonal(scaled, -k)
+    factor = cholesky_banded(ab, lower=True)
+
+    def once(rhs):
+        return dinv * cho_solve_banded((factor, True), dinv * rhs)
+
+    A_ext, b_ext = A.astype(np.longdouble), b.astype(np.longdouble)
+    x = once(b)
+    for _ in range(max_refine):
+        r = (b_ext - A_ext @ x.astype(np.longdouble)).astype(float)
+        if np.linalg.norm(r) <= rtol * np.linalg.norm(b):
+            break
+        x = x + once(r)
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=systems)
+def test_batched_assembly_equals_element_loop_bit_for_bit(spec):
+    sys = build(spec)
+    rules = [(sys.unit_rule, d) for d in (0, 1, 2)] + [(sys.a_rule, 0), (sys.a_rule, 2)]
+    if not (spec[1] and sys.form is OperatorForm.DIVERGENCE):
+        rules.append((sys.recip_rule, 0))
+    for rule, d in rules:
+        assert np.array_equal(band_to_dense(gram_matrix(rule, d)), loop_gram(rule, d))
+    coeffs = [0.3, -1.0, 2.0, 0.5]
+    assert np.array_equal(
+        _polynomial_load(sys, coeffs, sys.a_rule.weight_kind, 2),
+        loop_load(sys, sys.a_rule, coeffs, 2),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=systems, seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_band_kernels_match_dense(spec, seed):
+    sys = build(spec)
+    rng = np.random.default_rng(seed)
+    n = sys.dofmap.total_dofs
+    x = rng.standard_normal(n)
+    X = rng.standard_normal((n, 3))
+    for name in ("M", "K", "stiffness_interior"):
+        band = getattr(sys, name)
+        (A,) = sys.to_dense(name)
+        assert A.shape == (n, n)
+        scale = np.abs(A).max()
+        np.testing.assert_allclose(
+            band_matvec(row_band(band), x), A @ x, rtol=0, atol=1e-13 * scale * np.abs(x).sum()
+        )
+        np.testing.assert_allclose(
+            band_matvec(row_band(band), X), A @ X, rtol=0, atol=1e-13 * scale * np.abs(X).sum()
+        )
+        assert abs(band_quadratic(band, x) - x @ A @ x) <= 1e-13 * scale * np.abs(x).sum() ** 2
+    assert sys.mass_norm_sq(x) == band_quadratic(sys.M, x)
+    assert sys.energy(x) == band_quadratic(sys.K, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=systems, seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_norm_kinds_match_dense_grams(spec, seed):
+    sys = build(spec)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(sys.dofmap.total_dofs)
+    u[list(sys.dofmap.constrained)] = 0.0
+
+    def dense_sq(A):
+        # the quadratic form and a bound on its rounding scale
+        return np.array([u @ A @ u, np.abs(u) @ np.abs(A) @ np.abs(u)])
+
+    def gram_sq(rule, d):
+        return dense_sq(band_to_dense(gram_matrix(rule, d)))
+
+    l2, d1, d2 = (gram_sq(sys.unit_rule, d) for d in (0, 1, 2))
+    sqrt_a_d2 = gram_sq(sys.a_rule, 2)
+    expected = {
+        "l2": l2,
+        "d1": d1,
+        "d2": d2,
+        "sqrt_a_d2": sqrt_a_d2,
+        "h2_a": l2 + d1 + sqrt_a_d2,
+        "h2_a_reduced": l2 + sqrt_a_d2,
+        "mu": dense_sq(sys.to_dense("M")[0]),
+    }
+    if not (spec[1] and sys.form is OperatorForm.DIVERGENCE):
+        # the 1/a weight needs the constrained dofmap in the strong class
+        recip = gram_sq(sys.recip_rule, 0)
+        expected.update(l2_recip_a=recip, h2_recip_a=recip + d1 + d2)
+    for kind, (sq, scale) in expected.items():
+        assert abs(norm(sys, u, kind) ** 2 - sq) <= 1e-13 * scale, kind
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=systems)
+def test_free_band_and_export_roundtrip(spec):
+    sys = build(spec)
+    Mf, Kf = sys.free_matrices()
+    Mf_dense, Kf_dense = sys.to_dense(free=True)
+    assert np.array_equal(band_to_dense(Mf), Mf_dense)
+    assert np.array_equal(band_to_dense(Kf), Kf_dense)
+    if sys.dofmap.constrained:
+        # the pinned value dof at x0 is gone and its neighbours close up
+        c = sys.dofmap.value_dof(sys.mesh.x0_index)
+        assert sys.constrained_dofs == (c,) and Mf.shape == (4, sys.dofmap.total_dofs - 1)
+        (K,) = sys.to_dense("K")
+        assert Kf[1, c - 1] == K[c + 1, c - 1] and Kf[0, c] == K[c + 1, c + 1]
+    for name in ("M", "K"):
+        (A,) = sys.to_dense(name)
+        buf = io.StringIO()
+        export_matrix(getattr(sys, name), buf)
+        assert buf.getvalue() == dense_export(A)
+        buf.seek(0)
+        loaded = load_matrix(buf)
+        assert np.array_equal(band_to_dense(loaded), A)
+        if loaded.shape[0] == 4:
+            assert np.array_equal(loaded, getattr(sys, name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=systems,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dt=st.floats(min_value=1e-4, max_value=1.0),
+)
+def test_longdouble_residual_and_solve_match_dense_bit_for_bit(spec, seed, dt):
+    sys = build(spec)
+    rng = np.random.default_rng(seed)
+    Mf, Kf = sys.free_matrices()
+    band = Mf + dt * Kf
+    A = band_to_dense(band)
+    x = rng.standard_normal(len(A)) * 10.0 ** rng.uniform(-6, 6)
+    X = rng.standard_normal((len(A), 3))
+    for v in (x, X):
+        dense = A.astype(np.longdouble) @ v.astype(np.longdouble)
+        assert np.array_equal(band_matvec(row_band(band.astype(np.longdouble)), v), dense)
+    b = rng.standard_normal(len(A))
+    assert np.array_equal(_BandedSPD(band).solve(b), dense_refined_solve(A, b))
+
+
+def test_run_and_resolvent_memory_is_linear_in_n(tmp_path):
+    # a dense 4098 x 4098 M alone would take 134 MB
+    for form, K, scheme in (
+        (OperatorForm.DIVERGENCE, 0.5, Scheme.CRANK_NICOLSON),
+        (OperatorForm.NON_DIVERGENCE, 1.5, Scheme.IMPLICIT_EULER),
+    ):
+        cfg = ProblemConfig(
+            form,
+            power_profile(0.5, K),
+            WentzellParams(1.0, 1.0, -0.5, -0.5),
+            T=5e-4,
+            dt=1e-4,
+            n=2048,
+            grading=1.0,
+            scheme=scheme,
+            u0="bump_cubed",
+            forcing={"kind": "separable", "space": "parabola", "rate": 1.0},
+        )
+        tracemalloc.start()
+        try:
+            traj = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.aborted is None and len(traj.states) == 6
+        assert peak < 30e6, (form, peak)
+    config = tmp_path / "resolvent.json"
+    config.write_text(json.dumps({
+        "operator": "divergence",
+        "coefficient": {"x0": 0.5, "K": 0.5},
+        "wentzell": {"beta0": 1, "beta1": 1, "gamma0": -0.5, "gamma1": 0},
+        "mesh": {"n": 2048},
+        "time": {"T": 1.0},
+        "resolvent": {"lambda": 1.0, "f": "quartic_bump"},
+    }))
+    tracemalloc.start()
+    try:
+        status = main(["resolvent", "--config", str(config), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and peak < 30e6, peak

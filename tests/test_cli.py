@@ -184,6 +184,19 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ({"forcing": {"kind": "separable", "rate": "fast"}}, "forcing.rate"),
         ({"forcing": {"kind": "separable", "speed": 1.0}}, "forcing.speed"),
         ({"spectrum": {"count": True}}, "spectrum.count"),
+        ({"coefficient": {"x0": 0.0}}, "coefficient.x0"),
+        ({"coefficient": {"x0": 1.0}}, "coefficient.x0"),
+        ({"coefficient": {"profile": "constant", "x0": 1.0}}, "coefficient.x0"),
+        ({"u0": {"poly": []}}, "u0"),
+        ({"u0": {"poly": [[1, 2]]}}, "u0"),
+        ({"u0": [1, [2]]}, "u0"),
+        ({"u0": {"poly": [True]}}, "u0"),
+        ({"u0": {"poly": ["1"]}}, "u0"),
+        ({"u0": {"poly": None}}, "u0"),
+        ({"forcing": {"kind": "separable", "space": {"poly": []}}}, "forcing.space"),
+        ({"forcing": {"kind": "separable", "space": [[0.5]]}}, "forcing.space"),
+        ({"resolvent": {"f": {"poly": []}}}, "resolvent.f"),
+        ({"resolvent": {"f": {"poly": [[1, 2]]}}}, "resolvent.f"),
     ],
 )
 def test_main_config_diagnostic_names_key(tmp_path, capsys, overrides, key):

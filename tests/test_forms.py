@@ -15,6 +15,7 @@ from wentzell4.forms import (
     assemble,
     assemble_divergence,
     assemble_nondivergence,
+    element_blocks,
     export_matrix,
     load_matrix,
     norm,
@@ -28,6 +29,20 @@ def make(form, coeff, gamma=0.0, beta=(1.0, 1.0), n=8, grading=1.0):
     return assemble(form, mesh, hermite_basis(mesh), coeff, params)
 
 
+def assert_exactly_symmetric(sys):
+    # the element blocks of M and K, before they are folded into the bands
+    # (the boundary terms are diagonal), and the dense matrices
+    if sys.form is OperatorForm.DIVERGENCE:
+        pencil = ((sys.unit_rule, 0), (sys.a_rule, 2))
+    else:
+        pencil = ((sys.recip_rule, 0), (sys.unit_rule, 2))
+    for rule, d in pencil:
+        blocks = element_blocks(rule, d)
+        assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
+    for A in sys.to_dense():
+        assert np.array_equal(A, A.T)
+
+
 def test_wentzell_params_validation():
     with pytest.raises(ValueError):
         WentzellParams(0.0, 1.0)
@@ -39,14 +54,16 @@ def test_wentzell_params_validation():
 def test_divergence_mass_includes_boundary_point_masses():
     sys = make(OperatorForm.DIVERGENCE, power_profile(0.5, 0.5))
     one = interpolate_poly(sys.dofmap, [1.0])
-    assert one @ sys.M @ one == pytest.approx(1.0 + 2.0 * math.sqrt(0.5), rel=1e-13)
+    M, _ = sys.to_dense()
+    assert one @ M @ one == pytest.approx(1.0 + 2.0 * math.sqrt(0.5), rel=1e-13)
 
 
 def test_divergence_energy_of_affine_is_zero():
     sys = make(OperatorForm.DIVERGENCE, power_profile(0.5, 0.5))
     one = interpolate_poly(sys.dofmap, [1.0])
-    scale = np.abs(sys.K).max()
-    assert abs(one @ sys.K @ one) <= 1e-14 * scale
+    _, K = sys.to_dense()
+    scale = np.abs(K).max()
+    assert abs(one @ K @ one) <= 1e-14 * scale
 
 
 def test_divergence_boundary_gamma_term():
@@ -54,13 +71,15 @@ def test_divergence_boundary_gamma_term():
     params = WentzellParams(1.0, 1.0, 0.0, -1.0)
     sys = assemble_divergence(mesh, hermite_basis(mesh), power_profile(0.5, 1.0), params)
     x = interpolate_poly(sys.dofmap, [0.0, 1.0])
-    assert x @ sys.K @ x == pytest.approx(0.5, abs=1e-12)
+    _, K = sys.to_dense()
+    assert x @ K @ x == pytest.approx(0.5, abs=1e-12)
 
 
 def test_nondivergence_weak_mass_value():
     sys = make(OperatorForm.NON_DIVERGENCE, power_profile(0.5, 0.5), beta=(2.0, 2.0))
     one = interpolate_poly(sys.dofmap, [1.0])
-    assert one @ sys.M @ one == pytest.approx(2.0 * math.sqrt(2.0) + 1.0, rel=1e-12)
+    M, _ = sys.to_dense()
+    assert one @ M @ one == pytest.approx(2.0 * math.sqrt(2.0) + 1.0, rel=1e-12)
 
 
 def test_nondivergence_strong_constrains_value_at_x0():
@@ -114,9 +133,8 @@ CASES = [
 @pytest.mark.parametrize("form,coeff,gamma", CASES)
 def test_exact_symmetry_and_positive_semidefiniteness(form, coeff, gamma):
     sys = make(form, coeff, gamma=gamma, n=8)
-    assert np.array_equal(sys.M, sys.M.T)
-    assert np.array_equal(sys.K, sys.K.T)
-    Mf, Kf = sys.free_matrices()
+    assert_exactly_symmetric(sys)
+    Mf, Kf = sys.to_dense(free=True)
     w = eigh(Kf, Mf, eigvals_only=True)
     assert w[0] >= -1e-10 * max(w[-1], 1.0)
     assert np.all(eigh(Mf, eigvals_only=True) > 0.0)
@@ -124,11 +142,11 @@ def test_exact_symmetry_and_positive_semidefiniteness(form, coeff, gamma):
 
 def test_kernel_dimensions_with_neutral_boundary():
     sys = make(OperatorForm.DIVERGENCE, power_profile(0.5, 0.5), n=16)
-    Mf, Kf = sys.free_matrices()
+    Mf, Kf = sys.to_dense(free=True)
     w = eigh(Kf, Mf, eigvals_only=True)
     assert np.sum(w < 1e-9 * w[-1]) == 2
     sys = make(OperatorForm.NON_DIVERGENCE, power_profile(0.5, 1.0), n=16)
-    Mf, Kf = sys.free_matrices()
+    Mf, Kf = sys.to_dense(free=True)
     w = eigh(Kf, Mf, eigvals_only=True)
     assert np.sum(w < 1e-9 * w[-1]) == 1
 
@@ -139,9 +157,7 @@ def test_coercivity_against_seminorm_matrix(form):
     # delta = min(lam, 1, lam - gamma0, lam - gamma1)
     coeff = power_profile(0.5, 0.5)
     sys = make(form, coeff, gamma=-1.0, n=8)
-    Mf, _ = sys.free_matrices()
-    Sf = sys.stiffness_interior[np.ix_(sys.free, sys.free)]
-    Kf = sys.K[np.ix_(sys.free, sys.free)]
+    Mf, Kf, Sf = sys.to_dense("M", "K", "stiffness_interior", free=True)
     for lam in (0.5, 1.0, 10.0):
         delta = min(lam, 1.0, lam + 1.0)
         B = lam * Mf + Kf - delta * (Mf + Sf)
@@ -154,7 +170,8 @@ def test_norms_trivial_values():
     one = interpolate_poly(sys.dofmap, [1.0])
     assert norm(sys, one, "l2") == pytest.approx(1.0, rel=1e-13)
     # squared seminorm vanishes to rounding against the stiffness scale
-    scale = np.abs(sys.K).max()
+    _, K = sys.to_dense()
+    scale = np.abs(K).max()
     assert norm(sys, one, "sqrt_a_d2") ** 2 <= 1e-13 * scale
     assert norm(sys, one, "h2_a_reduced") == pytest.approx(1.0, rel=1e-8)
 
@@ -203,9 +220,8 @@ def test_assembly_properties_random_parameters(gamma, beta, K):
     sys = make(
         OperatorForm.DIVERGENCE, power_profile(0.4, K), gamma=gamma, beta=(beta, beta), n=6
     )
-    assert np.array_equal(sys.M, sys.M.T)
-    assert np.array_equal(sys.K, sys.K.T)
-    Mf, Kf = sys.free_matrices()
+    assert_exactly_symmetric(sys)
+    Mf, Kf = sys.to_dense(free=True)
     w = eigh(Kf, Mf, eigvals_only=True)
     assert w[0] >= -1e-10 * max(w[-1], 1.0)
 
@@ -215,7 +231,8 @@ def test_weak_reciprocal_mass_matches_closed_moment():
     sys = make(OperatorForm.NON_DIVERGENCE, coeff, beta=(1e6, 1e6), n=8)
     one = interpolate_poly(sys.dofmap, [1.0])
     expected = singular_moment(coeff, (0, 1), 0, -1) + 2e-6
-    assert one @ sys.M @ one == pytest.approx(expected, rel=1e-10)
+    M, _ = sys.to_dense()
+    assert one @ M @ one == pytest.approx(expected, rel=1e-10)
 
 
 def test_matrix_export_roundtrip():

@@ -172,14 +172,17 @@ def shape_values(s, h, d=0):
             3.0 * s**2 - 2.0 * s,
         ]
     elif d == 2:
+        # powers of h as products: correctly rounded alike for a float h
+        # and for an array of element lengths (float ** goes through pow)
         cols = [
-            (12.0 * s - 6.0) / h**2,
+            (12.0 * s - 6.0) / (h * h),
             (6.0 * s - 4.0) / h,
-            (6.0 - 12.0 * s) / h**2,
+            (6.0 - 12.0 * s) / (h * h),
             (6.0 * s - 2.0) / h,
         ]
     elif d == 3:
-        cols = [12.0 / h**3 * one, 6.0 / h**2 * one, -12.0 / h**3 * one, 6.0 / h**2 * one]
+        h2 = h * h
+        cols = [12.0 / (h2 * h) * one, 6.0 / h2 * one, -12.0 / (h2 * h) * one, 6.0 / h2 * one]
     else:
         raise ValueError("derivative order must be 0..3")
     return np.stack(cols, axis=-1)

@@ -41,15 +41,12 @@ from .evolution import (
     initial_dofs,
     resolvent_solve,
     run,
-    step,
 )
 from .forms import (
     AssembledSystem,
     OperatorForm,
     WentzellParams,
     assemble,
-    assemble_divergence,
-    assemble_nondivergence,
     export_matrix,
     load_matrix,
     norm,

@@ -29,7 +29,7 @@ from .evolution import (
     resolvent_solve,
     run,
 )
-from .discretization import check_interior
+from .discretization import build_mesh, check_interior
 from .forms import OperatorForm, WentzellParams, band_matvec, row_band
 from .oracle import SUITES, dense_decompose, verification_report
 
@@ -153,8 +153,6 @@ def parse_config(text) -> CliConfig:
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ConfigError("mesh.n", "must be an integer >= 2")
     grading = _number(mdoc, "mesh", "grading")
-    if grading is not None and grading < 1.0:
-        raise ConfigError("mesh.grading", "must be >= 1")
 
     tdoc = doc.get("time")
     if not isinstance(tdoc, dict):
@@ -237,6 +235,8 @@ def parse_config(text) -> CliConfig:
         forcing=forcing,
         project_u0=project_u0,
     )
+    # build_mesh bounds the grading, and refuses one that collapses elements
+    _checked("mesh", build_mesh, n, coeff.x0, problem.resolved_grading())
     return CliConfig(problem, tuple(suites), count, lam, rf)
 
 

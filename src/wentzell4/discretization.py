@@ -89,12 +89,14 @@ def build_mesh(n, x0, grading=1.0) -> Mesh:
 
     grading = 1 gives near-uniform spacing on each side of x0; grading > 1
     shrinks element lengths geometrically toward x0 with ratio 1/grading.
+    A grading so steep that an element length rounds to zero raises
+    ParameterError("grading").
     """
     if n < 2 or int(n) != n:
         raise ValueError("need at least 2 elements")
     check_interior(x0)
-    if grading < 1.0:
-        raise ValueError("grading must be >= 1")
+    if not grading >= 1.0:
+        raise ParameterError("grading", "must be >= 1")
     n = int(n)
     n_left = min(n - 1, max(1, round(n * x0)))
     n_right = n - n_left
@@ -103,6 +105,12 @@ def build_mesh(n, x0, grading=1.0) -> Mesh:
     nodes = np.concatenate([[0.0], np.cumsum(left), x0 + np.cumsum(right)])
     nodes[n_left] = x0
     nodes[-1] = 1.0
+    collapsed = int(np.sum(~(np.diff(nodes) > 0.0)))
+    if collapsed:
+        raise ParameterError(
+            "grading",
+            f"{grading} gives {collapsed} elements of zero length at n = {n}",
+        )
     nodes.setflags(write=False)
     return Mesh(nodes, n_left, float(grading))
 
@@ -130,6 +138,11 @@ class DofMap:
 
     def slope_dof(self, node):
         return 2 * node + 1
+
+    @property
+    def end_dofs(self):
+        """Value dofs at x = 0 and x = 1, where the Wentzell point terms sit."""
+        return [self.value_dof(0), self.value_dof(self.n_nodes - 1)]
 
     def element_dofs(self, e):
         return np.array([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3])

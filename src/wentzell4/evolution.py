@@ -8,7 +8,9 @@ slack of the discrete energy inequality
     ||u+||_M^2 - ||u||_M^2 + 2 dt E(u+) - dt ||u+||_M^2 - dt ||h+||_M^2 <= 0
 
 (E the energy quadratic form), whose time-summed version is the Gronwall
-bound with constant e^T checked by the acceptance suite.
+bound ``||u_m||^2 + 2 dt sum_{k<=m} E(u_k) <= e^{t_m} (||u_0||^2 + dt
+sum_{k<=m} ||h_k||^2)``, checked at every step m by
+:meth:`Trajectory.energy_bound_ok`.
 
 Every matrix is read in the lower band storage of :mod:`forms`, so a step
 costs O(n).  Linear systems are solved with a banded Cholesky
@@ -38,9 +40,9 @@ from .discretization import (
     element_shape_values,
     hermite_basis,
     interpolate_poly,
-    weighted_rule,
 )
 from .forms import (
+    PENCIL,
     AssembledSystem,
     OperatorForm,
     WentzellParams,
@@ -58,7 +60,6 @@ __all__ = [
     "ProblemConfig",
     "TimeStepper",
     "resolvent_solve",
-    "step",
     "run",
     "Forcing",
     "ZeroForcing",
@@ -247,9 +248,7 @@ def _polynomial_load(system, coeffs, weight_kind, derivative):
     function: entries int w(x) p^(d)(x) phi_i^(d)(x) dx."""
     p = Polynomial(np.asarray(coeffs, dtype=float)).deriv(derivative)
     npts = 8 if weight_kind is WeightKind.UNIT else None
-    rule = weighted_rule(
-        system.mesh, system.dofmap, system.coeff, weight_kind, npoints=npts
-    )
+    rule = system.rule(weight_kind, npoints=npts)
     phi, weights, points = element_shape_values(rule, derivative)
     local = ((weights * p(points))[:, None, :] @ phi)[:, 0, :]
     n_el = system.mesh.n_elements
@@ -271,20 +270,13 @@ def manufactured_divergence_forcing(system, witness_coeffs, rate=1.0):
     if system.form is not OperatorForm.DIVERGENCE:
         raise ValueError("manufactured forcing preset targets the divergence form")
     w = np.asarray(witness_coeffs, dtype=float)
-    p = system.params
-    a0, a1 = system.coeff.boundary_values()
-    poly = Polynomial(w)
-    w0, w1 = float(poly(0.0)), float(poly(1.0))
-
-    mass_part = _polynomial_load(system, w, WeightKind.UNIT, 0)
-    energy_part = _polynomial_load(system, w, WeightKind.COEFF_A, 2)
-    e0 = np.zeros(system.dofmap.total_dofs)
-    e0[system.dofmap.value_dof(0)] = 1.0
-    e1 = np.zeros(system.dofmap.total_dofs)
-    e1[system.dofmap.value_dof(system.dofmap.n_nodes - 1)] = 1.0
-    mass_part += (a0 / p.beta0) * w0 * e0 + (a1 / p.beta1) * w1 * e1
-    energy_part -= (p.gamma0 / p.beta0) * a0 * w0 * e0
-    energy_part -= (p.gamma1 / p.beta1) * a1 * w1 * e1
+    pencil = PENCIL[system.form]
+    mass_part = _polynomial_load(system, w, pencil.mass, 0)
+    energy_part = _polynomial_load(system, w, pencil.stiffness, 2)
+    ends = system.dofmap.end_dofs
+    w_ends = Polynomial(w)(np.array([0.0, 1.0]))
+    mass_part[ends] += np.multiply(system.point_mass, w_ends)
+    energy_part[ends] += np.multiply(system.point_stiffness, w_ends)
 
     load = energy_part - rate * mass_part
     load[list(system.dofmap.constrained)] = 0.0
@@ -348,11 +340,6 @@ class TimeStepper:
         lp = None if forcing.is_zero else forcing.load(state.t + self.dt)[free]
         u_next = _scatter(self.system, self.step_free(state.dofs[free], ln, lp))
         return make_state(self.system, state.t + self.dt, u_next)
-
-
-def step(state, system, dt, forcing=None, scheme=Scheme.IMPLICIT_EULER):
-    """Single-shot step; loops should build a TimeStepper once instead."""
-    return TimeStepper(system, dt, scheme).step(state, forcing)
 
 
 def energy_slack(system, prev: EvolutionState, new: EvolutionState, dt, h_sq):
@@ -454,21 +441,9 @@ def initial_dofs(system, spec, project=False):
     coeffs = resolve_space_spec(spec)
     if not project:
         return interpolate_poly(system.dofmap, coeffs)
-    load = _polynomial_load(
-        system,
-        coeffs,
-        WeightKind.COEFF_RECIP_A
-        if system.form is OperatorForm.NON_DIVERGENCE
-        else WeightKind.UNIT,
-        0,
-    )
-    p = system.params
-    poly = Polynomial(np.asarray(coeffs, dtype=float))
-    a0, a1 = system.coeff.boundary_values()
-    m0 = a0 / p.beta0 if system.form is OperatorForm.DIVERGENCE else 1.0 / p.beta0
-    m1 = a1 / p.beta1 if system.form is OperatorForm.DIVERGENCE else 1.0 / p.beta1
-    load[system.dofmap.value_dof(0)] += m0 * float(poly(0.0))
-    load[system.dofmap.value_dof(system.dofmap.n_nodes - 1)] += m1 * float(poly(1.0))
+    load = _polynomial_load(system, coeffs, PENCIL[system.form].mass, 0)
+    u_ends = Polynomial(coeffs)(np.array([0.0, 1.0]))
+    load[system.dofmap.end_dofs] += np.multiply(system.point_mass, u_ends)
     Mf, _ = system.free_matrices()
     return _scatter(system, _BandedSPD(Mf).solve(load[system.free]))
 
@@ -549,13 +524,18 @@ class Trajectory:
         )
 
     def energy_bound_ok(self):
-        """Time-discrete Gronwall bound with constant e^T."""
-        lhs = self.sup_norm_sq + self.energy_integral
-        t_final = self.states[-1].t - self.states[0].t
-        rhs = math.exp(t_final) * (
-            self.states[0].norm_mu_sq + self.dt * sum(self.forcing_norm_sq)
-        )
-        return lhs <= rhs * (1.0 + ENERGY_BOUND_TOL)
+        """Gronwall bound at every recorded step m:
+
+            ||u_m||^2 + 2 dt sum_{k<=m} E(u_k)
+                <= e^{t_m} (||u_0||^2 + dt sum_{k<=m} ||h_k||^2).
+        """
+        norms = np.array([s.norm_mu_sq for s in self.states])
+        t = np.array([s.t for s in self.states]) - self.states[0].t
+        energy = np.cumsum([0.0] + [s.energy for s in self.states[1:]])
+        forcing = np.cumsum([0.0] + self.forcing_norm_sq)
+        lhs = norms + 2.0 * self.dt * energy
+        rhs = np.exp(t) * (norms[0] + self.dt * forcing)
+        return bool(np.all(lhs <= rhs * (1.0 + ENERGY_BOUND_TOL)))
 
     def write_csv(self, destination):
         rows = [("step", "t", "norm_mu_sq", "energy_form", "slack")]

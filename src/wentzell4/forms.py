@@ -1,13 +1,19 @@
 """Assembly of the weighted inner-product and energy matrices.
 
-For the divergence operator (a u'')'' the natural inner product is
-L2(0, 1) plus boundary point masses a(j)/beta_j, and the energy form is
-``int a u'' v'' - sum_j gamma_j/beta_j a(j) u(j) v(j)``.  For the
-non-divergence operator a u'''' the inner product carries the weight 1/a
-and masses 1/beta_j, and the energy form is ``int u'' v''`` with the same
-boundary terms without the factor a(j).  The boundary conditions are
-natural: no dof manipulation is needed, except that a strongly degenerate
-non-divergence problem pins the value dof at x0 to zero.
+The two operator forms give the same pencil up to one choice, kept in
+one table, :data:`PENCIL`: the weight of the mass matrix M and the weight
+of the stiffness matrix K.  For the divergence operator (a u'')'' they
+are 1 and a, for the non-divergence operator a u'''' they are 1/a and 1.
+The Wentzell point terms scale with c_j, the stiffness weight at the end
+j (a(j) or 1): M is ``int w_M u v + sum_j c_j/beta_j u(j) v(j)`` and K is
+``int w_K u'' v'' - sum_j gamma_j/beta_j c_j u(j) v(j)``.  The boundary
+conditions are natural: no dof manipulation is needed, except that a 1/a
+mass in the strong class pins the value dof at x0 to zero.
+
+One :func:`assemble` serves both forms.  The system it returns keeps the
+point terms it added and the quadrature rules it integrated with, so the
+loads, projections, norms and oracle checks that pair with M and K read
+the table and these, never a second copy of the choice.
 
 Storage.  Cubic Hermite dofs couple at most three apart, so every matrix
 is held in LAPACK lower band storage ``ab`` of shape (4, n):
@@ -27,8 +33,7 @@ import enum
 import functools
 import io
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -54,8 +59,8 @@ __all__ = [
     "OperatorForm",
     "WentzellParams",
     "AssembledSystem",
-    "assemble_divergence",
-    "assemble_nondivergence",
+    "Pencil",
+    "PENCIL",
     "assemble",
     "BANDWIDTH",
     "band_congruence",
@@ -75,6 +80,19 @@ __all__ = [
 class OperatorForm(enum.Enum):
     DIVERGENCE = "divergence"
     NON_DIVERGENCE = "nondivergence"
+
+
+class Pencil(NamedTuple):
+    """Weights of M (basis values) and K (basis second derivatives)."""
+
+    mass: WeightKind
+    stiffness: WeightKind
+
+
+PENCIL = {
+    OperatorForm.DIVERGENCE: Pencil(WeightKind.UNIT, WeightKind.COEFF_A),
+    OperatorForm.NON_DIVERGENCE: Pencil(WeightKind.COEFF_RECIP_A, WeightKind.UNIT),
+}
 
 
 @dataclass(frozen=True)
@@ -233,7 +251,9 @@ class AssembledSystem:
     M, K and ``stiffness_interior`` (K without its boundary terms) are
     lower bands of shape (4, total_dofs).  Constrained rows/columns are
     zeroed with a unit mass diagonal; solvers and eigenproblems operate on
-    the ``free`` submatrices.
+    the ``free`` submatrices.  ``point_mass`` and ``point_stiffness`` are
+    the terms assembly added to M and K at ``dofmap.end_dofs``; ``rules``
+    seeds :meth:`rule` with the rules it integrated with.
     """
 
     form: OperatorForm
@@ -244,12 +264,17 @@ class AssembledSystem:
     M: np.ndarray
     K: np.ndarray
     stiffness_interior: np.ndarray
+    point_mass: tuple
+    point_stiffness: tuple
+    rules: InitVar[dict]
     free: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, rules):
         self.free = self.dofmap.free_dofs()
         for a in (self.M, self.K, self.stiffness_interior):
             a.setflags(write=False)
+        self._rules = {(kind, None): rule for kind, rule in rules.items()}
+        self._grams = {}
 
     @property
     def size(self):
@@ -279,60 +304,41 @@ class AssembledSystem:
     def energy(self, dofs):
         return band_quadratic(self.K, dofs)
 
-    # quadrature rules reused by norms and load assembly
-    @cached_property
-    def unit_rule(self):
-        return weighted_rule(self.mesh, self.dofmap, self.coeff, WeightKind.UNIT)
+    def rule(self, kind, npoints=None):
+        """Quadrature rule for the weight ``kind`` on this system, built
+        once; the pencil's two rules are the ones assembly used."""
+        key = (WeightKind(kind), npoints)
+        if key not in self._rules:
+            self._rules[key] = weighted_rule(self.mesh, self.dofmap, self.coeff, *key)
+        return self._rules[key]
 
-    @cached_property
-    def a_rule(self):
-        return weighted_rule(self.mesh, self.dofmap, self.coeff, WeightKind.COEFF_A)
-
-    @cached_property
-    def recip_rule(self):
-        return weighted_rule(
-            self.mesh, self.dofmap, self.coeff, WeightKind.COEFF_RECIP_A
-        )
-
-    @cached_property
-    def _gram_d0(self):
-        return gram_matrix(self.unit_rule, 0)
-
-    @cached_property
-    def _gram_d1(self):
-        return gram_matrix(self.unit_rule, 1)
-
-    @cached_property
-    def _gram_d2(self):
-        return gram_matrix(self.unit_rule, 2)
-
-    @cached_property
-    def _gram_d2_a(self):
-        return gram_matrix(self.a_rule, 2)
-
-    @cached_property
-    def _gram_d0_recip(self):
-        return gram_matrix(self.recip_rule, 0)
+    def gram(self, kind, d):
+        """Lower band of the Gram matrix of the d-th basis derivatives for
+        the weight ``kind``, without point terms or constraints; built once."""
+        key = (WeightKind(kind), d)
+        if key not in self._grams:
+            band = gram_matrix(self.rule(kind), d)
+            band.setflags(write=False)
+            self._grams[key] = band
+        return self._grams[key]
 
 
-def _add_boundary_terms(dofmap, band, at_zero, at_one):
+def _add_point_terms(dofmap, band, terms):
     """Add point terms to the diagonal entries of the value dofs at 0, 1."""
-    ends = [dofmap.value_dof(0), dofmap.value_dof(dofmap.n_nodes - 1)]
-    band[0, ends] += (at_zero, at_one)
+    band[0, dofmap.end_dofs] += terms
 
 
-def _apply_constraints(dofmap, *bands, mass=None):
+def _apply_constraints(dofmap, mass, *bands):
     """Zero the rows and columns of the constrained dofs and put a unit
     diagonal into ``mass`` there."""
     c = np.array(sorted(dofmap.constrained), dtype=np.intp)
     k = np.broadcast_to(np.arange(BANDWIDTH + 1)[:, None], (BANDWIDTH + 1, len(c)))
     left = c - k  # row c left of the diagonal: A[c, c - k] = ab[k, c - k]
     inside = left >= 0
-    for ab in bands:
+    for ab in (mass, *bands):
         ab[:, c] = 0.0
         ab[k[inside], left[inside]] = 0.0
-    if mass is not None:
-        mass[0, c] = 1.0
+    mass[0, c] = 1.0
 
 
 def _require_admissible(coeff):
@@ -347,145 +353,88 @@ def _require_admissible(coeff):
     return klass
 
 
-def assemble_divergence(mesh, dofmap, coeff, params) -> AssembledSystem:
-    """System for the operator (a u'')'' with dynamic boundary terms.
-
-    M = mass + a(j)/beta_j point masses; K = int a u''v'' plus the
-    boundary terms -gamma_j/beta_j a(j).  No essential constraints: the
-    boundary conditions are recovered variationally.
-    """
-    _require_admissible(coeff)
-    a0, a1 = coeff.boundary_values()
-    unit = weighted_rule(mesh, dofmap, coeff, WeightKind.UNIT)
-    a_rule = weighted_rule(mesh, dofmap, coeff, WeightKind.COEFF_A)
-    M = gram_matrix(unit, 0)
-    _add_boundary_terms(dofmap, M, a0 / params.beta0, a1 / params.beta1)
-    S = gram_matrix(a_rule, 2)
-    K = S.copy()
-    _add_boundary_terms(
-        dofmap,
-        K,
-        -((params.gamma0 / params.beta0) * a0),
-        -((params.gamma1 / params.beta1) * a1),
-    )
-    _apply_constraints(dofmap, M, K, S, mass=M)
-    return AssembledSystem(
-        OperatorForm.DIVERGENCE, mesh, dofmap, coeff, params, M, K, S
-    )
-
-
-def assemble_nondivergence(
-    mesh, dofmap, coeff, params, constrain_strong=True
-) -> AssembledSystem:
-    """System for the operator a u'''' with dynamic boundary terms.
-
-    M carries the weight 1/a plus masses 1/beta_j; K = int u''v'' plus the
-    -gamma_j/beta_j boundary terms.  A strongly degenerate coefficient
-    pins the value dof at x0 (functions vanish there), which is exactly
-    what makes the 1/a mass integrals finite for exponents K < 2.
-    """
-    klass = _require_admissible(coeff)
-    if klass is DegeneracyClass.STRONG:
-        if not constrain_strong:
-            raise DivergentIntegralError(
-                "strong 1/a mass matrix requires the value constraint at x0"
-            )
-        dofmap = constrain(dofmap, [dofmap.value_dof(mesh.x0_index)])
-    unit = weighted_rule(mesh, dofmap, coeff, WeightKind.UNIT)
-    recip = weighted_rule(mesh, dofmap, coeff, WeightKind.COEFF_RECIP_A)
-    M = gram_matrix(recip, 0)
-    _add_boundary_terms(dofmap, M, 1.0 / params.beta0, 1.0 / params.beta1)
-    S = gram_matrix(unit, 2)
-    K = S.copy()
-    _add_boundary_terms(
-        dofmap, K, -(params.gamma0 / params.beta0), -(params.gamma1 / params.beta1)
-    )
-    _apply_constraints(dofmap, M, K, S, mass=M)
-    return AssembledSystem(
-        OperatorForm.NON_DIVERGENCE, mesh, dofmap, coeff, params, M, K, S
-    )
-
-
 def assemble(form, mesh, dofmap, coeff, params) -> AssembledSystem:
-    if OperatorForm(form) is OperatorForm.DIVERGENCE:
-        return assemble_divergence(mesh, dofmap, coeff, params)
-    return assemble_nondivergence(mesh, dofmap, coeff, params)
+    """System of the operator ``form`` with dynamic boundary terms.
+
+    M is the Gram matrix of the basis for the pencil's mass weight plus
+    the point masses c_j/beta_j; K is that of the second derivatives for
+    its stiffness weight plus -gamma_j/beta_j c_j, c_j the stiffness
+    weight at the end j.  A 1/a mass in the strong class pins the value
+    dof at x0 (functions vanish there), which is exactly what keeps its
+    integrals finite for exponents K < 2.
+    """
+    form = OperatorForm(form)
+    pencil = PENCIL[form]
+    klass = _require_admissible(coeff)
+    if klass is DegeneracyClass.STRONG and pencil.mass is WeightKind.COEFF_RECIP_A:
+        dofmap = constrain(dofmap, [dofmap.value_dof(mesh.x0_index)])
+    rules = {kind: weighted_rule(mesh, dofmap, coeff, kind) for kind in pencil}
+    if pencil.stiffness is WeightKind.COEFF_A:
+        c0, c1 = coeff.boundary_values()
+    else:
+        c0, c1 = 1.0, 1.0
+    p = params
+    point_mass = (c0 / p.beta0, c1 / p.beta1)
+    point_stiffness = (-((p.gamma0 / p.beta0) * c0), -((p.gamma1 / p.beta1) * c1))
+    M = gram_matrix(rules[pencil.mass], 0)
+    _add_point_terms(dofmap, M, point_mass)
+    S = gram_matrix(rules[pencil.stiffness], 2)
+    K = S.copy()
+    _add_point_terms(dofmap, K, point_stiffness)
+    _apply_constraints(dofmap, M, K, S)
+    return AssembledSystem(
+        form, mesh, dofmap, coeff, params, M, K, S, point_mass, point_stiffness, rules
+    )
 
 
-_NORM_KINDS = (
-    "l2",
-    "l2_recip_a",
-    "mu",
-    "mu_div",
-    "mu_nondiv",
-    "d1",
-    "d2",
-    "sqrt_a_d2",
-    "h2_a",
-    "h2_a_reduced",
-    "h2_recip_a",
-)
+# (weight, derivative order) of the Gram matrices summed by each norm kind
+_NORM_TERMS = {
+    "l2": ((WeightKind.UNIT, 0),),
+    "l2_recip_a": ((WeightKind.COEFF_RECIP_A, 0),),
+    "d1": ((WeightKind.UNIT, 1),),
+    "d2": ((WeightKind.UNIT, 2),),
+    "sqrt_a_d2": ((WeightKind.COEFF_A, 2),),
+    "h2_a": ((WeightKind.UNIT, 0), (WeightKind.UNIT, 1), (WeightKind.COEFF_A, 2)),
+    "h2_a_reduced": ((WeightKind.UNIT, 0), (WeightKind.COEFF_A, 2)),
+    "h2_recip_a": (
+        (WeightKind.COEFF_RECIP_A, 0), (WeightKind.UNIT, 1), (WeightKind.UNIT, 2)
+    ),
+}
 
 
 def norm(system: AssembledSystem, dofs, kind):
     """Weighted norms of a represented function.
 
-    Kinds: plain "l2"; "l2_recip_a" (weight 1/a); "mu" (the measure norm
-    matched to the operator form, with boundary masses; explicitly
-    "mu_div"/"mu_nondiv"); seminorms "d1", "d2", "sqrt_a_d2"; composites
-    "h2_a" (l2 + d1 + sqrt_a_d2), "h2_a_reduced" (l2 + sqrt_a_d2) and
-    "h2_recip_a" (l2_recip_a + d1 + d2).
+    Kinds: plain "l2"; "l2_recip_a" (weight 1/a); "mu" (the norm of M:
+    the pencil's mass weight plus the point masses); seminorms "d1", "d2",
+    "sqrt_a_d2"; composites "h2_a" (l2 + d1 + sqrt_a_d2), "h2_a_reduced"
+    (l2 + sqrt_a_d2) and "h2_recip_a" (l2_recip_a + d1 + d2).
 
     Reciprocal-weight kinds in the strong class require the represented
     function to vanish at x0 (the constrained convention); otherwise the
     integral diverges and DivergentIntegralError is raised.
     """
     dofs = np.asarray(dofs, dtype=float)
-
-    def quad(G):
-        return band_quadratic(G, dofs)
-
-    def recip_sq():
-        if classify(system.coeff) is DegeneracyClass.STRONG:
-            x0_dof = system.dofmap.value_dof(system.mesh.x0_index)
-            if dofs[x0_dof] != 0.0:
-                raise DivergentIntegralError(
-                    "1/a-weighted norm diverges unless the function vanishes at x0"
-                )
-        return quad(system._gram_d0_recip)
-
-    p, c = system.params, system.coeff
-    u0, u1 = dofs[system.dofmap.value_dof(0)], dofs[system.dofmap.value_dof(system.dofmap.n_nodes - 1)]
-    a0, a1 = c.boundary_values()
-
-    if kind == "l2":
-        sq = quad(system._gram_d0)
-    elif kind == "d1":
-        sq = quad(system._gram_d1)
-    elif kind == "d2":
-        sq = quad(system._gram_d2)
-    elif kind == "sqrt_a_d2":
-        sq = quad(system._gram_d2_a)
-    elif kind == "l2_recip_a":
-        sq = recip_sq()
-    elif kind == "mu":
-        return norm(
-            system,
-            dofs,
-            "mu_div" if system.form is OperatorForm.DIVERGENCE else "mu_nondiv",
-        )
-    elif kind == "mu_div":
-        sq = quad(system._gram_d0) + a0 / p.beta0 * u0**2 + a1 / p.beta1 * u1**2
-    elif kind == "mu_nondiv":
-        sq = recip_sq() + u0**2 / p.beta0 + u1**2 / p.beta1
-    elif kind == "h2_a":
-        sq = quad(system._gram_d0) + quad(system._gram_d1) + quad(system._gram_d2_a)
-    elif kind == "h2_a_reduced":
-        sq = quad(system._gram_d0) + quad(system._gram_d2_a)
-    elif kind == "h2_recip_a":
-        sq = recip_sq() + quad(system._gram_d1) + quad(system._gram_d2)
+    if kind == "mu":
+        terms = ((PENCIL[system.form].mass, 0),)
+    elif kind in _NORM_TERMS:
+        terms = _NORM_TERMS[kind]
     else:
-        raise ValueError(f"unknown norm kind {kind!r}; expected one of {_NORM_KINDS}")
+        raise ValueError(
+            f"unknown norm kind {kind!r}; expected 'mu' or one of {sorted(_NORM_TERMS)}"
+        )
+    if (
+        any(w is WeightKind.COEFF_RECIP_A for w, _ in terms)
+        and classify(system.coeff) is DegeneracyClass.STRONG
+        and dofs[system.dofmap.value_dof(system.mesh.x0_index)] != 0.0
+    ):
+        raise DivergentIntegralError(
+            "1/a-weighted norm diverges unless the function vanishes at x0"
+        )
+    sq = sum(band_quadratic(system.gram(w, d), dofs) for w, d in terms)
+    if kind == "mu":
+        u0, u1 = dofs[system.dofmap.end_dofs]
+        sq = sq + system.point_mass[0] * u0**2 + system.point_mass[1] * u1**2
     return math.sqrt(max(sq, 0.0))
 
 

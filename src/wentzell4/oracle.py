@@ -30,6 +30,7 @@ from .discretization import (
     weighted_rule,
 )
 from .forms import (
+    PENCIL,
     AssembledSystem,
     OperatorForm,
     WentzellParams,
@@ -573,13 +574,13 @@ def _spectral_checks():
     for name, system in _case_matrix():
         # element blocks before they are folded into the bands; the
         # boundary terms are diagonal
-        if system.form is OperatorForm.DIVERGENCE:
-            pencil = ((system.unit_rule, 0), (system.a_rule, 2))
-        else:
-            pencil = ((system.recip_rule, 0), (system.unit_rule, 2))
+        pencil = PENCIL[system.form]
         sym_gap = max(
             float(np.max(np.abs(B - B.transpose(0, 2, 1))))
-            for B in (element_blocks(rule, d) for rule, d in pencil)
+            for B in (
+                element_blocks(system.rule(kind), d)
+                for kind, d in ((pencil.mass, 0), (pencil.stiffness, 2))
+            )
         )
         decomp = dense_decompose(system)
         w = decomp.eigenvalues
@@ -597,12 +598,8 @@ def _spectral_checks():
         ok = sym_gap == 0.0 and decomp.psd_ok() and ortho_gap <= 1e-10
         gamma0 = system.params.gamma0
         if gamma0 == 0.0:
-            expected = (
-                2
-                if system.form is OperatorForm.DIVERGENCE
-                or not system.dofmap.constrained
-                else 1
-            )
+            # affine functions, less the one the x0 constraint removes
+            expected = 1 if system.dofmap.constrained else 2
             ok = ok and decomp.near_zero_count() == expected
             computed["expected_kernel"] = expected
         out.append(Check("spectral", name, {"case": name}, computed, 1e-10, ok))

@@ -10,7 +10,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from wentzell4.cli import main
 from wentzell4.coefficient import power_profile
-from wentzell4.discretization import build_mesh, hermite_basis, shape_values
+from wentzell4.discretization import WeightKind, build_mesh, hermite_basis, shape_values
 from wentzell4.evolution import ProblemConfig, Scheme, _BandedSPD, _polynomial_load, run
 from wentzell4.forms import (
     OperatorForm,
@@ -107,15 +107,16 @@ def dense_refined_solve(A, b, rtol=1e-14, max_refine=4):
 @given(spec=systems)
 def test_batched_assembly_equals_element_loop_bit_for_bit(spec):
     sys = build(spec)
-    rules = [(sys.unit_rule, d) for d in (0, 1, 2)] + [(sys.a_rule, 0), (sys.a_rule, 2)]
+    unit, a_rule = sys.rule(WeightKind.UNIT), sys.rule(WeightKind.COEFF_A)
+    rules = [(unit, d) for d in (0, 1, 2)] + [(a_rule, 0), (a_rule, 2)]
     if not (spec[1] and sys.form is OperatorForm.DIVERGENCE):
-        rules.append((sys.recip_rule, 0))
+        rules.append((sys.rule(WeightKind.COEFF_RECIP_A), 0))
     for rule, d in rules:
         assert np.array_equal(band_to_dense(gram_matrix(rule, d)), loop_gram(rule, d))
     coeffs = [0.3, -1.0, 2.0, 0.5]
     assert np.array_equal(
-        _polynomial_load(sys, coeffs, sys.a_rule.weight_kind, 2),
-        loop_load(sys, sys.a_rule, coeffs, 2),
+        _polynomial_load(sys, coeffs, WeightKind.COEFF_A, 2),
+        loop_load(sys, a_rule, coeffs, 2),
     )
 
 
@@ -158,8 +159,8 @@ def test_norm_kinds_match_dense_grams(spec, seed):
     def gram_sq(rule, d):
         return dense_sq(band_to_dense(gram_matrix(rule, d)))
 
-    l2, d1, d2 = (gram_sq(sys.unit_rule, d) for d in (0, 1, 2))
-    sqrt_a_d2 = gram_sq(sys.a_rule, 2)
+    l2, d1, d2 = (gram_sq(sys.rule(WeightKind.UNIT), d) for d in (0, 1, 2))
+    sqrt_a_d2 = gram_sq(sys.rule(WeightKind.COEFF_A), 2)
     expected = {
         "l2": l2,
         "d1": d1,
@@ -171,7 +172,7 @@ def test_norm_kinds_match_dense_grams(spec, seed):
     }
     if not (spec[1] and sys.form is OperatorForm.DIVERGENCE):
         # the 1/a weight needs the constrained dofmap in the strong class
-        recip = gram_sq(sys.recip_rule, 0)
+        recip = gram_sq(sys.rule(WeightKind.COEFF_RECIP_A), 0)
         expected.update(l2_recip_a=recip, h2_recip_a=recip + d1 + d2)
     for kind, (sq, scale) in expected.items():
         assert abs(norm(sys, u, kind) ** 2 - sq) <= 1e-13 * scale, kind

@@ -144,13 +144,50 @@ def test_resolvent_outputs_and_gate(tmp_path):
     assert values[0] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_byte_identical_reruns(tmp_path):
-    config = parse_config(cfg(mesh={"n": 8}, time={"T": 0.1, "dt": 0.01}))
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        ("run", {"trajectory.csv", "summary.json"}),
+        ("spectrum", {"spectrum.csv", "spectrum.json"}),
+        ("resolvent", {"resolvent.csv", "resolvent.json"}),
+        ("verify", {"verification.json"}),
+    ],
+)
+def test_byte_identical_reruns(tmp_path, command, files):
+    config = parse_config(
+        cfg(
+            mesh={"n": 8},
+            time={"T": 0.1, "dt": 0.01},
+            wentzell={"gamma0": -0.5, "gamma1": -1.0},
+        )
+    )
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    dispatch("run", config, out1, seed=7)
-    dispatch("run", config, out2, seed=7)
-    assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+    assert dispatch(command, config, out1, seed=7) == 0
+    assert dispatch(command, config, out2, seed=7) == 0
+    assert {p.name for p in out1.iterdir()} == files
+    assert {p.name for p in out2.iterdir()} == files
+    for name in files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # T < ln 2: e^T < 2, so the bound must be read step by step, not
+        # as sup ||u||^2 plus the energy of the whole run
+        {"wentzell": {"gamma0": -0.5, "gamma1": -0.5}, "mesh": {"n": 64},
+         "time": {"T": 0.01, "dt": 1e-4}, "u0": "bump_cubed"},
+        {"operator": "nondivergence", "coefficient": {"x0": 0.4, "K": 0.5},
+         "wentzell": {"beta0": 2, "beta1": 1, "gamma1": -0.5}, "mesh": {"n": 30},
+         "time": {"T": 0.05}, "u0": "bump_cubed", "project_u0": True},
+    ],
+)
+def test_short_runs_meet_the_energy_bound(tmp_path, overrides):
+    path = tmp_path / "config.json"
+    path.write_text(cfg(**overrides))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["energy_bound_ok"] is True and summary["contraction_ok"] is True
 
 
 def test_main_end_to_end(tmp_path):
@@ -197,11 +234,17 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ({"forcing": {"kind": "separable", "space": [[0.5]]}}, "forcing.space"),
         ({"resolvent": {"f": {"poly": []}}}, "resolvent.f"),
         ({"resolvent": {"f": {"poly": [[1, 2]]}}}, "resolvent.f"),
+        ({"mesh": {"grading": 0.5}}, "mesh.grading"),
+        # the default strong grading 2 collapses elements to zero length
+        ({"operator": "nondivergence", "coefficient": {"K": 1.5}, "mesh": {"n": 128}},
+         "mesh.grading"),
+        ({"operator": "nondivergence", "coefficient": {"K": 1.5}, "mesh": {"n": 200}},
+         "mesh.grading"),
     ],
 )
 def test_main_config_diagnostic_names_key(tmp_path, capsys, overrides, key):
     path = tmp_path / "bad.json"
-    path.write_text(cfg(mesh={"n": 4}, **overrides))
+    path.write_text(cfg(**{"mesh": {"n": 4}, **overrides}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "Traceback" not in lines[0]

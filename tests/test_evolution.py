@@ -20,17 +20,20 @@ from wentzell4.evolution import (
     resolve_space_spec,
     resolvent_solve,
     run,
-    step,
 )
-from wentzell4.forms import OperatorForm, WentzellParams, assemble_divergence
+from wentzell4.forms import OperatorForm, WentzellParams, assemble
 from wentzell4.oracle import dense_decompose
 
 
 @pytest.fixture(scope="module")
 def neutral_system():
     mesh = build_mesh(16, 0.5)
-    return assemble_divergence(
-        mesh, hermite_basis(mesh), power_profile(0.5, 0.5), WentzellParams(1.0, 1.0)
+    return assemble(
+        OperatorForm.DIVERGENCE,
+        mesh,
+        hermite_basis(mesh),
+        power_profile(0.5, 0.5),
+        WentzellParams(1.0, 1.0),
     )
 
 
@@ -74,7 +77,7 @@ def test_steady_state_both_schemes(neutral_system):
     u0 = interpolate_poly(neutral_system.dofmap, [1.0])
     state = make_state(neutral_system, 0.0, u0)
     for scheme in Scheme:
-        new = step(state, neutral_system, 0.05, scheme=scheme)
+        new = TimeStepper(neutral_system, 0.05, scheme).step(state)
         np.testing.assert_allclose(new.dofs, u0, atol=1e-11)
 
 
@@ -197,10 +200,12 @@ def test_resolve_forcing_validation(neutral_system):
 
 def test_manufactured_forcing_targets_divergence_only():
     mesh = build_mesh(8, 0.5)
-    from wentzell4.forms import assemble_nondivergence
-
-    sys = assemble_nondivergence(
-        mesh, hermite_basis(mesh), power_profile(0.5, 0.5), WentzellParams(1.0, 1.0)
+    sys = assemble(
+        OperatorForm.NON_DIVERGENCE,
+        mesh,
+        hermite_basis(mesh),
+        power_profile(0.5, 0.5),
+        WentzellParams(1.0, 1.0),
     )
     with pytest.raises(ValueError):
         manufactured_divergence_forcing(sys, [0.0, 1.0])
@@ -272,7 +277,8 @@ def test_projection_initial_data(neutral_system):
 @given(data=st.data())
 def test_contraction_random_initial_data(data):
     mesh = build_mesh(8, 0.5)
-    sys = assemble_divergence(
+    sys = assemble(
+        OperatorForm.DIVERGENCE,
         mesh,
         hermite_basis(mesh),
         power_profile(0.5, 1.5),

@@ -1,5 +1,6 @@
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
+from wentzell4 import forms, oracle
 from wentzell4.coefficient import constant_profile, power_profile, singular_moment
-from wentzell4.discretization import build_mesh, hermite_basis, interpolate_poly
+from wentzell4.discretization import WeightKind, build_mesh, hermite_basis, interpolate_poly
+from wentzell4.evolution import initial_dofs
 from wentzell4.forms import (
+    PENCIL,
     OperatorForm,
     WentzellParams,
     assemble,
-    assemble_divergence,
-    assemble_nondivergence,
     element_blocks,
     export_matrix,
     load_matrix,
@@ -32,12 +34,9 @@ def make(form, coeff, gamma=0.0, beta=(1.0, 1.0), n=8, grading=1.0):
 def assert_exactly_symmetric(sys):
     # the element blocks of M and K, before they are folded into the bands
     # (the boundary terms are diagonal), and the dense matrices
-    if sys.form is OperatorForm.DIVERGENCE:
-        pencil = ((sys.unit_rule, 0), (sys.a_rule, 2))
-    else:
-        pencil = ((sys.recip_rule, 0), (sys.unit_rule, 2))
-    for rule, d in pencil:
-        blocks = element_blocks(rule, d)
+    pencil = PENCIL[sys.form]
+    for kind, d in ((pencil.mass, 0), (pencil.stiffness, 2)):
+        blocks = element_blocks(sys.rule(kind), d)
         assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
     for A in sys.to_dense():
         assert np.array_equal(A, A.T)
@@ -69,7 +68,9 @@ def test_divergence_energy_of_affine_is_zero():
 def test_divergence_boundary_gamma_term():
     mesh = build_mesh(8, 0.5)
     params = WentzellParams(1.0, 1.0, 0.0, -1.0)
-    sys = assemble_divergence(mesh, hermite_basis(mesh), power_profile(0.5, 1.0), params)
+    sys = assemble(
+        OperatorForm.DIVERGENCE, mesh, hermite_basis(mesh), power_profile(0.5, 1.0), params
+    )
     x = interpolate_poly(sys.dofmap, [0.0, 1.0])
     _, K = sys.to_dense()
     assert x @ K @ x == pytest.approx(0.5, abs=1e-12)
@@ -90,18 +91,6 @@ def test_nondivergence_strong_constrains_value_at_x0():
     assert norm(sys, u, "l2_recip_a") ** 2 == pytest.approx(0.25, rel=1e-12)
 
 
-def test_nondivergence_strong_unconstrained_refused():
-    mesh = build_mesh(8, 0.5)
-    with pytest.raises(DivergentIntegralError):
-        assemble_nondivergence(
-            mesh,
-            hermite_basis(mesh),
-            power_profile(0.5, 1.5),
-            WentzellParams(1.0, 1.0),
-            constrain_strong=False,
-        )
-
-
 def test_strong_exponent_two_or_more_rejected():
     mesh = build_mesh(8, 0.5)
     for form in OperatorForm:
@@ -112,8 +101,12 @@ def test_strong_exponent_two_or_more_rejected():
 def test_interior_degeneracy_required():
     mesh = build_mesh(8, 0.5)
     with pytest.raises(ValueError):
-        assemble_divergence(
-            mesh, hermite_basis(mesh), power_profile(0.0, 0.5), WentzellParams(1, 1)
+        assemble(
+            OperatorForm.DIVERGENCE,
+            mesh,
+            hermite_basis(mesh),
+            power_profile(0.0, 0.5),
+            WentzellParams(1, 1),
         )
 
 
@@ -245,3 +238,35 @@ def test_matrix_export_roundtrip():
     assert header[0].startswith("#")
     n, band = map(int, header[1].split())
     assert n == sys.dofmap.total_dofs and band == 3
+
+
+NORM_KINDS = (
+    "l2", "l2_recip_a", "mu", "d1", "d2", "sqrt_a_d2", "h2_a", "h2_a_reduced", "h2_recip_a",
+)
+
+
+@pytest.mark.parametrize(
+    "form, K",
+    [(OperatorForm.DIVERGENCE, 0.5), (OperatorForm.NON_DIVERGENCE, 0.5),
+     (OperatorForm.NON_DIVERGENCE, 1.5)],
+)
+def test_each_weight_rule_is_built_once_per_system(monkeypatch, form, K):
+    built = Counter()
+    original = forms.weighted_rule
+
+    def counting(mesh, dofmap, coeff, kind, npoints=None):
+        if npoints is None:
+            built[WeightKind(kind)] += 1
+        return original(mesh, dofmap, coeff, kind, npoints)
+
+    monkeypatch.setattr(forms, "weighted_rule", counting)
+    sys = make(form, power_profile(0.5, K), gamma=-1.0)
+    assert set(built) == set(PENCIL[form])
+    u = interpolate_poly(sys.dofmap, [0.0, 1.0, -1.0])  # zero on constrained dofs
+    for kind in NORM_KINDS:
+        norm(sys, u, kind)
+    initial_dofs(sys, [1.0, 2.0], project=True)
+    monkeypatch.setattr(oracle, "_case_matrix", lambda n=16: iter([("case", sys)]))
+    (check,) = oracle.SUITES["spectral"](0)
+    assert check.computed["symmetry_gap"] == 0.0
+    assert set(built) == set(WeightKind) and max(built.values()) == 1, built

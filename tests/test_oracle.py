@@ -6,7 +6,7 @@ from scipy.integrate import dblquad
 
 from wentzell4.coefficient import constant_profile, power_profile
 from wentzell4.discretization import build_mesh, hermite_basis, interpolate_poly
-from wentzell4.forms import OperatorForm, WentzellParams, assemble, assemble_divergence
+from wentzell4.forms import OperatorForm, WentzellParams, assemble
 from wentzell4.oracle import (
     SpaceMembershipError,
     best_linear_fit,
@@ -24,8 +24,12 @@ from wentzell4.oracle import (
 @pytest.fixture(scope="module")
 def weak_system():
     mesh = build_mesh(16, 0.5)
-    return assemble_divergence(
-        mesh, hermite_basis(mesh), power_profile(0.5, 0.5), WentzellParams(1.0, 1.0)
+    return assemble(
+        OperatorForm.DIVERGENCE,
+        mesh,
+        hermite_basis(mesh),
+        power_profile(0.5, 0.5),
+        WentzellParams(1.0, 1.0),
     )
 
 

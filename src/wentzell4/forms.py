@@ -21,7 +21,9 @@ is held in LAPACK lower band storage ``ab`` of shape (4, n):
 zero.  Assembly computes all element blocks in one batch and scatters
 them into the band; the time step, the norms and the solvers read the
 band directly, at O(n) cost.  Dense copies exist only through
-:meth:`AssembledSystem.to_dense`, for the oracle, spectra and tests.
+:meth:`AssembledSystem.to_dense`, for the oracle and tests.  The
+eigenvalues of the pencil come from the bands too
+(:func:`band_pencil_eigenvalues`, LAPACK ``dsbgv``).
 
 The element blocks are exactly symmetric and an entry of the band sums
 at most two of them, so the band is that of a dense accumulation, bit for
@@ -29,6 +31,7 @@ bit, and M = M^T and K = K^T hold with no rounding gap.
 """
 from __future__ import annotations
 
+import ctypes
 import enum
 import functools
 import io
@@ -37,6 +40,7 @@ from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import cython_lapack
 
 from .coefficient import (
     DegeneracyClass,
@@ -65,6 +69,7 @@ __all__ = [
     "BANDWIDTH",
     "band_congruence",
     "band_matvec",
+    "band_pencil_eigenvalues",
     "band_quadratic",
     "band_to_dense",
     "element_blocks",
@@ -186,6 +191,73 @@ def band_quadratic(ab, x):
 def band_congruence(ab, d):
     """Lower band of diag(d) A diag(d): entry (k, j) times d[j + k] * d[j]."""
     return ab * (d[_band_index(ab.shape[1]).shift] * d)
+
+
+@functools.cache
+def _dsbgv():
+    """LAPACK dsbgv as a ctypes function.  scipy.linalg.lapack wraps no
+    banded generalized eigensolver; scipy.linalg.cython_lapack exports one
+    for Cython, as a capsule holding the C function pointer."""
+    capsule = cython_lapack.__pyx_capi__["dsbgv"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    address = get_pointer(capsule, get_name(capsule))
+    char, integer = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
+    double = ctypes.POINTER(ctypes.c_double)
+    return ctypes.CFUNCTYPE(
+        None, char, char, integer, integer, integer, double, integer,
+        double, integer, double, double, integer, double, integer,
+    )(address)
+
+
+def band_pencil_eigenvalues(mass, stiffness):
+    """All eigenvalues, ascending, of the symmetric-definite pencil
+    K v = lambda M v given by the lower bands of M and K.
+
+    Both bands are Jacobi-equilibrated by 1/sqrt(diag M), a congruence
+    that leaves the spectrum unchanged, and handed to LAPACK dsbgv
+    (Crawford's band reduction, then a tridiagonal eigensolve) without
+    eigenvectors: O(n^2) time and O(n) memory.  A mass that is not
+    positive definite raises LinAlgError.
+    """
+    mass, stiffness = np.asarray(mass, dtype=float), np.asarray(stiffness, dtype=float)
+    if mass.ndim != 2 or mass.shape != stiffness.shape:
+        raise ValueError(f"bands of shape {mass.shape} and {stiffness.shape}")
+    singular = np.linalg.LinAlgError("singular mass matrix: quadrature or constraint bug")
+    diag = mass[0]
+    if not np.all(diag > 0.0):
+        raise singular
+    dinv = 1.0 / np.sqrt(diag)
+    # dsbgv overwrites both, in Fortran (column-major) order
+    ab = np.asfortranarray(band_congruence(stiffness, dinv))
+    bb = np.asfortranarray(band_congruence(mass, dinv))
+    ldab, n = ab.shape
+    w = np.empty(n)
+    work = np.empty(3 * n)
+    z = np.empty(1)
+    info = ctypes.c_int(0)
+
+    def ref(value):
+        return ctypes.byref(ctypes.c_int(value))
+
+    def ptr(a):
+        return a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+
+    _dsbgv()(
+        b"N", b"L", ref(n), ref(ldab - 1), ref(ldab - 1), ptr(ab), ref(ldab),
+        ptr(bb), ref(ldab), ptr(w), ptr(z), ref(1), ptr(work), ctypes.byref(info),
+    )
+    if info.value > n:  # the split Cholesky factorization of M failed
+        raise singular
+    if info.value > 0:
+        raise np.linalg.LinAlgError(f"dsbgv: {info.value} eigenvalues failed to converge")
+    if info.value < 0:
+        raise ValueError(f"dsbgv argument {-info.value} is invalid")
+    return w
 
 
 def free_band(ab, free):

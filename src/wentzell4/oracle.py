@@ -36,6 +36,7 @@ from .forms import (
     WentzellParams,
     assemble,
     band_matvec,
+    band_pencil_eigenvalues,
     element_blocks,
     gram_matrix,
     row_band,
@@ -47,6 +48,8 @@ __all__ = [
     "SpectralDecomposition",
     "GreenReport",
     "dense_decompose",
+    "psd_ok",
+    "near_zero_count",
     "exact_propagator",
     "green_residual",
     "green_battery",
@@ -68,6 +71,29 @@ class SpaceMembershipError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# relative to max(lambda_max, 1): the floor of a pencil eigenvalue that
+# still counts as nonnegative, and the ceiling of one counted as zero
+PSD_REL_TOL = 1e-10
+KERNEL_REL_TOL = 1e-9
+# max |banded - dense| eigenvalue over max(lambda_max, 1): 1.4e-15 on the
+# case matrix, 1.0e-14 at n = 512; gated at 5 times the larger
+BANDED_EIGENVALUE_GAP_TOL = 5e-14
+
+
+def _spectral_scale(eigenvalues):
+    return max(float(eigenvalues[-1]), 1.0)
+
+
+def psd_ok(eigenvalues):
+    """Positive semidefiniteness of an ascending pencil spectrum."""
+    return bool(eigenvalues[0] >= -PSD_REL_TOL * _spectral_scale(eigenvalues))
+
+
+def near_zero_count(eigenvalues):
+    """Number of eigenvalues that count as zero: the kernel dimension."""
+    return int(np.sum(eigenvalues < KERNEL_REL_TOL * _spectral_scale(eigenvalues)))
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Generalized symmetric eigendecomposition K v = lambda M v on the
@@ -77,14 +103,11 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray  # (total_dofs, n_free), padded with zeros
 
-    def near_zero_count(self, rel_tol=1e-9):
-        scale = max(self.eigenvalues[-1], 1.0)
-        return int(np.sum(self.eigenvalues < rel_tol * scale))
+    def near_zero_count(self):
+        return near_zero_count(self.eigenvalues)
 
-    def psd_ok(self, rel_tol=1e-10):
-        """Positive semidefiniteness relative to max(lambda_max, 1)."""
-        scale = max(float(self.eigenvalues[-1]), 1.0)
-        return bool(self.eigenvalues[0] >= -rel_tol * scale)
+    def psd_ok(self):
+        return psd_ok(self.eigenvalues)
 
 
 def dense_decompose(system: AssembledSystem) -> SpectralDecomposition:
@@ -95,12 +118,12 @@ def dense_decompose(system: AssembledSystem) -> SpectralDecomposition:
     are mapped back and M-normalized.
     """
     Mf, Kf = system.to_dense(free=True)
-    d = np.sqrt(np.diag(Mf))
-    if np.any(d <= 0.0):
+    diag = np.diag(Mf)
+    if not np.all(diag > 0.0):
         raise np.linalg.LinAlgError(
             "singular mass matrix: quadrature or constraint bug"
         )
-    dinv = 1.0 / d
+    dinv = 1.0 / np.sqrt(diag)
     scale = np.outer(dinv, dinv)
     w, v = eigh(Kf * scale, Mf * scale)
     v = dinv[:, None] * v
@@ -589,13 +612,22 @@ def _spectral_checks():
         V = decomp.vectors[system.free]
         Mf, _ = system.to_dense(free=True)
         ortho_gap = float(np.max(np.abs(V.T @ Mf @ V - np.eye(len(w)))))
+        # the production spectrum (banded dsbgv) against this reference
+        banded = band_pencil_eigenvalues(*system.free_matrices())
+        banded_gap = float(np.max(np.abs(banded - w)) / lam_max)
         computed = {
             "symmetry_gap": sym_gap,
             "min_eigenvalue_rel": min_rel,
             "orthonormality_gap": ortho_gap,
             "near_zero_count": decomp.near_zero_count(),
+            "banded_eigenvalue_gap": banded_gap,
         }
-        ok = sym_gap == 0.0 and decomp.psd_ok() and ortho_gap <= 1e-10
+        ok = (
+            sym_gap == 0.0
+            and decomp.psd_ok()
+            and ortho_gap <= 1e-10
+            and banded_gap <= BANDED_EIGENVALUE_GAP_TOL
+        )
         gamma0 = system.params.gamma0
         if gamma0 == 0.0:
             # affine functions, less the one the x0 constraint removes

@@ -24,7 +24,12 @@ from wentzell4.evolution import (
     run,
 )
 from wentzell4.forms import OperatorForm, WentzellParams
-from wentzell4.oracle import dense_decompose, exact_propagator, verification_report
+from wentzell4.oracle import (
+    BANDED_EIGENVALUE_GAP_TOL,
+    dense_decompose,
+    exact_propagator,
+    verification_report,
+)
 from wentzell4.oracle import _case_matrix
 
 D, ND = OperatorForm.DIVERGENCE, OperatorForm.NON_DIVERGENCE
@@ -67,6 +72,8 @@ def test_02_nonnegativity_and_kernels():
         for c in checks:
             # the kernel dimension is gated exactly for the neutral cases
             assert ("expected_kernel" in c["computed"]) == c["name"].endswith("_neutral")
+            # the banded production spectrum against the dense reference
+            assert c["computed"]["banded_eigenvalue_gap"] <= BANDED_EIGENVALUE_GAP_TOL
 
 
 def test_03_contraction_semigroup():

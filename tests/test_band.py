@@ -4,9 +4,10 @@ import json
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from wentzell4.cli import main
 from wentzell4.coefficient import power_profile
@@ -17,6 +18,7 @@ from wentzell4.forms import (
     WentzellParams,
     assemble,
     band_matvec,
+    band_pencil_eigenvalues,
     band_quadratic,
     band_to_dense,
     export_matrix,
@@ -24,6 +26,12 @@ from wentzell4.forms import (
     load_matrix,
     norm,
     row_band,
+)
+from wentzell4.oracle import (
+    BANDED_EIGENVALUE_GAP_TOL,
+    dense_decompose,
+    near_zero_count,
+    psd_ok,
 )
 
 # (form, strong class, n, x0, K - 1 or K, gamma, beta)
@@ -79,9 +87,9 @@ def loop_load(sys, rule, coeffs, d):
     return out
 
 
-def dense_refined_solve(A, b, rtol=1e-14, max_refine=4):
+def dense_refined_solve(A, b):
     """Dense statement of the banded solver: equilibrated banded Cholesky
-    with refinement against the dense longdouble residual."""
+    and one refinement round against the dense longdouble residual."""
     dinv = 1.0 / np.sqrt(np.diag(A))
     scaled = A * np.outer(dinv, dinv)
     n = len(A)
@@ -93,14 +101,9 @@ def dense_refined_solve(A, b, rtol=1e-14, max_refine=4):
     def once(rhs):
         return dinv * cho_solve_banded((factor, True), dinv * rhs)
 
-    A_ext, b_ext = A.astype(np.longdouble), b.astype(np.longdouble)
     x = once(b)
-    for _ in range(max_refine):
-        r = (b_ext - A_ext @ x.astype(np.longdouble)).astype(float)
-        if np.linalg.norm(r) <= rtol * np.linalg.norm(b):
-            break
-        x = x + once(r)
-    return x
+    r = (b.astype(np.longdouble) - A.astype(np.longdouble) @ x.astype(np.longdouble)).astype(float)
+    return x + once(r)
 
 
 @settings(max_examples=40, deadline=None)
@@ -225,6 +228,33 @@ def test_longdouble_residual_and_solve_match_dense_bit_for_bit(spec, seed, dt):
     assert np.array_equal(_BandedSPD(band).solve(b), dense_refined_solve(A, b))
 
 
+@settings(max_examples=40, deadline=None)
+@given(spec=systems)
+def test_banded_pencil_eigenvalues_match_dense(spec):
+    sys = build(spec)
+    w = band_pencil_eigenvalues(*sys.free_matrices())
+    reference = dense_decompose(sys).eigenvalues
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.max(np.abs(w - reference)) <= BANDED_EIGENVALUE_GAP_TOL * max(reference[-1], 1.0)
+    assert psd_ok(w) == psd_ok(reference)
+    assert near_zero_count(w) == near_zero_count(reference)
+
+
+def test_banded_pencil_eigenvalues_refuse_a_singular_mass():
+    sys = build((OperatorForm.DIVERGENCE, False, 8, 0.5, 0.5, -1.0, 1.0))
+    Mf, Kf = sys.free_matrices()
+    for value in (0.0, -1.0, np.nan):
+        bad = Mf.copy()
+        bad[0, 3] = value
+        with pytest.raises(LinAlgError):
+            band_pencil_eigenvalues(bad, Kf)
+    # a positive diagonal, but indefinite: LAPACK's split Cholesky fails
+    bad = Mf.copy()
+    bad[1, 3] = 2.0 * np.sqrt(Mf[0, 3] * Mf[0, 4])
+    with pytest.raises(LinAlgError):
+        band_pencil_eigenvalues(bad, Kf)
+
+
 def test_run_and_resolvent_memory_is_linear_in_n(tmp_path):
     # a dense 4098 x 4098 M alone would take 134 MB
     for form, K, scheme in (
@@ -267,3 +297,24 @@ def test_run_and_resolvent_memory_is_linear_in_n(tmp_path):
     finally:
         tracemalloc.stop()
     assert status == 0 and peak < 30e6, peak
+
+
+def test_spectrum_memory_is_linear_in_n(tmp_path):
+    # the dense pencil at n = 2048 would take 134 MB per matrix
+    config = tmp_path / "spectrum.json"
+    config.write_text(json.dumps({
+        "operator": "nondivergence",
+        "coefficient": {"x0": 0.5, "K": 1.5},
+        "wentzell": {"beta0": 1, "beta1": 2, "gamma0": -0.5, "gamma1": 0},
+        "mesh": {"n": 2048, "grading": 1.0},
+        "time": {"T": 1.0},
+    }))
+    tracemalloc.start()
+    try:
+        status = main(["spectrum", "--config", str(config), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and peak < 30e6, peak
+    # header plus 4098 dofs less the one pinned at x0
+    assert len((tmp_path / "spectrum.csv").read_text().splitlines()) == 1 + 4097

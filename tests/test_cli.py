@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from wentzell4.cli import ConfigError, dispatch, main, parse_config
-from wentzell4.evolution import Scheme
-from wentzell4.forms import OperatorForm
+from wentzell4.evolution import Scheme, build_system
+from wentzell4.forms import AssembledSystem, OperatorForm
+from wentzell4.oracle import BANDED_EIGENVALUE_GAP_TOL, dense_decompose
 
 BASE = {
     "operator": "divergence",
@@ -130,6 +132,36 @@ def test_spectrum_kernel_of_neutral_divergence(tmp_path):
     eigs = [float(ln.split(",")[1]) for ln in lines[1:]]
     lam_max = meta["max_eigenvalue"]
     assert abs(eigs[0]) <= 1e-9 * lam_max and abs(eigs[1]) <= 1e-9 * lam_max
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"mesh": {"n": 32}},
+        {
+            "operator": "nondivergence",
+            "coefficient": {"x0": 0.4, "K": 1.5},
+            "wentzell": {"gamma0": -0.5, "gamma1": -1.0},
+            "mesh": {"n": 24},
+        },
+    ],
+)
+def test_spectrum_forms_no_dense_matrix(tmp_path, monkeypatch, overrides):
+    config = parse_config(cfg(**overrides))
+    reference = dense_decompose(build_system(config.problem))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum formed a dense matrix")
+
+    monkeypatch.setattr(AssembledSystem, "to_dense", refuse)
+    assert dispatch("spectrum", config, tmp_path) == 0
+    meta = json.loads((tmp_path / "spectrum.json").read_text())
+    assert meta["psd_ok"] is reference.psd_ok()
+    assert meta["near_zero_count"] == reference.near_zero_count()
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+    eigs = np.array([float(ln.split(",")[1]) for ln in lines])
+    w = reference.eigenvalues
+    assert np.max(np.abs(eigs - w)) <= BANDED_EIGENVALUE_GAP_TOL * max(w[-1], 1.0)
 
 
 def test_resolvent_outputs_and_gate(tmp_path):

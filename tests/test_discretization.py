@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -58,6 +58,21 @@ def test_hermite_cardinality():
     np.testing.assert_allclose(dv1, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
 
 
+def _reproduction_error(dofs, dofmap, coeffs, x, d):
+    """Error of the represented d-th derivative at x against the
+    polynomial, and a rounding bound for it: 32 eps times the summed
+    magnitudes of the terms of both sides, u_i phi_i^(d)(x) and p_k x^k.
+    An absolute bound fails for d = 3, where the terms scale like 1/h^3;
+    the largest error seen over 1e5 random and edge-value draws is 5.1 eps
+    times the sum.  The 1e-300 floor is for subnormal coefficients."""
+    p = np.polynomial.Polynomial(coeffs).deriv(d)
+    unit = np.eye(dofmap.total_dofs)
+    terms = sum(abs(evaluate(u * e, dofmap, x, d)) for u, e in zip(dofs, unit))
+    terms += sum(abs(c * x**k) for k, c in enumerate(p.coef))
+    bound = 32.0 * np.finfo(float).eps * terms + 1e-300
+    return abs(evaluate(dofs, dofmap, x, d) - p(x)), bound
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     coeffs=st.lists(
@@ -66,12 +81,27 @@ def test_hermite_cardinality():
     x=st.floats(min_value=0.0, max_value=1.0),
     d=st.integers(min_value=0, max_value=3),
 )
+@example(coeffs=[-1.0, -2.5752827714775375], x=1.0, d=3)
 def test_cubic_reproduction_all_derivatives(coeffs, x, d):
     mesh = build_mesh(5, 0.4)
     dofmap = hermite_basis(mesh)
     dofs = interpolate_poly(dofmap, coeffs)
-    p = np.polynomial.Polynomial(coeffs).deriv(d)
-    assert evaluate(dofs, dofmap, x, d) == pytest.approx(p(x), abs=1e-12, rel=1e-12)
+    error, bound = _reproduction_error(dofs, dofmap, coeffs, x, d)
+    assert error <= bound
+
+
+@pytest.mark.parametrize("d", range(4))
+@pytest.mark.parametrize("x", [0.0, 0.13, 0.4, 0.77, 1.0])
+@pytest.mark.parametrize("coeffs", [[-1.0, -2.5752827714775375], [0.3, -1.2, 0.8, 2.1]])
+def test_cubic_reproduction_bound_rejects_a_perturbed_dof(coeffs, x, d):
+    mesh = build_mesh(5, 0.4)
+    dofmap = hermite_basis(mesh)
+    dofs = interpolate_poly(dofmap, coeffs)
+    # the dof of the largest term u_i phi_i^(d)(x), off by a relative 1e-9
+    terms = [abs(evaluate(u * e, dofmap, x, d)) for u, e in zip(dofs, np.eye(len(dofs)))]
+    dofs[int(np.argmax(terms))] *= 1.0 + 1e-9
+    error, bound = _reproduction_error(dofs, dofmap, coeffs, x, d)
+    assert error > bound
 
 
 def test_evaluate_rejects_fourth_derivative():

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from wentzell4 import (
     check_power_comparison,
     classify,
-    classify_callable,
     constant_profile,
     power_profile,
     singular_moment,
@@ -20,12 +19,6 @@ print("classification of power-law weights a = |x - 1/2|^K")
 for K in (0.0, 0.25, 0.5, 0.99, 1.0, 1.5, 1.99):
     coeff = power_profile(0.5, K)
     print(f"  K = {K:4}: {classify(coeff).value}")
-
-print("\nnumerical classification of tabulated profiles agrees:")
-for K in (0.5, 1.0, 1.5):
-    got = classify_callable(lambda x: abs(x - 0.5) ** K, 0.5)
-    print(f"  K = {K}: {got.value}")
-print(f"  min a > 0: {classify_callable(lambda x: 1.0 + x, 0.5).value}")
 
 print("\nmonotone power comparison (needed for strong-degeneracy results):")
 for K_coeff, K_cmp in ((1.5, 1.5), (0.5, 1.0), (1.0, 2.0), (1.9, 1.0)):

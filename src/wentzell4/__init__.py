@@ -12,7 +12,6 @@ from .coefficient import (
     Profile,
     check_power_comparison,
     classify,
-    classify_callable,
     constant_profile,
     power_profile,
     singular_moment,

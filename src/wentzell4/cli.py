@@ -21,6 +21,7 @@ from scipy.linalg import eigvals_banded
 
 from .coefficient import DegeneracyClass, ParameterError, classify, constant_profile, power_profile
 from .evolution import (
+    NotCoerciveError,
     ProblemConfig,
     Scheme,
     build_system,
@@ -286,7 +287,12 @@ def _cmd_spectrum(config: CliConfig, out: Path, seed):
 def _cmd_resolvent(config: CliConfig, out: Path, seed):
     system = build_system(config.problem)
     f = initial_dofs(system, config.resolvent_f)
-    u = resolvent_solve(system, config.resolvent_lambda, f)
+    try:
+        u = resolvent_solve(system, config.resolvent_lambda, f)
+    except NotCoerciveError as exc:
+        # lambda passed the bound max(0, gamma0, gamma1), yet the shifted
+        # matrix failed its factorization in floating point
+        raise ConfigError("resolvent.lambda", str(exc)) from None
     with open(out / "resolvent.csv", "w") as fh:
         fh.write("dof,value\n")
         for i, v in enumerate(u):

@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .powers import PiecewisePower
 
@@ -25,10 +24,8 @@ __all__ = [
     "power_profile",
     "constant_profile",
     "classify",
-    "classify_callable",
     "ComparisonCheck",
     "check_power_comparison",
-    "check_power_comparison_callable",
     "singular_moment",
 ]
 
@@ -107,41 +104,6 @@ def classify(coeff: DegenerateCoefficient) -> DegeneracyClass:
     return DegeneracyClass.WEAK if coeff.K < 1.0 else DegeneracyClass.STRONG
 
 
-def classify_callable(fn, x0, threshold=1e8, rtol=1e-6, max_levels=50):
-    """Numerical integrability test of 1/fn for tabulated profiles.
-
-    Integrates 1/fn over dyadically shrinking exclusion neighbourhoods of
-    x0.  Declared strong when the partial integrals exceed ``threshold``
-    or fail to Cauchy-converge at relative ``rtol`` before the exclusion
-    radius reaches floating-point resolution; weak otherwise.
-    """
-    x0 = float(x0)
-    if fn(x0) > 1e-13 * max(fn(0.0), fn(1.0), 1.0):
-        return DegeneracyClass.NONDEGENERATE
-    xi, wi = roots_legendre(32)
-
-    def shell(lo, hi):
-        if hi <= lo:
-            return 0.0
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        pts = mid + half * xi
-        return half * float(np.sum(wi / np.array([fn(p) for p in pts])))
-
-    delta = 0.25 * min(x0, 1.0 - x0) if 0.0 < x0 < 1.0 else 0.25
-    total = shell(0.0, max(x0 - delta, 0.0)) + shell(min(x0 + delta, 1.0), 1.0)
-    for _ in range(max_levels):
-        new_delta = delta / 2.0
-        inc = shell(max(x0 - delta, 0.0), max(x0 - new_delta, 0.0))
-        inc += shell(min(x0 + new_delta, 1.0), min(x0 + delta, 1.0))
-        total += inc
-        delta = new_delta
-        if total > threshold:
-            return DegeneracyClass.STRONG
-        if inc <= rtol * abs(total):
-            return DegeneracyClass.WEAK
-    return DegeneracyClass.STRONG
-
-
 @dataclass(frozen=True)
 class ComparisonCheck:
     """Outcome of the monotone power-comparison admissibility test."""
@@ -173,24 +135,6 @@ def check_power_comparison(coeff: DegenerateCoefficient, K: float) -> Comparison
     if coeff.x0 < 1.0:
         sides.append("ratio decreasing away from x0 on the right (must be non-decreasing)")
     return ComparisonCheck(False, "; ".join(sides))
-
-
-def check_power_comparison_callable(fn, x0, K, n=2001, slack=1e-12):
-    """Grid-based version of :func:`check_power_comparison` for tabulated
-    profiles.  Only monotonicity on the sample grid is checkable."""
-    if not 1.0 <= K < 2.0:
-        return ComparisonCheck(False, f"comparison exponent {K} outside [1, 2)")
-    xs = np.linspace(0.0, 1.0, n)
-    xs = xs[np.abs(xs - x0) > 1e-9]
-    ratio = np.abs(xs - x0) ** K / np.array([fn(x) for x in xs])
-    bad = []
-    left = ratio[xs < x0]
-    if left.size > 1 and np.any(np.diff(left) > slack * np.abs(left[:-1])):
-        bad.append("not non-increasing on the left of x0")
-    right = ratio[xs > x0]
-    if right.size > 1 and np.any(np.diff(right) < -slack * np.abs(right[:-1])):
-        bad.append("not non-decreasing on the right of x0")
-    return ComparisonCheck(not bad, "; ".join(bad))
 
 
 def singular_moment(coeff, interval, m, sign):

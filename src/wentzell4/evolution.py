@@ -1,15 +1,23 @@
 """Resolvent solves and time integration of M u' + K u = load(t).
 
-The single implicit step is non-expansive in the M-norm whenever K is
-positive semidefinite, which is the discrete counterpart of the contraction
-property of the continuous solution operator.  Each step also records the
-slack of the discrete energy inequality
+The forcing h of u_t + A u = h is one :class:`Forcing` record: its load
+is ``exp(-rate t) * vector``, fixed in space and decaying in time.
+Time steps use the theta-scheme
 
-    ||u+||_M^2 - ||u||_M^2 + 2 dt E(u+) - dt ||u+||_M^2 - dt ||h+||_M^2 <= 0
+    M (u+ - u) + dt K (theta u+ + (1 - theta) u) = dt (theta l+ + (1 - theta) l),
 
-(E the energy quadratic form), whose time-summed version is the Gronwall
-bound ``||u_m||^2 + 2 dt sum_{k<=m} E(u_k) <= e^{t_m} (||u_0||^2 + dt
-sum_{k<=m} ||h_k||^2)``, checked at every step m by
+with theta = 1 for implicit Euler and theta = 1/2 for Crank-Nicolson.
+Both steps are non-expansive in the M-norm whenever K is positive
+semidefinite, which is the discrete counterpart of the contraction
+property of the continuous solution operator.  Each step also records
+the slack of the discrete energy inequality
+
+    ||u+||_M^2 - ||u||_M^2 + 2 dt E(u+) - dt ||u+||_M^2 - dt h_sq <= 0
+
+(E the energy quadratic form, h_sq = theta ||h+||_M^2 + (1 - theta)
+||h||_M^2), whose time-summed version is the Gronwall bound
+``||u_m||^2 + 2 dt sum_{k<=m} E(u_k) <= e^{t_m} (||u_0||^2 + dt
+sum_{k<=m} h_sq_k)``, checked at every step m by
 :meth:`Trajectory.energy_bound_ok`.
 
 Every matrix is read in the lower band storage of :mod:`forms`, so a step
@@ -63,9 +71,6 @@ __all__ = [
     "resolvent_solve",
     "run",
     "Forcing",
-    "ZeroForcing",
-    "SeparableForcing",
-    "WeakLoadForcing",
     "manufactured_divergence_forcing",
     "resolve_space_spec",
     "parse_forcing",
@@ -146,7 +151,8 @@ def resolvent_solve(system: AssembledSystem, lam, f):
         p = system.params
         bound = max(0.0, p.gamma0, p.gamma1)
         raise NotCoerciveError(
-            f"lambda = {lam} leaves the coercivity range (> {bound}): {exc}"
+            f"lambda*M + K is not positive definite at lambda = {lam}"
+            f" (coercivity needs lambda > {bound}): {exc}"
         ) from exc
     return _scatter(system, solver.solve(rhs))
 
@@ -157,99 +163,43 @@ def resolvent_solve(system: AssembledSystem, lam, f):
 
 
 @dataclass(frozen=True)
-class TimeProfile:
-    """Separable time factor g(t): constant or exponential decay."""
-
-    kind: str = "const"
-    rate: float = 0.0
-
-    def __call__(self, t):
-        if self.kind == "const":
-            return 1.0
-        if self.kind == "exp":
-            return math.exp(-self.rate * t)
-        raise ValueError(f"unknown time profile {self.kind!r}")
-
-
 class Forcing:
-    """Right-hand side supplier: load(t) is the assembled vector added to
-    the step equations, mass_norm_sq(t) the squared M-norm of its Riesz
-    representer (used by the energy bookkeeping)."""
+    """The right-hand side h of u_t + A u = h, scaled in time by exp(-rate t).
 
-    is_zero = False
-
-    def load(self, t):
-        raise NotImplementedError
-
-    def mass_norm_sq(self, t):
-        raise NotImplementedError
-
-
-class ZeroForcing(Forcing):
-    is_zero = True
-
-    def __init__(self, system):
-        self._shape = system.dofmap.total_dofs
-
-    def load(self, t):
-        return np.zeros(self._shape)
-
-    def mass_norm_sq(self, t):
-        return 0.0
-
-
-class SeparableForcing(Forcing):
-    """h(t, x) = g(t) p(x) supplied through the Hermite interpolant of p;
-    the load is g(t) * M p."""
-
-    def __init__(self, system, profile: TimeProfile, space_dofs):
-        self.profile = profile
-        self.space_dofs = np.asarray(space_dofs, dtype=float)
-        self._mp = band_matvec(row_band(system.M), self.space_dofs)
-        self._norm_sq = float(self.space_dofs @ self._mp)
-
-    def load(self, t):
-        return self.profile(t) * self._mp
-
-    def mass_norm_sq(self, t):
-        return self.profile(t) ** 2 * self._norm_sq
-
-
-class WeakLoadForcing(Forcing):
-    """g(t) times a fixed assembled load vector.
-
-    Used when the strong-form forcing is singular at x0 but its action on
-    the test space is finite; the M-norm reported is that of the discrete
-    Riesz representer M^{-1} load.
+    ``load(t)`` is the assembled vector ``exp(-rate t) * vector`` added to
+    the step equations; ``vector`` None means unforced.  ``norm_sq`` is
+    the squared M-norm of the Riesz representer M^{-1} vector at t = 0,
+    used by the energy bookkeeping.
     """
 
-    def __init__(self, system, profile: TimeProfile, load_vector):
-        self.profile = profile
-        self.load_vector = np.asarray(load_vector, dtype=float)
-        Mf, _ = system.free_matrices()
-        rep = _BandedSPD(Mf).solve(self.load_vector[system.free])
-        self._norm_sq = float(rep @ self.load_vector[system.free])
+    rate: float
+    vector: np.ndarray | None
+    norm_sq: float
 
     def load(self, t):
-        return self.profile(t) * self.load_vector
+        return math.exp(-self.rate * t) * self.vector
 
     def mass_norm_sq(self, t):
-        return self.profile(t) ** 2 * self._norm_sq
+        return math.exp(-self.rate * t) ** 2 * self.norm_sq
 
 
-def _polynomial_load(system, coeffs, weight_kind, derivative):
-    """Exact vector of weighted products of a polynomial with every basis
-    function: entries int w(x) p^(d)(x) phi_i^(d)(x) dx."""
-    p = Polynomial(np.asarray(coeffs, dtype=float)).deriv(derivative)
-    npts = 8 if weight_kind is WeightKind.UNIT else None
-    rule = system.rule(weight_kind, npoints=npts)
+UNFORCED = Forcing(0.0, None, 0.0)
+
+
+def _polynomial_load(system, coeffs, weight_kind, derivative, point_terms):
+    """Exact vector of weighted products of a polynomial p with every basis
+    function: entries int w(x) p^(d)(x) phi_i^(d)(x) dx, plus the Wentzell
+    point terms c_j p(j) at the end dofs."""
+    p = Polynomial(np.asarray(coeffs, dtype=float))
+    rule = system.rule(weight_kind, npoints=8 if weight_kind is WeightKind.UNIT else None)
     phi, weights, points = element_shape_values(rule, derivative)
-    local = ((weights * p(points))[:, None, :] @ phi)[:, 0, :]
-    n_el = system.mesh.n_elements
-    dofs = 2 * np.arange(n_el)[:, None] + np.arange(4)
-    return np.bincount(
+    local = ((weights * p.deriv(derivative)(points))[:, None, :] @ phi)[:, 0, :]
+    dofs = 2 * np.arange(system.mesh.n_elements)[:, None] + np.arange(4)
+    load = np.bincount(
         dofs.ravel(), weights=local.ravel(), minlength=system.dofmap.total_dofs
     )
+    load[system.dofmap.end_dofs] += np.multiply(point_terms, p(np.array([0.0, 1.0])))
+    return load
 
 
 def manufactured_divergence_forcing(system, witness_coeffs, rate=1.0):
@@ -265,16 +215,13 @@ def manufactured_divergence_forcing(system, witness_coeffs, rate=1.0):
         raise ValueError("manufactured forcing preset targets the divergence form")
     w = np.asarray(witness_coeffs, dtype=float)
     pencil = PENCIL[system.form]
-    mass_part = _polynomial_load(system, w, pencil.mass, 0)
-    energy_part = _polynomial_load(system, w, pencil.stiffness, 2)
-    ends = system.dofmap.end_dofs
-    w_ends = Polynomial(w)(np.array([0.0, 1.0]))
-    mass_part[ends] += np.multiply(system.point_mass, w_ends)
-    energy_part[ends] += np.multiply(system.point_stiffness, w_ends)
-
-    load = energy_part - rate * mass_part
+    load = _polynomial_load(
+        system, w, pencil.stiffness, 2, system.point_stiffness
+    ) - rate * _polynomial_load(system, w, pencil.mass, 0, system.point_mass)
     load[list(system.dofmap.constrained)] = 0.0
-    return WeakLoadForcing(system, TimeProfile("exp", rate), load)
+    Mf, _ = system.free_matrices()
+    free_load = load[system.free]
+    return Forcing(rate, load, float(_BandedSPD(Mf).solve(free_load) @ free_load))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +246,12 @@ def make_state(system, t, dofs):
     )
 
 
+_THETA = {Scheme.IMPLICIT_EULER: 1.0, Scheme.CRANK_NICOLSON: 0.5}
+
+
 class TimeStepper:
-    """One factorization per (system, dt, scheme); reused across steps."""
+    """One factorization of the theta-scheme per (system, dt, scheme);
+    reused across steps."""
 
     def __init__(self, system, dt, scheme=Scheme.IMPLICIT_EULER):
         if dt <= 0.0:
@@ -308,35 +259,29 @@ class TimeStepper:
         self.system = system
         self.dt = float(dt)
         self.scheme = Scheme(scheme)
+        self.theta = _THETA[self.scheme]
         Mf, Kf = system.free_matrices()
-        if self.scheme is Scheme.IMPLICIT_EULER:
-            self._solver = _BandedSPD(Mf + dt * Kf)
-            self._rhs = row_band(Mf)
-        else:
-            self._solver = _BandedSPD(Mf + (0.5 * dt) * Kf)
-            self._rhs = row_band(Mf - (0.5 * dt) * Kf)
+        self._solver = _BandedSPD(Mf + (self.theta * dt) * Kf)
+        self._rhs = row_band(Mf - ((1.0 - self.theta) * dt) * Kf)
 
     def step_free(self, u_free, load_now=None, load_next=None):
         """Advance free-dof coefficients; vectorized over trailing axes."""
-        dt = self.dt
         rhs = band_matvec(self._rhs, u_free)
         if load_next is not None:
-            if self.scheme is Scheme.IMPLICIT_EULER:
-                rhs = rhs + dt * load_next
-            else:
-                rhs = rhs + 0.5 * dt * (load_now + load_next)
+            theta = self.theta
+            rhs = rhs + self.dt * (theta * load_next + (1.0 - theta) * load_now)
         return self._solver.solve(rhs)
 
-    def step(self, state: EvolutionState, forcing: Forcing | None = None):
-        forcing = forcing or ZeroForcing(self.system)
+    def step(self, state: EvolutionState, forcing: Forcing = UNFORCED):
         free = self.system.free
-        ln = None if forcing.is_zero else forcing.load(state.t)[free]
-        lp = None if forcing.is_zero else forcing.load(state.t + self.dt)[free]
-        u_next = _scatter(self.system, self.step_free(state.dofs[free], ln, lp))
+        loads = (None, None)
+        if forcing.vector is not None:
+            loads = [forcing.load(t)[free] for t in (state.t, state.t + self.dt)]
+        u_next = _scatter(self.system, self.step_free(state.dofs[free], *loads))
         return make_state(self.system, state.t + self.dt, u_next)
 
 
-def energy_slack(system, prev: EvolutionState, new: EvolutionState, dt, h_sq):
+def energy_slack(prev: EvolutionState, new: EvolutionState, dt, h_sq):
     """Slack of the per-step energy inequality (nonpositive for the
     implicit Euler scheme up to rounding)."""
     return (
@@ -422,11 +367,12 @@ def resolve_forcing(system, spec) -> Forcing:
     """Forcing from a spec accepted by :func:`parse_forcing`."""
     kind, coeffs, rate = parse_forcing(spec)
     if kind == "separable":
-        profile = TimeProfile("exp", rate) if rate != 0.0 else TimeProfile("const")
-        return SeparableForcing(system, profile, interpolate_poly(system.dofmap, coeffs))
+        p = interpolate_poly(system.dofmap, coeffs)
+        mp = band_matvec(row_band(system.M), p)
+        return Forcing(rate, mp, float(p @ mp))
     if kind == "manufactured":
         return manufactured_divergence_forcing(system, coeffs, rate=rate or 1.0)
-    return ZeroForcing(system)
+    return UNFORCED
 
 
 def initial_dofs(system, spec, project=False):
@@ -435,9 +381,7 @@ def initial_dofs(system, spec, project=False):
     coeffs = resolve_space_spec(spec)
     if not project:
         return interpolate_poly(system.dofmap, coeffs)
-    load = _polynomial_load(system, coeffs, PENCIL[system.form].mass, 0)
-    u_ends = Polynomial(coeffs)(np.array([0.0, 1.0]))
-    load[system.dofmap.end_dofs] += np.multiply(system.point_mass, u_ends)
+    load = _polynomial_load(system, coeffs, PENCIL[system.form].mass, 0, system.point_mass)
     Mf, _ = system.free_matrices()
     return _scatter(system, _BandedSPD(Mf).solve(load[system.free]))
 
@@ -573,9 +517,10 @@ def run(config: ProblemConfig, system=None) -> Trajectory:
     n_steps = max(1, round(config.T / dt))
     forcing = resolve_forcing(system, config.forcing)
     stepper = TimeStepper(system, dt, config.scheme)
+    theta = stepper.theta
 
     state = make_state(system, 0.0, initial_dofs(system, config.u0, config.project_u0))
-    traj = Trajectory(system, stepper.scheme, dt, forced=not forcing.is_zero)
+    traj = Trajectory(system, stepper.scheme, dt, forced=forcing.vector is not None)
     traj.states.append(state)
     for _ in range(n_steps):
         try:
@@ -585,11 +530,9 @@ def run(config: ProblemConfig, system=None) -> Trajectory:
         except (ArithmeticError, ValueError, LinAlgError) as exc:
             traj.aborted = f"step from t = {state.t}: {exc}"
             break
-        if stepper.scheme is Scheme.IMPLICIT_EULER:
-            h_sq = forcing.mass_norm_sq(new.t)
-        else:
-            h_sq = 0.5 * (forcing.mass_norm_sq(state.t) + forcing.mass_norm_sq(new.t))
-        traj.slacks.append(energy_slack(system, state, new, dt, h_sq))
+        h_now, h_next = forcing.mass_norm_sq(state.t), forcing.mass_norm_sq(new.t)
+        h_sq = theta * h_next + (1.0 - theta) * h_now
+        traj.slacks.append(energy_slack(state, new, dt, h_sq))
         traj.forcing_norm_sq.append(h_sq)
         traj.states.append(new)
         state = new

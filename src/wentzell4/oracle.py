@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.optimize import brentq
 
 from .coefficient import (
     DegeneracyClass,
@@ -414,13 +413,15 @@ class LinearFit:
     zeros: tuple
 
 
-def best_linear_fit(coeffs, grid_step=1e-6):
+def best_linear_fit(coeffs):
     """Minimize ||u - (q + m x)||_L2(0,1) over q, m by the 2x2 normal
     equations (Gram matrix of {1, x} inverted in closed form), then locate
-    the sign changes of the residual by grid scan plus bisection.
+    the zeros of the residual in [0, 1]: the real roots of the residual
+    polynomial, polished by Newton steps.
 
     For non-affine u the residual changes sign at least twice: it is
-    L2-orthogonal to both 1 and x.
+    L2-orthogonal to both 1 and x.  For affine u it vanishes identically
+    and no zeros are reported.
     """
     p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
     b0 = float(p.integ()(1.0) - p.integ()(0.0))
@@ -430,13 +431,13 @@ def best_linear_fit(coeffs, grid_step=1e-6):
     q = 4.0 * b0 - 6.0 * b1
     m = -6.0 * b0 + 12.0 * b1
     residual = p - np.polynomial.Polynomial([q, m])
-    xs = np.arange(0.0, 1.0 + grid_step, grid_step)
-    vals = residual(xs)
-    signs = np.sign(vals)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    zeros = [float(brentq(residual, xs[i], xs[i + 1], xtol=1e-14)) for i in flips]
-    zeros += [float(x) for x in xs[vals == 0.0]]
-    return LinearFit(q, m, residual.coef, tuple(sorted(zeros)))
+    roots = residual.trim().roots()
+    x = np.sort(roots.real[(roots.imag == 0.0) & (roots.real >= 0.0) & (roots.real <= 1.0)])
+    slope = residual.deriv()
+    for _ in range(2):
+        d = slope(x)
+        x = x - np.divide(residual(x), d, out=np.zeros_like(x), where=d != 0.0)
+    return LinearFit(q, m, residual.coef, tuple(map(float, x)))
 
 
 def pointwise_sqrt_bound(u_spec, coeff, k, n_samples=2001):

@@ -117,9 +117,12 @@ def test_batched_assembly_equals_element_loop_bit_for_bit(spec):
     for rule, d in rules:
         assert np.array_equal(band_to_dense(gram_matrix(rule, d)), loop_gram(rule, d))
     coeffs = [0.3, -1.0, 2.0, 0.5]
+    expected = loop_load(sys, a_rule, coeffs, 2)
+    ends = np.polynomial.Polynomial(coeffs)(np.array([0.0, 1.0]))
+    expected[sys.dofmap.end_dofs] += np.multiply(sys.point_stiffness, ends)
     assert np.array_equal(
-        _polynomial_load(sys, coeffs, WeightKind.COEFF_A, 2),
-        loop_load(sys, a_rule, coeffs, 2),
+        _polynomial_load(sys, coeffs, WeightKind.COEFF_A, 2, sys.point_stiffness),
+        expected,
     )
 
 

@@ -177,20 +177,30 @@ def test_resolvent_outputs_and_gate(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, files",
+    "command, files, overrides",
     [
-        ("run", {"trajectory.csv", "summary.json"}),
-        ("spectrum", {"spectrum.csv", "spectrum.json"}),
-        ("resolvent", {"resolvent.csv", "resolvent.json"}),
-        ("verify", {"verification.json"}),
+        ("run", {"trajectory.csv", "summary.json"}, {}),
+        ("spectrum", {"spectrum.csv", "spectrum.json"}, {}),
+        ("resolvent", {"resolvent.csv", "resolvent.json"}, {}),
+        ("verify", {"verification.json"}, {}),
+        (
+            "run",
+            {"trajectory.csv", "summary.json"},
+            {
+                "scheme": "crank_nicolson",
+                "project_u0": True,
+                "forcing": {"kind": "separable", "space": "parabola", "rate": 0.7},
+            },
+        ),
     ],
 )
-def test_byte_identical_reruns(tmp_path, command, files):
+def test_byte_identical_reruns(tmp_path, command, files, overrides):
     config = parse_config(
         cfg(
             mesh={"n": 8},
             time={"T": 0.1, "dt": 0.01},
             wentzell={"gamma0": -0.5, "gamma1": -1.0},
+            **overrides,
         )
     )
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -281,3 +291,19 @@ def test_main_config_diagnostic_names_key(tmp_path, capsys, overrides, key):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "Traceback" not in lines[0]
     assert json.loads(lines[0])["key"] == key
+
+
+def test_resolvent_factorization_failure_is_a_diagnostic(tmp_path, capsys):
+    # lambda passes the schema bound, but the shifted matrix of this mesh
+    # is not positive definite in floating point
+    path = tmp_path / "config.json"
+    path.write_text(cfg(
+        coefficient={"x0": 0.001, "K": 0.5},
+        wentzell={"beta0": 1e8, "beta1": 1},
+        mesh={"n": 2},
+        resolvent={"lambda": 1e-12},
+    ))
+    assert main(["resolvent", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in lines[0]
+    assert json.loads(lines[0])["key"] == "resolvent.lambda"

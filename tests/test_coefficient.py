@@ -9,9 +9,7 @@ from scipy.integrate import quad
 from wentzell4.coefficient import (
     DegeneracyClass,
     check_power_comparison,
-    check_power_comparison_callable,
     classify,
-    classify_callable,
     constant_profile,
     power_profile,
     singular_moment,
@@ -49,13 +47,6 @@ def test_classify_threshold_over_exponent_grid(K):
     assert classify(power_profile(0.4, K)) is expected
 
 
-def test_classify_callable_matches_exact():
-    assert classify_callable(lambda x: abs(x - 0.5) ** 0.5, 0.5) is DegeneracyClass.WEAK
-    assert classify_callable(lambda x: abs(x - 0.5), 0.5) is DegeneracyClass.STRONG
-    assert classify_callable(lambda x: abs(x - 0.5) ** 1.5, 0.5) is DegeneracyClass.STRONG
-    assert classify_callable(lambda x: 1.0 + x, 0.5) is DegeneracyClass.NONDEGENERATE
-
-
 def test_power_comparison_prototypes():
     # ratio identically one: monotone on both sides
     assert check_power_comparison(power_profile(0.5, 1.5), 1.5)
@@ -80,11 +71,6 @@ def test_power_comparison_boundary_degeneracy_single_side():
 def test_power_comparison_holds_for_matching_exponent(K):
     # the ratio is constant, hence monotone in the required sense
     assert check_power_comparison(power_profile(0.5, K), K)
-
-
-def test_power_comparison_callable_grid():
-    assert check_power_comparison_callable(lambda x: abs(x - 0.5) ** 1.2, 0.5, 1.5)
-    assert not check_power_comparison_callable(lambda x: abs(x - 0.5) ** 1.8, 0.5, 1.0)
 
 
 def test_singular_moment_reciprocal_closed_forms():

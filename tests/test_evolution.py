@@ -13,6 +13,7 @@ from wentzell4.evolution import (
     ProblemConfig,
     Scheme,
     TimeStepper,
+    _BandedSPD,
     initial_dofs,
     make_state,
     manufactured_divergence_forcing,
@@ -190,12 +191,27 @@ def test_resolve_space_spec_forms():
 
 
 def test_resolve_forcing_validation(neutral_system):
-    assert resolve_forcing(neutral_system, None).is_zero
-    assert resolve_forcing(neutral_system, "zero").is_zero
+    assert resolve_forcing(neutral_system, None).vector is None
+    assert resolve_forcing(neutral_system, "zero").vector is None
     with pytest.raises(ValueError):
         resolve_forcing(neutral_system, {"kind": "separable", "bogus": 1})
     with pytest.raises(ValueError):
         resolve_forcing(neutral_system, {"kind": "wavelet"})
+
+
+def test_separable_norm_is_the_riesz_norm(neutral_system):
+    forcing = resolve_forcing(neutral_system, {"kind": "separable", "space": "parabola"})
+    Mf, _ = neutral_system.free_matrices()
+    v = forcing.vector[neutral_system.free]
+    riesz = _BandedSPD(Mf).solve(v) @ v
+    assert forcing.norm_sq == pytest.approx(riesz, rel=1e-12)
+
+
+def test_constant_forcing_load_is_the_vector(neutral_system):
+    forcing = resolve_forcing(neutral_system, {"kind": "separable", "rate": 0.0})
+    for t in (0.0, 0.37, 5.0):
+        assert forcing.load(t).tobytes() == forcing.vector.tobytes()
+        assert forcing.mass_norm_sq(t) == forcing.norm_sq
 
 
 def test_manufactured_forcing_targets_divergence_only():
@@ -238,18 +254,16 @@ def test_run_aborts_with_last_valid_state(monkeypatch):
     import wentzell4.evolution as ev
 
     class ExplodingForcing(ev.Forcing):
-        def __init__(self, system):
-            self._inner = ev.ZeroForcing(system)
-
         def load(self, t):
             if t > 0.045:
                 raise ValueError("forcing preset exhausted")
-            return self._inner.load(t)
+            return super().load(t)
 
-        def mass_norm_sq(self, t):
-            return 0.0
-
-    monkeypatch.setattr(ev, "resolve_forcing", lambda system, spec: ExplodingForcing(system))
+    monkeypatch.setattr(
+        ev,
+        "resolve_forcing",
+        lambda system, spec: ExplodingForcing(0.0, np.zeros(system.dofmap.total_dofs), 0.0),
+    )
     cfg = ProblemConfig(
         OperatorForm.DIVERGENCE,
         power_profile(0.5, 0.5),

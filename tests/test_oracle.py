@@ -202,6 +202,7 @@ def test_best_linear_fit_affine_input_is_fixed_point():
     assert fit.intercept == pytest.approx(2.0, abs=1e-13)
     assert fit.slope == pytest.approx(-3.0, abs=1e-13)
     np.testing.assert_allclose(fit.residual_coeffs, 0.0, atol=1e-13)
+    assert fit.zeros == ()
 
 
 def test_best_linear_fit_orthogonality_and_sign_changes():

@@ -7,6 +7,7 @@ estimates)."""
 
 from .coefficient import (
     ComparisonCheck,
+    ConfigError,
     DegeneracyClass,
     DegenerateCoefficient,
     Profile,

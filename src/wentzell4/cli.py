@@ -17,63 +17,34 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigvals_banded
+from scipy.linalg import LinAlgError, eigvals_banded
 
-from .coefficient import DegeneracyClass, ParameterError, classify, constant_profile, power_profile
+from .coefficient import ConfigError, constant_profile, keyed, number, only_keys, power_profile
 from .evolution import (
     NotCoerciveError,
     ProblemConfig,
     Scheme,
     build_system,
     initial_dofs,
-    parse_forcing,
     resolve_space_spec,
     resolvent_solve,
     run,
 )
-from .discretization import build_mesh, check_interior
 from .forms import OperatorForm, WentzellParams, band_matvec, band_pencil_eigenvalues, row_band
 from .oracle import SUITES, near_zero_count, psd_ok, verification_report
 
 __all__ = ["ConfigError", "CliConfig", "parse_config", "dispatch", "main"]
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; ``key`` names the offending entry."""
-
-    def __init__(self, key, message):
-        super().__init__(f"{key}: {message}")
-        self.key = key
-        self.reason = message
-
-
-def _reject_unknown(mapping, allowed, where):
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"{where}.{sorted(unknown)[0]}" if where else sorted(unknown)[0],
-            "unknown key",
-        )
-
-
-def _number(mapping, where, key, default=None, required=False):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"{where}.{key}" if where else key, "missing required key")
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}" if where else key, "must be a number")
-    return float(value)
-
-
-def _checked(section, build, *args, **kwargs):
-    """Call a library constructor, which enforces its own bounds; its
-    ParameterError becomes a ConfigError on ``section.<parameter>``."""
-    try:
-        return build(*args, **kwargs)
-    except ParameterError as exc:
-        raise ConfigError(f"{section}.{exc.name}", exc.reason) from None
+def _section(doc, key, allowed, required=False):
+    """The object ``doc[key]``, holding only keys in ``allowed``; an
+    optional one defaults to {}."""
+    value = doc.get(key) if required else doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(key, "missing or not an object" if required else "must be an object")
+    with keyed(key):
+        only_keys(value, allowed)
+    return value
 
 
 @dataclass(frozen=True)
@@ -86,12 +57,14 @@ class CliConfig:
 
 
 def parse_config(text) -> CliConfig:
-    """Validate a JSON config document and apply defaults.
+    """Read a JSON config document and apply defaults.
 
     Required: operator, coefficient.x0, coefficient.K, wentzell.beta0/1,
     wentzell.gamma0/1, time.T.  Defaults: scheme implicit_euler, n = 32,
     dt = T/100, grading 2 for a strongly degenerate coefficient and 1
-    otherwise.  Unknown keys anywhere are rejected.
+    otherwise.  Unknown keys anywhere are rejected.  This reads the shape
+    of the document only; each bound is checked by the constructor the
+    value goes to, and :class:`ProblemConfig` checks the problem.
     """
     try:
         doc = json.loads(text)
@@ -99,100 +72,71 @@ def parse_config(text) -> CliConfig:
         raise ConfigError("<document>", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("<document>", "top level must be an object")
-    _reject_unknown(
+    only_keys(
         doc,
         {
             "operator", "coefficient", "wentzell", "mesh", "time", "scheme",
             "u0", "project_u0", "forcing", "verify", "spectrum", "resolvent",
         },
-        "",
     )
 
     operator = doc.get("operator")
     if operator not in ("divergence", "nondivergence"):
         raise ConfigError("operator", "must be 'divergence' or 'nondivergence'")
-    form = OperatorForm(operator)
 
-    cdoc = doc.get("coefficient")
-    if not isinstance(cdoc, dict):
-        raise ConfigError("coefficient", "missing or not an object")
-    _reject_unknown(cdoc, {"x0", "K", "scale", "profile"}, "coefficient")
-    profile = cdoc.get("profile", "power")
-    if profile not in ("power", "constant"):
-        raise ConfigError("coefficient.profile", "must be 'power' or 'constant'")
-    scale = _number(cdoc, "coefficient", "scale", default=1.0)
-    if profile == "constant":
-        x0 = _number(cdoc, "coefficient", "x0", default=0.5)
-        coeff = _checked("coefficient", constant_profile, scale, x0)
-    else:
-        x0 = _number(cdoc, "coefficient", "x0", required=True)
-        K = _number(cdoc, "coefficient", "K", required=True)
-        coeff = _checked("coefficient", power_profile, x0, K, scale)
-    _checked("coefficient", check_interior, coeff.x0)
-    if classify(coeff) is DegeneracyClass.STRONG and coeff.K >= 2.0:
-        raise ConfigError(
-            "coefficient.K", "strong degeneracy requires K in [1, 2)"
+    cdoc = _section(doc, "coefficient", {"x0", "K", "scale", "profile"}, required=True)
+    with keyed("coefficient"):
+        profile = cdoc.get("profile", "power")
+        if profile not in ("power", "constant"):
+            raise ConfigError("profile", "must be 'power' or 'constant'")
+        scale = number(cdoc, "scale", default=1.0)
+        if profile == "constant":
+            coeff = constant_profile(scale, number(cdoc, "x0", default=0.5))
+        else:
+            coeff = power_profile(
+                number(cdoc, "x0", required=True), number(cdoc, "K", required=True), scale
+            )
+
+    wdoc = _section(doc, "wentzell", {"beta0", "beta1", "gamma0", "gamma1"}, required=True)
+    with keyed("wentzell"):
+        params = WentzellParams(
+            number(wdoc, "beta0", required=True),
+            number(wdoc, "beta1", required=True),
+            number(wdoc, "gamma0", default=0.0),
+            number(wdoc, "gamma1", default=0.0),
         )
 
-    wdoc = doc.get("wentzell")
-    if not isinstance(wdoc, dict):
-        raise ConfigError("wentzell", "missing or not an object")
-    _reject_unknown(wdoc, {"beta0", "beta1", "gamma0", "gamma1"}, "wentzell")
-    params = _checked(
-        "wentzell",
-        WentzellParams,
-        _number(wdoc, "wentzell", "beta0", required=True),
-        _number(wdoc, "wentzell", "beta1", required=True),
-        _number(wdoc, "wentzell", "gamma0", default=0.0),
-        _number(wdoc, "wentzell", "gamma1", default=0.0),
-    )
+    mdoc = _section(doc, "mesh", {"n", "grading"})
+    with keyed("mesh"):
+        grading = number(mdoc, "grading")
 
-    mdoc = doc.get("mesh", {})
-    if not isinstance(mdoc, dict):
-        raise ConfigError("mesh", "must be an object")
-    _reject_unknown(mdoc, {"n", "grading"}, "mesh")
-    n = mdoc.get("n", 32)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ConfigError("mesh.n", "must be an integer >= 2")
-    grading = _number(mdoc, "mesh", "grading")
+    tdoc = _section(doc, "time", {"T", "dt"}, required=True)
+    with keyed("time"):
+        T, dt = number(tdoc, "T", required=True), number(tdoc, "dt")
 
-    tdoc = doc.get("time")
-    if not isinstance(tdoc, dict):
-        raise ConfigError("time", "missing or not an object")
-    _reject_unknown(tdoc, {"T", "dt"}, "time")
-    T = _number(tdoc, "time", "T", required=True)
-    dt = _number(tdoc, "time", "dt")
-
-    scheme_name = doc.get("scheme", "implicit_euler")
     try:
-        scheme = Scheme(scheme_name)
+        scheme = Scheme(doc.get("scheme", "implicit_euler"))
     except ValueError:
-        raise ConfigError(
-            "scheme", "must be 'implicit_euler' or 'crank_nicolson'"
-        ) from None
-
-    u0 = doc.get("u0", "one")
-    try:
-        resolve_space_spec(u0)
-    except ValueError as exc:
-        raise ConfigError("u0", str(exc)) from None
+        raise ConfigError("scheme", "must be 'implicit_euler' or 'crank_nicolson'") from None
     project_u0 = doc.get("project_u0", False)
     if not isinstance(project_u0, bool):
         raise ConfigError("project_u0", "must be a boolean")
 
-    forcing = doc.get("forcing")
-    if forcing is not None and forcing != "zero" and not isinstance(forcing, dict):
-        raise ConfigError("forcing", "must be 'zero' or an object")
-    forcing_kind, _, _ = _checked("forcing", parse_forcing, forcing)
-    if forcing_kind == "manufactured" and form is not OperatorForm.DIVERGENCE:
-        raise ConfigError(
-            "forcing.kind", "manufactured forcing targets the divergence form"
-        )
+    problem = ProblemConfig(
+        form=OperatorForm(operator),
+        coeff=coeff,
+        params=params,
+        T=T,
+        dt=dt,
+        n=mdoc.get("n", 32),
+        grading=grading,
+        scheme=scheme,
+        u0=doc.get("u0", "one"),
+        forcing=doc.get("forcing"),
+        project_u0=project_u0,
+    )
 
-    vdoc = doc.get("verify", {})
-    if not isinstance(vdoc, dict):
-        raise ConfigError("verify", "must be an object")
-    _reject_unknown(vdoc, {"suites"}, "verify")
+    vdoc = _section(doc, "verify", {"suites"})
     suites = vdoc.get("suites", sorted(SUITES))
     if not isinstance(suites, list) or not all(isinstance(s, str) for s in suites):
         raise ConfigError("verify.suites", "must be a list of suite names")
@@ -200,45 +144,18 @@ def parse_config(text) -> CliConfig:
     if bad:
         raise ConfigError("verify.suites", f"unknown suite {sorted(bad)[0]!r}")
 
-    sdoc = doc.get("spectrum", {})
-    if not isinstance(sdoc, dict):
-        raise ConfigError("spectrum", "must be an object")
-    _reject_unknown(sdoc, {"count"}, "spectrum")
-    count = sdoc.get("count")
+    count = _section(doc, "spectrum", {"count"}).get("count")
     if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 1):
         raise ConfigError("spectrum.count", "must be a positive integer")
 
-    rdoc = doc.get("resolvent", {})
-    if not isinstance(rdoc, dict):
-        raise ConfigError("resolvent", "must be an object")
-    _reject_unknown(rdoc, {"lambda", "f"}, "resolvent")
-    lam = _number(rdoc, "resolvent", "lambda", default=1.0)
-    if lam <= max(0.0, params.gamma0, params.gamma1):
-        raise ConfigError("resolvent.lambda", "must exceed max(0, gamma0, gamma1)")
-    rf = rdoc.get("f", "one")
-    try:
-        resolve_space_spec(rf)
-    except ValueError as exc:
-        raise ConfigError("resolvent.f", str(exc)) from None
-
-    # ProblemConfig bounds T and dt only, both under "time"
-    problem = _checked(
-        "time",
-        ProblemConfig,
-        form=form,
-        coeff=coeff,
-        params=params,
-        T=T,
-        dt=dt,
-        n=n,
-        grading=grading,
-        scheme=scheme,
-        u0=u0,
-        forcing=forcing,
-        project_u0=project_u0,
-    )
-    # build_mesh bounds the grading, and refuses one that collapses elements
-    _checked("mesh", build_mesh, n, coeff.x0, problem.resolved_grading())
+    rdoc = _section(doc, "resolvent", {"lambda", "f"})
+    with keyed("resolvent"):
+        lam = number(rdoc, "lambda", default=1.0)
+        if lam <= max(0.0, params.gamma0, params.gamma1):
+            raise ConfigError("lambda", "must exceed max(0, gamma0, gamma1)")
+        rf = rdoc.get("f", "one")
+        with keyed("f"):
+            resolve_space_spec(rf)
     return CliConfig(problem, tuple(suites), count, lam, rf)
 
 
@@ -265,7 +182,10 @@ def _cmd_verify(config: CliConfig, out: Path, seed):
 
 def _cmd_spectrum(config: CliConfig, out: Path, seed):
     system = build_system(config.problem)
-    eigenvalues = band_pencil_eigenvalues(*system.free_matrices())
+    try:
+        eigenvalues = band_pencil_eigenvalues(*system.free_matrices())
+    except LinAlgError as exc:
+        raise ConfigError("spectrum", f"no eigenvalues in double precision: {exc}") from None
     count = config.spectrum_count or len(eigenvalues)
     with open(out / "spectrum.csv", "w") as fh:
         fh.write("index,eigenvalue\n")
@@ -359,8 +279,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        config = parse_config(Path(args.config).read_text())
-        return dispatch(args.command, config, args.out, seed=args.seed)
+        # non-finite values are caught and reported; warnings would add lines
+        with np.errstate(all="ignore"):
+            config = parse_config(Path(args.config).read_text())
+            return dispatch(args.command, config, args.out, seed=args.seed)
     except ConfigError as exc:
         print(json.dumps({"error": exc.reason, "key": exc.key}), file=sys.stderr)
         return 2

@@ -10,6 +10,8 @@ see :func:`check_power_comparison`.
 from __future__ import annotations
 
 import enum
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,11 @@ import numpy as np
 from .powers import PiecewisePower
 
 __all__ = [
-    "ParameterError",
+    "ConfigError",
+    "keyed",
+    "is_finite_number",
+    "number",
+    "only_keys",
     "Profile",
     "DegeneracyClass",
     "DegenerateCoefficient",
@@ -30,12 +36,50 @@ __all__ = [
 ]
 
 
-class ParameterError(ValueError):
-    """An out-of-range constructor argument; ``name`` is the parameter."""
+class ConfigError(ValueError):
+    """An invalid config entry or constructor argument; ``key`` names it
+    within its :func:`keyed` section, and is empty for the whole section."""
 
-    def __init__(self, name, reason):
-        super().__init__(f"{name} {reason}")
-        self.name, self.reason = name, reason
+    def __init__(self, key, reason):
+        super().__init__(f"{key}: {reason}" if key else reason)
+        self.key, self.reason = key, reason
+
+
+@contextmanager
+def keyed(section):
+    """Re-raise a ConfigError of the block under ``section``: key ``K``
+    becomes ``section.K``, and the empty key becomes ``section``."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{section}.{exc.key}" if exc.key else section, exc.reason) from None
+
+
+def is_finite_number(value):
+    """False for the NaN and Infinity that JSON admits, for bools (ints to
+    Python) and for anything not a number."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number; an int past float range
+        return False
+
+
+def number(mapping, key, default=None, required=False):
+    """``mapping[key]`` as a finite float, ``default`` when it is absent."""
+    if key not in mapping:
+        if required:
+            raise ConfigError(key, "missing required key")
+        return default
+    if not is_finite_number(mapping[key]):
+        raise ConfigError(key, "must be a finite number")
+    return float(mapping[key])
+
+
+def only_keys(mapping, allowed):
+    """Refuse the first key of ``mapping``, in sorted order, not in ``allowed``."""
+    unknown = sorted(set(mapping) - set(allowed))
+    if unknown:
+        raise ConfigError(unknown[0], "unknown key")
 
 
 class Profile(enum.Enum):
@@ -60,11 +104,11 @@ class DegenerateCoefficient:
 
     def __post_init__(self):
         if not 0.0 <= self.x0 <= 1.0:
-            raise ParameterError("x0", f"must lie in [0, 1], got {self.x0}")
+            raise ConfigError("x0", f"must lie in [0, 1], got {self.x0}")
         if not self.K >= 0.0:
-            raise ParameterError("K", f"must be >= 0, got {self.K}")
+            raise ConfigError("K", f"must be >= 0, got {self.K}")
         if not self.scale > 0.0:
-            raise ParameterError("scale", f"must be > 0, got {self.scale}")
+            raise ConfigError("scale", f"must be > 0, got {self.scale}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -13,13 +13,14 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Legendre, Polynomial
 from scipy.special import roots_legendre
 
-from .coefficient import DegeneracyClass, ParameterError, classify
+from .coefficient import ConfigError, DegeneracyClass, classify
 from .powers import DivergentIntegralError
 
 __all__ = [
@@ -81,7 +82,7 @@ def check_interior(x0):
     """Meshes, and so every discrete problem, need 0 < x0 < 1; the
     coefficient itself admits the end points."""
     if not 0.0 < x0 < 1.0:
-        raise ParameterError("x0", f"must be interior, 0 < x0 < 1, got {x0}")
+        raise ConfigError("x0", f"must be interior, 0 < x0 < 1, got {x0}")
 
 
 def build_mesh(n, x0, grading=1.0) -> Mesh:
@@ -90,13 +91,13 @@ def build_mesh(n, x0, grading=1.0) -> Mesh:
     grading = 1 gives near-uniform spacing on each side of x0; grading > 1
     shrinks element lengths geometrically toward x0 with ratio 1/grading.
     A grading so steep that an element length rounds to zero raises
-    ParameterError("grading").
+    ConfigError("grading").
     """
-    if n < 2 or int(n) != n:
-        raise ValueError("need at least 2 elements")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+        raise ConfigError("n", "must be an integer >= 2")
     check_interior(x0)
     if not grading >= 1.0:
-        raise ParameterError("grading", "must be >= 1")
+        raise ConfigError("grading", "must be >= 1")
     n = int(n)
     n_left = min(n - 1, max(1, round(n * x0)))
     n_right = n - n_left
@@ -107,7 +108,7 @@ def build_mesh(n, x0, grading=1.0) -> Mesh:
     nodes[-1] = 1.0
     collapsed = int(np.sum(~(np.diff(nodes) > 0.0)))
     if collapsed:
-        raise ParameterError(
+        raise ConfigError(
             "grading",
             f"{grading} gives {collapsed} elements of zero length at n = {n}",
         )

@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,10 +43,20 @@ from numpy.polynomial import Polynomial
 from scipy.linalg import LinAlgError, cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
-from .coefficient import DegeneracyClass, DegenerateCoefficient, ParameterError, classify
+from .coefficient import (
+    ConfigError,
+    DegeneracyClass,
+    DegenerateCoefficient,
+    classify,
+    is_finite_number,
+    keyed,
+    number,
+    only_keys,
+)
 from .discretization import (
     WeightKind,
     build_mesh,
+    check_interior,
     element_shape_values,
     hermite_basis,
     interpolate_poly,
@@ -58,6 +69,7 @@ from .forms import (
     assemble,
     band_congruence,
     band_matvec,
+    require_admissible,
     row_band,
 )
 
@@ -124,7 +136,7 @@ class _BandedSPD:
         meshes, and further rounds leave the residual where it is."""
         b = np.asarray(b, dtype=float)
         if not np.all(np.isfinite(b)):
-            raise ValueError("array must not contain infs or NaNs")
+            raise LinAlgError("right-hand side is not finite")
         x = self._solve_once(b)
         r = (b.astype(np.longdouble) - band_matvec(self._rows_ext, x)).astype(float)
         return x + self._solve_once(r)
@@ -146,7 +158,7 @@ def resolvent_solve(system: AssembledSystem, lam, f):
     Mf, Kf = system.free_matrices()
     rhs = band_matvec(row_band(system.M), np.asarray(f, dtype=float))[system.free]
     try:
-        solver = _BandedSPD(lam * Mf + Kf)
+        return _scatter(system, _BandedSPD(lam * Mf + Kf).solve(rhs))
     except LinAlgError as exc:
         p = system.params
         bound = max(0.0, p.gamma0, p.gamma1)
@@ -154,7 +166,6 @@ def resolvent_solve(system: AssembledSystem, lam, f):
             f"lambda*M + K is not positive definite at lambda = {lam}"
             f" (coercivity needs lambda > {bound}): {exc}"
         ) from exc
-    return _scatter(system, solver.solve(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +213,11 @@ def _polynomial_load(system, coeffs, weight_kind, derivative, point_terms):
     return load
 
 
+def _require_divergence(form):
+    if form is not OperatorForm.DIVERGENCE:
+        raise ConfigError("kind", "manufactured forcing targets the divergence form")
+
+
 def manufactured_divergence_forcing(system, witness_coeffs, rate=1.0):
     """Forcing whose exact solution is exp(-rate*t) * w(x) for the
     divergence operator, assembled in weak form.
@@ -211,8 +227,7 @@ def manufactured_divergence_forcing(system, witness_coeffs, rate=1.0):
     pairing: load_i = B(w, phi_i) - rate * <w, phi_i>_mu, all integrals
     exact for polynomial w.
     """
-    if system.form is not OperatorForm.DIVERGENCE:
-        raise ValueError("manufactured forcing preset targets the divergence form")
+    _require_divergence(system.form)
     w = np.asarray(witness_coeffs, dtype=float)
     pencil = PENCIL[system.form]
     load = _polynomial_load(
@@ -309,58 +324,41 @@ SPACE_PRESETS = {
 def resolve_space_spec(spec):
     """Polynomial coefficients from a preset name, {'poly': [...]} mapping
     or a bare coefficient sequence: a non-empty flat list of finite
-    numbers."""
+    numbers; else ConfigError with an empty key, the whole value."""
     if isinstance(spec, str):
-        try:
-            return np.asarray(SPACE_PRESETS[spec], dtype=float)
-        except KeyError:
-            raise ValueError(
-                f"unknown preset {spec!r}; known: {sorted(SPACE_PRESETS)}"
-            ) from None
-    if isinstance(spec, dict):
+        if spec not in SPACE_PRESETS:
+            raise ConfigError("", f"unknown preset {spec!r}; known: {sorted(SPACE_PRESETS)}")
+        spec = SPACE_PRESETS[spec]
+    elif isinstance(spec, dict):
         if set(spec) != {"poly"}:
-            raise ValueError("space spec mapping must have exactly the key 'poly'")
+            raise ConfigError("", "space spec mapping must have exactly the key 'poly'")
         spec = spec["poly"]
-    try:
-        coeffs = np.asarray(spec)
-        valid = (
-            coeffs.ndim == 1
-            and coeffs.size > 0
-            and coeffs.dtype.kind in "iuf"
-            and bool(np.all(np.isfinite(coeffs)))
-        )
-    except ValueError:  # ragged nesting
-        valid = False
-    if not valid:
-        raise ValueError(
-            "polynomial coefficients must be a non-empty list of finite numbers"
-        )
-    return coeffs.astype(float)
+    if not (isinstance(spec, (list, tuple, np.ndarray)) and len(spec) > 0
+            and all(map(is_finite_number, spec))):
+        raise ConfigError("", "polynomial coefficients must be a non-empty list of finite numbers")
+    return np.array(spec, dtype=float)
 
 
 def parse_forcing(spec):
     """``(kind, space_coeffs, rate)`` from a forcing spec: None / 'zero' or
     {'kind': 'zero' | 'separable' | 'manufactured', 'space': ..., 'rate': r}.
-    A bad entry of the mapping raises ParameterError naming its key."""
+    The rate defaults to 1 for manufactured forcing and to 0 otherwise.  A
+    bad spec raises ConfigError with its config key, ``forcing`` or
+    ``forcing.<entry>``."""
     if spec is None or spec == "zero":
         return "zero", None, 0.0
-    if not isinstance(spec, dict):
-        raise ValueError("forcing spec must be 'zero' or a mapping with 'kind'")
-    extra = set(spec) - {"kind", "space", "rate"}
-    if extra:
-        raise ParameterError(sorted(extra)[0], "unknown key")
-    kind = spec.get("kind")
-    if kind not in ("zero", "separable", "manufactured"):
-        raise ParameterError("kind", "must be 'zero', 'separable' or 'manufactured'")
-    rate = spec.get("rate", 0.0)
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-        raise ParameterError("rate", "must be a number")
-    default_space = "bump_cubed" if kind == "manufactured" else "one"
-    try:
-        coeffs = resolve_space_spec(spec.get("space", default_space))
-    except ValueError as exc:
-        raise ParameterError("space", str(exc)) from None
-    return kind, coeffs, float(rate)
+    with keyed("forcing"):
+        if not isinstance(spec, dict):
+            raise ConfigError("", "must be 'zero' or an object with 'kind'")
+        only_keys(spec, {"kind", "space", "rate"})
+        kind = spec.get("kind")
+        if kind not in ("zero", "separable", "manufactured"):
+            raise ConfigError("kind", "must be 'zero', 'separable' or 'manufactured'")
+        manufactured = kind == "manufactured"
+        rate = number(spec, "rate", default=1.0 if manufactured else 0.0)
+        with keyed("space"):
+            coeffs = resolve_space_spec(spec.get("space", "bump_cubed" if manufactured else "one"))
+    return kind, coeffs, rate
 
 
 def resolve_forcing(system, spec) -> Forcing:
@@ -371,7 +369,7 @@ def resolve_forcing(system, spec) -> Forcing:
         mp = band_matvec(row_band(system.M), p)
         return Forcing(rate, mp, float(p @ mp))
     if kind == "manufactured":
-        return manufactured_divergence_forcing(system, coeffs, rate=rate or 1.0)
+        return manufactured_divergence_forcing(system, coeffs, rate=rate)
     return UNFORCED
 
 
@@ -388,7 +386,9 @@ def initial_dofs(system, spec, project=False):
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Everything defining one Cauchy problem run."""
+    """Everything defining one Cauchy problem run.  Construction checks
+    each bound of the problem, the mesh included, and raises ConfigError
+    on the config key at fault (``time.dt``, ``coefficient.K``, ...)."""
 
     form: OperatorForm
     coeff: DegenerateCoefficient
@@ -403,10 +403,21 @@ class ProblemConfig:
     project_u0: bool = False
 
     def __post_init__(self):
-        if not self.T > 0.0:
-            raise ParameterError("T", "must be > 0")
-        if self.dt is not None and not 0.0 < self.dt <= self.T:
-            raise ParameterError("dt", "must satisfy 0 < dt <= T")
+        with keyed("coefficient"):
+            check_interior(self.coeff.x0)
+            require_admissible(self.coeff)
+        with keyed("time"):
+            if not self.T > 0.0:
+                raise ConfigError("T", "must be > 0")
+            if self.dt is not None and not 0.0 < self.dt <= self.T:
+                raise ConfigError("dt", "must satisfy 0 < dt <= T")
+        with keyed("u0"):
+            resolve_space_spec(self.u0)
+        if parse_forcing(self.forcing)[0] == "manufactured":
+            with keyed("forcing"):
+                _require_divergence(self.form)
+        with keyed("mesh"):
+            build_mesh(self.n, self.coeff.x0, self.resolved_grading())
 
     def resolved_dt(self):
         return self.dt if self.dt is not None else self.T / 100.0
@@ -507,21 +518,37 @@ class Trajectory:
             "contraction_ok": self.contraction_ok(),
             "energy_bound_ok": self.energy_bound_ok(),
             "aborted": self.aborted,
+            "scheme": self.scheme.value,
         }
 
 
+@contextmanager
+def _solvable(key):
+    """ConfigError on ``key`` for a solve with M out of double range."""
+    try:
+        yield
+    except LinAlgError as exc:
+        raise ConfigError(key, f"not solvable in double precision: {exc}") from None
+
+
 def run(config: ProblemConfig, system=None) -> Trajectory:
-    """Integrate the configured problem to its final time."""
+    """Integrate the configured problem to its final time.  A step matrix
+    without a Cholesky factor in double precision aborts it at t = 0."""
     system = system or build_system(config)
     dt = config.resolved_dt()
     n_steps = max(1, round(config.T / dt))
-    forcing = resolve_forcing(system, config.forcing)
-    stepper = TimeStepper(system, dt, config.scheme)
-    theta = stepper.theta
-
-    state = make_state(system, 0.0, initial_dofs(system, config.u0, config.project_u0))
-    traj = Trajectory(system, stepper.scheme, dt, forced=forcing.vector is not None)
+    with _solvable("forcing"):
+        forcing = resolve_forcing(system, config.forcing)
+    with _solvable("project_u0"):
+        state = make_state(system, 0.0, initial_dofs(system, config.u0, config.project_u0))
+    traj = Trajectory(system, Scheme(config.scheme), dt, forced=forcing.vector is not None)
     traj.states.append(state)
+    try:
+        stepper = TimeStepper(system, dt, config.scheme)
+    except LinAlgError as exc:
+        traj.aborted = f"step matrix at t = 0.0: {exc}"
+        return traj
+    theta = stepper.theta
     for _ in range(n_steps):
         try:
             new = stepper.step(state, forcing)

@@ -43,9 +43,9 @@ import numpy as np
 from scipy.linalg import cython_lapack
 
 from .coefficient import (
+    ConfigError,
     DegeneracyClass,
     DegenerateCoefficient,
-    ParameterError,
     check_power_comparison,
     classify,
 )
@@ -66,6 +66,7 @@ __all__ = [
     "Pencil",
     "PENCIL",
     "assemble",
+    "require_admissible",
     "BANDWIDTH",
     "band_congruence",
     "band_matvec",
@@ -112,10 +113,10 @@ class WentzellParams:
     def __post_init__(self):
         for name in ("beta0", "beta1"):
             if not getattr(self, name) > 0.0:
-                raise ParameterError(name, "must be > 0")
+                raise ConfigError(name, "must be > 0")
         for name in ("gamma0", "gamma1"):
             if not getattr(self, name) <= 0.0:
-                raise ParameterError(name, "must be <= 0")
+                raise ConfigError(name, "must be <= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +228,7 @@ def band_pencil_eigenvalues(mass, stiffness):
     mass, stiffness = np.asarray(mass, dtype=float), np.asarray(stiffness, dtype=float)
     if mass.ndim != 2 or mass.shape != stiffness.shape:
         raise ValueError(f"bands of shape {mass.shape} and {stiffness.shape}")
-    singular = np.linalg.LinAlgError("singular mass matrix: quadrature or constraint bug")
+    singular = np.linalg.LinAlgError("mass matrix is not positive definite")
     diag = mass[0]
     if not np.all(diag > 0.0):
         raise singular
@@ -413,14 +414,16 @@ def _apply_constraints(dofmap, mass, *bands):
     mass[0, c] = 1.0
 
 
-def _require_admissible(coeff):
+def require_admissible(coeff):
+    """The class of ``coeff``; ConfigError("K") unless a strong one has K in [1, 2)."""
     klass = classify(coeff)
     if klass is DegeneracyClass.STRONG:
         check = check_power_comparison(coeff, coeff.K)
         if not check:
-            raise ValueError(
+            raise ConfigError(
+                "K",
                 "strong degeneracy needs a monotone power comparison with "
-                f"exponent in [1, 2): {check.reason}"
+                f"exponent in [1, 2): {check.reason}",
             )
     return klass
 
@@ -437,7 +440,7 @@ def assemble(form, mesh, dofmap, coeff, params) -> AssembledSystem:
     """
     form = OperatorForm(form)
     pencil = PENCIL[form]
-    klass = _require_admissible(coeff)
+    klass = require_admissible(coeff)
     if klass is DegeneracyClass.STRONG and pencil.mass is WeightKind.COEFF_RECIP_A:
         dofmap = constrain(dofmap, [dofmap.value_dof(mesh.x0_index)])
     rules = {kind: weighted_rule(mesh, dofmap, coeff, kind) for kind in pencil}

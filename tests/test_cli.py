@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wentzell4.cli import ConfigError, dispatch, main, parse_config
 from wentzell4.evolution import Scheme, build_system
@@ -93,7 +101,7 @@ def test_run_writes_trajectory_and_summary(tmp_path):
     assert set(summary) == {
         "operator", "class", "n", "dt", "T", "final_norm_mu_sq",
         "sup_norm_mu_sq", "energy_integral", "contraction_ok", "energy_bound_ok",
-        "aborted",
+        "aborted", "scheme",
     }
     assert summary["contraction_ok"] is True and summary["energy_bound_ok"] is True
     assert summary["aborted"] is None
@@ -282,6 +290,13 @@ def test_main_reports_config_errors(tmp_path, capsys):
          "mesh.grading"),
         ({"operator": "nondivergence", "coefficient": {"K": 1.5}, "mesh": {"n": 200}},
          "mesh.grading"),
+        # JSON admits NaN and Infinity; no number of the schema does
+        ({"time": {"T": math.inf}}, "time.T"),
+        ({"wentzell": {"gamma0": -math.inf}}, "wentzell.gamma0"),
+        ({"coefficient": {"scale": math.inf}}, "coefficient.scale"),
+        ({"forcing": {"kind": "manufactured", "rate": math.inf}}, "forcing.rate"),
+        ({"forcing": {"kind": "separable", "rate": math.nan}}, "forcing.rate"),
+        ({"resolvent": {"lambda": math.nan}}, "resolvent.lambda"),
     ],
 )
 def test_main_config_diagnostic_names_key(tmp_path, capsys, overrides, key):
@@ -307,3 +322,129 @@ def test_resolvent_factorization_failure_is_a_diagnostic(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "Traceback" not in lines[0]
     assert json.loads(lines[0])["key"] == "resolvent.lambda"
+
+
+def test_run_factorization_failure_aborts(tmp_path, capsys):
+    # elements this small next to x0 leave M + dt K without a Cholesky
+    # factor in double precision; the run stops before its first step
+    path = tmp_path / "config.json"
+    path.write_text(cfg(coefficient={"x0": 1e-9, "K": 0.5}, mesh={"n": 8}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["aborted"].startswith("step matrix at t = 0.0")
+    assert summary["T"] == 0.0
+    lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0,0,")
+
+
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("run", {"project_u0": True}, "project_u0"),
+        ("run", {"forcing": {"kind": "manufactured"}}, "forcing"),
+        ("spectrum", {}, "spectrum"),
+    ],
+)
+def test_mass_matrix_out_of_double_range(tmp_path, capsys, command, overrides, key):
+    # the slope dofs of an element of length 1e-110 scale like h**3, which
+    # underflows: M has no Cholesky factor, and the pencil no eigenvalues
+    path = tmp_path / "config.json"
+    path.write_text(cfg(coefficient={"x0": 1e-110, "K": 0.5}, mesh={"n": 8}, **overrides))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["key"] == key
+
+
+def test_summary_names_the_scheme(tmp_path):
+    for scheme in ("implicit_euler", "crank_nicolson"):
+        config = parse_config(cfg(mesh={"n": 8}, time={"T": 0.05}, scheme=scheme))
+        assert dispatch("run", config, tmp_path / scheme) == 0
+        summary = json.loads((tmp_path / scheme / "summary.json").read_text())
+        assert summary["scheme"] == scheme
+
+
+def test_explicit_manufactured_rate_zero_is_kept(tmp_path):
+    trajectories = []
+    for rate in (0, 1):
+        config = parse_config(cfg(mesh={"n": 8}, time={"T": 0.05},
+                                  forcing={"kind": "manufactured", "rate": rate}))
+        assert dispatch("run", config, tmp_path / str(rate)) == 0
+        trajectories.append((tmp_path / str(rate) / "trajectory.csv").read_bytes())
+    assert trajectories[0] != trajectories[1]
+
+
+# ---------------------------------------------------------------------------
+# schema property: every document ends in a result or a one-line diagnostic
+# ---------------------------------------------------------------------------
+
+_JUNK = st.sampled_from(
+    [math.nan, math.inf, -math.inf, True, False, "1", None, [1.0], -1.0, 0.0, 2.5, 1e300]
+)
+_BAD_SPACE = st.sampled_from(
+    ["nope", 3, {"poly": []}, {"poly": [[1.0]]}, {"poly": [True]}, {"poly": ["1"]}, [1, [2]], {}]
+)
+_SPACE = st.one_of(
+    st.sampled_from(["one", "linear", "parabola", "quartic_bump", "bump_cubed"]),
+    st.fixed_dictionaries({"poly": st.lists(st.floats(-2, 2), min_size=1, max_size=5)}),
+    st.lists(st.floats(-2, 2), min_size=1, max_size=5),
+)
+
+
+def _mostly(good, bad):
+    """``good``, or one time in sixteen ``bad``."""
+    return st.integers(0, 15).flatmap(lambda k: bad if k == 15 else good)
+
+
+def _number(lo, hi):
+    return _mostly(st.floats(lo, hi), _JUNK)
+
+
+def _optional(doc, key, strategy):
+    return st.one_of(st.just(doc), strategy.map(lambda v: {**doc, key: v}))
+
+
+@st.composite
+def _documents(draw):
+    """Config documents of the schema, n from 2 to 12 and a given dt of at
+    least T/50, with now and then a value of the wrong type or range."""
+    T = draw(st.floats(1e-3, 5.0))
+    coefficient = {"x0": draw(_number(0.0, 1.0)), "K": draw(_number(0.0, 2.0))}
+    coefficient = draw(_optional(coefficient, "scale", _number(1e-3, 10.0)))
+    profile = _mostly(st.just("constant"), st.just("x"))
+    coefficient = draw(_optional(coefficient, "profile", profile))
+    wentzell = {"beta0": draw(_number(1e-3, 10.0)), "beta1": draw(_number(1e-3, 10.0))}
+    for key in ("gamma0", "gamma1"):
+        wentzell = draw(_optional(wentzell, key, _number(-10.0, 0.0)))
+    n = draw(_mostly(st.integers(2, 12), _JUNK))
+    mesh = draw(_optional({"n": n}, "grading", _number(1.0, 4.0)))
+    time = draw(_optional({"T": draw(_mostly(st.just(T), _JUNK))}, "dt", _number(T / 50, T)))
+    space = _mostly(_SPACE, _BAD_SPACE)
+    forcing = st.fixed_dictionaries(
+        {"kind": _mostly(st.sampled_from(["zero", "separable", "manufactured"]), st.just("x"))},
+        optional={"space": space, "rate": _number(-10.0, 10.0)},
+    )
+    doc = {
+        "operator": draw(_mostly(st.sampled_from(["divergence", "nondivergence"]), _JUNK)),
+        "coefficient": coefficient, "wentzell": wentzell, "mesh": mesh, "time": time,
+        "scheme": draw(_mostly(st.sampled_from(["implicit_euler", "crank_nicolson"]), _JUNK)),
+        "u0": draw(space), "project_u0": draw(_mostly(st.booleans(), _JUNK)),
+        "resolvent": {"lambda": draw(_number(1e-3, 10.0)), "f": draw(space)},
+    }
+    return draw(_optional(doc, "forcing", _mostly(forcing, st.sampled_from(["zero", 1.0]))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_documents())
+def test_schema_documents_end_in_a_result_or_one_diagnostic(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        for command in ("run", "spectrum", "resolvent"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                status = main([command, "--config", str(path), "--out", str(Path(tmp) / command)])
+            assert status in (0, 1, 2)
+            assert len(err.getvalue().splitlines()) <= 1 and not caught

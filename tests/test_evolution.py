@@ -214,6 +214,12 @@ def test_constant_forcing_load_is_the_vector(neutral_system):
         assert forcing.mass_norm_sq(t) == forcing.norm_sq
 
 
+def test_manufactured_rate_defaults_to_one_and_keeps_an_explicit_zero(neutral_system):
+    assert resolve_forcing(neutral_system, {"kind": "manufactured"}).rate == 1.0
+    assert resolve_forcing(neutral_system, {"kind": "manufactured", "rate": 0}).rate == 0.0
+    assert resolve_forcing(neutral_system, {"kind": "separable"}).rate == 0.0
+
+
 def test_manufactured_forcing_targets_divergence_only():
     mesh = build_mesh(8, 0.5)
     sys = assemble(

@@ -21,6 +21,7 @@ from wentzell4 import (
     interpolate_poly,
     power_profile,
 )
+from wentzell4.oracle import near_zero_count
 
 mesh = build_mesh(16, 0.5)
 dofmap = hermite_basis(mesh)
@@ -37,7 +38,7 @@ for form, K in ((OperatorForm.DIVERGENCE, 0.5), (OperatorForm.NON_DIVERGENCE, 1.
     decomp = dense_decompose(system)
     w = decomp.eigenvalues
     print(f"  pencil eigenvalues: min {w[0]:.3e}, max {w[-1]:.3e}")
-    print(f"  kernel dimension (neutral boundary): {decomp.near_zero_count()}")
+    print(f"  kernel dimension (neutral boundary): {near_zero_count(w)}")
     print(f"  lowest five: {np.array2string(w[:5], precision=4)}")
 
 # the energy matrix annihilates the kernel candidates exactly

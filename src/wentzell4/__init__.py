@@ -25,7 +25,6 @@ from .discretization import (
     build_mesh,
     evaluate,
     hermite_basis,
-    interpolate,
     interpolate_poly,
     l2_error,
     weighted_rule,

@@ -279,16 +279,25 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
+        text = Path(args.config).read_text()
+    except OSError as exc:
+        return _diagnostic(str(exc), "--config")
+    try:
         # non-finite values are caught and reported; warnings would add lines
         with np.errstate(all="ignore"):
-            config = parse_config(Path(args.config).read_text())
+            config = parse_config(text)
             return dispatch(args.command, config, args.out, seed=args.seed)
     except ConfigError as exc:
-        print(json.dumps({"error": exc.reason, "key": exc.key}), file=sys.stderr)
-        return 2
+        return _diagnostic(exc.reason, exc.key)
     except OSError as exc:
-        print(json.dumps({"error": str(exc), "key": "--config"}), file=sys.stderr)
-        return 2
+        # parse_config reads no file: this came from writing the outputs
+        return _diagnostic(str(exc), "--out")
+
+
+def _diagnostic(reason, key):
+    """The one-line JSON diagnostic on stderr; exit status 2."""
+    print(json.dumps({"error": reason, "key": key}), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

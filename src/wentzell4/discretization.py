@@ -7,6 +7,13 @@ the power-law weight; any polynomial integrand up to the declared degree
 is then integrated exactly, so assembled matrices carry no quadrature
 error.  Away from the degeneracy a high-order Gauss rule applied to the
 full integrand is accurate to rounding.
+
+Every element-wise quantity is one batched array with the element index
+first.  A quadrature rule holds ``(n_elements, P)`` points and weights, P
+the largest per-element point count; a row with fewer points (the
+moment-fitted rows next to x0) is padded at its end with zero weights at
+the element's left node, so a sum over a row is the sum over the
+element's own points.
 """
 from __future__ import annotations
 
@@ -35,7 +42,6 @@ __all__ = [
     "shape_values",
     "element_shape_values",
     "evaluate",
-    "interpolate",
     "interpolate_poly",
     "weighted_rule",
     "l2_error",
@@ -137,21 +143,13 @@ class DofMap:
     def value_dof(self, node):
         return 2 * node
 
-    def slope_dof(self, node):
-        return 2 * node + 1
-
     @property
     def end_dofs(self):
         """Value dofs at x = 0 and x = 1, where the Wentzell point terms sit."""
         return [self.value_dof(0), self.value_dof(self.n_nodes - 1)]
 
-    def element_dofs(self, e):
-        return np.array([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3])
-
     def free_dofs(self):
-        return np.array(
-            [i for i in range(self.total_dofs) if i not in self.constrained]
-        )
+        return np.setdiff1d(np.arange(self.total_dofs), list(self.constrained))
 
 
 def hermite_basis(mesh: Mesh) -> DofMap:
@@ -205,25 +203,12 @@ def shape_values(s, h, d=0):
 def element_shape_values(rule, d=0):
     """Basis derivatives at all points of a quadrature rule at once.
 
-    Returns ``phi`` (n_elements, P, 4), ``weights`` (n_elements, P) and
-    ``points`` (n_elements, P), P the largest per-element point count;
-    shorter elements are padded with zero weights at their left node, so
-    sums over P equal sums over the element's own points.
+    Returns ``phi`` (n_elements, P, 4) with the rule's ``weights`` and
+    ``points`` (n_elements, P).
     """
-    counts = np.fromiter(map(len, rule.weights), np.intp, len(rule.weights))
-    pad = np.arange(counts.max()) < counts[:, None]
     xa = rule.mesh.nodes[:-1, None]
-    h = np.diff(rule.mesh.nodes)[:, None]
-    points = np.repeat(xa, pad.shape[1], axis=1)
-    points[pad] = np.concatenate(rule.points)
-    weights = np.zeros(pad.shape)
-    weights[pad] = np.concatenate(rule.weights)
-    return shape_values((points - xa) / h, h, d), weights, points
-
-
-def _locate(mesh, x):
-    idx = np.searchsorted(mesh.nodes, x, side="right") - 1
-    return np.clip(idx, 0, mesh.n_elements - 1)
+    h = rule.mesh.lengths()[:, None]
+    return shape_values((rule.points - xa) / h, h, d), rule.weights, rule.points
 
 
 def evaluate(dofs, dofmap: DofMap, x, d=0):
@@ -231,37 +216,33 @@ def evaluate(dofs, dofmap: DofMap, x, d=0):
     (one-sided at element boundaries for d >= 2)."""
     dofs = np.asarray(dofs, dtype=float)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    idx = _locate(dofmap.mesh, x_arr)
-    xa = dofmap.mesh.nodes[idx]
-    h = dofmap.mesh.nodes[idx + 1] - xa
-    out = np.empty_like(x_arr)
-    for e in np.unique(idx):
-        mask = idx == e
-        phi = shape_values((x_arr[mask] - xa[mask]) / h[mask][0], float(h[mask][0]), d)
-        out[mask] = phi @ dofs[dofmap.element_dofs(e)]
+    nodes = dofmap.mesh.nodes
+    idx = np.clip(np.searchsorted(nodes, x_arr, side="right") - 1, 0, len(nodes) - 2)
+    xa = nodes[idx]
+    h = nodes[idx + 1] - xa
+    phi = shape_values((x_arr - xa) / h, h, d)
+    out = np.sum(phi * dofs[2 * idx[..., None] + np.arange(4)], axis=-1)
     return out if np.ndim(x) else float(out[0])
 
 
-def interpolate(dofmap: DofMap, f, df):
-    """Dofs of the Hermite interpolant: nodal values from f, slopes from df."""
-    dofs = np.zeros(dofmap.total_dofs)
-    for i, xn in enumerate(dofmap.mesh.nodes):
-        dofs[dofmap.value_dof(i)] = f(xn)
-        dofs[dofmap.slope_dof(i)] = df(xn)
-    for c in dofmap.constrained:
-        dofs[c] = 0.0
-    return dofs
-
-
 def interpolate_poly(dofmap: DofMap, coeffs):
+    """Dofs of the Hermite interpolant of a polynomial: nodal values and
+    slopes, zero on the constrained dofs."""
     p = Polynomial(np.asarray(coeffs, dtype=float))
-    return interpolate(dofmap, p, p.deriv())
+    nodes = dofmap.mesh.nodes
+    dofs = np.column_stack([p(nodes), p.deriv()(nodes)]).ravel()
+    dofs[list(dofmap.constrained)] = 0.0
+    return dofs
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Per-element points and weights with the weight function folded into
-    the weights.
+    """Points and weights of every element with the weight function folded
+    into the weights.
+
+    ``points`` and ``weights`` are read-only (n_elements, P) arrays, P the
+    largest per-element point count; a shorter row is padded at its end
+    with zero weights at the element's left node.
 
     On the elements adjacent to the degeneracy the rule is moment-fitted
     and exact to polynomial degree 7 against the weight; elsewhere a
@@ -271,9 +252,8 @@ class QuadratureRule:
     """
 
     mesh: Mesh
-    weight_kind: WeightKind
-    points: tuple
-    weights: tuple
+    points: np.ndarray
+    weights: np.ndarray
     constrained_convention: bool = False
 
 
@@ -330,19 +310,16 @@ def weighted_rule(mesh, dofmap, coeff, kind, npoints=None):
     (x - x0)**2 factor); otherwise the integral diverges.
     """
     kind = WeightKind(kind)
-    if kind is WeightKind.UNIT:
-        n_gauss = npoints or 4
-    else:
-        n_gauss = npoints or 16
-    xi, wi = roots_legendre(n_gauss)
+    n_gauss = npoints or (4 if kind is WeightKind.UNIT else 16)
 
     klass = classify(coeff)
-    singular = set()
+    singular = ()
     min_degree = 0
     if kind is not WeightKind.UNIT and klass is not DegeneracyClass.NONDEGENERATE:
         if abs(mesh.x0 - coeff.x0) > 1e-12:
             raise ValueError("mesh must place the degeneracy point on a node")
-        singular = {mesh.x0_index - 1, mesh.x0_index} & set(range(mesh.n_elements))
+        # x0 is interior, so both neighbours exist
+        singular = (mesh.x0_index - 1, mesh.x0_index)
         if kind is WeightKind.COEFF_RECIP_A and klass is DegeneracyClass.STRONG:
             x0_value_dof = dofmap.value_dof(mesh.x0_index)
             if x0_value_dof not in dofmap.constrained:
@@ -353,30 +330,37 @@ def weighted_rule(mesh, dofmap, coeff, kind, npoints=None):
             min_degree = 2
 
     sign = -1 if kind is WeightKind.COEFF_RECIP_A else 1
-    points, weights = [], []
-    for e in range(mesh.n_elements):
-        xa, xb = mesh.element(e)
-        h = xb - xa
-        if e in singular:
-            x, w = _fitted_singular_rule(coeff, xa, xb, sign, min_degree)
-        else:
-            x = xa + 0.5 * h * (xi + 1.0)
-            w = 0.5 * h * wi
-            if kind is not WeightKind.UNIT:
-                w = w * coeff(x) ** sign
-        points.append(x)
-        weights.append(w)
-    return QuadratureRule(mesh, kind, tuple(points), tuple(weights), min_degree > 0)
+    x, w = _gauss_rule(mesh, n_gauss)
+    if kind is not WeightKind.UNIT:
+        w = w * coeff(x) ** sign
+    regular = np.ones(mesh.n_elements, dtype=bool)
+    regular[list(singular)] = False
+    ncond = _MAX_FIT_DEGREE + 1 - min_degree
+    # P is the largest per-element count; pad columns sit at the left node
+    width = np.where(regular, n_gauss, ncond).max()
+    points = np.repeat(mesh.nodes[:-1, None], width, axis=1)
+    weights = np.zeros_like(points)
+    if regular.any():  # at n = 2 both rows are fitted
+        points[regular, :n_gauss], weights[regular, :n_gauss] = x[regular], w[regular]
+    for e in singular:
+        points[e, :ncond], weights[e, :ncond] = _fitted_singular_rule(
+            coeff, *mesh.element(e), sign, min_degree
+        )
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule(mesh, points, weights, min_degree > 0)
+
+
+def _gauss_rule(mesh, npoints):
+    """Gauss points and weights of every element, (n_elements, npoints)."""
+    xi, wi = roots_legendre(npoints)
+    xa = mesh.nodes[:-1, None]
+    h = mesh.lengths()[:, None]
+    return xa + 0.5 * h * (xi + 1.0), 0.5 * h * wi
 
 
 def l2_error(dofs, dofmap, fn, npoints=8):
     """L2 distance between a represented function and a callable."""
-    xi, wi = roots_legendre(npoints)
-    total = 0.0
-    for e in range(dofmap.mesh.n_elements):
-        xa, xb = dofmap.mesh.element(e)
-        h = xb - xa
-        x = xa + 0.5 * h * (xi + 1.0)
-        diff = evaluate(dofs, dofmap, x) - np.asarray(fn(x), dtype=float)
-        total += 0.5 * h * float(np.dot(wi, diff**2))
-    return math.sqrt(total)
+    x, w = _gauss_rule(dofmap.mesh, npoints)
+    diff = evaluate(dofs, dofmap, x) - np.asarray(fn(x), dtype=float)
+    return math.sqrt(float(np.sum(w * diff**2)))

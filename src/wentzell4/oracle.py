@@ -34,11 +34,10 @@ from .forms import (
     OperatorForm,
     WentzellParams,
     assemble,
-    band_matvec,
     band_pencil_eigenvalues,
+    band_to_dense,
     element_blocks,
     gram_matrix,
-    row_band,
 )
 from .powers import DivergentIntegralError, PiecewisePower
 
@@ -101,12 +100,6 @@ class SpectralDecomposition:
     system: AssembledSystem
     eigenvalues: np.ndarray
     vectors: np.ndarray  # (total_dofs, n_free), padded with zeros
-
-    def near_zero_count(self):
-        return near_zero_count(self.eigenvalues)
-
-    def psd_ok(self):
-        return psd_ok(self.eigenvalues)
 
 
 def dense_decompose(system: AssembledSystem) -> SpectralDecomposition:
@@ -479,38 +472,46 @@ def pointwise_sqrt_bound(u_spec, coeff, k, n_samples=2001):
 
 
 # ---------------------------------------------------------------------------
-# empirical norm-equivalence probe
+# exact discrete norm-equivalence constant
 # ---------------------------------------------------------------------------
+
+# relative slack of the min-max gate c(2n) >= c(n): the dense eigh agrees
+# with the banded dsbgv to 4.5e-10 relative at n <= 32, and the smallest
+# rise seen is 2e-8 (nondegenerate weight, n = 16 -> 32)
+NESTED_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class NormEquivalenceReport:
-    """Empirical bound for ||u'||^2 <= C (||u||^2 + ||sqrt(a) u''||^2).
+    """Discrete constant C of ||u'||^2 <= C (||u||^2 + ||sqrt(a) u''||^2)
+    on each mesh level.
 
-    The theory guarantees a finite constant (weak case unconditionally,
+    The constant of the Hermite space is the largest eigenvalue of the
+    pencil (G1, G0 + G2a) of weighted Gram matrices.  The theory
+    guarantees a finite continuous constant (weak case unconditionally,
     strong case under the power-comparison condition) but does not supply
-    its value; the probe records the observed supremum over random dof
-    vectors and its growth under mesh refinement, as a regression
-    baseline rather than an assertion target.
+    its value.  The spaces of the levels are nested, so by the min-max
+    principle the discrete constant cannot fall under refinement.
     """
 
-    max_ratios: tuple
+    constants: tuple
     element_counts: tuple
-    sample_count: int
-    seed: int
 
     @property
     def growth_factors(self):
-        return tuple(
-            b / a for a, b in zip(self.max_ratios, self.max_ratios[1:])
+        return tuple(b / a for a, b in zip(self.constants, self.constants[1:]))
+
+    @property
+    def nested_ok(self):
+        """The min-max property of nested spaces, c(2n) >= c(n)."""
+        return all(
+            b >= a * (1.0 - NESTED_REL_TOL)
+            for a, b in zip(self.constants, self.constants[1:])
         )
 
 
-def norm_equivalence_report(coeff, n=16, sample_count=500, seed=0, refinements=2):
-    if sample_count < 100:
-        raise ValueError("need at least 100 samples for a meaningful supremum")
-    rng = np.random.default_rng(seed)
-    ratios = []
+def norm_equivalence_report(coeff, n=16, refinements=2):
+    constants = []
     counts = []
     for level in range(refinements + 1):
         n_level = n * 2**level
@@ -518,14 +519,11 @@ def norm_equivalence_report(coeff, n=16, sample_count=500, seed=0, refinements=2
         dofmap = hermite_basis(mesh)
         unit = weighted_rule(mesh, dofmap, coeff, WeightKind.UNIT)
         a_rule = weighted_rule(mesh, dofmap, coeff, WeightKind.COEFF_A)
-        G1 = row_band(gram_matrix(unit, 1))
-        G0_G2a = row_band(gram_matrix(unit, 0) + gram_matrix(a_rule, 2))
-        U = rng.standard_normal((dofmap.total_dofs, sample_count))
-        num = np.einsum("is,is->s", U, band_matvec(G1, U))
-        den = np.einsum("is,is->s", U, band_matvec(G0_G2a, U))
-        ratios.append(float(np.max(num / den)))
+        G1 = band_to_dense(gram_matrix(unit, 1))
+        G0_G2a = band_to_dense(gram_matrix(unit, 0) + gram_matrix(a_rule, 2))
+        constants.append(float(eigh(G1, G0_G2a, eigvals_only=True)[-1]))
         counts.append(n_level)
-    return NormEquivalenceReport(tuple(ratios), tuple(counts), sample_count, seed)
+    return NormEquivalenceReport(tuple(constants), tuple(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -620,12 +618,12 @@ def _spectral_checks():
             "symmetry_gap": sym_gap,
             "min_eigenvalue_rel": min_rel,
             "orthonormality_gap": ortho_gap,
-            "near_zero_count": decomp.near_zero_count(),
+            "near_zero_count": near_zero_count(w),
             "banded_eigenvalue_gap": banded_gap,
         }
         ok = (
             sym_gap == 0.0
-            and decomp.psd_ok()
+            and psd_ok(w)
             and ortho_gap <= 1e-10
             and banded_gap <= BANDED_EIGENVALUE_GAP_TOL
         )
@@ -633,7 +631,7 @@ def _spectral_checks():
         if gamma0 == 0.0:
             # affine functions, less the one the x0 constraint removes
             expected = 1 if system.dofmap.constrained else 2
-            ok = ok and decomp.near_zero_count() == expected
+            ok = ok and near_zero_count(w) == expected
             computed["expected_kernel"] = expected
         out.append(Check("spectral", name, {"case": name}, computed, 1e-10, ok))
     return out
@@ -743,26 +741,26 @@ def _pointwise_checks():
     return out
 
 
-def _norm_equivalence_checks(seed):
+def _norm_equivalence_checks():
     out = []
     for name, coeff in (
         ("weak_K05", power_profile(0.5, 0.5)),
         ("strong_K15", power_profile(0.5, 1.5)),
         ("nondegenerate", constant_profile(1.0, 0.5)),
     ):
-        rep = norm_equivalence_report(coeff, n=8, sample_count=200, seed=seed, refinements=2)
-        ok = all(math.isfinite(r) for r in rep.max_ratios)
+        rep = norm_equivalence_report(coeff, n=8, refinements=2)
+        ok = rep.nested_ok and all(math.isfinite(c) for c in rep.constants)
         out.append(
             Check(
                 "norm_equivalence",
                 name,
-                {"K": coeff.K, "samples": rep.sample_count, "seed": seed},
+                {"K": coeff.K},
                 {
-                    "max_ratios": list(rep.max_ratios),
+                    "constants": list(rep.constants),
                     "element_counts": list(rep.element_counts),
                     "growth_factors": list(rep.growth_factors),
                 },
-                math.inf,
+                NESTED_REL_TOL,
                 ok,
             )
         )
@@ -776,7 +774,7 @@ SUITES = {
     "hardy": lambda seed: _hardy_checks(),
     "linear_fit": lambda seed: _linear_fit_checks(),
     "pointwise": lambda seed: _pointwise_checks(),
-    "norm_equivalence": _norm_equivalence_checks,
+    "norm_equivalence": lambda seed: _norm_equivalence_checks(),
 }
 
 

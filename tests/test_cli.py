@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from wentzell4.cli import ConfigError, dispatch, main, parse_config
 from wentzell4.evolution import Scheme, build_system
 from wentzell4.forms import AssembledSystem, OperatorForm
-from wentzell4.oracle import BANDED_EIGENVALUE_GAP_TOL, dense_decompose
+from wentzell4.oracle import BANDED_EIGENVALUE_GAP_TOL, dense_decompose, near_zero_count, psd_ok
 
 BASE = {
     "operator": "divergence",
@@ -164,8 +164,8 @@ def test_spectrum_forms_no_dense_matrix(tmp_path, monkeypatch, overrides):
     monkeypatch.setattr(AssembledSystem, "to_dense", refuse)
     assert dispatch("spectrum", config, tmp_path) == 0
     meta = json.loads((tmp_path / "spectrum.json").read_text())
-    assert meta["psd_ok"] is reference.psd_ok()
-    assert meta["near_zero_count"] == reference.near_zero_count()
+    assert meta["psd_ok"] is psd_ok(reference.eigenvalues)
+    assert meta["near_zero_count"] == near_zero_count(reference.eigenvalues)
     lines = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
     eigs = np.array([float(ln.split(",")[1]) for ln in lines])
     w = reference.eigenvalues
@@ -251,6 +251,19 @@ def test_main_reports_config_errors(tmp_path, capsys):
     # bad values are covered key by key below; here the file is missing
     assert main(["run", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
     assert json.loads(capsys.readouterr().err)["key"] == "--config"
+    # a directory is not a readable config either
+    assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err)["key"] == "--config"
+
+
+def test_main_reports_output_errors_under_out(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(cfg(mesh={"n": 8}, time={"T": 0.05, "dt": 0.01}))
+    taken = tmp_path / "afile"
+    taken.write_text("")
+    assert main(["run", "--config", str(path), "--out", str(taken)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["key"] == "--out" and "afile" in err["error"]
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import roots_legendre
 
-from wentzell4.coefficient import power_profile, singular_moment
+from wentzell4.coefficient import DegeneracyClass, classify, power_profile, singular_moment
 from wentzell4.discretization import (
     WeightKind,
+    _fitted_singular_rule,
     build_mesh,
     constrain,
     evaluate,
@@ -15,6 +17,7 @@ from wentzell4.discretization import (
     shape_values,
     weighted_rule,
 )
+from wentzell4.forms import PENCIL, OperatorForm, element_blocks
 from wentzell4.powers import DivergentIntegralError
 
 
@@ -121,7 +124,7 @@ def test_evaluate_zero_function():
 def test_unit_rule_weights_sum_to_measure():
     mesh = build_mesh(6, 0.5, grading=1.5)
     rule = weighted_rule(mesh, hermite_basis(mesh), power_profile(0.5, 0.5), WeightKind.UNIT)
-    total = sum(np.sum(w) for w in rule.weights)
+    total = np.sum(rule.weights)
     assert total == pytest.approx(1.0, abs=1e-14)
 
 
@@ -131,7 +134,7 @@ def test_reciprocal_rule_weak_matches_closed_moment():
     rule = weighted_rule(mesh, hermite_basis(mesh), coeff, WeightKind.COEFF_RECIP_A)
     # element [0.25, 0.5]: integral of 1/a is 2 sqrt(0.25)
     assert np.sum(rule.weights[1]) == pytest.approx(1.0, rel=1e-13)
-    total = sum(np.sum(w) for w in rule.weights)
+    total = np.sum(rule.weights)
     assert total == pytest.approx(singular_moment(coeff, (0, 1), 0, -1), rel=1e-10)
 
 
@@ -139,7 +142,7 @@ def test_weight_rule_nondegenerate_is_plain_gauss():
     coeff = power_profile(0.5, 0.0)  # constant one
     mesh = build_mesh(4, 0.5)
     rule = weighted_rule(mesh, hermite_basis(mesh), coeff, WeightKind.COEFF_A)
-    total = sum(np.sum(w) for w in rule.weights)
+    total = np.sum(rule.weights)
     assert total == pytest.approx(1.0, rel=1e-14)
 
 
@@ -194,3 +197,79 @@ def test_quadrature_symmetric_in_basis_pairs():
     phi = shape_values(s, xb - xa, 2)
     local = np.einsum("p,pij->ij", rule.weights[e], phi[:, :, None] * phi[:, None, :])
     assert np.array_equal(local, local.T)
+
+
+def loop_rule(mesh, coeff, kind, npoints=None):
+    """Element-by-element construction of a rule, ragged, the reference
+    for the batched one."""
+    n_gauss = npoints or (4 if kind is WeightKind.UNIT else 16)
+    xi, wi = roots_legendre(n_gauss)
+    klass = classify(coeff)
+    singular, min_degree = set(), 0
+    if kind is not WeightKind.UNIT and klass is not DegeneracyClass.NONDEGENERATE:
+        singular = {mesh.x0_index - 1, mesh.x0_index}
+        if kind is WeightKind.COEFF_RECIP_A and klass is DegeneracyClass.STRONG:
+            min_degree = 2
+    sign = -1 if kind is WeightKind.COEFF_RECIP_A else 1
+    points, weights = [], []
+    for e in range(mesh.n_elements):
+        xa, xb = mesh.element(e)
+        h = xb - xa
+        if e in singular:
+            x, w = _fitted_singular_rule(coeff, xa, xb, sign, min_degree)
+        else:
+            x = xa + 0.5 * h * (xi + 1.0)
+            w = 0.5 * h * wi
+            if kind is not WeightKind.UNIT:
+                w = w * coeff(x) ** sign
+        points.append(x)
+        weights.append(w)
+    return points, weights
+
+
+def padded(mesh, points, weights):
+    """(n_elements, P) arrays, rows padded with zero weights at the left node."""
+    width = max(map(len, points))
+    P = np.repeat(mesh.nodes[:-1, None], width, axis=1)
+    W = np.zeros(P.shape)
+    for e, (x, w) in enumerate(zip(points, weights)):
+        P[e, : len(x)], W[e, : len(w)] = x, w
+    return P, W
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    form=st.sampled_from(list(OperatorForm)),
+    K=st.floats(min_value=0.0, max_value=1.99),
+    x0=st.floats(min_value=0.05, max_value=0.95),
+    n=st.integers(min_value=2, max_value=64),
+    grading=st.floats(min_value=1.0, max_value=1.5),
+    npoints=st.sampled_from([None, 8]),
+)
+def test_batched_rule_equals_element_loop_bit_for_bit(form, K, x0, n, grading, npoints):
+    coeff = power_profile(x0, K)
+    mesh = build_mesh(n, x0, grading)
+    dofmap = hermite_basis(mesh)
+    pencil = PENCIL[form]
+    if classify(coeff) is DegeneracyClass.STRONG and pencil.mass is WeightKind.COEFF_RECIP_A:
+        dofmap = constrain(dofmap, [dofmap.value_dof(mesh.x0_index)])
+    for kind in pencil:
+        rule = weighted_rule(mesh, dofmap, coeff, kind, npoints)
+        points, weights = loop_rule(mesh, coeff, kind, npoints)
+        P, W = padded(mesh, points, weights)
+        assert np.array_equal(rule.points, P) and np.array_equal(rule.weights, W)
+        assert not (rule.points.flags.writeable or rule.weights.flags.writeable)
+        for d in range(3):
+            expected = []
+            for e, (x, w) in enumerate(zip(points, weights)):
+                xa, xb = mesh.element(e)
+                phi = shape_values((x - xa) / (xb - xa), xb - xa, d)
+                expected.append(np.einsum("p,pij->ij", w, phi[:, :, None] * phi[:, None, :]))
+            assert np.array_equal(element_blocks(rule, d), np.array(expected))
+    coeffs = [0.3, -1.0, 2.0, 0.5, -0.25]
+    p = np.polynomial.Polynomial(coeffs)
+    reference = np.zeros(dofmap.total_dofs)
+    for i, xn in enumerate(mesh.nodes):
+        reference[2 * i], reference[2 * i + 1] = p(xn), p.deriv()(xn)
+    reference[list(dofmap.constrained)] = 0.0
+    assert np.array_equal(interpolate_poly(dofmap, coeffs), reference)

@@ -5,9 +5,23 @@ import pytest
 from scipy.integrate import dblquad
 
 from wentzell4.coefficient import constant_profile, power_profile
-from wentzell4.discretization import build_mesh, hermite_basis, interpolate_poly
-from wentzell4.forms import OperatorForm, WentzellParams, assemble
+from wentzell4.discretization import (
+    WeightKind,
+    build_mesh,
+    hermite_basis,
+    interpolate_poly,
+    weighted_rule,
+)
+from wentzell4.forms import (
+    OperatorForm,
+    WentzellParams,
+    assemble,
+    band_pencil_eigenvalues,
+    gram_matrix,
+)
 from wentzell4.oracle import (
+    NESTED_REL_TOL,
+    NormEquivalenceReport,
     SpaceMembershipError,
     best_linear_fit,
     dense_decompose,
@@ -15,6 +29,7 @@ from wentzell4.oracle import (
     green_battery,
     green_residual,
     hardy_bound,
+    near_zero_count,
     norm_equivalence_report,
     pointwise_sqrt_bound,
     verification_report,
@@ -47,7 +62,7 @@ def test_decomposition_orthonormality_and_diagonalization(weak_system):
 
 def test_divergence_kernel_is_affine(weak_system):
     d = dense_decompose(weak_system)
-    assert d.near_zero_count() == 2
+    assert near_zero_count(d.eigenvalues) == 2
     # cross-check: the stiffness annihilates interpolants of 1 and x
     for coeffs in ([1.0], [0.0, 1.0]):
         u = interpolate_poly(weak_system.dofmap, coeffs)
@@ -65,7 +80,7 @@ def test_strong_nondivergence_kernel_is_pinned_linear():
         WentzellParams(1.0, 1.0),
     )
     d = dense_decompose(sys)
-    assert d.near_zero_count() == 1
+    assert near_zero_count(d.eigenvalues) == 1
     u = interpolate_poly(sys.dofmap, [-0.5, 1.0])
     (K,) = sys.to_dense("K")
     assert np.linalg.norm(K @ u) <= 1e-10 * np.abs(K).max()
@@ -229,28 +244,45 @@ def test_pointwise_bound_rejects_nonvanishing_weighted_derivative():
         pointwise_sqrt_bound([1.0], constant_profile(1.0, 0.5), 0)
 
 
-# ---- empirical probe and report -------------------------------------------
+# ---- norm-equivalence constant and report ----------------------------------
 
 
-def test_norm_equivalence_probe_finite_and_deterministic():
-    rep1 = norm_equivalence_report(power_profile(0.5, 0.5), n=8, sample_count=500, seed=4)
-    rep2 = norm_equivalence_report(power_profile(0.5, 0.5), n=8, sample_count=500, seed=4)
-    assert rep1.max_ratios == rep2.max_ratios
-    assert all(math.isfinite(r) for r in rep1.max_ratios)
-    assert len(rep1.max_ratios) == 3 and rep1.element_counts == (8, 16, 32)
-    # refinement must not blow the empirical constant up
-    assert max(rep1.growth_factors) < 10.0
-    with pytest.raises(ValueError):
-        norm_equivalence_report(power_profile(0.5, 0.5), sample_count=50)
+def test_norm_equivalence_constant_is_exact_and_nested():
+    rep = norm_equivalence_report(power_profile(0.5, 0.5), n=8)
+    assert rep.element_counts == (8, 16, 32)
+    # the top pencil eigenvalue is 12.0097 on every level; nested spaces
+    # make it non-decreasing
+    assert rep.constants == pytest.approx([12.0097] * 3, rel=1e-5)
+    assert rep.nested_ok
+    # refinement must not blow the constant up
+    assert max(rep.growth_factors) < 10.0
 
 
-def test_norm_equivalence_nondegenerate_regression_baseline():
-    # measured on the reference configuration; the classical constant
-    # bounds it far away from this level
-    rep = norm_equivalence_report(
-        constant_profile(1.0, 0.5), n=32, sample_count=500, seed=0, refinements=0
-    )
-    assert rep.max_ratios[0] <= 20.0
+@pytest.mark.parametrize(
+    "coeff", [power_profile(0.5, 0.5), power_profile(0.5, 1.5), constant_profile(1.0, 0.5)]
+)
+def test_norm_equivalence_constant_matches_the_banded_pencil(coeff):
+    rep = norm_equivalence_report(coeff, n=8)
+    for n, constant in zip(rep.element_counts, rep.constants):
+        mesh = build_mesh(n, 0.5)
+        dofmap = hermite_basis(mesh)
+        unit = weighted_rule(mesh, dofmap, coeff, WeightKind.UNIT)
+        a_rule = weighted_rule(mesh, dofmap, coeff, WeightKind.COEFF_A)
+        top = band_pencil_eigenvalues(
+            gram_matrix(unit, 0) + gram_matrix(a_rule, 2), gram_matrix(unit, 1)
+        )[-1]
+        assert constant == pytest.approx(top, rel=NESTED_REL_TOL)
+
+
+def test_norm_equivalence_nondegenerate_bound():
+    # the classical constant bounds it far away from this level
+    rep = norm_equivalence_report(constant_profile(1.0, 0.5), n=32, refinements=0)
+    assert rep.constants[0] <= 20.0
+
+
+def test_nested_gate_rejects_a_falling_constant():
+    assert not NormEquivalenceReport((12.0, 12.0 * (1.0 - 2e-9)), (8, 16)).nested_ok
+    assert NormEquivalenceReport((12.0, 12.0 * (1.0 - 0.5e-9)), (8, 16)).nested_ok
 
 
 def test_verification_report_all_pass_and_shape():

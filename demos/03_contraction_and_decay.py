@@ -4,7 +4,8 @@ With zero forcing the implicit Euler step is non-expansive in the measure
 norm for every admissible configuration.  Neutral boundary terms leave
 constants untouched (they sit in the kernel of the energy form); damped
 boundary terms make the norm strictly decrease.  Every step records the
-slack of the discrete energy inequality, nonpositive for implicit Euler.
+slack of the discrete energy inequality, nonpositive for implicit Euler;
+the trajectory holds times, norms, energies and slacks as arrays.
 """
 import io
 
@@ -23,8 +24,8 @@ neutral = ProblemConfig(
 )
 traj = run(neutral)
 print("neutral boundary, u0 = 1 (steady state):")
-print(f"  initial norm^2 {traj.states[0].norm_mu_sq:.15f}")
-print(f"  final   norm^2 {traj.final_state.norm_mu_sq:.15f}")
+print(f"  initial norm^2 {traj.norm_mu_sq[0]:.15f}")
+print(f"  final   norm^2 {traj.norm_mu_sq[-1]:.15f}")
 print(f"  contraction_ok = {traj.contraction_ok()}")
 
 damped = ProblemConfig(
@@ -37,10 +38,10 @@ damped = ProblemConfig(
     u0="one",
 )
 traj = run(damped)
-norms = [s.norm_mu_sq for s in traj.states]
+norms = traj.norm_mu_sq
 print("\ndamped boundary (gamma = -1), u0 = 1:")
 print(f"  norm^2 decays {norms[0]:.4f} -> {norms[-1]:.4f}")
-print(f"  strictly decreasing: {all(b < a for a, b in zip(norms, norms[1:]))}")
+print(f"  strictly decreasing: {all(norms[1:] < norms[:-1])}")
 print(f"  max energy-inequality slack: {max(traj.slacks):.3e} (must be <= 0)")
 print(f"  Gronwall bound holds: {traj.energy_bound_ok()}")
 
@@ -72,8 +73,7 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    ts = [s.t for s in traj.states]
-    plt.semilogy(ts, [s.norm_mu_sq for s in traj.states])
+    plt.semilogy(traj.times, traj.norm_mu_sq)
     plt.xlabel("t")
     plt.ylabel("measure norm squared")
     plt.title("decay under boundary damping and fading forcing")

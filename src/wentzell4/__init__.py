@@ -30,7 +30,6 @@ from .discretization import (
     weighted_rule,
 )
 from .evolution import (
-    EvolutionState,
     NotCoerciveError,
     ProblemConfig,
     Scheme,

@@ -6,7 +6,10 @@ Subcommands: ``run`` (time integration, trajectory CSV + summary JSON),
 (single shifted solve, CSV + residual JSON).  One JSON config file
 drives everything; identical config and seed produce byte-identical
 outputs.  Exit status is 0 exactly when every check requested by the
-subcommand passes.
+subcommand passes, 1 when one fails or a run aborts, 2 for a config or
+file error (a one-line JSON diagnostic naming the key) and 3 for any
+other error (a one-line JSON diagnostic with its type, never a
+traceback).
 """
 from __future__ import annotations
 
@@ -292,6 +295,10 @@ def main(argv=None):
     except OSError as exc:
         # parse_config reads no file: this came from writing the outputs
         return _diagnostic(str(exc), "--out")
+    except Exception as exc:  # a crash must not read as a failed check (1)
+        print(json.dumps({"error": str(exc), "type": type(exc).__name__, "key": None}),
+              file=sys.stderr)
+        return 3
 
 
 def _diagnostic(reason, key):

@@ -269,6 +269,34 @@ def _shifted_legendre_coeffs(r):
     return coef
 
 
+@functools.cache
+def _gauss_legendre(npoints):
+    """Gauss-Legendre nodes and weights on [-1, 1].  Cached, hence
+    read-only."""
+    nodes, weights = roots_legendre(npoints)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+@functools.cache
+def _moment_fit(min_degree):
+    """Nodes sigma in [0, 1] of the moment fit of degrees min_degree to
+    _MAX_FIT_DEGREE and its matrix, row r sigma**min_degree times the
+    shifted Legendre polynomial r at sigma; neither depends on the
+    element.  Cached, hence read-only."""
+    ncond = _MAX_FIT_DEGREE + 1 - min_degree
+    sigma = 0.5 * (_gauss_legendre(ncond)[0] + 1.0)
+    A = np.empty((ncond, ncond))
+    for r in range(ncond):
+        A[r] = sigma**min_degree * np.polynomial.polynomial.polyval(
+            sigma, _shifted_legendre_coeffs(r)
+        )
+    sigma.setflags(write=False)
+    A.setflags(write=False)
+    return sigma, A
+
+
 def _fitted_singular_rule(coeff, xa, xb, sign, min_degree):
     """Weights at Gauss nodes reproducing the exact moments of the power
     weight over an element with x0 at one end."""
@@ -276,12 +304,7 @@ def _fitted_singular_rule(coeff, xa, xb, sign, min_degree):
     at_left = abs(coeff.x0 - xa) <= abs(coeff.x0 - xb)
     p = sign * (0.0 if coeff.K == 0.0 else coeff.K)
     amp = coeff.scale**sign
-    ncond = _MAX_FIT_DEGREE + 1 - min_degree
-    xi, _ = roots_legendre(ncond)
-    sigma = 0.5 * (xi + 1.0)
-
-    A = np.empty((ncond, ncond))
-    rhs = np.empty(ncond)
+    sigma, A = _moment_fit(min_degree)
     # exact moments of sigma**j against the weight, sigma = d/h in [0, 1];
     # moments below min_degree may diverge (strong reciprocal weight) and
     # are never used by the fit
@@ -289,10 +312,10 @@ def _fitted_singular_rule(coeff, xa, xb, sign, min_degree):
         j: amp * h ** (p + 1.0) / (j + p + 1.0)
         for j in range(min_degree, _MAX_FIT_DEGREE + 1)
     }
-    for r in range(ncond):
-        cp = _shifted_legendre_coeffs(r)
-        A[r] = sigma**min_degree * np.polynomial.polynomial.polyval(sigma, cp)
-        rhs[r] = sum(c * moments[min_degree + j] for j, c in enumerate(cp))
+    rhs = np.array([
+        sum(c * moments[min_degree + j] for j, c in enumerate(_shifted_legendre_coeffs(r)))
+        for r in range(len(sigma))
+    ])
     w = np.linalg.solve(A, rhs)
     x = xa + h * sigma if at_left else xb - h * sigma
     order = np.argsort(x)
@@ -353,7 +376,7 @@ def weighted_rule(mesh, dofmap, coeff, kind, npoints=None):
 
 def _gauss_rule(mesh, npoints):
     """Gauss points and weights of every element, (n_elements, npoints)."""
-    xi, wi = roots_legendre(npoints)
+    xi, wi = _gauss_legendre(npoints)
     xa = mesh.nodes[:-1, None]
     h = mesh.lengths()[:, None]
     return xa + 0.5 * h * (xi + 1.0), 0.5 * h * wi

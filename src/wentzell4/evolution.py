@@ -20,6 +20,12 @@ the slack of the discrete energy inequality
 sum_{k<=m} h_sq_k)``, checked at every step m by
 :meth:`Trajectory.energy_bound_ok`.
 
+A :class:`Trajectory` holds arrays, one row per recorded state.  The step
+loop of :func:`run` only advances the free dofs, into one preallocated
+array; the times, norms, energies and slacks of all steps are computed
+after it, in one batched pass (:func:`make_state`) that keeps the
+rounding of a step-by-step evaluation.
+
 Every matrix is read in the lower band storage of :mod:`forms`, so a step
 costs O(n).  Linear systems are solved with a banded Cholesky
 factorization after symmetric diagonal equilibration, plus one round of
@@ -32,11 +38,10 @@ it equals the dense residual bit for bit.
 """
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -76,7 +81,6 @@ from .forms import (
 __all__ = [
     "NotCoerciveError",
     "Scheme",
-    "EvolutionState",
     "Trajectory",
     "ProblemConfig",
     "TimeStepper",
@@ -124,21 +128,21 @@ class _BandedSPD:
         # without the wrapper's argument checks, which cost more than the
         # solve itself on small systems; solve() checks b once
         scale = self.dinv if b.ndim == 1 else self.dinv[:, None]
-        y, info = dpbtrs(self.factor, scale * b, lower=1)
+        y, info = dpbtrs(self.factor, scale * b, lower=1, overwrite_b=1)
         if info:
             raise LinAlgError(f"dpbtrs argument {-info} is invalid")
         return scale * y
 
     def solve(self, b):
-        """Solve A x = b (vectorized over trailing columns), with one
-        round of refinement against the extended-precision residual: it
-        recovers the digits the dof scaling h**3 vs h costs on graded
-        meshes, and further rounds leave the residual where it is."""
-        b = np.asarray(b, dtype=float)
-        if not np.all(np.isfinite(b)):
+        """Solve A x = b for a float array b (vectorized over trailing
+        columns), with one round of refinement against the
+        extended-precision residual: it recovers the digits the dof
+        scaling h**3 vs h costs on graded meshes, and further rounds leave
+        the residual where it is."""
+        if not np.isfinite(b).all():
             raise LinAlgError("right-hand side is not finite")
         x = self._solve_once(b)
-        r = (b.astype(np.longdouble) - band_matvec(self._rows_ext, x)).astype(float)
+        r = (b - band_matvec(self._rows_ext, x)).astype(float)
         return x + self._solve_once(r)
 
 
@@ -244,23 +248,6 @@ def manufactured_divergence_forcing(system, witness_coeffs, rate=1.0):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvolutionState:
-    """Time-stamped coefficient vector with cached norms."""
-
-    t: float
-    dofs: np.ndarray
-    norm_mu_sq: float
-    energy: float
-
-
-def make_state(system, t, dofs):
-    dofs = np.asarray(dofs, dtype=float)
-    return EvolutionState(
-        float(t), dofs, system.mass_norm_sq(dofs), system.energy(dofs)
-    )
-
-
 _THETA = {Scheme.IMPLICIT_EULER: 1.0, Scheme.CRANK_NICOLSON: 0.5}
 
 
@@ -280,32 +267,12 @@ class TimeStepper:
         self._rhs = row_band(Mf - ((1.0 - self.theta) * dt) * Kf)
 
     def step_free(self, u_free, load_now=None, load_next=None):
-        """Advance free-dof coefficients; vectorized over trailing axes."""
+        """Advance free-dof coefficients; vectorized over trailing columns."""
         rhs = band_matvec(self._rhs, u_free)
         if load_next is not None:
             theta = self.theta
-            rhs = rhs + self.dt * (theta * load_next + (1.0 - theta) * load_now)
+            rhs += self.dt * (theta * load_next + (1.0 - theta) * load_now)
         return self._solver.solve(rhs)
-
-    def step(self, state: EvolutionState, forcing: Forcing = UNFORCED):
-        free = self.system.free
-        loads = (None, None)
-        if forcing.vector is not None:
-            loads = [forcing.load(t)[free] for t in (state.t, state.t + self.dt)]
-        u_next = _scatter(self.system, self.step_free(state.dofs[free], *loads))
-        return make_state(self.system, state.t + self.dt, u_next)
-
-
-def energy_slack(prev: EvolutionState, new: EvolutionState, dt, h_sq):
-    """Slack of the per-step energy inequality (nonpositive for the
-    implicit Euler scheme up to rounding)."""
-    return (
-        new.norm_mu_sq
-        - prev.norm_mu_sq
-        + 2.0 * dt * new.energy
-        - dt * new.norm_mu_sq
-        - dt * h_sq
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -433,44 +400,49 @@ def build_system(config: ProblemConfig) -> AssembledSystem:
     return assemble(config.form, mesh, hermite_basis(mesh), config.coeff, config.params)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded evolution with per-step energy-inequality slack.
+    """Recorded evolution as arrays, one row per recorded state.
 
+    ``times``, ``norm_mu_sq`` and ``energy`` have one entry per state and
+    ``dofs`` one row of all coefficients; ``slacks`` and
+    ``forcing_norm_sq`` (the h_sq of each step) have one entry per step.
     ``aborted`` carries the failure description when a step could not be
-    completed; the recorded states end with the last valid one.
+    completed; the arrays end with the last valid state.
     """
 
     system: AssembledSystem
     scheme: Scheme
     dt: float
-    states: list[EvolutionState] = field(default_factory=list)
-    slacks: list[float] = field(default_factory=list)
-    forcing_norm_sq: list[float] = field(default_factory=list)
-    forced: bool = False
-    aborted: str | None = None
+    times: np.ndarray
+    dofs: np.ndarray
+    norm_mu_sq: np.ndarray
+    energy: np.ndarray
+    slacks: np.ndarray
+    forcing_norm_sq: np.ndarray
+    forced: bool
+    aborted: str | None
 
     @property
     def sup_norm_sq(self):
-        return max(s.norm_mu_sq for s in self.states)
+        return float(self.norm_mu_sq.max())
+
+    @property
+    def _energy_sums(self):
+        """sum_{1<=k<=m} E(u_k) for every m, added left to right."""
+        return np.cumsum(np.concatenate(([0.0], self.energy[1:])))
 
     @property
     def energy_integral(self):
         """dt-weighted sum of twice the energy form over recorded steps."""
-        return 2.0 * self.dt * sum(s.energy for s in self.states[1:])
-
-    @property
-    def final_state(self):
-        return self.states[-1]
+        return 2.0 * self.dt * float(self._energy_sums[-1])
 
     def contraction_ok(self):
         """Non-expansiveness of every step; None when forcing is present."""
         if self.forced:
             return None
-        norms = [s.norm_mu_sq for s in self.states]
-        return all(
-            b <= a * (1.0 + CONTRACTION_TOL) ** 2 for a, b in zip(norms, norms[1:])
-        )
+        norms = self.norm_mu_sq
+        return bool(np.all(norms[1:] <= norms[:-1] * (1.0 + CONTRACTION_TOL) ** 2))
 
     def energy_bound_ok(self):
         """Gronwall bound at every recorded step m:
@@ -478,32 +450,28 @@ class Trajectory:
             ||u_m||^2 + 2 dt sum_{k<=m} E(u_k)
                 <= e^{t_m} (||u_0||^2 + dt sum_{k<=m} ||h_k||^2).
         """
-        norms = np.array([s.norm_mu_sq for s in self.states])
-        t = np.array([s.t for s in self.states]) - self.states[0].t
-        energy = np.cumsum([0.0] + [s.energy for s in self.states[1:]])
-        forcing = np.cumsum([0.0] + self.forcing_norm_sq)
-        lhs = norms + 2.0 * self.dt * energy
-        rhs = np.exp(t) * (norms[0] + self.dt * forcing)
+        norms = self.norm_mu_sq
+        forcing = np.cumsum(np.concatenate(([0.0], self.forcing_norm_sq)))
+        lhs = norms + 2.0 * self.dt * self._energy_sums
+        rhs = np.exp(self.times - self.times[0]) * (norms[0] + self.dt * forcing)
         return bool(np.all(lhs <= rhs * (1.0 + ENERGY_BOUND_TOL)))
 
     def write_csv(self, destination):
-        rows = [("step", "t", "norm_mu_sq", "energy_form", "slack")]
-        for i, s in enumerate(self.states):
-            slack = self.slacks[i - 1] if i > 0 else 0.0
-            rows.append(
-                (
-                    str(i),
-                    format(s.t, ".17g"),
-                    format(s.norm_mu_sq, ".17g"),
-                    format(s.energy, ".17g"),
-                    format(slack, ".17g"),
-                )
-            )
+        columns = (
+            self.times.tolist(),
+            self.norm_mu_sq.tolist(),
+            self.energy.tolist(),
+            [0.0] + self.slacks.tolist(),
+        )
+        text = "step,t,norm_mu_sq,energy_form,slack\n" + "".join(
+            f"{i},{t:.17g},{norm:.17g},{energy:.17g},{slack:.17g}\n"
+            for i, (t, norm, energy, slack) in enumerate(zip(*columns))
+        )
         if hasattr(destination, "write"):
-            csv.writer(destination, lineterminator="\n").writerows(rows)
+            destination.write(text)
         else:
             with open(destination, "w", newline="") as fh:
-                csv.writer(fh, lineterminator="\n").writerows(rows)
+                fh.write(text)
 
     def summary(self):
         return {
@@ -511,8 +479,8 @@ class Trajectory:
             "class": classify(self.system.coeff).value,
             "n": self.system.mesh.n_elements,
             "dt": self.dt,
-            "T": self.states[-1].t,
-            "final_norm_mu_sq": self.final_state.norm_mu_sq,
+            "T": float(self.times[-1]),
+            "final_norm_mu_sq": float(self.norm_mu_sq[-1]),
             "sup_norm_mu_sq": self.sup_norm_sq,
             "energy_integral": self.energy_integral,
             "contraction_ok": self.contraction_ok(),
@@ -520,6 +488,58 @@ class Trajectory:
             "aborted": self.aborted,
             "scheme": self.scheme.value,
         }
+
+
+_BLOCK = 2**14  # dofs per block of states in make_state
+
+
+def make_state(system, scheme, dt, states, forcing=UNFORCED, aborted=None) -> Trajectory:
+    """The trajectory of a run from its states at t = 0, dt, 2 dt, ...:
+    the bookkeeping of every step in one batched pass after the step loop.
+
+    ``states`` (states, total_dofs) holds the free dofs of each state in
+    its leading columns, as the loop of :func:`run` writes them; they are
+    moved to their own columns in place and the constrained ones are
+    zeroed, so the stack is the only copy of the dofs.  Times are
+    accumulated as ``t + dt``, norms and energies come from stacked
+    quadratic forms, block by block, and the slack of step k is
+
+        ||u_k||^2 - ||u_{k-1}||^2 + 2 dt E(u_k) - dt ||u_k||^2 - dt h_sq_k,
+
+    each sum formed left to right, so every value carries the rounding of
+    a step-by-step evaluation.  A state whose squared M-norm is not finite
+    (finite dofs can overflow it) ends the trajectory at the state before
+    it, with ``aborted`` saying so; otherwise ``aborted`` is kept.
+    """
+    free = system.free
+    pinned = list(system.constrained_dofs)
+    norm_mu_sq, energy = np.empty(len(states)), np.empty(len(states))
+    block = max(1, _BLOCK // states.shape[1])
+    for i in range(0, len(states), block):
+        part = states[i : i + block]
+        if pinned:
+            part[:, free] = part[:, : len(free)].copy()
+            part[:, pinned] = 0.0
+        norm_mu_sq[i : i + block] = system.mass_norm_sq(part)
+        energy[i : i + block] = system.energy(part)
+    times = np.full(len(states), float(dt))
+    times[0] = 0.0
+    np.cumsum(times, out=times)
+    overflow = np.flatnonzero(~np.isfinite(norm_mu_sq[1:]))
+    if overflow.size:
+        count = overflow[0] + 1
+        aborted = f"step from t = {float(times[count - 1])}: step produced a non-finite state"
+        states, times = states[:count], times[:count]
+        norm_mu_sq, energy = norm_mu_sq[:count], energy[:count]
+    theta = _THETA[scheme]
+    h = np.array([forcing.mass_norm_sq(t) for t in times.tolist()])
+    h_sq = theta * h[1:] + (1.0 - theta) * h[:-1]
+    new = norm_mu_sq[1:]
+    slacks = new - norm_mu_sq[:-1] + 2.0 * dt * energy[1:] - dt * new - dt * h_sq
+    forced = forcing.vector is not None
+    return Trajectory(
+        system, scheme, dt, times, states, norm_mu_sq, energy, slacks, h_sq, forced, aborted
+    )
 
 
 @contextmanager
@@ -532,35 +552,43 @@ def _solvable(key):
 
 
 def run(config: ProblemConfig, system=None) -> Trajectory:
-    """Integrate the configured problem to its final time.  A step matrix
-    without a Cholesky factor in double precision aborts it at t = 0."""
+    """Integrate the configured problem to its final time.
+
+    The loop steps the free dofs into one preallocated array of states and
+    does nothing else: it stops at the first step that raises, which includes
+    the step after a non-finite state (its right-hand side is not finite),
+    and :func:`make_state` does the bookkeeping of all steps once.  A step
+    matrix without a Cholesky factor in double precision aborts the run at
+    t = 0.
+    """
     system = system or build_system(config)
     dt = config.resolved_dt()
     n_steps = max(1, round(config.T / dt))
+    scheme = Scheme(config.scheme)
     with _solvable("forcing"):
         forcing = resolve_forcing(system, config.forcing)
     with _solvable("project_u0"):
-        state = make_state(system, 0.0, initial_dofs(system, config.u0, config.project_u0))
-    traj = Trajectory(system, Scheme(config.scheme), dt, forced=forcing.vector is not None)
-    traj.states.append(state)
+        u0 = initial_dofs(system, config.u0, config.project_u0)
+    free, forced = system.free, forcing.vector is not None
+    n_free = len(free)
+    # row k holds the free dofs of state k in its leading columns
+    u = np.empty((n_steps + 1, len(u0)))
+    u[0, :n_free] = u0[free]
     try:
-        stepper = TimeStepper(system, dt, config.scheme)
+        stepper = TimeStepper(system, dt, scheme)
     except LinAlgError as exc:
-        traj.aborted = f"step matrix at t = 0.0: {exc}"
-        return traj
-    theta = stepper.theta
-    for _ in range(n_steps):
+        return make_state(system, scheme, dt, u[:1], forcing, f"step matrix at t = 0.0: {exc}")
+    load_now = load_next = None
+    t, count, aborted = 0.0, n_steps + 1, None
+    for k in range(n_steps):
         try:
-            new = stepper.step(state, forcing)
-            if not math.isfinite(new.norm_mu_sq):
-                raise ArithmeticError("step produced a non-finite state")
+            if forced:
+                load_now = forcing.load(t)[free] if k == 0 else load_next
+                load_next = forcing.load(t + dt)[free]
+            u[k + 1, :n_free] = stepper.step_free(u[k, :n_free], load_now, load_next)
         except (ArithmeticError, ValueError, LinAlgError) as exc:
-            traj.aborted = f"step from t = {state.t}: {exc}"
+            aborted = f"step from t = {t}: {exc}"
+            count = k + 1
             break
-        h_now, h_next = forcing.mass_norm_sq(state.t), forcing.mass_norm_sq(new.t)
-        h_sq = theta * h_next + (1.0 - theta) * h_now
-        traj.slacks.append(energy_slack(state, new, dt, h_sq))
-        traj.forcing_norm_sq.append(h_sq)
-        traj.states.append(new)
-        state = new
-    return traj
+        t += dt
+    return make_state(system, scheme, dt, u[:count], forcing, aborted)

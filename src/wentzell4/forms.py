@@ -125,7 +125,6 @@ class WentzellParams:
 
 BANDWIDTH = 3
 _LOCAL_ROW, _LOCAL_COL = np.tril_indices(4)
-_QUAD_WEIGHTS = np.array([1.0, 2.0, 2.0, 2.0])
 
 
 class _BandIndex(NamedTuple):
@@ -177,16 +176,27 @@ def band_matvec(rows, x):
     """
     x = np.asarray(x, dtype=rows.dtype)
     products = x[_band_index(rows.shape[1]).column]
-    products *= rows.reshape(rows.shape + (1,) * (x.ndim - 1))
-    np.cumsum(products, axis=0, out=products)
+    products *= rows if x.ndim == 1 else rows.reshape(rows.shape + (1,) * (x.ndim - 1))
+    products.cumsum(axis=0, out=products)
     return products[-1]
 
 
 def band_quadratic(ab, x):
-    """x^T A x for the symmetric matrix with lower band ``ab``."""
+    """x^T A x for the symmetric matrix with lower band ``ab``; for x of
+    shape (s, n), the array of the s values x[i]^T A x[i].
+
+    Each value is a weighted sum of the four per-diagonal sums, each of
+    them accumulated in column order and the weighted sum term by term
+    from zero, as BLAS forms the dot product of four entries.  The
+    weights are 1 and 2, so every product is exact.  A row of a stack
+    gives the bits of the same vector alone.  The gathered copy of x is
+    four times its size, so a long stack is best passed in blocks.
+    """
     x = np.asarray(x, dtype=float)
-    per_diagonal = np.einsum("kj,kj,j->k", ab, x[_band_index(ab.shape[1]).shift], x)
-    return float(per_diagonal @ _QUAD_WEIGHTS)
+    rows = x.reshape(-1, ab.shape[1])
+    per = np.einsum("kj,skj,sj->sk", ab, rows[:, _band_index(ab.shape[1]).shift], rows)
+    out = 0.0 + per[:, 0] + 2.0 * per[:, 1] + 2.0 * per[:, 2] + 2.0 * per[:, 3]
+    return out if x.ndim > 1 else float(out[0])
 
 
 def band_congruence(ab, d):

@@ -226,7 +226,7 @@ def test_10_manufactured_solution_convergence():
             traj = run(cfg)
             errors.append(
                 l2_error(
-                    traj.final_state.dofs,
+                    traj.dofs[-1],
                     traj.system.dofmap,
                     lambda x: math.exp(-T) * witness(x),
                 )

@@ -151,6 +151,20 @@ def test_band_kernels_match_dense(spec, seed):
 
 
 @settings(max_examples=40, deadline=None)
+@given(spec=systems, seed=st.integers(min_value=0, max_value=2**32 - 1),
+       rows=st.integers(min_value=1, max_value=300))
+def test_stacked_quadratic_is_the_rows_one_by_one_bit_for_bit(spec, seed, rows):
+    sys = build(spec)
+    rng = np.random.default_rng(seed)
+    n = sys.dofmap.total_dofs
+    X = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-6, 6, (rows, 1))
+    for band in (sys.M, sys.K):
+        stacked = band_quadratic(band, X)
+        assert stacked.shape == (rows,)
+        assert np.array_equal(stacked, [band_quadratic(band, x) for x in X])
+
+
+@settings(max_examples=40, deadline=None)
 @given(spec=systems, seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_norm_kinds_match_dense_grams(spec, seed):
     sys = build(spec)
@@ -282,7 +296,7 @@ def test_run_and_resolvent_memory_is_linear_in_n(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert traj.aborted is None and len(traj.states) == 6
+        assert traj.aborted is None and len(traj.times) == 6
         assert peak < 30e6, (form, peak)
     config = tmp_path / "resolvent.json"
     config.write_text(json.dumps({

@@ -266,6 +266,21 @@ def test_main_reports_output_errors_under_out(tmp_path, capsys):
     assert err["key"] == "--out" and "afile" in err["error"]
 
 
+def test_main_reports_any_other_error_with_exit_3(tmp_path, capsys, monkeypatch):
+    import wentzell4.cli as cli
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("internal failure")
+
+    monkeypatch.setattr(cli, "dispatch", crash)
+    path = tmp_path / "config.json"
+    path.write_text(cfg(mesh={"n": 4}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "internal failure", "type": "RuntimeError", "key": None}
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [

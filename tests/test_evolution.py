@@ -1,19 +1,23 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wentzell4.coefficient import power_profile
+from wentzell4.coefficient import classify, power_profile
 from wentzell4.discretization import build_mesh, hermite_basis, interpolate_poly, l2_error
 from wentzell4.evolution import (
+    CONTRACTION_TOL,
+    ENERGY_BOUND_TOL,
     NotCoerciveError,
     ProblemConfig,
     Scheme,
     TimeStepper,
     _BandedSPD,
+    build_system,
     initial_dofs,
     make_state,
     manufactured_divergence_forcing,
@@ -22,7 +26,7 @@ from wentzell4.evolution import (
     resolvent_solve,
     run,
 )
-from wentzell4.forms import OperatorForm, WentzellParams, assemble
+from wentzell4.forms import OperatorForm, WentzellParams, assemble, band_quadratic
 from wentzell4.oracle import dense_decompose
 
 
@@ -74,21 +78,28 @@ def test_resolvent_not_coercive(neutral_system):
         resolvent_solve(neutral_system, lam, interpolate_poly(neutral_system.dofmap, [1.0]))
 
 
+def _step(stepper, dofs):
+    """One step of the full coefficient vector ``dofs``."""
+    free = stepper.system.free
+    out = np.zeros_like(dofs)
+    out[free] = stepper.step_free(dofs[free])
+    return out
+
+
 def test_steady_state_both_schemes(neutral_system):
     u0 = interpolate_poly(neutral_system.dofmap, [1.0])
-    state = make_state(neutral_system, 0.0, u0)
     for scheme in Scheme:
-        new = TimeStepper(neutral_system, 0.05, scheme).step(state)
-        np.testing.assert_allclose(new.dofs, u0, atol=1e-11)
+        new = _step(TimeStepper(neutral_system, 0.05, scheme), u0)
+        np.testing.assert_allclose(new, u0, atol=1e-11)
 
 
 def test_single_step_contraction(neutral_system):
     rng = np.random.default_rng(5)
     stepper = TimeStepper(neutral_system, 0.02)
     for _ in range(10):
-        state = make_state(neutral_system, 0.0, rng.standard_normal(neutral_system.dofmap.total_dofs))
-        new = stepper.step(state)
-        assert new.norm_mu_sq <= state.norm_mu_sq * (1.0 + 1e-12) ** 2
+        u = rng.standard_normal(neutral_system.dofmap.total_dofs)
+        new = _step(stepper, u)
+        assert neutral_system.mass_norm_sq(new) <= neutral_system.mass_norm_sq(u) * (1.0 + 1e-12) ** 2
 
 
 def test_modal_decay_single_step(neutral_system):
@@ -97,16 +108,17 @@ def test_modal_decay_single_step(neutral_system):
     lam = float(decomp.eigenvalues[k])
     v = decomp.vectors[:, k]
     dt = 0.01
-    new = TimeStepper(neutral_system, dt).step(make_state(neutral_system, 0.0, v))
-    np.testing.assert_allclose(new.dofs, v / (1.0 + dt * lam), rtol=1e-8, atol=1e-10)
+    new = _step(TimeStepper(neutral_system, dt), v)
+    np.testing.assert_allclose(new, v / (1.0 + dt * lam), rtol=1e-8, atol=1e-10)
 
 
 def test_state_cached_norms_match_recomputation(neutral_system):
     rng = np.random.default_rng(3)
-    dofs = rng.standard_normal(neutral_system.dofmap.total_dofs)
-    s = make_state(neutral_system, 0.3, dofs)
-    assert s.norm_mu_sq == pytest.approx(neutral_system.mass_norm_sq(dofs), rel=1e-12)
-    assert s.energy == pytest.approx(neutral_system.energy(dofs), rel=1e-12)
+    rows = rng.standard_normal((4, neutral_system.dofmap.total_dofs))
+    traj = make_state(neutral_system, Scheme.IMPLICIT_EULER, 0.3, rows)
+    for i, dofs in enumerate(rows):
+        assert traj.norm_mu_sq[i] == pytest.approx(neutral_system.mass_norm_sq(dofs), rel=1e-12)
+        assert traj.energy[i] == pytest.approx(neutral_system.energy(dofs), rel=1e-12)
 
 
 def test_run_steady_state():
@@ -120,7 +132,7 @@ def test_run_steady_state():
         u0="one",
     )
     traj = run(cfg)
-    one_norm = traj.states[0].norm_mu_sq
+    one_norm = traj.norm_mu_sq[0]
     assert traj.sup_norm_sq == pytest.approx(one_norm, rel=1e-10)
     assert traj.contraction_ok() is True
     assert traj.energy_bound_ok() is True
@@ -137,7 +149,7 @@ def test_run_strict_decay_with_damping():
         u0="one",
     )
     traj = run(cfg)
-    norms = [s.norm_mu_sq for s in traj.states]
+    norms = traj.norm_mu_sq.tolist()
     assert all(b < a for a, b in zip(norms, norms[1:]))
     assert max(traj.slacks) <= 1e-12 * norms[0]
 
@@ -155,7 +167,7 @@ def test_implicit_euler_slack_nonpositive_with_forcing():
     )
     traj = run(cfg)
     assert traj.forced and traj.contraction_ok() is None
-    scale = max(s.norm_mu_sq for s in traj.states) + max(traj.forcing_norm_sq)
+    scale = max(traj.norm_mu_sq) + max(traj.forcing_norm_sq)
     assert max(traj.slacks) <= 1e-12 * scale
     assert traj.energy_bound_ok() is True
 
@@ -175,7 +187,7 @@ def test_trajectory_csv_format():
     traj.write_csv(buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "step,t,norm_mu_sq,energy_form,slack"
-    assert len(lines) == len(traj.states) + 1
+    assert len(lines) == len(traj.times) + 1
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
 
@@ -251,7 +263,7 @@ def test_manufactured_solution_is_reproduced():
     traj = run(cfg)
     wp = np.polynomial.Polynomial(w)
     err = l2_error(
-        traj.final_state.dofs, traj.system.dofmap, lambda x: math.exp(-0.2) * wp(x)
+        traj.dofs[-1], traj.system.dofmap, lambda x: math.exp(-0.2) * wp(x)
     )
     assert err < 2e-5
 
@@ -282,8 +294,27 @@ def test_run_aborts_with_last_valid_state(monkeypatch):
     )
     traj = ev.run(cfg)
     assert traj.aborted is not None and "forcing preset exhausted" in traj.aborted
-    assert len(traj.states) == 5  # steps at t = 0.01 .. 0.04 succeeded
-    assert math.isfinite(traj.final_state.norm_mu_sq)
+    assert len(traj.times) == 5  # steps at t = 0.01 .. 0.04 succeeded
+    assert math.isfinite(traj.norm_mu_sq[-1])
+
+
+def test_run_ends_before_the_first_state_whose_norm_overflows():
+    # exp(800 t) forcing: from t = 0.45 the dofs are finite but their
+    # squared M-norm overflows; the loop steps on until the loads
+    # overflow, and the bookkeeping cuts the trajectory back
+    cfg = ProblemConfig(
+        OperatorForm.DIVERGENCE,
+        power_profile(0.5, 0.5),
+        WentzellParams(1.0, 1.0),
+        T=1.0,
+        n=16,
+        forcing={"kind": "separable", "space": "one", "rate": -800},
+    )
+    with np.errstate(all="ignore"):  # as the command line runs it
+        traj = run(cfg)
+    assert traj.aborted == "step from t = 0.4400000000000002: step produced a non-finite state"
+    assert len(traj.times) == 45 and traj.times[-1] == 0.4400000000000002
+    assert np.all(np.isfinite(traj.norm_mu_sq)) and np.all(np.isfinite(traj.dofs))
 
 
 def test_projection_initial_data(neutral_system):
@@ -314,8 +345,106 @@ def test_contraction_random_initial_data(data):
         )
     )
     stepper = TimeStepper(sys, 0.03)
-    state = make_state(sys, 0.0, u0)
+    u = u0
     for _ in range(5):
-        new = stepper.step(state)
-        assert new.norm_mu_sq <= state.norm_mu_sq * (1.0 + 1e-12) ** 2
-        state = new
+        new = _step(stepper, u)
+        assert sys.mass_norm_sq(new) <= sys.mass_norm_sq(u) * (1.0 + 1e-12) ** 2
+        u = new
+
+
+def _reference_run(config):
+    """The run as a per-step loop: one step_free, one band_quadratic per
+    norm and energy and a scalar slack per step; the summary as sums over
+    Python lists."""
+    system = build_system(config)
+    dt = config.resolved_dt()
+    forcing = resolve_forcing(system, config.forcing)
+    stepper = TimeStepper(system, dt, config.scheme)
+    free, theta = system.free, stepper.theta
+    u = initial_dofs(system, config.u0, config.project_u0)
+    t = 0.0
+    times, norms, energies = [t], [band_quadratic(system.M, u)], [band_quadratic(system.K, u)]
+    slacks, h_sqs = [], []
+    for _ in range(max(1, round(config.T / dt))):
+        loads = (None, None)
+        if forcing.vector is not None:
+            loads = (forcing.load(t)[free], forcing.load(t + dt)[free])
+        new = np.zeros_like(u)
+        new[free] = stepper.step_free(u[free], *loads)
+        t_new = t + dt
+        norm, energy = band_quadratic(system.M, new), band_quadratic(system.K, new)
+        h_sq = theta * forcing.mass_norm_sq(t_new) + (1.0 - theta) * forcing.mass_norm_sq(t)
+        slacks.append(norm - norms[-1] + 2.0 * dt * energy - dt * norm - dt * h_sq)
+        h_sqs.append(h_sq)
+        times.append(t_new)
+        norms.append(norm)
+        energies.append(energy)
+        u, t = new, t_new
+    contraction = all(b <= a * (1.0 + CONTRACTION_TOL) ** 2 for a, b in zip(norms, norms[1:]))
+    lhs = np.array(norms) + 2.0 * dt * np.cumsum([0.0] + energies[1:])
+    rhs = np.exp(np.array(times) - times[0]) * (norms[0] + dt * np.cumsum([0.0] + h_sqs))
+    summary = {
+        "operator": config.form.value,
+        "class": classify(config.coeff).value,
+        "n": config.n,
+        "dt": dt,
+        "T": times[-1],
+        "final_norm_mu_sq": norms[-1],
+        "sup_norm_mu_sq": max(norms),
+        "energy_integral": 2.0 * dt * sum(energies[1:]),
+        "contraction_ok": None if forcing.vector is not None else contraction,
+        "energy_bound_ok": bool(np.all(lhs <= rhs * (1.0 + ENERGY_BOUND_TOL))),
+        "aborted": None,
+        "scheme": Scheme(config.scheme).value,
+    }
+    return times, norms, energies, slacks, h_sqs, u, summary
+
+
+_FORCING = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({
+        "kind": st.just("separable"),
+        "space": st.sampled_from(["one", "linear", "parabola"]),
+        "rate": st.sampled_from([0.0, 0.7, 2.0, -3.0]),
+    }),
+    st.fixed_dictionaries({"kind": st.just("manufactured"), "rate": st.sampled_from([0.0, 1.0])}),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    form=st.sampled_from(list(OperatorForm)),
+    K=st.sampled_from([0.5, 1.5]),
+    scheme=st.sampled_from(list(Scheme)),
+    forcing=_FORCING,
+    project_u0=st.booleans(),
+    n=st.integers(min_value=2, max_value=16),
+    steps=st.integers(min_value=1, max_value=30),
+    gamma=st.floats(min_value=-2.0, max_value=0.0),
+    u0=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=5),
+    block=st.sampled_from([None, 100]),
+)
+def test_run_equals_the_per_step_loop_bit_for_bit(
+    form, K, scheme, forcing, project_u0, n, steps, gamma, u0, block
+):
+    if forcing is not None and forcing["kind"] == "manufactured" and form is not OperatorForm.DIVERGENCE:
+        forcing = None
+    config = ProblemConfig(
+        form, power_profile(0.4, K), WentzellParams(1.5, 0.7, gamma, 0.5 * gamma),
+        T=0.02 * steps, dt=0.02, n=n, scheme=scheme, u0={"poly": u0},
+        forcing=forcing, project_u0=project_u0,
+    )
+    import wentzell4.evolution as ev
+
+    # a small block spreads the bookkeeping over several blocks of states
+    with mock.patch.object(ev, "_BLOCK", block or ev._BLOCK):
+        traj = run(config)
+    times, norms, energies, slacks, h_sqs, final, summary = _reference_run(config)
+    assert traj.aborted is None
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.norm_mu_sq, norms)
+    assert np.array_equal(traj.energy, energies)
+    assert np.array_equal(traj.slacks, slacks)
+    assert np.array_equal(traj.forcing_norm_sq, h_sqs)
+    assert np.array_equal(traj.dofs[-1], final)
+    assert traj.summary() == summary

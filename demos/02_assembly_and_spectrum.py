@@ -6,8 +6,6 @@ symmetric positive-semidefinite energy matrix K.  With neutral boundary
 terms the kernel of K is the affine functions for the divergence form,
 and the span of x - x0 for a constrained strong non-divergence form.
 """
-import io
-
 import numpy as np
 
 from wentzell4 import (
@@ -16,19 +14,16 @@ from wentzell4 import (
     assemble,
     build_mesh,
     dense_decompose,
-    export_matrix,
-    hermite_basis,
     interpolate_poly,
     power_profile,
 )
 from wentzell4.oracle import near_zero_count
 
 mesh = build_mesh(16, 0.5)
-dofmap = hermite_basis(mesh)
 
 for form, K in ((OperatorForm.DIVERGENCE, 0.5), (OperatorForm.NON_DIVERGENCE, 1.0)):
     coeff = power_profile(0.5, K)
-    system = assemble(form, mesh, dofmap, coeff, WentzellParams(1.0, 1.0))
+    system = assemble(form, mesh, coeff, WentzellParams(1.0, 1.0))
     print(f"\n{form.value}, a = |x - 1/2|^{K}")
     print(f"  dofs: {system.dofmap.total_dofs}, constrained: {system.constrained_dofs}")
     print(f"  band storage: M and K are {system.M.shape} arrays (4 diagonals)")
@@ -42,16 +37,8 @@ for form, K in ((OperatorForm.DIVERGENCE, 0.5), (OperatorForm.NON_DIVERGENCE, 1.
     print(f"  lowest five: {np.array2string(w[:5], precision=4)}")
 
 # the energy matrix annihilates the kernel candidates exactly
-system = assemble(
-    OperatorForm.DIVERGENCE, mesh, dofmap, power_profile(0.5, 0.5), WentzellParams(1, 1)
-)
+system = assemble(OperatorForm.DIVERGENCE, mesh, power_profile(0.5, 0.5), WentzellParams(1, 1))
 for coeffs, label in (([1.0], "1"), ([0.0, 1.0], "x")):
     u = interpolate_poly(system.dofmap, coeffs)
     _, K = system.to_dense()
     print(f"\n||K @ interp({label})|| = {np.linalg.norm(K @ u):.3e}")
-
-# matrix export from the band: sorted lower-triangle triplets, 17 digits
-buf = io.StringIO()
-export_matrix(system.M, buf)
-print("\nfirst lines of the mass-matrix export:")
-print("\n".join(buf.getvalue().splitlines()[:6]))

@@ -10,7 +10,6 @@ from .coefficient import (
     ConfigError,
     DegeneracyClass,
     DegenerateCoefficient,
-    Profile,
     check_power_comparison,
     classify,
     constant_profile,
@@ -24,7 +23,6 @@ from .discretization import (
     WeightKind,
     build_mesh,
     evaluate,
-    hermite_basis,
     interpolate_poly,
     l2_error,
     weighted_rule,
@@ -45,9 +43,6 @@ from .forms import (
     OperatorForm,
     WentzellParams,
     assemble,
-    export_matrix,
-    load_matrix,
-    norm,
 )
 from .oracle import (
     GreenReport,

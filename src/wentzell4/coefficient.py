@@ -1,7 +1,7 @@
 """Degenerate diffusion coefficients on [0, 1].
 
-The built-in profiles are the power law ``a(x) = scale * |x - x0|**K`` and
-the constant ``a(x) = scale``.  A coefficient is *weakly* degenerate when
+Every coefficient is the power law ``a(x) = scale * |x - x0|**K``; K = 0
+is the constant ``a(x) = scale``.  A coefficient is *weakly* degenerate when
 1/a is integrable across the zero of a (power law with K < 1), *strongly*
 degenerate when it is not (K >= 1).  Strong results additionally need a
 monotone comparison against a reference power with exponent in [1, 2);
@@ -24,7 +24,6 @@ __all__ = [
     "is_finite_number",
     "number",
     "only_keys",
-    "Profile",
     "DegeneracyClass",
     "DegenerateCoefficient",
     "power_profile",
@@ -82,11 +81,6 @@ def only_keys(mapping, allowed):
         raise ConfigError(unknown[0], "unknown key")
 
 
-class Profile(enum.Enum):
-    POWER_LAW = "power"
-    CONSTANT = "constant"
-
-
 class DegeneracyClass(enum.Enum):
     WEAK = "weak"
     STRONG = "strong"
@@ -97,7 +91,6 @@ class DegeneracyClass(enum.Enum):
 class DegenerateCoefficient:
     """Immutable weight function; safe to share between threads."""
 
-    profile: Profile
     x0: float
     K: float
     scale: float = 1.0
@@ -112,7 +105,7 @@ class DegenerateCoefficient:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.profile is Profile.CONSTANT or self.K == 0.0:
+        if self.K == 0.0:
             out = np.full_like(x, self.scale)
         else:
             out = self.scale * np.abs(x - self.x0) ** self.K
@@ -123,8 +116,7 @@ class DegenerateCoefficient:
         exact piecewise power function."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        exponent = 0.0 if self.profile is Profile.CONSTANT else sign * self.K
-        return PiecewisePower.power_weight(self.x0, exponent, self.scale**sign)
+        return PiecewisePower.power_weight(self.x0, sign * self.K, self.scale**sign)
 
     def boundary_values(self):
         return float(self(0.0)), float(self(1.0))
@@ -132,18 +124,19 @@ class DegenerateCoefficient:
 
 def power_profile(x0, K, scale=1.0) -> DegenerateCoefficient:
     """a(x) = scale * |x - x0|**K, exact pointwise to machine precision."""
-    return DegenerateCoefficient(Profile.POWER_LAW, float(x0), float(K), float(scale))
+    return DegenerateCoefficient(float(x0), float(K), float(scale))
 
 
 def constant_profile(value=1.0, x0=0.5) -> DegenerateCoefficient:
-    """a(x) = value everywhere; the nondegenerate reference case."""
-    return DegenerateCoefficient(Profile.CONSTANT, float(x0), 0.0, float(value))
+    """a(x) = value everywhere, the power law with K = 0; the nondegenerate
+    reference case."""
+    return power_profile(x0, 0.0, value)
 
 
 def classify(coeff: DegenerateCoefficient) -> DegeneracyClass:
     """Weak iff 1/a is integrable across the zero of a, strong iff not,
     nondegenerate iff min a > 0.  Exact for the built-in profiles."""
-    if coeff.profile is Profile.CONSTANT or coeff.K == 0.0:
+    if coeff.K == 0.0:
         return DegeneracyClass.NONDEGENERATE
     return DegeneracyClass.WEAK if coeff.K < 1.0 else DegeneracyClass.STRONG
 
@@ -170,8 +163,7 @@ def check_power_comparison(coeff: DegenerateCoefficient, K: float) -> Comparison
     """
     if not 1.0 <= K < 2.0:
         return ComparisonCheck(False, f"comparison exponent {K} outside [1, 2)")
-    own = 0.0 if coeff.profile is Profile.CONSTANT else coeff.K
-    if K >= own:
+    if K >= coeff.K:
         return ComparisonCheck(True)
     sides = []
     if coeff.x0 > 0.0:

@@ -37,7 +37,6 @@ __all__ = [
     "QuadratureRule",
     "check_interior",
     "build_mesh",
-    "hermite_basis",
     "constrain",
     "shape_values",
     "element_shape_values",
@@ -58,7 +57,6 @@ class WeightKind(enum.Enum):
 class Mesh:
     nodes: np.ndarray
     x0_index: int
-    grading: float
 
     @property
     def n_elements(self):
@@ -119,7 +117,7 @@ def build_mesh(n, x0, grading=1.0) -> Mesh:
             f"{grading} gives {collapsed} elements of zero length at n = {n}",
         )
     nodes.setflags(write=False)
-    return Mesh(nodes, n_left, float(grading))
+    return Mesh(nodes, n_left)
 
 
 @dataclass(frozen=True)
@@ -150,11 +148,6 @@ class DofMap:
 
     def free_dofs(self):
         return np.setdiff1d(np.arange(self.total_dofs), list(self.constrained))
-
-
-def hermite_basis(mesh: Mesh) -> DofMap:
-    """Standard cubic Hermite space on the mesh, no constraints."""
-    return DofMap(mesh)
 
 
 def constrain(dofmap: DofMap, dofs) -> DofMap:
@@ -247,14 +240,13 @@ class QuadratureRule:
     On the elements adjacent to the degeneracy the rule is moment-fitted
     and exact to polynomial degree 7 against the weight; elsewhere a
     high-order Gauss rule on the full integrand is accurate to rounding.
-    Under the constrained convention the guarantee holds for polynomials
-    with a double zero at x0.
+    For a strongly degenerate 1/a weight the guarantee holds for
+    polynomials with a double zero at x0.
     """
 
     mesh: Mesh
     points: np.ndarray
     weights: np.ndarray
-    constrained_convention: bool = False
 
 
 _MAX_FIT_DEGREE = 7
@@ -371,7 +363,7 @@ def weighted_rule(mesh, dofmap, coeff, kind, npoints=None):
         )
     points.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(mesh, points, weights, min_degree > 0)
+    return QuadratureRule(mesh, points, weights)
 
 
 def _gauss_rule(mesh, npoints):

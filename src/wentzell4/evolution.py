@@ -63,7 +63,6 @@ from .discretization import (
     build_mesh,
     check_interior,
     element_shape_values,
-    hermite_basis,
     interpolate_poly,
 )
 from .forms import (
@@ -195,7 +194,12 @@ class Forcing:
         return math.exp(-self.rate * t) * self.vector
 
     def mass_norm_sq(self, t):
-        return math.exp(-self.rate * t) ** 2 * self.norm_sq
+        """``norm_sq`` scaled to time t; inf where the square of the time
+        factor passes the double range (the limit of the product)."""
+        try:
+            return math.exp(-self.rate * t) ** 2 * self.norm_sq
+        except OverflowError:
+            return math.inf if self.norm_sq else 0.0
 
 
 UNFORCED = Forcing(0.0, None, 0.0)
@@ -258,10 +262,8 @@ class TimeStepper:
     def __init__(self, system, dt, scheme=Scheme.IMPLICIT_EULER):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        self.system = system
         self.dt = float(dt)
-        self.scheme = Scheme(scheme)
-        self.theta = _THETA[self.scheme]
+        self.theta = _THETA[Scheme(scheme)]
         Mf, Kf = system.free_matrices()
         self._solver = _BandedSPD(Mf + (self.theta * dt) * Kf)
         self._rhs = row_band(Mf - ((1.0 - self.theta) * dt) * Kf)
@@ -397,7 +399,7 @@ class ProblemConfig:
 
 def build_system(config: ProblemConfig) -> AssembledSystem:
     mesh = build_mesh(config.n, config.coeff.x0, config.resolved_grading())
-    return assemble(config.form, mesh, hermite_basis(mesh), config.coeff, config.params)
+    return assemble(config.form, mesh, config.coeff, config.params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,9 +509,10 @@ def make_state(system, scheme, dt, states, forcing=UNFORCED, aborted=None) -> Tr
         ||u_k||^2 - ||u_{k-1}||^2 + 2 dt E(u_k) - dt ||u_k||^2 - dt h_sq_k,
 
     each sum formed left to right, so every value carries the rounding of
-    a step-by-step evaluation.  A state whose squared M-norm is not finite
-    (finite dofs can overflow it) ends the trajectory at the state before
-    it, with ``aborted`` saying so; otherwise ``aborted`` is kept.
+    a step-by-step evaluation.  A state whose squared M-norm or forcing
+    norm is not finite (finite dofs and loads can overflow them) ends the
+    trajectory at the state before it, with ``aborted`` saying so;
+    otherwise ``aborted`` is kept.
     """
     free = system.free
     pinned = list(system.constrained_dofs)
@@ -525,14 +528,18 @@ def make_state(system, scheme, dt, states, forcing=UNFORCED, aborted=None) -> Tr
     times = np.full(len(states), float(dt))
     times[0] = 0.0
     np.cumsum(times, out=times)
-    overflow = np.flatnonzero(~np.isfinite(norm_mu_sq[1:]))
+    h = np.array([forcing.mass_norm_sq(t) for t in times.tolist()])
+    overflow = np.flatnonzero(~(np.isfinite(norm_mu_sq[1:]) & np.isfinite(h[1:])))
     if overflow.size:
         count = overflow[0] + 1
-        aborted = f"step from t = {float(times[count - 1])}: step produced a non-finite state"
-        states, times = states[:count], times[:count]
+        if math.isfinite(norm_mu_sq[count]):
+            reason = "the forcing norm is not finite"
+        else:
+            reason = "step produced a non-finite state"
+        aborted = f"step from t = {float(times[count - 1])}: {reason}"
+        states, times, h = states[:count], times[:count], h[:count]
         norm_mu_sq, energy = norm_mu_sq[:count], energy[:count]
     theta = _THETA[scheme]
-    h = np.array([forcing.mass_norm_sq(t) for t in times.tolist()])
     h_sq = theta * h[1:] + (1.0 - theta) * h[:-1]
     new = norm_mu_sq[1:]
     slacks = new - norm_mu_sq[:-1] + 2.0 * dt * energy[1:] - dt * new - dt * h_sq

@@ -34,8 +34,6 @@ from __future__ import annotations
 import ctypes
 import enum
 import functools
-import io
-import math
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
@@ -57,7 +55,6 @@ from .discretization import (
     element_shape_values,
     weighted_rule,
 )
-from .powers import DivergentIntegralError
 
 __all__ = [
     "OperatorForm",
@@ -77,9 +74,6 @@ __all__ = [
     "free_band",
     "gram_matrix",
     "row_band",
-    "norm",
-    "export_matrix",
-    "load_matrix",
 ]
 
 
@@ -357,11 +351,6 @@ class AssembledSystem:
         for a in (self.M, self.K, self.stiffness_interior):
             a.setflags(write=False)
         self._rules = {(kind, None): rule for kind, rule in rules.items()}
-        self._grams = {}
-
-    @property
-    def size(self):
-        return len(self.free)
 
     @property
     def constrained_dofs(self):
@@ -394,16 +383,6 @@ class AssembledSystem:
         if key not in self._rules:
             self._rules[key] = weighted_rule(self.mesh, self.dofmap, self.coeff, *key)
         return self._rules[key]
-
-    def gram(self, kind, d):
-        """Lower band of the Gram matrix of the d-th basis derivatives for
-        the weight ``kind``, without point terms or constraints; built once."""
-        key = (WeightKind(kind), d)
-        if key not in self._grams:
-            band = gram_matrix(self.rule(kind), d)
-            band.setflags(write=False)
-            self._grams[key] = band
-        return self._grams[key]
 
 
 def _add_point_terms(dofmap, band, terms):
@@ -438,8 +417,9 @@ def require_admissible(coeff):
     return klass
 
 
-def assemble(form, mesh, dofmap, coeff, params) -> AssembledSystem:
-    """System of the operator ``form`` with dynamic boundary terms.
+def assemble(form, mesh, coeff, params) -> AssembledSystem:
+    """System of the operator ``form`` on the cubic Hermite space of
+    ``mesh``, with dynamic boundary terms.
 
     M is the Gram matrix of the basis for the pencil's mass weight plus
     the point masses c_j/beta_j; K is that of the second derivatives for
@@ -451,6 +431,7 @@ def assemble(form, mesh, dofmap, coeff, params) -> AssembledSystem:
     form = OperatorForm(form)
     pencil = PENCIL[form]
     klass = require_admissible(coeff)
+    dofmap = DofMap(mesh)
     if klass is DegeneracyClass.STRONG and pencil.mass is WeightKind.COEFF_RECIP_A:
         dofmap = constrain(dofmap, [dofmap.value_dof(mesh.x0_index)])
     rules = {kind: weighted_rule(mesh, dofmap, coeff, kind) for kind in pencil}
@@ -470,100 +451,3 @@ def assemble(form, mesh, dofmap, coeff, params) -> AssembledSystem:
     return AssembledSystem(
         form, mesh, dofmap, coeff, params, M, K, S, point_mass, point_stiffness, rules
     )
-
-
-# (weight, derivative order) of the Gram matrices summed by each norm kind
-_NORM_TERMS = {
-    "l2": ((WeightKind.UNIT, 0),),
-    "l2_recip_a": ((WeightKind.COEFF_RECIP_A, 0),),
-    "d1": ((WeightKind.UNIT, 1),),
-    "d2": ((WeightKind.UNIT, 2),),
-    "sqrt_a_d2": ((WeightKind.COEFF_A, 2),),
-    "h2_a": ((WeightKind.UNIT, 0), (WeightKind.UNIT, 1), (WeightKind.COEFF_A, 2)),
-    "h2_a_reduced": ((WeightKind.UNIT, 0), (WeightKind.COEFF_A, 2)),
-    "h2_recip_a": (
-        (WeightKind.COEFF_RECIP_A, 0), (WeightKind.UNIT, 1), (WeightKind.UNIT, 2)
-    ),
-}
-
-
-def norm(system: AssembledSystem, dofs, kind):
-    """Weighted norms of a represented function.
-
-    Kinds: plain "l2"; "l2_recip_a" (weight 1/a); "mu" (the norm of M:
-    the pencil's mass weight plus the point masses); seminorms "d1", "d2",
-    "sqrt_a_d2"; composites "h2_a" (l2 + d1 + sqrt_a_d2), "h2_a_reduced"
-    (l2 + sqrt_a_d2) and "h2_recip_a" (l2_recip_a + d1 + d2).
-
-    Reciprocal-weight kinds in the strong class require the represented
-    function to vanish at x0 (the constrained convention); otherwise the
-    integral diverges and DivergentIntegralError is raised.
-    """
-    dofs = np.asarray(dofs, dtype=float)
-    if kind == "mu":
-        terms = ((PENCIL[system.form].mass, 0),)
-    elif kind in _NORM_TERMS:
-        terms = _NORM_TERMS[kind]
-    else:
-        raise ValueError(
-            f"unknown norm kind {kind!r}; expected 'mu' or one of {sorted(_NORM_TERMS)}"
-        )
-    if (
-        any(w is WeightKind.COEFF_RECIP_A for w, _ in terms)
-        and classify(system.coeff) is DegeneracyClass.STRONG
-        and dofs[system.dofmap.value_dof(system.mesh.x0_index)] != 0.0
-    ):
-        raise DivergentIntegralError(
-            "1/a-weighted norm diverges unless the function vanishes at x0"
-        )
-    sq = sum(band_quadratic(system.gram(w, d), dofs) for w, d in terms)
-    if kind == "mu":
-        u0, u1 = dofs[system.dofmap.end_dofs]
-        sq = sq + system.point_mass[0] * u0**2 + system.point_mass[1] * u1**2
-    return math.sqrt(max(sq, 0.0))
-
-
-def export_matrix(band, destination):
-    """Write a symmetric matrix, given by its lower band, as sorted
-    (row, col, value) triplets.
-
-    Format: comment header, one ``size bandwidth`` line, then one line per
-    structurally nonzero lower-triangle entry (row >= col), row-major,
-    values with 17 significant digits.
-    """
-    band = np.asarray(band)
-    width, n = band.shape[0] - 1, band.shape[1]
-    # by_row[i, c] = A[i, i - offset[c]]: np.nonzero walks it row-major
-    offset = width - np.arange(width + 1)
-    cols = np.arange(n)[:, None] - offset
-    by_row = np.where(cols >= 0, band[offset, np.maximum(cols, 0)], 0.0)
-    rows, c = np.nonzero(by_row)
-    bandwidth = int(np.max(offset[c])) if len(rows) else 0
-    buf = io.StringIO()
-    buf.write("# symmetric banded matrix: lower-triangle row col value\n")
-    buf.write(f"{n} {bandwidth}\n")
-    for i, j, v in zip(rows, cols[rows, c], by_row[rows, c]):
-        buf.write(f"{i} {j} {v:.17g}\n")
-    text = buf.getvalue()
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w") as fh:
-            fh.write(text)
-
-
-def load_matrix(source):
-    """Inverse of :func:`export_matrix`: the lower band, of shape
-    (bandwidth + 1, size)."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source) as fh:
-            lines = fh.read().splitlines()
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    n, bandwidth = map(int, lines[0].split())
-    band = np.zeros((bandwidth + 1, n))
-    for ln in lines[1:]:
-        i, j, v = ln.split()
-        band[int(i) - int(j), int(j)] = float(v)
-    return band

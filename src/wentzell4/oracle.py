@@ -21,11 +21,12 @@ from .coefficient import (
     classify,
     constant_profile,
     power_profile,
+    singular_moment,
 )
 from .discretization import (
+    DofMap,
     WeightKind,
     build_mesh,
-    hermite_basis,
     weighted_rule,
 )
 from .forms import (
@@ -516,7 +517,7 @@ def norm_equivalence_report(coeff, n=16, refinements=2):
     for level in range(refinements + 1):
         n_level = n * 2**level
         mesh = build_mesh(n_level, coeff.x0 if _interior(coeff.x0) else 0.5)
-        dofmap = hermite_basis(mesh)
+        dofmap = DofMap(mesh)
         unit = weighted_rule(mesh, dofmap, coeff, WeightKind.UNIT)
         a_rule = weighted_rule(mesh, dofmap, coeff, WeightKind.COEFF_A)
         G1 = band_to_dense(gram_matrix(unit, 1))
@@ -561,9 +562,7 @@ def _case_matrix(n=16):
             for gtag, g in gammas:
                 params = WentzellParams(1.0, 1.0, g, g)
                 mesh = build_mesh(n, 0.5)
-                yield f"{form.value}_{ctag}_{gtag}", assemble(
-                    form, mesh, hermite_basis(mesh), coeff, params
-                )
+                yield f"{form.value}_{ctag}_{gtag}", assemble(form, mesh, coeff, params)
 
 
 def _green_checks():
@@ -674,22 +673,29 @@ def _resolvent_checks(seed):
 
 
 def _hardy_checks():
+    """Both nested integrals against the exact piecewise-power algebra;
+    swapping the order of integration turns the right one into
+    int_y0^1 (1 - t) / a(t) dt."""
     out = []
     for K in (1.0, 1.25, 1.5, 1.75):
         coeff = power_profile(0.0, K)
         y0 = 0.4
         left, right = hardy_bound(coeff, y0)
-        expected = y0 ** (2.0 - K) / (2.0 - K)
-        rel = abs(left - expected) / expected
-        ok = rel <= 1e-12 and right > 0.0 and math.isfinite(right)
+        exact_left = singular_moment(coeff, (0.0, y0), 1, -1)
+        exact_right = singular_moment(coeff, (y0, 1.0), 0, -1) - singular_moment(
+            coeff, (y0, 1.0), 1, -1
+        )
+        left_err = abs(left - exact_left) / exact_left
+        right_err = abs(right - exact_right) / exact_right
         out.append(
             Check(
                 "hardy",
                 f"K{K}",
                 {"K": K, "y0": y0},
-                {"left": left, "right": right, "closed_form_rel_err": rel},
+                {"left": left, "right": right, "left_rel_err": left_err,
+                 "right_rel_err": right_err},
                 1e-12,
-                ok,
+                left_err <= 1e-12 and right_err <= 1e-12,
             )
         )
     return out

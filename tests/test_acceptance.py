@@ -158,11 +158,11 @@ def test_06_energy_estimate():
 def _temporal_order(form, coeff, scheme):
     """Error at the final time against the spectral propagator over a
     five-point dt-halving sweep; returns the least-squares order."""
-    from wentzell4.discretization import build_mesh, hermite_basis
+    from wentzell4.discretization import build_mesh
     from wentzell4.forms import assemble
 
     mesh = build_mesh(16, 0.5)
-    system = assemble(form, mesh, hermite_basis(mesh), coeff, WentzellParams(1, 1, -1, -1))
+    system = assemble(form, mesh, coeff, WentzellParams(1, 1, -1, -1))
     decomp = dense_decompose(system)
     w = decomp.eigenvalues
     modes = np.nonzero(w > 1e-9 * w[-1])[0][:3]

@@ -121,6 +121,25 @@ def test_aborted_run_fails(tmp_path):
     assert summary["T"] < 1.0
 
 
+@pytest.mark.parametrize("space, status", [("one", 1), ({"poly": [0.0]}, 0)])
+def test_forcing_norm_overflow_ends_the_run(tmp_path, capsys, space, status):
+    # exp(500 t) forcing: from t = 0.71 the square of its time factor
+    # passes the double range while the loads are still finite; times a
+    # zero forcing norm it stays zero
+    path = tmp_path / "config.json"
+    path.write_text(cfg(mesh={"n": 8}, forcing={"kind": "separable", "space": space, "rate": -500}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == status
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    if status:
+        assert summary["aborted"] == "step from t = 0.7000000000000004: the forcing norm is not finite"
+        assert summary["T"] == 0.7000000000000004
+    else:
+        assert summary["aborted"] is None and summary["T"] == pytest.approx(1.0)
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
+    assert np.all(np.isfinite(np.array([row.split(",") for row in rows], dtype=float)))
+
+
 def test_verify_writes_report(tmp_path):
     config = parse_config(cfg(verify={"suites": ["hardy", "linear_fit"]}))
     assert dispatch("verify", config, tmp_path, seed=1) == 0
@@ -400,6 +419,17 @@ def test_explicit_manufactured_rate_zero_is_kept(tmp_path):
         assert dispatch("run", config, tmp_path / str(rate)) == 0
         trajectories.append((tmp_path / str(rate) / "trajectory.csv").read_bytes())
     assert trajectories[0] != trajectories[1]
+
+
+def test_constant_profile_runs_as_the_power_law_with_K_zero(tmp_path):
+    outputs = []
+    for name, coefficient in (("constant", {"profile": "constant", "scale": 2.0}),
+                              ("power", {"K": 0, "scale": 2.0})):
+        config = parse_config(cfg(mesh={"n": 8}, time={"T": 0.05}, coefficient=coefficient))
+        assert dispatch("run", config, tmp_path / name) == 0
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert set(outputs[0]) == {"trajectory.csv", "summary.json"}
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

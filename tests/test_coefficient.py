@@ -37,6 +37,8 @@ def test_classify_prototypes():
     assert classify(power_profile(0.5, 0.5)) is DegeneracyClass.WEAK
     assert classify(power_profile(0.5, 1.0)) is DegeneracyClass.STRONG
     assert classify(constant_profile(1.0)) is DegeneracyClass.NONDEGENERATE
+    assert constant_profile(2.0, 0.3) == power_profile(0.3, 0.0, 2.0)
+    assert classify(constant_profile(2.0, 0.3)) is DegeneracyClass.NONDEGENERATE
     assert classify(power_profile(0.5, 0.0)) is DegeneracyClass.NONDEGENERATE
 
 

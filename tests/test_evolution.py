@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wentzell4.coefficient import classify, power_profile
-from wentzell4.discretization import build_mesh, hermite_basis, interpolate_poly, l2_error
+from wentzell4.discretization import build_mesh, interpolate_poly, l2_error
 from wentzell4.evolution import (
     CONTRACTION_TOL,
     ENERGY_BOUND_TOL,
@@ -36,7 +36,6 @@ def neutral_system():
     return assemble(
         OperatorForm.DIVERGENCE,
         mesh,
-        hermite_basis(mesh),
         power_profile(0.5, 0.5),
         WentzellParams(1.0, 1.0),
     )
@@ -78,9 +77,9 @@ def test_resolvent_not_coercive(neutral_system):
         resolvent_solve(neutral_system, lam, interpolate_poly(neutral_system.dofmap, [1.0]))
 
 
-def _step(stepper, dofs):
-    """One step of the full coefficient vector ``dofs``."""
-    free = stepper.system.free
+def _step(system, stepper, dofs):
+    """One step of the full coefficient vector ``dofs`` of ``system``."""
+    free = system.free
     out = np.zeros_like(dofs)
     out[free] = stepper.step_free(dofs[free])
     return out
@@ -89,7 +88,7 @@ def _step(stepper, dofs):
 def test_steady_state_both_schemes(neutral_system):
     u0 = interpolate_poly(neutral_system.dofmap, [1.0])
     for scheme in Scheme:
-        new = _step(TimeStepper(neutral_system, 0.05, scheme), u0)
+        new = _step(neutral_system, TimeStepper(neutral_system, 0.05, scheme), u0)
         np.testing.assert_allclose(new, u0, atol=1e-11)
 
 
@@ -98,7 +97,7 @@ def test_single_step_contraction(neutral_system):
     stepper = TimeStepper(neutral_system, 0.02)
     for _ in range(10):
         u = rng.standard_normal(neutral_system.dofmap.total_dofs)
-        new = _step(stepper, u)
+        new = _step(neutral_system, stepper, u)
         assert neutral_system.mass_norm_sq(new) <= neutral_system.mass_norm_sq(u) * (1.0 + 1e-12) ** 2
 
 
@@ -108,7 +107,7 @@ def test_modal_decay_single_step(neutral_system):
     lam = float(decomp.eigenvalues[k])
     v = decomp.vectors[:, k]
     dt = 0.01
-    new = _step(TimeStepper(neutral_system, dt), v)
+    new = _step(neutral_system, TimeStepper(neutral_system, dt), v)
     np.testing.assert_allclose(new, v / (1.0 + dt * lam), rtol=1e-8, atol=1e-10)
 
 
@@ -237,7 +236,6 @@ def test_manufactured_forcing_targets_divergence_only():
     sys = assemble(
         OperatorForm.NON_DIVERGENCE,
         mesh,
-        hermite_basis(mesh),
         power_profile(0.5, 0.5),
         WentzellParams(1.0, 1.0),
     )
@@ -331,7 +329,6 @@ def test_contraction_random_initial_data(data):
     sys = assemble(
         OperatorForm.DIVERGENCE,
         mesh,
-        hermite_basis(mesh),
         power_profile(0.5, 1.5),
         WentzellParams(1.0, 1.0, -1.0, -1.0),
     )
@@ -347,7 +344,7 @@ def test_contraction_random_initial_data(data):
     stepper = TimeStepper(sys, 0.03)
     u = u0
     for _ in range(5):
-        new = _step(stepper, u)
+        new = _step(sys, stepper, u)
         assert sys.mass_norm_sq(new) <= sys.mass_norm_sq(u) * (1.0 + 1e-12) ** 2
         u = new
 

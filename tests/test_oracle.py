@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from wentzell4 import oracle
 from wentzell4.coefficient import constant_profile, power_profile
 from wentzell4.discretization import (
+    DofMap,
     WeightKind,
     build_mesh,
-    hermite_basis,
     interpolate_poly,
     weighted_rule,
 )
@@ -42,7 +43,6 @@ def weak_system():
     return assemble(
         OperatorForm.DIVERGENCE,
         mesh,
-        hermite_basis(mesh),
         power_profile(0.5, 0.5),
         WentzellParams(1.0, 1.0),
     )
@@ -75,7 +75,6 @@ def test_strong_nondivergence_kernel_is_pinned_linear():
     sys = assemble(
         OperatorForm.NON_DIVERGENCE,
         mesh,
-        hermite_basis(mesh),
         power_profile(0.5, 1.0),
         WentzellParams(1.0, 1.0),
     )
@@ -265,7 +264,7 @@ def test_norm_equivalence_constant_matches_the_banded_pencil(coeff):
     rep = norm_equivalence_report(coeff, n=8)
     for n, constant in zip(rep.element_counts, rep.constants):
         mesh = build_mesh(n, 0.5)
-        dofmap = hermite_basis(mesh)
+        dofmap = DofMap(mesh)
         unit = weighted_rule(mesh, dofmap, coeff, WeightKind.UNIT)
         a_rule = weighted_rule(mesh, dofmap, coeff, WeightKind.COEFF_A)
         top = band_pencil_eigenvalues(
@@ -302,3 +301,18 @@ def test_verification_report_suite_selection():
     assert {c["suite"] for c in rep["checks"]} == {"hardy"}
     with pytest.raises(ValueError):
         verification_report(["nope"])
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_hardy_suite_fails_on_either_integral_off_by_1e9(monkeypatch, side):
+    exact = oracle.hardy_bound
+
+    def perturbed(coeff, y0):
+        values = list(exact(coeff, y0))
+        values[side] *= 1.0 + 1e-9
+        return tuple(values)
+
+    monkeypatch.setattr(oracle, "hardy_bound", perturbed)
+    rep = verification_report(["hardy"], seed=0)
+    assert rep["all_pass"] is False
+    assert not any(c["pass"] for c in rep["checks"])

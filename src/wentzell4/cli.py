@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigvals_banded
+from scipy.linalg import LinAlgError, eigvals_banded, norm
 
 from .coefficient import ConfigError, constant_profile, keyed, number, only_keys, power_profile
 from .evolution import (
@@ -186,7 +186,7 @@ def _cmd_verify(config: CliConfig, out: Path, seed):
 def _cmd_spectrum(config: CliConfig, out: Path, seed):
     system = build_system(config.problem)
     try:
-        eigenvalues = band_pencil_eigenvalues(*system.free_matrices())
+        eigenvalues = band_pencil_eigenvalues(system.M, system.K)
     except LinAlgError as exc:
         raise ConfigError("spectrum", f"no eigenvalues in double precision: {exc}") from None
     count = config.spectrum_count or len(eigenvalues)
@@ -216,15 +216,19 @@ def _cmd_resolvent(config: CliConfig, out: Path, seed):
         # lambda passed the bound max(0, gamma0, gamma1), yet the shifted
         # matrix failed its factorization in floating point
         raise ConfigError("resolvent.lambda", str(exc)) from None
+    except LinAlgError as exc:  # M f overflowed
+        raise ConfigError("resolvent.f", f"not solvable in double precision: {exc}") from None
     with open(out / "resolvent.csv", "w") as fh:
         fh.write("dof,value\n")
         for i, v in enumerate(u):
             fh.write(f"{i},{v:.17g}\n")
-    Mf, Kf = system.free_matrices()
-    A = config.resolvent_lambda * Mf + Kf
-    b = band_matvec(row_band(system.M), f)[system.free]
-    r = float(np.linalg.norm(band_matvec(row_band(A), u[system.free]) - b))
-    b_norm = max(float(np.linalg.norm(b)), 1e-300)
+    A = config.resolvent_lambda * system.M + system.K
+    b = band_matvec(row_band(system.M), f[system.free])
+    u = u[system.free]
+    # BLAS nrm2 scales as it sums; np.linalg.norm squares the entries,
+    # which overflow for data near 1e160 and up
+    r = float(norm(band_matvec(row_band(A), u) - b, check_finite=False))
+    b_norm = max(float(norm(b, check_finite=False)), 1e-300)
     relative = r / b_norm
     # the plain relative residual has a floor of eps*||A||*||u|| / ||b||
     # that grows with refinement; the gate uses the normwise backward
@@ -232,7 +236,7 @@ def _cmd_resolvent(config: CliConfig, out: Path, seed):
     # eigenvalue
     top = A.shape[1] - 1
     a_norm = float(eigvals_banded(A, lower=True, select="i", select_range=(top, top))[0])
-    backward = r / (a_norm * float(np.linalg.norm(u[system.free])) + b_norm)
+    backward = r / (a_norm * float(norm(u, check_finite=False)) + b_norm)
     ok = backward <= 1e-14
     _write_json(
         out / "resolvent.json",

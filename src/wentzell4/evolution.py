@@ -152,16 +152,16 @@ def _scatter(system, free_values):
 
 
 def resolvent_solve(system: AssembledSystem, lam, f):
-    """Solve (lambda*M + K) u = M f.
+    """Solve (lambda*M + K) u = M f for full-dof f (vectorized over
+    trailing columns); the solution is scattered to all dofs.
 
     Valid for lambda above max(0, gamma0, gamma1); outside that range the
     shifted matrix may be indefinite and NotCoerciveError is raised when
-    the factorization fails.
+    the factorization fails.  A right-hand side M f that is not finite
+    raises LinAlgError.
     """
-    Mf, Kf = system.free_matrices()
-    rhs = band_matvec(row_band(system.M), np.asarray(f, dtype=float))[system.free]
     try:
-        return _scatter(system, _BandedSPD(lam * Mf + Kf).solve(rhs))
+        solver = _BandedSPD(lam * system.M + system.K)
     except LinAlgError as exc:
         p = system.params
         bound = max(0.0, p.gamma0, p.gamma1)
@@ -169,6 +169,8 @@ def resolvent_solve(system: AssembledSystem, lam, f):
             f"lambda*M + K is not positive definite at lambda = {lam}"
             f" (coercivity needs lambda > {bound}): {exc}"
         ) from exc
+    rhs = band_matvec(row_band(system.M), np.asarray(f, dtype=float)[system.free])
+    return _scatter(system, solver.solve(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +182,10 @@ def resolvent_solve(system: AssembledSystem, lam, f):
 class Forcing:
     """The right-hand side h of u_t + A u = h, scaled in time by exp(-rate t).
 
-    ``load(t)`` is the assembled vector ``exp(-rate t) * vector`` added to
-    the step equations; ``vector`` None means unforced.  ``norm_sq`` is
-    the squared M-norm of the Riesz representer M^{-1} vector at t = 0,
-    used by the energy bookkeeping.
+    ``load(t)`` is the assembled vector ``exp(-rate t) * vector`` on the
+    free dofs, added to the step equations; ``vector`` None means
+    unforced.  ``norm_sq`` is the squared M-norm of the Riesz representer
+    M^{-1} vector at t = 0, used by the energy bookkeeping.
     """
 
     rate: float
@@ -241,10 +243,8 @@ def manufactured_divergence_forcing(system, witness_coeffs, rate=1.0):
     load = _polynomial_load(
         system, w, pencil.stiffness, 2, system.point_stiffness
     ) - rate * _polynomial_load(system, w, pencil.mass, 0, system.point_mass)
-    load[list(system.dofmap.constrained)] = 0.0
-    Mf, _ = system.free_matrices()
-    free_load = load[system.free]
-    return Forcing(rate, load, float(_BandedSPD(Mf).solve(free_load) @ free_load))
+    load = load[system.free]
+    return Forcing(rate, load, float(_BandedSPD(system.M).solve(load) @ load))
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +264,9 @@ class TimeStepper:
             raise ValueError("dt must be positive")
         self.dt = float(dt)
         self.theta = _THETA[Scheme(scheme)]
-        Mf, Kf = system.free_matrices()
-        self._solver = _BandedSPD(Mf + (self.theta * dt) * Kf)
-        self._rhs = row_band(Mf - ((1.0 - self.theta) * dt) * Kf)
+        M, K = system.M, system.K
+        self._solver = _BandedSPD(M + (self.theta * dt) * K)
+        self._rhs = row_band(M - ((1.0 - self.theta) * dt) * K)
 
     def step_free(self, u_free, load_now=None, load_next=None):
         """Advance free-dof coefficients; vectorized over trailing columns."""
@@ -334,7 +334,7 @@ def resolve_forcing(system, spec) -> Forcing:
     """Forcing from a spec accepted by :func:`parse_forcing`."""
     kind, coeffs, rate = parse_forcing(spec)
     if kind == "separable":
-        p = interpolate_poly(system.dofmap, coeffs)
+        p = interpolate_poly(system.dofmap, coeffs)[system.free]
         mp = band_matvec(row_band(system.M), p)
         return Forcing(rate, mp, float(p @ mp))
     if kind == "manufactured":
@@ -349,8 +349,7 @@ def initial_dofs(system, spec, project=False):
     if not project:
         return interpolate_poly(system.dofmap, coeffs)
     load = _polynomial_load(system, coeffs, PENCIL[system.form].mass, 0, system.point_mass)
-    Mf, _ = system.free_matrices()
-    return _scatter(system, _BandedSPD(Mf).solve(load[system.free]))
+    return _scatter(system, _BandedSPD(system.M).solve(load[system.free]))
 
 
 @dataclass(frozen=True)
@@ -380,6 +379,8 @@ class ProblemConfig:
                 raise ConfigError("T", "must be > 0")
             if self.dt is not None and not 0.0 < self.dt <= self.T:
                 raise ConfigError("dt", "must satisfy 0 < dt <= T")
+            if not math.isfinite(self.T / self.resolved_dt()):
+                raise ConfigError("dt", "the step count T/dt is not finite")
         with keyed("u0"):
             resolve_space_spec(self.u0)
         if parse_forcing(self.forcing)[0] == "manufactured":
@@ -500,11 +501,12 @@ def make_state(system, scheme, dt, states, forcing=UNFORCED, aborted=None) -> Tr
     the bookkeeping of every step in one batched pass after the step loop.
 
     ``states`` (states, total_dofs) holds the free dofs of each state in
-    its leading columns, as the loop of :func:`run` writes them; they are
-    moved to their own columns in place and the constrained ones are
-    zeroed, so the stack is the only copy of the dofs.  Times are
-    accumulated as ``t + dt``, norms and energies come from stacked
-    quadratic forms, block by block, and the slack of step k is
+    its leading columns, as the loop of :func:`run` writes them.  Block by
+    block, they are moved to their own columns in place and the
+    constrained ones are zeroed, so the stack is the only copy of the
+    dofs, and norms and energies come from stacked quadratic forms of the
+    free dofs.  Times are accumulated as ``t + dt``, and the slack of step
+    k is
 
         ||u_k||^2 - ||u_{k-1}||^2 + 2 dt E(u_k) - dt ||u_k||^2 - dt h_sq_k,
 
@@ -520,11 +522,13 @@ def make_state(system, scheme, dt, states, forcing=UNFORCED, aborted=None) -> Tr
     block = max(1, _BLOCK // states.shape[1])
     for i in range(0, len(states), block):
         part = states[i : i + block]
+        lead = part[:, : len(free)]
         if pinned:
-            part[:, free] = part[:, : len(free)].copy()
+            lead = lead.copy()
+            part[:, free] = lead
             part[:, pinned] = 0.0
-        norm_mu_sq[i : i + block] = system.mass_norm_sq(part)
-        energy[i : i + block] = system.energy(part)
+        norm_mu_sq[i : i + block] = system.mass_norm_sq(lead)
+        energy[i : i + block] = system.energy(lead)
     times = np.full(len(states), float(dt))
     times[0] = 0.0
     np.cumsum(times, out=times)
@@ -566,7 +570,8 @@ def run(config: ProblemConfig, system=None) -> Trajectory:
     the step after a non-finite state (its right-hand side is not finite),
     and :func:`make_state` does the bookkeeping of all steps once.  A step
     matrix without a Cholesky factor in double precision aborts the run at
-    t = 0.
+    t = 0; a step count whose states cannot be allocated raises
+    ConfigError("time.dt").
     """
     system = system or build_system(config)
     dt = config.resolved_dt()
@@ -579,7 +584,10 @@ def run(config: ProblemConfig, system=None) -> Trajectory:
     free, forced = system.free, forcing.vector is not None
     n_free = len(free)
     # row k holds the free dofs of state k in its leading columns
-    u = np.empty((n_steps + 1, len(u0)))
+    try:
+        u = np.empty((n_steps + 1, len(u0)))
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError("time.dt", f"T/dt = {config.T / dt:.3g} steps: {exc}") from None
     u[0, :n_free] = u0[free]
     try:
         stepper = TimeStepper(system, dt, scheme)
@@ -590,8 +598,8 @@ def run(config: ProblemConfig, system=None) -> Trajectory:
     for k in range(n_steps):
         try:
             if forced:
-                load_now = forcing.load(t)[free] if k == 0 else load_next
-                load_next = forcing.load(t + dt)[free]
+                load_now = forcing.load(t) if k == 0 else load_next
+                load_next = forcing.load(t + dt)
             u[k + 1, :n_free] = stepper.step_free(u[k, :n_free], load_now, load_next)
         except (ArithmeticError, ValueError, LinAlgError) as exc:
             aborted = f"step from t = {t}: {exc}"

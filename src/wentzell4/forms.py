@@ -18,12 +18,14 @@ the table and these, never a second copy of the choice.
 Storage.  Cubic Hermite dofs couple at most three apart, so every matrix
 is held in LAPACK lower band storage ``ab`` of shape (4, n):
 ``ab[k, j] = A[j + k, j]``, entries past the end of a diagonal kept at
-zero.  Assembly computes all element blocks in one batch and scatters
-them into the band; the time step, the norms and the solvers read the
-band directly, at O(n) cost.  Dense copies exist only through
-:meth:`AssembledSystem.to_dense`, for the oracle and tests.  The
-eigenvalues of the pencil come from the bands too
-(:func:`band_pencil_eigenvalues`, LAPACK ``dsbgv``).
+zero.  Assembly computes all element blocks in one batch, scatters them
+into the band and keeps only the rows and columns of the free dofs
+(:func:`free_band`), so n is the number of free dofs and a pinned dof has
+no entry anywhere.  The time step, the norms and the solvers read these
+bands directly, at O(n) cost, on ``x[..., system.free]`` of a full-dof
+vector.  Dense copies exist only through :meth:`AssembledSystem.to_dense`,
+for the oracle and tests.  The eigenvalues of the pencil come from the
+bands too (:func:`band_pencil_eigenvalues`, LAPACK ``dsbgv``).
 
 The element blocks are exactly symmetric and an entry of the band sums
 at most two of them, so the band is that of a dense accumulation, bit for
@@ -169,6 +171,8 @@ def band_matvec(rows, x):
     ``rows`` reproduces the dense longdouble ``A @ x`` bit for bit.
     """
     x = np.asarray(x, dtype=rows.dtype)
+    if len(x) != rows.shape[1]:  # a full-dof vector must be restricted first
+        raise ValueError(f"vector of {len(x)} entries for a band of {rows.shape[1]} dofs")
     products = x[_band_index(rows.shape[1]).column]
     products *= rows if x.ndim == 1 else rows.reshape(rows.shape + (1,) * (x.ndim - 1))
     products.cumsum(axis=0, out=products)
@@ -187,7 +191,7 @@ def band_quadratic(ab, x):
     four times its size, so a long stack is best passed in blocks.
     """
     x = np.asarray(x, dtype=float)
-    rows = x.reshape(-1, ab.shape[1])
+    rows = x.reshape(-1, x.shape[-1])  # einsum refuses a length other than the band's
     per = np.einsum("kj,skj,sj->sk", ab, rows[:, _band_index(ab.shape[1]).shift], rows)
     out = 0.0 + per[:, 0] + 2.0 * per[:, 1] + 2.0 * per[:, 2] + 2.0 * per[:, 3]
     return out if x.ndim > 1 else float(out[0])
@@ -270,8 +274,6 @@ def free_band(ab, free):
     band: two free dofs at most 3 apart after renumbering but more than 3
     apart before meet in a zero entry."""
     n = len(free)
-    if n == ab.shape[1]:
-        return ab
     rows = np.arange(n) + np.arange(BANDWIDTH + 1)[:, None]
     offset = free[np.minimum(rows, n - 1)] - free
     keep = (rows < n) & (offset <= BANDWIDTH)
@@ -326,11 +328,11 @@ class AssembledSystem:
     semidefinite energy matrix K, and the constraint metadata.
 
     M, K and ``stiffness_interior`` (K without its boundary terms) are
-    lower bands of shape (4, total_dofs).  Constrained rows/columns are
-    zeroed with a unit mass diagonal; solvers and eigenproblems operate on
-    the ``free`` submatrices.  ``point_mass`` and ``point_stiffness`` are
-    the terms assembly added to M and K at ``dofmap.end_dofs``; ``rules``
-    seeds :meth:`rule` with the rules it integrated with.
+    lower bands of shape (4, len(free)): rows and columns of the ``free``
+    dofs only, so a full-dof vector x enters as ``x[..., free]``.
+    ``point_mass`` and ``point_stiffness`` are the terms assembly added to
+    M and K at ``dofmap.end_dofs``; ``rules`` seeds :meth:`rule` with the
+    rules it integrated with.
     """
 
     form: OperatorForm
@@ -356,25 +358,17 @@ class AssembledSystem:
     def constrained_dofs(self):
         return tuple(sorted(self.dofmap.constrained))
 
-    def free_matrices(self):
-        """Lower bands of M and K on the free dofs."""
-        return free_band(self.M, self.free), free_band(self.K, self.free)
-
-    def to_dense(self, *names, free=False):
+    def to_dense(self, *names):
         """Dense copies of the named matrices ("M" and "K" by default;
-        "stiffness_interior"), on the free dofs only when ``free`` is set.
-        O(n^2) memory: for the oracle, spectra and tests."""
-        out = []
-        for name in names or ("M", "K"):
-            dense = band_to_dense(getattr(self, name))
-            out.append(dense[np.ix_(self.free, self.free)] if free else dense)
-        return tuple(out)
+        "stiffness_interior"), on the free dofs.  O(n^2) memory: for the
+        oracle and tests."""
+        return tuple(band_to_dense(getattr(self, name)) for name in names or ("M", "K"))
 
-    def mass_norm_sq(self, dofs):
-        return band_quadratic(self.M, dofs)
+    def mass_norm_sq(self, free_dofs):
+        return band_quadratic(self.M, free_dofs)
 
-    def energy(self, dofs):
-        return band_quadratic(self.K, dofs)
+    def energy(self, free_dofs):
+        return band_quadratic(self.K, free_dofs)
 
     def rule(self, kind, npoints=None):
         """Quadrature rule for the weight ``kind`` on this system, built
@@ -388,19 +382,6 @@ class AssembledSystem:
 def _add_point_terms(dofmap, band, terms):
     """Add point terms to the diagonal entries of the value dofs at 0, 1."""
     band[0, dofmap.end_dofs] += terms
-
-
-def _apply_constraints(dofmap, mass, *bands):
-    """Zero the rows and columns of the constrained dofs and put a unit
-    diagonal into ``mass`` there."""
-    c = np.array(sorted(dofmap.constrained), dtype=np.intp)
-    k = np.broadcast_to(np.arange(BANDWIDTH + 1)[:, None], (BANDWIDTH + 1, len(c)))
-    left = c - k  # row c left of the diagonal: A[c, c - k] = ab[k, c - k]
-    inside = left >= 0
-    for ab in (mass, *bands):
-        ab[:, c] = 0.0
-        ab[k[inside], left[inside]] = 0.0
-    mass[0, c] = 1.0
 
 
 def require_admissible(coeff):
@@ -426,7 +407,7 @@ def assemble(form, mesh, coeff, params) -> AssembledSystem:
     its stiffness weight plus -gamma_j/beta_j c_j, c_j the stiffness
     weight at the end j.  A 1/a mass in the strong class pins the value
     dof at x0 (functions vanish there), which is exactly what keeps its
-    integrals finite for exponents K < 2.
+    integrals finite for exponents K < 2; the bands keep the free dofs only.
     """
     form = OperatorForm(form)
     pencil = PENCIL[form]
@@ -447,7 +428,8 @@ def assemble(form, mesh, coeff, params) -> AssembledSystem:
     S = gram_matrix(rules[pencil.stiffness], 2)
     K = S.copy()
     _add_point_terms(dofmap, K, point_stiffness)
-    _apply_constraints(dofmap, M, K, S)
+    free = dofmap.free_dofs()
+    M, K, S = (free_band(ab, free) for ab in (M, K, S))
     return AssembledSystem(
         form, mesh, dofmap, coeff, params, M, K, S, point_mass, point_stiffness, rules
     )

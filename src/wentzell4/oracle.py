@@ -110,17 +110,17 @@ def dense_decompose(system: AssembledSystem) -> SpectralDecomposition:
     the same diagonal leaves the pencil spectrum invariant); eigenvectors
     are mapped back and M-normalized.
     """
-    Mf, Kf = system.to_dense(free=True)
-    diag = np.diag(Mf)
+    M, K = system.to_dense()
+    diag = np.diag(M)
     if not np.all(diag > 0.0):
         raise np.linalg.LinAlgError(
             "singular mass matrix: quadrature or constraint bug"
         )
     dinv = 1.0 / np.sqrt(diag)
     scale = np.outer(dinv, dinv)
-    w, v = eigh(Kf * scale, Mf * scale)
+    w, v = eigh(K * scale, M * scale)
     v = dinv[:, None] * v
-    v /= np.sqrt(np.einsum("ij,ij->j", v, Mf @ v))
+    v /= np.sqrt(np.einsum("ij,ij->j", v, M @ v))
     vectors = np.zeros((system.dofmap.total_dofs, len(w)))
     vectors[system.free] = v
     return SpectralDecomposition(system, w, vectors)
@@ -134,8 +134,9 @@ def exact_propagator(decomp: SpectralDecomposition, u0, t):
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
+    free = decomp.system.free
     (M,) = decomp.system.to_dense("M")
-    coeffs = decomp.vectors.T @ (M @ np.asarray(u0, dtype=float))
+    coeffs = decomp.vectors[free].T @ (M @ np.asarray(u0, dtype=float)[free])
     return decomp.vectors @ (np.exp(-decomp.eigenvalues * t) * coeffs)
 
 
@@ -608,10 +609,10 @@ def _spectral_checks():
         lam_max = max(float(w[-1]), 1.0)
         min_rel = float(w[0] / lam_max)
         V = decomp.vectors[system.free]
-        Mf, _ = system.to_dense(free=True)
-        ortho_gap = float(np.max(np.abs(V.T @ Mf @ V - np.eye(len(w)))))
+        (M,) = system.to_dense("M")
+        ortho_gap = float(np.max(np.abs(V.T @ M @ V - np.eye(len(w)))))
         # the production spectrum (banded dsbgv) against this reference
-        banded = band_pencil_eigenvalues(*system.free_matrices())
+        banded = band_pencil_eigenvalues(system.M, system.K)
         banded_gap = float(np.max(np.abs(banded - w)) / lam_max)
         computed = {
             "symmetry_gap": sym_gap,
@@ -645,18 +646,17 @@ def _resolvent_checks(seed):
     for name, system in _case_matrix():
         if system.params.gamma0 == 0.0:
             continue
-        (M,) = system.to_dense("M")
-        Mf, Kf = system.to_dense(free=True)
+        M, K = system.to_dense()
         for lam in (0.5, 1.0, 10.0):
             # column k holds the k-th draw of standard_normal(total_dofs)
             F = rng.standard_normal((samples, system.dofmap.total_dofs)).T
             U = resolvent_solve(system, lam, F)
-            B = (M @ F)[system.free]
-            R = (lam * Mf + Kf) @ U[system.free] - B
+            B = M @ F[system.free]
+            R = (lam * M + K) @ U[system.free] - B
             worst = float(np.max(np.linalg.norm(R, axis=0) / np.linalg.norm(B, axis=0)))
             p = system.params
             delta = min(lam, 1.0, lam - p.gamma0, lam - p.gamma1)
-            w = eigh(lam * Mf + Kf - delta * Mf, eigvals_only=True)
+            w = eigh(lam * M + K - delta * M, eigvals_only=True)
             lam_min = float(w[0])
             ok = worst <= 1e-10 and lam_min >= -1e-8 * max(abs(float(w[-1])), 1.0)
             out.append(

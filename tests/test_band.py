@@ -13,6 +13,7 @@ from wentzell4.coefficient import power_profile
 from wentzell4.discretization import WeightKind, build_mesh, shape_values
 from wentzell4.evolution import ProblemConfig, Scheme, _BandedSPD, _polynomial_load, run
 from wentzell4.forms import (
+    PENCIL,
     OperatorForm,
     WentzellParams,
     assemble,
@@ -25,6 +26,7 @@ from wentzell4.forms import (
 )
 from wentzell4.oracle import (
     BANDED_EIGENVALUE_GAP_TOL,
+    _case_matrix,
     dense_decompose,
     near_zero_count,
     psd_ok,
@@ -118,7 +120,7 @@ def test_batched_assembly_equals_element_loop_bit_for_bit(spec):
 def test_band_kernels_match_dense(spec, seed):
     sys = build(spec)
     rng = np.random.default_rng(seed)
-    n = sys.dofmap.total_dofs
+    n = len(sys.free)
     x = rng.standard_normal(n)
     X = rng.standard_normal((n, 3))
     for name in ("M", "K", "stiffness_interior"):
@@ -143,7 +145,7 @@ def test_band_kernels_match_dense(spec, seed):
 def test_stacked_quadratic_is_the_rows_one_by_one_bit_for_bit(spec, seed, rows):
     sys = build(spec)
     rng = np.random.default_rng(seed)
-    n = sys.dofmap.total_dofs
+    n = len(sys.free)
     X = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-6, 6, (rows, 1))
     for band in (sys.M, sys.K):
         stacked = band_quadratic(band, X)
@@ -151,20 +153,34 @@ def test_stacked_quadratic_is_the_rows_one_by_one_bit_for_bit(spec, seed, rows):
         assert np.array_equal(stacked, [band_quadratic(band, x) for x in X])
 
 
-@settings(max_examples=40, deadline=None)
-@given(spec=systems)
-def test_free_band_matches_dense_submatrix(spec):
-    sys = build(spec)
-    Mf, Kf = sys.free_matrices()
-    Mf_dense, Kf_dense = sys.to_dense(free=True)
-    assert np.array_equal(band_to_dense(Mf), Mf_dense)
-    assert np.array_equal(band_to_dense(Kf), Kf_dense)
+@pytest.mark.parametrize("form", list(OperatorForm))
+@pytest.mark.parametrize("strong", [False, True])
+@settings(max_examples=20, deadline=None)
+@given(rest=systems.map(lambda spec: spec[2:]))
+def test_bands_are_the_free_rows_of_the_element_loop_bit_for_bit(form, strong, rest):
+    sys = build((form, strong) + rest)
+    pencil = PENCIL[sys.form]
+    M = loop_gram(sys.rule(pencil.mass), 0)
+    S = loop_gram(sys.rule(pencil.stiffness), 2)
+    K = S.copy()
+    ends = sys.dofmap.end_dofs
+    M[ends, ends] += sys.point_mass
+    K[ends, ends] += sys.point_stiffness
+    free = np.ix_(sys.free, sys.free)
+    for band, dense in ((sys.M, M), (sys.K, K), (sys.stiffness_interior, S)):
+        assert band.shape == (4, len(sys.free))
+        assert np.array_equal(band_to_dense(band), dense[free])
     if sys.dofmap.constrained:
         # the pinned value dof at x0 is gone and its neighbours close up
         c = sys.dofmap.value_dof(sys.mesh.x0_index)
-        assert sys.constrained_dofs == (c,) and Mf.shape == (4, sys.dofmap.total_dofs - 1)
-        (K,) = sys.to_dense("K")
-        assert Kf[1, c - 1] == K[c + 1, c - 1] and Kf[0, c] == K[c + 1, c + 1]
+        assert sys.constrained_dofs == (c,) and len(sys.free) == sys.dofmap.total_dofs - 1
+        assert sys.K[1, c - 1] == K[c + 1, c - 1] and sys.K[0, c] == K[c + 1, c + 1]
+
+
+def test_case_matrix_bands_are_on_the_free_dofs():
+    for name, sys in _case_matrix():
+        bands = (sys.M, sys.K, sys.stiffness_interior)
+        assert all(band.shape == (4, len(sys.free)) for band in bands), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,8 +192,7 @@ def test_free_band_matches_dense_submatrix(spec):
 def test_longdouble_residual_and_solve_match_dense_bit_for_bit(spec, seed, dt):
     sys = build(spec)
     rng = np.random.default_rng(seed)
-    Mf, Kf = sys.free_matrices()
-    band = Mf + dt * Kf
+    band = sys.M + dt * sys.K
     A = band_to_dense(band)
     x = rng.standard_normal(len(A)) * 10.0 ** rng.uniform(-6, 6)
     X = rng.standard_normal((len(A), 3))
@@ -192,7 +207,7 @@ def test_longdouble_residual_and_solve_match_dense_bit_for_bit(spec, seed, dt):
 @given(spec=systems)
 def test_banded_pencil_eigenvalues_match_dense(spec):
     sys = build(spec)
-    w = band_pencil_eigenvalues(*sys.free_matrices())
+    w = band_pencil_eigenvalues(sys.M, sys.K)
     reference = dense_decompose(sys).eigenvalues
     assert np.all(np.diff(w) >= 0.0)
     assert np.max(np.abs(w - reference)) <= BANDED_EIGENVALUE_GAP_TOL * max(reference[-1], 1.0)
@@ -202,17 +217,16 @@ def test_banded_pencil_eigenvalues_match_dense(spec):
 
 def test_banded_pencil_eigenvalues_refuse_a_singular_mass():
     sys = build((OperatorForm.DIVERGENCE, False, 8, 0.5, 0.5, -1.0, 1.0))
-    Mf, Kf = sys.free_matrices()
     for value in (0.0, -1.0, np.nan):
-        bad = Mf.copy()
+        bad = sys.M.copy()
         bad[0, 3] = value
         with pytest.raises(LinAlgError):
-            band_pencil_eigenvalues(bad, Kf)
+            band_pencil_eigenvalues(bad, sys.K)
     # a positive diagonal, but indefinite: LAPACK's split Cholesky fails
-    bad = Mf.copy()
-    bad[1, 3] = 2.0 * np.sqrt(Mf[0, 3] * Mf[0, 4])
+    bad = sys.M.copy()
+    bad[1, 3] = 2.0 * np.sqrt(sys.M[0, 3] * sys.M[0, 4])
     with pytest.raises(LinAlgError):
-        band_pencil_eigenvalues(bad, Kf)
+        band_pencil_eigenvalues(bad, sys.K)
 
 
 def test_run_and_resolvent_memory_is_linear_in_n(tmp_path):

@@ -313,6 +313,12 @@ def test_main_reports_any_other_error_with_exit_3(tmp_path, capsys, monkeypatch)
         ({"wentzell": {"gamma1": 2.0}}, "wentzell.gamma1"),
         ({"time": {"T": 0.0}}, "time.T"),
         ({"time": {"T": 1.0, "dt": 2.0}}, "time.dt"),
+        # numpy refuses the states of 1e15 steps (71 PiB) and of 1e300 steps
+        # (past the largest dimension) before it touches memory; 1e300/1e-300
+        # is no step count at all
+        ({"time": {"T": 1.0, "dt": 1e-15}}, "time.dt"),
+        ({"time": {"T": 1.0, "dt": 1e-300}}, "time.dt"),
+        ({"time": {"T": 1e300, "dt": 1e-300}}, "time.dt"),
         ({"forcing": {"kind": "separable", "space": "nope"}}, "forcing.space"),
         ({"forcing": {"kind": "bogus"}}, "forcing.kind"),
         ({"forcing": {"kind": "separable", "rate": "fast"}}, "forcing.rate"),
@@ -369,6 +375,44 @@ def test_resolvent_factorization_failure_is_a_diagnostic(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "Traceback" not in lines[0]
     assert json.loads(lines[0])["key"] == "resolvent.lambda"
+
+
+DAMPED = {"gamma0": -0.5, "gamma1": -0.5}
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        # lambda = 1 with damped ends is coercive; only M f overflows
+        ({"wentzell": DAMPED}, "resolvent.f"),
+        # both fail: the factorization is tried first
+        ({"coefficient": {"x0": 0.001, "K": 0.5}, "wentzell": {"beta0": 1e8, "beta1": 1},
+          "mesh": {"n": 2}, "resolvent": {"lambda": 1e-12}}, "resolvent.lambda"),
+    ],
+)
+def test_resolvent_overflowing_data_is_blamed_on_f_not_lambda(tmp_path, capsys, overrides, key):
+    path = tmp_path / "config.json"
+    doc = json.loads(cfg(mesh={"n": 8}, resolvent={"lambda": 1.0, "f": {"poly": [1e308, 1e308]}}))
+    for section, values in overrides.items():
+        doc[section].update(values)
+    path.write_text(json.dumps(doc))
+    assert main(["resolvent", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["key"] == key
+
+
+def test_resolvent_norms_do_not_overflow_on_large_finite_data(tmp_path):
+    # the squares of entries near 1e200 overflow; the solve itself is fine
+    path = tmp_path / "config.json"
+    path.write_text(cfg(wentzell=DAMPED, resolvent={"lambda": 1.0, "f": {"poly": [1e200, 1e200]}}))
+    assert main(["resolvent", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads((tmp_path / "out" / "resolvent.json").read_text(), parse_constant=refuse)
+    assert report["residual_ok"] and 0.0 < report["backward_error"] <= 1e-14
+    assert 0.0 < report["relative_residual"] < 1.0
 
 
 def test_run_factorization_failure_aborts(tmp_path, capsys):

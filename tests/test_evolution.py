@@ -60,13 +60,13 @@ def test_resolvent_zero_rhs(neutral_system):
 
 def test_resolvent_identity_residual(neutral_system):
     rng = np.random.default_rng(11)
-    M, _ = neutral_system.to_dense()
-    Mf, Kf = neutral_system.to_dense(free=True)
+    M, K = neutral_system.to_dense()
+    free = neutral_system.free
     for lam in (0.5, 1.0, 10.0):
         f = rng.standard_normal(neutral_system.dofmap.total_dofs)
         u = resolvent_solve(neutral_system, lam, f)
-        b = (M @ f)[neutral_system.free]
-        res = np.linalg.norm((lam * Mf + Kf) @ u[neutral_system.free] - b)
+        b = M @ f[free]
+        res = np.linalg.norm((lam * M + K) @ u[free] - b)
         assert res <= 1e-10 * np.linalg.norm(b)
 
 
@@ -212,9 +212,8 @@ def test_resolve_forcing_validation(neutral_system):
 
 def test_separable_norm_is_the_riesz_norm(neutral_system):
     forcing = resolve_forcing(neutral_system, {"kind": "separable", "space": "parabola"})
-    Mf, _ = neutral_system.free_matrices()
-    v = forcing.vector[neutral_system.free]
-    riesz = _BandedSPD(Mf).solve(v) @ v
+    v = forcing.vector
+    riesz = _BandedSPD(neutral_system.M).solve(v) @ v
     assert forcing.norm_sq == pytest.approx(riesz, rel=1e-12)
 
 
@@ -350,24 +349,23 @@ def test_contraction_random_initial_data(data):
 
 
 def _reference_run(config):
-    """The run as a per-step loop: one step_free, one band_quadratic per
-    norm and energy and a scalar slack per step; the summary as sums over
-    Python lists."""
+    """The run as a per-step loop on the free dofs: one step_free, one
+    band_quadratic per norm and energy and a scalar slack per step; the
+    summary as sums over Python lists."""
     system = build_system(config)
     dt = config.resolved_dt()
     forcing = resolve_forcing(system, config.forcing)
     stepper = TimeStepper(system, dt, config.scheme)
     free, theta = system.free, stepper.theta
-    u = initial_dofs(system, config.u0, config.project_u0)
+    u = initial_dofs(system, config.u0, config.project_u0)[free]
     t = 0.0
     times, norms, energies = [t], [band_quadratic(system.M, u)], [band_quadratic(system.K, u)]
     slacks, h_sqs = [], []
     for _ in range(max(1, round(config.T / dt))):
         loads = (None, None)
         if forcing.vector is not None:
-            loads = (forcing.load(t)[free], forcing.load(t + dt)[free])
-        new = np.zeros_like(u)
-        new[free] = stepper.step_free(u[free], *loads)
+            loads = (forcing.load(t), forcing.load(t + dt))
+        new = stepper.step_free(u, *loads)
         t_new = t + dt
         norm, energy = band_quadratic(system.M, new), band_quadratic(system.K, new)
         h_sq = theta * forcing.mass_norm_sq(t_new) + (1.0 - theta) * forcing.mass_norm_sq(t)
@@ -394,7 +392,9 @@ def _reference_run(config):
         "aborted": None,
         "scheme": Scheme(config.scheme).value,
     }
-    return times, norms, energies, slacks, h_sqs, u, summary
+    final = np.zeros(system.dofmap.total_dofs)
+    final[free] = u
+    return times, norms, energies, slacks, h_sqs, final, summary
 
 
 _FORCING = st.one_of(

@@ -128,20 +128,20 @@ CASES = [
 def test_exact_symmetry_and_positive_semidefiniteness(form, coeff, gamma):
     sys = make(form, coeff, gamma=gamma, n=8)
     assert_exactly_symmetric(sys)
-    Mf, Kf = sys.to_dense(free=True)
-    w = eigh(Kf, Mf, eigvals_only=True)
+    M, K = sys.to_dense()
+    w = eigh(K, M, eigvals_only=True)
     assert w[0] >= -1e-10 * max(w[-1], 1.0)
-    assert np.all(eigh(Mf, eigvals_only=True) > 0.0)
+    assert np.all(eigh(M, eigvals_only=True) > 0.0)
 
 
 def test_kernel_dimensions_with_neutral_boundary():
     sys = make(OperatorForm.DIVERGENCE, power_profile(0.5, 0.5), n=16)
-    Mf, Kf = sys.to_dense(free=True)
-    w = eigh(Kf, Mf, eigvals_only=True)
+    M, K = sys.to_dense()
+    w = eigh(K, M, eigvals_only=True)
     assert np.sum(w < 1e-9 * w[-1]) == 2
     sys = make(OperatorForm.NON_DIVERGENCE, power_profile(0.5, 1.0), n=16)
-    Mf, Kf = sys.to_dense(free=True)
-    w = eigh(Kf, Mf, eigvals_only=True)
+    M, K = sys.to_dense()
+    w = eigh(K, M, eigvals_only=True)
     assert np.sum(w < 1e-9 * w[-1]) == 1
 
 
@@ -151,10 +151,10 @@ def test_coercivity_against_seminorm_matrix(form):
     # delta = min(lam, 1, lam - gamma0, lam - gamma1)
     coeff = power_profile(0.5, 0.5)
     sys = make(form, coeff, gamma=-1.0, n=8)
-    Mf, Kf, Sf = sys.to_dense("M", "K", "stiffness_interior", free=True)
+    M, K, S = sys.to_dense("M", "K", "stiffness_interior")
     for lam in (0.5, 1.0, 10.0):
         delta = min(lam, 1.0, lam + 1.0)
-        B = lam * Mf + Kf - delta * (Mf + Sf)
+        B = lam * M + K - delta * (M + S)
         w = eigh(B, eigvals_only=True)
         assert w[0] >= -1e-8 * max(abs(w[-1]), 1.0)
 
@@ -189,8 +189,8 @@ def test_assembly_properties_random_parameters(gamma, beta, K):
         OperatorForm.DIVERGENCE, power_profile(0.4, K), gamma=gamma, beta=(beta, beta), n=6
     )
     assert_exactly_symmetric(sys)
-    Mf, Kf = sys.to_dense(free=True)
-    w = eigh(Kf, Mf, eigvals_only=True)
+    M, K = sys.to_dense()
+    w = eigh(K, M, eigvals_only=True)
     assert w[0] >= -1e-10 * max(w[-1], 1.0)
 
 

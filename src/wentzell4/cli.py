@@ -4,7 +4,7 @@ Subcommands: ``run`` (time integration, trajectory CSV + summary JSON),
 ``verify`` (closed-form verification suites, report JSON), ``spectrum``
 (pencil eigenvalues from the bands, CSV + JSON) and ``resolvent``
 (single shifted solve, CSV + residual JSON).  One JSON config file
-drives everything; identical config and seed produce byte-identical
+drives everything; an identical config produces byte-identical
 outputs.  Exit status is 0 exactly when every check requested by the
 subcommand passes, 1 when one fails or a run aborts, 2 for a config or
 file error (a one-line JSON diagnostic naming the key) and 3 for any
@@ -143,6 +143,8 @@ def parse_config(text) -> CliConfig:
     suites = vdoc.get("suites", sorted(SUITES))
     if not isinstance(suites, list) or not all(isinstance(s, str) for s in suites):
         raise ConfigError("verify.suites", "must be a list of suite names")
+    if not suites or len(set(suites)) != len(suites):
+        raise ConfigError("verify.suites", "must name at least one suite, each once")
     bad = set(suites) - set(SUITES)
     if bad:
         raise ConfigError("verify.suites", f"unknown suite {sorted(bad)[0]!r}")
@@ -168,7 +170,7 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _cmd_run(config: CliConfig, out: Path, seed):
+def _cmd_run(config: CliConfig, out: Path):
     traj = run(config.problem)
     traj.write_csv(out / "trajectory.csv")
     summary = traj.summary()
@@ -177,13 +179,13 @@ def _cmd_run(config: CliConfig, out: Path, seed):
     return summary["aborted"] is None and all(checks)
 
 
-def _cmd_verify(config: CliConfig, out: Path, seed):
-    report = verification_report(config.verify_suites, seed=seed)
+def _cmd_verify(config: CliConfig, out: Path):
+    report = verification_report(config.verify_suites)
     _write_json(out / "verification.json", report)
     return report["all_pass"]
 
 
-def _cmd_spectrum(config: CliConfig, out: Path, seed):
+def _cmd_spectrum(config: CliConfig, out: Path):
     system = build_system(config.problem)
     try:
         eigenvalues = band_pencil_eigenvalues(system.M, system.K)
@@ -207,7 +209,7 @@ def _cmd_spectrum(config: CliConfig, out: Path, seed):
     return ok
 
 
-def _cmd_resolvent(config: CliConfig, out: Path, seed):
+def _cmd_resolvent(config: CliConfig, out: Path):
     system = build_system(config.problem)
     f = initial_dofs(system, config.resolvent_f)
     try:
@@ -220,11 +222,10 @@ def _cmd_resolvent(config: CliConfig, out: Path, seed):
         raise ConfigError("resolvent.f", f"not solvable in double precision: {exc}") from None
     with open(out / "resolvent.csv", "w") as fh:
         fh.write("dof,value\n")
-        for i, v in enumerate(u):
+        for i, v in enumerate(system.expand(u)):
             fh.write(f"{i},{v:.17g}\n")
     A = config.resolvent_lambda * system.M + system.K
-    b = band_matvec(row_band(system.M), f[system.free])
-    u = u[system.free]
+    b = band_matvec(row_band(system.M), f)
     # BLAS nrm2 scales as it sums; np.linalg.norm squares the entries,
     # which overflow for data near 1e160 and up
     r = float(norm(band_matvec(row_band(A), u) - b, check_finite=False))
@@ -258,11 +259,11 @@ _COMMANDS = {
 }
 
 
-def dispatch(command, config: CliConfig, out, seed=0):
+def dispatch(command, config: CliConfig, out):
     """Execute one subcommand; returns the process exit status."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    ok = _COMMANDS[command](config, out, seed)
+    ok = _COMMANDS[command](config, out)
     return 0 if ok else 1
 
 
@@ -282,7 +283,7 @@ def main(argv=None):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default="./out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+        p.add_argument("--seed", type=int, default=0, help="ignored; every check is deterministic")
     args = parser.parse_args(argv)
 
     try:
@@ -293,7 +294,7 @@ def main(argv=None):
         # non-finite values are caught and reported; warnings would add lines
         with np.errstate(all="ignore"):
             config = parse_config(text)
-            return dispatch(args.command, config, args.out, seed=args.seed)
+            return dispatch(args.command, config, args.out)
     except ConfigError as exc:
         return _diagnostic(exc.reason, exc.key)
     except OSError as exc:

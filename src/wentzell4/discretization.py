@@ -95,7 +95,8 @@ def build_mesh(n, x0, grading=1.0) -> Mesh:
     grading = 1 gives near-uniform spacing on each side of x0; grading > 1
     shrinks element lengths geometrically toward x0 with ratio 1/grading.
     A grading so steep that an element length rounds to zero raises
-    ConfigError("grading").
+    ConfigError("grading"), an ``n`` whose arrays cannot be allocated
+    ConfigError("n").
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
         raise ConfigError("n", "must be an integer >= 2")
@@ -105,9 +106,12 @@ def build_mesh(n, x0, grading=1.0) -> Mesh:
     n = int(n)
     n_left = min(n - 1, max(1, round(n * x0)))
     n_right = n - n_left
-    left = _graded_lengths(x0, n_left, grading, shrink_toward_end=True)
-    right = _graded_lengths(1.0 - x0, n_right, grading, shrink_toward_end=False)
-    nodes = np.concatenate([[0.0], np.cumsum(left), x0 + np.cumsum(right)])
+    try:
+        left = _graded_lengths(x0, n_left, grading, shrink_toward_end=True)
+        right = _graded_lengths(1.0 - x0, n_right, grading, shrink_toward_end=False)
+        nodes = np.concatenate([[0.0], np.cumsum(left), x0 + np.cumsum(right)])
+    except (MemoryError, ValueError) as exc:  # numpy refused an allocation
+        raise ConfigError("n", f"{n} elements cannot be stored: {exc}") from None
     nodes[n_left] = x0
     nodes[-1] = 1.0
     collapsed = int(np.sum(~(np.diff(nodes) > 0.0)))
@@ -206,8 +210,11 @@ def element_shape_values(rule, d=0):
 
 def evaluate(dofs, dofmap: DofMap, x, d=0):
     """Value of the d-th derivative of the represented piecewise cubic at x
-    (one-sided at element boundaries for d >= 2)."""
+    (one-sided at element boundaries for d >= 2); ``dofs`` holds all
+    ``dofmap.total_dofs`` coefficients, else ValueError."""
     dofs = np.asarray(dofs, dtype=float)
+    if dofs.shape[:1] != (dofmap.total_dofs,):
+        raise ValueError(f"coefficients of shape {dofs.shape} for {dofmap.total_dofs} dofs")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     nodes = dofmap.mesh.nodes
     idx = np.clip(np.searchsorted(nodes, x_arr, side="right") - 1, 0, len(nodes) - 2)

@@ -145,15 +145,9 @@ class _BandedSPD:
         return x + self._solve_once(r)
 
 
-def _scatter(system, free_values):
-    out = np.zeros((system.dofmap.total_dofs,) + free_values.shape[1:])
-    out[system.free] = free_values
-    return out
-
-
 def resolvent_solve(system: AssembledSystem, lam, f):
-    """Solve (lambda*M + K) u = M f for full-dof f (vectorized over
-    trailing columns); the solution is scattered to all dofs.
+    """Solve (lambda*M + K) u = M f for free-dof f (vectorized over
+    trailing columns).
 
     Valid for lambda above max(0, gamma0, gamma1); outside that range the
     shifted matrix may be indefinite and NotCoerciveError is raised when
@@ -169,8 +163,7 @@ def resolvent_solve(system: AssembledSystem, lam, f):
             f"lambda*M + K is not positive definite at lambda = {lam}"
             f" (coercivity needs lambda > {bound}): {exc}"
         ) from exc
-    rhs = band_matvec(row_band(system.M), np.asarray(f, dtype=float)[system.free])
-    return _scatter(system, solver.solve(rhs))
+    return solver.solve(band_matvec(row_band(system.M), f))
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +201,9 @@ UNFORCED = Forcing(0.0, None, 0.0)
 
 
 def _polynomial_load(system, coeffs, weight_kind, derivative, point_terms):
-    """Exact vector of weighted products of a polynomial p with every basis
-    function: entries int w(x) p^(d)(x) phi_i^(d)(x) dx, plus the Wentzell
-    point terms c_j p(j) at the end dofs."""
+    """Exact vector of weighted products of a polynomial p with every free
+    basis function: entries int w(x) p^(d)(x) phi_i^(d)(x) dx, plus the
+    Wentzell point terms c_j p(j) at the end dofs."""
     p = Polynomial(np.asarray(coeffs, dtype=float))
     rule = system.rule(weight_kind, npoints=8 if weight_kind is WeightKind.UNIT else None)
     phi, weights, points = element_shape_values(rule, derivative)
@@ -220,7 +213,7 @@ def _polynomial_load(system, coeffs, weight_kind, derivative, point_terms):
         dofs.ravel(), weights=local.ravel(), minlength=system.dofmap.total_dofs
     )
     load[system.dofmap.end_dofs] += np.multiply(point_terms, p(np.array([0.0, 1.0])))
-    return load
+    return load[system.free]
 
 
 def _require_divergence(form):
@@ -243,7 +236,6 @@ def manufactured_divergence_forcing(system, witness_coeffs, rate=1.0):
     load = _polynomial_load(
         system, w, pencil.stiffness, 2, system.point_stiffness
     ) - rate * _polynomial_load(system, w, pencil.mass, 0, system.point_mass)
-    load = load[system.free]
     return Forcing(rate, load, float(_BandedSPD(system.M).solve(load) @ load))
 
 
@@ -334,7 +326,7 @@ def resolve_forcing(system, spec) -> Forcing:
     """Forcing from a spec accepted by :func:`parse_forcing`."""
     kind, coeffs, rate = parse_forcing(spec)
     if kind == "separable":
-        p = interpolate_poly(system.dofmap, coeffs)[system.free]
+        p = initial_dofs(system, coeffs)
         mp = band_matvec(row_band(system.M), p)
         return Forcing(rate, mp, float(p @ mp))
     if kind == "manufactured":
@@ -343,13 +335,14 @@ def resolve_forcing(system, spec) -> Forcing:
 
 
 def initial_dofs(system, spec, project=False):
-    """Initial coefficients: Hermite interpolant of the polynomial spec,
-    or its M-orthogonal projection when ``project`` is set."""
+    """Initial free-dof coefficients: Hermite interpolant of the
+    polynomial spec, or its M-orthogonal projection when ``project`` is
+    set."""
     coeffs = resolve_space_spec(spec)
     if not project:
-        return interpolate_poly(system.dofmap, coeffs)
+        return interpolate_poly(system.dofmap, coeffs)[system.free]
     load = _polynomial_load(system, coeffs, PENCIL[system.form].mass, 0, system.point_mass)
-    return _scatter(system, _BandedSPD(system.M).solve(load[system.free]))
+    return _BandedSPD(system.M).solve(load)
 
 
 @dataclass(frozen=True)
@@ -408,7 +401,7 @@ class Trajectory:
     """Recorded evolution as arrays, one row per recorded state.
 
     ``times``, ``norm_mu_sq`` and ``energy`` have one entry per state and
-    ``dofs`` one row of all coefficients; ``slacks`` and
+    ``dofs`` one row of free-dof coefficients; ``slacks`` and
     ``forcing_norm_sq`` (the h_sq of each step) have one entry per step.
     ``aborted`` carries the failure description when a step could not be
     completed; the arrays end with the last valid state.
@@ -493,20 +486,17 @@ class Trajectory:
         }
 
 
-_BLOCK = 2**14  # dofs per block of states in make_state
+_BLOCK = 2**14  # dofs per block of states in make_state: bounds band_quadratic's copy
 
 
 def make_state(system, scheme, dt, states, forcing=UNFORCED, aborted=None) -> Trajectory:
     """The trajectory of a run from its states at t = 0, dt, 2 dt, ...:
     the bookkeeping of every step in one batched pass after the step loop.
 
-    ``states`` (states, total_dofs) holds the free dofs of each state in
-    its leading columns, as the loop of :func:`run` writes them.  Block by
-    block, they are moved to their own columns in place and the
-    constrained ones are zeroed, so the stack is the only copy of the
-    dofs, and norms and energies come from stacked quadratic forms of the
-    free dofs.  Times are accumulated as ``t + dt``, and the slack of step
-    k is
+    ``states`` (states, n_free) holds the free dofs of each state.  Norms
+    and energies come from stacked quadratic forms, block by block of
+    states.  Times are accumulated as ``t + dt``, and the slack of step k
+    is
 
         ||u_k||^2 - ||u_{k-1}||^2 + 2 dt E(u_k) - dt ||u_k||^2 - dt h_sq_k,
 
@@ -516,19 +506,12 @@ def make_state(system, scheme, dt, states, forcing=UNFORCED, aborted=None) -> Tr
     trajectory at the state before it, with ``aborted`` saying so;
     otherwise ``aborted`` is kept.
     """
-    free = system.free
-    pinned = list(system.constrained_dofs)
     norm_mu_sq, energy = np.empty(len(states)), np.empty(len(states))
     block = max(1, _BLOCK // states.shape[1])
     for i in range(0, len(states), block):
         part = states[i : i + block]
-        lead = part[:, : len(free)]
-        if pinned:
-            lead = lead.copy()
-            part[:, free] = lead
-            part[:, pinned] = 0.0
-        norm_mu_sq[i : i + block] = system.mass_norm_sq(lead)
-        energy[i : i + block] = system.energy(lead)
+        norm_mu_sq[i : i + block] = system.mass_norm_sq(part)
+        energy[i : i + block] = system.energy(part)
     times = np.full(len(states), float(dt))
     times[0] = 0.0
     np.cumsum(times, out=times)
@@ -565,13 +548,13 @@ def _solvable(key):
 def run(config: ProblemConfig, system=None) -> Trajectory:
     """Integrate the configured problem to its final time.
 
-    The loop steps the free dofs into one preallocated array of states and
-    does nothing else: it stops at the first step that raises, which includes
-    the step after a non-finite state (its right-hand side is not finite),
-    and :func:`make_state` does the bookkeeping of all steps once.  A step
-    matrix without a Cholesky factor in double precision aborts the run at
-    t = 0; a step count whose states cannot be allocated raises
-    ConfigError("time.dt").
+    The loop steps the free dofs into one preallocated array, a row per
+    state, and does nothing else: it stops at the first step that raises,
+    which includes the step after a non-finite state (its right-hand side
+    is not finite), and :func:`make_state` does the bookkeeping of all
+    steps once.  A step matrix without a Cholesky factor in double
+    precision aborts the run at t = 0; a step count whose states cannot be
+    allocated raises ConfigError("time.dt").
     """
     system = system or build_system(config)
     dt = config.resolved_dt()
@@ -581,14 +564,12 @@ def run(config: ProblemConfig, system=None) -> Trajectory:
         forcing = resolve_forcing(system, config.forcing)
     with _solvable("project_u0"):
         u0 = initial_dofs(system, config.u0, config.project_u0)
-    free, forced = system.free, forcing.vector is not None
-    n_free = len(free)
-    # row k holds the free dofs of state k in its leading columns
+    forced = forcing.vector is not None
     try:
         u = np.empty((n_steps + 1, len(u0)))
     except (MemoryError, ValueError) as exc:
         raise ConfigError("time.dt", f"T/dt = {config.T / dt:.3g} steps: {exc}") from None
-    u[0, :n_free] = u0[free]
+    u[0] = u0
     try:
         stepper = TimeStepper(system, dt, scheme)
     except LinAlgError as exc:
@@ -600,7 +581,7 @@ def run(config: ProblemConfig, system=None) -> Trajectory:
             if forced:
                 load_now = forcing.load(t) if k == 0 else load_next
                 load_next = forcing.load(t + dt)
-            u[k + 1, :n_free] = stepper.step_free(u[k, :n_free], load_now, load_next)
+            u[k + 1] = stepper.step_free(u[k], load_now, load_next)
         except (ArithmeticError, ValueError, LinAlgError) as exc:
             aborted = f"step from t = {t}: {exc}"
             count = k + 1

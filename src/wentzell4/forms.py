@@ -21,11 +21,13 @@ is held in LAPACK lower band storage ``ab`` of shape (4, n):
 zero.  Assembly computes all element blocks in one batch, scatters them
 into the band and keeps only the rows and columns of the free dofs
 (:func:`free_band`), so n is the number of free dofs and a pinned dof has
-no entry anywhere.  The time step, the norms and the solvers read these
-bands directly, at O(n) cost, on ``x[..., system.free]`` of a full-dof
-vector.  Dense copies exist only through :meth:`AssembledSystem.to_dense`,
-for the oracle and tests.  The eigenvalues of the pencil come from the
-bands too (:func:`band_pencil_eigenvalues`, LAPACK ``dsbgv``).
+no entry anywhere.  Every vector is held on the free dofs too; the time
+step, the norms and the solvers read the bands directly, at O(n) cost,
+and :meth:`AssembledSystem.expand` forms a full-dof vector only where
+one is written out or evaluated.  Dense copies exist only through
+:meth:`AssembledSystem.to_dense`, for the oracle and tests.  The
+eigenvalues of the pencil come from the bands too
+(:func:`band_pencil_eigenvalues`, LAPACK ``dsbgv``).
 
 The element blocks are exactly symmetric and an entry of the band sums
 at most two of them, so the band is that of a dense accumulation, bit for
@@ -171,7 +173,7 @@ def band_matvec(rows, x):
     ``rows`` reproduces the dense longdouble ``A @ x`` bit for bit.
     """
     x = np.asarray(x, dtype=rows.dtype)
-    if len(x) != rows.shape[1]:  # a full-dof vector must be restricted first
+    if len(x) != rows.shape[1]:  # a full-dof vector is refused, not misread
         raise ValueError(f"vector of {len(x)} entries for a band of {rows.shape[1]} dofs")
     products = x[_band_index(rows.shape[1]).column]
     products *= rows if x.ndim == 1 else rows.reshape(rows.shape + (1,) * (x.ndim - 1))
@@ -329,7 +331,7 @@ class AssembledSystem:
 
     M, K and ``stiffness_interior`` (K without its boundary terms) are
     lower bands of shape (4, len(free)): rows and columns of the ``free``
-    dofs only, so a full-dof vector x enters as ``x[..., free]``.
+    dofs only, the coordinates of every vector that pairs with them.
     ``point_mass`` and ``point_stiffness`` are the terms assembly added to
     M and K at ``dofmap.end_dofs``; ``rules`` seeds :meth:`rule` with the
     rules it integrated with.
@@ -363,6 +365,13 @@ class AssembledSystem:
         "stiffness_interior"), on the free dofs.  O(n^2) memory: for the
         oracle and tests."""
         return tuple(band_to_dense(getattr(self, name)) for name in names or ("M", "K"))
+
+    def expand(self, free_values):
+        """The full-dof array of free-dof values (leading axis), zero on
+        the constrained dofs, for writing out and for evaluation."""
+        out = np.zeros((self.dofmap.total_dofs,) + np.shape(free_values)[1:])
+        out[self.free] = free_values
+        return out
 
     def mass_norm_sq(self, free_dofs):
         return band_quadratic(self.M, free_dofs)

@@ -111,7 +111,7 @@ def test_batched_assembly_equals_element_loop_bit_for_bit(spec):
     expected[sys.dofmap.end_dofs] += np.multiply(sys.point_stiffness, ends)
     assert np.array_equal(
         _polynomial_load(sys, coeffs, WeightKind.COEFF_A, 2, sys.point_stiffness),
-        expected,
+        expected[sys.free],
     )
 
 
@@ -156,8 +156,8 @@ def test_stacked_quadratic_is_the_rows_one_by_one_bit_for_bit(spec, seed, rows):
 @pytest.mark.parametrize("form", list(OperatorForm))
 @pytest.mark.parametrize("strong", [False, True])
 @settings(max_examples=20, deadline=None)
-@given(rest=systems.map(lambda spec: spec[2:]))
-def test_bands_are_the_free_rows_of_the_element_loop_bit_for_bit(form, strong, rest):
+@given(rest=systems.map(lambda spec: spec[2:]), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_bands_are_the_free_rows_of_the_element_loop_bit_for_bit(form, strong, rest, seed):
     sys = build((form, strong) + rest)
     pencil = PENCIL[sys.form]
     M = loop_gram(sys.rule(pencil.mass), 0)
@@ -175,12 +175,18 @@ def test_bands_are_the_free_rows_of_the_element_loop_bit_for_bit(form, strong, r
         c = sys.dofmap.value_dof(sys.mesh.x0_index)
         assert sys.constrained_dofs == (c,) and len(sys.free) == sys.dofmap.total_dofs - 1
         assert sys.K[1, c - 1] == K[c + 1, c - 1] and sys.K[0, c] == K[c + 1, c + 1]
+    # expand puts free-dof values back in place, zero on the pinned dof
+    x = np.random.default_rng(seed).standard_normal(len(sys.free))
+    full = sys.expand(x)
+    assert full.shape == (sys.dofmap.total_dofs,) and np.array_equal(full[sys.free], x)
+    assert not full[list(sys.constrained_dofs)].any()
 
 
 def test_case_matrix_bands_are_on_the_free_dofs():
     for name, sys in _case_matrix():
         bands = (sys.M, sys.K, sys.stiffness_interior)
         assert all(band.shape == (4, len(sys.free)) for band in bands), name
+        assert dense_decompose(sys).vectors.shape == (len(sys.free),) * 2, name
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,6 +14,7 @@ from wentzell4.discretization import (
     constrain,
     evaluate,
     interpolate_poly,
+    l2_error,
     shape_values,
     weighted_rule,
 )
@@ -112,6 +113,18 @@ def test_evaluate_rejects_fourth_derivative():
     dofmap = DofMap(mesh)
     with pytest.raises(ValueError):
         evaluate(np.zeros(dofmap.total_dofs), dofmap, 0.5, 4)
+
+
+def test_evaluate_refuses_a_vector_of_the_wrong_length():
+    # a free-dof vector of a system with a pinned dof is one entry short
+    dofmap = constrain(DofMap(build_mesh(4, 0.5)), [4])
+    n = dofmap.total_dofs
+    for dofs in (np.ones(n - 1), np.ones(n + 1), np.ones((n - 1, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="coefficients of shape"):
+            evaluate(dofs, dofmap, 0.3)
+    with pytest.raises(ValueError, match="coefficients of shape"):
+        l2_error(np.ones(n - 1), dofmap, np.cos)
+    assert l2_error(np.zeros(n), dofmap, np.zeros_like) == 0.0
 
 
 def test_evaluate_zero_function():

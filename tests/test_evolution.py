@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wentzell4.coefficient import classify, power_profile
-from wentzell4.discretization import build_mesh, interpolate_poly, l2_error
+from wentzell4.discretization import build_mesh, l2_error
 from wentzell4.evolution import (
     CONTRACTION_TOL,
     ENERGY_BOUND_TOL,
@@ -42,31 +42,30 @@ def neutral_system():
 
 
 def test_resolvent_constant_kernel(neutral_system):
-    f = interpolate_poly(neutral_system.dofmap, [1.0])
+    f = initial_dofs(neutral_system, [1.0])
     u = resolvent_solve(neutral_system, 2.0, f)
     np.testing.assert_allclose(u, 0.5 * f, atol=1e-10)
 
 
 def test_resolvent_affine_kernel(neutral_system):
-    f = interpolate_poly(neutral_system.dofmap, [0.0, 1.0])
+    f = initial_dofs(neutral_system, [0.0, 1.0])
     u = resolvent_solve(neutral_system, 1.0, f)
     np.testing.assert_allclose(u, f, atol=1e-10)
 
 
 def test_resolvent_zero_rhs(neutral_system):
-    u = resolvent_solve(neutral_system, 1.0, np.zeros(neutral_system.dofmap.total_dofs))
+    u = resolvent_solve(neutral_system, 1.0, np.zeros(len(neutral_system.free)))
     assert np.array_equal(u, np.zeros_like(u))
 
 
 def test_resolvent_identity_residual(neutral_system):
     rng = np.random.default_rng(11)
     M, K = neutral_system.to_dense()
-    free = neutral_system.free
     for lam in (0.5, 1.0, 10.0):
-        f = rng.standard_normal(neutral_system.dofmap.total_dofs)
+        f = rng.standard_normal(len(neutral_system.free))
         u = resolvent_solve(neutral_system, lam, f)
-        b = M @ f[free]
-        res = np.linalg.norm((lam * M + K) @ u[free] - b)
+        b = M @ f
+        res = np.linalg.norm((lam * M + K) @ u - b)
         assert res <= 1e-10 * np.linalg.norm(b)
 
 
@@ -74,21 +73,13 @@ def test_resolvent_not_coercive(neutral_system):
     decomp = dense_decompose(neutral_system)
     lam = -1.1 * float(decomp.eigenvalues[-1])
     with pytest.raises(NotCoerciveError):
-        resolvent_solve(neutral_system, lam, interpolate_poly(neutral_system.dofmap, [1.0]))
-
-
-def _step(system, stepper, dofs):
-    """One step of the full coefficient vector ``dofs`` of ``system``."""
-    free = system.free
-    out = np.zeros_like(dofs)
-    out[free] = stepper.step_free(dofs[free])
-    return out
+        resolvent_solve(neutral_system, lam, initial_dofs(neutral_system, [1.0]))
 
 
 def test_steady_state_both_schemes(neutral_system):
-    u0 = interpolate_poly(neutral_system.dofmap, [1.0])
+    u0 = initial_dofs(neutral_system, [1.0])
     for scheme in Scheme:
-        new = _step(neutral_system, TimeStepper(neutral_system, 0.05, scheme), u0)
+        new = TimeStepper(neutral_system, 0.05, scheme).step_free(u0)
         np.testing.assert_allclose(new, u0, atol=1e-11)
 
 
@@ -96,8 +87,8 @@ def test_single_step_contraction(neutral_system):
     rng = np.random.default_rng(5)
     stepper = TimeStepper(neutral_system, 0.02)
     for _ in range(10):
-        u = rng.standard_normal(neutral_system.dofmap.total_dofs)
-        new = _step(neutral_system, stepper, u)
+        u = rng.standard_normal(len(neutral_system.free))
+        new = stepper.step_free(u)
         assert neutral_system.mass_norm_sq(new) <= neutral_system.mass_norm_sq(u) * (1.0 + 1e-12) ** 2
 
 
@@ -107,13 +98,13 @@ def test_modal_decay_single_step(neutral_system):
     lam = float(decomp.eigenvalues[k])
     v = decomp.vectors[:, k]
     dt = 0.01
-    new = _step(neutral_system, TimeStepper(neutral_system, dt), v)
+    new = TimeStepper(neutral_system, dt).step_free(v)
     np.testing.assert_allclose(new, v / (1.0 + dt * lam), rtol=1e-8, atol=1e-10)
 
 
 def test_state_cached_norms_match_recomputation(neutral_system):
     rng = np.random.default_rng(3)
-    rows = rng.standard_normal((4, neutral_system.dofmap.total_dofs))
+    rows = rng.standard_normal((4, len(neutral_system.free)))
     traj = make_state(neutral_system, Scheme.IMPLICIT_EULER, 0.3, rows)
     for i, dofs in enumerate(rows):
         assert traj.norm_mu_sq[i] == pytest.approx(neutral_system.mass_norm_sq(dofs), rel=1e-12)
@@ -260,7 +251,7 @@ def test_manufactured_solution_is_reproduced():
     traj = run(cfg)
     wp = np.polynomial.Polynomial(w)
     err = l2_error(
-        traj.dofs[-1], traj.system.dofmap, lambda x: math.exp(-0.2) * wp(x)
+        traj.system.expand(traj.dofs[-1]), traj.system.dofmap, lambda x: math.exp(-0.2) * wp(x)
     )
     assert err < 2e-5
 
@@ -277,7 +268,7 @@ def test_run_aborts_with_last_valid_state(monkeypatch):
     monkeypatch.setattr(
         ev,
         "resolve_forcing",
-        lambda system, spec: ExplodingForcing(0.0, np.zeros(system.dofmap.total_dofs), 0.0),
+        lambda system, spec: ExplodingForcing(0.0, np.zeros(len(system.free)), 0.0),
     )
     cfg = ProblemConfig(
         OperatorForm.DIVERGENCE,
@@ -335,15 +326,15 @@ def test_contraction_random_initial_data(data):
         data.draw(
             st.lists(
                 st.floats(min_value=-10, max_value=10),
-                min_size=sys.dofmap.total_dofs,
-                max_size=sys.dofmap.total_dofs,
+                min_size=len(sys.free),
+                max_size=len(sys.free),
             )
         )
     )
     stepper = TimeStepper(sys, 0.03)
     u = u0
     for _ in range(5):
-        new = _step(sys, stepper, u)
+        new = stepper.step_free(u)
         assert sys.mass_norm_sq(new) <= sys.mass_norm_sq(u) * (1.0 + 1e-12) ** 2
         u = new
 
@@ -356,8 +347,8 @@ def _reference_run(config):
     dt = config.resolved_dt()
     forcing = resolve_forcing(system, config.forcing)
     stepper = TimeStepper(system, dt, config.scheme)
-    free, theta = system.free, stepper.theta
-    u = initial_dofs(system, config.u0, config.project_u0)[free]
+    theta = stepper.theta
+    u = initial_dofs(system, config.u0, config.project_u0)
     t = 0.0
     times, norms, energies = [t], [band_quadratic(system.M, u)], [band_quadratic(system.K, u)]
     slacks, h_sqs = [], []
@@ -392,9 +383,7 @@ def _reference_run(config):
         "aborted": None,
         "scheme": Scheme(config.scheme).value,
     }
-    final = np.zeros(system.dofmap.total_dofs)
-    final[free] = u
-    return times, norms, energies, slacks, h_sqs, final, summary
+    return times, norms, energies, slacks, h_sqs, u, summary
 
 
 _FORCING = st.one_of(
@@ -438,6 +427,7 @@ def test_run_equals_the_per_step_loop_bit_for_bit(
         traj = run(config)
     times, norms, energies, slacks, h_sqs, final, summary = _reference_run(config)
     assert traj.aborted is None
+    assert traj.dofs.shape == (steps + 1, len(traj.system.free))
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.norm_mu_sq, norms)
     assert np.array_equal(traj.energy, energies)

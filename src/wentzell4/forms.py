@@ -171,14 +171,19 @@ def band_matvec(rows, x):
     The seven products of a row are added as a running sum in ascending
     column order, the order of numpy's dense product, so a longdouble
     ``rows`` reproduces the dense longdouble ``A @ x`` bit for bit.
+    ``add.reduce`` over the leading axis is that running sum without the
+    array of partial sums: with more than one dof the axis is the outer
+    loop, each row of products added to the sums in turn; with one dof
+    six of the seven products are zeros, so no order can differ.  The
+    sum starts from -0.0, which leaves the first product as it is, so
+    an all-zero row keeps its sign too.
     """
     x = np.asarray(x, dtype=rows.dtype)
     if len(x) != rows.shape[1]:  # a full-dof vector is refused, not misread
         raise ValueError(f"vector of {len(x)} entries for a band of {rows.shape[1]} dofs")
     products = x[_band_index(rows.shape[1]).column]
     products *= rows if x.ndim == 1 else rows.reshape(rows.shape + (1,) * (x.ndim - 1))
-    products.cumsum(axis=0, out=products)
-    return products[-1]
+    return np.add.reduce(products, axis=0, initial=-0.0)
 
 
 def band_quadratic(ab, x):

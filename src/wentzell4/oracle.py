@@ -40,7 +40,7 @@ from .forms import (
     element_blocks,
     gram_matrix,
 )
-from .powers import DivergentIntegralError, PiecewisePower
+from .powers import DivergentIntegralError, PiecewisePower, _poly_in_distance
 
 __all__ = [
     "SpaceMembershipError",
@@ -285,19 +285,16 @@ def green_residual(form, u_spec, v_spec, coeff):
 
 
 def _reflect(coeffs):
-    """Polynomial coefficients under the reflection x -> 1 - x."""
-    p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-    return p(np.polynomial.Polynomial([1.0, -1.0])).coef
+    """Polynomial coefficients under the reflection x -> 1 - x: p
+    re-expanded in the distance 1 - x to the right end."""
+    return [c for _, c in _poly_in_distance(coeffs, 1.0, "left")]
 
 
 def _in_t(x0, *t_coeffs):
     """Polynomial given by ascending coefficients in t = x - x0, returned
-    as ascending coefficients in x."""
-    t = np.polynomial.Polynomial([-x0, 1.0])
-    out = np.polynomial.Polynomial([0.0])
-    for j, c in enumerate(t_coeffs):
-        out += c * t**j
-    return out.coef
+    as ascending coefficients in x: p re-expanded about t = -x0, where
+    x = 0."""
+    return [c for _, c in _poly_in_distance(t_coeffs, -x0, "right")]
 
 
 def _strong_nondiv_u(x0, left_curv, right_curv):
@@ -429,13 +426,14 @@ def best_linear_fit(coeffs):
     return LinearFit(q, m, residual.coef, tuple(map(float, x)))
 
 
-def pointwise_sqrt_bound(u_spec, coeff, k, n_samples=2001):
-    """Max over a sample grid of |a u^(k)| / (||(a u^(k))'||_L2 sqrt(d)).
+def pointwise_sqrt_bound(u_spec, coeff, k):
+    """Max over 2001 equispaced points of |a u^(k)| / (||(a u^(k))'||_L2 sqrt(d)).
 
     The continuous estimate bounds this ratio by one whenever a u^(k)
     vanishes at x0 with a square-integrable derivative; both conditions
     are verified before sampling.  Points where both sides vanish are
-    skipped; the all-zero case reports 0.
+    skipped; the all-zero case reports 0.  Each side is evaluated as an
+    array, with the bits of a point-by-point scan.
     """
     if k not in (0, 1, 2):
         raise ValueError("derivative order k must be 0, 1 or 2")
@@ -457,13 +455,14 @@ def pointwise_sqrt_bound(u_spec, coeff, k, n_samples=2001):
     denom = math.sqrt(g.derivative().l2_norm_sq())
     if denom == 0.0:
         return 0.0
-    xs = np.linspace(0.0, 1.0, n_samples)
+    xs = np.linspace(0.0, 1.0, 2001)
     best = 0.0
-    for x in xs:
-        d = abs(x - x0)
-        if d < 1e-14:
-            continue  # both sides vanish at x0
-        best = max(best, abs(g(x)) / (denom * math.sqrt(d)))
+    for side, on_side in (("left", xs < x0), ("right", xs > x0)):
+        d = np.abs(xs[on_side] - x0)
+        d = d[d >= 1e-14]  # both sides vanish at x0
+        ratios = np.abs(g.side_values(side, d)) / (denom * np.sqrt(d))
+        # fmax skips a NaN ratio, as max() does
+        best = float(np.fmax.reduce(ratios, initial=best))
     return best
 
 
@@ -552,11 +551,11 @@ def _case_matrix(n=16):
         ("nondegenerate", constant_profile(1.0, 0.5)),
     ]
     gammas = [("neutral", 0.0), ("damped", -1.0)]
+    mesh = build_mesh(n, 0.5)
     for form in OperatorForm:
         for ctag, coeff in coeffs:
             for gtag, g in gammas:
                 params = WentzellParams(1.0, 1.0, g, g)
-                mesh = build_mesh(n, 0.5)
                 yield f"{form.value}_{ctag}_{gtag}", assemble(form, mesh, coeff, params)
 
 
@@ -585,9 +584,9 @@ def _green_checks():
     return out
 
 
-def _spectral_checks():
+def _spectral_checks(cases):
     out = []
-    for name, system in _case_matrix():
+    for name, system in cases:
         # element blocks before they are folded into the bands; the
         # boundary terms are diagonal
         pencil = PENCIL[system.form]
@@ -631,13 +630,13 @@ def _spectral_checks():
     return out
 
 
-def _resolvent_checks():
+def _resolvent_checks(cases):
     from .evolution import resolvent_solve
 
     rng = np.random.default_rng(0)
     samples = 20
     out = []
-    for name, system in _case_matrix():
+    for name, system in cases:
         if system.params.gamma0 == 0.0:
             continue
         M, K = system.to_dense()
@@ -769,6 +768,10 @@ def _norm_equivalence_checks():
     return out
 
 
+# suites that check the assembled systems of _case_matrix(); each takes
+# the list of (name, system) pairs, built once per report
+_ON_CASE_MATRIX = ("spectral", "resolvent")
+
 SUITES = {
     "green": _green_checks,
     "spectral": _spectral_checks,
@@ -786,9 +789,10 @@ def verification_report(suites=None):
     unknown = set(selected) - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suites {sorted(unknown)}; known: {sorted(SUITES)}")
+    cases = list(_case_matrix()) if set(_ON_CASE_MATRIX) & set(selected) else None
     checks = []
     for suite in selected:
-        checks.extend(SUITES[suite]())
+        checks.extend(SUITES[suite](cases) if suite in _ON_CASE_MATRIX else SUITES[suite]())
     return {
         "suites": selected,
         "checks": [

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 __all__ = ["DivergentIntegralError", "PiecewisePower"]
 
@@ -39,15 +38,57 @@ def _merge(terms):
     return tuple((p, c) for p, c in out if c != 0.0)
 
 
+def _trim(coeffs):
+    # numpy's trimseq: drop trailing zeros, keep at least one coefficient
+    while len(coeffs) > 1 and coeffs[-1] == 0.0:
+        coeffs.pop()
+    return coeffs
+
+
 def _poly_in_distance(coeffs, x0, side):
-    """Re-expand a polynomial in x as a polynomial in the distance to x0."""
-    sign = -1.0 if side == "left" else 1.0
-    shifted = Polynomial(np.asarray(coeffs, dtype=float))(Polynomial([x0, sign]))
-    return tuple((float(j), float(c)) for j, c in enumerate(shifted.coef))
+    """Re-expand a polynomial in x as a polynomial in the distance to x0.
+
+    Horner's scheme in plain floats with the arithmetic of numpy's
+    ``Polynomial(coeffs)(Polynomial([x0, sign]))``, so the coefficients
+    come out bit for bit: every coefficient of a product by the linear
+    factor is a dot product summed from +0.0, and trailing zeros are
+    trimmed after each product and each sum.
+    """
+    x0, sign = float(x0), -1.0 if side == "left" else 1.0
+    c = np.array(coeffs, dtype=float, ndmin=1)
+    if c.ndim != 1 or not c.size:
+        raise ValueError("polynomial coefficients must be a non-empty 1-d sequence")
+    c = c.tolist()
+    out = [c[-1] + 0.0]
+    for a in reversed(c[:-1]):
+        out = _trim(
+            [0.0 + out[0] * x0]
+            + [0.0 + (hi * x0 + lo * sign) for lo, hi in zip(out, out[1:])]
+            + [0.0 + out[-1] * sign]
+        )
+        out[0] += a
+        _trim(out)
+    return tuple((float(j), c) for j, c in enumerate(out))
 
 
-def _side_value(terms, d):
-    return sum(c * d**p for p, c in terms)
+def _side_value(terms, d, power=pow):
+    # a running sum from int 0, the arithmetic of sum() over floats up to
+    # Python 3.11 (3.12 compensates a float sum): the same for a float d
+    # and, with power=_pow_each, for an array of them
+    total = 0
+    for p, c in terms:
+        total = total + c * power(d, p)
+    return total
+
+
+def _pow_each(d, p):
+    """d**p for each entry of the float array d by the C library's pow, as
+    Python's float power takes it; numpy's vectorized power rounds
+    differently on some CPUs.  d**1 is d itself: a pow that errs by less
+    than an ulp cannot return anything else."""
+    if p == 1.0:
+        return d
+    return (d.astype(object) ** p).astype(float)
 
 
 def _side_integral(terms, lo, hi):
@@ -179,6 +220,13 @@ class PiecewisePower:
         if not math.isclose(lv, rv, rel_tol=1e-12, abs_tol=1e-12):
             raise ValueError("two-sided values disagree at the breakpoint")
         return 0.5 * (lv + rv)
+
+    def side_values(self, side, d):
+        """One side's sum at each positive distance of the array ``d``,
+        bit for bit what ``__call__`` gives point by point."""
+        terms = self.left if side == "left" else self.right
+        d = np.asarray(d, dtype=float)
+        return _side_value(terms, d, _pow_each) if terms else np.zeros_like(d)
 
     def limit(self, side):
         """One-sided limit at the breakpoint; raises if unbounded."""

@@ -189,6 +189,34 @@ def test_case_matrix_bands_are_on_the_free_dofs():
         assert dense_decompose(sys).vectors.shape == (len(sys.free),) * 2, name
 
 
+def cumsum_matvec(rows, x):
+    """A @ x from row_band(A) as a cumulative sum down the seven products."""
+    n = rows.shape[1]
+    x = np.asarray(x, dtype=rows.dtype)
+    column = np.clip(np.arange(n) + np.arange(-3, 4)[:, None], 0, n - 1)
+    products = x[column] * rows.reshape(rows.shape + (1,) * (x.ndim - 1))
+    return np.cumsum(products, axis=0)[-1]
+
+
+@pytest.mark.parametrize("dtype", [float, np.longdouble])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 65, 1026])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_band_matvec_equals_the_cumulative_sum_bit_for_bit(n, dtype, seed):
+    rng = np.random.default_rng(seed)
+    ab = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-8, 9, (4, n))
+    rows = row_band(ab.astype(dtype))
+    for shape in ((n,), (n, 3)):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        x[rng.random(shape) < 0.3] = -0.0  # rows that sum to a signed zero
+        got, expected = band_matvec(rows, x), cumsum_matvec(rows, x)
+        assert got.dtype == expected.dtype == dtype
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+    zero = -np.zeros(n)
+    assert np.array_equal(np.signbit(band_matvec(rows, zero)), np.signbit(cumsum_matvec(rows, zero)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     spec=systems,

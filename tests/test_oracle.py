@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from wentzell4 import oracle
@@ -35,6 +37,7 @@ from wentzell4.oracle import (
     pointwise_sqrt_bound,
     verification_report,
 )
+from wentzell4.powers import PiecewisePower
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +241,50 @@ def test_pointwise_bound_documented_cases():
     assert pointwise_sqrt_bound([0.0, 0.0, 1.0], power_profile(0.5, 1.5), 2) <= 1.0 + 1e-8
 
 
+def scalar_pointwise_bound(u_coeffs, coeff, k):
+    """pointwise_sqrt_bound as a point-by-point scan of the 2001-point grid."""
+    g = coeff.as_power(1) * PiecewisePower.from_polynomial(u_coeffs, coeff.x0).derivative(k)
+    denom = math.sqrt(g.derivative().l2_norm_sq())
+    if denom == 0.0:
+        return 0.0
+    best = 0.0
+    for x in np.linspace(0.0, 1.0, 2001):
+        d = abs(x - coeff.x0)
+        if d < 1e-14:
+            continue
+        best = max(best, abs(g(x)) / (denom * math.sqrt(d)))
+    return best
+
+
+def test_pointwise_suite_equals_the_scalar_scan_bit_for_bit():
+    x0 = 0.5
+    cases = {
+        "constant_k0_K1": (power_profile(x0, 1.0), [1.0], 0),
+        "linear_k1_K1": (power_profile(x0, 1.0), [0.0, 1.0], 1),
+        "curved_k2_K1": (power_profile(x0, 1.0), [1.0, 1.0, 1.0], 2),
+        "curved_k2_K15": (power_profile(x0, 1.5), [0.0, 0.0, 1.0], 2),
+        "zero_function": (power_profile(x0, 1.0), [0.0], 0),
+    }
+    checks = verification_report(["pointwise"])["checks"]
+    assert [c["name"] for c in checks] == list(cases)
+    for c in checks:
+        coeff, u, k = cases[c["name"]]
+        assert repr(c["computed"]["max_ratio"]) == repr(scalar_pointwise_bound(u, coeff, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    u=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=6),
+    x0=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    K=st.floats(min_value=1.0, max_value=1.9),
+    k=st.sampled_from([0, 1, 2]),
+)
+def test_pointwise_bound_equals_the_scalar_scan_bit_for_bit(u, x0, K, k):
+    coeff = power_profile(x0, K)
+    assert repr(pointwise_sqrt_bound(u, coeff, k)) == repr(scalar_pointwise_bound(u, coeff, k))
+    assert pointwise_sqrt_bound([0.0] * len(u), coeff, k) == 0.0
+
+
 def test_pointwise_bound_rejects_nonvanishing_weighted_derivative():
     # K = 0: a u^(0) = u does not vanish at x0
     with pytest.raises(SpaceMembershipError):
@@ -295,6 +342,23 @@ def test_verification_report_all_pass_and_shape():
     }
     for c in rep["checks"]:
         assert {"suite", "name", "inputs", "computed", "tolerance", "pass"} <= set(c)
+
+
+def test_case_matrix_is_assembled_once_per_report(monkeypatch):
+    calls = []
+    original = oracle.assemble
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "assemble", counting)
+    verification_report()
+    assert len(calls) == 16
+    verification_report(["hardy", "linear_fit"])
+    assert len(calls) == 16
+    verification_report()
+    assert len(calls) == 32  # nothing is kept from one report to the next
 
 
 def test_verification_report_suite_selection():

@@ -2,9 +2,57 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
-from wentzell4.powers import DivergentIntegralError, PiecewisePower
+from wentzell4.powers import DivergentIntegralError, PiecewisePower, _poly_in_distance
+
+
+def composed(coeffs, x0, side):
+    """The shift as numpy composes it: p(x0 + d) or p(x0 - d)."""
+    sign = -1.0 if side == "left" else 1.0
+    shifted = Polynomial(np.asarray(coeffs, dtype=float))(Polynomial([x0, sign]))
+    return tuple((float(j), float(c)) for j, c in enumerate(shifted.coef))
+
+
+finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+coefficient = st.one_of(finite, st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 / 3.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    coeffs=st.lists(coefficient, min_size=1, max_size=9),
+    trailing_zeros=st.integers(min_value=0, max_value=3),
+    x0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    side=st.sampled_from(["left", "right"]),
+)
+def test_shift_equals_polynomial_composition_bit_for_bit(coeffs, trailing_zeros, x0, side):
+    coeffs = coeffs + [0.0] * trailing_zeros
+    # repr tells -0.0 from 0.0 and prints every float exactly
+    expected = repr(composed(coeffs, x0, side))
+    assert repr(_poly_in_distance(coeffs, x0, side)) == expected
+    assert repr(_poly_in_distance(np.array(coeffs), x0, side)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    left=st.lists(finite, min_size=1, max_size=6),
+    right=st.lists(finite, min_size=1, max_size=6),
+    x0=st.floats(min_value=0.05, max_value=0.95),
+    K=st.floats(min_value=0.0, max_value=2.0),
+)
+def test_side_values_equal_pointwise_calls_bit_for_bit(left, right, x0, K):
+    f = PiecewisePower.power_weight(x0, K) * PiecewisePower.from_sides(left, right, x0)
+    xs = np.linspace(0.0, 1.0, 101)
+    for side, on_side in (("left", xs < x0), ("right", xs > x0)):
+        d = np.abs(xs[on_side] - x0)
+        expected = np.array([f(x) for x in xs[on_side]], dtype=float)
+        got = f.side_values(side, d)
+        assert got.dtype == float and np.array_equal(np.signbit(got), np.signbit(expected))
+        assert np.array_equal(got, expected)
+    assert PiecewisePower(x0, (), ()).side_values("left", [0.1, 0.2]).tolist() == [0.0, 0.0]
 
 
 def test_polynomial_roundtrip_values():
@@ -78,3 +126,9 @@ def test_boundary_breakpoint_has_one_side():
 def test_l2_norm_sq():
     f = PiecewisePower.from_polynomial([0.0, 1.0], 0.5)
     assert f.l2_norm_sq() == pytest.approx(1.0 / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("coeffs", [[], [[1.0, 2.0]]])
+def test_shift_refuses_empty_or_nested_coefficients(coeffs):
+    with pytest.raises(ValueError):
+        PiecewisePower.from_polynomial(coeffs, 0.5)

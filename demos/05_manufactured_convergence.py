@@ -42,7 +42,7 @@ for n in (8, 16, 32, 64):
     )
     traj = run(cfg)
     final = traj.system.expand(traj.dofs[-1])
-    err = l2_error(final, traj.system.dofmap, lambda x: math.exp(-T) * witness(x))
+    err = l2_error(final, traj.system.mesh, lambda x: math.exp(-T) * witness(x))
     order = "" if previous is None else f"{math.log2(previous / err):7.2f}"
     print(f"{n:4d} {dt:12.3e} {err:14.4e} {order:>7s}")
     previous = err

@@ -17,7 +17,6 @@ from .coefficient import (
     singular_moment,
 )
 from .discretization import (
-    DofMap,
     Mesh,
     QuadratureRule,
     WeightKind,

@@ -185,5 +185,6 @@ def singular_moment(coeff, interval, m, sign):
         raise ValueError("interval must satisfy 0 <= l <= r <= 1")
     if m < 0 or int(m) != m:
         raise ValueError("moment order m must be a nonnegative integer")
-    monomial = PiecewisePower.from_polynomial([0.0] * int(m) + [1.0], coeff.x0)
+    coeffs = [0.0] * int(m) + [1.0]
+    monomial = PiecewisePower.from_sides(coeffs, coeffs, coeff.x0)
     return (monomial * coeff.as_power(sign)).integrate(lo, hi)

@@ -21,23 +21,20 @@ import enum
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Legendre, Polynomial
 from scipy.special import roots_legendre
 
 from .coefficient import ConfigError, DegeneracyClass, classify
-from .powers import DivergentIntegralError
 
 __all__ = [
     "Mesh",
-    "DofMap",
     "WeightKind",
     "QuadratureRule",
     "check_interior",
     "build_mesh",
-    "constrain",
     "shape_values",
     "element_shape_values",
     "evaluate",
@@ -55,12 +52,29 @@ class WeightKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Mesh:
+    """Nodes of [0, 1] with x0 at ``x0_index``, and the numbering of the
+    C1 cubic Hermite dofs on them: node i holds the value dof 2i and the
+    slope dof 2i + 1, so element e holds dofs 2e..2e+3."""
+
     nodes: np.ndarray
     x0_index: int
 
     @property
     def n_elements(self):
         return len(self.nodes) - 1
+
+    @property
+    def n_dofs(self):
+        return 2 * len(self.nodes)
+
+    @property
+    def end_dofs(self):
+        """Value dofs at x = 0 and x = 1, where the Wentzell point terms sit."""
+        return [0, self.n_dofs - 2]
+
+    def element_dofs(self):
+        """The dofs of every element, (n_elements, 4): row e is 2e + (0, 1, 2, 3)."""
+        return 2 * np.arange(self.n_elements)[:, None] + np.arange(4)
 
     @property
     def x0(self):
@@ -124,40 +138,6 @@ def build_mesh(n, x0, grading=1.0) -> Mesh:
     return Mesh(nodes, n_left)
 
 
-@dataclass(frozen=True)
-class DofMap:
-    """Two dofs per node (value, slope); discrete functions are globally C1.
-
-    ``constrained`` dofs are pinned to zero in every represented function.
-    """
-
-    mesh: Mesh
-    constrained: frozenset = field(default_factory=frozenset)
-
-    @property
-    def n_nodes(self):
-        return len(self.mesh.nodes)
-
-    @property
-    def total_dofs(self):
-        return 2 * self.n_nodes
-
-    def value_dof(self, node):
-        return 2 * node
-
-    @property
-    def end_dofs(self):
-        """Value dofs at x = 0 and x = 1, where the Wentzell point terms sit."""
-        return [self.value_dof(0), self.value_dof(self.n_nodes - 1)]
-
-    def free_dofs(self):
-        return np.setdiff1d(np.arange(self.total_dofs), list(self.constrained))
-
-
-def constrain(dofmap: DofMap, dofs) -> DofMap:
-    return DofMap(dofmap.mesh, dofmap.constrained | frozenset(int(d) for d in dofs))
-
-
 def shape_values(s, h, d=0):
     """Cubic Hermite shape functions on the reference element s in [0, 1].
 
@@ -208,31 +188,28 @@ def element_shape_values(rule, d=0):
     return shape_values((rule.points - xa) / h, h, d), rule.weights, rule.points
 
 
-def evaluate(dofs, dofmap: DofMap, x, d=0):
+def evaluate(dofs, mesh: Mesh, x, d=0):
     """Value of the d-th derivative of the represented piecewise cubic at x
     (one-sided at element boundaries for d >= 2); ``dofs`` holds all
-    ``dofmap.total_dofs`` coefficients, else ValueError."""
+    ``mesh.n_dofs`` coefficients, else ValueError."""
     dofs = np.asarray(dofs, dtype=float)
-    if dofs.shape[:1] != (dofmap.total_dofs,):
-        raise ValueError(f"coefficients of shape {dofs.shape} for {dofmap.total_dofs} dofs")
+    if dofs.shape[:1] != (mesh.n_dofs,):
+        raise ValueError(f"coefficients of shape {dofs.shape} for {mesh.n_dofs} dofs")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    nodes = dofmap.mesh.nodes
+    nodes = mesh.nodes
     idx = np.clip(np.searchsorted(nodes, x_arr, side="right") - 1, 0, len(nodes) - 2)
     xa = nodes[idx]
     h = nodes[idx + 1] - xa
     phi = shape_values((x_arr - xa) / h, h, d)
-    out = np.sum(phi * dofs[2 * idx[..., None] + np.arange(4)], axis=-1)
+    out = np.sum(phi * dofs[mesh.element_dofs()[idx]], axis=-1)
     return out if np.ndim(x) else float(out[0])
 
 
-def interpolate_poly(dofmap: DofMap, coeffs):
-    """Dofs of the Hermite interpolant of a polynomial: nodal values and
-    slopes, zero on the constrained dofs."""
+def interpolate_poly(mesh: Mesh, coeffs):
+    """All dofs of the Hermite interpolant of a polynomial: nodal values
+    and slopes."""
     p = Polynomial(np.asarray(coeffs, dtype=float))
-    nodes = dofmap.mesh.nodes
-    dofs = np.column_stack([p(nodes), p.deriv()(nodes)]).ravel()
-    dofs[list(dofmap.constrained)] = 0.0
-    return dofs
+    return np.column_stack([p(mesh.nodes), p.deriv()(mesh.nodes)]).ravel()
 
 
 @dataclass(frozen=True)
@@ -321,15 +298,16 @@ def _fitted_singular_rule(coeff, xa, xb, sign, min_degree):
     return x[order], w[order]
 
 
-def weighted_rule(mesh, dofmap, coeff, kind, npoints=None):
+def weighted_rule(mesh, coeff, kind, npoints=None):
     """Quadrature rule for the weight 1 (UNIT), a (COEFF_A) or 1/a
     (COEFF_RECIP_A) on every element.
 
     On the two elements adjacent to x0 the rule is moment-fitted and exact
     for polynomial integrands of degree <= 7 against the power-law weight.
-    For a strongly degenerate reciprocal weight this requires the value dof
-    at x0 to be constrained (every represented product then carries a
-    (x - x0)**2 factor); otherwise the integral diverges.
+    For a strongly degenerate reciprocal weight it is fitted to the
+    degrees 2..7 only: it integrates exactly the products that carry a
+    (x - x0)**2 factor, those of a space whose value dof at x0 is pinned
+    to zero, and no other integrand is finite.
     """
     kind = WeightKind(kind)
     n_gauss = npoints or (4 if kind is WeightKind.UNIT else 16)
@@ -343,12 +321,6 @@ def weighted_rule(mesh, dofmap, coeff, kind, npoints=None):
         # x0 is interior, so both neighbours exist
         singular = (mesh.x0_index - 1, mesh.x0_index)
         if kind is WeightKind.COEFF_RECIP_A and klass is DegeneracyClass.STRONG:
-            x0_value_dof = dofmap.value_dof(mesh.x0_index)
-            if x0_value_dof not in dofmap.constrained:
-                raise DivergentIntegralError(
-                    "1/a is not integrable across a strong degeneracy unless the "
-                    "value dof at x0 is constrained to zero"
-                )
             min_degree = 2
 
     sign = -1 if kind is WeightKind.COEFF_RECIP_A else 1
@@ -381,8 +353,11 @@ def _gauss_rule(mesh, npoints):
     return xa + 0.5 * h * (xi + 1.0), 0.5 * h * wi
 
 
-def l2_error(dofs, dofmap, fn, npoints=8):
+_L2_POINTS = 8
+
+
+def l2_error(dofs, mesh, fn):
     """L2 distance between a represented function and a callable."""
-    x, w = _gauss_rule(dofmap.mesh, npoints)
-    diff = evaluate(dofs, dofmap, x) - np.asarray(fn(x), dtype=float)
+    x, w = _gauss_rule(mesh, _L2_POINTS)
+    diff = evaluate(dofs, mesh, x) - np.asarray(fn(x), dtype=float)
     return math.sqrt(float(np.sum(w * diff**2)))

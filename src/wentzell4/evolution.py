@@ -39,6 +39,7 @@ it equals the dense residual bit for bit.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -208,11 +209,11 @@ def _polynomial_load(system, coeffs, weight_kind, derivative, point_terms):
     rule = system.rule(weight_kind, npoints=8 if weight_kind is WeightKind.UNIT else None)
     phi, weights, points = element_shape_values(rule, derivative)
     local = ((weights * p.deriv(derivative)(points))[:, None, :] @ phi)[:, 0, :]
-    dofs = 2 * np.arange(system.mesh.n_elements)[:, None] + np.arange(4)
+    mesh = system.mesh
     load = np.bincount(
-        dofs.ravel(), weights=local.ravel(), minlength=system.dofmap.total_dofs
+        mesh.element_dofs().ravel(), weights=local.ravel(), minlength=mesh.n_dofs
     )
-    load[system.dofmap.end_dofs] += np.multiply(point_terms, p(np.array([0.0, 1.0])))
+    load[mesh.end_dofs] += np.multiply(point_terms, p(np.array([0.0, 1.0])))
     return load[system.free]
 
 
@@ -340,7 +341,7 @@ def initial_dofs(system, spec, project=False):
     set."""
     coeffs = resolve_space_spec(spec)
     if not project:
-        return interpolate_poly(system.dofmap, coeffs)[system.free]
+        return interpolate_poly(system.mesh, coeffs)[system.free]
     load = _polynomial_load(system, coeffs, PENCIL[system.form].mass, 0, system.point_mass)
     return _BandedSPD(system.M).solve(load)
 
@@ -349,7 +350,8 @@ def initial_dofs(system, spec, project=False):
 class ProblemConfig:
     """Everything defining one Cauchy problem run.  Construction checks
     each bound of the problem, the mesh included, and raises ConfigError
-    on the config key at fault (``time.dt``, ``coefficient.K``, ...)."""
+    on the config key at fault (``time.dt``, ``coefficient.K``, ...).
+    The mesh built by that check is kept as :attr:`mesh`."""
 
     form: OperatorForm
     coeff: DegenerateCoefficient
@@ -380,7 +382,11 @@ class ProblemConfig:
             with keyed("forcing"):
                 _require_divergence(self.form)
         with keyed("mesh"):
-            build_mesh(self.n, self.coeff.x0, self.resolved_grading())
+            self.mesh  # built here once, or ConfigError
+
+    @functools.cached_property
+    def mesh(self):
+        return build_mesh(self.n, self.coeff.x0, self.resolved_grading())
 
     def resolved_dt(self):
         return self.dt if self.dt is not None else self.T / 100.0
@@ -392,8 +398,7 @@ class ProblemConfig:
 
 
 def build_system(config: ProblemConfig) -> AssembledSystem:
-    mesh = build_mesh(config.n, config.coeff.x0, config.resolved_grading())
-    return assemble(config.form, mesh, config.coeff, config.params)
+    return assemble(config.form, config.mesh, config.coeff, config.params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,7 +550,7 @@ def _solvable(key):
         raise ConfigError(key, f"not solvable in double precision: {exc}") from None
 
 
-def run(config: ProblemConfig, system=None) -> Trajectory:
+def run(config: ProblemConfig) -> Trajectory:
     """Integrate the configured problem to its final time.
 
     The loop steps the free dofs into one preallocated array, a row per
@@ -556,7 +561,7 @@ def run(config: ProblemConfig, system=None) -> Trajectory:
     precision aborts the run at t = 0; a step count whose states cannot be
     allocated raises ConfigError("time.dt").
     """
-    system = system or build_system(config)
+    system = build_system(config)
     dt = config.resolved_dt()
     n_steps = max(1, round(config.T / dt))
     scheme = Scheme(config.scheme)

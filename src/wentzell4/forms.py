@@ -38,7 +38,7 @@ from __future__ import annotations
 import ctypes
 import enum
 import functools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,14 +51,8 @@ from .coefficient import (
     check_power_comparison,
     classify,
 )
-from .discretization import (
-    DofMap,
-    Mesh,
-    WeightKind,
-    constrain,
-    element_shape_values,
-    weighted_rule,
-)
+from .discretization import Mesh, WeightKind, element_shape_values, weighted_rule
+from .powers import DivergentIntegralError
 
 __all__ = [
     "OperatorForm",
@@ -128,29 +122,21 @@ _LOCAL_ROW, _LOCAL_COL = np.tril_indices(4)
 class _BandIndex(NamedTuple):
     """Read-only index arrays for bands of n dofs.
 
-    ``shift[k, j] = min(j + k, n - 1)`` is the row of ab[k, j].  Entry
-    (o, i) of :func:`row_band` is A[i, c] with c = i + o - 3: ``column`` is
-    c clipped into range, ``inside`` says whether it was in range, and
-    (``lower_k``, ``lower_j``) locate A[i, c] in the band.
+    ``shift[k, j] = min(j + k, n - 1)`` is the row of ab[k, j], and
+    ``column[o, i]`` is the column i + o - 3 of entry (o, i) of
+    :func:`row_band`, clipped into range.
     """
 
     shift: np.ndarray
     column: np.ndarray
-    lower_k: np.ndarray
-    lower_j: np.ndarray
-    inside: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
 def _band_index(n):
     i = np.arange(n)
     shift = np.minimum(i + np.arange(BANDWIDTH + 1)[:, None], n - 1)
-    offset = np.arange(-BANDWIDTH, BANDWIDTH + 1)[:, None]
-    column = i + offset
-    inside = (column >= 0) & (column < n)
-    lower_k = np.broadcast_to(np.abs(offset), column.shape)
-    lower_j = np.clip(np.minimum(i, column), 0, n - 1)
-    index = _BandIndex(shift, np.clip(column, 0, n - 1), lower_k, lower_j, inside)
+    column = np.clip(i + np.arange(-BANDWIDTH, BANDWIDTH + 1)[:, None], 0, n - 1)
+    index = _BandIndex(shift, column)
     for a in index:
         a.setflags(write=False)
     return index
@@ -160,9 +146,15 @@ def row_band(ab):
     """The rows of the symmetric matrix with lower band ``ab``, as an
     array (7, n) with entry (o, i) = A[i, i + o - 3] and zero outside the
     matrix; the dtype of ``ab`` is kept.  :func:`band_matvec` takes this
-    form, so a matrix applied many times is expanded once."""
-    index = _band_index(ab.shape[1])
-    return np.where(index.inside, ab[index.lower_k, index.lower_j], 0)
+    form, so a matrix applied many times is expanded once.  Diagonal k
+    of the band is row 3 + k, read from the left, and row 3 - k, read
+    from the right."""
+    n = ab.shape[1]
+    rows = np.zeros((2 * BANDWIDTH + 1, n), dtype=ab.dtype)
+    for k in range(BANDWIDTH + 1):
+        m = max(n - k, 0)
+        rows[BANDWIDTH + k, :m] = rows[BANDWIDTH - k, k:] = ab[k, :m]
+    return rows
 
 
 def band_matvec(rows, x):
@@ -316,9 +308,9 @@ def gram_matrix(rule, d):
     owns dofs 2e..2e+3, so an entry receives at most two contributions;
     they are added to zero in element order."""
     blocks = element_blocks(rule, d)
-    n = 2 * len(blocks) + 2
-    cols = 2 * np.arange(len(blocks))[:, None] + _LOCAL_COL
-    flat = (_LOCAL_ROW - _LOCAL_COL) * n + cols
+    n = rule.mesh.n_dofs
+    dofs = rule.mesh.element_dofs()
+    flat = (_LOCAL_ROW - _LOCAL_COL) * n + dofs[:, _LOCAL_COL]
     values = blocks[:, _LOCAL_ROW, _LOCAL_COL]
     summed = np.bincount(flat.ravel(), weights=values.ravel(), minlength=4 * n)
     return summed.reshape(BANDWIDTH + 1, n)
@@ -331,20 +323,22 @@ def gram_matrix(rule, d):
 
 @dataclass(eq=False)
 class AssembledSystem:
-    """Symmetric positive-definite inner-product matrix M, positive
-    semidefinite energy matrix K, and the constraint metadata.
+    """Symmetric positive-definite inner-product matrix M and positive
+    semidefinite energy matrix K on the free dofs.
 
-    M, K and ``stiffness_interior`` (K without its boundary terms) are
-    lower bands of shape (4, len(free)): rows and columns of the ``free``
-    dofs only, the coordinates of every vector that pairs with them.
-    ``point_mass`` and ``point_stiffness`` are the terms assembly added to
-    M and K at ``dofmap.end_dofs``; ``rules`` seeds :meth:`rule` with the
-    rules it integrated with.
+    ``free`` lists the dofs of ``mesh`` that are not pinned to zero: all
+    of them, or all but the value dof at x0.  M, K and
+    ``stiffness_interior`` (K without its boundary terms) are lower bands
+    of shape (4, len(free)): rows and columns of the free dofs only, the
+    coordinates of every vector that pairs with them.  ``point_mass`` and
+    ``point_stiffness`` are the terms assembly added to M and K at
+    ``mesh.end_dofs``; ``rules`` seeds :meth:`rule` with the rules it
+    integrated with.
     """
 
     form: OperatorForm
     mesh: Mesh
-    dofmap: DofMap
+    free: np.ndarray
     coeff: DegenerateCoefficient
     params: WentzellParams
     M: np.ndarray
@@ -353,17 +347,11 @@ class AssembledSystem:
     point_mass: tuple
     point_stiffness: tuple
     rules: InitVar[dict]
-    free: np.ndarray = field(init=False)
 
     def __post_init__(self, rules):
-        self.free = self.dofmap.free_dofs()
         for a in (self.M, self.K, self.stiffness_interior):
             a.setflags(write=False)
         self._rules = {(kind, None): rule for kind, rule in rules.items()}
-
-    @property
-    def constrained_dofs(self):
-        return tuple(sorted(self.dofmap.constrained))
 
     def to_dense(self, *names):
         """Dense copies of the named matrices ("M" and "K" by default;
@@ -373,29 +361,34 @@ class AssembledSystem:
 
     def expand(self, free_values):
         """The full-dof array of free-dof values (leading axis), zero on
-        the constrained dofs, for writing out and for evaluation."""
-        out = np.zeros((self.dofmap.total_dofs,) + np.shape(free_values)[1:])
+        the pinned dof, for writing out and for evaluation."""
+        out = np.zeros((self.mesh.n_dofs,) + np.shape(free_values)[1:])
         out[self.free] = free_values
         return out
 
-    def mass_norm_sq(self, free_dofs):
-        return band_quadratic(self.M, free_dofs)
+    def mass_norm_sq(self, u):
+        return band_quadratic(self.M, u)
 
-    def energy(self, free_dofs):
-        return band_quadratic(self.K, free_dofs)
+    def energy(self, u):
+        return band_quadratic(self.K, u)
 
     def rule(self, kind, npoints=None):
         """Quadrature rule for the weight ``kind`` on this system, built
-        once; the pencil's two rules are the ones assembly used."""
+        once; the pencil's two rules are the ones assembly used.  A 1/a
+        weight of the strong class raises DivergentIntegralError unless
+        the value dof at x0 is pinned: only then is every product of
+        represented functions integrable against it."""
         key = (WeightKind(kind), npoints)
         if key not in self._rules:
-            self._rules[key] = weighted_rule(self.mesh, self.dofmap, self.coeff, *key)
+            if (key[0] is WeightKind.COEFF_RECIP_A
+                    and classify(self.coeff) is DegeneracyClass.STRONG
+                    and len(self.free) == self.mesh.n_dofs):
+                raise DivergentIntegralError(
+                    "1/a is not integrable across a strong degeneracy unless the "
+                    "value dof at x0 is pinned to zero"
+                )
+            self._rules[key] = weighted_rule(self.mesh, self.coeff, *key)
         return self._rules[key]
-
-
-def _add_point_terms(dofmap, band, terms):
-    """Add point terms to the diagonal entries of the value dofs at 0, 1."""
-    band[0, dofmap.end_dofs] += terms
 
 
 def require_admissible(coeff):
@@ -426,10 +419,10 @@ def assemble(form, mesh, coeff, params) -> AssembledSystem:
     form = OperatorForm(form)
     pencil = PENCIL[form]
     klass = require_admissible(coeff)
-    dofmap = DofMap(mesh)
+    free = np.arange(mesh.n_dofs)
     if klass is DegeneracyClass.STRONG and pencil.mass is WeightKind.COEFF_RECIP_A:
-        dofmap = constrain(dofmap, [dofmap.value_dof(mesh.x0_index)])
-    rules = {kind: weighted_rule(mesh, dofmap, coeff, kind) for kind in pencil}
+        free = np.delete(free, 2 * mesh.x0_index)  # the value dof at x0
+    rules = {kind: weighted_rule(mesh, coeff, kind) for kind in pencil}
     if pencil.stiffness is WeightKind.COEFF_A:
         c0, c1 = coeff.boundary_values()
     else:
@@ -438,12 +431,11 @@ def assemble(form, mesh, coeff, params) -> AssembledSystem:
     point_mass = (c0 / p.beta0, c1 / p.beta1)
     point_stiffness = (-((p.gamma0 / p.beta0) * c0), -((p.gamma1 / p.beta1) * c1))
     M = gram_matrix(rules[pencil.mass], 0)
-    _add_point_terms(dofmap, M, point_mass)
+    M[0, mesh.end_dofs] += point_mass
     S = gram_matrix(rules[pencil.stiffness], 2)
     K = S.copy()
-    _add_point_terms(dofmap, K, point_stiffness)
-    free = dofmap.free_dofs()
+    K[0, mesh.end_dofs] += point_stiffness
     M, K, S = (free_band(ab, free) for ab in (M, K, S))
     return AssembledSystem(
-        form, mesh, dofmap, coeff, params, M, K, S, point_mass, point_stiffness, rules
+        form, mesh, free, coeff, params, M, K, S, point_mass, point_stiffness, rules
     )

@@ -23,12 +23,7 @@ from .coefficient import (
     power_profile,
     singular_moment,
 )
-from .discretization import (
-    DofMap,
-    WeightKind,
-    build_mesh,
-    weighted_rule,
-)
+from .discretization import WeightKind, build_mesh, weighted_rule
 from .forms import (
     PENCIL,
     AssembledSystem,
@@ -169,7 +164,7 @@ def _as_piecewise(spec, x0):
         return spec
     if isinstance(spec, tuple) and len(spec) == 2 and not np.isscalar(spec[0]):
         return PiecewisePower.from_sides(spec[0], spec[1], x0)
-    return PiecewisePower.from_polynomial(spec, x0)
+    return PiecewisePower.from_sides(spec, spec, x0)
 
 
 def _require(cond, message):
@@ -314,7 +309,8 @@ def green_battery():
     quartic = [0.0, 0.0, 1.0, -2.0, 1.0]  # x^2 (1-x)^2
     # affine part plus |x - x0|^4: u'' and u''' vanish at x0, so a u''
     # stays twice weakly differentiable even for fractional exponents
-    weak_u = PiecewisePower.from_polynomial([1.0, 2.0], x0) + PiecewisePower.power_weight(x0, 4.0)
+    affine = [1.0, 2.0]
+    weak_u = PiecewisePower.from_sides(affine, affine, x0) + PiecewisePower.power_weight(x0, 4.0)
     cases = [
         ("nondegenerate_div_classic", OperatorForm.DIVERGENCE,
          constant_profile(1.0, x0), quartic, [1.0]),
@@ -410,9 +406,10 @@ def best_linear_fit(coeffs):
     and no zeros are reported.
     """
     p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-    b0 = float(p.integ()(1.0) - p.integ()(0.0))
-    xp = np.polynomial.Polynomial([0.0, 1.0]) * p
-    b1 = float(xp.integ()(1.0) - xp.integ()(0.0))
+    P = p.integ()
+    b0 = float(P(1.0) - P(0.0))
+    XP = (np.polynomial.Polynomial([0.0, 1.0]) * p).integ()
+    b1 = float(XP(1.0) - XP(0.0))
     # inverse of [[1, 1/2], [1/2, 1/3]]
     q = 4.0 * b0 - 6.0 * b1
     m = -6.0 * b0 + 12.0 * b1
@@ -511,9 +508,8 @@ def norm_equivalence_report(coeff, n=16, refinements=2):
     for level in range(refinements + 1):
         n_level = n * 2**level
         mesh = build_mesh(n_level, coeff.x0 if _interior(coeff.x0) else 0.5)
-        dofmap = DofMap(mesh)
-        unit = weighted_rule(mesh, dofmap, coeff, WeightKind.UNIT)
-        a_rule = weighted_rule(mesh, dofmap, coeff, WeightKind.COEFF_A)
+        unit = weighted_rule(mesh, coeff, WeightKind.UNIT)
+        a_rule = weighted_rule(mesh, coeff, WeightKind.COEFF_A)
         G1 = band_to_dense(gram_matrix(unit, 1))
         G0_G2a = band_to_dense(gram_matrix(unit, 0) + gram_matrix(a_rule, 2))
         constants.append(float(eigh(G1, G0_G2a, eigvals_only=True)[-1]))
@@ -536,9 +532,9 @@ class Check:
     passed: bool
 
 
-def _case_matrix(n=16):
-    """Structural test matrix: both operator forms, the four degeneracy
-    prototypes, neutral and damped boundary terms.
+def _case_matrix():
+    """Structural test matrix at n = 16: both operator forms, the four
+    degeneracy prototypes, neutral and damped boundary terms.
 
     Uniform meshes on purpose: graded meshes push the stiffness scale so
     high that the 1e-9 relative kernel threshold can no longer separate
@@ -551,7 +547,7 @@ def _case_matrix(n=16):
         ("nondegenerate", constant_profile(1.0, 0.5)),
     ]
     gammas = [("neutral", 0.0), ("damped", -1.0)]
-    mesh = build_mesh(n, 0.5)
+    mesh = build_mesh(16, 0.5)
     for form in OperatorForm:
         for ctag, coeff in coeffs:
             for gtag, g in gammas:
@@ -622,8 +618,8 @@ def _spectral_checks(cases):
         )
         gamma0 = system.params.gamma0
         if gamma0 == 0.0:
-            # affine functions, less the one the x0 constraint removes
-            expected = 1 if system.dofmap.constrained else 2
+            # affine functions, less the one the pinned x0 value removes
+            expected = 1 if len(system.free) < system.mesh.n_dofs else 2
             ok = ok and near_zero_count(w) == expected
             computed["expected_kernel"] = expected
         out.append(Check("spectral", name, {"case": name}, computed, 1e-10, ok))
@@ -640,11 +636,14 @@ def _resolvent_checks(cases):
         if system.params.gamma0 == 0.0:
             continue
         M, K = system.to_dense()
+        pinned = np.setdiff1d(np.arange(system.mesh.n_dofs), system.free)
         for lam in (0.5, 1.0, 10.0):
-            # column k holds the k-th draw of standard_normal(total_dofs)
-            # less its pinned entries
-            F = np.delete(rng.standard_normal((samples, system.dofmap.total_dofs)),
-                          system.constrained_dofs, axis=1).T
+            # column k holds the free entries of the k-th draw of
+            # standard_normal(n_dofs).  np.delete leaves them row-major
+            # when it drops one dof and column-major when it drops none;
+            # the bits of the dense products M @ F follow that layout
+            draws = rng.standard_normal((samples, system.mesh.n_dofs))
+            F = np.delete(draws, pinned, axis=1).T
             U = resolvent_solve(system, lam, F)
             B = M @ F
             R = (lam * M + K) @ U - B
@@ -706,9 +705,10 @@ def _linear_fit_checks():
     ):
         fit = best_linear_fit(coeffs)
         r = np.polynomial.Polynomial(fit.residual_coeffs)
-        ortho0 = float(r.integ()(1.0) - r.integ()(0.0))
-        xr = np.polynomial.Polynomial([0.0, 1.0]) * r
-        ortho1 = float(xr.integ()(1.0) - xr.integ()(0.0))
+        R = r.integ()
+        ortho0 = float(R(1.0) - R(0.0))
+        XR = (np.polynomial.Polynomial([0.0, 1.0]) * r).integ()
+        ortho1 = float(XR(1.0) - XR(0.0))
         ok = len(fit.zeros) >= 2 and abs(ortho0) <= 1e-12 and abs(ortho1) <= 1e-12
         computed = {
             "intercept": fit.intercept,

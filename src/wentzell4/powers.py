@@ -129,15 +129,6 @@ class PiecewisePower:
 
     # ---- constructors -------------------------------------------------
     @classmethod
-    def from_polynomial(cls, coeffs, x0):
-        """Polynomial with ascending coefficients in x, same on both sides."""
-        return cls(
-            float(x0),
-            _poly_in_distance(coeffs, x0, "left") if x0 > 0.0 else (),
-            _poly_in_distance(coeffs, x0, "right") if x0 < 1.0 else (),
-        )
-
-    @classmethod
     def from_sides(cls, left_coeffs, right_coeffs, x0):
         """Separate polynomials in x on each side of x0."""
         return cls(
@@ -163,7 +154,8 @@ class PiecewisePower:
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
-            other = PiecewisePower.from_polynomial([float(other)], self.x0)
+            constant = [float(other)]
+            other = PiecewisePower.from_sides(constant, constant, self.x0)
         self._check_compatible(other)
         return PiecewisePower(
             self.x0, _merge(self.left + other.left), _merge(self.right + other.right)

@@ -80,7 +80,7 @@ def test_03_contraction_semigroup():
     with criterion(3, "implicit Euler contraction, 100 random data x 200 steps", 30.0):
         rng = np.random.default_rng(123)
         bound = (1.0 + CONTRACTION_TOL) ** 2
-        for name, system in _case_matrix(n=16):
+        for name, system in _case_matrix():
             (M,) = system.to_dense("M")
             stepper = TimeStepper(system, 0.05, Scheme.IMPLICIT_EULER)
             U = rng.standard_normal((len(system.free), 100))
@@ -224,7 +224,7 @@ def test_10_manufactured_solution_convergence():
             errors.append(
                 l2_error(
                     traj.system.expand(traj.dofs[-1]),
-                    traj.system.dofmap,
+                    traj.system.mesh,
                     lambda x: math.exp(-T) * witness(x),
                 )
             )

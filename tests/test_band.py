@@ -67,7 +67,7 @@ def loop_gram(rule, d):
 
 def loop_load(sys, rule, coeffs, d):
     p = np.polynomial.Polynomial(coeffs).deriv(d)
-    out = np.zeros(sys.dofmap.total_dofs)
+    out = np.zeros(sys.mesh.n_dofs)
     for e in range(sys.mesh.n_elements):
         xa, xb = sys.mesh.element(e)
         pts, wts = rule.points[e], rule.weights[e]
@@ -108,7 +108,7 @@ def test_batched_assembly_equals_element_loop_bit_for_bit(spec):
     coeffs = [0.3, -1.0, 2.0, 0.5]
     expected = loop_load(sys, a_rule, coeffs, 2)
     ends = np.polynomial.Polynomial(coeffs)(np.array([0.0, 1.0]))
-    expected[sys.dofmap.end_dofs] += np.multiply(sys.point_stiffness, ends)
+    expected[sys.mesh.end_dofs] += np.multiply(sys.point_stiffness, ends)
     assert np.array_equal(
         _polynomial_load(sys, coeffs, WeightKind.COEFF_A, 2, sys.point_stiffness),
         expected[sys.free],
@@ -163,23 +163,24 @@ def test_bands_are_the_free_rows_of_the_element_loop_bit_for_bit(form, strong, r
     M = loop_gram(sys.rule(pencil.mass), 0)
     S = loop_gram(sys.rule(pencil.stiffness), 2)
     K = S.copy()
-    ends = sys.dofmap.end_dofs
+    ends = sys.mesh.end_dofs
     M[ends, ends] += sys.point_mass
     K[ends, ends] += sys.point_stiffness
     free = np.ix_(sys.free, sys.free)
     for band, dense in ((sys.M, M), (sys.K, K), (sys.stiffness_interior, S)):
         assert band.shape == (4, len(sys.free))
         assert np.array_equal(band_to_dense(band), dense[free])
-    if sys.dofmap.constrained:
+    pinned = np.setdiff1d(np.arange(sys.mesh.n_dofs), sys.free)
+    if len(pinned):
         # the pinned value dof at x0 is gone and its neighbours close up
-        c = sys.dofmap.value_dof(sys.mesh.x0_index)
-        assert sys.constrained_dofs == (c,) and len(sys.free) == sys.dofmap.total_dofs - 1
+        c = 2 * sys.mesh.x0_index
+        assert pinned.tolist() == [c] and len(sys.free) == sys.mesh.n_dofs - 1
         assert sys.K[1, c - 1] == K[c + 1, c - 1] and sys.K[0, c] == K[c + 1, c + 1]
     # expand puts free-dof values back in place, zero on the pinned dof
     x = np.random.default_rng(seed).standard_normal(len(sys.free))
     full = sys.expand(x)
-    assert full.shape == (sys.dofmap.total_dofs,) and np.array_equal(full[sys.free], x)
-    assert not full[list(sys.constrained_dofs)].any()
+    assert full.shape == (sys.mesh.n_dofs,) and np.array_equal(full[sys.free], x)
+    assert not full[pinned].any()
 
 
 def test_case_matrix_bands_are_on_the_free_dofs():
@@ -187,6 +188,26 @@ def test_case_matrix_bands_are_on_the_free_dofs():
         bands = (sys.M, sys.K, sys.stiffness_interior)
         assert all(band.shape == (4, len(sys.free)) for band in bands), name
         assert dense_decompose(sys).vectors.shape == (len(sys.free),) * 2, name
+
+
+@pytest.mark.parametrize("dtype", [float, np.longdouble])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_row_band_holds_the_rows_of_the_dense_matrix(n, dtype):
+    rng = np.random.default_rng(n)
+    ab = rng.standard_normal((4, n)).astype(dtype)
+    ab[rng.random((4, n)) < 0.3] = -0.0
+    for k in range(1, 4):
+        ab[k, max(n - k, 0):] = 0.0  # past the end of diagonal k
+    dense = band_to_dense(ab)
+    expected = np.zeros((7, n), dtype=dtype)
+    for o in range(7):
+        for i in range(n):
+            if 0 <= i + o - 3 < n:
+                expected[o, i] = dense[i, i + o - 3]
+    rows = row_band(ab)
+    assert rows.dtype == dtype
+    assert np.array_equal(rows, expected)
+    assert np.array_equal(np.signbit(rows), np.signbit(expected))
 
 
 def cumsum_matvec(rows, x):

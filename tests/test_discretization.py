@@ -7,19 +7,16 @@ from scipy.special import roots_legendre
 
 from wentzell4.coefficient import DegeneracyClass, classify, power_profile, singular_moment
 from wentzell4.discretization import (
-    DofMap,
     WeightKind,
     _fitted_singular_rule,
     build_mesh,
-    constrain,
     evaluate,
     interpolate_poly,
     l2_error,
     shape_values,
     weighted_rule,
 )
-from wentzell4.forms import PENCIL, OperatorForm, element_blocks
-from wentzell4.powers import DivergentIntegralError
+from wentzell4.forms import PENCIL, OperatorForm, WentzellParams, assemble, element_blocks
 
 
 def test_build_mesh_uniform_midpoint():
@@ -49,6 +46,12 @@ def test_build_mesh_rejects_boundary_x0():
         build_mesh(1, 0.5)
 
 
+def test_mesh_numbers_a_value_and_a_slope_dof_per_node():
+    mesh = build_mesh(3, 0.5)
+    assert mesh.n_dofs == 8 and mesh.end_dofs == [0, 6]
+    assert np.array_equal(mesh.element_dofs(), [[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7]])
+
+
 def test_hermite_cardinality():
     # value shape: one at its node with zero slope; slope shape: zero value
     # with unit slope
@@ -62,7 +65,7 @@ def test_hermite_cardinality():
     np.testing.assert_allclose(dv1, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
 
 
-def _reproduction_error(dofs, dofmap, coeffs, x, d):
+def _reproduction_error(dofs, mesh, coeffs, x, d):
     """Error of the represented d-th derivative at x against the
     polynomial, and a rounding bound for it: 32 eps times the summed
     magnitudes of the terms of both sides, u_i phi_i^(d)(x) and p_k x^k.
@@ -70,11 +73,11 @@ def _reproduction_error(dofs, dofmap, coeffs, x, d):
     the largest error seen over 1e5 random and edge-value draws is 5.1 eps
     times the sum.  The 1e-300 floor is for subnormal coefficients."""
     p = np.polynomial.Polynomial(coeffs).deriv(d)
-    unit = np.eye(dofmap.total_dofs)
-    terms = sum(abs(evaluate(u * e, dofmap, x, d)) for u, e in zip(dofs, unit))
+    unit = np.eye(mesh.n_dofs)
+    terms = sum(abs(evaluate(u * e, mesh, x, d)) for u, e in zip(dofs, unit))
     terms += sum(abs(c * x**k) for k, c in enumerate(p.coef))
     bound = 32.0 * np.finfo(float).eps * terms + 1e-300
-    return abs(evaluate(dofs, dofmap, x, d) - p(x)), bound
+    return abs(evaluate(dofs, mesh, x, d) - p(x)), bound
 
 
 @settings(max_examples=25, deadline=None)
@@ -88,9 +91,8 @@ def _reproduction_error(dofs, dofmap, coeffs, x, d):
 @example(coeffs=[-1.0, -2.5752827714775375], x=1.0, d=3)
 def test_cubic_reproduction_all_derivatives(coeffs, x, d):
     mesh = build_mesh(5, 0.4)
-    dofmap = DofMap(mesh)
-    dofs = interpolate_poly(dofmap, coeffs)
-    error, bound = _reproduction_error(dofs, dofmap, coeffs, x, d)
+    dofs = interpolate_poly(mesh, coeffs)
+    error, bound = _reproduction_error(dofs, mesh, coeffs, x, d)
     assert error <= bound
 
 
@@ -99,44 +101,45 @@ def test_cubic_reproduction_all_derivatives(coeffs, x, d):
 @pytest.mark.parametrize("coeffs", [[-1.0, -2.5752827714775375], [0.3, -1.2, 0.8, 2.1]])
 def test_cubic_reproduction_bound_rejects_a_perturbed_dof(coeffs, x, d):
     mesh = build_mesh(5, 0.4)
-    dofmap = DofMap(mesh)
-    dofs = interpolate_poly(dofmap, coeffs)
+    dofs = interpolate_poly(mesh, coeffs)
     # the dof of the largest term u_i phi_i^(d)(x), off by a relative 1e-9
-    terms = [abs(evaluate(u * e, dofmap, x, d)) for u, e in zip(dofs, np.eye(len(dofs)))]
+    terms = [abs(evaluate(u * e, mesh, x, d)) for u, e in zip(dofs, np.eye(len(dofs)))]
     dofs[int(np.argmax(terms))] *= 1.0 + 1e-9
-    error, bound = _reproduction_error(dofs, dofmap, coeffs, x, d)
+    error, bound = _reproduction_error(dofs, mesh, coeffs, x, d)
     assert error > bound
 
 
 def test_evaluate_rejects_fourth_derivative():
     mesh = build_mesh(2, 0.5)
-    dofmap = DofMap(mesh)
     with pytest.raises(ValueError):
-        evaluate(np.zeros(dofmap.total_dofs), dofmap, 0.5, 4)
+        evaluate(np.zeros(mesh.n_dofs), mesh, 0.5, 4)
 
 
 def test_evaluate_refuses_a_vector_of_the_wrong_length():
     # a free-dof vector of a system with a pinned dof is one entry short
-    dofmap = constrain(DofMap(build_mesh(4, 0.5)), [4])
-    n = dofmap.total_dofs
-    for dofs in (np.ones(n - 1), np.ones(n + 1), np.ones((n - 1, 2)), np.float64(1.0)):
+    mesh = build_mesh(4, 0.5)
+    system = assemble(OperatorForm.NON_DIVERGENCE, mesh, power_profile(0.5, 1.5),
+                      WentzellParams(1.0, 1.0))
+    n = mesh.n_dofs
+    free = np.ones(len(system.free))
+    assert len(free) == n - 1
+    for dofs in (free, np.ones(n + 1), np.ones((n - 1, 2)), np.float64(1.0)):
         with pytest.raises(ValueError, match="coefficients of shape"):
-            evaluate(dofs, dofmap, 0.3)
+            evaluate(dofs, mesh, 0.3)
     with pytest.raises(ValueError, match="coefficients of shape"):
-        l2_error(np.ones(n - 1), dofmap, np.cos)
-    assert l2_error(np.zeros(n), dofmap, np.zeros_like) == 0.0
+        l2_error(free, mesh, np.cos)
+    assert l2_error(np.zeros(n), mesh, np.zeros_like) == 0.0
 
 
 def test_evaluate_zero_function():
     mesh = build_mesh(3, 0.5)
-    dofmap = DofMap(mesh)
     for d in range(4):
-        assert evaluate(np.zeros(dofmap.total_dofs), dofmap, 0.77, d) == 0.0
+        assert evaluate(np.zeros(mesh.n_dofs), mesh, 0.77, d) == 0.0
 
 
 def test_unit_rule_weights_sum_to_measure():
     mesh = build_mesh(6, 0.5, grading=1.5)
-    rule = weighted_rule(mesh, DofMap(mesh), power_profile(0.5, 0.5), WeightKind.UNIT)
+    rule = weighted_rule(mesh, power_profile(0.5, 0.5), WeightKind.UNIT)
     total = np.sum(rule.weights)
     assert total == pytest.approx(1.0, abs=1e-14)
 
@@ -144,7 +147,7 @@ def test_unit_rule_weights_sum_to_measure():
 def test_reciprocal_rule_weak_matches_closed_moment():
     coeff = power_profile(0.5, 0.5)
     mesh = build_mesh(4, 0.5)
-    rule = weighted_rule(mesh, DofMap(mesh), coeff, WeightKind.COEFF_RECIP_A)
+    rule = weighted_rule(mesh, coeff, WeightKind.COEFF_RECIP_A)
     # element [0.25, 0.5]: integral of 1/a is 2 sqrt(0.25)
     assert np.sum(rule.weights[1]) == pytest.approx(1.0, rel=1e-13)
     total = np.sum(rule.weights)
@@ -154,7 +157,7 @@ def test_reciprocal_rule_weak_matches_closed_moment():
 def test_weight_rule_nondegenerate_is_plain_gauss():
     coeff = power_profile(0.5, 0.0)  # constant one
     mesh = build_mesh(4, 0.5)
-    rule = weighted_rule(mesh, DofMap(mesh), coeff, WeightKind.COEFF_A)
+    rule = weighted_rule(mesh, coeff, WeightKind.COEFF_A)
     total = np.sum(rule.weights)
     assert total == pytest.approx(1.0, rel=1e-14)
 
@@ -162,37 +165,24 @@ def test_weight_rule_nondegenerate_is_plain_gauss():
 def test_weight_rule_coeff_a_triangle():
     coeff = power_profile(0.5, 1.0)
     mesh = build_mesh(4, 0.5)
-    rule = weighted_rule(mesh, DofMap(mesh), coeff, WeightKind.COEFF_A)
+    rule = weighted_rule(mesh, coeff, WeightKind.COEFF_A)
     assert np.sum(rule.weights[2]) == pytest.approx(0.03125, rel=1e-13)
 
 
 def test_singular_rule_exact_for_fitted_degrees():
     coeff = power_profile(0.5, 0.5, scale=1.7)
     mesh = build_mesh(4, 0.5)
-    rule = weighted_rule(mesh, DofMap(mesh), coeff, WeightKind.COEFF_RECIP_A)
+    rule = weighted_rule(mesh, coeff, WeightKind.COEFF_RECIP_A)
     for j in range(8):
         got = float(np.dot(rule.weights[1], (0.5 - rule.points[1]) ** j))
         exact = (0.25) ** (j + 0.5) / ((j + 0.5) * 1.7)
         assert got == pytest.approx(exact, rel=1e-12)
 
 
-def test_strong_reciprocal_requires_constraint():
-    coeff = power_profile(0.5, 1.5)
-    mesh = build_mesh(4, 0.5)
-    dofmap = DofMap(mesh)
-    with pytest.raises(DivergentIntegralError):
-        weighted_rule(mesh, dofmap, coeff, WeightKind.COEFF_RECIP_A)
-    pinned = constrain(dofmap, [dofmap.value_dof(mesh.x0_index)])
-    rule = weighted_rule(mesh, pinned, coeff, WeightKind.COEFF_RECIP_A)
-    # exact on products carrying the (x - x0)^2 factor
-    got = float(np.dot(rule.weights[2], (rule.points[2] - 0.5) ** 2))
-    assert got == pytest.approx(0.25**1.5 / 1.5, rel=1e-12)
-
-
 def test_smooth_element_weighted_rule_accuracy():
     coeff = power_profile(0.5, 0.7)
     mesh = build_mesh(8, 0.5)
-    rule = weighted_rule(mesh, DofMap(mesh), coeff, WeightKind.COEFF_RECIP_A)
+    rule = weighted_rule(mesh, coeff, WeightKind.COEFF_RECIP_A)
     # first element does not touch x0: compare with adaptive quadrature
     got = float(np.dot(rule.weights[0], rule.points[0] ** 3))
     expected = quad(lambda x: x**3 / coeff(x), *mesh.element(0))[0]
@@ -201,8 +191,7 @@ def test_smooth_element_weighted_rule_accuracy():
 
 def test_quadrature_symmetric_in_basis_pairs():
     mesh = build_mesh(4, 0.5)
-    dofmap = DofMap(mesh)
-    rule = weighted_rule(mesh, dofmap, power_profile(0.5, 0.5), WeightKind.COEFF_A)
+    rule = weighted_rule(mesh, power_profile(0.5, 0.5), WeightKind.COEFF_A)
     e = 1
     xa, xb = mesh.element(e)
     s = (rule.points[e] - xa) / (xb - xa)
@@ -261,12 +250,8 @@ def padded(mesh, points, weights):
 def test_batched_rule_equals_element_loop_bit_for_bit(form, K, x0, n, grading, npoints):
     coeff = power_profile(x0, K)
     mesh = build_mesh(n, x0, grading)
-    dofmap = DofMap(mesh)
-    pencil = PENCIL[form]
-    if classify(coeff) is DegeneracyClass.STRONG and pencil.mass is WeightKind.COEFF_RECIP_A:
-        dofmap = constrain(dofmap, [dofmap.value_dof(mesh.x0_index)])
-    for kind in pencil:
-        rule = weighted_rule(mesh, dofmap, coeff, kind, npoints)
+    for kind in PENCIL[form]:
+        rule = weighted_rule(mesh, coeff, kind, npoints)
         points, weights = loop_rule(mesh, coeff, kind, npoints)
         P, W = padded(mesh, points, weights)
         assert np.array_equal(rule.points, P) and np.array_equal(rule.weights, W)
@@ -280,8 +265,7 @@ def test_batched_rule_equals_element_loop_bit_for_bit(form, K, x0, n, grading, n
             assert np.array_equal(element_blocks(rule, d), np.array(expected))
     coeffs = [0.3, -1.0, 2.0, 0.5, -0.25]
     p = np.polynomial.Polynomial(coeffs)
-    reference = np.zeros(dofmap.total_dofs)
+    reference = np.zeros(mesh.n_dofs)
     for i, xn in enumerate(mesh.nodes):
         reference[2 * i], reference[2 * i + 1] = p(xn), p.deriv()(xn)
-    reference[list(dofmap.constrained)] = 0.0
-    assert np.array_equal(interpolate_poly(dofmap, coeffs), reference)
+    assert np.array_equal(interpolate_poly(mesh, coeffs), reference)

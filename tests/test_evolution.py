@@ -251,7 +251,7 @@ def test_manufactured_solution_is_reproduced():
     traj = run(cfg)
     wp = np.polynomial.Polynomial(w)
     err = l2_error(
-        traj.system.expand(traj.dofs[-1]), traj.system.dofmap, lambda x: math.exp(-0.2) * wp(x)
+        traj.system.expand(traj.dofs[-1]), traj.system.mesh, lambda x: math.exp(-0.2) * wp(x)
     )
     assert err < 2e-5
 

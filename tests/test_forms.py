@@ -20,6 +20,7 @@ from wentzell4.forms import (
     element_blocks,
     gram_matrix,
 )
+from wentzell4.powers import DivergentIntegralError
 
 
 def make(form, coeff, gamma=0.0, beta=(1.0, 1.0), n=8, grading=1.0):
@@ -54,14 +55,14 @@ def test_wentzell_params_validation():
 
 def test_divergence_mass_includes_boundary_point_masses():
     sys = make(OperatorForm.DIVERGENCE, power_profile(0.5, 0.5))
-    one = interpolate_poly(sys.dofmap, [1.0])
+    one = interpolate_poly(sys.mesh, [1.0])
     M, _ = sys.to_dense()
     assert one @ M @ one == pytest.approx(1.0 + 2.0 * math.sqrt(0.5), rel=1e-13)
 
 
 def test_divergence_energy_of_affine_is_zero():
     sys = make(OperatorForm.DIVERGENCE, power_profile(0.5, 0.5))
-    one = interpolate_poly(sys.dofmap, [1.0])
+    one = interpolate_poly(sys.mesh, [1.0])
     _, K = sys.to_dense()
     scale = np.abs(K).max()
     assert abs(one @ K @ one) <= 1e-14 * scale
@@ -73,24 +74,48 @@ def test_divergence_boundary_gamma_term():
     sys = assemble(
         OperatorForm.DIVERGENCE, mesh, power_profile(0.5, 1.0), params
     )
-    x = interpolate_poly(sys.dofmap, [0.0, 1.0])
+    x = interpolate_poly(sys.mesh, [0.0, 1.0])
     _, K = sys.to_dense()
     assert x @ K @ x == pytest.approx(0.5, abs=1e-12)
 
 
 def test_nondivergence_weak_mass_value():
     sys = make(OperatorForm.NON_DIVERGENCE, power_profile(0.5, 0.5), beta=(2.0, 2.0))
-    one = interpolate_poly(sys.dofmap, [1.0])
+    one = interpolate_poly(sys.mesh, [1.0])
     M, _ = sys.to_dense()
     assert one @ M @ one == pytest.approx(2.0 * math.sqrt(2.0) + 1.0, rel=1e-12)
 
 
 def test_nondivergence_strong_constrains_value_at_x0():
     sys = make(OperatorForm.NON_DIVERGENCE, power_profile(0.5, 1.0))
-    assert sys.constrained_dofs == (sys.dofmap.value_dof(sys.mesh.x0_index),)
-    assert len(sys.free) == sys.dofmap.total_dofs - 1
-    u = interpolate_poly(sys.dofmap, [-0.5, 1.0])  # x - x0, honours the constraint
+    pinned = np.setdiff1d(np.arange(sys.mesh.n_dofs), sys.free)
+    assert np.array_equal(pinned, [2 * sys.mesh.x0_index])  # the value dof at x0
+    assert len(sys.free) == sys.mesh.n_dofs - 1
+    u = interpolate_poly(sys.mesh, [-0.5, 1.0])  # x - x0, zero at the pinned dof
     assert gram_sq(sys, WeightKind.COEFF_RECIP_A, 0, u) == pytest.approx(0.25, rel=1e-12)
+
+
+def test_strong_reciprocal_requires_constraint(monkeypatch):
+    coeff = power_profile(0.5, 1.5)
+    mesh = build_mesh(4, 0.5)
+    divergence = assemble(OperatorForm.DIVERGENCE, mesh, coeff, WentzellParams(1.0, 1.0))
+    assert len(divergence.free) == mesh.n_dofs  # nothing is pinned
+    with pytest.raises(DivergentIntegralError):
+        divergence.rule(WeightKind.COEFF_RECIP_A)
+    built = {}
+    original = forms.weighted_rule
+
+    def recording(mesh, coeff, kind, npoints=None):
+        built[kind] = original(mesh, coeff, kind, npoints)
+        return built[kind]
+
+    monkeypatch.setattr(forms, "weighted_rule", recording)
+    pinned = assemble(OperatorForm.NON_DIVERGENCE, mesh, coeff, WentzellParams(1.0, 1.0))
+    rule = pinned.rule(WeightKind.COEFF_RECIP_A)
+    assert rule is built[WeightKind.COEFF_RECIP_A]
+    # exact on products carrying the (x - x0)^2 factor
+    got = float(np.dot(rule.weights[2], (rule.points[2] - 0.5) ** 2))
+    assert got == pytest.approx(0.25**1.5 / 1.5, rel=1e-12)
 
 
 def test_strong_exponent_two_or_more_rejected():
@@ -161,7 +186,7 @@ def test_coercivity_against_seminorm_matrix(form):
 
 def test_norms_trivial_values():
     sys = make(OperatorForm.DIVERGENCE, power_profile(0.5, 0.5))
-    one = interpolate_poly(sys.dofmap, [1.0])
+    one = interpolate_poly(sys.mesh, [1.0])
     assert gram_sq(sys, WeightKind.UNIT, 0, one) == pytest.approx(1.0, rel=1e-13)
     # squared seminorm vanishes to rounding against the stiffness scale
     _, K = sys.to_dense()
@@ -171,10 +196,10 @@ def test_norms_trivial_values():
 
 def test_norms_quadratic_and_measure():
     sys = make(OperatorForm.DIVERGENCE, constant_profile(1.0, 0.5))
-    u = interpolate_poly(sys.dofmap, [0.0, -1.0, 1.0])  # x^2 - x
+    u = interpolate_poly(sys.mesh, [0.0, -1.0, 1.0])  # x^2 - x
     assert gram_sq(sys, WeightKind.COEFF_A, 2, u) == pytest.approx(4.0, rel=1e-13)
     sysw = make(OperatorForm.DIVERGENCE, power_profile(0.5, 0.5))
-    x = interpolate_poly(sysw.dofmap, [0.0, 1.0])
+    x = interpolate_poly(sysw.mesh, [0.0, 1.0])
     assert sysw.mass_norm_sq(x) == pytest.approx(1.0 / 3.0 + math.sqrt(0.5), rel=1e-13)
 
 
@@ -197,7 +222,7 @@ def test_assembly_properties_random_parameters(gamma, beta, K):
 def test_weak_reciprocal_mass_matches_closed_moment():
     coeff = power_profile(0.5, 0.5)
     sys = make(OperatorForm.NON_DIVERGENCE, coeff, beta=(1e6, 1e6), n=8)
-    one = interpolate_poly(sys.dofmap, [1.0])
+    one = interpolate_poly(sys.mesh, [1.0])
     expected = singular_moment(coeff, (0, 1), 0, -1) + 2e-6
     M, _ = sys.to_dense()
     assert one @ M @ one == pytest.approx(expected, rel=1e-10)
@@ -212,10 +237,10 @@ def test_each_weight_rule_is_built_once_per_system(monkeypatch, form, K):
     built = Counter()
     original = forms.weighted_rule
 
-    def counting(mesh, dofmap, coeff, kind, npoints=None):
+    def counting(mesh, coeff, kind, npoints=None):
         if npoints is None:
             built[WeightKind(kind)] += 1
-        return original(mesh, dofmap, coeff, kind, npoints)
+        return original(mesh, coeff, kind, npoints)
 
     monkeypatch.setattr(forms, "weighted_rule", counting)
     sys = make(form, power_profile(0.5, K), gamma=-1.0)

@@ -9,7 +9,6 @@ from scipy.integrate import dblquad
 from wentzell4 import oracle
 from wentzell4.coefficient import constant_profile, power_profile
 from wentzell4.discretization import (
-    DofMap,
     WeightKind,
     build_mesh,
     interpolate_poly,
@@ -68,7 +67,7 @@ def test_divergence_kernel_is_affine(weak_system):
     assert near_zero_count(d.eigenvalues) == 2
     # cross-check: the stiffness annihilates interpolants of 1 and x
     for coeffs in ([1.0], [0.0, 1.0]):
-        u = interpolate_poly(weak_system.dofmap, coeffs)
+        u = interpolate_poly(weak_system.mesh, coeffs)
         (K,) = weak_system.to_dense("K")
         assert np.linalg.norm(K @ u) <= 1e-10 * np.abs(K).max()
 
@@ -83,7 +82,7 @@ def test_strong_nondivergence_kernel_is_pinned_linear():
     )
     d = dense_decompose(sys)
     assert near_zero_count(d.eigenvalues) == 1
-    u = interpolate_poly(sys.dofmap, [-0.5, 1.0])
+    u = interpolate_poly(sys.mesh, [-0.5, 1.0])
     (K,) = sys.to_dense("K")
     assert K.shape == (len(sys.free),) * 2
     assert np.linalg.norm(K @ u[sys.free]) <= 1e-10 * np.abs(K).max()
@@ -243,7 +242,7 @@ def test_pointwise_bound_documented_cases():
 
 def scalar_pointwise_bound(u_coeffs, coeff, k):
     """pointwise_sqrt_bound as a point-by-point scan of the 2001-point grid."""
-    g = coeff.as_power(1) * PiecewisePower.from_polynomial(u_coeffs, coeff.x0).derivative(k)
+    g = coeff.as_power(1) * PiecewisePower.from_sides(u_coeffs, u_coeffs, coeff.x0).derivative(k)
     denom = math.sqrt(g.derivative().l2_norm_sq())
     if denom == 0.0:
         return 0.0
@@ -312,9 +311,8 @@ def test_norm_equivalence_constant_matches_the_banded_pencil(coeff):
     rep = norm_equivalence_report(coeff, n=8)
     for n, constant in zip(rep.element_counts, rep.constants):
         mesh = build_mesh(n, 0.5)
-        dofmap = DofMap(mesh)
-        unit = weighted_rule(mesh, dofmap, coeff, WeightKind.UNIT)
-        a_rule = weighted_rule(mesh, dofmap, coeff, WeightKind.COEFF_A)
+        unit = weighted_rule(mesh, coeff, WeightKind.UNIT)
+        a_rule = weighted_rule(mesh, coeff, WeightKind.COEFF_A)
         top = band_pencil_eigenvalues(
             gram_matrix(unit, 0) + gram_matrix(a_rule, 2), gram_matrix(unit, 1)
         )[-1]

@@ -56,7 +56,7 @@ def test_side_values_equal_pointwise_calls_bit_for_bit(left, right, x0, K):
 
 
 def test_polynomial_roundtrip_values():
-    f = PiecewisePower.from_polynomial([1.0, -2.0, 0.5, 3.0], 0.4)
+    f = PiecewisePower.from_sides([1.0, -2.0, 0.5, 3.0], [1.0, -2.0, 0.5, 3.0], 0.4)
     p = np.polynomial.Polynomial([1.0, -2.0, 0.5, 3.0])
     for x in (0.0, 0.1, 0.39, 0.41, 0.77, 1.0):
         assert f(x) == pytest.approx(p(x), rel=1e-14)
@@ -64,7 +64,7 @@ def test_polynomial_roundtrip_values():
 
 def test_product_matches_pointwise():
     a = PiecewisePower.power_weight(0.5, 0.5)
-    u = PiecewisePower.from_polynomial([0.0, 1.0, 2.0], 0.5)
+    u = PiecewisePower.from_sides([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], 0.5)
     g = a * u
     for x in (0.1, 0.49, 0.8):
         assert g(x) == pytest.approx(abs(x - 0.5) ** 0.5 * (x + 2 * x**2), rel=1e-13)
@@ -78,8 +78,8 @@ def test_derivative_left_side_sign():
 
 
 def test_integral_against_adaptive_quadrature():
-    f = PiecewisePower.power_weight(0.5, -0.5) * PiecewisePower.from_polynomial(
-        [1.0, 1.0], 0.5
+    f = PiecewisePower.power_weight(0.5, -0.5) * PiecewisePower.from_sides(
+        [1.0, 1.0], [1.0, 1.0], 0.5
     )
     expected = quad(
         lambda x: (1.0 + x) * abs(x - 0.5) ** -0.5, 0.0, 1.0, points=[0.5], limit=200
@@ -88,7 +88,7 @@ def test_integral_against_adaptive_quadrature():
 
 
 def test_integral_partial_interval():
-    f = PiecewisePower.from_polynomial([0.0, 0.0, 3.0], 0.5)  # 3 x^2
+    f = PiecewisePower.from_sides([0.0, 0.0, 3.0], [0.0, 0.0, 3.0], 0.5)  # 3 x^2
     assert f.integrate(0.2, 0.9) == pytest.approx(0.9**3 - 0.2**3, rel=1e-14)
 
 
@@ -124,11 +124,11 @@ def test_boundary_breakpoint_has_one_side():
 
 
 def test_l2_norm_sq():
-    f = PiecewisePower.from_polynomial([0.0, 1.0], 0.5)
+    f = PiecewisePower.from_sides([0.0, 1.0], [0.0, 1.0], 0.5)
     assert f.l2_norm_sq() == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("coeffs", [[], [[1.0, 2.0]]])
 def test_shift_refuses_empty_or_nested_coefficients(coeffs):
     with pytest.raises(ValueError):
-        PiecewisePower.from_polynomial(coeffs, 0.5)
+        PiecewisePower.from_sides(coeffs, coeffs, 0.5)

@@ -6,7 +6,6 @@ non-negativity, coercivity, integration-by-parts identities, energy
 estimates)."""
 
 from .coefficient import (
-    ComparisonCheck,
     ConfigError,
     DegeneracyClass,
     DegenerateCoefficient,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigvals_banded, norm
+from scipy.linalg import LinAlgError, norm
 
 from .coefficient import ConfigError, constant_profile, keyed, number, only_keys, power_profile
 from .evolution import (
@@ -156,8 +156,8 @@ def parse_config(text) -> CliConfig:
     rdoc = _section(doc, "resolvent", {"lambda", "f"})
     with keyed("resolvent"):
         lam = number(rdoc, "lambda", default=1.0)
-        if lam <= max(0.0, params.gamma0, params.gamma1):
-            raise ConfigError("lambda", "must exceed max(0, gamma0, gamma1)")
+        if not lam > 0.0:
+            raise ConfigError("lambda", "must be > 0")
         rf = rdoc.get("f", "one")
         with keyed("f"):
             resolve_space_spec(rf)
@@ -215,8 +215,8 @@ def _cmd_resolvent(config: CliConfig, out: Path):
     try:
         u = resolvent_solve(system, config.resolvent_lambda, f)
     except NotCoerciveError as exc:
-        # lambda passed the bound max(0, gamma0, gamma1), yet the shifted
-        # matrix failed its factorization in floating point
+        # lambda > 0, yet the shifted matrix failed its factorization in
+        # floating point
         raise ConfigError("resolvent.lambda", str(exc)) from None
     except LinAlgError as exc:  # M f overflowed
         raise ConfigError("resolvent.f", f"not solvable in double precision: {exc}") from None
@@ -233,10 +233,10 @@ def _cmd_resolvent(config: CliConfig, out: Path):
     relative = r / b_norm
     # the plain relative residual has a floor of eps*||A||*||u|| / ||b||
     # that grows with refinement; the gate uses the normwise backward
-    # error, which is mesh-independent.  A is SPD: ||A||_2 is its top
-    # eigenvalue
-    top = A.shape[1] - 1
-    a_norm = float(eigvals_banded(A, lower=True, select="i", select_range=(top, top))[0])
+    # error, which is mesh-independent.  A is SPD, so its largest diagonal
+    # entry is a lower bound on ||A||_2: the error reported is never below
+    # the exact one
+    a_norm = float(A[0].max())
     backward = r / (a_norm * float(norm(u, check_finite=False)) + b_norm)
     ok = backward <= 1e-14
     _write_json(

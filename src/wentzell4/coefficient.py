@@ -4,8 +4,8 @@ Every coefficient is the power law ``a(x) = scale * |x - x0|**K``; K = 0
 is the constant ``a(x) = scale``.  A coefficient is *weakly* degenerate when
 1/a is integrable across the zero of a (power law with K < 1), *strongly*
 degenerate when it is not (K >= 1).  Strong results additionally need a
-monotone comparison against a reference power with exponent in [1, 2);
-see :func:`check_power_comparison`.
+monotone comparison against a reference power with exponent in [1, 2),
+which for the power law is K < 2; see :func:`check_power_comparison`.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ __all__ = [
     "power_profile",
     "constant_profile",
     "classify",
-    "ComparisonCheck",
     "check_power_comparison",
     "singular_moment",
 ]
@@ -104,11 +103,7 @@ class DegenerateCoefficient:
             raise ConfigError("scale", f"must be > 0, got {self.scale}")
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.K == 0.0:
-            out = np.full_like(x, self.scale)
-        else:
-            out = self.scale * np.abs(x - self.x0) ** self.K
+        out = self.scale * np.abs(np.asarray(x, dtype=float) - self.x0) ** self.K
         return out if out.ndim else float(out)
 
     def as_power(self, sign=1):
@@ -141,36 +136,16 @@ def classify(coeff: DegenerateCoefficient) -> DegeneracyClass:
     return DegeneracyClass.WEAK if coeff.K < 1.0 else DegeneracyClass.STRONG
 
 
-@dataclass(frozen=True)
-class ComparisonCheck:
-    """Outcome of the monotone power-comparison admissibility test."""
+def check_power_comparison(coeff: DegenerateCoefficient):
+    """ConfigError("K") unless a strong coefficient has K < 2.
 
-    ok: bool
-    reason: str = ""
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_power_comparison(coeff: DegenerateCoefficient, K: float) -> ComparisonCheck:
-    """Verify that |x - x0|**K / a(x) is non-increasing left of x0 and
-    non-decreasing right of x0 for some comparison exponent K in [1, 2).
-
-    Exact for the built-in profiles: the ratio is a pure power of the
-    distance, monotone in the required sense iff its exponent K - K_a is
-    nonnegative.  When x0 sits on a boundary only the interior side is
-    checked.
+    The paper's strong results need |x - x0|**K' / a(x) monotone in |x - x0|
+    on each side for some K' in [1, 2).  For a = scale |x - x0|**K the ratio
+    is a power of the distance with exponent K' - K, so some K' works iff
+    K < 2.
     """
-    if not 1.0 <= K < 2.0:
-        return ComparisonCheck(False, f"comparison exponent {K} outside [1, 2)")
-    if K >= coeff.K:
-        return ComparisonCheck(True)
-    sides = []
-    if coeff.x0 > 0.0:
-        sides.append("ratio increasing toward x0 on the left (must be non-increasing)")
-    if coeff.x0 < 1.0:
-        sides.append("ratio decreasing away from x0 on the right (must be non-decreasing)")
-    return ComparisonCheck(False, "; ".join(sides))
+    if classify(coeff) is DegeneracyClass.STRONG and coeff.K >= 2.0:
+        raise ConfigError("K", f"must be < 2 for a strong degeneracy, got {coeff.K}")
 
 
 def singular_moment(coeff, interval, m, sign):

@@ -278,7 +278,7 @@ def _fitted_singular_rule(coeff, xa, xb, sign, min_degree):
     weight over an element with x0 at one end."""
     h = xb - xa
     at_left = abs(coeff.x0 - xa) <= abs(coeff.x0 - xb)
-    p = sign * (0.0 if coeff.K == 0.0 else coeff.K)
+    p = sign * coeff.K
     amp = coeff.scale**sign
     sigma, A = _moment_fit(min_degree)
     # exact moments of sigma**j against the weight, sigma = d/h in [0, 1];

@@ -53,6 +53,7 @@ from .coefficient import (
     ConfigError,
     DegeneracyClass,
     DegenerateCoefficient,
+    check_power_comparison,
     classify,
     is_finite_number,
     keyed,
@@ -74,7 +75,6 @@ from .forms import (
     assemble,
     band_congruence,
     band_matvec,
-    require_admissible,
     row_band,
 )
 
@@ -120,7 +120,10 @@ class _BandedSPD:
         if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
             raise LinAlgError("matrix has a nonpositive diagonal")
         self.dinv = 1.0 / np.sqrt(diag)
-        self.factor = cholesky_banded(band_congruence(ab, self.dinv), lower=True)
+        scaled = band_congruence(ab, self.dinv)
+        if not np.isfinite(scaled).all():
+            raise LinAlgError("equilibrated matrix is out of double range")
+        self.factor = cholesky_banded(scaled, lower=True, check_finite=False)
         self._rows_ext = row_band(ab.astype(np.longdouble))
 
     def _solve_once(self, b):
@@ -150,19 +153,16 @@ def resolvent_solve(system: AssembledSystem, lam, f):
     """Solve (lambda*M + K) u = M f for free-dof f (vectorized over
     trailing columns).
 
-    Valid for lambda above max(0, gamma0, gamma1); outside that range the
-    shifted matrix may be indefinite and NotCoerciveError is raised when
-    the factorization fails.  A right-hand side M f that is not finite
-    raises LinAlgError.
+    lambda*M + K is coercive for every lambda > 0, since beta_j > 0 and
+    gamma_j <= 0; NotCoerciveError is raised when its factorization fails
+    in floating point all the same.  A right-hand side M f that is not
+    finite raises LinAlgError.
     """
     try:
         solver = _BandedSPD(lam * system.M + system.K)
     except LinAlgError as exc:
-        p = system.params
-        bound = max(0.0, p.gamma0, p.gamma1)
         raise NotCoerciveError(
-            f"lambda*M + K is not positive definite at lambda = {lam}"
-            f" (coercivity needs lambda > {bound}): {exc}"
+            f"lambda*M + K is not positive definite at lambda = {lam}: {exc}"
         ) from exc
     return solver.solve(band_matvec(row_band(system.M), f))
 
@@ -368,7 +368,7 @@ class ProblemConfig:
     def __post_init__(self):
         with keyed("coefficient"):
             check_interior(self.coeff.x0)
-            require_admissible(self.coeff)
+            check_power_comparison(self.coeff)
         with keyed("time"):
             if not self.T > 0.0:
                 raise ConfigError("T", "must be > 0")

@@ -61,7 +61,6 @@ __all__ = [
     "Pencil",
     "PENCIL",
     "assemble",
-    "require_admissible",
     "BANDWIDTH",
     "band_congruence",
     "band_matvec",
@@ -391,20 +390,6 @@ class AssembledSystem:
         return self._rules[key]
 
 
-def require_admissible(coeff):
-    """The class of ``coeff``; ConfigError("K") unless a strong one has K in [1, 2)."""
-    klass = classify(coeff)
-    if klass is DegeneracyClass.STRONG:
-        check = check_power_comparison(coeff, coeff.K)
-        if not check:
-            raise ConfigError(
-                "K",
-                "strong degeneracy needs a monotone power comparison with "
-                f"exponent in [1, 2): {check.reason}",
-            )
-    return klass
-
-
 def assemble(form, mesh, coeff, params) -> AssembledSystem:
     """System of the operator ``form`` on the cubic Hermite space of
     ``mesh``, with dynamic boundary terms.
@@ -418,7 +403,8 @@ def assemble(form, mesh, coeff, params) -> AssembledSystem:
     """
     form = OperatorForm(form)
     pencil = PENCIL[form]
-    klass = require_admissible(coeff)
+    check_power_comparison(coeff)
+    klass = classify(coeff)
     free = np.arange(mesh.n_dofs)
     if klass is DegeneracyClass.STRONG and pencil.mass is WeightKind.COEFF_RECIP_A:
         free = np.delete(free, 2 * mesh.x0_index)  # the value dof at x0

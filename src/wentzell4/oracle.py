@@ -648,8 +648,7 @@ def _resolvent_checks(cases):
             B = M @ F
             R = (lam * M + K) @ U - B
             worst = float(np.max(np.linalg.norm(R, axis=0) / np.linalg.norm(B, axis=0)))
-            p = system.params
-            delta = min(lam, 1.0, lam - p.gamma0, lam - p.gamma1)
+            delta = min(lam, 1.0)
             w = eigh(lam * M + K - delta * M, eigvals_only=True)
             lam_min = float(w[0])
             ok = worst <= 1e-10 and lam_min >= -1e-8 * max(abs(float(w[-1])), 1.0)

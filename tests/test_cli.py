@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wentzell4.cli import ConfigError, dispatch, main, parse_config
@@ -357,6 +357,11 @@ def test_main_reports_any_other_error_with_exit_3(tmp_path, capsys, monkeypatch)
         ({"forcing": {"kind": "manufactured", "rate": math.inf}}, "forcing.rate"),
         ({"forcing": {"kind": "separable", "rate": math.nan}}, "forcing.rate"),
         ({"resolvent": {"lambda": math.nan}}, "resolvent.lambda"),
+        ({"resolvent": {"lambda": 0.0}}, "resolvent.lambda"),
+        ({"resolvent": {"lambda": -1.0}}, "resolvent.lambda"),
+        # the Jacobi scaling of M overflows before the projection solve
+        ({"operator": "nondivergence", "coefficient": {"x0": 1e-9, "K": 1.5, "scale": 1e300},
+          "mesh": {"n": 5}, "project_u0": True}, "project_u0"),
     ],
 )
 def test_main_config_diagnostic_names_key(tmp_path, capsys, overrides, key):
@@ -546,6 +551,10 @@ def _documents(draw):
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=_documents())
+# the Jacobi scaling of this M overflows: exit 2 on project_u0, not 3
+@example(doc={"operator": "nondivergence", "coefficient": {"x0": 1e-09, "K": 1.5, "scale": 1e300},
+              "wentzell": {"beta0": 1, "beta1": 1}, "mesh": {"n": 5}, "time": {"T": 0.1},
+              "project_u0": True})
 def test_schema_documents_end_in_a_result_or_one_diagnostic(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

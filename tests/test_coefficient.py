@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wentzell4.coefficient import (
+    ConfigError,
     DegeneracyClass,
     check_power_comparison,
     classify,
@@ -14,6 +15,8 @@ from wentzell4.coefficient import (
     power_profile,
     singular_moment,
 )
+from wentzell4.discretization import build_mesh
+from wentzell4.forms import OperatorForm, WentzellParams, assemble
 from wentzell4.powers import DivergentIntegralError
 
 
@@ -49,30 +52,22 @@ def test_classify_threshold_over_exponent_grid(K):
     assert classify(power_profile(0.4, K)) is expected
 
 
-def test_power_comparison_prototypes():
-    # ratio identically one: monotone on both sides
-    assert check_power_comparison(power_profile(0.5, 1.5), 1.5)
-    # comparison exponent outside the admissible range
-    res = check_power_comparison(power_profile(0.5, 1.0), 2.0)
-    assert not res and "outside" in res.reason
-    # weak coefficient against exponent one: still monotone
-    assert check_power_comparison(power_profile(0.5, 0.5), 1.0)
-    # steeper coefficient than the comparison power: both sides fail
-    res = check_power_comparison(power_profile(0.5, 1.9), 1.0)
-    assert not res
-    assert "left" in res.reason and "right" in res.reason
-
-
-def test_power_comparison_boundary_degeneracy_single_side():
-    res = check_power_comparison(power_profile(0.0, 1.9), 1.0)
-    assert not res and "left" not in res.reason
-
-
 @settings(max_examples=40, deadline=None)
-@given(K=st.floats(min_value=1.0, max_value=2.0, exclude_max=True))
-def test_power_comparison_holds_for_matching_exponent(K):
-    # the ratio is constant, hence monotone in the required sense
-    assert check_power_comparison(power_profile(0.5, K), K)
+@given(K=st.floats(min_value=0.0, max_value=3.0, exclude_max=True))
+@example(K=1.0)
+@example(K=2.0)
+def test_power_comparison_admits_exactly_K_below_two(K):
+    coeff = power_profile(0.5, K)
+    if K < 2.0:
+        assert check_power_comparison(coeff) is None
+        return
+    with pytest.raises(ConfigError) as err:
+        check_power_comparison(coeff)
+    assert err.value.key == "K"
+    for form in OperatorForm:
+        with pytest.raises(ConfigError) as err:
+            assemble(form, build_mesh(4, 0.5), coeff, WentzellParams(1.0, 1.0))
+        assert err.value.key == "K"
 
 
 def test_singular_moment_reciprocal_closed_forms():

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import LinAlgError, norm
 
-from .coefficient import ConfigError, constant_profile, keyed, number, only_keys, power_profile
+from .coefficient import ConfigError, keyed, number, only_keys, power_profile
 from .evolution import (
     NotCoerciveError,
     ProblemConfig,
@@ -63,11 +63,11 @@ def parse_config(text) -> CliConfig:
     """Read a JSON config document and apply defaults.
 
     Required: operator, coefficient.x0, coefficient.K, wentzell.beta0/1,
-    wentzell.gamma0/1, time.T.  Defaults: scheme implicit_euler, n = 32,
-    dt = T/100, grading 2 for a strongly degenerate coefficient and 1
-    otherwise.  Unknown keys anywhere are rejected.  This reads the shape
-    of the document only; each bound is checked by the constructor the
-    value goes to, and :class:`ProblemConfig` checks the problem.
+    time.T.  Defaults: coefficient.scale 1, wentzell.gamma0/1 0, scheme
+    implicit_euler, n = 32, dt = T/100; the mesh has equal elements on
+    each side of x0.  Unknown keys anywhere are rejected.  This reads the
+    shape of the document only; each bound is checked by the constructor
+    the value goes to, and :class:`ProblemConfig` checks the problem.
     """
     try:
         doc = json.loads(text)
@@ -87,18 +87,13 @@ def parse_config(text) -> CliConfig:
     if operator not in ("divergence", "nondivergence"):
         raise ConfigError("operator", "must be 'divergence' or 'nondivergence'")
 
-    cdoc = _section(doc, "coefficient", {"x0", "K", "scale", "profile"}, required=True)
+    cdoc = _section(doc, "coefficient", {"x0", "K", "scale"}, required=True)
     with keyed("coefficient"):
-        profile = cdoc.get("profile", "power")
-        if profile not in ("power", "constant"):
-            raise ConfigError("profile", "must be 'power' or 'constant'")
-        scale = number(cdoc, "scale", default=1.0)
-        if profile == "constant":
-            coeff = constant_profile(scale, number(cdoc, "x0", default=0.5))
-        else:
-            coeff = power_profile(
-                number(cdoc, "x0", required=True), number(cdoc, "K", required=True), scale
-            )
+        coeff = power_profile(
+            number(cdoc, "x0", required=True),
+            number(cdoc, "K", required=True),
+            number(cdoc, "scale", default=1.0),
+        )
 
     wdoc = _section(doc, "wentzell", {"beta0", "beta1", "gamma0", "gamma1"}, required=True)
     with keyed("wentzell"):
@@ -109,9 +104,7 @@ def parse_config(text) -> CliConfig:
             number(wdoc, "gamma1", default=0.0),
         )
 
-    mdoc = _section(doc, "mesh", {"n", "grading"})
-    with keyed("mesh"):
-        grading = number(mdoc, "grading")
+    mdoc = _section(doc, "mesh", {"n"})
 
     tdoc = _section(doc, "time", {"T", "dt"}, required=True)
     with keyed("time"):
@@ -132,7 +125,6 @@ def parse_config(text) -> CliConfig:
         T=T,
         dt=dt,
         n=mdoc.get("n", 32),
-        grading=grading,
         scheme=scheme,
         u0=doc.get("u0", "one"),
         forcing=doc.get("forcing"),

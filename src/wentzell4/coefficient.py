@@ -99,8 +99,8 @@ class DegenerateCoefficient:
             raise ConfigError("x0", f"must lie in [0, 1], got {self.x0}")
         if not self.K >= 0.0:
             raise ConfigError("K", f"must be >= 0, got {self.K}")
-        if not self.scale > 0.0:
-            raise ConfigError("scale", f"must be > 0, got {self.scale}")
+        if not (self.scale > 0.0 and math.isfinite(1.0 / self.scale)):
+            raise ConfigError("scale", f"must be > 0 with 1/scale finite, got {self.scale}")
 
     def __call__(self, x):
         out = self.scale * np.abs(np.asarray(x, dtype=float) - self.x0) ** self.K

@@ -1,12 +1,13 @@
-"""Graded interval meshes, C1 cubic Hermite spaces, weighted quadrature.
+"""Interval meshes, C1 cubic Hermite spaces, weighted quadrature.
 
-The degeneracy point is always a mesh node, so the singular behaviour of
-the weights a and 1/a is confined to the two adjacent elements.  There the
-quadrature weights are moment-fitted against exact closed-form moments of
-the power-law weight; any polynomial integrand up to the declared degree
-is then integrated exactly, so assembled matrices carry no quadrature
-error.  Away from the degeneracy a high-order Gauss rule applied to the
-full integrand is accurate to rounding.
+The degeneracy point is always a mesh node, with equal elements on each
+side of it, so the singular behaviour of the weights a and 1/a is
+confined to the two adjacent elements.  There the quadrature weights are
+moment-fitted against exact closed-form moments of the power-law
+weight; any polynomial integrand up to the declared degree is then
+integrated exactly, so assembled matrices carry no quadrature error.
+Away from the degeneracy a high-order Gauss rule applied to the full
+integrand is accurate to rounding.
 
 Every element-wise quantity is one batched array with the element index
 first.  A quadrature rule holds ``(n_elements, P)`` points and weights, P
@@ -87,15 +88,6 @@ class Mesh:
         return np.diff(self.nodes)
 
 
-def _graded_lengths(total, count, grading, shrink_toward_end):
-    """Geometric progression of element lengths summing to ``total``;
-    ratio between neighbours is ``grading``, smallest at the chosen end."""
-    weights = grading ** np.arange(count, dtype=float)
-    if shrink_toward_end:
-        weights = weights[::-1]
-    return total * weights / weights.sum()
-
-
 def check_interior(x0):
     """Meshes, and so every discrete problem, need 0 < x0 < 1; the
     coefficient itself admits the end points."""
@@ -103,37 +95,28 @@ def check_interior(x0):
         raise ConfigError("x0", f"must be interior, 0 < x0 < 1, got {x0}")
 
 
-def build_mesh(n, x0, grading=1.0) -> Mesh:
-    """Mesh of ``n`` elements on [0, 1] with ``x0`` as an interior node.
-
-    grading = 1 gives near-uniform spacing on each side of x0; grading > 1
-    shrinks element lengths geometrically toward x0 with ratio 1/grading.
-    A grading so steep that an element length rounds to zero raises
-    ConfigError("grading"), an ``n`` whose arrays cannot be allocated
-    ConfigError("n").
+def build_mesh(n, x0) -> Mesh:
+    """Mesh of ``n`` elements on [0, 1] with ``x0`` as an interior node and
+    equal elements on each side of it, about ``n x0`` of them on the left.
+    An ``n`` whose arrays cannot be allocated, or whose elements would
+    round to zero length, raises ConfigError("n").
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
         raise ConfigError("n", "must be an integer >= 2")
     check_interior(x0)
-    if not grading >= 1.0:
-        raise ConfigError("grading", "must be >= 1")
     n = int(n)
     n_left = min(n - 1, max(1, round(n * x0)))
     n_right = n - n_left
     try:
-        left = _graded_lengths(x0, n_left, grading, shrink_toward_end=True)
-        right = _graded_lengths(1.0 - x0, n_right, grading, shrink_toward_end=False)
+        left = np.full(n_left, x0 / n_left)
+        right = np.full(n_right, (1.0 - x0) / n_right)
         nodes = np.concatenate([[0.0], np.cumsum(left), x0 + np.cumsum(right)])
     except (MemoryError, ValueError) as exc:  # numpy refused an allocation
         raise ConfigError("n", f"{n} elements cannot be stored: {exc}") from None
     nodes[n_left] = x0
     nodes[-1] = 1.0
-    collapsed = int(np.sum(~(np.diff(nodes) > 0.0)))
-    if collapsed:
-        raise ConfigError(
-            "grading",
-            f"{grading} gives {collapsed} elements of zero length at n = {n}",
-        )
+    if not np.all(np.diff(nodes) > 0.0):
+        raise ConfigError("n", f"{n} elements leave some of zero length")
     nodes.setflags(write=False)
     return Mesh(nodes, n_left)
 

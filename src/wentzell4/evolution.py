@@ -30,11 +30,12 @@ Every matrix is read in the lower band storage of :mod:`forms`, so a step
 costs O(n).  Linear systems are solved with a banded Cholesky
 factorization after symmetric diagonal equilibration, plus one round of
 iterative refinement: Hermite slope dofs scale like h^3 against h for
-value dofs, and graded meshes would otherwise cost several digits in the
-residual.  After that round the relative residual stalls near 1e-11, so
-a second one buys nothing.  The refinement residual is formed in
-longdouble from the band, summed in the order of the dense product, so
-it equals the dense residual bit for bit.
+value dofs, and a mesh whose element lengths differ much (x0 near an
+end) would otherwise cost several digits in the residual.  After that
+round the relative residual stalls near 1e-11, so a second one buys
+nothing.  The refinement residual is formed in longdouble from the band,
+summed in the order of the dense product, so it equals the dense
+residual bit for bit.
 """
 from __future__ import annotations
 
@@ -51,7 +52,6 @@ from scipy.linalg.lapack import dpbtrs
 
 from .coefficient import (
     ConfigError,
-    DegeneracyClass,
     DegenerateCoefficient,
     check_power_comparison,
     classify,
@@ -140,8 +140,8 @@ class _BandedSPD:
         """Solve A x = b for a float array b (vectorized over trailing
         columns), with one round of refinement against the
         extended-precision residual: it recovers the digits the dof
-        scaling h**3 vs h costs on graded meshes, and further rounds leave
-        the residual where it is."""
+        scaling h**3 vs h costs where element lengths differ much, and
+        further rounds leave the residual where it is."""
         if not np.isfinite(b).all():
             raise LinAlgError("right-hand side is not finite")
         x = self._solve_once(b)
@@ -351,7 +351,8 @@ class ProblemConfig:
     """Everything defining one Cauchy problem run.  Construction checks
     each bound of the problem, the mesh included, and raises ConfigError
     on the config key at fault (``time.dt``, ``coefficient.K``, ...).
-    The mesh built by that check is kept as :attr:`mesh`."""
+    The mesh built by that check, ``n`` elements equal on each side of
+    x0, is kept as :attr:`mesh`."""
 
     form: OperatorForm
     coeff: DegenerateCoefficient
@@ -359,7 +360,6 @@ class ProblemConfig:
     T: float
     dt: float | None = None
     n: int = 32
-    grading: float | None = None
     scheme: Scheme = Scheme.IMPLICIT_EULER
     u0: object = "one"
     forcing: object = None
@@ -386,15 +386,10 @@ class ProblemConfig:
 
     @functools.cached_property
     def mesh(self):
-        return build_mesh(self.n, self.coeff.x0, self.resolved_grading())
+        return build_mesh(self.n, self.coeff.x0)
 
     def resolved_dt(self):
         return self.dt if self.dt is not None else self.T / 100.0
-
-    def resolved_grading(self):
-        if self.grading is not None:
-            return self.grading
-        return 2.0 if classify(self.coeff) is DegeneracyClass.STRONG else 1.0
 
 
 def build_system(config: ProblemConfig) -> AssembledSystem:

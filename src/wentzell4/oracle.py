@@ -536,9 +536,9 @@ def _case_matrix():
     """Structural test matrix at n = 16: both operator forms, the four
     degeneracy prototypes, neutral and damped boundary terms.
 
-    Uniform meshes on purpose: graded meshes push the stiffness scale so
-    high that the 1e-9 relative kernel threshold can no longer separate
-    the first genuinely positive eigenvalue.
+    x0 = 1/2 makes the mesh uniform; a mesh graded toward x0 would push
+    the stiffness scale so high that the 1e-9 relative kernel threshold
+    could no longer separate the first genuinely positive eigenvalue.
     """
     coeffs = [
         ("weak_K05", power_profile(0.5, 0.5)),

@@ -12,6 +12,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from wentzell4.coefficient import constant_profile, power_profile
 from wentzell4.discretization import l2_error
@@ -202,8 +203,9 @@ def test_09_best_linear_fit():
         assert {c["tolerance"] for c in checks} == {1e-12}
 
 
-def test_10_manufactured_solution_convergence():
-    with criterion(10, "manufactured-solution spatial convergence", 60.0):
+@pytest.mark.parametrize("K", [0.5, 1.0, 1.5, 1.9])
+def test_10_manufactured_solution_convergence(K):
+    with criterion(10, f"manufactured-solution spatial convergence, K = {K}", 60.0):
         witness = np.polynomial.Polynomial(resolve_space_spec("bump_cubed"))
         T = 0.25
         errors = []
@@ -211,7 +213,7 @@ def test_10_manufactured_solution_convergence():
         for n in sizes:
             cfg = ProblemConfig(
                 D,
-                power_profile(0.5, 0.5),
+                power_profile(0.5, K),
                 WentzellParams(1.0, 1.0, -1.0, -1.0),
                 T=T,
                 dt=T / (50 * (n // 8) ** 2),

@@ -47,7 +47,7 @@ systems = st.tuples(
 def build(spec):
     form, strong, n, x0, K, gamma, beta = spec
     coeff = power_profile(x0, 1.0 + K if strong else K)
-    mesh = build_mesh(n, x0, 1.0)
+    mesh = build_mesh(n, x0)
     params = WentzellParams(beta, 1.0 / beta, gamma, 0.5 * gamma)
     return assemble(form, mesh, coeff, params)
 
@@ -297,7 +297,6 @@ def test_run_and_resolvent_memory_is_linear_in_n(tmp_path):
             T=5e-4,
             dt=1e-4,
             n=2048,
-            grading=1.0,
             scheme=scheme,
             u0="bump_cubed",
             forcing={"kind": "separable", "space": "parabola", "rate": 1.0},
@@ -335,7 +334,7 @@ def test_spectrum_memory_is_linear_in_n(tmp_path):
         "operator": "nondivergence",
         "coefficient": {"x0": 0.5, "K": 1.5},
         "wentzell": {"beta0": 1, "beta1": 2, "gamma0": -0.5, "gamma1": 0},
-        "mesh": {"n": 2048, "grading": 1.0},
+        "mesh": {"n": 2048},
         "time": {"T": 1.0},
     }))
     tracemalloc.start()

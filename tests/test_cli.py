@@ -40,12 +40,6 @@ def test_parse_minimal_config_defaults():
     assert c.problem.n == 32
     assert c.problem.scheme is Scheme.IMPLICIT_EULER
     assert c.problem.resolved_dt() == pytest.approx(0.01)
-    assert c.problem.resolved_grading() == 1.0  # weak coefficient
-
-
-def test_parse_strong_gets_graded_default():
-    c = parse_config(cfg(coefficient={"x0": 0.5, "K": 1.5}))
-    assert c.problem.resolved_grading() == 2.0
 
 
 def test_parse_rejects_positive_gamma():
@@ -306,7 +300,6 @@ def test_main_reports_any_other_error_with_exit_3(tmp_path, capsys, monkeypatch)
         ({"coefficient": {"x0": 1.5}}, "coefficient.x0"),
         ({"coefficient": {"K": -0.5}}, "coefficient.K"),
         ({"coefficient": {"scale": 0.0}}, "coefficient.scale"),
-        ({"coefficient": {"profile": "constant", "scale": -1.0}}, "coefficient.scale"),
         ({"wentzell": {"beta0": 0.0}}, "wentzell.beta0"),
         ({"wentzell": {"beta1": -1.0}}, "wentzell.beta1"),
         ({"wentzell": {"gamma0": 0.5}}, "wentzell.gamma0"),
@@ -326,7 +319,6 @@ def test_main_reports_any_other_error_with_exit_3(tmp_path, capsys, monkeypatch)
         ({"spectrum": {"count": True}}, "spectrum.count"),
         ({"coefficient": {"x0": 0.0}}, "coefficient.x0"),
         ({"coefficient": {"x0": 1.0}}, "coefficient.x0"),
-        ({"coefficient": {"profile": "constant", "x0": 1.0}}, "coefficient.x0"),
         ({"u0": {"poly": []}}, "u0"),
         ({"u0": {"poly": [[1, 2]]}}, "u0"),
         ({"u0": [1, [2]]}, "u0"),
@@ -337,7 +329,15 @@ def test_main_reports_any_other_error_with_exit_3(tmp_path, capsys, monkeypatch)
         ({"forcing": {"kind": "separable", "space": [[0.5]]}}, "forcing.space"),
         ({"resolvent": {"f": {"poly": []}}}, "resolvent.f"),
         ({"resolvent": {"f": {"poly": [[1, 2]]}}}, "resolvent.f"),
+        # meshes have equal elements on each side of x0; no key grades them
         ({"mesh": {"grading": 0.5}}, "mesh.grading"),
+        ({"mesh": {"grading": 1.0}}, "mesh.grading"),
+        # the constant coefficient is K = 0; no key overrides a given K
+        ({"coefficient": {"profile": "constant", "K": 1.5, "x0": 0.3}}, "coefficient.profile"),
+        # 1/scale leaves the double range: the reciprocal weight would overflow
+        ({"operator": "nondivergence", "coefficient": {"K": 1.5, "scale": 1e-320}},
+         "coefficient.scale"),
+        ({"coefficient": {"K": 0.5, "scale": 1e-320}}, "coefficient.scale"),
         # numpy refuses the mesh arrays before it touches memory: 10**15
         # elements need 3.55 PiB, 2**62 pass the largest array dimension
         ({"mesh": {"n": 10**15}}, "mesh.n"),
@@ -345,11 +345,6 @@ def test_main_reports_any_other_error_with_exit_3(tmp_path, capsys, monkeypatch)
         # a report of no check, or of one suite twice
         ({"verify": {"suites": []}}, "verify.suites"),
         ({"verify": {"suites": ["hardy", "hardy"]}}, "verify.suites"),
-        # the default strong grading 2 collapses elements to zero length
-        ({"operator": "nondivergence", "coefficient": {"K": 1.5}, "mesh": {"n": 128}},
-         "mesh.grading"),
-        ({"operator": "nondivergence", "coefficient": {"K": 1.5}, "mesh": {"n": 200}},
-         "mesh.grading"),
         # JSON admits NaN and Infinity; no number of the schema does
         ({"time": {"T": math.inf}}, "time.T"),
         ({"wentzell": {"gamma0": -math.inf}}, "wentzell.gamma0"),
@@ -477,15 +472,24 @@ def test_explicit_manufactured_rate_zero_is_kept(tmp_path):
     assert trajectories[0] != trajectories[1]
 
 
-def test_constant_profile_runs_as_the_power_law_with_K_zero(tmp_path):
-    outputs = []
-    for name, coefficient in (("constant", {"profile": "constant", "scale": 2.0}),
-                              ("power", {"K": 0, "scale": 2.0})):
-        config = parse_config(cfg(mesh={"n": 8}, time={"T": 0.05}, coefficient=coefficient))
-        assert dispatch("run", config, tmp_path / name) == 0
-        outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
-    assert set(outputs[0]) == {"trajectory.csv", "summary.json"}
-    assert outputs[0] == outputs[1]
+@pytest.mark.parametrize("n", [128, 200, 1024])
+def test_strong_meshes_are_valid_at_large_n(tmp_path, n):
+    # equal elements on each side of x0 leave no element of zero length
+    path = tmp_path / "config.json"
+    path.write_text(cfg(operator="nondivergence", coefficient={"K": 1.5}, mesh={"n": n}))
+    for command in ("run", "spectrum", "resolvent"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+
+
+def test_readme_config_document_runs(tmp_path):
+    # the JSON block that follows "A config document:" in README.md
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("A config document:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    parse_config(block)
+    path = tmp_path / "config.json"
+    path.write_text(block)
+    for command in ("run", "verify", "spectrum", "resolvent"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +529,10 @@ def _documents(draw):
     T = draw(st.floats(1e-3, 5.0))
     coefficient = {"x0": draw(_number(0.0, 1.0)), "K": draw(_number(0.0, 2.0))}
     coefficient = draw(_optional(coefficient, "scale", _number(1e-3, 10.0)))
-    profile = _mostly(st.just("constant"), st.just("x"))
-    coefficient = draw(_optional(coefficient, "profile", profile))
     wentzell = {"beta0": draw(_number(1e-3, 10.0)), "beta1": draw(_number(1e-3, 10.0))}
     for key in ("gamma0", "gamma1"):
         wentzell = draw(_optional(wentzell, key, _number(-10.0, 0.0)))
-    n = draw(_mostly(st.integers(2, 12), _JUNK))
-    mesh = draw(_optional({"n": n}, "grading", _number(1.0, 4.0)))
+    mesh = {"n": draw(_mostly(st.integers(2, 12), _JUNK))}
     time = draw(_optional({"T": draw(_mostly(st.just(T), _JUNK))}, "dt", _number(T / 50, T)))
     space = _mostly(_SPACE, _BAD_SPACE)
     forcing = st.fixed_dictionaries(
@@ -555,6 +556,9 @@ def _documents(draw):
 @example(doc={"operator": "nondivergence", "coefficient": {"x0": 1e-09, "K": 1.5, "scale": 1e300},
               "wentzell": {"beta0": 1, "beta1": 1}, "mesh": {"n": 5}, "time": {"T": 0.1},
               "project_u0": True})
+# 1/scale overflows: exit 2 on coefficient.scale, not 3
+@example(doc={"operator": "nondivergence", "coefficient": {"x0": 0.5, "K": 1.5, "scale": 1e-320},
+              "wentzell": {"beta0": 1, "beta1": 1}, "time": {"T": 0.1}})
 def test_schema_documents_end_in_a_result_or_one_diagnostic(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

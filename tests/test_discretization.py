@@ -30,13 +30,6 @@ def test_build_mesh_minimal():
     np.testing.assert_allclose(mesh.nodes, [0.0, 0.3, 1.0])
 
 
-def test_build_mesh_graded_geometric():
-    mesh = build_mesh(8, 0.5, grading=2.0)
-    lengths = np.diff(mesh.nodes)[:4]
-    np.testing.assert_allclose(lengths, np.array([8.0, 4.0, 2.0, 1.0]) / 15.0 * 0.5)
-    assert lengths[-1] == min(lengths)
-
-
 def test_build_mesh_rejects_boundary_x0():
     with pytest.raises(ValueError):
         build_mesh(4, 0.0)
@@ -44,6 +37,23 @@ def test_build_mesh_rejects_boundary_x0():
         build_mesh(4, 1.0)
     with pytest.raises(ValueError):
         build_mesh(1, 0.5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=2, max_value=10**5),
+    x0=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+@example(n=10**5, x0=5e-324)
+@example(n=10**5, x0=1e-300)
+@example(n=10**5, x0=1.0 - 2.0**-53)
+@example(n=2, x0=1.0 - 2.0**-53)
+def test_build_mesh_is_valid_for_every_n_and_x0(n, x0):
+    mesh = build_mesh(n, x0)
+    assert mesh.n_elements == n
+    assert mesh.nodes[0] == 0.0 and mesh.nodes[-1] == 1.0
+    assert mesh.nodes[mesh.x0_index] == x0
+    assert np.all(np.diff(mesh.nodes) > 0.0)
 
 
 def test_mesh_numbers_a_value_and_a_slope_dof_per_node():
@@ -138,8 +148,8 @@ def test_evaluate_zero_function():
 
 
 def test_unit_rule_weights_sum_to_measure():
-    mesh = build_mesh(6, 0.5, grading=1.5)
-    rule = weighted_rule(mesh, power_profile(0.5, 0.5), WeightKind.UNIT)
+    mesh = build_mesh(6, 0.37)
+    rule = weighted_rule(mesh, power_profile(0.37, 0.5), WeightKind.UNIT)
     total = np.sum(rule.weights)
     assert total == pytest.approx(1.0, abs=1e-14)
 
@@ -244,12 +254,11 @@ def padded(mesh, points, weights):
     K=st.floats(min_value=0.0, max_value=1.99),
     x0=st.floats(min_value=0.05, max_value=0.95),
     n=st.integers(min_value=2, max_value=64),
-    grading=st.floats(min_value=1.0, max_value=1.5),
     npoints=st.sampled_from([None, 8]),
 )
-def test_batched_rule_equals_element_loop_bit_for_bit(form, K, x0, n, grading, npoints):
+def test_batched_rule_equals_element_loop_bit_for_bit(form, K, x0, n, npoints):
     coeff = power_profile(x0, K)
-    mesh = build_mesh(n, x0, grading)
+    mesh = build_mesh(n, x0)
     for kind in PENCIL[form]:
         rule = weighted_rule(mesh, coeff, kind, npoints)
         points, weights = loop_rule(mesh, coeff, kind, npoints)

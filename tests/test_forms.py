@@ -23,8 +23,8 @@ from wentzell4.forms import (
 from wentzell4.powers import DivergentIntegralError
 
 
-def make(form, coeff, gamma=0.0, beta=(1.0, 1.0), n=8, grading=1.0):
-    mesh = build_mesh(n, coeff.x0, grading)
+def make(form, coeff, gamma=0.0, beta=(1.0, 1.0), n=8):
+    mesh = build_mesh(n, coeff.x0)
     params = WentzellParams(beta[0], beta[1], gamma, gamma)
     return assemble(form, mesh, coeff, params)
 

@@ -75,6 +75,7 @@ from .forms import (
     assemble,
     band_congruence,
     band_matvec,
+    point_terms,
     row_band,
 )
 
@@ -118,7 +119,7 @@ class _BandedSPD:
         ab = np.asarray(ab, dtype=float)
         diag = ab[0]
         if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
-            raise LinAlgError("matrix has a nonpositive diagonal")
+            raise LinAlgError("matrix diagonal is not positive and finite")
         self.dinv = 1.0 / np.sqrt(diag)
         scaled = band_congruence(ab, self.dinv)
         if not np.isfinite(scaled).all():
@@ -201,7 +202,7 @@ class Forcing:
 UNFORCED = Forcing(0.0, None, 0.0)
 
 
-def _polynomial_load(system, coeffs, weight_kind, derivative, point_terms):
+def _polynomial_load(system, coeffs, weight_kind, derivative, end_terms):
     """Exact vector of weighted products of a polynomial p with every free
     basis function: entries int w(x) p^(d)(x) phi_i^(d)(x) dx, plus the
     Wentzell point terms c_j p(j) at the end dofs."""
@@ -213,7 +214,7 @@ def _polynomial_load(system, coeffs, weight_kind, derivative, point_terms):
     load = np.bincount(
         mesh.element_dofs().ravel(), weights=local.ravel(), minlength=mesh.n_dofs
     )
-    load[mesh.end_dofs] += np.multiply(point_terms, p(np.array([0.0, 1.0])))
+    load[mesh.end_dofs] += np.multiply(end_terms, p(np.array([0.0, 1.0])))
     return load[system.free]
 
 
@@ -324,15 +325,20 @@ def parse_forcing(spec):
 
 
 def resolve_forcing(system, spec) -> Forcing:
-    """Forcing from a spec accepted by :func:`parse_forcing`."""
+    """Forcing from a spec accepted by :func:`parse_forcing`; a load whose
+    squared M-norm is not finite raises ConfigError("forcing.space")."""
     kind, coeffs, rate = parse_forcing(spec)
     if kind == "separable":
         p = initial_dofs(system, coeffs)
         mp = band_matvec(row_band(system.M), p)
-        return Forcing(rate, mp, float(p @ mp))
-    if kind == "manufactured":
-        return manufactured_divergence_forcing(system, coeffs, rate=rate)
-    return UNFORCED
+        forcing = Forcing(rate, mp, float(p @ mp))
+    elif kind == "manufactured":
+        forcing = manufactured_divergence_forcing(system, coeffs, rate=rate)
+    else:
+        return UNFORCED
+    if not math.isfinite(forcing.norm_sq):  # a load that is not finite has no finite norm
+        raise ConfigError("forcing.space", "the squared M-norm of the load is not finite")
+    return forcing
 
 
 def initial_dofs(system, spec, project=False):
@@ -369,6 +375,8 @@ class ProblemConfig:
         with keyed("coefficient"):
             check_interior(self.coeff.x0)
             check_power_comparison(self.coeff)
+        with keyed("wentzell"):
+            point_terms(self.form, self.coeff, self.params)
         with keyed("time"):
             if not self.T > 0.0:
                 raise ConfigError("T", "must be > 0")
@@ -486,17 +494,14 @@ class Trajectory:
         }
 
 
-_BLOCK = 2**14  # dofs per block of states in make_state: bounds band_quadratic's copy
-
-
 def make_state(system, scheme, dt, states, forcing=UNFORCED, aborted=None) -> Trajectory:
     """The trajectory of a run from its states at t = 0, dt, 2 dt, ...:
     the bookkeeping of every step in one batched pass after the step loop.
 
     ``states`` (states, n_free) holds the free dofs of each state.  Norms
-    and energies come from stacked quadratic forms, block by block of
-    states.  Times are accumulated as ``t + dt``, and the slack of step k
-    is
+    and energies are two stacked quadratic forms, each one call over all
+    states that copies none of them.  Times are accumulated as ``t + dt``,
+    and the slack of step k is
 
         ||u_k||^2 - ||u_{k-1}||^2 + 2 dt E(u_k) - dt ||u_k||^2 - dt h_sq_k,
 
@@ -504,14 +509,12 @@ def make_state(system, scheme, dt, states, forcing=UNFORCED, aborted=None) -> Tr
     a step-by-step evaluation.  A state whose squared M-norm or forcing
     norm is not finite (finite dofs and loads can overflow them) ends the
     trajectory at the state before it, with ``aborted`` saying so;
-    otherwise ``aborted`` is kept.
+    otherwise ``aborted`` is kept.  An initial state whose squared M-norm
+    is not finite raises ConfigError("u0") instead.
     """
-    norm_mu_sq, energy = np.empty(len(states)), np.empty(len(states))
-    block = max(1, _BLOCK // states.shape[1])
-    for i in range(0, len(states), block):
-        part = states[i : i + block]
-        norm_mu_sq[i : i + block] = system.mass_norm_sq(part)
-        energy[i : i + block] = system.energy(part)
+    norm_mu_sq, energy = system.mass_norm_sq(states), system.energy(states)
+    if not math.isfinite(norm_mu_sq[0]):
+        raise ConfigError("u0", "the squared M-norm of the initial state is not finite")
     times = np.full(len(states), float(dt))
     times[0] = 0.0
     np.cumsum(times, out=times)

@@ -21,12 +21,15 @@ is held in LAPACK lower band storage ``ab`` of shape (4, n):
 zero.  Assembly computes all element blocks in one batch, scatters them
 into the band and keeps only the rows and columns of the free dofs
 (:func:`free_band`), so n is the number of free dofs and a pinned dof has
-no entry anywhere.  Every vector is held on the free dofs too; the time
-step, the norms and the solvers read the bands directly, at O(n) cost,
-and :meth:`AssembledSystem.expand` forms a full-dof vector only where
-one is written out or evaluated.  Dense copies exist only through
-:meth:`AssembledSystem.to_dense`, for the oracle and tests.  The
-eigenvalues of the pencil come from the bands too
+no entry anywhere.  Every vector is held on the free dofs too, and
+:meth:`AssembledSystem.expand` forms a full-dof vector only where one
+is written out or evaluated.  The time step, the norms and the solvers
+read the bands directly, at O(n) cost: a kernel that reduces or
+rescales a band reads diagonal k as the slices ``ab[k, :n-k]``,
+``x[k:]`` and ``x[:n-k]``.  Only the matvec, applied many times to one
+matrix, reads a (7, n) row form (:func:`row_band`), built once.  Dense
+copies exist only through :meth:`AssembledSystem.to_dense`, for the
+oracle and tests; the eigenvalues of the pencil come from the bands
 (:func:`band_pencil_eigenvalues`, LAPACK ``dsbgv``).
 
 The element blocks are exactly symmetric and an entry of the band sums
@@ -70,6 +73,7 @@ __all__ = [
     "element_blocks",
     "free_band",
     "gram_matrix",
+    "point_terms",
     "row_band",
 ]
 
@@ -118,27 +122,12 @@ BANDWIDTH = 3
 _LOCAL_ROW, _LOCAL_COL = np.tril_indices(4)
 
 
-class _BandIndex(NamedTuple):
-    """Read-only index arrays for bands of n dofs.
-
-    ``shift[k, j] = min(j + k, n - 1)`` is the row of ab[k, j], and
-    ``column[o, i]`` is the column i + o - 3 of entry (o, i) of
-    :func:`row_band`, clipped into range.
-    """
-
-    shift: np.ndarray
-    column: np.ndarray
-
-
 @functools.lru_cache(maxsize=16)
-def _band_index(n):
-    i = np.arange(n)
-    shift = np.minimum(i + np.arange(BANDWIDTH + 1)[:, None], n - 1)
-    column = np.clip(i + np.arange(-BANDWIDTH, BANDWIDTH + 1)[:, None], 0, n - 1)
-    index = _BandIndex(shift, column)
-    for a in index:
-        a.setflags(write=False)
-    return index
+def _band_columns(n):
+    """Read-only columns i + o - 3 of :func:`row_band`, clipped into range."""
+    column = np.clip(np.arange(n) + np.arange(-BANDWIDTH, BANDWIDTH + 1)[:, None], 0, n - 1)
+    column.setflags(write=False)
+    return column
 
 
 def row_band(ab):
@@ -172,7 +161,7 @@ def band_matvec(rows, x):
     x = np.asarray(x, dtype=rows.dtype)
     if len(x) != rows.shape[1]:  # a full-dof vector is refused, not misread
         raise ValueError(f"vector of {len(x)} entries for a band of {rows.shape[1]} dofs")
-    products = x[_band_index(rows.shape[1]).column]
+    products = x[_band_columns(rows.shape[1])]
     products *= rows if x.ndim == 1 else rows.reshape(rows.shape + (1,) * (x.ndim - 1))
     return np.add.reduce(products, axis=0, initial=-0.0)
 
@@ -181,23 +170,34 @@ def band_quadratic(ab, x):
     """x^T A x for the symmetric matrix with lower band ``ab``; for x of
     shape (s, n), the array of the s values x[i]^T A x[i].
 
-    Each value is a weighted sum of the four per-diagonal sums, each of
-    them accumulated in column order and the weighted sum term by term
-    from zero, as BLAS forms the dot product of four entries.  The
-    weights are 1 and 2, so every product is exact.  A row of a stack
-    gives the bits of the same vector alone.  The gathered copy of x is
-    four times its size, so a long stack is best passed in blocks.
+    Diagonal k is summed from slices, ``ab[k, :n-k] x[k:] x[:n-k]`` in
+    column order, so a stack of any length takes one call and no copy.
+    The value is 1, 2, 2, 2 times the four diagonal sums, added term by
+    term from zero as BLAS forms a dot product of four entries; the
+    weights make every product exact.  A row of a stack gives the bits
+    of the same vector alone.
     """
     x = np.asarray(x, dtype=float)
-    rows = x.reshape(-1, x.shape[-1])  # einsum refuses a length other than the band's
-    per = np.einsum("kj,skj,sj->sk", ab, rows[:, _band_index(ab.shape[1]).shift], rows)
-    out = 0.0 + per[:, 0] + 2.0 * per[:, 1] + 2.0 * per[:, 2] + 2.0 * per[:, 3]
+    n = ab.shape[1]
+    if x.shape[-1] != n:  # a full-dof vector is refused, not misread
+        raise ValueError(f"vector of {x.shape[-1]} entries for a band of {n} dofs")
+    rows = x.reshape(-1, n)
+    per = [
+        np.einsum("j,sj,sj->s", ab[k, : max(n - k, 0)], rows[:, k:], rows[:, : max(n - k, 0)])
+        for k in range(BANDWIDTH + 1)
+    ]
+    out = 0.0 + per[0] + 2.0 * per[1] + 2.0 * per[2] + 2.0 * per[3]
     return out if x.ndim > 1 else float(out[0])
 
 
 def band_congruence(ab, d):
-    """Lower band of diag(d) A diag(d): entry (k, j) times d[j + k] * d[j]."""
-    return ab * (d[_band_index(ab.shape[1]).shift] * d)
+    """Lower band of diag(d) A diag(d): entry (k, j) times d[j + k] * d[j],
+    and +0.0 past the end of each diagonal."""
+    n = len(d)
+    out = np.zeros_like(ab)
+    for k in range(min(len(ab), n)):
+        out[k, : n - k] = ab[k, : n - k] * (d[k:] * d[: n - k])
+    return out
 
 
 @functools.cache
@@ -281,13 +281,10 @@ def free_band(ab, free):
 def band_to_dense(ab):
     """Dense symmetric matrix from a lower band of any width."""
     n = ab.shape[1]
-    k = np.broadcast_to(np.arange(ab.shape[0])[:, None], ab.shape)
-    j = np.broadcast_to(np.arange(n), ab.shape)
-    inside = j + k < n
-    k, j = k[inside], j[inside]
     dense = np.zeros((n, n), dtype=ab.dtype)
-    dense[j + k, j] = ab[inside]
-    dense[j, j + k] = ab[inside]
+    for k in range(min(len(ab), n)):
+        j = np.arange(n - k)
+        dense[j + k, j] = dense[j, j + k] = ab[k, : n - k]
     return dense
 
 
@@ -390,6 +387,22 @@ class AssembledSystem:
         return self._rules[key]
 
 
+def point_terms(form, coeff, params):
+    """Point masses c_j/beta_j and stiffnesses -(gamma_j/beta_j) c_j of
+    ``form`` at the ends j = 0, 1, c_j its stiffness weight there (a(j) or
+    1); a term out of double range raises ConfigError("beta{j}" or "gamma{j}")."""
+    weight = PENCIL[OperatorForm(form)].stiffness
+    c = coeff.boundary_values() if weight is WeightKind.COEFF_A else (1.0, 1.0)
+    p = params
+    mass = (c[0] / p.beta0, c[1] / p.beta1)
+    stiffness = (-((p.gamma0 / p.beta0) * c[0]), -((p.gamma1 / p.beta1) * c[1]))
+    for j in (0, 1):
+        for key, term in ((f"beta{j}", mass[j]), (f"gamma{j}", stiffness[j])):
+            if not np.isfinite(term):
+                raise ConfigError(key, f"the point term at x = {j} is not finite")
+    return mass, stiffness
+
+
 def assemble(form, mesh, coeff, params) -> AssembledSystem:
     """System of the operator ``form`` on the cubic Hermite space of
     ``mesh``, with dynamic boundary terms.
@@ -408,14 +421,8 @@ def assemble(form, mesh, coeff, params) -> AssembledSystem:
     free = np.arange(mesh.n_dofs)
     if klass is DegeneracyClass.STRONG and pencil.mass is WeightKind.COEFF_RECIP_A:
         free = np.delete(free, 2 * mesh.x0_index)  # the value dof at x0
+    point_mass, point_stiffness = point_terms(form, coeff, params)
     rules = {kind: weighted_rule(mesh, coeff, kind) for kind in pencil}
-    if pencil.stiffness is WeightKind.COEFF_A:
-        c0, c1 = coeff.boundary_values()
-    else:
-        c0, c1 = 1.0, 1.0
-    p = params
-    point_mass = (c0 / p.beta0, c1 / p.beta1)
-    point_stiffness = (-((p.gamma0 / p.beta0) * c0), -((p.gamma1 / p.beta1) * c1))
     M = gram_matrix(rules[pencil.mass], 0)
     M[0, mesh.end_dofs] += point_mass
     S = gram_matrix(rules[pencil.stiffness], 2)

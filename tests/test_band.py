@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
@@ -17,6 +17,7 @@ from wentzell4.forms import (
     OperatorForm,
     WentzellParams,
     assemble,
+    band_congruence,
     band_matvec,
     band_pencil_eigenvalues,
     band_quadratic,
@@ -142,6 +143,10 @@ def test_band_kernels_match_dense(spec, seed):
 @settings(max_examples=40, deadline=None)
 @given(spec=systems, seed=st.integers(min_value=0, max_value=2**32 - 1),
        rows=st.integers(min_value=1, max_value=300))
+# whole stacks go through one call: the 2501 states of 65 free dofs of a
+# strong non-divergence run of 2500 steps at n = 32, and 300 states of 8194
+@example(spec=(OperatorForm.NON_DIVERGENCE, True, 32, 0.5, 0.5, 0.0, 1.0), seed=1, rows=2501)
+@example(spec=(OperatorForm.DIVERGENCE, False, 4096, 0.5, 0.5, -1.0, 1.0), seed=2, rows=300)
 def test_stacked_quadratic_is_the_rows_one_by_one_bit_for_bit(spec, seed, rows):
     sys = build(spec)
     rng = np.random.default_rng(seed)
@@ -151,6 +156,42 @@ def test_stacked_quadratic_is_the_rows_one_by_one_bit_for_bit(spec, seed, rows):
         stacked = band_quadratic(band, X)
         assert stacked.shape == (rows,)
         assert np.array_equal(stacked, [band_quadratic(band, x) for x in X])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_band_quadratic_refuses_a_vector_of_another_length(n):
+    ab = np.ones((4, n))
+    for length in (n - 1, n + 1):
+        for shape in ((length,), (3, length)):
+            with pytest.raises(ValueError, match=f"vector of {length} entries"):
+                band_quadratic(ab, np.ones(shape))
+    with pytest.raises(ValueError):
+        band_matvec(row_band(ab), np.ones(n + 1))
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), int(np.random.default_rng(7).integers(9, 2000))])
+def test_band_congruence_is_the_entrywise_loop_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    ab = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-8, 9, (4, n))
+    ab[rng.random((4, n)) < 0.2] = -0.0
+    d = rng.uniform(0.5, 2.0, n) * 10.0 ** rng.integers(-8, 9, n)
+    expected = np.zeros((4, n))
+    for k in range(4):
+        for j in range(n - k):
+            expected[k, j] = ab[k, j] * (d[j + k] * d[j])
+    got = band_congruence(ab, d)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))  # +0.0 past the ends
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_band_to_dense_of_a_band_wider_than_the_matrix(n):
+    ab = np.random.default_rng(n).standard_normal((4, n))
+    expected = np.zeros((n, n))
+    for k in range(4):
+        for j in range(n - k):
+            expected[j + k, j] = expected[j, j + k] = ab[k, j]
+    assert np.array_equal(band_to_dense(ab), expected)
 
 
 @pytest.mark.parametrize("form", list(OperatorForm))

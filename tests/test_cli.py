@@ -357,6 +357,12 @@ def test_main_reports_any_other_error_with_exit_3(tmp_path, capsys, monkeypatch)
         # the Jacobi scaling of M overflows before the projection solve
         ({"operator": "nondivergence", "coefficient": {"x0": 1e-9, "K": 1.5, "scale": 1e300},
           "mesh": {"n": 5}, "project_u0": True}, "project_u0"),
+        # initial data out of double range: infinite dofs, then finite dofs
+        # whose squared M-norm overflows
+        ({"u0": {"poly": [1e308, 1e308]}}, "u0"),
+        ({"u0": {"poly": [1e200, 0, 0, 1e200]}}, "u0"),
+        # a separable load that is not finite at t = 0
+        ({"forcing": {"kind": "separable", "space": {"poly": [1e308, 1e308]}}}, "forcing.space"),
     ],
 )
 def test_main_config_diagnostic_names_key(tmp_path, capsys, overrides, key):
@@ -366,6 +372,33 @@ def test_main_config_diagnostic_names_key(tmp_path, capsys, overrides, key):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "Traceback" not in lines[0]
     assert json.loads(lines[0])["key"] == key
+
+
+@pytest.mark.parametrize("command", ["run", "spectrum", "resolvent"])
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        # a(0)/beta0 overflows
+        ({"coefficient": {"scale": 1e10}, "wentzell": {"beta0": 1e-300}}, "wentzell.beta0"),
+        # 1/beta0 overflows
+        ({"operator": "nondivergence", "wentzell": {"beta0": 1e-309}}, "wentzell.beta0"),
+        # gamma0/beta0 overflows
+        ({"wentzell": {"beta0": 1e-10, "gamma0": -1e300}}, "wentzell.gamma0"),
+    ],
+)
+def test_point_term_out_of_double_range_names_its_key(tmp_path, capsys, command, overrides, key):
+    path = tmp_path / "config.json"
+    doc = json.loads(cfg(mesh={"n": 8}, time={"T": 0.1}))
+    for section, values in overrides.items():
+        if isinstance(values, dict):
+            doc[section].update(values)
+        else:
+            doc[section] = values
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["key"] == key
+    assert not (tmp_path / "out").exists()
 
 
 def test_resolvent_factorization_failure_is_a_diagnostic(tmp_path, capsys):
@@ -559,7 +592,18 @@ def _documents(draw):
 # 1/scale overflows: exit 2 on coefficient.scale, not 3
 @example(doc={"operator": "nondivergence", "coefficient": {"x0": 0.5, "K": 1.5, "scale": 1e-320},
               "wentzell": {"beta0": 1, "beta1": 1}, "time": {"T": 0.1}})
+# the initial state has no finite M-norm: exit 2 on u0, not a NaN summary
+@example(doc={"operator": "divergence", "coefficient": {"x0": 0.5, "K": 0.5},
+              "wentzell": {"beta0": 1, "beta1": 1, "gamma0": -1, "gamma1": -1},
+              "mesh": {"n": 8}, "time": {"T": 0.1}, "u0": {"poly": [1e308, 1e308]}})
+# a(0)/beta0 overflows: exit 2 on wentzell.beta0, not an infinite summary
+@example(doc={"operator": "divergence", "coefficient": {"x0": 0.5, "K": 0.5, "scale": 1e10},
+              "wentzell": {"beta0": 1e-300, "beta1": 1, "gamma0": -1, "gamma1": -1},
+              "mesh": {"n": 8}, "time": {"T": 0.1}})
 def test_schema_documents_end_in_a_result_or_one_diagnostic(doc):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(doc))
@@ -570,3 +614,6 @@ def test_schema_documents_end_in_a_result_or_one_diagnostic(doc):
                 status = main([command, "--config", str(path), "--out", str(Path(tmp) / command)])
             assert status in (0, 1, 2)
             assert len(err.getvalue().splitlines()) <= 1 and not caught
+            # every file written is strict JSON: no NaN, no Infinity
+            for written in (Path(tmp) / command).glob("*.json"):
+                json.loads(written.read_text(), parse_constant=refuse)

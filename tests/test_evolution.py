@@ -1,6 +1,5 @@
 import io
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -408,10 +407,9 @@ _FORCING = st.one_of(
     steps=st.integers(min_value=1, max_value=30),
     gamma=st.floats(min_value=-2.0, max_value=0.0),
     u0=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=5),
-    block=st.sampled_from([None, 100]),
 )
 def test_run_equals_the_per_step_loop_bit_for_bit(
-    form, K, scheme, forcing, project_u0, n, steps, gamma, u0, block
+    form, K, scheme, forcing, project_u0, n, steps, gamma, u0
 ):
     if forcing is not None and forcing["kind"] == "manufactured" and form is not OperatorForm.DIVERGENCE:
         forcing = None
@@ -420,11 +418,7 @@ def test_run_equals_the_per_step_loop_bit_for_bit(
         T=0.02 * steps, dt=0.02, n=n, scheme=scheme, u0={"poly": u0},
         forcing=forcing, project_u0=project_u0,
     )
-    import wentzell4.evolution as ev
-
-    # a small block spreads the bookkeeping over several blocks of states
-    with mock.patch.object(ev, "_BLOCK", block or ev._BLOCK):
-        traj = run(config)
+    traj = run(config)
     times, norms, energies, slacks, h_sqs, final, summary = _reference_run(config)
     assert traj.aborted is None
     assert traj.dofs.shape == (steps + 1, len(traj.system.free))

@@ -218,6 +218,11 @@ def _cmd_resolvent(config: CliConfig, out: Path):
             fh.write(f"{i},{v:.17g}\n")
     A = config.resolvent_lambda * system.M + system.K
     b = band_matvec(row_band(system.M), f)
+    # both ratios below are invariant under a common scaling of u and b;
+    # one exact power of two brings their largest entry into [0.5, 1), so
+    # that A u does not overflow where u and b are finite
+    exponent = np.frexp(max(np.abs(u).max(), np.abs(b).max()))[1]
+    u, b = np.ldexp(u, -exponent), np.ldexp(b, -exponent)
     # BLAS nrm2 scales as it sums; np.linalg.norm squares the entries,
     # which overflow for data near 1e160 and up
     r = float(norm(band_matvec(row_band(A), u) - b, check_finite=False))

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Legendre, Polynomial
-from scipy.special import roots_legendre
 
 from .coefficient import ConfigError, DegeneracyClass, classify
 
@@ -228,11 +227,54 @@ def _shifted_legendre_coeffs(r):
     return coef
 
 
+# Gauss-Legendre rules on [-1, 1] for the only point counts the package
+# uses: 4 and 16 (the default unit and weighted rules), 8 (loads and L2
+# errors) and 6 and 8 (the moment fits, 8 - min_degree points).  Each
+# row is a positive node and its weight, ascending; the rule is symmetric,
+# so the negative half is the mirror image.  The literals are the bits of
+# scipy.special.roots_legendre (scipy 1.17.1), a table rather than a call
+# so that no command loads scipy.special.
+_GAUSS_LEGENDRE_HALVES = {
+    4: (
+        (0.3399810435848563, 0.6521451548625462),
+        (0.8611363115940526, 0.3478548451374538),
+    ),
+    6: (
+        (0.23861918608319693, 0.4679139345726912),
+        (0.6612093864662645, 0.36076157304813855),
+        (0.932469514203152, 0.17132449237917016),
+    ),
+    8: (
+        (0.18343464249564984, 0.36268378337836205),
+        (0.525532409916329, 0.3137066458778876),
+        (0.7966664774136267, 0.22238103445337473),
+        (0.9602898564975363, 0.10122853629037562),
+    ),
+    16: (
+        (0.09501250983763745, 0.1894506104550681),
+        (0.2816035507792589, 0.18260341504492328),
+        (0.4580167776572274, 0.16915651939500212),
+        (0.6178762444026438, 0.14959598881657638),
+        (0.755404408355003, 0.12462897125553363),
+        (0.8656312023878318, 0.09515851168249231),
+        (0.9445750230732326, 0.06225352393864763),
+        (0.9894009349916499, 0.027152459411756466),
+    ),
+}
+
+
 @functools.cache
 def _gauss_legendre(npoints):
-    """Gauss-Legendre nodes and weights on [-1, 1].  Cached, hence
-    read-only."""
-    nodes, weights = roots_legendre(npoints)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for a
+    tabulated point count, else ValueError.  Cached, hence read-only."""
+    if npoints not in _GAUSS_LEGENDRE_HALVES:
+        raise ValueError(
+            f"no Gauss-Legendre rule of {npoints} points; "
+            f"tabulated: {sorted(_GAUSS_LEGENDRE_HALVES)}"
+        )
+    half_nodes, half_weights = np.array(_GAUSS_LEGENDRE_HALVES[npoints]).T
+    nodes = np.concatenate([-half_nodes[::-1], half_nodes])
+    weights = np.concatenate([half_weights[::-1], half_weights])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

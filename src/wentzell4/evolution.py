@@ -230,7 +230,8 @@ def manufactured_divergence_forcing(system, witness_coeffs, rate=1.0):
     The strong-form residual (a w'')'' - rate*w is singular at x0 for
     fractional exponents, so the load is built directly from the energy
     pairing: load_i = B(w, phi_i) - rate * <w, phi_i>_mu, all integrals
-    exact for polynomial w.
+    exact for polynomial w.  A load that is not finite gets the norm inf,
+    without a solve.
     """
     _require_divergence(system.form)
     w = np.asarray(witness_coeffs, dtype=float)
@@ -238,6 +239,8 @@ def manufactured_divergence_forcing(system, witness_coeffs, rate=1.0):
     load = _polynomial_load(
         system, w, pencil.stiffness, 2, system.point_stiffness
     ) - rate * _polynomial_load(system, w, pencil.mass, 0, system.point_mass)
+    if not np.isfinite(load).all():  # resolve_forcing refuses it on its norm
+        return Forcing(rate, load, math.inf)
     return Forcing(rate, load, float(_BandedSPD(system.M).solve(load) @ load))
 
 
@@ -344,11 +347,13 @@ def resolve_forcing(system, spec) -> Forcing:
 def initial_dofs(system, spec, project=False):
     """Initial free-dof coefficients: Hermite interpolant of the
     polynomial spec, or its M-orthogonal projection when ``project`` is
-    set."""
+    set; a projection whose load is not finite raises ConfigError("u0")."""
     coeffs = resolve_space_spec(spec)
     if not project:
         return interpolate_poly(system.mesh, coeffs)[system.free]
     load = _polynomial_load(system, coeffs, PENCIL[system.form].mass, 0, system.point_mass)
+    if not np.isfinite(load).all():
+        raise ConfigError("u0", "the load of the projection is not finite")
     return _BandedSPD(system.M).solve(load)
 
 
@@ -382,6 +387,8 @@ class ProblemConfig:
                 raise ConfigError("T", "must be > 0")
             if self.dt is not None and not 0.0 < self.dt <= self.T:
                 raise ConfigError("dt", "must satisfy 0 < dt <= T")
+            if not self.resolved_dt() > 0.0:
+                raise ConfigError("T", "the default step T/100 underflows to zero")
             if not math.isfinite(self.T / self.resolved_dt()):
                 raise ConfigError("dt", "the step count T/dt is not finite")
         with keyed("u0"):

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import wentzell4
 from wentzell4.cli import ConfigError, dispatch, main, parse_config
 from wentzell4.evolution import Scheme, build_system
 from wentzell4.forms import AssembledSystem, OperatorForm
@@ -260,6 +264,25 @@ def test_main_end_to_end(tmp_path):
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+def test_no_command_loads_scipy_special(tmp_path):
+    # the Gauss rules are a table; a fresh interpreter holds only what the
+    # commands import, not what the tests did
+    path = tmp_path / "config.json"
+    path.write_text(cfg(mesh={"n": 4}, time={"T": 0.05, "dt": 0.01}))
+    script = (
+        "import json, sys\n"
+        "from wentzell4.cli import main\n"
+        "status = [main([c, '--config', sys.argv[1], '--out', sys.argv[2] + '/' + c])\n"
+        "          for c in ('run', 'spectrum', 'resolvent', 'verify')]\n"
+        "print(json.dumps([status, 'scipy.special' in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(wentzell4.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0, 0], False]
+
+
 def test_main_reports_config_errors(tmp_path, capsys):
     # bad values are covered key by key below; here the file is missing
     assert main(["run", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
@@ -363,6 +386,12 @@ def test_main_reports_any_other_error_with_exit_3(tmp_path, capsys, monkeypatch)
         ({"u0": {"poly": [1e200, 0, 0, 1e200]}}, "u0"),
         # a separable load that is not finite at t = 0
         ({"forcing": {"kind": "separable", "space": {"poly": [1e308, 1e308]}}}, "forcing.space"),
+        # the same data as a manufactured witness, and as a projected u0
+        ({"forcing": {"kind": "manufactured", "space": {"poly": [1e308, 1e308]}}},
+         "forcing.space"),
+        ({"u0": {"poly": [1e308, 1e308]}, "project_u0": True}, "u0"),
+        # a subnormal T whose default step T/100 underflows to zero
+        ({"time": {"T": 5e-324}}, "time.T"),
     ],
 )
 def test_main_config_diagnostic_names_key(tmp_path, capsys, overrides, key):
@@ -600,6 +629,15 @@ def _documents(draw):
 @example(doc={"operator": "divergence", "coefficient": {"x0": 0.5, "K": 0.5, "scale": 1e10},
               "wentzell": {"beta0": 1e-300, "beta1": 1, "gamma0": -1, "gamma1": -1},
               "mesh": {"n": 8}, "time": {"T": 0.1}})
+# the default step T/100 underflows to zero: exit 2 on time.T, not 3
+@example(doc={"operator": "divergence", "coefficient": {"x0": 0.5, "K": 0.5},
+              "wentzell": {"beta0": 1, "beta1": 1}, "mesh": {"n": 4}, "time": {"T": 5e-324}})
+# a finite solution of 6.4e299 whose A u overflows: backward error 2.3e-17,
+# not a NaN report
+@example(doc={"operator": "divergence", "coefficient": {"x0": 0.999, "K": 0},
+              "wentzell": {"beta0": 0.5, "beta1": 1.5, "gamma0": -1e-300, "gamma1": -1e-30},
+              "mesh": {"n": 16}, "time": {"T": 1.0},
+              "resolvent": {"lambda": 1.5, "f": {"poly": [1e200, -1, -1e300]}}})
 def test_schema_documents_end_in_a_result_or_one_diagnostic(doc):
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")

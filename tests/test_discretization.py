@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from wentzell4.coefficient import DegeneracyClass, classify, power_profile, sing
 from wentzell4.discretization import (
     WeightKind,
     _fitted_singular_rule,
+    _gauss_legendre,
     build_mesh,
     evaluate,
     interpolate_poly,
@@ -197,6 +200,32 @@ def test_smooth_element_weighted_rule_accuracy():
     got = float(np.dot(rule.weights[0], rule.points[0] ** 3))
     expected = quad(lambda x: x**3 / coeff(x), *mesh.element(0))[0]
     assert got == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("npoints", [4, 6, 8, 16])
+def test_gauss_legendre_table_is_roots_legendre_bit_for_bit(npoints):
+    nodes, weights = _gauss_legendre(npoints)
+    ref_nodes, ref_weights = roots_legendre(npoints)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
+    assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+@pytest.mark.parametrize("npoints", [4, 6, 8, 16])
+def test_gauss_legendre_table_integrates_monomials(npoints):
+    # the tabulated weights are scipy's, which carry errors of order
+    # npoints * eps (at 16 points up to 683 ulp of the exact weights, against
+    # 50-digit mpmath), so the moments hold to 2 npoints eps, not to a few ulp
+    nodes, weights = _gauss_legendre(npoints)
+    for k in range(2 * npoints):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        moment = math.fsum((weights * nodes**k).tolist())
+        assert abs(moment - exact) <= 2 * npoints * np.finfo(float).eps, k
+
+
+def test_gauss_legendre_refuses_an_untabulated_count():
+    with pytest.raises(ValueError, match=r"\[4, 6, 8, 16\]"):
+        _gauss_legendre(5)
 
 
 def test_quadrature_symmetric_in_basis_pairs():

@@ -26,7 +26,6 @@ from .discretization import (
     weighted_rule,
 )
 from .evolution import (
-    NotCoerciveError,
     ProblemConfig,
     Scheme,
     TimeStepper,

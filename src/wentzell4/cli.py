@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, norm
+from scipy.linalg import norm
 
 from .coefficient import ConfigError, keyed, number, only_keys, power_profile
 from .evolution import (
-    NotCoerciveError,
     ProblemConfig,
     Scheme,
     build_system,
@@ -32,6 +31,7 @@ from .evolution import (
     resolve_space_spec,
     resolvent_solve,
     run,
+    solvable,
 )
 from .forms import OperatorForm, WentzellParams, band_matvec, band_pencil_eigenvalues, row_band
 from .oracle import SUITES, near_zero_count, psd_ok, verification_report
@@ -179,10 +179,8 @@ def _cmd_verify(config: CliConfig, out: Path):
 
 def _cmd_spectrum(config: CliConfig, out: Path):
     system = build_system(config.problem)
-    try:
+    with solvable("spectrum"):
         eigenvalues = band_pencil_eigenvalues(system.M, system.K)
-    except LinAlgError as exc:
-        raise ConfigError("spectrum", f"no eigenvalues in double precision: {exc}") from None
     count = config.spectrum_count or len(eigenvalues)
     with open(out / "spectrum.csv", "w") as fh:
         fh.write("index,eigenvalue\n")
@@ -204,14 +202,7 @@ def _cmd_spectrum(config: CliConfig, out: Path):
 def _cmd_resolvent(config: CliConfig, out: Path):
     system = build_system(config.problem)
     f = initial_dofs(system, config.resolvent_f)
-    try:
-        u = resolvent_solve(system, config.resolvent_lambda, f)
-    except NotCoerciveError as exc:
-        # lambda > 0, yet the shifted matrix failed its factorization in
-        # floating point
-        raise ConfigError("resolvent.lambda", str(exc)) from None
-    except LinAlgError as exc:  # M f overflowed
-        raise ConfigError("resolvent.f", f"not solvable in double precision: {exc}") from None
+    u = resolvent_solve(system, config.resolvent_lambda, f)
     with open(out / "resolvent.csv", "w") as fh:
         fh.write("dof,value\n")
         for i, v in enumerate(system.expand(u)):

@@ -27,15 +27,7 @@ after it, in one batched pass (:func:`make_state`) that keeps the
 rounding of a step-by-step evaluation.
 
 Every matrix is read in the lower band storage of :mod:`forms`, so a step
-costs O(n).  Linear systems are solved with a banded Cholesky
-factorization after symmetric diagonal equilibration, plus one round of
-iterative refinement: Hermite slope dofs scale like h^3 against h for
-value dofs, and a mesh whose element lengths differ much (x0 near an
-end) would otherwise cost several digits in the residual.  After that
-round the relative residual stalls near 1e-11, so a second one buys
-nothing.  The refinement residual is formed in longdouble from the band,
-summed in the order of the dense product, so it equals the dense
-residual bit for bit.
+costs O(n); the banded Cholesky solver and its equilibration live there too.
 """
 from __future__ import annotations
 
@@ -47,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.linalg import LinAlgError, cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg import LinAlgError
 
 from .coefficient import (
     ConfigError,
@@ -72,21 +63,21 @@ from .forms import (
     AssembledSystem,
     OperatorForm,
     WentzellParams,
+    _BandedSPD,
     assemble,
-    band_congruence,
     band_matvec,
     point_terms,
     row_band,
 )
 
 __all__ = [
-    "NotCoerciveError",
     "Scheme",
     "Trajectory",
     "ProblemConfig",
     "TimeStepper",
     "resolvent_solve",
     "run",
+    "solvable",
     "Forcing",
     "manufactured_divergence_forcing",
     "resolve_space_spec",
@@ -102,52 +93,19 @@ CONTRACTION_TOL = 1e-12
 ENERGY_BOUND_TOL = 1e-8
 
 
-class NotCoerciveError(ValueError):
-    """The shifted system lambda*M + K is not positive definite."""
-
-
 class Scheme(enum.Enum):
     IMPLICIT_EULER = "implicit_euler"
     CRANK_NICOLSON = "crank_nicolson"
 
 
-class _BandedSPD:
-    """Banded SPD solver with Jacobi equilibration and refinement; takes
-    the matrix as a lower band (4, n)."""
-
-    def __init__(self, ab):
-        ab = np.asarray(ab, dtype=float)
-        diag = ab[0]
-        if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
-            raise LinAlgError("matrix diagonal is not positive and finite")
-        self.dinv = 1.0 / np.sqrt(diag)
-        scaled = band_congruence(ab, self.dinv)
-        if not np.isfinite(scaled).all():
-            raise LinAlgError("equilibrated matrix is out of double range")
-        self.factor = cholesky_banded(scaled, lower=True, check_finite=False)
-        self._rows_ext = row_band(ab.astype(np.longdouble))
-
-    def _solve_once(self, b):
-        # LAPACK's banded Cholesky solve, as cho_solve_banded calls it but
-        # without the wrapper's argument checks, which cost more than the
-        # solve itself on small systems; solve() checks b once
-        scale = self.dinv if b.ndim == 1 else self.dinv[:, None]
-        y, info = dpbtrs(self.factor, scale * b, lower=1, overwrite_b=1)
-        if info:
-            raise LinAlgError(f"dpbtrs argument {-info} is invalid")
-        return scale * y
-
-    def solve(self, b):
-        """Solve A x = b for a float array b (vectorized over trailing
-        columns), with one round of refinement against the
-        extended-precision residual: it recovers the digits the dof
-        scaling h**3 vs h costs where element lengths differ much, and
-        further rounds leave the residual where it is."""
-        if not np.isfinite(b).all():
-            raise LinAlgError("right-hand side is not finite")
-        x = self._solve_once(b)
-        r = (b - band_matvec(self._rows_ext, x)).astype(float)
-        return x + self._solve_once(r)
+@contextmanager
+def solvable(key):
+    """ConfigError on ``key`` for a solve of the block that fails in double
+    precision: the one place a LinAlgError becomes a diagnostic."""
+    try:
+        yield
+    except LinAlgError as exc:
+        raise ConfigError(key, f"not solvable in double precision: {exc}") from None
 
 
 def resolvent_solve(system: AssembledSystem, lam, f):
@@ -155,17 +113,14 @@ def resolvent_solve(system: AssembledSystem, lam, f):
     trailing columns).
 
     lambda*M + K is coercive for every lambda > 0, since beta_j > 0 and
-    gamma_j <= 0; NotCoerciveError is raised when its factorization fails
-    in floating point all the same.  A right-hand side M f that is not
-    finite raises LinAlgError.
+    gamma_j <= 0; a factorization that fails in floating point all the
+    same raises ConfigError("resolvent.lambda"), and a right-hand side
+    M f that is not finite ConfigError("resolvent.f").
     """
-    try:
+    with solvable("resolvent.lambda"):
         solver = _BandedSPD(lam * system.M + system.K)
-    except LinAlgError as exc:
-        raise NotCoerciveError(
-            f"lambda*M + K is not positive definite at lambda = {lam}: {exc}"
-        ) from exc
-    return solver.solve(band_matvec(row_band(system.M), f))
+    with solvable("resolvent.f"):
+        return solver.solve(band_matvec(row_band(system.M), f))
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +315,11 @@ def initial_dofs(system, spec, project=False):
 @dataclass(frozen=True)
 class ProblemConfig:
     """Everything defining one Cauchy problem run.  Construction checks
-    each bound of the problem, the mesh included, and raises ConfigError
-    on the config key at fault (``time.dt``, ``coefficient.K``, ...).
-    The mesh built by that check, ``n`` elements equal on each side of
-    x0, is kept as :attr:`mesh`."""
+    each bound of the problem, the mesh included, and that a given dt
+    divides T; it raises ConfigError on the config key at fault
+    (``time.dt``, ``coefficient.K``, ...).  The mesh built by that
+    check, ``n`` elements equal on each side of x0, is kept as
+    :attr:`mesh`."""
 
     form: OperatorForm
     coeff: DegenerateCoefficient
@@ -391,6 +347,10 @@ class ProblemConfig:
                 raise ConfigError("T", "the default step T/100 underflows to zero")
             if not math.isfinite(self.T / self.resolved_dt()):
                 raise ConfigError("dt", "the step count T/dt is not finite")
+            if self.dt is not None:
+                end = max(1, round(self.T / self.dt)) * self.dt
+                if not math.isclose(end, self.T, rel_tol=1e-12):
+                    raise ConfigError("dt", f"must divide T: the steps end at {end}, not {self.T}")
         with keyed("u0"):
             resolve_space_spec(self.u0)
         if parse_forcing(self.forcing)[0] == "manufactured":
@@ -408,7 +368,13 @@ class ProblemConfig:
 
 
 def build_system(config: ProblemConfig) -> AssembledSystem:
-    return assemble(config.form, config.mesh, config.coeff, config.params)
+    """The assembled system of ``config``; an M or K with an entry that is
+    not finite raises ConfigError("coefficient")."""
+    system = assemble(config.form, config.mesh, config.coeff, config.params)
+    with solvable("coefficient"):
+        if not (np.isfinite(system.M).all() and np.isfinite(system.K).all()):
+            raise LinAlgError("M or K has an entry that is not finite")
+    return system
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,15 +512,6 @@ def make_state(system, scheme, dt, states, forcing=UNFORCED, aborted=None) -> Tr
     )
 
 
-@contextmanager
-def _solvable(key):
-    """ConfigError on ``key`` for a solve with M out of double range."""
-    try:
-        yield
-    except LinAlgError as exc:
-        raise ConfigError(key, f"not solvable in double precision: {exc}") from None
-
-
 def run(config: ProblemConfig) -> Trajectory:
     """Integrate the configured problem to its final time.
 
@@ -562,7 +519,7 @@ def run(config: ProblemConfig) -> Trajectory:
     state, and does nothing else: it stops at the first step that raises,
     which includes the step after a non-finite state (its right-hand side
     is not finite), and :func:`make_state` does the bookkeeping of all
-    steps once.  A step matrix without a Cholesky factor in double
+    steps once.  A finite step matrix without a Cholesky factor in double
     precision aborts the run at t = 0; a step count whose states cannot be
     allocated raises ConfigError("time.dt").
     """
@@ -570,9 +527,9 @@ def run(config: ProblemConfig) -> Trajectory:
     dt = config.resolved_dt()
     n_steps = max(1, round(config.T / dt))
     scheme = Scheme(config.scheme)
-    with _solvable("forcing"):
+    with solvable("forcing"):
         forcing = resolve_forcing(system, config.forcing)
-    with _solvable("project_u0"):
+    with solvable("project_u0"):
         u0 = initial_dofs(system, config.u0, config.project_u0)
     forced = forcing.vector is not None
     try:

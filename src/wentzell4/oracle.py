@@ -503,11 +503,13 @@ class NormEquivalenceReport:
 
 
 def norm_equivalence_report(coeff, n=16, refinements=2):
+    if not _interior(coeff.x0):
+        raise ValueError(f"the norm equivalence needs an interior x0, got {coeff.x0}")
     constants = []
     counts = []
     for level in range(refinements + 1):
         n_level = n * 2**level
-        mesh = build_mesh(n_level, coeff.x0 if _interior(coeff.x0) else 0.5)
+        mesh = build_mesh(n_level, coeff.x0)
         unit = weighted_rule(mesh, coeff, WeightKind.UNIT)
         a_rule = weighted_rule(mesh, coeff, WeightKind.COEFF_A)
         G1 = band_to_dense(gram_matrix(unit, 1))
@@ -536,9 +538,8 @@ def _case_matrix():
     """Structural test matrix at n = 16: both operator forms, the four
     degeneracy prototypes, neutral and damped boundary terms.
 
-    x0 = 1/2 makes the mesh uniform; a mesh graded toward x0 would push
-    the stiffness scale so high that the 1e-9 relative kernel threshold
-    could no longer separate the first genuinely positive eigenvalue.
+    x0 = 1/2 makes the mesh uniform across x0, not only on each side of
+    it, and every case shares that x0, so one mesh serves them all.
     """
     coeffs = [
         ("weak_K05", power_profile(0.5, 0.5)),

@@ -11,11 +11,12 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from wentzell4.cli import main
 from wentzell4.coefficient import power_profile
 from wentzell4.discretization import WeightKind, build_mesh, shape_values
-from wentzell4.evolution import ProblemConfig, Scheme, _BandedSPD, _polynomial_load, run
+from wentzell4.evolution import ProblemConfig, Scheme, _polynomial_load, run
 from wentzell4.forms import (
     PENCIL,
     OperatorForm,
     WentzellParams,
+    _BandedSPD,
     assemble,
     band_congruence,
     band_matvec,
@@ -313,16 +314,35 @@ def test_banded_pencil_eigenvalues_match_dense(spec):
 
 def test_banded_pencil_eigenvalues_refuse_a_singular_mass():
     sys = build((OperatorForm.DIVERGENCE, False, 8, 0.5, 0.5, -1.0, 1.0))
-    for value in (0.0, -1.0, np.nan):
-        bad = sys.M.copy()
-        bad[0, 3] = value
-        with pytest.raises(LinAlgError):
-            band_pencil_eigenvalues(bad, sys.K)
     # a positive diagonal, but indefinite: LAPACK's split Cholesky fails
     bad = sys.M.copy()
     bad[1, 3] = 2.0 * np.sqrt(sys.M[0, 3] * sys.M[0, 4])
     with pytest.raises(LinAlgError):
         band_pencil_eigenvalues(bad, sys.K)
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        ((0, 3), 0.0),
+        ((0, 3), -1.0),
+        ((0, 3), np.inf),
+        ((0, 3), np.nan),
+        # a positive, finite diagonal, but a coupling whose equilibration
+        # overflows
+        ((1, 3), 1e308),
+    ],
+)
+def test_solver_and_pencil_refuse_the_same_bad_bands(entry, value):
+    # both go through one Jacobi step, so one bad band fails both alike
+    sys = build((OperatorForm.DIVERGENCE, False, 8, 0.5, 0.5, -1.0, 1.0))
+    bad = sys.M.copy()
+    bad[entry] = value
+    with np.errstate(over="ignore"):
+        with pytest.raises(LinAlgError):
+            _BandedSPD(bad)
+        with pytest.raises(LinAlgError):
+            band_pencil_eigenvalues(bad, sys.K)
 
 
 def test_run_and_resolvent_memory_is_linear_in_n(tmp_path):

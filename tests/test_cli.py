@@ -392,6 +392,9 @@ def test_main_reports_any_other_error_with_exit_3(tmp_path, capsys, monkeypatch)
         ({"u0": {"poly": [1e308, 1e308]}, "project_u0": True}, "u0"),
         # a subnormal T whose default step T/100 underflows to zero
         ({"time": {"T": 5e-324}}, "time.T"),
+        # a step that does not divide T: the steps would end at 0.8 and 1.2
+        ({"time": {"T": 1.0, "dt": 0.4}}, "time.dt"),
+        ({"time": {"T": 1.0, "dt": 0.6}}, "time.dt"),
     ],
 )
 def test_main_config_diagnostic_names_key(tmp_path, capsys, overrides, key):
@@ -501,19 +504,41 @@ def test_run_factorization_failure_aborts(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, overrides, key",
     [
-        ("run", {"project_u0": True}, "project_u0"),
-        ("run", {"forcing": {"kind": "manufactured"}}, "forcing"),
-        ("spectrum", {}, "spectrum"),
+        ("run", {"project_u0": True}, "coefficient"),
+        ("run", {"forcing": {"kind": "manufactured"}}, "coefficient"),
+        ("spectrum", {}, "coefficient"),
     ],
 )
 def test_mass_matrix_out_of_double_range(tmp_path, capsys, command, overrides, key):
-    # the slope dofs of an element of length 1e-110 scale like h**3, which
-    # underflows: M has no Cholesky factor, and the pencil no eigenvalues
+    # the basis derivatives of an element of length 1e-110 overflow, and
+    # K gets NaN entries: assembly refuses the system before any solve
     path = tmp_path / "config.json"
     path.write_text(cfg(coefficient={"x0": 1e-110, "K": 0.5}, mesh={"n": 8}, **overrides))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["key"] == key
+
+
+@pytest.mark.parametrize("command", ["run", "spectrum", "resolvent"])
+@pytest.mark.parametrize(
+    "coefficient",
+    [
+        # elements of length 1e-300 / 8: K gets NaN entries
+        {"x0": 1e-300, "K": 0.5},
+        # a(x) up to 1e305 times the 1/h**3 of second derivatives: K overflows
+        {"x0": 0.5, "K": 0.5, "scale": 1e305},
+    ],
+    ids=["x0", "scale"],
+)
+def test_non_finite_system_is_one_diagnostic_from_every_command(
+    tmp_path, capsys, command, coefficient
+):
+    path = tmp_path / "config.json"
+    path.write_text(cfg(coefficient=coefficient, mesh={"n": 16}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in lines[0]
+    assert json.loads(lines[0])["key"] == "coefficient"
 
 
 def test_summary_names_the_scheme(tmp_path):

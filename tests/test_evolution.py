@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wentzell4.coefficient import classify, power_profile
+from wentzell4.coefficient import ConfigError, classify, power_profile
 from wentzell4.discretization import build_mesh, l2_error
 from wentzell4.evolution import (
     CONTRACTION_TOL,
     ENERGY_BOUND_TOL,
-    NotCoerciveError,
     ProblemConfig,
     Scheme,
     TimeStepper,
-    _BandedSPD,
     build_system,
     initial_dofs,
     make_state,
@@ -25,7 +23,7 @@ from wentzell4.evolution import (
     resolvent_solve,
     run,
 )
-from wentzell4.forms import OperatorForm, WentzellParams, assemble, band_quadratic
+from wentzell4.forms import OperatorForm, WentzellParams, _BandedSPD, assemble, band_quadratic
 from wentzell4.oracle import dense_decompose
 
 
@@ -71,8 +69,9 @@ def test_resolvent_identity_residual(neutral_system):
 def test_resolvent_not_coercive(neutral_system):
     decomp = dense_decompose(neutral_system)
     lam = -1.1 * float(decomp.eigenvalues[-1])
-    with pytest.raises(NotCoerciveError):
+    with pytest.raises(ConfigError) as info:
         resolvent_solve(neutral_system, lam, initial_dofs(neutral_system, [1.0]))
+    assert info.value.key == "resolvent.lambda"
 
 
 def test_steady_state_both_schemes(neutral_system):

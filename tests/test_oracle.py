@@ -325,6 +325,12 @@ def test_norm_equivalence_nondegenerate_bound():
     assert rep.constants[0] <= 20.0
 
 
+@pytest.mark.parametrize("coeff", [power_profile(0.0, 0.5), power_profile(1.0, 1.5)])
+def test_norm_equivalence_refuses_an_end_point_degeneracy(coeff):
+    with pytest.raises(ValueError, match="interior x0"):
+        norm_equivalence_report(coeff, n=8)
+
+
 def test_nested_gate_rejects_a_falling_constant():
     assert not NormEquivalenceReport((12.0, 12.0 * (1.0 - 2e-9)), (8, 16)).nested_ok
     assert NormEquivalenceReport((12.0, 12.0 * (1.0 - 0.5e-9)), (8, 16)).nested_ok

@@ -28,6 +28,8 @@ rounding of a step-by-step evaluation.
 
 Every matrix is read in the lower band storage of :mod:`forms`, so a step
 costs O(n); the banded Cholesky solver and its equilibration live there too.
+A long run on a small mesh is the exception: :class:`TimeStepper` then
+inverts its step matrix once and steps by a dense product.
 """
 from __future__ import annotations
 
@@ -206,19 +208,50 @@ def manufactured_divergence_forcing(system, witness_coeffs, rate=1.0):
 
 _THETA = {Scheme.IMPLICIT_EULER: 1.0, Scheme.CRANK_NICOLSON: 0.5}
 
+# A run of n_steps steps on m free dofs inverts its step matrix when
+# m <= _DENSE_MAX_DOFS and n_steps >= _DENSE_MIN_STEPS_PER_DOF * m, read
+# off bench/nsweep.py (one core of a 2-vCPU x86-64 VM): a dense step costs
+# 7 against 21 us for a refined banded one at 34 dofs and 22 against 83 us
+# at 258, the two are about even at 514 and the dense one is 2 to 2.5
+# times slower at 1026; forming A^{-1} costs 0.2 to 1.6 m banded steps at
+# up to 258 dofs (three sweeps), which 2 m steps repay.
+_DENSE_MAX_DOFS = 258
+_DENSE_MIN_STEPS_PER_DOF = 2
+
 
 class TimeStepper:
     """One factorization of the theta-scheme per (system, dt, scheme);
-    reused across steps."""
+    reused across steps.
 
-    def __init__(self, system, dt, scheme=Scheme.IMPLICIT_EULER):
+    A stepper told its step count ``n_steps`` forms the inverse of the
+    step matrix A = M + theta dt K once, by the refined banded solve of
+    the unit vectors, when A is small and the run long enough to repay
+    it; each step is then one dense product of A^{-1} with the banded
+    right-hand side.  Without ``n_steps`` every step is a refined banded
+    solve.  A step matrix with an entry that is not finite raises
+    ConfigError("time.dt"); a finite one without a Cholesky factor,
+    LinAlgError.
+    """
+
+    def __init__(self, system, dt, scheme=Scheme.IMPLICIT_EULER, n_steps=None):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         self.dt = float(dt)
         self.theta = _THETA[Scheme(scheme)]
         M, K = system.M, system.K
-        self._solver = _BandedSPD(M + (self.theta * dt) * K)
-        self._rhs = row_band(M - ((1.0 - self.theta) * dt) * K)
+        lhs, rhs = M + (self.theta * dt) * K, M - ((1.0 - self.theta) * dt) * K
+        with solvable("time.dt"):
+            if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+                raise LinAlgError(
+                    "M + theta dt K or M - (1 - theta) dt K has an entry that is not finite"
+                )
+        self._solver = _BandedSPD(lhs)
+        self._rhs = row_band(rhs)
+        m = lhs.shape[1]
+        self._inverse = None
+        if (n_steps is not None and m <= _DENSE_MAX_DOFS
+                and n_steps >= _DENSE_MIN_STEPS_PER_DOF * m):
+            self._inverse = self._solver.solve(np.eye(m))
 
     def step_free(self, u_free, load_now=None, load_next=None):
         """Advance free-dof coefficients; vectorized over trailing columns."""
@@ -226,7 +259,11 @@ class TimeStepper:
         if load_next is not None:
             theta = self.theta
             rhs += self.dt * (theta * load_next + (1.0 - theta) * load_now)
-        return self._solver.solve(rhs)
+        if self._inverse is None:
+            return self._solver.solve(rhs)
+        if not np.isfinite(rhs).all():
+            raise LinAlgError("right-hand side is not finite")
+        return self._inverse @ rhs
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +528,10 @@ def make_state(system, scheme, dt, states, forcing=UNFORCED, aborted=None) -> Tr
     times = np.full(len(states), float(dt))
     times[0] = 0.0
     np.cumsum(times, out=times)
-    h = np.array([forcing.mass_norm_sq(t) for t in times.tolist()])
+    if forcing.vector is None:
+        h = np.zeros(len(times))
+    else:
+        h = np.array([forcing.mass_norm_sq(t) for t in times.tolist()])
     overflow = np.flatnonzero(~(np.isfinite(norm_mu_sq[1:]) & np.isfinite(h[1:])))
     if overflow.size:
         count = overflow[0] + 1
@@ -538,7 +578,7 @@ def run(config: ProblemConfig) -> Trajectory:
         raise ConfigError("time.dt", f"T/dt = {config.T / dt:.3g} steps: {exc}") from None
     u[0] = u0
     try:
-        stepper = TimeStepper(system, dt, scheme)
+        stepper = TimeStepper(system, dt, scheme, n_steps)
     except LinAlgError as exc:
         return make_state(system, scheme, dt, u[:1], forcing, f"step matrix at t = 0.0: {exc}")
     load_now = load_next = None

@@ -39,9 +39,12 @@ bit, and M = M^T and K = K^T hold with no rounding gap.
 Solvers.  :class:`_BandedSPD` is a banded Cholesky factorization after
 Jacobi equilibration, the step :func:`band_pencil_eigenvalues` shares,
 plus one round of refinement against a longdouble residual that equals
-the dense one bit for bit: Hermite slope dofs scale like h^3 against h
-for value dofs, which costs digits where element lengths differ much,
-and a second round leaves the residual near 1e-11 where it is.
+the dense one bit for bit.  Equilibration leaves a step matrix
+ill-conditioned (condition number 7.3e9 for the Crank-Nicolson matrix of
+the divergence form at n = 512, dt = 0.01; 3.7e3 for the strong
+non-divergence implicit Euler one at n = 32, dt = 4e-4), and the round
+takes the forward error of a solve with the first from 2.3e-8 to 3.5e-12
+(against four rounds).
 """
 from __future__ import annotations
 
@@ -265,9 +268,9 @@ class _BandedSPD:
     def solve(self, b):
         """Solve A x = b for a float array b (vectorized over trailing
         columns), with one round of refinement against the
-        extended-precision residual: it recovers the digits the dof
-        scaling h**3 vs h costs where element lengths differ much, and
-        further rounds leave the residual where it is."""
+        extended-precision residual: it recovers the digits the
+        condition number of the equilibrated matrix costs the plain
+        solve (see the module docstring)."""
         if not np.isfinite(b).all():
             raise LinAlgError("right-hand side is not finite")
         x = self._solve_once(b)

@@ -430,7 +430,7 @@ def test_point_term_out_of_double_range_names_its_key(tmp_path, capsys, command,
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["key"] == key
-    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_resolvent_factorization_failure_is_a_diagnostic(tmp_path, capsys):
@@ -499,6 +499,17 @@ def test_run_factorization_failure_aborts(tmp_path, capsys):
     assert summary["T"] == 0.0
     lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("0,0,")
+
+
+def test_step_matrix_out_of_double_range_is_a_time_step_diagnostic(tmp_path, capsys):
+    # M and K are finite, but dt K overflows: the step is what to change
+    path = tmp_path / "config.json"
+    path.write_text(cfg(coefficient={"x0": 0.5, "K": 0.5, "scale": 1e300}, mesh={"n": 16},
+                        time={"T": 1e10, "dt": 1e8}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["key"] == "time.dt"
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wentzell4.coefficient import ConfigError, classify, power_profile
@@ -338,19 +338,20 @@ def test_contraction_random_initial_data(data):
 
 
 def _reference_run(config):
-    """The run as a per-step loop on the free dofs: one step_free, one
-    band_quadratic per norm and energy and a scalar slack per step; the
-    summary as sums over Python lists."""
+    """The run as a per-step loop on the free dofs: one step_free of a
+    stepper built as run builds it, one band_quadratic per norm and energy
+    and a scalar slack per step; the summary as sums over Python lists."""
     system = build_system(config)
     dt = config.resolved_dt()
+    n_steps = max(1, round(config.T / dt))
     forcing = resolve_forcing(system, config.forcing)
-    stepper = TimeStepper(system, dt, config.scheme)
+    stepper = TimeStepper(system, dt, config.scheme, n_steps)
     theta = stepper.theta
     u = initial_dofs(system, config.u0, config.project_u0)
     t = 0.0
     times, norms, energies = [t], [band_quadratic(system.M, u)], [band_quadratic(system.K, u)]
     slacks, h_sqs = [], []
-    for _ in range(max(1, round(config.T / dt))):
+    for _ in range(n_steps):
         loads = (None, None)
         if forcing.vector is not None:
             loads = (forcing.load(t), forcing.load(t + dt))
@@ -403,10 +404,17 @@ _FORCING = st.one_of(
     forcing=_FORCING,
     project_u0=st.booleans(),
     n=st.integers(min_value=2, max_value=16),
-    steps=st.integers(min_value=1, max_value=30),
+    steps=st.integers(min_value=1, max_value=120),
     gamma=st.floats(min_value=-2.0, max_value=0.0),
     u0=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=5),
 )
+# at least 2 steps per free dof: the stepper inverts its step matrix
+@example(form=OperatorForm.NON_DIVERGENCE, K=1.5, scheme=Scheme.IMPLICIT_EULER,
+         forcing={"kind": "separable", "space": "linear", "rate": 0.7}, project_u0=False,
+         n=4, steps=60, gamma=-1.0, u0=[0.5, -1.0, 0.3])
+# fewer: every step is a banded solve
+@example(form=OperatorForm.DIVERGENCE, K=0.5, scheme=Scheme.CRANK_NICOLSON,
+         forcing=None, project_u0=True, n=16, steps=60, gamma=-0.5, u0=[1.0, 0.2])
 def test_run_equals_the_per_step_loop_bit_for_bit(
     form, K, scheme, forcing, project_u0, n, steps, gamma, u0
 ):
@@ -428,3 +436,26 @@ def test_run_equals_the_per_step_loop_bit_for_bit(
     assert np.array_equal(traj.forcing_norm_sq, h_sqs)
     assert np.array_equal(traj.dofs[-1], final)
     assert traj.summary() == summary
+
+
+@pytest.mark.parametrize("beta0, beta1", [(0.7, 1.9), (1.6, 0.6)])
+def test_dense_steps_keep_the_norms_of_the_banded_loop(beta0, beta1):
+    # a run like the march benchmark: 65 free dofs and 2500 steps, so run
+    # steps with the inverse of the step matrix
+    steps = 2500
+    config = ProblemConfig(
+        OperatorForm.NON_DIVERGENCE, power_profile(0.5, 1.5), WentzellParams(beta0, beta1),
+        T=1.0, dt=1.0 / steps, n=32, u0={"poly": [0.3, -0.8, 0.5, 0.9]},
+    )
+    traj = run(config)
+    system = traj.system
+    assert TimeStepper(system, config.dt, config.scheme, steps)._inverse is not None
+    banded = TimeStepper(system, config.dt, config.scheme)
+    u = traj.dofs[0]
+    norms = [system.mass_norm_sq(u)]
+    for _ in range(steps):
+        u = banded.step_free(u)
+        norms.append(system.mass_norm_sq(u))
+    assert traj.aborted is None
+    np.testing.assert_allclose(traj.norm_mu_sq, norms, rtol=1e-12, atol=0.0)
+    assert traj.contraction_ok() and traj.energy_bound_ok()

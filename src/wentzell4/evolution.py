@@ -210,11 +210,12 @@ _THETA = {Scheme.IMPLICIT_EULER: 1.0, Scheme.CRANK_NICOLSON: 0.5}
 
 # A run of n_steps steps on m free dofs inverts its step matrix when
 # m <= _DENSE_MAX_DOFS and n_steps >= _DENSE_MIN_STEPS_PER_DOF * m, read
-# off bench/nsweep.py (one core of a 2-vCPU x86-64 VM): a dense step costs
-# 7 against 21 us for a refined banded one at 34 dofs and 22 against 83 us
-# at 258, the two are about even at 514 and the dense one is 2 to 2.5
-# times slower at 1026; forming A^{-1} costs 0.2 to 1.6 m banded steps at
-# up to 258 dofs (three sweeps), which 2 m steps repay.
+# off bench/nsweep.py (BENCH_21.json; one core of a 2-vCPU x86-64 VM): a
+# dense step costs 15 against 36 us for a refined banded one at 34 dofs
+# and 33 against 84 us at 258; at up to 258 dofs the saving repays
+# forming A^{-1} within 0.3 to 1.03 m steps, which 2 m steps cover.  At
+# 514 dofs it takes 3.5 to 4.1 m steps, and at 1026 the dense step is 2
+# to 2.7 times slower.
 _DENSE_MAX_DOFS = 258
 _DENSE_MIN_STEPS_PER_DOF = 2
 
@@ -251,7 +252,12 @@ class TimeStepper:
         self._inverse = None
         if (n_steps is not None and m <= _DENSE_MAX_DOFS
                 and n_steps >= _DENSE_MIN_STEPS_PER_DOF * m):
-            self._inverse = self._solver.solve(np.eye(m))
+            self._invert()
+
+    def _invert(self):
+        """Form A^{-1} by the refined banded solve of the unit vectors;
+        every later step is one dense product with it."""
+        self._inverse = self._solver.solve(np.eye(self._rhs.shape[1]))
 
     def step_free(self, u_free, load_now=None, load_next=None):
         """Advance free-dof coefficients; vectorized over trailing columns."""

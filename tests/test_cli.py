@@ -430,7 +430,7 @@ def test_point_term_out_of_double_range_names_its_key(tmp_path, capsys, command,
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["key"] == key
-    assert not (tmp_path / "out" / "summary.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_resolvent_factorization_failure_is_a_diagnostic(tmp_path, capsys):

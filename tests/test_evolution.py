@@ -438,13 +438,17 @@ def test_run_equals_the_per_step_loop_bit_for_bit(
     assert traj.summary() == summary
 
 
-@pytest.mark.parametrize("beta0, beta1", [(0.7, 1.9), (1.6, 0.6)])
-def test_dense_steps_keep_the_norms_of_the_banded_loop(beta0, beta1):
+@pytest.mark.parametrize(
+    "x0, beta0, beta1",
+    # x0 near an end: the step matrix's condition number is 3e12, not 3e5
+    [(0.5, 0.7, 1.9), (0.5, 1.6, 0.6), (1e-4, 0.7, 1.9), (1.0 - 1e-4, 1.6, 0.6)],
+)
+def test_dense_steps_keep_the_norms_of_the_banded_loop(x0, beta0, beta1):
     # a run like the march benchmark: 65 free dofs and 2500 steps, so run
     # steps with the inverse of the step matrix
     steps = 2500
     config = ProblemConfig(
-        OperatorForm.NON_DIVERGENCE, power_profile(0.5, 1.5), WentzellParams(beta0, beta1),
+        OperatorForm.NON_DIVERGENCE, power_profile(x0, 1.5), WentzellParams(beta0, beta1),
         T=1.0, dt=1.0 / steps, n=32, u0={"poly": [0.3, -0.8, 0.5, 0.9]},
     )
     traj = run(config)

@@ -1,7 +1,7 @@
 """Cost of the two step paths of ``TimeStepper`` against the mesh size.
 
     OPENBLAS_NUM_THREADS=1 python3 bench/nsweep.py [--sizes 8 16 ...] \
-        [--repeats 5] [--out BENCH_21.json]
+        [--repeats 5] --out BENCH_22.json
 
 Run from the repository root; the package is imported from ``src``.  For
 each n (default 8, 16, ..., 512 elements) and both operator forms it
@@ -10,18 +10,19 @@ Crank-Nicolson, dt = 0.01; non-divergence: strong class, implicit Euler,
 dt = 4e-4) and measures, each a median over ``--repeats`` timings:
 
   banded_step_us    one ``step_free`` by the refined banded solve
-  dense_step_us     one ``step_free`` by the dense product with A^{-1}
-  inverse_build_ms  forming A^{-1} by the refined banded solve of the
-                    unit vectors
+  dense_step_us     one ``step_free`` by the propagator product
+  inverse_build_ms  forming the propagator S = A^{-1} R by the refined
+                    banded solve of the columns of R (the name is
+                    that of earlier BENCH files, whose keys stay fixed)
   break_even_steps  inverse_build / (banded_step - dense_step): the step
-                    count from which inverting pays; null where the dense
+                    count from which forming S pays; null where the dense
                     step is not faster
   norm_rel_diff     largest relative difference of the squared M-norms of
                     the two paths over 2 * dofs steps from one initial state
 
 and, read off the rows, ``dense_max_dofs``: the largest dof count up to
-which every row repays the inverse within ``dense_min_steps_per_dof``
-steps per dof, the shortest run ``TimeStepper`` inverts for.  It prints
+which every row repays forming S within ``dense_min_steps_per_dof``
+steps per dof, the shortest run ``TimeStepper`` forms it for.  It prints
 one line per row and writes all of it as JSON to ``--out``.  Time it on
 an idle machine with BLAS at one thread, as the benchmark runs the
 package.
@@ -92,7 +93,7 @@ def measure(form, K, scheme, dt, n, repeats):
 
     banded = _median_seconds(lambda: steps(STEPS_PER_TIMING), repeats) / STEPS_PER_TIMING
     banded_norms = _norms(system, stepper, u0, 2 * m)
-    build_s = _median_seconds(stepper._invert, repeats)  # from here on the stepper is dense
+    build_s = _median_seconds(stepper._form_propagator, repeats)  # from here on the stepper is dense
     dense = _median_seconds(lambda: steps(STEPS_PER_TIMING), repeats) / STEPS_PER_TIMING
     dense_norms = _norms(system, stepper, u0, 2 * m)
     return {
@@ -151,7 +152,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", type=Path, default=Path("BENCH_21.json"))
+    parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     result = sweep(args.sizes, args.repeats, report=_print_row)
     print(f"dense_max_dofs {result['dense_max_dofs']}  "

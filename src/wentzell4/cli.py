@@ -14,6 +14,7 @@ traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -255,7 +256,9 @@ def dispatch(command, config: CliConfig, out):
     return 0 if ok else 1
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on the first call to :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="wentzell4",
         description="Fourth-order degenerate parabolic problems with "
@@ -272,7 +275,11 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default="./out", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="ignored; every check is deterministic")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         text = Path(args.config).read_text()

@@ -29,7 +29,8 @@ rounding of a step-by-step evaluation.
 Every matrix is read in the lower band storage of :mod:`forms`, so a step
 costs O(n); the banded Cholesky solver and its equilibration live there too.
 A long run on a small mesh is the exception: :class:`TimeStepper` then
-inverts its step matrix once and steps by a dense product.
+forms the propagator of its step once, and each step is one dense
+product.
 """
 from __future__ import annotations
 
@@ -68,6 +69,7 @@ from .forms import (
     _BandedSPD,
     assemble,
     band_matvec,
+    band_to_dense,
     point_terms,
     row_band,
 )
@@ -208,14 +210,15 @@ def manufactured_divergence_forcing(system, witness_coeffs, rate=1.0):
 
 _THETA = {Scheme.IMPLICIT_EULER: 1.0, Scheme.CRANK_NICOLSON: 0.5}
 
-# A run of n_steps steps on m free dofs inverts its step matrix when
+# A run of n_steps steps on m free dofs forms its propagator when
 # m <= _DENSE_MAX_DOFS and n_steps >= _DENSE_MIN_STEPS_PER_DOF * m, read
-# off bench/nsweep.py (BENCH_21.json; one core of a 2-vCPU x86-64 VM): a
-# dense step costs 15 against 36 us for a refined banded one at 34 dofs
-# and 33 against 84 us at 258; at up to 258 dofs the saving repays
-# forming A^{-1} within 0.3 to 1.03 m steps, which 2 m steps cover.  At
-# 514 dofs it takes 3.5 to 4.1 m steps, and at 1026 the dense step is 2
-# to 2.7 times slower.
+# off bench/nsweep.py (BENCH_22.json; one core of a 2-vCPU x86-64 VM): a
+# step by the propagator costs 2.3 to 3 against 33 to 43 us for a
+# refined banded one up to 66 dofs, and 16 against 85 us at 257 and 258;
+# forming it (1 ms at 65 and 66 dofs, 16 ms at 257 and 258) is repaid
+# within 0.3 to 0.89 m steps, which 2 m steps cover.  At 513 and 514
+# dofs it takes 2.9 to 3 m steps, and at 1025 and 1026 the dense step is
+# twice as slow.
 _DENSE_MAX_DOFS = 258
 _DENSE_MIN_STEPS_PER_DOF = 2
 
@@ -224,12 +227,17 @@ class TimeStepper:
     """One factorization of the theta-scheme per (system, dt, scheme);
     reused across steps.
 
-    A stepper told its step count ``n_steps`` forms the inverse of the
-    step matrix A = M + theta dt K once, by the refined banded solve of
-    the unit vectors, when A is small and the run long enough to repay
-    it; each step is then one dense product of A^{-1} with the banded
-    right-hand side.  Without ``n_steps`` every step is a refined banded
-    solve.  A step matrix with an entry that is not finite raises
+    A stepper told its step count ``n_steps`` forms, when the step matrix
+    A = M + theta dt K is small and the run long enough to repay it, the
+    propagator S = A^{-1} R of R = M - (1 - theta) dt K once, by the
+    refined banded solve of the columns of R.  Each step is then one
+    dense product S u, plus A^{-1} times the load term when forced
+    (A^{-1} is formed on the first forced step, by the refined banded
+    solve of the unit vectors).  It checks nothing, so a state
+    that is not finite is stepped on, and :func:`make_state` ends the
+    trajectory before it.  Without ``n_steps`` every step is a refined
+    banded solve, which raises LinAlgError on a right-hand side that is
+    not finite.  A step matrix with an entry that is not finite raises
     ConfigError("time.dt"); a finite one without a Cholesky factor,
     LinAlgError.
     """
@@ -247,29 +255,44 @@ class TimeStepper:
                     "M + theta dt K or M - (1 - theta) dt K has an entry that is not finite"
                 )
         self._solver = _BandedSPD(lhs)
+        self._rhs_band = rhs
         self._rhs = row_band(rhs)
         m = lhs.shape[1]
-        self._inverse = None
+        self._propagator = None
         if (n_steps is not None and m <= _DENSE_MAX_DOFS
                 and n_steps >= _DENSE_MIN_STEPS_PER_DOF * m):
-            self._invert()
+            self._form_propagator()
 
-    def _invert(self):
-        """Form A^{-1} by the refined banded solve of the unit vectors;
-        every later step is one dense product with it."""
-        self._inverse = self._solver.solve(np.eye(self._rhs.shape[1]))
+    def _form_propagator(self):
+        """Form S = A^{-1} R by the refined banded solve of the columns
+        of R; every later step is a product with it.  The product
+        A^{-1} @ R would round each entry of S against the far larger
+        terms |A^{-1}| |R| that cancel in it, as a banded step rounds
+        R u: on Crank-Nicolson runs its norms drift from exact steps by
+        0.04 to 19 times as much as the banded path's, those of the
+        solved S by 0.0005 to 0.12 times as much (see README)."""
+        self._propagator = self._solver.solve(band_to_dense(self._rhs_band))
+
+    @functools.cached_property
+    def _inverse(self):
+        """A^{-1}, by the refined banded solve of the unit vectors: the
+        load term of a forced step by the propagator."""
+        return self._solver.solve(np.eye(self._rhs.shape[1]))
 
     def step_free(self, u_free, load_now=None, load_next=None):
         """Advance free-dof coefficients; vectorized over trailing columns."""
-        rhs = band_matvec(self._rhs, u_free)
         if load_next is not None:
             theta = self.theta
-            rhs += self.dt * (theta * load_next + (1.0 - theta) * load_now)
-        if self._inverse is None:
-            return self._solver.solve(rhs)
-        if not np.isfinite(rhs).all():
-            raise LinAlgError("right-hand side is not finite")
-        return self._inverse @ rhs
+            load = self.dt * (theta * load_next + (1.0 - theta) * load_now)
+        if self._propagator is not None:
+            u_next = self._propagator @ u_free
+            if load_next is not None:
+                u_next += self._inverse @ load
+            return u_next
+        rhs = band_matvec(self._rhs, u_free)
+        if load_next is not None:
+            rhs += load
+        return self._solver.solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +500,15 @@ class Trajectory:
         return bool(np.all(lhs <= rhs * (1.0 + ENERGY_BOUND_TOL)))
 
     def write_csv(self, destination):
-        columns = (
+        row = "{},{:.17g},{:.17g},{:.17g},{:.17g}\n".format
+        text = "step,t,norm_mu_sq,energy_form,slack\n" + "".join(map(
+            row,
+            range(len(self.times)),
             self.times.tolist(),
             self.norm_mu_sq.tolist(),
             self.energy.tolist(),
             [0.0] + self.slacks.tolist(),
-        )
-        text = "step,t,norm_mu_sq,energy_form,slack\n" + "".join(
-            f"{i},{t:.17g},{norm:.17g},{energy:.17g},{slack:.17g}\n"
-            for i, (t, norm, energy, slack) in enumerate(zip(*columns))
-        )
+        ))
         if hasattr(destination, "write"):
             destination.write(text)
         else:
@@ -562,12 +584,13 @@ def run(config: ProblemConfig) -> Trajectory:
     """Integrate the configured problem to its final time.
 
     The loop steps the free dofs into one preallocated array, a row per
-    state, and does nothing else: it stops at the first step that raises,
-    which includes the step after a non-finite state (its right-hand side
-    is not finite), and :func:`make_state` does the bookkeeping of all
-    steps once.  A finite step matrix without a Cholesky factor in double
-    precision aborts the run at t = 0; a step count whose states cannot be
-    allocated raises ConfigError("time.dt").
+    state, and does nothing else: it stops at the first step that raises
+    (on the banded path this includes the step after a non-finite state;
+    the propagator steps on through it), and :func:`make_state` does the
+    bookkeeping of all steps once, ending the trajectory before the first
+    state whose norm is not finite.  A finite step matrix without a
+    Cholesky factor in double precision aborts the run at t = 0; a step
+    count whose states cannot be allocated raises ConfigError("time.dt").
     """
     system = build_system(config)
     dt = config.resolved_dt()

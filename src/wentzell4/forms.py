@@ -29,8 +29,9 @@ rescales a band reads diagonal k as the slices ``ab[k, :n-k]``,
 ``x[k:]`` and ``x[:n-k]``.  Only the matvec, applied many times to one
 matrix, reads a (7, n) row form (:func:`row_band`), built once.  Dense
 copies exist only through :meth:`AssembledSystem.to_dense`, for the
-oracle and tests; the eigenvalues of the pencil come from the bands
-(:func:`band_pencil_eigenvalues`, LAPACK ``dsbgv``).
+oracle and tests, and in the propagator of a long run on a small mesh
+(:class:`evolution.TimeStepper`); the eigenvalues of the pencil come
+from the bands (:func:`band_pencil_eigenvalues`, LAPACK ``dsbgv``).
 
 The element blocks are exactly symmetric and an entry of the band sums
 at most two of them, so the band is that of a dense accumulation, bit for

@@ -217,17 +217,24 @@ def test_resolvent_outputs_and_gate(tmp_path):
                 "forcing": {"kind": "separable", "space": "parabola", "rate": 0.7},
             },
         ),
+        # 100 steps on 18 free dofs: run steps by the propagator
+        (
+            "run",
+            {"trajectory.csv", "summary.json"},
+            {
+                "time": {"T": 0.1, "dt": 0.001},
+                "forcing": {"kind": "separable", "space": "parabola", "rate": 0.7},
+            },
+        ),
     ],
 )
 def test_byte_identical_reruns(tmp_path, command, files, overrides):
-    config = parse_config(
-        cfg(
-            mesh={"n": 8},
-            time={"T": 0.1, "dt": 0.01},
-            wentzell={"gamma0": -0.5, "gamma1": -1.0},
-            **overrides,
-        )
-    )
+    config = parse_config(cfg(**{
+        "mesh": {"n": 8},
+        "time": {"T": 0.1, "dt": 0.01},
+        "wentzell": {"gamma0": -0.5, "gamma1": -1.0},
+        **overrides,
+    }))
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert dispatch(command, config, out1) == 0
     assert dispatch(command, config, out2) == 0

@@ -23,7 +23,15 @@ from wentzell4.evolution import (
     resolvent_solve,
     run,
 )
-from wentzell4.forms import OperatorForm, WentzellParams, _BandedSPD, assemble, band_quadratic
+from wentzell4.forms import (
+    OperatorForm,
+    WentzellParams,
+    _BandedSPD,
+    assemble,
+    band_matvec,
+    band_quadratic,
+    row_band,
+)
 from wentzell4.oracle import dense_decompose
 
 
@@ -408,7 +416,7 @@ _FORCING = st.one_of(
     gamma=st.floats(min_value=-2.0, max_value=0.0),
     u0=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=5),
 )
-# at least 2 steps per free dof: the stepper inverts its step matrix
+# at least 2 steps per free dof: the stepper forms its propagator
 @example(form=OperatorForm.NON_DIVERGENCE, K=1.5, scheme=Scheme.IMPLICIT_EULER,
          forcing={"kind": "separable", "space": "linear", "rate": 0.7}, project_u0=False,
          n=4, steps=60, gamma=-1.0, u0=[0.5, -1.0, 0.3])
@@ -438,28 +446,93 @@ def test_run_equals_the_per_step_loop_bit_for_bit(
     assert traj.summary() == summary
 
 
+def _refined_norms(system, dt, scheme, u, steps):
+    """Squared M-norms of a banded loop from u whose step solves
+    A u+ = R u with R u in longdouble, refined three rounds: the
+    reference of the dense path."""
+    stepper = TimeStepper(system, dt, scheme)  # no step count: banded
+    solver = stepper._solver
+    rhs = row_band(stepper._rhs_band.astype(np.longdouble))
+    norms = [system.mass_norm_sq(u)]
+    for _ in range(steps):
+        b = band_matvec(rhs, u)
+        u = solver._solve_once(b.astype(float))
+        for _ in range(3):
+            u = u + solver._solve_once((b - band_matvec(solver._rows_ext, u)).astype(float))
+        norms.append(system.mass_norm_sq(u))
+    return np.array(norms)
+
+
+ND, D = OperatorForm.NON_DIVERGENCE, OperatorForm.DIVERGENCE
+IE, CN = Scheme.IMPLICIT_EULER, Scheme.CRANK_NICOLSON
+
+
 @pytest.mark.parametrize(
-    "x0, beta0, beta1",
-    # x0 near an end: the step matrix's condition number is 3e12, not 3e5
-    [(0.5, 0.7, 1.9), (0.5, 1.6, 0.6), (1e-4, 0.7, 1.9), (1.0 - 1e-4, 1.6, 0.6)],
+    "form, K, scheme, x0, beta0, beta1",
+    # march's step matrix; x0 near an end: its condition number is 3e12,
+    # not 3e5
+    [pytest.param(ND, 1.5, IE, *case, id="-".join(map(str, case)))
+     for case in [(0.5, 0.7, 1.9), (0.5, 1.6, 0.6), (1e-4, 0.7, 1.9), (1.0 - 1e-4, 1.6, 0.6)]]
+    + [pytest.param(D, 0.5, CN, 0.5, 1.3, 0.8, id="divergence-crank_nicolson")],
 )
-def test_dense_steps_keep_the_norms_of_the_banded_loop(x0, beta0, beta1):
-    # a run like the march benchmark: 65 free dofs and 2500 steps, so run
-    # steps with the inverse of the step matrix
+def test_dense_steps_keep_the_norms_of_the_banded_loop(form, K, scheme, x0, beta0, beta1):
+    # a run like the march benchmark: 65 or 66 free dofs and 2500 steps,
+    # so run steps by the propagator
     steps = 2500
     config = ProblemConfig(
-        OperatorForm.NON_DIVERGENCE, power_profile(x0, 1.5), WentzellParams(beta0, beta1),
-        T=1.0, dt=1.0 / steps, n=32, u0={"poly": [0.3, -0.8, 0.5, 0.9]},
+        form, power_profile(x0, K), WentzellParams(beta0, beta1), T=1.0, dt=1.0 / steps,
+        n=32, scheme=scheme, u0={"poly": [0.3, -0.8, 0.5, 0.9]},
     )
     traj = run(config)
     system = traj.system
-    assert TimeStepper(system, config.dt, config.scheme, steps)._inverse is not None
-    banded = TimeStepper(system, config.dt, config.scheme)
-    u = traj.dofs[0]
-    norms = [system.mass_norm_sq(u)]
-    for _ in range(steps):
-        u = banded.step_free(u)
-        norms.append(system.mass_norm_sq(u))
+    assert TimeStepper(system, config.dt, scheme, steps)._propagator is not None
     assert traj.aborted is None
+    norms = _refined_norms(system, config.dt, scheme, traj.dofs[0], steps)
     np.testing.assert_allclose(traj.norm_mu_sq, norms, rtol=1e-12, atol=0.0)
-    assert traj.contraction_ok() and traj.energy_bound_ok()
+    assert traj.contraction_ok()
+    # the bound reads Crank-Nicolson's energy at the step's end, not its
+    # midpoint, and fails on this rough u0 whichever path steps
+    assert traj.energy_bound_ok() or scheme is CN
+
+
+# the benchmark's two step matrices: (K, dt) of evolve and of march
+_GRID_CASES = {D: (0.5, 0.01), ND: (1.5, 4e-4)}
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0])
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("form", list(OperatorForm))
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_dense_path_is_as_near_the_refined_loop_as_the_banded_one(n, form, scheme, gamma):
+    # both paths carry rounding noise, the dense product more per step
+    # (it is not backward stable); on Crank-Nicolson the banded one
+    # drifts more, through the rounding of R u.  Over 11 draws of beta
+    # and u0 the ratio of the two distances reached 19 on implicit Euler
+    # and 0.92 on Crank-Nicolson.
+    K, dt = _GRID_CASES[form]
+
+    def config(steps):
+        return ProblemConfig(
+            form, power_profile(0.5, K), WentzellParams(1.3, 0.8, gamma, gamma), T=dt * steps,
+            dt=dt, n=n, scheme=scheme, u0={"poly": [0.3, -0.8, 0.5, 0.9]},
+        )
+
+    steps = 2 * len(build_system(config(1)).free) + 4
+    traj = run(config(steps))
+    system = traj.system
+    assert TimeStepper(system, dt, scheme, steps)._propagator is not None
+    reference = _refined_norms(system, dt, scheme, traj.dofs[0], steps)
+    banded_stepper = TimeStepper(system, dt, scheme)
+    u = traj.dofs[0]
+    banded = [system.mass_norm_sq(u)]
+    for _ in range(steps):
+        u = banded_stepper.step_free(u)
+        banded.append(system.mass_norm_sq(u))
+
+    def distance(norms):
+        return float(np.max(np.abs(np.asarray(norms) - reference) / reference))
+
+    dense_distance, banded_distance = distance(traj.norm_mu_sq), distance(banded)
+    assert dense_distance <= max(5e-15, 32.0 * banded_distance)
+    if scheme is CN:
+        assert dense_distance <= max(5e-15, banded_distance)

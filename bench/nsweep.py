@@ -1,7 +1,8 @@
-"""Cost of the two step paths of ``TimeStepper`` against the mesh size.
+"""Cost of assembly and of the two step paths of ``TimeStepper`` against
+the mesh size.
 
     OPENBLAS_NUM_THREADS=1 python3 bench/nsweep.py [--sizes 8 16 ...] \
-        [--repeats 5] --out BENCH_22.json
+        [--repeats 5] --out BENCH_23.json
 
 Run from the repository root; the package is imported from ``src``.  For
 each n (default 8, 16, ..., 512 elements) and both operator forms it
@@ -9,6 +10,8 @@ builds the step matrix of a benchmark-like run (divergence: weak class,
 Crank-Nicolson, dt = 0.01; non-divergence: strong class, implicit Euler,
 dt = 4e-4) and measures, each a median over ``--repeats`` timings:
 
+  assemble_ms       one ``build_system``: mesh, quadrature rules and the
+                    bands of M and K
   banded_step_us    one ``step_free`` by the refined banded solve
   dense_step_us     one ``step_free`` by the propagator product
   inverse_build_ms  forming the propagator S = A^{-1} R by the refined
@@ -59,7 +62,7 @@ CASES = (
     (OperatorForm.NON_DIVERGENCE, 1.5, Scheme.IMPLICIT_EULER, 4e-4),
 )
 ROW_KEYS = (
-    "form", "n", "dofs", "banded_step_us", "dense_step_us", "inverse_build_ms",
+    "form", "n", "dofs", "assemble_ms", "banded_step_us", "dense_step_us", "inverse_build_ms",
     "break_even_steps", "norm_rel_diff",
 )
 KEYS = ("python", "numpy", "machine", "sizes", "rows", "dense_max_dofs",
@@ -81,6 +84,7 @@ def measure(form, K, scheme, dt, n, repeats):
     config = ProblemConfig(form, power_profile(0.5, K), WentzellParams(1.0, 1.0, -0.5, -0.5),
                            T=1.0, dt=dt, n=n, scheme=scheme, u0="bump_cubed")
     system = build_system(config)
+    assemble_s = _median_seconds(lambda: build_system(config), repeats)
     stepper = TimeStepper(system, dt, scheme)  # no step count: banded
     u0 = initial_dofs(system, config.u0)
     m = len(u0)
@@ -100,6 +104,7 @@ def measure(form, K, scheme, dt, n, repeats):
         "form": form.value,
         "n": n,
         "dofs": m,
+        "assemble_ms": assemble_s * 1e3,
         "banded_step_us": banded * 1e6,
         "dense_step_us": dense * 1e6,
         "inverse_build_ms": build_s * 1e3,
@@ -143,6 +148,7 @@ def sweep(sizes=SIZES, repeats=5, report=None):
 def _print_row(row):
     steps = row["break_even_steps"]
     print(f"{row['form']:>13} n={row['n']:4d} dofs={row['dofs']:5d}  "
+          f"assemble {row['assemble_ms']:6.2f} ms  "
           f"banded {row['banded_step_us']:8.1f} us  dense {row['dense_step_us']:8.1f} us  "
           f"inverse {row['inverse_build_ms']:8.2f} ms  break-even {'-' if steps is None else f'{steps:.0f}'} steps  "
           f"norm diff {row['norm_rel_diff']:.1e}", flush=True)

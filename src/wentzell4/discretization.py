@@ -15,6 +15,13 @@ the largest per-element point count; a row with fewer points (the
 moment-fitted rows next to x0) is padded at its end with zero weights at
 the element's left node, so a sum over a row is the sum over the
 element's own points.
+
+Every row maps one of at most three reference rules on [0, 1] onto its
+element, so the basis is evaluated on the reference rules, never per
+element: each reference rule has one cached shape table, computed with
+h = 1, and the powers of the element lengths enter as column scales.
+:func:`element_integrals` is the one path from a rule to element
+integrals, for the Gram matrices and the loads alike.
 """
 from __future__ import annotations
 
@@ -36,7 +43,8 @@ __all__ = [
     "check_interior",
     "build_mesh",
     "shape_values",
-    "element_shape_values",
+    "LOWER_PAIRS",
+    "element_integrals",
     "evaluate",
     "interpolate_poly",
     "weighted_rule",
@@ -159,17 +167,6 @@ def shape_values(s, h, d=0):
     return np.stack(cols, axis=-1)
 
 
-def element_shape_values(rule, d=0):
-    """Basis derivatives at all points of a quadrature rule at once.
-
-    Returns ``phi`` (n_elements, P, 4) with the rule's ``weights`` and
-    ``points`` (n_elements, P).
-    """
-    xa = rule.mesh.nodes[:-1, None]
-    h = rule.mesh.lengths()[:, None]
-    return shape_values((rule.points - xa) / h, h, d), rule.weights, rule.points
-
-
 def evaluate(dofs, mesh: Mesh, x, d=0):
     """Value of the d-th derivative of the represented piecewise cubic at x
     (one-sided at element boundaries for d >= 2); ``dofs`` holds all
@@ -197,11 +194,20 @@ def interpolate_poly(mesh: Mesh, coeffs):
 @dataclass(frozen=True)
 class QuadratureRule:
     """Points and weights of every element with the weight function folded
-    into the weights.
+    into the weights, and the reference rule each row maps.
 
     ``points`` and ``weights`` are read-only (n_elements, P) arrays, P the
     largest per-element point count; a shorter row is padded at its end
     with zero weights at the element's left node.
+
+    ``reference`` lists ``((npoints, reversed), rows)`` entries, ``rows`` a
+    slice of consecutive rows that map the abscissae s = (xi + 1)/2 of the
+    npoints-point Gauss rule, or with ``reversed`` 1 - s in ascending
+    order.  Regular rows map the Gauss rule, the moment-fitted row right
+    of x0 maps its nodes sigma (the Gauss abscissae of 8 - min_degree
+    points) and the one left of x0 maps 1 - sigma.  Row e has its points
+    at ``xa + h s`` and its reference shape values at s itself, which
+    keeps the rounding of ``(x - xa) / h`` out of every integral.
 
     On the elements adjacent to the degeneracy the rule is moment-fitted
     and exact to polynomial degree 7 against the weight; elsewhere a
@@ -213,6 +219,71 @@ class QuadratureRule:
     mesh: Mesh
     points: np.ndarray
     weights: np.ndarray
+    reference: tuple
+
+
+# The (row, column) pairs i >= j of a 4 x 4 element block, row by row: the
+# order of the 10 entries element_integrals(..., pairs=True) returns.
+LOWER_PAIRS = np.tril_indices(4)
+
+
+@functools.cache
+def _reference_table(key, width, d, pairs):
+    """Shape table of the reference rule ``key`` = (npoints, reversed) on
+    the element [0, 1] (h = 1): T = phi^(d)(s) of shape (width, 4), or with
+    ``pairs`` its 10 lower products T_i T_j in LOWER_PAIRS order; s is
+    padded with zeros to ``width``, where rows carry zero weights.
+    Cached, hence read-only."""
+    npoints, reversed_ = key
+    sigma = 0.5 * (_gauss_legendre(npoints)[0] + 1.0)
+    s = np.zeros(width)
+    s[:npoints] = 1.0 - sigma[::-1] if reversed_ else sigma
+    table = shape_values(s, 1.0, d)
+    if pairs:
+        table = table[:, LOWER_PAIRS[0]] * table[:, LOWER_PAIRS[1]]
+    table.setflags(write=False)
+    return table
+
+
+def _column_scales(h, d):
+    """Factors c, (n_elements, 4), with phi^(d) on an element of length h
+    equal to c times the reference phi^(d): h^-d for the value columns and
+    h^(1 - d) for the slope columns, powers of h as products."""
+    one = np.ones_like(h)
+    if d == 0:
+        value, slope = one, h
+    elif d == 1:
+        value, slope = 1.0 / h, one
+    elif d == 2:
+        value, slope = 1.0 / (h * h), 1.0 / h
+    elif d == 3:
+        value, slope = 1.0 / (h * h * h), 1.0 / (h * h)
+    else:
+        raise ValueError("derivative order must be 0..3")
+    return np.stack([value, slope, value, slope], axis=-1)
+
+
+def element_integrals(rule, weighted, d, pairs=False):
+    """Integrals over every element of the d-th basis derivatives against
+    ``weighted``, an (n_elements, P) array of the rule's weights times an
+    integrand at its points: the rule's sums of ``weighted * phi_i^(d)``,
+    (n_elements, 4), or with ``pairs`` of ``weighted * phi_i^(d) phi_j^(d)``
+    for the 10 pairs i >= j of LOWER_PAIRS, (n_elements, 10).
+
+    Each reference rule takes one matrix product of its rows of
+    ``weighted`` with its shape table; the column scales c (c_i c_j for a
+    pair) bring in the element lengths afterwards.  The product is stacked
+    over the rows, (rows, 1, P) @ (P, k), which numpy evaluates row by
+    row, so a row has the bits of its element computed alone: a 2-D
+    product, blocked over rows by BLAS, does not keep them.
+    """
+    width = weighted.shape[1]
+    out = np.empty((len(weighted), len(LOWER_PAIRS[0]) if pairs else 4))
+    for key, rows in rule.reference:
+        table = _reference_table(key, width, d, pairs)
+        out[rows] = (weighted[rows, None, :] @ table)[:, 0]
+    c = _column_scales(rule.mesh.lengths(), d)
+    return out * (c[:, LOWER_PAIRS[0]] * c[:, LOWER_PAIRS[1]] if pairs else c)
 
 
 _MAX_FIT_DEGREE = 7
@@ -231,34 +302,36 @@ def _shifted_legendre_coeffs(r):
 # uses: 4 and 16 (the default unit and weighted rules), 8 (loads and L2
 # errors) and 6 and 8 (the moment fits, 8 - min_degree points).  Each
 # row is a positive node and its weight, ascending; the rule is symmetric,
-# so the negative half is the mirror image.  The literals are the bits of
-# scipy.special.roots_legendre (scipy 1.17.1), a table rather than a call
-# so that no command loads scipy.special.
+# so the negative half is the mirror image.  Every literal is the double
+# nearest the node or weight computed with mpmath at 50 digits (roots of
+# P_n by Newton's method, w = 2 / ((1 - x^2) P_n'(x)^2)); a table rather
+# than scipy.special.roots_legendre, whose weights are off by up to 683
+# ulp at 16 points, and so that no command loads scipy.special.
 _GAUSS_LEGENDRE_HALVES = {
     4: (
-        (0.3399810435848563, 0.6521451548625462),
-        (0.8611363115940526, 0.3478548451374538),
+        (0.33998104358485626, 0.6521451548625461),
+        (0.8611363115940526, 0.34785484513745385),
     ),
     6: (
-        (0.23861918608319693, 0.4679139345726912),
-        (0.6612093864662645, 0.36076157304813855),
-        (0.932469514203152, 0.17132449237917016),
+        (0.2386191860831969, 0.46791393457269104),
+        (0.6612093864662645, 0.3607615730481386),
+        (0.932469514203152, 0.17132449237917036),
     ),
     8: (
-        (0.18343464249564984, 0.36268378337836205),
-        (0.525532409916329, 0.3137066458778876),
-        (0.7966664774136267, 0.22238103445337473),
-        (0.9602898564975363, 0.10122853629037562),
+        (0.1834346424956498, 0.362683783378362),
+        (0.525532409916329, 0.31370664587788727),
+        (0.7966664774136267, 0.22238103445337448),
+        (0.9602898564975363, 0.10122853629037626),
     ),
     16: (
-        (0.09501250983763745, 0.1894506104550681),
-        (0.2816035507792589, 0.18260341504492328),
-        (0.4580167776572274, 0.16915651939500212),
-        (0.6178762444026438, 0.14959598881657638),
-        (0.755404408355003, 0.12462897125553363),
-        (0.8656312023878318, 0.09515851168249231),
-        (0.9445750230732326, 0.06225352393864763),
-        (0.9894009349916499, 0.027152459411756466),
+        (0.09501250983763744, 0.1894506104550685),
+        (0.2816035507792589, 0.18260341504492358),
+        (0.45801677765722737, 0.16915651939500254),
+        (0.6178762444026438, 0.14959598881657674),
+        (0.755404408355003, 0.12462897125553388),
+        (0.8656312023878318, 0.09515851168249279),
+        (0.9445750230732326, 0.062253523938647894),
+        (0.9894009349916499, 0.027152459411754096),
     ),
 }
 
@@ -298,11 +371,10 @@ def _moment_fit(min_degree):
     return sigma, A
 
 
-def _fitted_singular_rule(coeff, xa, xb, sign, min_degree):
-    """Weights at Gauss nodes reproducing the exact moments of the power
-    weight over an element with x0 at one end."""
-    h = xb - xa
-    at_left = abs(coeff.x0 - xa) <= abs(coeff.x0 - xb)
+def _fitted_singular_rule(coeff, h, sign, min_degree):
+    """Weights at the moment-fit nodes sigma (ascending) reproducing the
+    exact moments of the power weight over an element of length h with x0
+    at one end, sigma h the distance from x0."""
     p = sign * coeff.K
     amp = coeff.scale**sign
     sigma, A = _moment_fit(min_degree)
@@ -317,10 +389,7 @@ def _fitted_singular_rule(coeff, xa, xb, sign, min_degree):
         sum(c * moments[min_degree + j] for j, c in enumerate(_shifted_legendre_coeffs(r)))
         for r in range(len(sigma))
     ])
-    w = np.linalg.solve(A, rhs)
-    x = xa + h * sigma if at_left else xb - h * sigma
-    order = np.argsort(x)
-    return x[order], w[order]
+    return np.linalg.solve(A, rhs)
 
 
 def weighted_rule(mesh, coeff, kind, npoints=None):
@@ -336,38 +405,50 @@ def weighted_rule(mesh, coeff, kind, npoints=None):
     """
     kind = WeightKind(kind)
     n_gauss = npoints or (4 if kind is WeightKind.UNIT else 16)
-
-    klass = classify(coeff)
-    singular = ()
-    min_degree = 0
-    if kind is not WeightKind.UNIT and klass is not DegeneracyClass.NONDEGENERATE:
-        if abs(mesh.x0 - coeff.x0) > 1e-12:
-            raise ValueError("mesh must place the degeneracy point on a node")
-        # x0 is interior, so both neighbours exist
-        singular = (mesh.x0_index - 1, mesh.x0_index)
-        if kind is WeightKind.COEFF_RECIP_A and klass is DegeneracyClass.STRONG:
-            min_degree = 2
-
     sign = -1 if kind is WeightKind.COEFF_RECIP_A else 1
     x, w = _gauss_rule(mesh, n_gauss)
     if kind is not WeightKind.UNIT:
         w = w * coeff(x) ** sign
-    regular = np.ones(mesh.n_elements, dtype=bool)
-    regular[list(singular)] = False
+    klass = classify(coeff)
+    if kind is WeightKind.UNIT or klass is DegeneracyClass.NONDEGENERATE:
+        return _read_only_rule(mesh, x, w, (((n_gauss, False), slice(0, mesh.n_elements)),))
+    if abs(mesh.x0 - coeff.x0) > 1e-12:
+        raise ValueError("mesh must place the degeneracy point on a node")
+    strong_recip = kind is WeightKind.COEFF_RECIP_A and klass is DegeneracyClass.STRONG
+    min_degree = 2 if strong_recip else 0
     ncond = _MAX_FIT_DEGREE + 1 - min_degree
+    sigma = _moment_fit(min_degree)[0]
+    # x0 is interior, so both neighbours exist; at n = 2 no row is regular
+    left, right = mesh.x0_index - 1, mesh.x0_index
+    regular = [r for r in (slice(0, left), slice(right + 1, mesh.n_elements)) if r.start < r.stop]
     # P is the largest per-element count; pad columns sit at the left node
-    width = np.where(regular, n_gauss, ncond).max()
-    points = np.repeat(mesh.nodes[:-1, None], width, axis=1)
-    weights = np.zeros_like(points)
-    if regular.any():  # at n = 2 both rows are fitted
-        points[regular, :n_gauss], weights[regular, :n_gauss] = x[regular], w[regular]
-    for e in singular:
-        points[e, :ncond], weights[e, :ncond] = _fitted_singular_rule(
-            coeff, *mesh.element(e), sign, min_degree
-        )
+    width = max(ncond, n_gauss if regular else 0)
+    if width == n_gauss:
+        points, weights = x, w
+    else:
+        points = np.repeat(mesh.nodes[:-1, None], width, axis=1)
+        weights = np.zeros_like(points)
+        for rows in regular:
+            points[rows, :n_gauss], weights[rows, :n_gauss] = x[rows], w[rows]
+    for e in (left, right):
+        xa, xb = mesh.element(e)
+        fitted = _fitted_singular_rule(coeff, xb - xa, sign, min_degree)
+        points[e], weights[e] = xa, 0.0
+        if e == left:  # sigma measured from x0 = xb, so ascending x reverses it
+            points[e, :ncond], weights[e, :ncond] = xb - (xb - xa) * sigma[::-1], fitted[::-1]
+        else:
+            points[e, :ncond], weights[e, :ncond] = xa + (xb - xa) * sigma, fitted
+    reference = tuple(((n_gauss, False), rows) for rows in regular) + (
+        ((ncond, True), slice(left, left + 1)),
+        ((ncond, False), slice(right, right + 1)),
+    )
+    return _read_only_rule(mesh, points, weights, reference)
+
+
+def _read_only_rule(mesh, points, weights, reference):
     points.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(mesh, points, weights)
+    return QuadratureRule(mesh, points, weights, reference)
 
 
 def _gauss_rule(mesh, npoints):

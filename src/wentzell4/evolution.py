@@ -58,7 +58,7 @@ from .discretization import (
     WeightKind,
     build_mesh,
     check_interior,
-    element_shape_values,
+    element_integrals,
     interpolate_poly,
 )
 from .forms import (
@@ -164,11 +164,12 @@ UNFORCED = Forcing(0.0, None, 0.0)
 def _polynomial_load(system, coeffs, weight_kind, derivative, end_terms):
     """Exact vector of weighted products of a polynomial p with every free
     basis function: entries int w(x) p^(d)(x) phi_i^(d)(x) dx, plus the
-    Wentzell point terms c_j p(j) at the end dofs."""
+    Wentzell point terms c_j p(j) at the end dofs.  The element integrals
+    are ``((w p^(d)(x)) @ T) * c`` per reference rule, T its shape table
+    and c the column scales (:func:`discretization.element_integrals`)."""
     p = Polynomial(np.asarray(coeffs, dtype=float))
     rule = system.rule(weight_kind, npoints=8 if weight_kind is WeightKind.UNIT else None)
-    phi, weights, points = element_shape_values(rule, derivative)
-    local = ((weights * p.deriv(derivative)(points))[:, None, :] @ phi)[:, 0, :]
+    local = element_integrals(rule, rule.weights * p.deriv(derivative)(rule.points), derivative)
     mesh = system.mesh
     load = np.bincount(
         mesh.element_dofs().ravel(), weights=local.ravel(), minlength=mesh.n_dofs

@@ -18,8 +18,10 @@ the table and these, never a second copy of the choice.
 Storage.  Cubic Hermite dofs couple at most three apart, so every matrix
 is held in LAPACK lower band storage ``ab`` of shape (4, n):
 ``ab[k, j] = A[j + k, j]``, entries past the end of a diagonal kept at
-zero.  Assembly computes all element blocks in one batch, scatters them
-into the band and keeps only the rows and columns of the free dofs
+zero.  Assembly computes the 10 lower entries of all element blocks in
+one batch, a matrix product per reference rule of the quadrature rule
+(:func:`discretization.element_integrals`), scatters them into the band
+and keeps only the rows and columns of the free dofs
 (:func:`free_band`), so n is the number of free dofs and a pinned dof has
 no entry anywhere.  Every vector is held on the free dofs too, and
 :meth:`AssembledSystem.expand` forms a full-dof vector only where one
@@ -33,7 +35,8 @@ oracle and tests, and in the propagator of a long run on a small mesh
 (:class:`evolution.TimeStepper`); the eigenvalues of the pencil come
 from the bands (:func:`band_pencil_eigenvalues`, LAPACK ``dsbgv``).
 
-The element blocks are exactly symmetric and an entry of the band sums
+The element blocks are exactly symmetric, as each stores one computed
+value at (i, j) and (j, i), and an entry of the band sums
 at most two of them, so the band is that of a dense accumulation, bit for
 bit, and M = M^T and K = K^T hold with no rounding gap.
 
@@ -66,7 +69,13 @@ from .coefficient import (
     check_power_comparison,
     classify,
 )
-from .discretization import Mesh, WeightKind, element_shape_values, weighted_rule
+from .discretization import (
+    LOWER_PAIRS,
+    Mesh,
+    WeightKind,
+    element_integrals,
+    weighted_rule,
+)
 from .powers import DivergentIntegralError
 
 __all__ = [
@@ -131,7 +140,6 @@ class WentzellParams:
 # ---------------------------------------------------------------------------
 
 BANDWIDTH = 3
-_LOCAL_ROW, _LOCAL_COL = np.tril_indices(4)
 
 
 @functools.lru_cache(maxsize=16)
@@ -346,24 +354,29 @@ def band_to_dense(ab):
 def element_blocks(rule, d):
     """Local Gram blocks (n_elements, 4, 4) of the d-th basis derivatives:
     entry (i, j) of block e is the rule's sum of w phi_i^(d) phi_j^(d)
-    over element e.  phi_i * phi_j is formed before the weight
-    contraction, so every block is exactly symmetric."""
-    phi, weights, _ = element_shape_values(rule, d)
-    products = phi[..., :, None] * phi[..., None, :]
-    return np.einsum("ep,epij->eij", weights, products)
+    over element e, from the reference shape tables of the rule
+    (:func:`discretization.element_integrals`).  Only the 10 entries
+    i >= j are computed and each is written to (i, j) and (j, i), so
+    every block is exactly symmetric by construction."""
+    entries = element_integrals(rule, rule.weights, d, pairs=True)
+    row, col = LOWER_PAIRS
+    blocks = np.empty((len(entries), 4, 4))
+    blocks[:, row, col] = blocks[:, col, row] = entries
+    return blocks
 
 
 def gram_matrix(rule, d):
     """Lower band of the weighted Gram matrix of the d-th basis
-    derivatives: the element blocks scattered into the band.  Element e
-    owns dofs 2e..2e+3, so an entry receives at most two contributions;
-    they are added to zero in element order."""
-    blocks = element_blocks(rule, d)
+    derivatives: the 10 lower entries of every element block (those of
+    :func:`element_blocks`, one matrix product per reference rule)
+    scattered straight into the band.  Element e owns dofs 2e..2e+3, so
+    an entry receives at most two contributions; they are added to zero
+    in element order."""
     n = rule.mesh.n_dofs
-    dofs = rule.mesh.element_dofs()
-    flat = (_LOCAL_ROW - _LOCAL_COL) * n + dofs[:, _LOCAL_COL]
-    values = blocks[:, _LOCAL_ROW, _LOCAL_COL]
-    summed = np.bincount(flat.ravel(), weights=values.ravel(), minlength=4 * n)
+    row, col = LOWER_PAIRS
+    flat = (row - col) * n + rule.mesh.element_dofs()[:, col]
+    entries = element_integrals(rule, rule.weights, d, pairs=True)
+    summed = np.bincount(flat.ravel(), weights=entries.ravel(), minlength=4 * n)
     return summed.reshape(BANDWIDTH + 1, n)
 
 

@@ -584,8 +584,9 @@ def _green_checks():
 def _spectral_checks(cases):
     out = []
     for name, system in cases:
-        # element blocks before they are folded into the bands; the
-        # boundary terms are diagonal
+        # element blocks before they are folded into the bands (symmetric
+        # by construction: one value mirrored per pair); the boundary
+        # terms are diagonal
         pencil = PENCIL[system.form]
         sym_gap = max(
             float(np.max(np.abs(B - B.transpose(0, 2, 1))))

@@ -1,17 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import roots_legendre
 
 from wentzell4.coefficient import DegeneracyClass, classify, power_profile, singular_moment
 from wentzell4.discretization import (
     WeightKind,
     _fitted_singular_rule,
     _gauss_legendre,
+    _moment_fit,
     build_mesh,
     evaluate,
     interpolate_poly,
@@ -202,25 +203,38 @@ def test_smooth_element_weighted_rule_accuracy():
     assert got == pytest.approx(expected, rel=1e-13)
 
 
+def _legendre_rule_mp(npoints, node):
+    """The Gauss-Legendre node next to ``node`` and its weight, to 50
+    digits: a root of P_n by mpmath, w = 2 / ((1 - x^2) P_n'(x)^2) with
+    P_n'(x) = n P_{n-1}(x) / (1 - x^2) at a root."""
+    with mpmath.workdps(50):
+        x = mpmath.findroot(lambda t: mpmath.legendre(npoints, t), mpmath.mpf(node))
+        derivative = npoints * mpmath.legendre(npoints - 1, x) / (1 - x**2)
+        return x, 2 / ((1 - x**2) * derivative**2)
+
+
 @pytest.mark.parametrize("npoints", [4, 6, 8, 16])
-def test_gauss_legendre_table_is_roots_legendre_bit_for_bit(npoints):
+def test_gauss_legendre_table_is_correctly_rounded(npoints):
+    # every node and weight within half an ulp of the 50-digit rule
     nodes, weights = _gauss_legendre(npoints)
-    ref_nodes, ref_weights = roots_legendre(npoints)
-    assert nodes.tobytes() == ref_nodes.tobytes()
-    assert weights.tobytes() == ref_weights.tobytes()
+    for node, weight in zip(nodes, weights):
+        exact_node, exact_weight = _legendre_rule_mp(npoints, node)
+        for value, exact in ((node, exact_node), (weight, exact_weight)):
+            with mpmath.workdps(50):
+                ulps = abs(mpmath.mpf(float(value)) - exact) / np.spacing(abs(value))
+            assert ulps <= 0.5, (value, float(ulps))
     assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 @pytest.mark.parametrize("npoints", [4, 6, 8, 16])
 def test_gauss_legendre_table_integrates_monomials(npoints):
-    # the tabulated weights are scipy's, which carry errors of order
-    # npoints * eps (at 16 points up to 683 ulp of the exact weights, against
-    # 50-digit mpmath), so the moments hold to 2 npoints eps, not to a few ulp
+    # correctly rounded nodes and weights integrate x^k, k < 2 npoints, to
+    # within eps; the largest error seen is eps / 2 (6, 8 and 16 points)
     nodes, weights = _gauss_legendre(npoints)
     for k in range(2 * npoints):
         exact = 0.0 if k % 2 else 2.0 / (k + 1)
         moment = math.fsum((weights * nodes**k).tolist())
-        assert abs(moment - exact) <= 2 * npoints * np.finfo(float).eps, k
+        assert abs(moment - exact) <= np.finfo(float).eps, k
 
 
 def test_gauss_legendre_refuses_an_untabulated_count():
@@ -231,19 +245,17 @@ def test_gauss_legendre_refuses_an_untabulated_count():
 def test_quadrature_symmetric_in_basis_pairs():
     mesh = build_mesh(4, 0.5)
     rule = weighted_rule(mesh, power_profile(0.5, 0.5), WeightKind.COEFF_A)
-    e = 1
-    xa, xb = mesh.element(e)
-    s = (rule.points[e] - xa) / (xb - xa)
-    phi = shape_values(s, xb - xa, 2)
-    local = np.einsum("p,pij->ij", rule.weights[e], phi[:, :, None] * phi[:, None, :])
-    assert np.array_equal(local, local.T)
+    for d in range(3):
+        blocks = element_blocks(rule, d)
+        assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
 
 
 def loop_rule(mesh, coeff, kind, npoints=None):
     """Element-by-element construction of a rule, ragged, the reference
-    for the batched one."""
+    for the batched one: points, weights and the reference abscissae s in
+    [0, 1] of every element."""
     n_gauss = npoints or (4 if kind is WeightKind.UNIT else 16)
-    xi, wi = roots_legendre(n_gauss)
+    xi, wi = _gauss_legendre(n_gauss)
     klass = classify(coeff)
     singular, min_degree = set(), 0
     if kind is not WeightKind.UNIT and klass is not DegeneracyClass.NONDEGENERATE:
@@ -251,30 +263,48 @@ def loop_rule(mesh, coeff, kind, npoints=None):
         if kind is WeightKind.COEFF_RECIP_A and klass is DegeneracyClass.STRONG:
             min_degree = 2
     sign = -1 if kind is WeightKind.COEFF_RECIP_A else 1
-    points, weights = [], []
+    sigma = _moment_fit(min_degree)[0]
+    points, weights, abscissae = [], [], []
     for e in range(mesh.n_elements):
         xa, xb = mesh.element(e)
         h = xb - xa
         if e in singular:
-            x, w = _fitted_singular_rule(coeff, xa, xb, sign, min_degree)
+            w = _fitted_singular_rule(coeff, h, sign, min_degree)
+            if xb == mesh.x0:  # left of x0: ascending x is descending sigma
+                s, x, w = 1.0 - sigma[::-1], xb - h * sigma[::-1], w[::-1]
+            else:
+                s, x = sigma, xa + h * sigma
         else:
+            s = 0.5 * (xi + 1.0)
             x = xa + 0.5 * h * (xi + 1.0)
             w = 0.5 * h * wi
             if kind is not WeightKind.UNIT:
                 w = w * coeff(x) ** sign
         points.append(x)
         weights.append(w)
-    return points, weights
+        abscissae.append(s)
+    return points, weights, abscissae
 
 
-def padded(mesh, points, weights):
-    """(n_elements, P) arrays, rows padded with zero weights at the left node."""
+def padded(mesh, points, weights, abscissae):
+    """(n_elements, P) arrays, rows padded with zero weights at the left
+    node, where the reference abscissa is 0."""
     width = max(map(len, points))
     P = np.repeat(mesh.nodes[:-1, None], width, axis=1)
     W = np.zeros(P.shape)
-    for e, (x, w) in enumerate(zip(points, weights)):
-        P[e, : len(x)], W[e, : len(w)] = x, w
-    return P, W
+    S = np.zeros(P.shape)
+    for e, (x, w, s) in enumerate(zip(points, weights, abscissae)):
+        P[e, : len(x)], W[e, : len(w)], S[e, : len(s)] = x, w, s
+    return P, W, S
+
+
+def column_scales(h, d):
+    """c with phi^(d) = c * phi_hat^(d) on an element of length h."""
+    return np.array({
+        0: (1.0, h, 1.0, h),
+        1: (1.0 / h, 1.0, 1.0 / h, 1.0),
+        2: (1.0 / (h * h), 1.0 / h, 1.0 / (h * h), 1.0 / h),
+    }[d])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -285,22 +315,27 @@ def padded(mesh, points, weights):
     n=st.integers(min_value=2, max_value=64),
     npoints=st.sampled_from([None, 8]),
 )
+@example(form=OperatorForm.NON_DIVERGENCE, K=1.5, x0=0.3, n=2, npoints=None)
+@example(form=OperatorForm.DIVERGENCE, K=0.5, x0=0.7, n=2, npoints=8)
 def test_batched_rule_equals_element_loop_bit_for_bit(form, K, x0, n, npoints):
     coeff = power_profile(x0, K)
     mesh = build_mesh(n, x0)
+    row, col = np.tril_indices(4)
     for kind in PENCIL[form]:
         rule = weighted_rule(mesh, coeff, kind, npoints)
-        points, weights = loop_rule(mesh, coeff, kind, npoints)
-        P, W = padded(mesh, points, weights)
+        P, W, S = padded(mesh, *loop_rule(mesh, coeff, kind, npoints))
         assert np.array_equal(rule.points, P) and np.array_equal(rule.weights, W)
         assert not (rule.points.flags.writeable or rule.weights.flags.writeable)
         for d in range(3):
-            expected = []
-            for e, (x, w) in enumerate(zip(points, weights)):
-                xa, xb = mesh.element(e)
-                phi = shape_values((x - xa) / (xb - xa), xb - xa, d)
-                expected.append(np.einsum("p,pij->ij", w, phi[:, :, None] * phi[:, None, :]))
-            assert np.array_equal(element_blocks(rule, d), np.array(expected))
+            # each element alone, on its reference abscissae: the 10 lower
+            # entries (w @ (T_i T_j)) c_i c_j, mirrored
+            expected = np.empty((n, 4, 4))
+            for e in range(n):
+                T = shape_values(S[e], 1.0, d)
+                c = column_scales(mesh.lengths()[e], d)
+                entries = (W[e] @ (T[:, row] * T[:, col])) * (c[row] * c[col])
+                expected[e, row, col] = expected[e, col, row] = entries
+            assert np.array_equal(element_blocks(rule, d), expected)
     coeffs = [0.3, -1.0, 2.0, 0.5, -0.25]
     p = np.polynomial.Polynomial(coeffs)
     reference = np.zeros(mesh.n_dofs)

@@ -9,7 +9,7 @@ from scipy.linalg import eigh
 
 from wentzell4 import forms, oracle
 from wentzell4.coefficient import constant_profile, power_profile, singular_moment
-from wentzell4.discretization import WeightKind, build_mesh, interpolate_poly
+from wentzell4.discretization import WeightKind, build_mesh, interpolate_poly, weighted_rule
 from wentzell4.evolution import initial_dofs
 from wentzell4.forms import (
     PENCIL,
@@ -20,7 +20,7 @@ from wentzell4.forms import (
     element_blocks,
     gram_matrix,
 )
-from wentzell4.powers import DivergentIntegralError
+from wentzell4.powers import DivergentIntegralError, PiecewisePower
 
 
 def make(form, coeff, gamma=0.0, beta=(1.0, 1.0), n=8):
@@ -157,6 +157,69 @@ def test_exact_symmetry_and_positive_semidefiniteness(form, coeff, gamma):
     w = eigh(K, M, eigvals_only=True)
     assert w[0] >= -1e-10 * max(w[-1], 1.0)
     assert np.all(eigh(M, eigvals_only=True) > 0.0)
+
+
+# The cubic Hermite blocks of the reference element [0, 1]: mass (d = 0)
+# and second derivatives (d = 2); on an element of length h the mass block
+# carries a factor h, the other 1/h^3, and the slope rows and columns one
+# factor h each.
+EXACT_MASS_BLOCK = np.array(
+    [[156, 22, 54, -13], [22, 4, 13, -3], [54, 13, 156, -22], [-13, -3, -22, 4]],
+    dtype=np.longdouble,
+) / 420
+EXACT_STIFFNESS_BLOCK = np.array(
+    [[12, 6, -12, 6], [6, 4, -6, 2], [-12, -6, 12, -6], [6, 2, -6, 4]], dtype=np.longdouble
+)
+
+
+@pytest.mark.parametrize("n", [16, 512, 4096])
+@pytest.mark.parametrize("x0", [0.5, 0.37, 0.123])
+def test_regular_gram_blocks_are_the_exact_integrals(n, x0):
+    # every block of the unit weight against its closed form, entry by
+    # entry, relative to the entry; the worst seen over these n and x0 is
+    # 1.23e-15 (mass) and 4.9e-16 (d = 2), and the bounds leave a margin of
+    # 2.4.  Evaluating the basis at (x - xa) / h instead costs 6.1e-14 and
+    # 6.0e-14 at n = 512, x0 = 0.5, and grows with n.
+    mesh = build_mesh(n, x0)
+    rule = weighted_rule(mesh, power_profile(x0, 0.5), WeightKind.UNIT)
+    h = mesh.lengths().astype(np.longdouble)[:, None, None]
+    slope = np.array([0, 1, 0, 1])
+    slope_powers = slope[:, None] + slope[None, :]
+    for d, block, power, bound in (
+        (0, EXACT_MASS_BLOCK, 1, 3e-15),
+        (2, EXACT_STIFFNESS_BLOCK, -3, 1.2e-15),
+    ):
+        exact = block * h**power * h**slope_powers
+        error = np.abs(element_blocks(rule, d) - exact) / np.abs(exact)
+        assert float(error.max()) <= bound, (d, float(error.max()))
+
+
+@pytest.mark.parametrize(
+    "kind, K, d",
+    [(WeightKind.COEFF_A, 0.5, 2), (WeightKind.COEFF_A, 1.5, 2),
+     (WeightKind.COEFF_RECIP_A, 0.5, 0), (WeightKind.COEFF_RECIP_A, 1.5, 0)],
+)
+@pytest.mark.parametrize("x0", [0.3, 0.5])
+def test_two_fitted_elements_integrate_cubics_exactly(kind, K, d, x0):
+    # n = 2: both rows are moment-fitted, 8 (or 6) wide, narrower than the
+    # 16-point Gauss rule, and no row is regular.  A cubic with a zero at
+    # x0 keeps the strong 1/a integral finite.
+    coeff = power_profile(x0, K)
+    rule = weighted_rule(build_mesh(2, x0), coeff, kind)
+    assert rule.points.shape == (2, 6 if K > 1.0 and kind is WeightKind.COEFF_RECIP_A else 8)
+    q = np.polynomial.Polynomial([0.7, -1.3, 2.1])
+    p = np.polynomial.Polynomial([-x0, 1.0]) * q
+    u = interpolate_poly(rule.mesh, p.coef)
+    if d == 0:  # p^2 = (x - x0)^2 q^2, the distance power kept exact
+        square = (q**2).coef
+        distance_sq = PiecewisePower.power_weight(x0, 2.0)
+        integrand = PiecewisePower.from_sides(square, square, x0) * distance_sq
+        integrand = integrand * coeff.as_power(-1)
+    else:
+        square = (p.deriv(d) ** 2).coef
+        integrand = PiecewisePower.from_sides(square, square, x0) * coeff.as_power(1)
+    exact = integrand.integrate()
+    assert band_quadratic(gram_matrix(rule, d), u) == pytest.approx(exact, rel=1e-13)
 
 
 def test_kernel_dimensions_with_neutral_boundary():

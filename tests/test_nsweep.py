@@ -1,4 +1,5 @@
-"""Smoke test of ``bench/nsweep.py``: one small size, the keys only."""
+"""Smoke test of ``bench/nsweep.py``: one small size, its keys and a
+positive assembly time."""
 import importlib.util
 import json
 from pathlib import Path
@@ -17,3 +18,4 @@ def test_nsweep_writes_its_keys(tmp_path):
     assert [row["form"] for row in result["rows"]] == ["divergence", "nondivergence"]
     for row in result["rows"]:
         assert tuple(row) == nsweep.ROW_KEYS
+        assert row["assemble_ms"] > 0.0

@@ -2,17 +2,25 @@
 the mesh size.
 
     OPENBLAS_NUM_THREADS=1 python3 bench/nsweep.py [--sizes 8 16 ...] \
-        [--repeats 5] --out BENCH_23.json
+        [--repeats 5] --out BENCH_24.json
 
 Run from the repository root; the package is imported from ``src``.  For
 each n (default 8, 16, ..., 512 elements) and both operator forms it
 builds the step matrix of a benchmark-like run (divergence: weak class,
 Crank-Nicolson, dt = 0.01; non-divergence: strong class, implicit Euler,
-dt = 4e-4) and measures, each a median over ``--repeats`` timings:
+dt = 4e-4) and measures, each the median over ``--repeats`` rounds that
+time every quantity once, so that a slow spell of the machine falls on
+all of them alike:
 
   assemble_ms       one ``build_system``: mesh, quadrature rules and the
                     bands of M and K
   banded_step_us    one ``step_free`` by the refined banded solve
+  solve_us          one refined banded solve ``_BandedSPD.solve`` of the
+                    step matrix: two plain solves and one longdouble
+                    residual
+  plain_solve_us    one plain solve ``_BandedSPD._solve_once`` (the
+                    equilibration scaling and LAPACK ``dpbtrs``), so the
+                    residual takes solve_us - 2 * plain_solve_us
   dense_step_us     one ``step_free`` by the propagator product
   inverse_build_ms  forming the propagator S = A^{-1} R by the refined
                     banded solve of the columns of R (the name is
@@ -25,10 +33,14 @@ dt = 4e-4) and measures, each a median over ``--repeats`` timings:
 
 and, read off the rows, ``dense_max_dofs``: the largest dof count up to
 which every row repays forming S within ``dense_min_steps_per_dof``
-steps per dof, the shortest run ``TimeStepper`` forms it for.  It prints
-one line per row and writes all of it as JSON to ``--out``.  Time it on
-an idle machine with BLAS at one thread, as the benchmark runs the
-package.
+steps per dof, the shortest run ``TimeStepper`` forms it for, with the
+margin ``break_even_margin``: a row counts only if it breaks even within
+that fraction of the steps, and a mesh size only if both of its rows
+count.  Break-even counts near the threshold (sweeps of one tree gave
+1.1 to 4 steps per dof at 513 and 514 dofs) would otherwise flip the
+reading between sweeps.  It prints one line per row and writes all of
+it as JSON to ``--out``.  Time it on an idle machine with BLAS at one
+thread, as the benchmark runs the package.
 """
 from __future__ import annotations
 
@@ -62,21 +74,31 @@ CASES = (
     (OperatorForm.NON_DIVERGENCE, 1.5, Scheme.IMPLICIT_EULER, 4e-4),
 )
 ROW_KEYS = (
-    "form", "n", "dofs", "assemble_ms", "banded_step_us", "dense_step_us", "inverse_build_ms",
-    "break_even_steps", "norm_rel_diff",
+    "form", "n", "dofs", "assemble_ms", "banded_step_us", "solve_us", "plain_solve_us",
+    "dense_step_us", "inverse_build_ms", "break_even_steps", "norm_rel_diff",
 )
 KEYS = ("python", "numpy", "machine", "sizes", "rows", "dense_max_dofs",
-        "dense_min_steps_per_dof")
+        "dense_min_steps_per_dof", "break_even_margin")
 STEPS_PER_TIMING = 50
+# a row repays S if it breaks even within this fraction of the shortest
+# run that forms it
+BREAK_EVEN_MARGIN = 0.75
 
 
-def _median_seconds(fn, repeats):
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+def _seconds(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
+def _chain(step, u, count=STEPS_PER_TIMING):
+    for _ in range(count):
+        u = step(u)
+
+
+def _same(solve, b, count=STEPS_PER_TIMING):
+    for _ in range(count):
+        solve(b)
 
 
 def measure(form, K, scheme, dt, n, repeats):
@@ -84,31 +106,37 @@ def measure(form, K, scheme, dt, n, repeats):
     config = ProblemConfig(form, power_profile(0.5, K), WentzellParams(1.0, 1.0, -0.5, -0.5),
                            T=1.0, dt=dt, n=n, scheme=scheme, u0="bump_cubed")
     system = build_system(config)
-    assemble_s = _median_seconds(lambda: build_system(config), repeats)
-    stepper = TimeStepper(system, dt, scheme)  # no step count: banded
     u0 = initial_dofs(system, config.u0)
     m = len(u0)
-
-    def steps(count):
-        u = u0
-        for _ in range(count):
-            u = stepper.step_free(u)
-        return u
-
-    banded = _median_seconds(lambda: steps(STEPS_PER_TIMING), repeats) / STEPS_PER_TIMING
-    banded_norms = _norms(system, stepper, u0, 2 * m)
-    build_s = _median_seconds(stepper._form_propagator, repeats)  # from here on the stepper is dense
-    dense = _median_seconds(lambda: steps(STEPS_PER_TIMING), repeats) / STEPS_PER_TIMING
-    dense_norms = _norms(system, stepper, u0, 2 * m)
+    banded = TimeStepper(system, dt, scheme)  # no step count: banded
+    dense = TimeStepper(system, dt, scheme)
+    dense._form_propagator()
+    solver, b = banded._solver, banded.step_free(u0)
+    rounds = [
+        (
+            _seconds(build_system, config),
+            _seconds(_chain, banded.step_free, u0) / STEPS_PER_TIMING,
+            _seconds(_same, solver.solve, b) / STEPS_PER_TIMING,
+            _seconds(_same, solver._solve_once, b) / STEPS_PER_TIMING,
+            _seconds(_chain, dense.step_free, u0) / STEPS_PER_TIMING,
+            _seconds(dense._form_propagator),
+        )
+        for _ in range(repeats)
+    ]
+    assemble_s, banded_s, solve_s, plain_s, dense_s, build_s = map(statistics.median, zip(*rounds))
+    banded_norms = _norms(system, banded, u0, 2 * m)
+    dense_norms = _norms(system, dense, u0, 2 * m)
     return {
         "form": form.value,
         "n": n,
         "dofs": m,
         "assemble_ms": assemble_s * 1e3,
-        "banded_step_us": banded * 1e6,
-        "dense_step_us": dense * 1e6,
+        "banded_step_us": banded_s * 1e6,
+        "solve_us": solve_s * 1e6,
+        "plain_solve_us": plain_s * 1e6,
+        "dense_step_us": dense_s * 1e6,
         "inverse_build_ms": build_s * 1e3,
-        "break_even_steps": build_s / (banded - dense) if dense < banded else None,
+        "break_even_steps": build_s / (banded_s - dense_s) if dense_s < banded_s else None,
         "norm_rel_diff": float(np.max(np.abs(dense_norms - banded_norms) / banded_norms)),
     }
 
@@ -128,28 +156,38 @@ def sweep(sizes=SIZES, repeats=5, report=None):
             rows.append(measure(*case, n, repeats))
             if report:
                 report(rows[-1])
-    max_dofs = 0
-    for row in sorted(rows, key=lambda r: r["dofs"]):
-        steps = row["break_even_steps"]
-        if steps is None or steps > _DENSE_MIN_STEPS_PER_DOF * row["dofs"]:
-            break
-        max_dofs = row["dofs"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": f"{platform.machine()} {platform.processor()}".strip(),
         "sizes": list(sizes),
         "rows": rows,
-        "dense_max_dofs": max_dofs,
+        "dense_max_dofs": dense_max_dofs(rows),
         "dense_min_steps_per_dof": _DENSE_MIN_STEPS_PER_DOF,
+        "break_even_margin": BREAK_EVEN_MARGIN,
     }
+
+
+def dense_max_dofs(rows):
+    """The largest dof count of a mesh size n up to which every row, of
+    either form, breaks even within ``BREAK_EVEN_MARGIN *
+    _DENSE_MIN_STEPS_PER_DOF`` steps per dof."""
+    max_dofs = 0
+    for n in sorted({row["n"] for row in rows}):
+        size = [row for row in rows if row["n"] == n]
+        limit = BREAK_EVEN_MARGIN * _DENSE_MIN_STEPS_PER_DOF
+        if any(r["break_even_steps"] is None or r["break_even_steps"] > limit * r["dofs"] for r in size):
+            break
+        max_dofs = max(r["dofs"] for r in size)
+    return max_dofs
 
 
 def _print_row(row):
     steps = row["break_even_steps"]
     print(f"{row['form']:>13} n={row['n']:4d} dofs={row['dofs']:5d}  "
           f"assemble {row['assemble_ms']:6.2f} ms  "
-          f"banded {row['banded_step_us']:8.1f} us  dense {row['dense_step_us']:8.1f} us  "
+          f"banded {row['banded_step_us']:8.1f} us (solve {row['solve_us']:7.1f}, "
+          f"dpbtrs {row['plain_solve_us']:6.1f})  dense {row['dense_step_us']:8.1f} us  "
           f"inverse {row['inverse_build_ms']:8.2f} ms  break-even {'-' if steps is None else f'{steps:.0f}'} steps  "
           f"norm diff {row['norm_rel_diff']:.1e}", flush=True)
 
@@ -162,7 +200,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     result = sweep(args.sizes, args.repeats, report=_print_row)
     print(f"dense_max_dofs {result['dense_max_dofs']}  "
-          f"dense_min_steps_per_dof {result['dense_min_steps_per_dof']}")
+          f"dense_min_steps_per_dof {result['dense_min_steps_per_dof']}  "
+          f"break_even_margin {result['break_even_margin']}")
     args.out.write_text(json.dumps(result, indent=1) + "\n")
 
 

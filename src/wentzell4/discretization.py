@@ -356,19 +356,22 @@ def _gauss_legendre(npoints):
 @functools.cache
 def _moment_fit(min_degree):
     """Nodes sigma in [0, 1] of the moment fit of degrees min_degree to
-    _MAX_FIT_DEGREE and its matrix, row r sigma**min_degree times the
-    shifted Legendre polynomial r at sigma; neither depends on the
-    element.  Cached, hence read-only."""
+    _MAX_FIT_DEGREE, its matrix, row r sigma**min_degree times the
+    shifted Legendre polynomial r at sigma, and the monomial coefficients
+    of those polynomials, row r zero-padded past degree r; none depends
+    on the element.  Cached, hence read-only."""
     ncond = _MAX_FIT_DEGREE + 1 - min_degree
     sigma = 0.5 * (_gauss_legendre(ncond)[0] + 1.0)
     A = np.empty((ncond, ncond))
+    C = np.zeros((ncond, ncond))
     for r in range(ncond):
+        C[r, : r + 1] = _shifted_legendre_coeffs(r)
         A[r] = sigma**min_degree * np.polynomial.polynomial.polyval(
             sigma, _shifted_legendre_coeffs(r)
         )
-    sigma.setflags(write=False)
-    A.setflags(write=False)
-    return sigma, A
+    for array in (sigma, A, C):
+        array.setflags(write=False)
+    return sigma, A, C
 
 
 def _fitted_singular_rule(coeff, h, sign, min_degree):
@@ -376,19 +379,15 @@ def _fitted_singular_rule(coeff, h, sign, min_degree):
     exact moments of the power weight over an element of length h with x0
     at one end, sigma h the distance from x0."""
     p = sign * coeff.K
-    amp = coeff.scale**sign
-    sigma, A = _moment_fit(min_degree)
-    # exact moments of sigma**j against the weight, sigma = d/h in [0, 1];
-    # moments below min_degree may diverge (strong reciprocal weight) and
-    # are never used by the fit
-    moments = {
-        j: amp * h ** (p + 1.0) / (j + p + 1.0)
-        for j in range(min_degree, _MAX_FIT_DEGREE + 1)
-    }
-    rhs = np.array([
-        sum(c * moments[min_degree + j] for j, c in enumerate(_shifted_legendre_coeffs(r)))
-        for r in range(len(sigma))
-    ])
+    _, A, C = _moment_fit(min_degree)
+    # exact moments of sigma**j against the weight, sigma = d/h in [0, 1],
+    # for j = min_degree..7; moments below min_degree may diverge (strong
+    # reciprocal weight) and are never used by the fit
+    scaled = coeff.scale**sign * float(h) ** (p + 1.0)
+    moments = scaled / (np.arange(min_degree, _MAX_FIT_DEGREE + 1) + p + 1.0)
+    # row r: the moment of shifted Legendre polynomial r, its terms added
+    # left to right (the padding adds zeros)
+    rhs = np.cumsum(C * moments, axis=1)[:, -1]
     return np.linalg.solve(A, rhs)
 
 

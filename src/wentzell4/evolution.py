@@ -219,9 +219,16 @@ _THETA = {Scheme.IMPLICIT_EULER: 1.0, Scheme.CRANK_NICOLSON: 0.5}
 # forming it (1 ms at 65 and 66 dofs, 16 ms at 257 and 258) is repaid
 # within 0.3 to 0.89 m steps, which 2 m steps cover.  At 513 and 514
 # dofs it takes 2.9 to 3 m steps, and at 1025 and 1026 the dense step is
-# twice as slow.
+# twice as slow.  BENCH_24.json, which counts a mesh size as repaid only
+# when both its rows break even within 0.75 of the 2 m steps, reads the
+# same 258.
 _DENSE_MAX_DOFS = 258
 _DENSE_MIN_STEPS_PER_DOF = 2
+
+# A forced run checks the norms of every _OVERFLOW_CHECK_STEPS-th state,
+# so it stops at most that many steps after a norm overflows (a growing
+# forcing); an unforced run is a contraction, and checks none.
+_OVERFLOW_CHECK_STEPS = 16
 
 
 class TimeStepper:
@@ -587,11 +594,13 @@ def run(config: ProblemConfig) -> Trajectory:
     The loop steps the free dofs into one preallocated array, a row per
     state, and does nothing else: it stops at the first step that raises
     (on the banded path this includes the step after a non-finite state;
-    the propagator steps on through it), and :func:`make_state` does the
-    bookkeeping of all steps once, ending the trajectory before the first
-    state whose norm is not finite.  A finite step matrix without a
-    Cholesky factor in double precision aborts the run at t = 0; a step
-    count whose states cannot be allocated raises ConfigError("time.dt").
+    the propagator steps on through it) or, in a forced run, at the first
+    checked state whose norm or forcing norm is not finite, and
+    :func:`make_state` does the bookkeeping of all steps once, ending the
+    trajectory before the first state whose norm is not finite.  A finite
+    step matrix without a Cholesky factor in double precision aborts the
+    run at t = 0; a step count whose states cannot be allocated raises
+    ConfigError("time.dt").
     """
     system = build_system(config)
     dt = config.resolved_dt()
@@ -616,6 +625,12 @@ def run(config: ProblemConfig) -> Trajectory:
     for k in range(n_steps):
         try:
             if forced:
+                if k % _OVERFLOW_CHECK_STEPS == 0 and not (
+                    math.isfinite(system.mass_norm_sq(u[k]))
+                    and math.isfinite(forcing.mass_norm_sq(t))
+                ):
+                    count = k + 1  # make_state ends the trajectory at or before u[k]
+                    break
                 load_now = forcing.load(t) if k == 0 else load_next
                 load_next = forcing.load(t + dt)
             u[k + 1] = stepper.step_free(u[k], load_now, load_next)

@@ -28,8 +28,9 @@ no entry anywhere.  Every vector is held on the free dofs too, and
 is written out or evaluated.  The time step, the norms and the solvers
 read the bands directly, at O(n) cost: a kernel that reduces or
 rescales a band reads diagonal k as the slices ``ab[k, :n-k]``,
-``x[k:]`` and ``x[:n-k]``.  Only the matvec, applied many times to one
-matrix, reads a (7, n) row form (:func:`row_band`), built once.  Dense
+``x[k:]`` and ``x[:n-k]``.  Only the matvec and the solver's residual,
+applied many times to one matrix, read its rows (:func:`row_band`),
+built once: the matvec as (7, n), the residual as (n, 7).  Dense
 copies exist only through :meth:`AssembledSystem.to_dense`, for the
 oracle and tests, and in the propagator of a long run on a small mesh
 (:class:`evolution.TimeStepper`); the eigenvalues of the pencil come
@@ -48,7 +49,12 @@ ill-conditioned (condition number 7.3e9 for the Crank-Nicolson matrix of
 the divergence form at n = 512, dt = 0.01; 3.7e3 for the strong
 non-divergence implicit Euler one at n = 32, dt = 4e-4), and the round
 takes the forward error of a solve with the first from 2.3e-8 to 3.5e-12
-(against four rounds).
+(against four rounds).  A refined solve is two plain solves (the
+equilibration scaling and LAPACK ``dpbtrs``) and one residual, each row's
+seven longdouble products added in one fused sum.  On the first matrix
+(1026 dofs) ``bench/nsweep.py`` gives 160 us per refined solve, of
+which 36 us per plain solve and 89 us for the residual (BENCH_24.json;
+one core of a 2-vCPU x86-64 VM, BLAS at one thread).
 """
 from __future__ import annotations
 
@@ -256,13 +262,18 @@ def _jacobi(ab):
 
 class _BandedSPD:
     """Banded SPD solver with Jacobi equilibration and refinement; takes
-    the matrix as a lower band (4, n)."""
+    the matrix as a lower band (4, n).
+
+    A solve costs two ``dpbtrs`` calls and one longdouble residual
+    (:meth:`_residual`), 36 us each and 89 us of 160 at 1026 dofs
+    (BENCH_24.json; see the module docstring)."""
 
     def __init__(self, ab):
         ab = np.asarray(ab, dtype=float)
         self.dinv, scaled = _jacobi(ab)
         self.factor = cholesky_banded(scaled, lower=True, check_finite=False)
-        self._rows_ext = row_band(ab.astype(np.longdouble))
+        # row i holds A[i, i + o - 3] at o, contiguous: the residual's layout
+        self._rows_ext = np.ascontiguousarray(row_band(ab.astype(np.longdouble)).T)
 
     def _solve_once(self, b):
         # LAPACK's banded Cholesky solve, as cho_solve_banded calls it but
@@ -283,8 +294,16 @@ class _BandedSPD:
         if not np.isfinite(b).all():
             raise LinAlgError("right-hand side is not finite")
         x = self._solve_once(b)
-        r = (b - band_matvec(self._rows_ext, x)).astype(float)
-        return x + self._solve_once(r)
+        return x + self._solve_once(self._residual(b, x).astype(float))
+
+    def _residual(self, b, x):
+        """b - A x in longdouble, one fused sum of products per row:
+        einsum adds the seven products of a row in ascending column order,
+        starting from +0.0, as numpy's dense longdouble ``A @ x`` does, so
+        the residual is that of the dense product bit for bit, signed
+        zeros included; x may carry trailing columns."""
+        x = np.asarray(x, dtype=np.longdouble)
+        return b - np.einsum("io,oi...->i...", self._rows_ext, x[_band_columns(len(x))])
 
 
 def band_pencil_eigenvalues(mass, stiffness):

@@ -315,6 +315,32 @@ def test_band_matvec_equals_the_cumulative_sum_bit_for_bit(n, dtype, seed):
     assert np.array_equal(np.signbit(band_matvec(rows, zero)), np.signbit(cumsum_matvec(rows, zero)))
 
 
+def _signed_zeros(rng, a):
+    a[rng.random(a.shape) < 0.3] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 65, 1026])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_fused_residual_equals_the_dense_longdouble_residual_bit_for_bit(n, seed):
+    # entries over 16 decades, a diagonal that dominates: a band the
+    # solver factors
+    rng = np.random.default_rng(seed)
+    ab = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-8, 9, (4, n))
+    ab[0] = np.abs(ab[0]) + 2.0 * np.abs(band_to_dense(ab)).sum(axis=0)
+    solver = _BandedSPD(ab)
+    A = band_to_dense(ab).astype(np.longdouble)
+    for shape in ((n,), (n, 3)):
+        x = _signed_zeros(rng, rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
+        b = _signed_zeros(rng, rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
+        for rhs in (b, b.astype(np.longdouble)):
+            got, dense = solver._residual(rhs, x), rhs - A @ x.astype(np.longdouble)
+            assert got.dtype == dense.dtype == np.longdouble
+            assert np.array_equal(got, dense)
+            assert np.array_equal(np.signbit(got), np.signbit(dense))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     spec=systems,

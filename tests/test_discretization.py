@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -13,6 +14,7 @@ from wentzell4.discretization import (
     _fitted_singular_rule,
     _gauss_legendre,
     _moment_fit,
+    _shifted_legendre_coeffs,
     build_mesh,
     evaluate,
     interpolate_poly,
@@ -191,6 +193,34 @@ def test_singular_rule_exact_for_fitted_degrees():
         got = float(np.dot(rule.weights[1], (0.5 - rule.points[1]) ** j))
         exact = (0.25) ** (j + 0.5) / ((j + 0.5) * 1.7)
         assert got == pytest.approx(exact, rel=1e-12)
+
+
+def loop_fitted_rule(coeff, h, sign, min_degree):
+    """The fitted weights with the moments as a dict and each right-hand
+    side entry a Python sum over the shifted Legendre coefficients."""
+    p = sign * coeff.K
+    amp = coeff.scale**sign
+    sigma, A, _ = _moment_fit(min_degree)
+    moments = {
+        j: amp * h ** (p + 1.0) / (j + p + 1.0)
+        for j in range(min_degree, 8)
+    }
+    rhs = np.array([
+        sum(c * moments[min_degree + j] for j, c in enumerate(_shifted_legendre_coeffs(r)))
+        for r in range(len(sigma))
+    ])
+    return np.linalg.solve(A, rhs)
+
+
+def test_fitted_rule_equals_the_moment_loop_bit_for_bit():
+    for K, scale, k, sign, min_degree in itertools.product(
+        (0.0, 0.3, 0.5, 1.0, 1.5, 1.9), (1.0, 0.37, 3e5), range(1, 14), (1, -1), (0, 2)
+    ):
+        if min_degree - K + 1.0 <= 0.0 and sign < 0:  # a divergent moment: never fitted
+            continue
+        coeff, h = power_profile(0.5, K, scale), 2.0**-k
+        got = _fitted_singular_rule(coeff, h, sign, min_degree)
+        assert np.array_equal(got, loop_fitted_rule(coeff, h, sign, min_degree))
 
 
 def test_smooth_element_weighted_rule_accuracy():

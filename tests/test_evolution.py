@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wentzell4 import evolution
 from wentzell4.coefficient import ConfigError, classify, power_profile
 from wentzell4.discretization import build_mesh, l2_error
 from wentzell4.evolution import (
@@ -24,6 +25,7 @@ from wentzell4.evolution import (
     run,
 )
 from wentzell4.forms import (
+    AssembledSystem,
     OperatorForm,
     WentzellParams,
     _BandedSPD,
@@ -294,8 +296,8 @@ def test_run_aborts_with_last_valid_state(monkeypatch):
 
 def test_run_ends_before_the_first_state_whose_norm_overflows():
     # exp(800 t) forcing: from t = 0.45 the dofs are finite but their
-    # squared M-norm overflows; the loop steps on until the loads
-    # overflow, and the bookkeeping cuts the trajectory back
+    # squared M-norm overflows; the loop stops at the next checked state,
+    # and the bookkeeping cuts the trajectory back
     cfg = ProblemConfig(
         OperatorForm.DIVERGENCE,
         power_profile(0.5, 0.5),
@@ -309,6 +311,49 @@ def test_run_ends_before_the_first_state_whose_norm_overflows():
     assert traj.aborted == "step from t = 0.4400000000000002: step produced a non-finite state"
     assert len(traj.times) == 45 and traj.times[-1] == 0.4400000000000002
     assert np.all(np.isfinite(traj.norm_mu_sq)) and np.all(np.isfinite(traj.dofs))
+
+
+@pytest.mark.parametrize("dense_max_dofs", [evolution._DENSE_MAX_DOFS, 0], ids=["propagator", "banded"])
+def test_forced_run_stops_soon_after_the_norm_overflows(monkeypatch, dense_max_dofs):
+    # the run of the test above: the norm of state 45 overflows, its load
+    # only at step 88; checking every 16th state stops the loop at 48
+    monkeypatch.setattr(evolution, "_DENSE_MAX_DOFS", dense_max_dofs)
+    calls = []
+    step_free = TimeStepper.step_free
+
+    def counted(self, *args):
+        calls.append(self._propagator is not None)
+        return step_free(self, *args)
+
+    monkeypatch.setattr(TimeStepper, "step_free", counted)
+    cfg = ProblemConfig(
+        OperatorForm.DIVERGENCE, power_profile(0.5, 0.5), WentzellParams(1.0, 1.0), T=1.0, n=16,
+        forcing={"kind": "separable", "space": "one", "rate": -800},
+    )
+    with np.errstate(all="ignore"):
+        traj = run(cfg)
+    assert traj.aborted == "step from t = 0.4400000000000002: step produced a non-finite state"
+    assert len(traj.times) == 45
+    assert set(calls) == {dense_max_dofs > 0}
+    assert len(calls) == 48
+
+
+def test_unforced_run_takes_no_norm_in_its_step_loop(monkeypatch):
+    norms = []
+    mass_norm_sq = AssembledSystem.mass_norm_sq
+
+    def counted(self, u):
+        norms.append(np.shape(u))
+        return mass_norm_sq(self, u)
+
+    monkeypatch.setattr(AssembledSystem, "mass_norm_sq", counted)
+    cfg = ProblemConfig(
+        OperatorForm.NON_DIVERGENCE, power_profile(0.5, 1.5), WentzellParams(1.0, 1.0), T=1.0,
+        dt=0.01, n=16, u0="bump_cubed",
+    )
+    traj = run(cfg)
+    assert TimeStepper(traj.system, cfg.dt, cfg.scheme, 100)._propagator is not None
+    assert norms == [traj.dofs.shape]  # make_state's one stacked call
 
 
 def test_projection_initial_data(neutral_system):
@@ -458,7 +503,7 @@ def _refined_norms(system, dt, scheme, u, steps):
         b = band_matvec(rhs, u)
         u = solver._solve_once(b.astype(float))
         for _ in range(3):
-            u = u + solver._solve_once((b - band_matvec(solver._rows_ext, u)).astype(float))
+            u = u + solver._solve_once(solver._residual(b, u).astype(float))
         norms.append(system.mass_norm_sq(u))
     return np.array(norms)
 

@@ -2,7 +2,7 @@
 the mesh size.
 
     OPENBLAS_NUM_THREADS=1 python3 bench/nsweep.py [--sizes 8 16 ...] \
-        [--repeats 5] --out BENCH_24.json
+        [--repeats 5] --out BENCH_25.json
 
 Run from the repository root; the package is imported from ``src``.  For
 each n (default 8, 16, ..., 512 elements) and both operator forms it
@@ -21,6 +21,10 @@ all of them alike:
   plain_solve_us    one plain solve ``_BandedSPD._solve_once`` (the
                     equilibration scaling and LAPACK ``dpbtrs``), so the
                     residual takes solve_us - 2 * plain_solve_us
+  matvec_us         one float ``band_matvec`` of the step's R = M -
+                    (1 - theta) dt K, the product R u a banded step forms
+                    before its solve; the residual is the same kernel on
+                    longdouble rows
   dense_step_us     one ``step_free`` by the propagator product
   inverse_build_ms  forming the propagator S = A^{-1} R by the refined
                     banded solve of the columns of R (the name is
@@ -65,7 +69,7 @@ from wentzell4.evolution import (  # noqa: E402
     build_system,
     initial_dofs,
 )
-from wentzell4.forms import OperatorForm, WentzellParams  # noqa: E402
+from wentzell4.forms import OperatorForm, WentzellParams, band_matvec  # noqa: E402
 
 SIZES = (8, 16, 32, 64, 128, 256, 512)
 # (form, exponent K, scheme, dt): the step matrices of evolve and march
@@ -75,7 +79,7 @@ CASES = (
 )
 ROW_KEYS = (
     "form", "n", "dofs", "assemble_ms", "banded_step_us", "solve_us", "plain_solve_us",
-    "dense_step_us", "inverse_build_ms", "break_even_steps", "norm_rel_diff",
+    "matvec_us", "dense_step_us", "inverse_build_ms", "break_even_steps", "norm_rel_diff",
 )
 KEYS = ("python", "numpy", "machine", "sizes", "rows", "dense_max_dofs",
         "dense_min_steps_per_dof", "break_even_margin")
@@ -96,9 +100,9 @@ def _chain(step, u, count=STEPS_PER_TIMING):
         u = step(u)
 
 
-def _same(solve, b, count=STEPS_PER_TIMING):
+def _same(fn, *args, count=STEPS_PER_TIMING):
     for _ in range(count):
-        solve(b)
+        fn(*args)
 
 
 def measure(form, K, scheme, dt, n, repeats):
@@ -118,12 +122,15 @@ def measure(form, K, scheme, dt, n, repeats):
             _seconds(_chain, banded.step_free, u0) / STEPS_PER_TIMING,
             _seconds(_same, solver.solve, b) / STEPS_PER_TIMING,
             _seconds(_same, solver._solve_once, b) / STEPS_PER_TIMING,
+            _seconds(_same, band_matvec, banded._rhs, u0) / STEPS_PER_TIMING,
             _seconds(_chain, dense.step_free, u0) / STEPS_PER_TIMING,
             _seconds(dense._form_propagator),
         )
         for _ in range(repeats)
     ]
-    assemble_s, banded_s, solve_s, plain_s, dense_s, build_s = map(statistics.median, zip(*rounds))
+    assemble_s, banded_s, solve_s, plain_s, matvec_s, dense_s, build_s = map(
+        statistics.median, zip(*rounds)
+    )
     banded_norms = _norms(system, banded, u0, 2 * m)
     dense_norms = _norms(system, dense, u0, 2 * m)
     return {
@@ -134,6 +141,7 @@ def measure(form, K, scheme, dt, n, repeats):
         "banded_step_us": banded_s * 1e6,
         "solve_us": solve_s * 1e6,
         "plain_solve_us": plain_s * 1e6,
+        "matvec_us": matvec_s * 1e6,
         "dense_step_us": dense_s * 1e6,
         "inverse_build_ms": build_s * 1e3,
         "break_even_steps": build_s / (banded_s - dense_s) if dense_s < banded_s else None,
@@ -187,7 +195,7 @@ def _print_row(row):
     print(f"{row['form']:>13} n={row['n']:4d} dofs={row['dofs']:5d}  "
           f"assemble {row['assemble_ms']:6.2f} ms  "
           f"banded {row['banded_step_us']:8.1f} us (solve {row['solve_us']:7.1f}, "
-          f"dpbtrs {row['plain_solve_us']:6.1f})  dense {row['dense_step_us']:8.1f} us  "
+          f"dpbtrs {row['plain_solve_us']:6.1f}, matvec {row['matvec_us']:6.1f})  dense {row['dense_step_us']:8.1f} us  "
           f"inverse {row['inverse_build_ms']:8.2f} ms  break-even {'-' if steps is None else f'{steps:.0f}'} steps  "
           f"norm diff {row['norm_rel_diff']:.1e}", flush=True)
 

@@ -33,6 +33,7 @@ from .evolution import (
     resolvent_solve,
     run,
     solvable,
+    write_csv,
 )
 from .forms import OperatorForm, WentzellParams, band_matvec, band_pencil_eigenvalues, row_band
 from .oracle import SUITES, near_zero_count, psd_ok, verification_report
@@ -183,10 +184,7 @@ def _cmd_spectrum(config: CliConfig, out: Path):
     with solvable("spectrum"):
         eigenvalues = band_pencil_eigenvalues(system.M, system.K)
     count = config.spectrum_count or len(eigenvalues)
-    with open(out / "spectrum.csv", "w") as fh:
-        fh.write("index,eigenvalue\n")
-        for i, lam in enumerate(eigenvalues[:count]):
-            fh.write(f"{i},{lam:.17g}\n")
+    write_csv(out / "spectrum.csv", "index,eigenvalue", eigenvalues[:count].tolist())
     ok = psd_ok(eigenvalues)
     _write_json(
         out / "spectrum.json",
@@ -204,10 +202,7 @@ def _cmd_resolvent(config: CliConfig, out: Path):
     system = build_system(config.problem)
     f = initial_dofs(system, config.resolvent_f)
     u = resolvent_solve(system, config.resolvent_lambda, f)
-    with open(out / "resolvent.csv", "w") as fh:
-        fh.write("dof,value\n")
-        for i, v in enumerate(system.expand(u)):
-            fh.write(f"{i},{v:.17g}\n")
+    write_csv(out / "resolvent.csv", "dof,value", system.expand(u).tolist())
     A = config.resolvent_lambda * system.M + system.K
     b = band_matvec(row_band(system.M), f)
     # both ratios below are invariant under a common scaling of u and b;

@@ -128,40 +128,24 @@ def build_mesh(n, x0) -> Mesh:
     return Mesh(nodes, n_left)
 
 
-def shape_values(s, h, d=0):
-    """Cubic Hermite shape functions on the reference element s in [0, 1].
-
-    Returns an (..., 4) array: value/slope at the left node, value/slope at
-    the right node.  ``d`` is the x-derivative order, 0..3.
+def shape_values(s, d=0):
+    """Cubic Hermite shape functions on the reference element s in [0, 1]
+    (h = 1): an (..., 4) array of value/slope at the left node and
+    value/slope at the right node.  ``d`` is the derivative order, 0..3;
+    :func:`_column_scales` brings in the length of an element.
     """
     s = np.asarray(s, dtype=float)
     one = np.ones_like(s)
     if d == 0:
-        cols = [
-            1.0 - 3.0 * s**2 + 2.0 * s**3,
-            h * (s - 2.0 * s**2 + s**3),
-            3.0 * s**2 - 2.0 * s**3,
-            h * (s**3 - s**2),
-        ]
+        cols = [1.0 - 3.0 * s**2 + 2.0 * s**3, s - 2.0 * s**2 + s**3,
+                3.0 * s**2 - 2.0 * s**3, s**3 - s**2]
     elif d == 1:
-        cols = [
-            6.0 * (s**2 - s) / h,
-            1.0 - 4.0 * s + 3.0 * s**2,
-            6.0 * (s - s**2) / h,
-            3.0 * s**2 - 2.0 * s,
-        ]
+        cols = [6.0 * (s**2 - s), 1.0 - 4.0 * s + 3.0 * s**2,
+                6.0 * (s - s**2), 3.0 * s**2 - 2.0 * s]
     elif d == 2:
-        # powers of h as products: correctly rounded alike for a float h
-        # and for an array of element lengths (float ** goes through pow)
-        cols = [
-            (12.0 * s - 6.0) / (h * h),
-            (6.0 * s - 4.0) / h,
-            (6.0 - 12.0 * s) / (h * h),
-            (6.0 * s - 2.0) / h,
-        ]
+        cols = [12.0 * s - 6.0, 6.0 * s - 4.0, 6.0 - 12.0 * s, 6.0 * s - 2.0]
     elif d == 3:
-        h2 = h * h
-        cols = [12.0 / (h2 * h) * one, 6.0 / h2 * one, -12.0 / (h2 * h) * one, 6.0 / h2 * one]
+        cols = [12.0 * one, 6.0 * one, -12.0 * one, 6.0 * one]
     else:
         raise ValueError("derivative order must be 0..3")
     return np.stack(cols, axis=-1)
@@ -179,7 +163,7 @@ def evaluate(dofs, mesh: Mesh, x, d=0):
     idx = np.clip(np.searchsorted(nodes, x_arr, side="right") - 1, 0, len(nodes) - 2)
     xa = nodes[idx]
     h = nodes[idx + 1] - xa
-    phi = shape_values((x_arr - xa) / h, h, d)
+    phi = shape_values((x_arr - xa) / h, d) * _column_scales(h, d)
     out = np.sum(phi * dofs[mesh.element_dofs()[idx]], axis=-1)
     return out if np.ndim(x) else float(out[0])
 
@@ -238,7 +222,7 @@ def _reference_table(key, width, d, pairs):
     sigma = 0.5 * (_gauss_legendre(npoints)[0] + 1.0)
     s = np.zeros(width)
     s[:npoints] = 1.0 - sigma[::-1] if reversed_ else sigma
-    table = shape_values(s, 1.0, d)
+    table = shape_values(s, d)
     if pairs:
         table = table[:, LOWER_PAIRS[0]] * table[:, LOWER_PAIRS[1]]
     table.setflags(write=False)
@@ -246,9 +230,11 @@ def _reference_table(key, width, d, pairs):
 
 
 def _column_scales(h, d):
-    """Factors c, (n_elements, 4), with phi^(d) on an element of length h
-    equal to c times the reference phi^(d): h^-d for the value columns and
-    h^(1 - d) for the slope columns, powers of h as products."""
+    """Factors c, (..., 4) for lengths h of shape (...), with phi^(d) on an
+    element of length h equal to c times the reference phi^(d) of
+    :func:`shape_values`: h^-d for the value columns and h^(1 - d) for the
+    slope columns, powers of h as products.  The only place h enters the
+    basis."""
     one = np.ones_like(h)
     if d == 0:
         value, slope = one, h

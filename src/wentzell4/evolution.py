@@ -88,6 +88,7 @@ __all__ = [
     "parse_forcing",
     "resolve_forcing",
     "initial_dofs",
+    "write_csv",
     "SPACE_PRESETS",
     "CONTRACTION_TOL",
     "ENERGY_BOUND_TOL",
@@ -285,7 +286,7 @@ class TimeStepper:
     def _inverse(self):
         """A^{-1}, by the refined banded solve of the unit vectors: the
         load term of a forced step by the propagator."""
-        return self._solver.solve(np.eye(self._rhs.shape[1]))
+        return self._solver.solve(np.eye(len(self._rhs)))
 
     def step_free(self, u_free, load_now=None, load_next=None):
         """Advance free-dof coefficients; vectorized over trailing columns."""
@@ -508,20 +509,14 @@ class Trajectory:
         return bool(np.all(lhs <= rhs * (1.0 + ENERGY_BOUND_TOL)))
 
     def write_csv(self, destination):
-        row = "{},{:.17g},{:.17g},{:.17g},{:.17g}\n".format
-        text = "step,t,norm_mu_sq,energy_form,slack\n" + "".join(map(
-            row,
-            range(len(self.times)),
+        write_csv(
+            destination,
+            "step,t,norm_mu_sq,energy_form,slack",
             self.times.tolist(),
             self.norm_mu_sq.tolist(),
             self.energy.tolist(),
             [0.0] + self.slacks.tolist(),
-        ))
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w", newline="") as fh:
-                fh.write(text)
+        )
 
     def summary(self):
         return {
@@ -538,6 +533,18 @@ class Trajectory:
             "aborted": self.aborted,
             "scheme": self.scheme.value,
         }
+
+
+def write_csv(destination, header, *columns):
+    """Write ``header`` and one line per row to a path or a text stream:
+    the row index, then each column's value to 17 significant digits."""
+    row = ("{}" + ",{:.17g}" * len(columns) + "\n").format
+    text = header + "\n" + "".join(map(row, range(len(columns[0])), *columns))
+    if hasattr(destination, "write"):
+        destination.write(text)
+    else:
+        with open(destination, "w", newline="") as fh:
+            fh.write(text)
 
 
 def make_state(system, scheme, dt, states, forcing=UNFORCED, aborted=None) -> Trajectory:

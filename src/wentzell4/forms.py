@@ -28,9 +28,9 @@ no entry anywhere.  Every vector is held on the free dofs too, and
 is written out or evaluated.  The time step, the norms and the solvers
 read the bands directly, at O(n) cost: a kernel that reduces or
 rescales a band reads diagonal k as the slices ``ab[k, :n-k]``,
-``x[k:]`` and ``x[:n-k]``.  Only the matvec and the solver's residual,
-applied many times to one matrix, read its rows (:func:`row_band`),
-built once: the matvec as (7, n), the residual as (n, 7).  Dense
+``x[k:]`` and ``x[:n-k]``.  Every product of a matrix with a vector
+(a step's right-hand side, the solver's residual) is :func:`band_matvec`
+over its rows (n, 7), built once per matrix (:func:`row_band`).  Dense
 copies exist only through :meth:`AssembledSystem.to_dense`, for the
 oracle and tests, and in the propagator of a long run on a small mesh
 (:class:`evolution.TimeStepper`); the eigenvalues of the pencil come
@@ -50,11 +50,12 @@ the divergence form at n = 512, dt = 0.01; 3.7e3 for the strong
 non-divergence implicit Euler one at n = 32, dt = 4e-4), and the round
 takes the forward error of a solve with the first from 2.3e-8 to 3.5e-12
 (against four rounds).  A refined solve is two plain solves (the
-equilibration scaling and LAPACK ``dpbtrs``) and one residual, each row's
-seven longdouble products added in one fused sum.  On the first matrix
-(1026 dofs) ``bench/nsweep.py`` gives 160 us per refined solve, of
-which 36 us per plain solve and 89 us for the residual (BENCH_24.json;
-one core of a 2-vCPU x86-64 VM, BLAS at one thread).
+equilibration scaling and LAPACK ``dpbtrs``) and one residual, the
+:func:`band_matvec` of the longdouble rows.  On the first matrix (1026
+dofs) ``bench/nsweep.py`` gives 105 us per refined solve, of which
+29 us per plain solve and 48 us for the residual; a float
+:func:`band_matvec` takes 19 us (BENCH_25.json; one core of a
+2-vCPU x86-64 VM, BLAS at one thread).
 """
 from __future__ import annotations
 
@@ -150,46 +151,43 @@ BANDWIDTH = 3
 
 @functools.lru_cache(maxsize=16)
 def _band_columns(n):
-    """Read-only columns i + o - 3 of :func:`row_band`, clipped into range."""
+    """Read-only columns i + o - 3 of row i of :func:`row_band`, as an
+    array (7, n), clipped into range."""
     column = np.clip(np.arange(n) + np.arange(-BANDWIDTH, BANDWIDTH + 1)[:, None], 0, n - 1)
     column.setflags(write=False)
     return column
 
 
 def row_band(ab):
-    """The rows of the symmetric matrix with lower band ``ab``, as an
-    array (7, n) with entry (o, i) = A[i, i + o - 3] and zero outside the
-    matrix; the dtype of ``ab`` is kept.  :func:`band_matvec` takes this
-    form, so a matrix applied many times is expanded once.  Diagonal k
-    of the band is row 3 + k, read from the left, and row 3 - k, read
-    from the right."""
+    """The rows of the symmetric matrix with lower band ``ab``, as a
+    contiguous array (n, 7) with entry (i, o) = A[i, i + o - 3] and zero
+    outside the matrix; the dtype of ``ab`` is kept.  :func:`band_matvec`
+    takes this form, so a matrix applied many times is expanded once.
+    Diagonal k of the band is column 3 + k, read from the top, and
+    column 3 - k, read from the bottom."""
     n = ab.shape[1]
-    rows = np.zeros((2 * BANDWIDTH + 1, n), dtype=ab.dtype)
+    rows = np.zeros((n, 2 * BANDWIDTH + 1), dtype=ab.dtype)
     for k in range(BANDWIDTH + 1):
         m = max(n - k, 0)
-        rows[BANDWIDTH + k, :m] = rows[BANDWIDTH - k, k:] = ab[k, :m]
+        rows[:m, BANDWIDTH + k] = rows[k:, BANDWIDTH - k] = ab[k, :m]
     return rows
 
 
 def band_matvec(rows, x):
-    """A @ x from ``rows = row_band(A)``; x may carry trailing columns.
+    """A @ x from ``rows = row_band(A)``, in the dtype of ``rows``; x may
+    carry trailing columns.
 
-    The seven products of a row are added as a running sum in ascending
-    column order, the order of numpy's dense product, so a longdouble
-    ``rows`` reproduces the dense longdouble ``A @ x`` bit for bit.
-    ``add.reduce`` over the leading axis is that running sum without the
-    array of partial sums: with more than one dof the axis is the outer
-    loop, each row of products added to the sums in turn; with one dof
-    six of the seven products are zeros, so no order can differ.  The
-    sum starts from -0.0, which leaves the first product as it is, so
-    an all-zero row keeps its sign too.
+    einsum adds the seven products of a row as one running sum in
+    ascending column order from +0.0, the order of numpy's dense
+    product, so a longdouble ``rows`` gives the dense longdouble
+    ``A @ x`` bit for bit, signed zeros included: an all-zero row sums
+    to +0.0.  With one dof six of the seven products are zeros, so no
+    order can differ.
     """
     x = np.asarray(x, dtype=rows.dtype)
-    if len(x) != rows.shape[1]:  # a full-dof vector is refused, not misread
-        raise ValueError(f"vector of {len(x)} entries for a band of {rows.shape[1]} dofs")
-    products = x[_band_columns(rows.shape[1])]
-    products *= rows if x.ndim == 1 else rows.reshape(rows.shape + (1,) * (x.ndim - 1))
-    return np.add.reduce(products, axis=0, initial=-0.0)
+    if len(x) != len(rows):  # a full-dof vector is refused, not misread
+        raise ValueError(f"vector of {len(x)} entries for a band of {len(rows)} dofs")
+    return np.einsum("io,oi...->i...", rows, x[_band_columns(len(rows))])
 
 
 def band_quadratic(ab, x):
@@ -262,18 +260,18 @@ def _jacobi(ab):
 
 class _BandedSPD:
     """Banded SPD solver with Jacobi equilibration and refinement; takes
-    the matrix as a lower band (4, n).
+    the matrix as a lower band (4, n) and keeps its longdouble rows
+    (:func:`row_band`) for the residual.
 
     A solve costs two ``dpbtrs`` calls and one longdouble residual
-    (:meth:`_residual`), 36 us each and 89 us of 160 at 1026 dofs
-    (BENCH_24.json; see the module docstring)."""
+    ``b - band_matvec(rows, x)``, 29 us each and 48 us of 105
+    at 1026 dofs (BENCH_25.json; see the module docstring)."""
 
     def __init__(self, ab):
         ab = np.asarray(ab, dtype=float)
         self.dinv, scaled = _jacobi(ab)
         self.factor = cholesky_banded(scaled, lower=True, check_finite=False)
-        # row i holds A[i, i + o - 3] at o, contiguous: the residual's layout
-        self._rows_ext = np.ascontiguousarray(row_band(ab.astype(np.longdouble)).T)
+        self.rows = row_band(ab.astype(np.longdouble))
 
     def _solve_once(self, b):
         # LAPACK's banded Cholesky solve, as cho_solve_banded calls it but
@@ -287,23 +285,14 @@ class _BandedSPD:
 
     def solve(self, b):
         """Solve A x = b for a float array b (vectorized over trailing
-        columns), with one round of refinement against the
-        extended-precision residual: it recovers the digits the
-        condition number of the equilibrated matrix costs the plain
-        solve (see the module docstring)."""
+        columns), with one round of refinement against the longdouble
+        residual, the dense ``b - A x`` bit for bit: it recovers the
+        digits the condition number of the equilibrated matrix costs the
+        plain solve (see the module docstring)."""
         if not np.isfinite(b).all():
             raise LinAlgError("right-hand side is not finite")
         x = self._solve_once(b)
-        return x + self._solve_once(self._residual(b, x).astype(float))
-
-    def _residual(self, b, x):
-        """b - A x in longdouble, one fused sum of products per row:
-        einsum adds the seven products of a row in ascending column order,
-        starting from +0.0, as numpy's dense longdouble ``A @ x`` does, so
-        the residual is that of the dense product bit for bit, signed
-        zeros included; x may carry trailing columns."""
-        x = np.asarray(x, dtype=np.longdouble)
-        return b - np.einsum("io,oi...->i...", self._rows_ext, x[_band_columns(len(x))])
+        return x + self._solve_once((b - band_matvec(self.rows, x)).astype(float))
 
 
 def band_pencil_eigenvalues(mass, stiffness):

@@ -73,7 +73,7 @@ def reference_shapes(rule, e, d):
         1: (1.0 / h, 1.0, 1.0 / h, 1.0),
         2: (1.0 / (h * h), 1.0 / h, 1.0 / (h * h), 1.0 / h),
     }[d]
-    return shape_values(s, 1.0, d), np.array(c)
+    return shape_values(s, d), np.array(c)
 
 
 def loop_blocks(rule, d):
@@ -276,43 +276,26 @@ def test_row_band_holds_the_rows_of_the_dense_matrix(n, dtype):
     for k in range(1, 4):
         ab[k, max(n - k, 0):] = 0.0  # past the end of diagonal k
     dense = band_to_dense(ab)
-    expected = np.zeros((7, n), dtype=dtype)
-    for o in range(7):
-        for i in range(n):
+    expected = np.zeros((n, 7), dtype=dtype)
+    for i in range(n):
+        for o in range(7):
             if 0 <= i + o - 3 < n:
-                expected[o, i] = dense[i, i + o - 3]
+                expected[i, o] = dense[i, i + o - 3]
     rows = row_band(ab)
-    assert rows.dtype == dtype
+    assert rows.dtype == dtype and rows.flags.c_contiguous
     assert np.array_equal(rows, expected)
     assert np.array_equal(np.signbit(rows), np.signbit(expected))
 
 
-def cumsum_matvec(rows, x):
-    """A @ x from row_band(A) as a cumulative sum down the seven products."""
-    n = rows.shape[1]
-    x = np.asarray(x, dtype=rows.dtype)
-    column = np.clip(np.arange(n) + np.arange(-3, 4)[:, None], 0, n - 1)
-    products = x[column] * rows.reshape(rows.shape + (1,) * (x.ndim - 1))
-    return np.cumsum(products, axis=0)[-1]
-
-
-@pytest.mark.parametrize("dtype", [float, np.longdouble])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 65, 1026])
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_band_matvec_equals_the_cumulative_sum_bit_for_bit(n, dtype, seed):
-    rng = np.random.default_rng(seed)
-    ab = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-8, 9, (4, n))
-    rows = row_band(ab.astype(dtype))
-    for shape in ((n,), (n, 3)):
-        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
-        x[rng.random(shape) < 0.3] = -0.0  # rows that sum to a signed zero
-        got, expected = band_matvec(rows, x), cumsum_matvec(rows, x)
-        assert got.dtype == expected.dtype == dtype
-        assert np.array_equal(got, expected)
-        assert np.array_equal(np.signbit(got), np.signbit(expected))
-    zero = -np.zeros(n)
-    assert np.array_equal(np.signbit(band_matvec(rows, zero)), np.signbit(cumsum_matvec(rows, zero)))
+def sequential_matvec(rows, x):
+    """A @ x from row_band(A): each row's seven products added one by one,
+    in ascending column order, from +0.0."""
+    n = len(rows)
+    total = np.zeros(x.shape, dtype=rows.dtype)
+    for o in range(7):
+        column = np.clip(np.arange(n) + o - 3, 0, n - 1)
+        total = total + rows[:, o].reshape((n,) + (1,) * (x.ndim - 1)) * x[column]
+    return total
 
 
 def _signed_zeros(rng, a):
@@ -320,25 +303,33 @@ def _signed_zeros(rng, a):
     return a
 
 
+@pytest.mark.parametrize("dtype", [float, np.longdouble])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 65, 1026])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_fused_residual_equals_the_dense_longdouble_residual_bit_for_bit(n, seed):
-    # entries over 16 decades, a diagonal that dominates: a band the
-    # solver factors
+def test_band_matvec_is_the_sequential_sum_bit_for_bit(n, dtype, seed):
+    # entries over 16 decades and signed zeros, so rows that sum to a zero;
+    # in longdouble the sum is also the dense product's, and the rows are
+    # those the solver refines with (a diagonal that dominates, so that it
+    # factors): its residual b - band_matvec(rows, x) is the dense one
     rng = np.random.default_rng(seed)
     ab = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-8, 9, (4, n))
     ab[0] = np.abs(ab[0]) + 2.0 * np.abs(band_to_dense(ab)).sum(axis=0)
-    solver = _BandedSPD(ab)
-    A = band_to_dense(ab).astype(np.longdouble)
+    rows = row_band(ab.astype(dtype))
+    dense = band_to_dense(ab).astype(np.longdouble)
+    if dtype is np.longdouble:
+        assert np.array_equal(_BandedSPD(ab).rows, rows)
     for shape in ((n,), (n, 3)):
         x = _signed_zeros(rng, rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
-        b = _signed_zeros(rng, rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
-        for rhs in (b, b.astype(np.longdouble)):
-            got, dense = solver._residual(rhs, x), rhs - A @ x.astype(np.longdouble)
-            assert got.dtype == dense.dtype == np.longdouble
-            assert np.array_equal(got, dense)
-            assert np.array_equal(np.signbit(got), np.signbit(dense))
+        for v in (x, -np.zeros(shape)):
+            got, expected = band_matvec(rows, v), sequential_matvec(rows, v.astype(dtype))
+            assert got.dtype == expected.dtype == dtype
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+            if dtype is np.longdouble:
+                assert np.array_equal(got, dense @ v.astype(np.longdouble))
+                assert np.array_equal(np.signbit(got), np.signbit(dense @ v.astype(np.longdouble)))
+    assert not np.signbit(band_matvec(rows, -np.zeros(n))).any()  # +0.0, as A @ x
 
 
 @settings(max_examples=40, deadline=None)

@@ -70,13 +70,11 @@ def test_mesh_numbers_a_value_and_a_slope_dof_per_node():
 
 def test_hermite_cardinality():
     # value shape: one at its node with zero slope; slope shape: zero value
-    # with unit slope
-    v = shape_values(0.0, 0.25, 0)
-    dv = shape_values(0.0, 0.25, 1)
+    # with unit slope, on an element of length 0.25
+    v, dv = (shape_values(0.0, d) * column_scales(0.25, d) for d in (0, 1))
     np.testing.assert_allclose(v, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(dv, [0.0, 1.0, 0.0, 0.0], atol=1e-15)
-    v1 = shape_values(1.0, 0.25, 0)
-    dv1 = shape_values(1.0, 0.25, 1)
+    v1, dv1 = (shape_values(1.0, d) * column_scales(0.25, d) for d in (0, 1))
     np.testing.assert_allclose(v1, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(dv1, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
 
@@ -361,7 +359,7 @@ def test_batched_rule_equals_element_loop_bit_for_bit(form, K, x0, n, npoints):
             # entries (w @ (T_i T_j)) c_i c_j, mirrored
             expected = np.empty((n, 4, 4))
             for e in range(n):
-                T = shape_values(S[e], 1.0, d)
+                T = shape_values(S[e], d)
                 c = column_scales(mesh.lengths()[e], d)
                 entries = (W[e] @ (T[:, row] * T[:, col])) * (c[row] * c[col])
                 expected[e, row, col] = expected[e, col, row] = entries

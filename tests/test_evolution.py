@@ -503,7 +503,7 @@ def _refined_norms(system, dt, scheme, u, steps):
         b = band_matvec(rhs, u)
         u = solver._solve_once(b.astype(float))
         for _ in range(3):
-            u = u + solver._solve_once(solver._residual(b, u).astype(float))
+            u = u + solver._solve_once((b - band_matvec(solver.rows, u)).astype(float))
         norms.append(system.mass_norm_sq(u))
     return np.array(norms)
 

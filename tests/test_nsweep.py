@@ -1,5 +1,5 @@
-"""Smoke test of ``bench/nsweep.py``: one small size, its keys and a
-positive assembly time."""
+"""Smoke test of ``bench/nsweep.py``: one small size, its keys and
+positive assembly and matvec times."""
 import importlib.util
 import json
 from pathlib import Path
@@ -23,7 +23,7 @@ def test_nsweep_writes_its_keys(tmp_path):
     assert [row["form"] for row in result["rows"]] == ["divergence", "nondivergence"]
     for row in result["rows"]:
         assert tuple(row) == nsweep.ROW_KEYS
-        assert row["assemble_ms"] > 0.0
+        assert row["assemble_ms"] > 0.0 and row["matvec_us"] > 0.0
 
 
 

@@ -308,17 +308,10 @@ def _signed_zeros(rng, a):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_band_matvec_is_the_sequential_sum_bit_for_bit(n, dtype, seed):
-    # entries over 16 decades and signed zeros, so rows that sum to a zero;
-    # in longdouble the sum is also the dense product's, and the rows are
-    # those the solver refines with (a diagonal that dominates, so that it
-    # factors): its residual b - band_matvec(rows, x) is the dense one
+    # entries over 16 decades and signed zeros, so rows that sum to a zero
     rng = np.random.default_rng(seed)
     ab = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-8, 9, (4, n))
-    ab[0] = np.abs(ab[0]) + 2.0 * np.abs(band_to_dense(ab)).sum(axis=0)
     rows = row_band(ab.astype(dtype))
-    dense = band_to_dense(ab).astype(np.longdouble)
-    if dtype is np.longdouble:
-        assert np.array_equal(_BandedSPD(ab).rows, rows)
     for shape in ((n,), (n, 3)):
         x = _signed_zeros(rng, rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
         for v in (x, -np.zeros(shape)):
@@ -326,10 +319,30 @@ def test_band_matvec_is_the_sequential_sum_bit_for_bit(n, dtype, seed):
             assert got.dtype == expected.dtype == dtype
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
-            if dtype is np.longdouble:
-                assert np.array_equal(got, dense @ v.astype(np.longdouble))
-                assert np.array_equal(np.signbit(got), np.signbit(dense @ v.astype(np.longdouble)))
     assert not np.signbit(band_matvec(rows, -np.zeros(n))).any()  # +0.0, as A @ x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 65, 1026])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_fused_residual_equals_the_dense_longdouble_residual_bit_for_bit(n, seed):
+    # entries over 16 decades, a diagonal that dominates: a band the
+    # solver factors; it refines against b - band_matvec(rows, x) on its
+    # longdouble rows, which is the dense longdouble residual
+    rng = np.random.default_rng(seed)
+    ab = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-8, 9, (4, n))
+    ab[0] = np.abs(ab[0]) + 2.0 * np.abs(band_to_dense(ab)).sum(axis=0)
+    solver = _BandedSPD(ab)
+    assert np.array_equal(solver.rows, row_band(ab.astype(np.longdouble)))
+    A = band_to_dense(ab).astype(np.longdouble)
+    for shape in ((n,), (n, 3)):
+        x = _signed_zeros(rng, rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
+        b = _signed_zeros(rng, rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
+        for rhs in (b, b.astype(np.longdouble)):
+            got, dense = rhs - band_matvec(solver.rows, x), rhs - A @ x.astype(np.longdouble)
+            assert got.dtype == dense.dtype == np.longdouble
+            assert np.array_equal(got, dense)
+            assert np.array_equal(np.signbit(got), np.signbit(dense))
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,7 +2,7 @@
 the mesh size.
 
     OPENBLAS_NUM_THREADS=1 python3 bench/nsweep.py [--sizes 8 16 ...] \
-        [--repeats 5] --out BENCH_25.json
+        [--repeats 5] --out BENCH_26.json
 
 Run from the repository root; the package is imported from ``src``.  For
 each n (default 8, 16, ..., 512 elements) and both operator forms it
@@ -10,7 +10,8 @@ builds the step matrix of a benchmark-like run (divergence: weak class,
 Crank-Nicolson, dt = 0.01; non-divergence: strong class, implicit Euler,
 dt = 4e-4) and measures, each the median over ``--repeats`` rounds that
 time every quantity once, so that a slow spell of the machine falls on
-all of them alike:
+all of them alike, with the minimum over the rounds beside it under the
+same key plus ``_min``:
 
   assemble_ms       one ``build_system``: mesh, quadrature rules and the
                     bands of M and K
@@ -25,7 +26,13 @@ all of them alike:
                     (1 - theta) dt K, the product R u a banded step forms
                     before its solve; the residual is the same kernel on
                     longdouble rows
-  dense_step_us     one ``step_free`` by the propagator product
+  dense_step_us     one ``step_free`` by the propagator product, chained
+                    on fresh arrays that store no state
+  propagator_loop_us  one step of ``run``'s unforced propagator loop,
+                    ``TimeStepper.propagate`` into the next row of the
+                    states in place, timed over 2 * dofs steps
+  csv_row_us        ``Trajectory.write_csv`` of those 2 * dofs steps, per
+                    row of its 5 fields
   inverse_build_ms  forming the propagator S = A^{-1} R by the refined
                     banded solve of the columns of R (the name is
                     that of earlier BENCH files, whose keys stay fixed)
@@ -49,6 +56,8 @@ thread, as the benchmark runs the package.
 from __future__ import annotations
 
 import argparse
+import io
+import itertools
 import json
 import platform
 import statistics
@@ -68,6 +77,7 @@ from wentzell4.evolution import (  # noqa: E402
     TimeStepper,
     build_system,
     initial_dofs,
+    make_state,
 )
 from wentzell4.forms import OperatorForm, WentzellParams, band_matvec  # noqa: E402
 
@@ -77,10 +87,16 @@ CASES = (
     (OperatorForm.DIVERGENCE, 0.5, Scheme.CRANK_NICOLSON, 0.01),
     (OperatorForm.NON_DIVERGENCE, 1.5, Scheme.IMPLICIT_EULER, 4e-4),
 )
+# the timed quantities, in the order of a round
+TIMINGS = (
+    "assemble_ms", "banded_step_us", "solve_us", "plain_solve_us", "matvec_us", "dense_step_us",
+    "inverse_build_ms", "propagator_loop_us", "csv_row_us",
+)
 ROW_KEYS = (
     "form", "n", "dofs", "assemble_ms", "banded_step_us", "solve_us", "plain_solve_us",
     "matvec_us", "dense_step_us", "inverse_build_ms", "break_even_steps", "norm_rel_diff",
-)
+    "propagator_loop_us", "csv_row_us",
+) + tuple(f"{key}_min" for key in TIMINGS)
 KEYS = ("python", "numpy", "machine", "sizes", "rows", "dense_max_dofs",
         "dense_min_steps_per_dof", "break_even_margin")
 STEPS_PER_TIMING = 50
@@ -105,6 +121,13 @@ def _same(fn, *args, count=STEPS_PER_TIMING):
         fn(*args)
 
 
+def _propagate_rows(propagate, states):
+    """The unforced propagator loop of ``run`` (which also counts the
+    steps): each state written into its row of ``states``."""
+    for state, after in itertools.pairwise(states):
+        propagate(state, after)
+
+
 def measure(form, K, scheme, dt, n, repeats):
     """One row: the two step paths of one step matrix."""
     config = ProblemConfig(form, power_profile(0.5, K), WentzellParams(1.0, 1.0, -0.5, -0.5),
@@ -116,6 +139,10 @@ def measure(form, K, scheme, dt, n, repeats):
     dense = TimeStepper(system, dt, scheme)
     dense._form_propagator()
     solver, b = banded._solver, banded.step_free(u0)
+    states = np.empty((2 * m + 1, m))
+    states[0] = u0
+    _propagate_rows(dense.propagate, states)
+    trajectory = make_state(system, scheme, dt, states)
     rounds = [
         (
             _seconds(build_system, config),
@@ -125,28 +152,24 @@ def measure(form, K, scheme, dt, n, repeats):
             _seconds(_same, band_matvec, banded._rhs, u0) / STEPS_PER_TIMING,
             _seconds(_chain, dense.step_free, u0) / STEPS_PER_TIMING,
             _seconds(dense._form_propagator),
+            _seconds(_propagate_rows, dense.propagate, states) / (2 * m),
+            _seconds(trajectory.write_csv, io.StringIO()) / len(states),
         )
         for _ in range(repeats)
     ]
-    assemble_s, banded_s, solve_s, plain_s, matvec_s, dense_s, build_s = map(
-        statistics.median, zip(*rounds)
-    )
+    scales = [1e3 if key.endswith("_ms") else 1e6 for key in TIMINGS]  # from seconds
+    columns = list(zip(TIMINGS, zip(*rounds), scales))
+    medians = {key: statistics.median(t) * c for key, t, c in columns}
+    minima = {f"{key}_min": min(t) * c for key, t, c in columns}
+    banded_us, dense_us = medians["banded_step_us"], medians["dense_step_us"]
+    build_us = medians["inverse_build_ms"] * 1e3
     banded_norms = _norms(system, banded, u0, 2 * m)
     dense_norms = _norms(system, dense, u0, 2 * m)
-    return {
-        "form": form.value,
-        "n": n,
-        "dofs": m,
-        "assemble_ms": assemble_s * 1e3,
-        "banded_step_us": banded_s * 1e6,
-        "solve_us": solve_s * 1e6,
-        "plain_solve_us": plain_s * 1e6,
-        "matvec_us": matvec_s * 1e6,
-        "dense_step_us": dense_s * 1e6,
-        "inverse_build_ms": build_s * 1e3,
-        "break_even_steps": build_s / (banded_s - dense_s) if dense_s < banded_s else None,
-        "norm_rel_diff": float(np.max(np.abs(dense_norms - banded_norms) / banded_norms)),
-    }
+    row = {"form": form.value, "n": n, "dofs": m, **medians}
+    row["break_even_steps"] = build_us / (banded_us - dense_us) if dense_us < banded_us else None
+    row["norm_rel_diff"] = float(np.max(np.abs(dense_norms - banded_norms) / banded_norms))
+    row.update(minima)
+    return {key: row[key] for key in ROW_KEYS}
 
 
 def _norms(system, stepper, u, count):
@@ -196,6 +219,7 @@ def _print_row(row):
           f"assemble {row['assemble_ms']:6.2f} ms  "
           f"banded {row['banded_step_us']:8.1f} us (solve {row['solve_us']:7.1f}, "
           f"dpbtrs {row['plain_solve_us']:6.1f}, matvec {row['matvec_us']:6.1f})  dense {row['dense_step_us']:8.1f} us  "
+          f"loop {row['propagator_loop_us']:8.1f} us  csv row {row['csv_row_us']:5.2f} us  "
           f"inverse {row['inverse_build_ms']:8.2f} ms  break-even {'-' if steps is None else f'{steps:.0f}'} steps  "
           f"norm diff {row['norm_rel_diff']:.1e}", flush=True)
 

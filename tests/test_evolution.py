@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError
 
 from wentzell4 import evolution
 from wentzell4.coefficient import ConfigError, classify, power_profile
@@ -23,6 +24,7 @@ from wentzell4.evolution import (
     resolve_space_spec,
     resolvent_solve,
     run,
+    write_csv,
 )
 from wentzell4.forms import (
     AssembledSystem,
@@ -188,6 +190,34 @@ def test_trajectory_csv_format():
     assert len(lines) == len(traj.times) + 1
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
+
+
+_CSV_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, 0.1, 1 / 3, 9007199254740993.0]
+
+
+@pytest.mark.parametrize("to_path", [False, True], ids=["stream", "path"])
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_write_csv_keeps_the_bytes_of_a_format_call_per_row(tmp_path, n, k, to_path):
+    # 3 rows of 4 columns hold every value; the 1-column and 1-row cases
+    # start each column at another offset
+    columns = [[_CSV_VALUES[(i * k + j) % len(_CSV_VALUES)] for i in range(n)] for j in range(k)]
+    row = ("{}" + ",{:.17g}" * k + "\n").format
+    expected = "index,value\n" + "".join(row(i, *values) for i, values in enumerate(zip(*columns)))
+    if to_path:
+        write_csv(tmp_path / "out.csv", "index,value", *columns)
+        assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+    else:
+        buf = io.StringIO()
+        write_csv(buf, "index,value", *columns)
+        assert buf.getvalue() == expected
+
+
+@pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (3, 3, 0)])
+def test_write_csv_refuses_columns_of_unequal_length(lengths):
+    with pytest.raises(ValueError):
+        write_csv(io.StringIO(), "header", *([0.5] * m for m in lengths))
 
 
 def test_resolve_space_spec_forms():
@@ -489,6 +519,115 @@ def test_run_equals_the_per_step_loop_bit_for_bit(
     assert np.array_equal(traj.forcing_norm_sq, h_sqs)
     assert np.array_equal(traj.dofs[-1], final)
     assert traj.summary() == summary
+
+
+def _step_free_run(config):
+    """run as a loop of one TimeStepper.step_free call per row, each
+    written into its row, with the aborts of that loop: the reference of
+    the propagator path's in-place loop."""
+    system = build_system(config)
+    dt = config.resolved_dt()
+    n_steps = max(1, round(config.T / dt))
+    forcing = resolve_forcing(system, config.forcing)
+    forced = forcing.vector is not None
+    stepper = TimeStepper(system, dt, config.scheme, n_steps)
+    u = np.empty((n_steps + 1, len(system.free)))
+    u[0] = initial_dofs(system, config.u0, config.project_u0)
+    load_now = load_next = None
+    t, count, aborted = 0.0, n_steps + 1, None
+    for k in range(n_steps):
+        try:
+            if forced:
+                if k % evolution._OVERFLOW_CHECK_STEPS == 0 and not (
+                    math.isfinite(system.mass_norm_sq(u[k]))
+                    and math.isfinite(forcing.mass_norm_sq(t))
+                ):
+                    count = k + 1
+                    break
+                load_now = forcing.load(t) if k == 0 else load_next
+                load_next = forcing.load(t + dt)
+            u[k + 1] = stepper.step_free(u[k], load_now, load_next)
+        except (ArithmeticError, ValueError, LinAlgError) as exc:
+            aborted = f"step from t = {t}: {exc}"
+            count = k + 1
+            break
+        t += dt
+    return make_state(system, config.scheme, dt, u[:count], forcing, aborted)
+
+
+def _assert_same_run(traj, reference):
+    assert traj.aborted == reference.aborted
+    for name in ("times", "dofs", "norm_mu_sq", "energy", "slacks", "forcing_norm_sq"):
+        value, expected = getattr(traj, name), getattr(reference, name)
+        assert value.shape == expected.shape and value.tobytes() == expected.tobytes(), name
+
+
+def _propagator_config(form, K, scheme, n, steps, dt, forcing=None, u0=(0.3, -0.8, 0.5, 0.9)):
+    config = ProblemConfig(
+        form, power_profile(0.5, K), WentzellParams(1.3, 0.8, -0.4, 0.0), T=dt * steps, dt=dt,
+        n=n, scheme=scheme, u0={"poly": list(u0)}, forcing=forcing,
+    )
+    assert TimeStepper(build_system(config), dt, scheme, steps)._propagator is not None
+    return config
+
+
+@pytest.mark.parametrize(
+    "form, K, scheme, n, steps, dt, forcing",
+    [
+        # march: strong non-divergence, implicit Euler, 65 free dofs
+        (OperatorForm.NON_DIVERGENCE, 1.5, Scheme.IMPLICIT_EULER, 32, 2500, 4e-4, None),
+        (OperatorForm.DIVERGENCE, 0.5, Scheme.CRANK_NICOLSON, 16, 80, 0.01, None),
+        # forced runs step by step_free, on the same propagator
+        (OperatorForm.DIVERGENCE, 0.5, Scheme.IMPLICIT_EULER, 8, 60, 0.01,
+         {"kind": "separable", "space": "linear", "rate": 0.7}),
+    ],
+    ids=["march", "divergence-crank_nicolson", "forced"],
+)
+def test_propagator_loop_keeps_the_bits_of_step_free(form, K, scheme, n, steps, dt, forcing):
+    config = _propagator_config(form, K, scheme, n, steps, dt, forcing)
+    traj = run(config)
+    assert traj.aborted is None and len(traj.times) == steps + 1
+    _assert_same_run(traj, _step_free_run(config))
+
+
+def _growing_propagator(monkeypatch, factor):
+    """Scale every propagator by ``factor``: unforced states that grow."""
+    form = TimeStepper._form_propagator
+
+    def grown(self):
+        form(self)
+        self._propagator *= factor
+
+    monkeypatch.setattr(TimeStepper, "_form_propagator", grown)
+
+
+def test_propagator_loop_keeps_the_truncation_of_an_overflow(monkeypatch):
+    # the states double every step: the squared M-norm overflows at
+    # state 513, the dofs themselves about 500 steps later
+    _growing_propagator(monkeypatch, 2.0)
+    config = _propagator_config(
+        OperatorForm.NON_DIVERGENCE, 1.5, Scheme.IMPLICIT_EULER, 16, 1200, 1.0 / 1200
+    )
+    with np.errstate(all="ignore"):
+        traj, reference = run(config), _step_free_run(config)
+    assert traj.aborted == "step from t = 0.42666666666666975: step produced a non-finite state"
+    assert len(traj.times) == 513
+    _assert_same_run(traj, reference)
+
+
+def test_propagator_step_that_raises_ends_the_run(monkeypatch):
+    # one step multiplies by about 1e160: state 1 is near 1e150 and its
+    # squared norm finite, and the product of step 1 overflows
+    _growing_propagator(monkeypatch, 1e160)
+    config = _propagator_config(
+        OperatorForm.NON_DIVERGENCE, 1.5, Scheme.IMPLICIT_EULER, 16, 1200, 1.0 / 1200,
+        u0=(1e-10, 1e-10, -1e-10),
+    )
+    with np.errstate(all="raise"):
+        traj, reference = run(config), _step_free_run(config)
+    assert traj.aborted == "step from t = 0.0008333333333333334: overflow encountered in matmul"
+    assert len(traj.times) == 2 and np.all(np.isfinite(traj.norm_mu_sq))
+    _assert_same_run(traj, reference)
 
 
 def _refined_norms(system, dt, scheme, u, steps):

@@ -1,5 +1,5 @@
-"""Smoke test of ``bench/nsweep.py``: one small size, its keys and
-positive assembly and matvec times."""
+"""Smoke test of ``bench/nsweep.py``: one small size, its keys, positive
+times and the minimum of each timing beside its median."""
 import importlib.util
 import json
 from pathlib import Path
@@ -23,9 +23,16 @@ def test_nsweep_writes_its_keys(tmp_path):
     assert [row["form"] for row in result["rows"]] == ["divergence", "nondivergence"]
     for row in result["rows"]:
         assert tuple(row) == nsweep.ROW_KEYS
-        assert row["assemble_ms"] > 0.0 and row["matvec_us"] > 0.0
+        for key in nsweep.TIMINGS:
+            assert 0.0 < row[f"{key}_min"] <= row[key], key
 
 
+def test_nsweep_keeps_the_keys_of_earlier_sweeps():
+    nsweep = load_nsweep()
+    earlier = json.loads((NSWEEP.parents[1] / "BENCH_25.json").read_text())
+    assert set(earlier) == set(nsweep.KEYS)
+    assert set(earlier["rows"][0]) < set(nsweep.ROW_KEYS)
+    assert {"propagator_loop_us", "csv_row_us", "propagator_loop_us_min"} < set(nsweep.ROW_KEYS)
 
 
 def test_dense_max_dofs_keeps_a_margin_on_the_break_even_count():

@@ -2,7 +2,7 @@
 the mesh size.
 
     OPENBLAS_NUM_THREADS=1 python3 bench/nsweep.py [--sizes 8 16 ...] \
-        [--repeats 5] --out BENCH_26.json
+        [--repeats 5] --out BENCH_27.json
 
 Run from the repository root; the package is imported from ``src``.  For
 each n (default 8, 16, ..., 512 elements) and both operator forms it
@@ -20,12 +20,13 @@ same key plus ``_min``:
                     step matrix: two plain solves and one longdouble
                     residual
   plain_solve_us    one plain solve ``_BandedSPD._solve_once`` (the
-                    equilibration scaling and LAPACK ``dpbtrs``), so the
-                    residual takes solve_us - 2 * plain_solve_us
+                    equilibration scaling and LAPACK ``dpbtrs``)
   matvec_us         one float ``band_matvec`` of the step's R = M -
                     (1 - theta) dt K, the product R u a banded step forms
-                    before its solve; the residual is the same kernel on
-                    longdouble rows
+                    before its solve
+  ld_matvec_us      one longdouble ``band_matvec`` of the step matrix's
+                    rows ``_BandedSPD.rows`` with a float vector, the
+                    product of the refined solve's residual
   dense_step_us     one ``step_free`` by the propagator product, chained
                     on fresh arrays that store no state
   propagator_loop_us  one step of ``run``'s unforced propagator loop,
@@ -90,12 +91,12 @@ CASES = (
 # the timed quantities, in the order of a round
 TIMINGS = (
     "assemble_ms", "banded_step_us", "solve_us", "plain_solve_us", "matvec_us", "dense_step_us",
-    "inverse_build_ms", "propagator_loop_us", "csv_row_us",
+    "inverse_build_ms", "propagator_loop_us", "csv_row_us", "ld_matvec_us",
 )
 ROW_KEYS = (
     "form", "n", "dofs", "assemble_ms", "banded_step_us", "solve_us", "plain_solve_us",
     "matvec_us", "dense_step_us", "inverse_build_ms", "break_even_steps", "norm_rel_diff",
-    "propagator_loop_us", "csv_row_us",
+    "propagator_loop_us", "csv_row_us", "ld_matvec_us",
 ) + tuple(f"{key}_min" for key in TIMINGS)
 KEYS = ("python", "numpy", "machine", "sizes", "rows", "dense_max_dofs",
         "dense_min_steps_per_dof", "break_even_margin")
@@ -154,6 +155,7 @@ def measure(form, K, scheme, dt, n, repeats):
             _seconds(dense._form_propagator),
             _seconds(_propagate_rows, dense.propagate, states) / (2 * m),
             _seconds(trajectory.write_csv, io.StringIO()) / len(states),
+            _seconds(_same, band_matvec, solver.rows, u0) / STEPS_PER_TIMING,
         )
         for _ in range(repeats)
     ]
@@ -218,7 +220,8 @@ def _print_row(row):
     print(f"{row['form']:>13} n={row['n']:4d} dofs={row['dofs']:5d}  "
           f"assemble {row['assemble_ms']:6.2f} ms  "
           f"banded {row['banded_step_us']:8.1f} us (solve {row['solve_us']:7.1f}, "
-          f"dpbtrs {row['plain_solve_us']:6.1f}, matvec {row['matvec_us']:6.1f})  dense {row['dense_step_us']:8.1f} us  "
+          f"dpbtrs {row['plain_solve_us']:6.1f}, matvec {row['matvec_us']:6.1f}, "
+          f"ld matvec {row['ld_matvec_us']:6.1f})  dense {row['dense_step_us']:8.1f} us  "
           f"loop {row['propagator_loop_us']:8.1f} us  csv row {row['csv_row_us']:5.2f} us  "
           f"inverse {row['inverse_build_ms']:8.2f} ms  break-even {'-' if steps is None else f'{steps:.0f}'} steps  "
           f"norm diff {row['norm_rel_diff']:.1e}", flush=True)

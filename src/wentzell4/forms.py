@@ -30,7 +30,10 @@ read the bands directly, at O(n) cost: a kernel that reduces or
 rescales a band reads diagonal k as the slices ``ab[k, :n-k]``,
 ``x[k:]`` and ``x[:n-k]``.  Every product of a matrix with a vector
 (a step's right-hand side, the solver's residual) is :func:`band_matvec`
-over its rows (n, 7), built once per matrix (:func:`row_band`).  Dense
+over its rows (n, 7), built once per matrix (:func:`row_band`): they are
+the data of a CSR matrix with seven entries per row, which scipy's
+compiled CSR loop applies, and that loop's order of summation is what
+the bits of every product rest on.  Dense
 copies exist only through :meth:`AssembledSystem.to_dense`, for the
 oracle and tests, and in the propagator of a long run on a small mesh
 (:class:`evolution.TimeStepper`); the eigenvalues of the pencil come
@@ -52,22 +55,24 @@ takes the forward error of a solve with the first from 2.3e-8 to 3.5e-12
 (against four rounds).  A refined solve is two plain solves (the
 equilibration scaling and LAPACK ``dpbtrs``) and one residual, the
 :func:`band_matvec` of the longdouble rows.  On the first matrix (1026
-dofs) ``bench/nsweep.py`` gives 105 us per refined solve, of which
-29 us per plain solve and 48 us for the residual; a float
-:func:`band_matvec` takes 19 us (BENCH_25.json; one core of a
-2-vCPU x86-64 VM, BLAS at one thread).
+dofs) ``bench/nsweep.py`` gives 87 us per refined solve, of which
+26 us per plain solve and 20 us for the longdouble product of the
+residual; a float :func:`band_matvec` takes 6.9 us (BENCH_27.json; one
+core of a 2-vCPU x86-64 VM, BLAS at one thread).
 """
 from __future__ import annotations
 
 import ctypes
 import enum
 import functools
+import math
 from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded, cython_lapack
 from scipy.linalg.lapack import dpbtrs
+from scipy.sparse import _sparsetools
 
 from .coefficient import (
     ConfigError,
@@ -150,21 +155,28 @@ BANDWIDTH = 3
 
 
 @functools.lru_cache(maxsize=16)
-def _band_columns(n):
-    """Read-only columns i + o - 3 of row i of :func:`row_band`, as an
-    array (7, n), clipped into range."""
-    column = np.clip(np.arange(n) + np.arange(-BANDWIDTH, BANDWIDTH + 1)[:, None], 0, n - 1)
-    column.setflags(write=False)
-    return column
+def _csr_index(n):
+    """Read-only CSR ``indptr`` (0, 7, 14, ...) and column ``indices``
+    of the rows (n, 7) of :func:`row_band`: entry (i, o) sits in column
+    i + o - 3, clipped into range, where a row past an end holds zero."""
+    width = 2 * BANDWIDTH + 1
+    indptr = np.arange(0, width * n + 1, width)
+    offsets = np.arange(-BANDWIDTH, BANDWIDTH + 1)
+    indices = np.clip(np.arange(n)[:, None] + offsets, 0, n - 1).ravel()
+    for a in (indptr, indices):
+        a.setflags(write=False)
+    return indptr, indices
 
 
 def row_band(ab):
     """The rows of the symmetric matrix with lower band ``ab``, as a
     contiguous array (n, 7) with entry (i, o) = A[i, i + o - 3] and zero
     outside the matrix; the dtype of ``ab`` is kept.  :func:`band_matvec`
-    takes this form, so a matrix applied many times is expanded once.
-    Diagonal k of the band is column 3 + k, read from the top, and
-    column 3 - k, read from the bottom."""
+    takes this form, so a matrix applied many times is expanded once:
+    the rows are the data of a CSR matrix with seven entries per row,
+    the zeros past each end included (:func:`_csr_index`).  Diagonal k
+    of the band is column 3 + k, read from the top, and column 3 - k,
+    read from the bottom."""
     n = ab.shape[1]
     rows = np.zeros((n, 2 * BANDWIDTH + 1), dtype=ab.dtype)
     for k in range(BANDWIDTH + 1):
@@ -177,17 +189,32 @@ def band_matvec(rows, x):
     """A @ x from ``rows = row_band(A)``, in the dtype of ``rows``; x may
     carry trailing columns.
 
-    einsum adds the seven products of a row as one running sum in
-    ascending column order from +0.0, the order of numpy's dense
-    product, so a longdouble ``rows`` gives the dense longdouble
+    The rows are the data of a CSR matrix with seven entries per row
+    (:func:`_csr_index`), and scipy's compiled CSR product
+    (``csr_matvec``, and ``csr_matvecs`` over trailing columns) applies
+    them without forming a sparse matrix.  That loop adds the seven
+    products of a row as one running sum in ascending column order from
+    the +0.0 of the zeroed output, the order of numpy's dense product, so
+    for a finite x a longdouble ``rows`` gives the dense longdouble
     ``A @ x`` bit for bit, signed zeros included: an all-zero row sums
-    to +0.0.  With one dof six of the seven products are zeros, so no
-    order can differ.
+    to +0.0.  The zeros past an end are multiplied too, so an inf at
+    dof 0 makes rows 0 to 2 nan (0 * inf); the tests pin these sums
+    too.  With one dof six of the seven products are
+    zeros, so no order can differ.  At
+    1026 dofs a product takes 6.9 us in float and 20 us in longdouble
+    (BENCH_27.json).
     """
     x = np.asarray(x, dtype=rows.dtype)
-    if len(x) != len(rows):  # a full-dof vector is refused, not misread
-        raise ValueError(f"vector of {len(x)} entries for a band of {len(rows)} dofs")
-    return np.einsum("io,oi...->i...", rows, x[_band_columns(len(rows))])
+    n = len(rows)
+    if len(x) != n:  # a full-dof vector is refused, not misread
+        raise ValueError(f"vector of {len(x)} entries for a band of {n} dofs")
+    indptr, indices = _csr_index(n)
+    out = np.zeros(x.shape, dtype=rows.dtype)
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(n, n, indptr, indices, rows, x, out)
+    else:
+        _sparsetools.csr_matvecs(n, n, math.prod(x.shape[1:]), indptr, indices, rows, x, out)
+    return out
 
 
 def band_quadratic(ab, x):
@@ -264,8 +291,9 @@ class _BandedSPD:
     (:func:`row_band`) for the residual.
 
     A solve costs two ``dpbtrs`` calls and one longdouble residual
-    ``b - band_matvec(rows, x)``, 29 us each and 48 us of 105
-    at 1026 dofs (BENCH_25.json; see the module docstring)."""
+    ``b - band_matvec(rows, x)``: 26 us each and 20 us for the
+    product, of 87 us at 1026 dofs (BENCH_27.json; see the module
+    docstring)."""
 
     def __init__(self, ab):
         ab = np.asarray(ab, dtype=float)

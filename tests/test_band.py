@@ -322,6 +322,30 @@ def test_band_matvec_is_the_sequential_sum_bit_for_bit(n, dtype, seed):
     assert not np.signbit(band_matvec(rows, -np.zeros(n))).any()  # +0.0, as A @ x
 
 
+@pytest.mark.parametrize("dtype", [float, np.longdouble])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 65])
+def test_band_matvec_keeps_the_sequential_sum_on_inf_nan_and_stacked_columns(n, dtype):
+    # a band with zero entries, so 0 * inf = nan lands in rows whose
+    # products include one, and the zeros past each end meet x[0] and
+    # x[n - 1] as they do in the dense product
+    rng = np.random.default_rng(n)
+    ab = _signed_zeros(rng, rng.standard_normal((4, n)))
+    ab[rng.random((4, n)) < 0.3] = 0.0
+    rows = row_band(ab.astype(dtype))
+    inf_first = rng.standard_normal(n)
+    inf_first[0] = np.inf
+    nan_last = rng.standard_normal(n)
+    nan_last[-1] = np.nan
+    stacked = _signed_zeros(rng, rng.standard_normal((n, 2, 3)))
+    stacked[0, 1, 2], stacked[-1, 0, 0] = -np.inf, np.nan
+    for x in (inf_first, nan_last, np.full(n, -np.inf), stacked):
+        with np.errstate(invalid="ignore"):
+            got, expected = band_matvec(rows, x), sequential_matvec(rows, x.astype(dtype))
+        assert got.dtype == expected.dtype == dtype and got.shape == x.shape
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 65, 1026])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

@@ -615,6 +615,23 @@ def test_propagator_loop_keeps_the_truncation_of_an_overflow(monkeypatch):
     _assert_same_run(traj, reference)
 
 
+def test_overflow_under_raised_fp_errors_ends_with_the_same_abort(monkeypatch):
+    # the doubling run above under np.errstate(all="raise"): make_state
+    # tests finiteness itself, so its overflowing norms and slacks raise
+    # nothing and the run ends as it does with errors ignored
+    _growing_propagator(monkeypatch, 2.0)
+    config = _propagator_config(
+        OperatorForm.NON_DIVERGENCE, 1.5, Scheme.IMPLICIT_EULER, 16, 1200, 1.0 / 1200
+    )
+    with np.errstate(all="ignore"):
+        ignored = run(config)
+    with np.errstate(all="raise"):
+        traj = run(config)
+    assert traj.aborted == "step from t = 0.42666666666666975: step produced a non-finite state"
+    assert len(traj.times) == 513
+    _assert_same_run(traj, ignored)
+
+
 def test_propagator_step_that_raises_ends_the_run(monkeypatch):
     # one step multiplies by about 1e160: state 1 is near 1e150 and its
     # squared norm finite, and the product of step 1 overflows

@@ -159,9 +159,9 @@ def parse_config(text) -> CliConfig:
 
 
 def _write_json(path, payload):
+    # one write: json.dump hands the file thousands of fragments
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_run(config: CliConfig, out: Path):
@@ -204,7 +204,7 @@ def _cmd_resolvent(config: CliConfig, out: Path):
     u = resolvent_solve(system, config.resolvent_lambda, f)
     write_csv(out / "resolvent.csv", "dof,value", system.expand(u).tolist())
     A = config.resolvent_lambda * system.M + system.K
-    b = band_matvec(row_band(system.M), f)
+    b = band_matvec(system.mass_rows, f)
     # both ratios below are invariant under a common scaling of u and b;
     # one exact power of two brings their largest entry into [0.5, 1), so
     # that A u does not overflow where u and b are finite

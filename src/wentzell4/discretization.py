@@ -22,6 +22,14 @@ element: each reference rule has one cached shape table, computed with
 h = 1, and the powers of the element lengths enter as column scales.
 :func:`element_integrals` is the one path from a rule to element
 integrals, for the Gram matrices and the loads alike.
+
+What is derived from an object is kept on it, so that it is built once
+for as long as the object lives and never outlives it: a mesh keeps the
+rules :meth:`Mesh.rule` built on it (each by :func:`weighted_rule`),
+and a rule keeps the pair integrals of each derivative order
+(:meth:`QuadratureRule.pair_integrals`) that the Gram matrices and the
+element blocks of :mod:`forms` both read.  Every kept array is
+read-only.
 """
 from __future__ import annotations
 
@@ -29,7 +37,7 @@ import enum
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Legendre, Polynomial
@@ -66,6 +74,22 @@ class Mesh:
 
     nodes: np.ndarray
     x0_index: int
+    _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def rule(self, coeff, kind, npoints=None):
+        """``weighted_rule(self, coeff, kind, npoints)``, built on the first
+        request and kept with the mesh; the unit weight does not depend on
+        the coefficient, so all coefficients share its rule.
+
+        The rule is built on a copy of the mesh that shares its nodes and
+        keeps no rules: a rule that referred back to this mesh would make
+        a reference cycle, which only the garbage collector frees, long
+        after the last user of the mesh is gone."""
+        kind = WeightKind(kind)
+        key = (None if kind is WeightKind.UNIT else coeff, kind, npoints)
+        if key not in self._rules:
+            self._rules[key] = weighted_rule(Mesh(self.nodes, self.x0_index), coeff, kind, npoints)
+        return self._rules[key]
 
     @property
     def n_elements(self):
@@ -204,6 +228,18 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
     reference: tuple
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def pair_integrals(self, d):
+        """``element_integrals(self, self.weights, d, pairs=True)``: the 10
+        lower entries of every element block of the d-th derivatives,
+        (n_elements, 10), computed on the first request and kept read-only
+        with the rule."""
+        if d not in self._pairs:
+            entries = element_integrals(self, self.weights, d, pairs=True)
+            entries.setflags(write=False)
+            self._pairs[d] = entries
+        return self._pairs[d]
 
 
 # The (row, column) pairs i >= j of a 4 x 4 element block, row by row: the

@@ -127,7 +127,7 @@ def resolvent_solve(system: AssembledSystem, lam, f):
     with solvable("resolvent.lambda"):
         solver = _BandedSPD(lam * system.M + system.K)
     with solvable("resolvent.f"):
-        return solver.solve(band_matvec(row_band(system.M), f))
+        return solver.solve(band_matvec(system.mass_rows, f))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,7 @@ def resolve_forcing(system, spec) -> Forcing:
     kind, coeffs, rate = parse_forcing(spec)
     if kind == "separable":
         p = initial_dofs(system, coeffs)
-        mp = band_matvec(row_band(system.M), p)
+        mp = band_matvec(system.mass_rows, p)
         forcing = Forcing(rate, mp, float(p @ mp))
     elif kind == "manufactured":
         forcing = manufactured_divergence_forcing(system, coeffs, rate=rate)

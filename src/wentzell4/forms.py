@@ -11,9 +11,9 @@ conditions are natural: no dof manipulation is needed, except that a 1/a
 mass in the strong class pins the value dof at x0 to zero.
 
 One :func:`assemble` serves both forms.  The system it returns keeps the
-point terms it added and the quadrature rules it integrated with, so the
-loads, projections, norms and oracle checks that pair with M and K read
-the table and these, never a second copy of the choice.
+point terms it added, and its mesh the quadrature rules it integrated
+with, so the loads, projections, norms and oracle checks that pair with
+M and K read the table and these, never a second copy of the choice.
 
 Storage.  Cubic Hermite dofs couple at most three apart, so every matrix
 is held in LAPACK lower band storage ``ab`` of shape (4, n):
@@ -66,7 +66,7 @@ import ctypes
 import enum
 import functools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -81,13 +81,7 @@ from .coefficient import (
     check_power_comparison,
     classify,
 )
-from .discretization import (
-    LOWER_PAIRS,
-    Mesh,
-    WeightKind,
-    element_integrals,
-    weighted_rule,
-)
+from .discretization import LOWER_PAIRS, Mesh, WeightKind
 from .powers import DivergentIntegralError
 
 __all__ = [
@@ -243,19 +237,21 @@ def band_quadratic(ab, x):
 
 def band_congruence(ab, d):
     """Lower band of diag(d) A diag(d): entry (k, j) times d[j + k] * d[j],
-    and +0.0 past the end of each diagonal."""
-    n = len(d)
-    out = np.zeros_like(ab)
-    for k in range(min(len(ab), n)):
-        out[k, : n - k] = ab[k, : n - k] * (d[k:] * d[: n - k])
+    and +0.0 past the end of each diagonal.  One product over the whole
+    band, with j + k clipped into range; the entries it forms past the
+    ends are then overwritten, whatever the band holds there."""
+    idx = np.arange(len(ab))[:, None] + np.arange(len(d))
+    out = ab * (d.take(idx, mode="clip") * d)
+    out[idx >= len(d)] = 0.0
     return out
 
 
 @functools.cache
 def _dsbgv():
-    """LAPACK dsbgv as a ctypes function.  scipy.linalg.lapack wraps no
-    banded generalized eigensolver; scipy.linalg.cython_lapack exports one
-    for Cython, as a capsule holding the C function pointer."""
+    """LAPACK dsbgv as a ctypes function, each array passed by its
+    address.  scipy.linalg.lapack wraps no banded generalized
+    eigensolver; scipy.linalg.cython_lapack exports one for Cython, as a
+    capsule holding the C function pointer."""
     capsule = cython_lapack.__pyx_capi__["dsbgv"]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi)
@@ -264,8 +260,7 @@ def _dsbgv():
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
     address = get_pointer(capsule, get_name(capsule))
-    char, integer = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
-    double = ctypes.POINTER(ctypes.c_double)
+    char, integer, double = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
     return ctypes.CFUNCTYPE(
         None, char, char, integer, integer, integer, double, integer,
         double, integer, double, double, integer, double, integer,
@@ -337,25 +332,28 @@ def band_pencil_eigenvalues(mass, stiffness):
     mass, stiffness = np.asarray(mass, dtype=float), np.asarray(stiffness, dtype=float)
     if mass.ndim != 2 or mass.shape != stiffness.shape:
         raise ValueError(f"bands of shape {mass.shape} and {stiffness.shape}")
-    dinv, bb = _jacobi(mass)
-    # dsbgv overwrites both, in Fortran (column-major) order
-    ab = np.asfortranarray(band_congruence(stiffness, dinv))
-    bb = np.asfortranarray(bb)
-    ldab, n = ab.shape
-    w = np.empty(n)
-    work = np.empty(3 * n)
-    z = np.empty(1)
+    dinv, scaled = _jacobi(mass)
+    ldab, n = mass.shape
+    size = ldab * n
+    # one buffer holds every array dsbgv reads or writes, so that one
+    # address is looked up: the bands of K and M, which it overwrites, in
+    # Fortran (column-major) order, then w (n), z (1) and work (3n)
+    buf = np.empty(2 * size + 4 * n + 1)
+    for k, band in enumerate((band_congruence(stiffness, dinv), scaled)):
+        buf[k * size:(k + 1) * size].reshape(n, ldab).T[...] = band
+    base = buf.ctypes.data
+    ab, bb, w, z, work = (
+        base + buf.itemsize * offset
+        for offset in (0, size, 2 * size, 2 * size + n, 2 * size + n + 1)
+    )
     info = ctypes.c_int(0)
 
     def ref(value):
         return ctypes.byref(ctypes.c_int(value))
 
-    def ptr(a):
-        return a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
     _dsbgv()(
-        b"N", b"L", ref(n), ref(ldab - 1), ref(ldab - 1), ptr(ab), ref(ldab),
-        ptr(bb), ref(ldab), ptr(w), ptr(z), ref(1), ptr(work), ctypes.byref(info),
+        b"N", b"L", ref(n), ref(ldab - 1), ref(ldab - 1), ab, ref(ldab), bb, ref(ldab),
+        w, z, ref(1), work, ctypes.byref(info),
     )
     if info.value > n:  # the split Cholesky factorization of M failed
         raise LinAlgError("mass matrix is not positive definite")
@@ -363,7 +361,7 @@ def band_pencil_eigenvalues(mass, stiffness):
         raise LinAlgError(f"dsbgv: {info.value} eigenvalues failed to converge")
     if info.value < 0:
         raise ValueError(f"dsbgv argument {-info.value} is invalid")
-    return w
+    return buf[2 * size:2 * size + n].copy()
 
 
 def free_band(ab, free):
@@ -391,10 +389,11 @@ def element_blocks(rule, d):
     """Local Gram blocks (n_elements, 4, 4) of the d-th basis derivatives:
     entry (i, j) of block e is the rule's sum of w phi_i^(d) phi_j^(d)
     over element e, from the reference shape tables of the rule
-    (:func:`discretization.element_integrals`).  Only the 10 entries
+    (:meth:`discretization.QuadratureRule.pair_integrals`, which
+    :func:`gram_matrix` reads too).  Only the 10 entries
     i >= j are computed and each is written to (i, j) and (j, i), so
     every block is exactly symmetric by construction."""
-    entries = element_integrals(rule, rule.weights, d, pairs=True)
+    entries = rule.pair_integrals(d)
     row, col = LOWER_PAIRS
     blocks = np.empty((len(entries), 4, 4))
     blocks[:, row, col] = blocks[:, col, row] = entries
@@ -404,14 +403,15 @@ def element_blocks(rule, d):
 def gram_matrix(rule, d):
     """Lower band of the weighted Gram matrix of the d-th basis
     derivatives: the 10 lower entries of every element block (those of
-    :func:`element_blocks`, one matrix product per reference rule)
-    scattered straight into the band.  Element e owns dofs 2e..2e+3, so
+    :func:`element_blocks`, one matrix product per reference rule, kept
+    with the rule: :meth:`QuadratureRule.pair_integrals`) scattered
+    straight into the band.  Element e owns dofs 2e..2e+3, so
     an entry receives at most two contributions; they are added to zero
     in element order."""
     n = rule.mesh.n_dofs
     row, col = LOWER_PAIRS
     flat = (row - col) * n + rule.mesh.element_dofs()[:, col]
-    entries = element_integrals(rule, rule.weights, d, pairs=True)
+    entries = rule.pair_integrals(d)
     summed = np.bincount(flat.ravel(), weights=entries.ravel(), minlength=4 * n)
     return summed.reshape(BANDWIDTH + 1, n)
 
@@ -432,8 +432,9 @@ class AssembledSystem:
     of shape (4, len(free)): rows and columns of the free dofs only, the
     coordinates of every vector that pairs with them.  ``point_mass`` and
     ``point_stiffness`` are the terms assembly added to M and K at
-    ``mesh.end_dofs``; ``rules`` seeds :meth:`rule` with the rules it
-    integrated with.
+    ``mesh.end_dofs``.  The quadrature rules are those the mesh keeps
+    (:meth:`rule`), and the dense copies and the rows of M are formed on
+    the first request and kept read-only with the system.
     """
 
     form: OperatorForm
@@ -446,18 +447,30 @@ class AssembledSystem:
     stiffness_interior: np.ndarray
     point_mass: tuple
     point_stiffness: tuple
-    rules: InitVar[dict]
+    _dense: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self, rules):
+    def __post_init__(self):
         for a in (self.M, self.K, self.stiffness_interior):
             a.setflags(write=False)
-        self._rules = {(kind, None): rule for kind, rule in rules.items()}
 
     def to_dense(self, *names):
         """Dense copies of the named matrices ("M" and "K" by default;
-        "stiffness_interior"), on the free dofs.  O(n^2) memory: for the
-        oracle and tests."""
-        return tuple(band_to_dense(getattr(self, name)) for name in names or ("M", "K"))
+        "stiffness_interior"), on the free dofs, each formed once and
+        kept read-only.  O(n^2) memory: for the oracle and tests."""
+        names = names or ("M", "K")
+        for name in names:
+            if name not in self._dense:
+                dense = band_to_dense(getattr(self, name))
+                dense.setflags(write=False)
+                self._dense[name] = dense
+        return tuple(self._dense[name] for name in names)
+
+    @functools.cached_property
+    def mass_rows(self):
+        """``row_band(M)``, read-only: the rows every product with M reads."""
+        rows = row_band(self.M)
+        rows.setflags(write=False)
+        return rows
 
     def expand(self, free_values):
         """The full-dof array of free-dof values (leading axis), zero on
@@ -473,22 +486,20 @@ class AssembledSystem:
         return band_quadratic(self.K, u)
 
     def rule(self, kind, npoints=None):
-        """Quadrature rule for the weight ``kind`` on this system, built
-        once; the pencil's two rules are the ones assembly used.  A 1/a
-        weight of the strong class raises DivergentIntegralError unless
-        the value dof at x0 is pinned: only then is every product of
-        represented functions integrable against it."""
-        key = (WeightKind(kind), npoints)
-        if key not in self._rules:
-            if (key[0] is WeightKind.COEFF_RECIP_A
-                    and classify(self.coeff) is DegeneracyClass.STRONG
-                    and len(self.free) == self.mesh.n_dofs):
-                raise DivergentIntegralError(
-                    "1/a is not integrable across a strong degeneracy unless the "
-                    "value dof at x0 is pinned to zero"
-                )
-            self._rules[key] = weighted_rule(self.mesh, self.coeff, *key)
-        return self._rules[key]
+        """Quadrature rule for the weight ``kind`` on this system, the one
+        its mesh keeps (:meth:`discretization.Mesh.rule`); the pencil's two
+        rules are the ones assembly used.  A 1/a weight of the strong
+        class raises DivergentIntegralError unless the value dof at x0 is
+        pinned: only then is every product of represented functions
+        integrable against it."""
+        if (WeightKind(kind) is WeightKind.COEFF_RECIP_A
+                and classify(self.coeff) is DegeneracyClass.STRONG
+                and len(self.free) == self.mesh.n_dofs):
+            raise DivergentIntegralError(
+                "1/a is not integrable across a strong degeneracy unless the "
+                "value dof at x0 is pinned to zero"
+            )
+        return self.mesh.rule(self.coeff, kind, npoints)
 
 
 def point_terms(form, coeff, params):
@@ -526,13 +537,11 @@ def assemble(form, mesh, coeff, params) -> AssembledSystem:
     if klass is DegeneracyClass.STRONG and pencil.mass is WeightKind.COEFF_RECIP_A:
         free = np.delete(free, 2 * mesh.x0_index)  # the value dof at x0
     point_mass, point_stiffness = point_terms(form, coeff, params)
-    rules = {kind: weighted_rule(mesh, coeff, kind) for kind in pencil}
-    M = gram_matrix(rules[pencil.mass], 0)
+    M = gram_matrix(mesh.rule(coeff, pencil.mass), 0)
     M[0, mesh.end_dofs] += point_mass
-    S = gram_matrix(rules[pencil.stiffness], 2)
+    S = gram_matrix(mesh.rule(coeff, pencil.stiffness), 2)
     K = S.copy()
     K[0, mesh.end_dofs] += point_stiffness
-    M, K, S = (free_band(ab, free) for ab in (M, K, S))
-    return AssembledSystem(
-        form, mesh, free, coeff, params, M, K, S, point_mass, point_stiffness, rules
-    )
+    if len(free) < mesh.n_dofs:  # else the bands are those of every dof already
+        M, K, S = (free_band(ab, free) for ab in (M, K, S))
+    return AssembledSystem(form, mesh, free, coeff, params, M, K, S, point_mass, point_stiffness)

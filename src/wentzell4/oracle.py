@@ -6,9 +6,18 @@ the identity checks (integration-by-parts formulas with boundary and jump
 terms, nested reciprocal integrals, best linear fit, pointwise square-root
 bounds) are evaluated in the exact piecewise-power algebra, so that a
 disagreement always points at the code under test.
+
+The oracle shares quadrature with assembly and nothing with the solver.
+A verification report builds each object once and frees it with the
+report: one mesh per (n, x0), which keeps its rules and they their Gram
+pair integrals (:mod:`discretization`), so the case matrix and the
+n = 16 level of the norm-equivalence ladder read the same ones; the
+case-matrix systems, assembled once for the ``spectral`` and
+``resolvent`` suites; and the dense copies each system keeps.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +32,7 @@ from .coefficient import (
     power_profile,
     singular_moment,
 )
-from .discretization import WeightKind, build_mesh, weighted_rule
+from .discretization import WeightKind, build_mesh
 from .forms import (
     PENCIL,
     AssembledSystem,
@@ -192,28 +201,38 @@ def _interior(x0):
     return 0.0 < x0 < 1.0
 
 
-def _check_divergence_pair(u, v, coeff, klass):
-    g = coeff.as_power(1) * u.derivative(2)
-    _require(_continuous(u), "u must be continuous")
-    _require(_continuous(v), "v must be continuous")
+def _derivatives(f, order):
+    """[f, f', ..., f^(order)], each the derivative of the one before: the
+    bits of ``f.derivative(k)``, each formed once."""
+    out = [f]
+    for _ in range(order):
+        out.append(out[-1].derivative())
+    return out
+
+
+def _check_divergence_pair(du, dv, dg, klass):
+    """``du``, ``dv`` and ``dg`` list u, v and g = a u'' with their
+    derivatives (:func:`_derivatives`)."""
+    _require(_continuous(du[0]), "u must be continuous")
+    _require(_continuous(dv[0]), "v must be continuous")
     if klass is not DegeneracyClass.STRONG:
-        _require(_continuous(u.derivative()), "weak case: u' must be continuous")
-        _require(_continuous(v.derivative()), "weak case: v' must be continuous")
+        _require(_continuous(du[1]), "weak case: u' must be continuous")
+        _require(_continuous(dv[1]), "weak case: v' must be continuous")
     for side in ("left", "right"):
         _require(
-            _l2_ok(g.derivative(2), side),
+            _l2_ok(dg[2], side),
             "a u'' must have a square-integrable second derivative",
         )
-    _require(_continuous(g), "a u'' must be continuous")
-    _require(_continuous(g.derivative()), "(a u'')' must be continuous")
-    return g
+    _require(_continuous(dg[0]), "a u'' must be continuous")
+    _require(_continuous(dg[1]), "(a u'')' must be continuous")
 
 
-def _check_nondivergence_pair(u, v, coeff, klass):
+def _check_nondivergence_pair(du, dv, coeff, klass):
+    u, v = du[0], dv[0]
     _require(_continuous(u), "u must be continuous")
-    _require(_continuous(u.derivative()), "u' must be continuous")
+    _require(_continuous(du[1]), "u' must be continuous")
     _require(_continuous(v), "v must be continuous")
-    _require(_continuous(v.derivative()), "v' must be continuous")
+    _require(_continuous(dv[1]), "v' must be continuous")
     if klass is DegeneracyClass.STRONG:
         recip = coeff.as_power(-1)
         try:
@@ -226,7 +245,7 @@ def _check_nondivergence_pair(u, v, coeff, klass):
     else:
         # the weak fourth-power domain embeds in C3
         _require(
-            _continuous(u.derivative(2)) and _continuous(u.derivative(3)),
+            _continuous(du[2]) and _continuous(du[3]),
             "weak case: u must be C3 across x0",
         )
 
@@ -247,22 +266,23 @@ def green_residual(form, u_spec, v_spec, coeff):
     klass = classify(coeff)
     x0 = coeff.x0
     u = _as_piecewise(u_spec, x0)
-    v = _as_piecewise(v_spec, x0)
+    v, v1, v2 = _derivatives(_as_piecewise(v_spec, x0), 2)
 
     if form is OperatorForm.DIVERGENCE:
-        g = _check_divergence_pair(u, v, coeff, klass)
-        lhs = (g.derivative(2) * v).integrate()
-        gp = g.derivative()
+        du = _derivatives(u, 2)
+        g, gp, g2 = dg = _derivatives(coeff.as_power(1) * du[2], 2)
+        _check_divergence_pair(du, (v, v1), dg, klass)
+        lhs = (g2 * v).integrate()
         b1 = gp(1.0) * v(1.0) - gp(0.0) * v(0.0)
-        b2 = g(1.0) * v.derivative()(1.0) - g(0.0) * v.derivative()(0.0)
+        b2 = g(1.0) * v1(1.0) - g(0.0) * v1(0.0)
         jump = 0.0
-        rhs = (g * v.derivative(2)).integrate()
+        rhs = (g * v2).integrate()
         return GreenReport(lhs, b1, b2, jump, rhs)
 
     variant = "interior" if _interior(x0) else ("left_end" if x0 == 0.0 else "right_end")
-    _check_nondivergence_pair(u, v, coeff, klass)
-    u2, u3, u4 = u.derivative(2), u.derivative(3), u.derivative(4)
-    v1 = v.derivative()
+    du = _derivatives(u, 4)
+    _check_nondivergence_pair(du, (v, v1), coeff, klass)
+    u2, u3, u4 = du[2:]
     lhs = (u4 * v).integrate()
     strong = klass is DegeneracyClass.STRONG
     if strong and variant == "left_end":
@@ -275,7 +295,7 @@ def green_residual(form, u_spec, v_spec, coeff):
     jump = 0.0
     if strong and variant == "interior":
         jump = (u2.limit("right") - u2.limit("left")) * v1(x0)
-    rhs = (u2 * v.derivative(2)).integrate()
+    rhs = (u2 * v2).integrate()
     return GreenReport(lhs, b1, b2, jump, rhs)
 
 
@@ -437,6 +457,7 @@ def pointwise_sqrt_bound(u_spec, coeff, k):
     x0 = coeff.x0
     u = _as_piecewise(u_spec, x0)
     g = coeff.as_power(1) * u.derivative(k)
+    g1 = g.derivative()
     for side, present in (("left", x0 > 0.0), ("right", x0 < 1.0)):
         if not present:
             continue
@@ -445,11 +466,11 @@ def pointwise_sqrt_bound(u_spec, coeff, k):
             f"a u^({k}) must vanish at x0",
         )
         _require(
-            _l2_ok(g.derivative(), side),
+            _l2_ok(g1, side),
             f"(a u^({k}))' must be square integrable",
         )
     _require(_continuous(g), f"a u^({k}) must be continuous at x0")
-    denom = math.sqrt(g.derivative().l2_norm_sq())
+    denom = math.sqrt(g1.l2_norm_sq())
     if denom == 0.0:
         return 0.0
     xs = np.linspace(0.0, 1.0, 2001)
@@ -502,16 +523,21 @@ class NormEquivalenceReport:
         )
 
 
-def norm_equivalence_report(coeff, n=16, refinements=2):
+def norm_equivalence_report(coeff, n=16, refinements=2, mesh=None):
+    """The constants on the meshes ``mesh(n_level, x0)`` (build_mesh by
+    default) of n, 2n, ... elements, ``refinements`` times doubled.  Each
+    level reads the rules its mesh keeps, so coefficients given a builder
+    that returns the same mesh share its unit rule."""
     if not _interior(coeff.x0):
         raise ValueError(f"the norm equivalence needs an interior x0, got {coeff.x0}")
+    mesh = mesh or build_mesh
     constants = []
     counts = []
     for level in range(refinements + 1):
         n_level = n * 2**level
-        mesh = build_mesh(n_level, coeff.x0)
-        unit = weighted_rule(mesh, coeff, WeightKind.UNIT)
-        a_rule = weighted_rule(mesh, coeff, WeightKind.COEFF_A)
+        level_mesh = mesh(n_level, coeff.x0)
+        unit = level_mesh.rule(coeff, WeightKind.UNIT)
+        a_rule = level_mesh.rule(coeff, WeightKind.COEFF_A)
         G1 = band_to_dense(gram_matrix(unit, 1))
         G0_G2a = band_to_dense(gram_matrix(unit, 0) + gram_matrix(a_rule, 2))
         constants.append(float(eigh(G1, G0_G2a, eigvals_only=True)[-1]))
@@ -534,12 +560,14 @@ class Check:
     passed: bool
 
 
-def _case_matrix():
+def _case_matrix(mesh=None):
     """Structural test matrix at n = 16: both operator forms, the four
     degeneracy prototypes, neutral and damped boundary terms.
 
     x0 = 1/2 makes the mesh uniform across x0, not only on each side of
-    it, and every case shares that x0, so one mesh serves them all.
+    it, and every case shares that x0, so one mesh, ``mesh(16, 0.5)``
+    (build_mesh by default), serves them all, and the systems of one
+    coefficient share the rules it keeps.
     """
     coeffs = [
         ("weak_K05", power_profile(0.5, 0.5)),
@@ -548,12 +576,12 @@ def _case_matrix():
         ("nondegenerate", constant_profile(1.0, 0.5)),
     ]
     gammas = [("neutral", 0.0), ("damped", -1.0)]
-    mesh = build_mesh(16, 0.5)
+    shared = (mesh or build_mesh)(16, 0.5)
     for form in OperatorForm:
         for ctag, coeff in coeffs:
             for gtag, g in gammas:
                 params = WentzellParams(1.0, 1.0, g, g)
-                yield f"{form.value}_{ctag}_{gtag}", assemble(form, mesh, coeff, params)
+                yield f"{form.value}_{ctag}_{gtag}", assemble(form, shared, coeff, params)
 
 
 def _green_checks():
@@ -605,11 +633,12 @@ def _spectral_checks(cases):
         # the production spectrum (banded dsbgv) against this reference
         banded = band_pencil_eigenvalues(system.M, system.K)
         banded_gap = float(np.max(np.abs(banded - w)) / lam_max)
+        kernel = near_zero_count(w)
         computed = {
             "symmetry_gap": sym_gap,
             "min_eigenvalue_rel": min_rel,
             "orthonormality_gap": ortho_gap,
-            "near_zero_count": near_zero_count(w),
+            "near_zero_count": kernel,
             "banded_eigenvalue_gap": banded_gap,
         }
         ok = (
@@ -622,7 +651,7 @@ def _spectral_checks(cases):
         if gamma0 == 0.0:
             # affine functions, less the one the pinned x0 value removes
             expected = 1 if len(system.free) < system.mesh.n_dofs else 2
-            ok = ok and near_zero_count(w) == expected
+            ok = ok and kernel == expected
             computed["expected_kernel"] = expected
         out.append(Check("spectral", name, {"case": name}, computed, 1e-10, ok))
     return out
@@ -640,6 +669,7 @@ def _resolvent_checks(cases):
         M, K = system.to_dense()
         pinned = np.setdiff1d(np.arange(system.mesh.n_dofs), system.free)
         for lam in (0.5, 1.0, 10.0):
+            A = lam * M + K
             # column k holds the free entries of the k-th draw of
             # standard_normal(n_dofs).  np.delete leaves them row-major
             # when it drops one dof and column-major when it drops none;
@@ -648,10 +678,10 @@ def _resolvent_checks(cases):
             F = np.delete(draws, pinned, axis=1).T
             U = resolvent_solve(system, lam, F)
             B = M @ F
-            R = (lam * M + K) @ U - B
+            R = A @ U - B
             worst = float(np.max(np.linalg.norm(R, axis=0) / np.linalg.norm(B, axis=0)))
             delta = min(lam, 1.0)
-            w = eigh(lam * M + K - delta * M, eigvals_only=True)
+            w = eigh(A - delta * M, eigvals_only=True)
             lam_min = float(w[0])
             ok = worst <= 1e-10 and lam_min >= -1e-8 * max(abs(float(w[-1])), 1.0)
             out.append(
@@ -743,14 +773,18 @@ def _pointwise_checks():
     return out
 
 
-def _norm_equivalence_checks():
+def _norm_equivalence_checks(mesh=None):
+    """The ladder n = 8, 16, 32 at x0 = 1/2 for three coefficients, each
+    level built once for all three: by the report's builder ``mesh``, or
+    by one of the suite's own."""
+    mesh = mesh or functools.cache(build_mesh)
     out = []
     for name, coeff in (
         ("weak_K05", power_profile(0.5, 0.5)),
         ("strong_K15", power_profile(0.5, 1.5)),
         ("nondegenerate", constant_profile(1.0, 0.5)),
     ):
-        rep = norm_equivalence_report(coeff, n=8, refinements=2)
+        rep = norm_equivalence_report(coeff, n=8, refinements=2, mesh=mesh)
         ok = rep.nested_ok and all(math.isfinite(c) for c in rep.constants)
         out.append(
             Check(
@@ -790,10 +824,17 @@ def verification_report(suites=None):
     unknown = set(selected) - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suites {sorted(unknown)}; known: {sorted(SUITES)}")
-    cases = list(_case_matrix()) if set(_ON_CASE_MATRIX) & set(selected) else None
+    # what the suites share lives as long as this report: the meshes, the
+    # rules and Gram pair integrals they keep, the case-matrix systems and
+    # the dense copies those keep
+    mesh = functools.cache(build_mesh)
+    cases = list(_case_matrix(mesh)) if set(_ON_CASE_MATRIX) & set(selected) else None
+    # the case-matrix suites take the systems; norm_equivalence takes the
+    # mesh builder, so that its n = 16 level is the case matrix's mesh
+    args = {**dict.fromkeys(_ON_CASE_MATRIX, (cases,)), "norm_equivalence": (mesh,)}
     checks = []
     for suite in selected:
-        checks.extend(SUITES[suite](cases) if suite in _ON_CASE_MATRIX else SUITES[suite]())
+        checks.extend(SUITES[suite](*args.get(suite, ())))
     return {
         "suites": selected,
         "checks": [

@@ -220,6 +220,29 @@ def test_band_congruence_is_the_entrywise_loop_bit_for_bit(n):
     assert np.array_equal(np.signbit(got), np.signbit(expected))  # +0.0 past the ends
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 34, 1026])
+def test_band_congruence_is_the_diagonal_loop_bit_for_bit_with_inf_and_nan(n):
+    """The one product over the band against a loop over its diagonals,
+    each a slice product, in the bits of every entry: nan payloads, the
+    signs of zeros and +0.0 past the end of each diagonal, whatever the
+    band holds there."""
+    rng = np.random.default_rng(n)
+    ab = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-150, 150, (4, n))
+    special = rng.random((4, n))
+    ab[special < 0.1] = np.inf
+    ab[(special >= 0.1) & (special < 0.2)] = -np.inf
+    ab[(special >= 0.2) & (special < 0.3)] = np.nan
+    ab[(special >= 0.3) & (special < 0.4)] = -0.0
+    ab[:, -1] = [0.0, np.nan, -np.inf, np.inf]  # past the end but for k = 0
+    d = rng.uniform(0.5, 2.0, n) * 10.0 ** rng.integers(-150, 150, n)
+    expected = np.zeros((4, n))
+    with np.errstate(all="ignore"):  # products overflow, inf times a tiny d
+        for k in range(min(4, n)):
+            expected[k, : n - k] = ab[k, : n - k] * (d[k:] * d[: n - k])
+        got = band_congruence(ab, d)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_band_to_dense_of_a_band_wider_than_the_matrix(n):
     ab = np.random.default_rng(n).standard_normal((4, n))

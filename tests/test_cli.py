@@ -15,7 +15,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import wentzell4
+from wentzell4 import discretization
 from wentzell4.cli import ConfigError, dispatch, main, parse_config
+from wentzell4.discretization import WeightKind
 from wentzell4.evolution import Scheme, build_system
 from wentzell4.forms import AssembledSystem, OperatorForm
 from wentzell4.oracle import BANDED_EIGENVALUE_GAP_TOL, dense_decompose, near_zero_count, psd_ok
@@ -269,6 +271,32 @@ def test_main_end_to_end(tmp_path):
     path.write_text(cfg(mesh={"n": 8}, time={"T": 0.05, "dt": 0.01}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_verify_builds_each_rule_once_and_keeps_nothing_between_calls(tmp_path, monkeypatch):
+    # every memo of a report lives on an object the report builds, so two
+    # calls in one process build the same rules, each once
+    original = discretization.weighted_rule
+    built = []
+
+    def recording(mesh, coeff, kind, npoints=None):
+        rule = original(mesh, coeff, kind, npoints)
+        built.append((WeightKind(kind), npoints, rule.points.tobytes(), rule.weights.tobytes()))
+        return rule
+
+    monkeypatch.setattr(discretization, "weighted_rule", recording)
+    path = tmp_path / "config.json"
+    path.write_text(cfg())
+    counts, reports = [], []
+    for call in ("first", "second"):
+        before = len(built)
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / call)]) == 0
+        calls = built[before:]
+        assert len(set(calls)) == len(calls) <= 24  # no rule built twice
+        counts.append(len(calls))
+        reports.append((tmp_path / call / "verification.json").read_bytes())
+    assert counts[0] == counts[1]
+    assert reports[0] == reports[1]
 
 
 def test_no_command_loads_scipy_special(tmp_path):

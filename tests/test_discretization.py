@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -370,3 +372,24 @@ def test_batched_rule_equals_element_loop_bit_for_bit(form, K, x0, n, npoints):
     for i, xn in enumerate(mesh.nodes):
         reference[2 * i], reference[2 * i + 1] = p(xn), p.deriv()(xn)
     assert np.array_equal(interpolate_poly(mesh, coeffs), reference)
+
+
+def test_a_mesh_keeps_each_rule_and_is_freed_without_the_collector():
+    coeff = power_profile(0.5, 1.5)
+    mesh = build_mesh(8, 0.5)
+    rule = mesh.rule(coeff, WeightKind.COEFF_A)
+    assert mesh.rule(coeff, "coeff_a") is rule
+    # the unit rule does not depend on the coefficient
+    assert mesh.rule(power_profile(0.5, 0.5), WeightKind.UNIT) is mesh.rule(coeff, WeightKind.UNIT)
+    assert np.array_equal(rule.weights, weighted_rule(mesh, coeff, WeightKind.COEFF_A).weights)
+    assert rule.pair_integrals(2) is rule.pair_integrals(2)
+    # a rule refers to a copy of the mesh, so neither refers back to the
+    # other and both go with their last user, collector or not
+    system = assemble(OperatorForm.DIVERGENCE, mesh, coeff, WentzellParams(1.0, 1.0))
+    alive = [weakref.ref(obj) for obj in (mesh, rule, system.rule(WeightKind.UNIT), system)]
+    gc.disable()
+    try:
+        del mesh, rule, system
+        assert [ref() for ref in alive] == [None] * len(alive)
+    finally:
+        gc.enable()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
-from wentzell4 import forms, oracle
+from wentzell4 import discretization, oracle
 from wentzell4.coefficient import constant_profile, power_profile, singular_moment
 from wentzell4.discretization import WeightKind, build_mesh, interpolate_poly, weighted_rule
 from wentzell4.evolution import initial_dofs
@@ -103,13 +103,13 @@ def test_strong_reciprocal_requires_constraint(monkeypatch):
     with pytest.raises(DivergentIntegralError):
         divergence.rule(WeightKind.COEFF_RECIP_A)
     built = {}
-    original = forms.weighted_rule
+    original = discretization.weighted_rule
 
     def recording(mesh, coeff, kind, npoints=None):
         built[kind] = original(mesh, coeff, kind, npoints)
         return built[kind]
 
-    monkeypatch.setattr(forms, "weighted_rule", recording)
+    monkeypatch.setattr(discretization, "weighted_rule", recording)
     pinned = assemble(OperatorForm.NON_DIVERGENCE, mesh, coeff, WentzellParams(1.0, 1.0))
     rule = pinned.rule(WeightKind.COEFF_RECIP_A)
     assert rule is built[WeightKind.COEFF_RECIP_A]
@@ -298,14 +298,14 @@ def test_weak_reciprocal_mass_matches_closed_moment():
 )
 def test_each_weight_rule_is_built_once_per_system(monkeypatch, form, K):
     built = Counter()
-    original = forms.weighted_rule
+    original = discretization.weighted_rule
 
     def counting(mesh, coeff, kind, npoints=None):
         if npoints is None:
             built[WeightKind(kind)] += 1
         return original(mesh, coeff, kind, npoints)
 
-    monkeypatch.setattr(forms, "weighted_rule", counting)
+    monkeypatch.setattr(discretization, "weighted_rule", counting)
     sys = make(form, power_profile(0.5, K), gamma=-1.0)
     assert set(built) == set(PENCIL[form])
     initial_dofs(sys, [1.0, 2.0], project=True)

@@ -15,6 +15,7 @@ from wentzell4.discretization import (
     weighted_rule,
 )
 from wentzell4.forms import (
+    PENCIL,
     OperatorForm,
     WentzellParams,
     assemble,
@@ -363,6 +364,41 @@ def test_case_matrix_is_assembled_once_per_report(monkeypatch):
     assert len(calls) == 16
     verification_report()
     assert len(calls) == 32  # nothing is kept from one report to the next
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_case_matrix_systems_share_their_mesh_and_equal_fresh_ones():
+    # the 16 systems share one mesh, its rules and their pair integrals;
+    # each must equal the system assembled alone on a fresh mesh
+    cases = list(oracle._case_matrix())
+    assert len({id(system.mesh) for _, system in cases}) == 1
+    oracle.SUITES["spectral"](cases)  # reads the kept pair integrals and dense copies
+    for name, system in cases:
+        fresh = assemble(system.form, build_mesh(16, 0.5), system.coeff, system.params)
+        for band in ("M", "K", "stiffness_interior"):
+            assert _same_bits(getattr(system, band), getattr(fresh, band)), (name, band)
+        for kind in PENCIL[system.form]:
+            shared, alone = system.rule(kind), fresh.rule(kind)
+            assert _same_bits(shared.points, alone.points), (name, kind)
+            assert _same_bits(shared.weights, alone.weights), (name, kind)
+            assert shared.reference == alone.reference
+
+
+def test_kept_arrays_are_read_only():
+    # assemble adds the point terms in place, so what is kept must be a
+    # copy nothing can write to
+    _, system = next(oracle._case_matrix())
+    kept = [*system.to_dense("M", "K", "stiffness_interior"), system.mass_rows]
+    for kind, d in zip(PENCIL[system.form], (0, 2)):
+        rule = system.rule(kind)
+        kept += [rule.points, rule.weights, rule.pair_integrals(d)]
+    for array in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    assert system.to_dense("M")[0] is system.to_dense("M", "K")[0]  # formed once
 
 
 def test_verification_report_suite_selection():

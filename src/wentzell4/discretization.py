@@ -28,8 +28,8 @@ for as long as the object lives and never outlives it: a mesh keeps the
 rules :meth:`Mesh.rule` built on it (each by :func:`weighted_rule`),
 and a rule keeps the pair integrals of each derivative order
 (:meth:`QuadratureRule.pair_integrals`) that the Gram matrices and the
-element blocks of :mod:`forms` both read.  Every kept array is
-read-only.
+element blocks of :mod:`forms` both read, and the Gram bands
+(:meth:`QuadratureRule.kept`).  Every kept array is read-only.
 """
 from __future__ import annotations
 
@@ -228,18 +228,23 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
     reference: tuple
-    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def kept(self, key, build):
+        """``build(self)``, an array formed on the first request of ``key``
+        and kept read-only with the rule."""
+        if key not in self._kept:
+            value = build(self)
+            value.setflags(write=False)
+            self._kept[key] = value
+        return self._kept[key]
 
     def pair_integrals(self, d):
         """``element_integrals(self, self.weights, d, pairs=True)``: the 10
         lower entries of every element block of the d-th derivatives,
         (n_elements, 10), computed on the first request and kept read-only
         with the rule."""
-        if d not in self._pairs:
-            entries = element_integrals(self, self.weights, d, pairs=True)
-            entries.setflags(write=False)
-            self._pairs[d] = entries
-        return self._pairs[d]
+        return self.kept(("pairs", d), lambda r: element_integrals(r, r.weights, d, pairs=True))
 
 
 # The (row, column) pairs i >= j of a 4 x 4 element block, row by row: the

@@ -250,9 +250,10 @@ class TimeStepper:
     place that product is written: :meth:`step_free` calls it for a
     fresh array, and an unforced :func:`run` calls it with the next row
     of its states as ``out``, with no other work per step (at 65 free
-    dofs, march's mesh, 1.97 us per step against 2.30 us for a loop of
-    :meth:`step_free` calls and row copies, and 1.85 us for the product
-    alone; one core of a 2-vCPU x86-64 VM, BLAS at one thread).  It
+    dofs, march's mesh, 1.31 us per step, against 1.83 us when the
+    product was ``np.matmul`` and 2.30 us for a loop of :meth:`step_free`
+    calls and row copies; one core of a 2-vCPU x86-64 VM, BLAS at one
+    thread).  It
     checks nothing, so a state that is not finite is stepped on, and
     :func:`make_state` ends the trajectory before it.  Without ``n_steps`` every step is a refined
     banded solve, which raises LinAlgError on a right-hand side that is
@@ -300,8 +301,10 @@ class TimeStepper:
 
     def propagate(self, u_free, out=None):
         """S u_free, into ``out`` when given: the unforced step by the
-        propagator, and the one place its product is formed."""
-        return np.matmul(self._propagator, u_free, out)
+        propagator, and the one place its product is formed.  ``np.dot``
+        makes the BLAS call ``np.matmul`` makes, with less overhead per
+        call; ``out`` must be a C-contiguous float array."""
+        return np.dot(self._propagator, u_free, out)
 
     def step_free(self, u_free, load_now=None, load_next=None):
         """Advance free-dof coefficients; vectorized over trailing columns."""

@@ -44,7 +44,8 @@ value at (i, j) and (j, i), and an entry of the band sums
 at most two of them, so the band is that of a dense accumulation, bit for
 bit, and M = M^T and K = K^T hold with no rounding gap.
 
-Solvers.  :class:`_BandedSPD` is a banded Cholesky factorization after
+Solvers.  :class:`_BandedSPD` is a banded Cholesky factorization (LAPACK
+``dpbtrf``, the call ``cholesky_banded`` makes, made directly) after
 Jacobi equilibration, the step :func:`band_pencil_eigenvalues` shares,
 plus one round of refinement against a longdouble residual that equals
 the dense one bit for bit.  Equilibration leaves a step matrix
@@ -70,8 +71,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, cython_lapack
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg import LinAlgError, cython_lapack
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import _sparsetools
 
 from .coefficient import (
@@ -271,7 +272,7 @@ def _jacobi(ab):
     """``dinv = 1/sqrt(diag A)`` and the band of diag(dinv) A diag(dinv);
     LinAlgError unless diag A is positive and finite and the result finite."""
     diag = ab[0]
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
+    if not (diag.min() > 0.0 and diag.max() < math.inf):  # nan fails both
         raise LinAlgError("matrix diagonal is not positive and finite")
     dinv = 1.0 / np.sqrt(diag)
     scaled = band_congruence(ab, dinv)
@@ -285,7 +286,9 @@ class _BandedSPD:
     the matrix as a lower band (4, n) and keeps its longdouble rows
     (:func:`row_band`) for the residual.
 
-    A solve costs two ``dpbtrs`` calls and one longdouble residual
+    The factor is ``cholesky_banded``'s call, ``dpbtrf``, made directly,
+    and an indefinite band raises its text.  A solve costs two
+    ``dpbtrs`` calls and one longdouble residual
     ``b - band_matvec(rows, x)``: 26 us each and 20 us for the
     product, of 87 us at 1026 dofs (BENCH_27.json; see the module
     docstring)."""
@@ -293,7 +296,9 @@ class _BandedSPD:
     def __init__(self, ab):
         ab = np.asarray(ab, dtype=float)
         self.dinv, scaled = _jacobi(ab)
-        self.factor = cholesky_banded(scaled, lower=True, check_finite=False)
+        self.factor, info = dpbtrf(scaled, lower=1)
+        if info > 0:
+            raise LinAlgError(f"{info}-th leading minor not positive definite")
         self.rows = row_band(ab.astype(np.longdouble))
 
     def _solve_once(self, b):
@@ -375,13 +380,26 @@ def free_band(ab, free):
     return np.where(keep, ab[np.minimum(offset, BANDWIDTH), free], 0.0)
 
 
+@functools.lru_cache(maxsize=16)
+def _band_index(width, n):
+    """Read-only flat indices, for the entries (k, j), k < width and
+    j < n - k, of a lower band (width, n): of the band itself, and of
+    A[j + k, j] and A[j, j + k] in an n x n matrix."""
+    k, j = np.nonzero(np.arange(n) < n - np.arange(width)[:, None])
+    index = k * n + j, (j + k) * n + j, j * n + j + k
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
 def band_to_dense(ab):
-    """Dense symmetric matrix from a lower band of any width."""
-    n = ab.shape[1]
+    """Dense symmetric matrix from a lower band of any width: one scatter
+    per triangle, the diagonal written twice with the same value."""
+    width, n = ab.shape
+    band, lower, upper = _band_index(min(width, n), n)
     dense = np.zeros((n, n), dtype=ab.dtype)
-    for k in range(min(len(ab), n)):
-        j = np.arange(n - k)
-        dense[j + k, j] = dense[j, j + k] = ab[k, : n - k]
+    flat = dense.ravel()
+    flat[lower] = flat[upper] = np.take(ab, band)
     return dense
 
 
@@ -402,18 +420,22 @@ def element_blocks(rule, d):
 
 def gram_matrix(rule, d):
     """Lower band of the weighted Gram matrix of the d-th basis
-    derivatives: the 10 lower entries of every element block (those of
-    :func:`element_blocks`, one matrix product per reference rule, kept
-    with the rule: :meth:`QuadratureRule.pair_integrals`) scattered
-    straight into the band.  Element e owns dofs 2e..2e+3, so
-    an entry receives at most two contributions; they are added to zero
-    in element order."""
-    n = rule.mesh.n_dofs
-    row, col = LOWER_PAIRS
-    flat = (row - col) * n + rule.mesh.element_dofs()[:, col]
-    entries = rule.pair_integrals(d)
-    summed = np.bincount(flat.ravel(), weights=entries.ravel(), minlength=4 * n)
-    return summed.reshape(BANDWIDTH + 1, n)
+    derivatives, kept read-only with the rule (a caller that adds to it
+    works on a copy): the 10 lower entries of every element block (those
+    of :func:`element_blocks`, kept with the rule:
+    :meth:`QuadratureRule.pair_integrals`) scattered straight into the
+    band.  Element e owns dofs 2e..2e+3, so an entry receives at most two
+    contributions; they are added to zero in element order."""
+
+    def scatter(rule):
+        n = rule.mesh.n_dofs
+        row, col = LOWER_PAIRS
+        flat = (row - col) * n + rule.mesh.element_dofs()[:, col]
+        entries = rule.pair_integrals(d)
+        summed = np.bincount(flat.ravel(), weights=entries.ravel(), minlength=4 * n)
+        return summed.reshape(BANDWIDTH + 1, n)
+
+    return rule.kept(("gram", d), scatter)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +559,7 @@ def assemble(form, mesh, coeff, params) -> AssembledSystem:
     if klass is DegeneracyClass.STRONG and pencil.mass is WeightKind.COEFF_RECIP_A:
         free = np.delete(free, 2 * mesh.x0_index)  # the value dof at x0
     point_mass, point_stiffness = point_terms(form, coeff, params)
-    M = gram_matrix(mesh.rule(coeff, pencil.mass), 0)
+    M = gram_matrix(mesh.rule(coeff, pencil.mass), 0).copy()
     M[0, mesh.end_dofs] += point_mass
     S = gram_matrix(mesh.rule(coeff, pencil.stiffness), 2)
     K = S.copy()

@@ -7,13 +7,20 @@ terms, nested reciprocal integrals, best linear fit, pointwise square-root
 bounds) are evaluated in the exact piecewise-power algebra, so that a
 disagreement always points at the code under test.
 
+The dense eigensolves call the LAPACK drivers ``scipy.linalg.eigh``
+picks by default, ``dsygvd`` for a pencil and ``dsyevr`` for one matrix,
+directly (:func:`_eigh`), with every argument that decides the bits, so
+each value is eigh's without its wrapper's cost.
+
 The oracle shares quadrature with assembly and nothing with the solver.
 A verification report builds each object once and frees it with the
 report: one mesh per (n, x0), which keeps its rules and they their Gram
 pair integrals (:mod:`discretization`), so the case matrix and the
 n = 16 level of the norm-equivalence ladder read the same ones; the
 case-matrix systems, assembled once for the ``spectral`` and
-``resolvent`` suites; and the dense copies each system keeps.
+``resolvent`` suites; and the dense copies each system keeps.  A rule
+keeps its Gram bands too, so each level of the ladder forms its unit
+bands once for its three coefficients.
 """
 from __future__ import annotations
 
@@ -22,7 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+import numpy.polynomial.polynomial as npoly
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork, dsygvd
 
 from .coefficient import (
     DegeneracyClass,
@@ -107,6 +116,20 @@ class SpectralDecomposition:
     vectors: np.ndarray  # (n_free, n_free), one eigenvector per column
 
 
+def _eigh(a, b=None, vectors=False):
+    """``scipy.linalg.eigh(a, b, eigvals_only=not vectors)`` bit for bit:
+    the LAPACK call it makes, ``dsyevr`` with the workspace of scipy's
+    ``dsyevr_lwork`` query or ``dsygvd``, without its wrapper's checks."""
+    if b is None:
+        work, iwork, info = dsyevr_lwork(len(a), lower=1)
+        w, v, _, _, info = dsyevr(a, compute_v=int(vectors), lower=1, lwork=int(work), liwork=iwork)
+    else:
+        w, v, info = dsygvd(a, b, jobz="V" if vectors else "N")
+    if info:
+        raise LinAlgError(f"{'dsyevr' if b is None else 'dsygvd'} failed with info = {info}")
+    return (w, v) if vectors else w
+
+
 def dense_decompose(system: AssembledSystem) -> SpectralDecomposition:
     """Full dense eigensolve of the free pencil.
 
@@ -117,12 +140,10 @@ def dense_decompose(system: AssembledSystem) -> SpectralDecomposition:
     M, K = system.to_dense()
     diag = np.diag(M)
     if not np.all(diag > 0.0):
-        raise np.linalg.LinAlgError(
-            "singular mass matrix: quadrature or constraint bug"
-        )
+        raise LinAlgError("singular mass matrix: quadrature or constraint bug")
     dinv = 1.0 / np.sqrt(diag)
     scale = np.outer(dinv, dinv)
-    w, v = eigh(K * scale, M * scale)
+    w, v = _eigh(K * scale, M * scale, vectors=True)
     v = dinv[:, None] * v
     v /= np.sqrt(np.einsum("ij,ij->j", v, M @ v))
     return SpectralDecomposition(system, w, v)
@@ -425,22 +446,29 @@ def best_linear_fit(coeffs):
     L2-orthogonal to both 1 and x.  For affine u it vanishes identically
     and no zeros are reported.
     """
-    p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-    P = p.integ()
-    b0 = float(P(1.0) - P(0.0))
-    XP = (np.polynomial.Polynomial([0.0, 1.0]) * p).integ()
-    b1 = float(XP(1.0) - XP(0.0))
+    p = np.array(coeffs, dtype=float)
+    b0, b1 = _moments(p)
     # inverse of [[1, 1/2], [1/2, 1/3]]
     q = 4.0 * b0 - 6.0 * b1
     m = -6.0 * b0 + 12.0 * b1
-    residual = p - np.polynomial.Polynomial([q, m])
-    roots = residual.trim().roots()
+    residual = npoly.polysub(p, [q, m])
+    # + 0.0 maps a root -0.0 to +0.0, as Polynomial.roots does (0.0 + 1.0 r)
+    roots = npoly.polyroots(npoly.polytrim(residual)) + 0.0
     x = np.sort(roots.real[(roots.imag == 0.0) & (roots.real >= 0.0) & (roots.real <= 1.0)])
-    slope = residual.deriv()
+    slope = npoly.polyder(residual)
     for _ in range(2):
-        d = slope(x)
-        x = x - np.divide(residual(x), d, out=np.zeros_like(x), where=d != 0.0)
-    return LinearFit(q, m, residual.coef, tuple(map(float, x)))
+        d = npoly.polyval(x, slope)
+        x = x - np.divide(npoly.polyval(x, residual), d, out=np.zeros_like(x), where=d != 0.0)
+    return LinearFit(q, m, residual, tuple(map(float, x)))
+
+
+def _moments(c):
+    """The integrals over [0, 1] of p and of x p, p the polynomial of
+    ascending coefficients ``c``, each from its antiderivative."""
+    P = npoly.polyint(c)
+    XP = npoly.polyint(npoly.polymul([0.0, 1.0], c))
+    return (float(npoly.polyval(1.0, P) - npoly.polyval(0.0, P)),
+            float(npoly.polyval(1.0, XP) - npoly.polyval(0.0, XP)))
 
 
 def pointwise_sqrt_bound(u_spec, coeff, k):
@@ -540,7 +568,7 @@ def norm_equivalence_report(coeff, n=16, refinements=2, mesh=None):
         a_rule = level_mesh.rule(coeff, WeightKind.COEFF_A)
         G1 = band_to_dense(gram_matrix(unit, 1))
         G0_G2a = band_to_dense(gram_matrix(unit, 0) + gram_matrix(a_rule, 2))
-        constants.append(float(eigh(G1, G0_G2a, eigvals_only=True)[-1]))
+        constants.append(float(_eigh(G1, G0_G2a)[-1]))
         counts.append(n_level)
     return NormEquivalenceReport(tuple(constants), tuple(counts))
 
@@ -681,7 +709,7 @@ def _resolvent_checks(cases):
             R = A @ U - B
             worst = float(np.max(np.linalg.norm(R, axis=0) / np.linalg.norm(B, axis=0)))
             delta = min(lam, 1.0)
-            w = eigh(A - delta * M, eigvals_only=True)
+            w = _eigh(A - delta * M)
             lam_min = float(w[0])
             ok = worst <= 1e-10 and lam_min >= -1e-8 * max(abs(float(w[-1])), 1.0)
             out.append(
@@ -735,11 +763,7 @@ def _linear_fit_checks():
         ("exp_surrogate", exp_like),
     ):
         fit = best_linear_fit(coeffs)
-        r = np.polynomial.Polynomial(fit.residual_coeffs)
-        R = r.integ()
-        ortho0 = float(R(1.0) - R(0.0))
-        XR = (np.polynomial.Polynomial([0.0, 1.0]) * r).integ()
-        ortho1 = float(XR(1.0) - XR(0.0))
+        ortho0, ortho1 = _moments(fit.residual_coeffs)
         ok = len(fit.zeros) >= 2 and abs(ortho0) <= 1e-12 and abs(ortho1) <= 1e-12
         computed = {
             "intercept": fit.intercept,

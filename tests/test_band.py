@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
 from wentzell4.cli import main
 from wentzell4.coefficient import power_profile
@@ -17,6 +17,7 @@ from wentzell4.forms import (
     OperatorForm,
     WentzellParams,
     _BandedSPD,
+    _jacobi,
     assemble,
     band_congruence,
     band_matvec,
@@ -29,6 +30,7 @@ from wentzell4.forms import (
 from wentzell4.oracle import (
     BANDED_EIGENVALUE_GAP_TOL,
     _case_matrix,
+    _eigh,
     dense_decompose,
     near_zero_count,
     psd_ok,
@@ -243,6 +245,26 @@ def test_band_congruence_is_the_diagonal_loop_bit_for_bit_with_inf_and_nan(n):
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 34])
+def test_band_to_dense_is_the_diagonal_loop_bit_for_bit(n):
+    """The two scatters against the former loop over the diagonals, in
+    the bits of every entry: any width, float and longdouble, nan, inf
+    and signed zeros, and whatever the band holds past a diagonal's end."""
+    rng = np.random.default_rng(n)
+    for width in (1, 2, 4, 6):
+        for dtype in (float, np.longdouble):
+            ab = rng.standard_normal((width, n)).astype(dtype)
+            ab.ravel()[rng.permutation(ab.size)[:4]] = [np.nan, -np.inf, -0.0, 0.0][: ab.size]
+            ab[1:, -1] = np.nan  # past the end of each off-diagonal
+            expected = np.zeros((n, n), dtype=dtype)
+            for k in range(min(width, n)):
+                j = np.arange(n - k)
+                expected[j + k, j] = expected[j, j + k] = ab[k, : n - k]
+            got = band_to_dense(ab)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            assert band_to_dense(np.asfortranarray(ab)).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_band_to_dense_of_a_band_wider_than_the_matrix(n):
     ab = np.random.default_rng(n).standard_normal((4, n))
@@ -422,6 +444,39 @@ def test_banded_pencil_eigenvalues_match_dense(spec):
     assert np.max(np.abs(w - reference)) <= BANDED_EIGENVALUE_GAP_TOL * max(reference[-1], 1.0)
     assert psd_ok(w) == psd_ok(reference)
     assert near_zero_count(w) == near_zero_count(reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=systems, dt=st.floats(min_value=1e-4, max_value=1.0))
+def test_direct_lapack_calls_keep_the_bits_of_scipy(spec, dt):
+    # each LAPACK call made directly equals the scipy function it stands
+    # for, bit for bit: the generalized eigensolve with and without
+    # vectors (dsygvd), the spectrum of one matrix (dsyevr) and the
+    # banded Cholesky factor of an equilibrated band (dpbtrf)
+    sys = build(spec)
+    M, K = sys.to_dense()
+    A = M + dt * K
+    w, v = _eigh(K, M, vectors=True)
+    w_ref, v_ref = eigh(K, M)
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    assert np.array_equal(_eigh(K, A), eigh(K, A, eigvals_only=True))
+    assert np.array_equal(_eigh(A - dt * M), eigh(A - dt * M, eigvals_only=True))
+    for band in (sys.M, sys.M + dt * sys.K):
+        assert np.array_equal(_BandedSPD(band).factor, cholesky_banded(_jacobi(band)[1], lower=True))
+
+
+def test_indefinite_band_keeps_the_text_of_cholesky_banded():
+    # a positive diagonal, but indefinite: the factorization stops at the
+    # same leading minor, with the same message, as cholesky_banded
+    sys = build((OperatorForm.DIVERGENCE, False, 8, 0.5, 0.5, -1.0, 1.0))
+    bad = sys.M.copy()
+    bad[1, 3] = 2.0 * np.sqrt(sys.M[0, 3] * sys.M[0, 4])
+    with pytest.raises(LinAlgError) as expected:
+        cholesky_banded(_jacobi(bad)[1], lower=True)
+    assert str(expected.value) == "5-th leading minor not positive definite"
+    with pytest.raises(LinAlgError) as raised:
+        _BandedSPD(bad)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_banded_pencil_eigenvalues_refuse_a_singular_mass():

@@ -601,6 +601,29 @@ def _growing_propagator(monkeypatch, factor):
     monkeypatch.setattr(TimeStepper, "_form_propagator", grown)
 
 
+@pytest.mark.parametrize("columns", [None, 1, 3])
+def test_propagate_keeps_the_bits_of_matmul(columns):
+    # np.dot makes the BLAS call np.matmul makes: the same bits for one
+    # state or trailing columns, with inf and nan among the entries, and
+    # written into a row of a larger array as the run loop does
+    config = _propagator_config(OperatorForm.NON_DIVERGENCE, 1.5, Scheme.IMPLICIT_EULER, 32, 2500, 4e-4)
+    stepper = TimeStepper(build_system(config), config.dt, config.scheme, 2500)
+    S = stepper._propagator
+    rng = np.random.default_rng(7)
+    shape = (len(S),) if columns is None else (len(S), columns)
+    for special in (None, np.inf, -np.inf, np.nan):
+        u = rng.standard_normal(shape)
+        if special is not None:
+            u[5] = special
+        with np.errstate(invalid="ignore"):  # inf - inf in the sums
+            expected = np.matmul(S, u)
+            assert stepper.propagate(u).tobytes() == expected.tobytes()
+            rows = np.zeros((3,) + shape)
+            row = rows[1]
+            assert stepper.propagate(u, row) is row
+        assert row.tobytes() == expected.tobytes() and not rows[[0, 2]].any()
+
+
 def test_propagator_loop_keeps_the_truncation_of_an_overflow(monkeypatch):
     # the states double every step: the squared M-norm overflows at
     # state 513, the dofs themselves about 500 steps later
@@ -642,7 +665,7 @@ def test_propagator_step_that_raises_ends_the_run(monkeypatch):
     )
     with np.errstate(all="raise"):
         traj, reference = run(config), _step_free_run(config)
-    assert traj.aborted == "step from t = 0.0008333333333333334: overflow encountered in matmul"
+    assert traj.aborted == "step from t = 0.0008333333333333334: overflow encountered in dot"
     assert len(traj.times) == 2 and np.all(np.isfinite(traj.norm_mu_sq))
     _assert_same_run(traj, reference)
 

@@ -394,7 +394,8 @@ def test_kept_arrays_are_read_only():
     kept = [*system.to_dense("M", "K", "stiffness_interior"), system.mass_rows]
     for kind, d in zip(PENCIL[system.form], (0, 2)):
         rule = system.rule(kind)
-        kept += [rule.points, rule.weights, rule.pair_integrals(d)]
+        kept += [rule.points, rule.weights, rule.pair_integrals(d), gram_matrix(rule, d)]
+        assert gram_matrix(rule, d) is kept[-1]  # formed once
     for array in kept:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0

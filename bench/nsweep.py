@@ -1,8 +1,8 @@
-"""Cost of assembly and of the two step paths of ``TimeStepper`` against
-the mesh size.
+"""Cost of assembly, of the two step paths of ``TimeStepper`` and of the
+pencil's eigenvalues against the mesh size.
 
     OPENBLAS_NUM_THREADS=1 python3 bench/nsweep.py [--sizes 8 16 ...] \
-        [--repeats 5] --out BENCH_27.json
+        [--repeats 5] --out BENCH_30.json
 
 Run from the repository root; the package is imported from ``src``.  For
 each n (default 8, 16, ..., 512 elements) and both operator forms it
@@ -34,6 +34,15 @@ same key plus ``_min``:
                     states in place, timed over 2 * dofs steps
   csv_row_us        ``Trajectory.write_csv`` of those 2 * dofs steps, per
                     row of its 5 fields
+  tridiagonal_ms    one ``BandPencil`` of the system's M and K: the
+                    Jacobi scaling and dsbgv's reduction of the pencil
+                    to a tridiagonal, without an eigenvalue
+  spectrum_ms       what ``spectrum`` computes at its default count
+                    (``cli.SPECTRUM_COUNT``): the reduction, the bottom
+                    eigenvalues, the largest and the kernel count, by
+                    bisection and Sturm counts where ``BandPencil`` bisects
+  spectrum_all_ms   the same with every eigenvalue: the reduction and
+                    the QR sweep ``dsterf``, which answers the rest
   inverse_build_ms  forming the propagator S = A^{-1} R by the refined
                     banded solve of the columns of R (the name is
                     that of earlier BENCH files, whose keys stay fixed)
@@ -70,6 +79,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from wentzell4.cli import SPECTRUM_COUNT  # noqa: E402
 from wentzell4.coefficient import power_profile  # noqa: E402
 from wentzell4.evolution import (  # noqa: E402
     _DENSE_MIN_STEPS_PER_DOF,
@@ -80,7 +90,8 @@ from wentzell4.evolution import (  # noqa: E402
     initial_dofs,
     make_state,
 )
-from wentzell4.forms import OperatorForm, WentzellParams, band_matvec  # noqa: E402
+from wentzell4.forms import BandPencil, OperatorForm, WentzellParams, band_matvec  # noqa: E402
+from wentzell4.oracle import kernel_ceiling  # noqa: E402
 
 SIZES = (8, 16, 32, 64, 128, 256, 512)
 # (form, exponent K, scheme, dt): the step matrices of evolve and march
@@ -92,11 +103,13 @@ CASES = (
 TIMINGS = (
     "assemble_ms", "banded_step_us", "solve_us", "plain_solve_us", "matvec_us", "dense_step_us",
     "inverse_build_ms", "propagator_loop_us", "csv_row_us", "ld_matvec_us",
+    "tridiagonal_ms", "spectrum_ms", "spectrum_all_ms",
 )
 ROW_KEYS = (
     "form", "n", "dofs", "assemble_ms", "banded_step_us", "solve_us", "plain_solve_us",
     "matvec_us", "dense_step_us", "inverse_build_ms", "break_even_steps", "norm_rel_diff",
-    "propagator_loop_us", "csv_row_us", "ld_matvec_us",
+    "propagator_loop_us", "csv_row_us", "ld_matvec_us", "tridiagonal_ms", "spectrum_ms",
+    "spectrum_all_ms",
 ) + tuple(f"{key}_min" for key in TIMINGS)
 KEYS = ("python", "numpy", "machine", "sizes", "rows", "dense_max_dofs",
         "dense_min_steps_per_dof", "break_even_margin")
@@ -129,6 +142,14 @@ def _propagate_rows(propagate, states):
         propagate(state, after)
 
 
+def _spectrum(system, count=None):
+    """What ``spectrum`` computes for ``count`` (all eigenvalues when
+    None): the bottom eigenvalues, the largest and the kernel count."""
+    pencil = BandPencil(system.M, system.K)
+    pencil.lowest(count)
+    pencil.count_below(kernel_ceiling(pencil.largest()))
+
+
 def measure(form, K, scheme, dt, n, repeats):
     """One row: the two step paths of one step matrix."""
     config = ProblemConfig(form, power_profile(0.5, K), WentzellParams(1.0, 1.0, -0.5, -0.5),
@@ -156,6 +177,9 @@ def measure(form, K, scheme, dt, n, repeats):
             _seconds(_propagate_rows, dense.propagate, states) / (2 * m),
             _seconds(trajectory.write_csv, io.StringIO()) / len(states),
             _seconds(_same, band_matvec, solver.rows, u0) / STEPS_PER_TIMING,
+            _seconds(BandPencil, system.M, system.K),
+            _seconds(_spectrum, system, SPECTRUM_COUNT),
+            _seconds(_spectrum, system),
         )
         for _ in range(repeats)
     ]
@@ -224,6 +248,8 @@ def _print_row(row):
           f"ld matvec {row['ld_matvec_us']:6.1f})  dense {row['dense_step_us']:8.1f} us  "
           f"loop {row['propagator_loop_us']:8.1f} us  csv row {row['csv_row_us']:5.2f} us  "
           f"inverse {row['inverse_build_ms']:8.2f} ms  break-even {'-' if steps is None else f'{steps:.0f}'} steps  "
+          f"spectrum {row['spectrum_ms']:7.2f} ms (all {row['spectrum_all_ms']:7.2f}, "
+          f"tridiagonal {row['tridiagonal_ms']:7.2f})  "
           f"norm diff {row['norm_rel_diff']:.1e}", flush=True)
 
 

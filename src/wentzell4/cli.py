@@ -35,10 +35,13 @@ from .evolution import (
     solvable,
     write_csv,
 )
-from .forms import OperatorForm, WentzellParams, band_matvec, band_pencil_eigenvalues, row_band
-from .oracle import SUITES, near_zero_count, psd_ok, verification_report
+from .forms import BandPencil, OperatorForm, WentzellParams, band_matvec, row_band
+from .oracle import SUITES, kernel_ceiling, psd_ok, verification_report
 
 __all__ = ["ConfigError", "CliConfig", "parse_config", "dispatch", "main"]
+
+# eigenvalues spectrum.csv lists without spectrum.count: lambda_1..lambda_6
+SPECTRUM_COUNT = 6
 
 
 def _section(doc, key, allowed, required=False):
@@ -56,7 +59,7 @@ def _section(doc, key, allowed, required=False):
 class CliConfig:
     problem: ProblemConfig
     verify_suites: tuple
-    spectrum_count: int | None
+    spectrum_count: int
     resolvent_lambda: float
     resolvent_f: object
 
@@ -66,10 +69,11 @@ def parse_config(text) -> CliConfig:
 
     Required: operator, coefficient.x0, coefficient.K, wentzell.beta0/1,
     time.T.  Defaults: coefficient.scale 1, wentzell.gamma0/1 0, scheme
-    implicit_euler, n = 32, dt = T/100; the mesh has equal elements on
-    each side of x0.  Unknown keys anywhere are rejected.  This reads the
-    shape of the document only; each bound is checked by the constructor
-    the value goes to, and :class:`ProblemConfig` checks the problem.
+    implicit_euler, n = 32, dt = T/100, spectrum.count 6; the mesh has
+    equal elements on each side of x0.  Unknown keys anywhere are
+    rejected.  This reads the shape of the document only; each bound is
+    checked by the constructor the value goes to, and
+    :class:`ProblemConfig` checks the problem.
     """
     try:
         doc = json.loads(text)
@@ -144,7 +148,8 @@ def parse_config(text) -> CliConfig:
         raise ConfigError("verify.suites", f"unknown suite {sorted(bad)[0]!r}")
 
     count = _section(doc, "spectrum", {"count"}).get("count")
-    if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 1):
+    count = SPECTRUM_COUNT if count is None else count
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ConfigError("spectrum.count", "must be a positive integer")
 
     rdoc = _section(doc, "resolvent", {"lambda", "f"})
@@ -182,16 +187,18 @@ def _cmd_verify(config: CliConfig, out: Path):
 def _cmd_spectrum(config: CliConfig, out: Path):
     system = build_system(config.problem)
     with solvable("spectrum"):
-        eigenvalues = band_pencil_eigenvalues(system.M, system.K)
-    count = config.spectrum_count or len(eigenvalues)
-    write_csv(out / "spectrum.csv", "index,eigenvalue", eigenvalues[:count].tolist())
-    ok = psd_ok(eigenvalues)
+        pencil = BandPencil(system.M, system.K)
+        lowest = pencil.lowest(config.spectrum_count)
+        largest = pencil.largest()
+        kernel = pencil.count_below(kernel_ceiling(largest))
+    write_csv(out / "spectrum.csv", "index,eigenvalue", lowest.tolist())
+    ok = psd_ok((lowest[0], largest))
     _write_json(
         out / "spectrum.json",
         {
-            "min_eigenvalue": float(eigenvalues[0]),
-            "max_eigenvalue": float(eigenvalues[-1]),
-            "near_zero_count": near_zero_count(eigenvalues),
+            "min_eigenvalue": float(lowest[0]),
+            "max_eigenvalue": largest,
+            "near_zero_count": kernel,
             "psd_ok": ok,
         },
     )

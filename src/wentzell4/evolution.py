@@ -246,16 +246,19 @@ class TimeStepper:
     refined banded solve of the columns of R.  Each step is then one
     dense product S u, plus A^{-1} times the load term when forced
     (A^{-1} is formed on the first forced step, by the refined banded
-    solve of the unit vectors).  :meth:`propagate` forms S u, the one
-    place that product is written: :meth:`step_free` calls it for a
-    fresh array, and an unforced :func:`run` calls it with the next row
-    of its states as ``out``, with no other work per step (at 65 free
-    dofs, march's mesh, 1.31 us per step, against 1.83 us when the
-    product was ``np.matmul`` and 2.30 us for a loop of :meth:`step_free`
-    calls and row copies; one core of a 2-vCPU x86-64 VM, BLAS at one
-    thread).  It
-    checks nothing, so a state that is not finite is stepped on, and
-    :func:`make_state` ends the trajectory before it.  Without ``n_steps`` every step is a refined
+    solve of the unit vectors).  ``propagate(u_free, out=None)`` forms
+    S u, the one place that product is written: it is the propagator's
+    bound ``ndarray.dot``, set with S, so a call is the BLAS product with
+    no Python frame around it (the call ``np.matmul`` makes, bit for
+    bit; ``out`` must be a C-contiguous float array and is returned).
+    :meth:`step_free` calls it for a fresh array, and an unforced
+    :func:`run` calls it with the next row of its states as ``out``, with
+    no other work per step (at 65 free dofs, march's mesh, 0.98 us per
+    step against 1.35 us through a method calling ``np.dot``, the median
+    of 200 interleaved rounds, faster in 199; one core of a 2-vCPU
+    x86-64 VM, BLAS at one thread).  It checks nothing, so a state that
+    is not finite is stepped on, and :func:`make_state` ends the
+    trajectory before it.  Without ``n_steps`` every step is a refined
     banded solve, which raises LinAlgError on a right-hand side that is
     not finite.  A step matrix with an entry that is not finite raises
     ConfigError("time.dt"); a finite one without a Cholesky factor,
@@ -290,21 +293,16 @@ class TimeStepper:
         terms |A^{-1}| |R| that cancel in it, as a banded step rounds
         R u: on Crank-Nicolson runs its norms drift from exact steps by
         0.04 to 19 times as much as the banded path's, those of the
-        solved S by 0.0005 to 0.12 times as much (see README)."""
+        solved S by 0.0005 to 0.12 times as much (see README).  Sets
+        ``propagate`` to the bound product of S."""
         self._propagator = self._solver.solve(band_to_dense(self._rhs_band))
+        self.propagate = self._propagator.dot
 
     @functools.cached_property
     def _inverse(self):
         """A^{-1}, by the refined banded solve of the unit vectors: the
         load term of a forced step by the propagator."""
         return self._solver.solve(np.eye(len(self._rhs)))
-
-    def propagate(self, u_free, out=None):
-        """S u_free, into ``out`` when given: the unforced step by the
-        propagator, and the one place its product is formed.  ``np.dot``
-        makes the BLAS call ``np.matmul`` makes, with less overhead per
-        call; ``out`` must be a C-contiguous float array."""
-        return np.dot(self._propagator, u_free, out)
 
     def step_free(self, u_free, load_now=None, load_next=None):
         """Advance free-dof coefficients; vectorized over trailing columns."""
@@ -636,7 +634,7 @@ def run(config: ProblemConfig) -> Trajectory:
     The loop steps the free dofs into one preallocated array, a row per
     state, and does nothing else; an unforced run on the propagator path
     writes each product ``S u`` into its row in place
-    (:meth:`TimeStepper.propagate`), and every other run stores the
+    (``TimeStepper.propagate``), and every other run stores the
     result of :meth:`TimeStepper.step_free`, with the bits of either.  It
     stops at the first step that raises, with the time of that step
     accumulated as t + dt (on the banded path this includes the step

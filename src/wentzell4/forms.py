@@ -36,8 +36,19 @@ compiled CSR loop applies, and that loop's order of summation is what
 the bits of every product rest on.  Dense
 copies exist only through :meth:`AssembledSystem.to_dense`, for the
 oracle and tests, and in the propagator of a long run on a small mesh
-(:class:`evolution.TimeStepper`); the eigenvalues of the pencil come
-from the bands (:func:`band_pencil_eigenvalues`, LAPACK ``dsbgv``).
+(:class:`evolution.TimeStepper`).
+
+Eigenvalues.  :class:`BandPencil` reduces the pencil to one symmetric
+tridiagonal matrix by the stages of LAPACK ``dsbgv``, called directly
+on the bands, and answers each question from it: all eigenvalues by
+``dsbgv``'s own last stage, the QR sweep ``dsterf``, so they keep its
+bits (:func:`band_pencil_eigenvalues`, for the oracle), and a few
+eigenvalues, the largest or the count below a value by bisection and
+Sturm counts (``dstebz``), O(n) each against the sweep's O(n^2).  At
+1026 dofs the reduction takes 14 ms, the sweep 14 ms more, and the
+bottom 6 eigenvalues, the largest and the kernel count together 4 ms
+more (BENCH_30.json, the fastest of 11 rounds; one core of a 2-vCPU
+x86-64 VM).
 
 The element blocks are exactly symmetric, as each stores one computed
 value at (i, j) and (j, i), and an entry of the band sums
@@ -46,7 +57,7 @@ bit, and M = M^T and K = K^T hold with no rounding gap.
 
 Solvers.  :class:`_BandedSPD` is a banded Cholesky factorization (LAPACK
 ``dpbtrf``, the call ``cholesky_banded`` makes, made directly) after
-Jacobi equilibration, the step :func:`band_pencil_eigenvalues` shares,
+Jacobi equilibration, the step :class:`BandPencil` shares,
 plus one round of refinement against a longdouble residual that equals
 the dense one bit for bit.  Equilibration leaves a step matrix
 ill-conditioned (condition number 7.3e9 for the Crank-Nicolson matrix of
@@ -72,7 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cython_lapack
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dstebz, dsterf
 from scipy.sparse import _sparsetools
 
 from .coefficient import (
@@ -89,6 +100,7 @@ __all__ = [
     "OperatorForm",
     "WentzellParams",
     "AssembledSystem",
+    "BandPencil",
     "Pencil",
     "PENCIL",
     "assemble",
@@ -247,13 +259,18 @@ def band_congruence(ab, d):
     return out
 
 
+_LAPACK_ARGS = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int), "d": ctypes.c_void_p}
+
+
 @functools.cache
-def _dsbgv():
-    """LAPACK dsbgv as a ctypes function, each array passed by its
-    address.  scipy.linalg.lapack wraps no banded generalized
-    eigensolver; scipy.linalg.cython_lapack exports one for Cython, as a
-    capsule holding the C function pointer."""
-    capsule = cython_lapack.__pyx_capi__["dsbgv"]
+def _lapack(name, signature):
+    """The LAPACK routine ``name`` as a ctypes function, each argument
+    passed by its address; ``signature`` gives their kinds in order,
+    ``c`` a character, ``i`` an integer, ``d`` a double array.
+    scipy.linalg.lapack wraps no banded generalized eigensolver stage;
+    scipy.linalg.cython_lapack exports each for Cython, as a capsule
+    holding the C function pointer."""
+    capsule = cython_lapack.__pyx_capi__[name]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi)
     )
@@ -261,11 +278,7 @@ def _dsbgv():
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
     address = get_pointer(capsule, get_name(capsule))
-    char, integer, double = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-    return ctypes.CFUNCTYPE(
-        None, char, char, integer, integer, integer, double, integer,
-        double, integer, double, double, integer, double, integer,
-    )(address)
+    return ctypes.CFUNCTYPE(None, *(_LAPACK_ARGS[kind] for kind in signature))(address)
 
 
 def _jacobi(ab):
@@ -323,50 +336,133 @@ class _BandedSPD:
         return x + self._solve_once((b - band_matvec(self.rows, x)).astype(float))
 
 
-def band_pencil_eigenvalues(mass, stiffness):
-    """All eigenvalues, ascending, of the symmetric-definite pencil
-    K v = lambda M v given by the lower bands of M and K.
+# Bisection costs O(n) per eigenvalue and the QR sweep O(n^2) for all,
+# so they break even at a fixed number of dofs per eigenvalue: about 35
+# for the bottom ones alone (at 514 and 1026 dofs, 0.27 and 0.5 ms per
+# eigenvalue against a sweep of 4.0 and 13.6 ms), and about 43 for the 6
+# of ``spectrum`` with its largest eigenvalue and kernel count, which
+# break even at 258 dofs (BENCH_30.json)
+_BISECT_DOFS_PER_EIGENVALUE = 40
+
+
+class BandPencil:
+    """Eigenvalues of the symmetric-definite pencil K v = lambda M v given
+    by the lower bands of M and K.
 
     Both bands are Jacobi-equilibrated by 1/sqrt(diag M), a congruence
-    that leaves the spectrum unchanged, and handed to LAPACK dsbgv
-    (Crawford's band reduction, then a tridiagonal eigensolve) without
-    eigenvectors: O(n^2) time and O(n) memory.  A mass that is not
-    positive definite, or whose equilibration is out of double range,
-    raises LinAlgError.
+    that leaves the spectrum unchanged, and reduced to one symmetric
+    tridiagonal matrix by the stages of LAPACK ``dsbgv`` without
+    eigenvectors, each called directly: ``dpbstf`` (the split Cholesky
+    factor of M), ``dsbgst`` (Crawford's reduction to a standard band)
+    and ``dsbtrd`` (the band to a tridiagonal), O(n^2) time and O(n)
+    memory.  A mass that is not positive definite, or whose
+    equilibration is out of double range, raises LinAlgError.
+
+    Every question is answered from the tridiagonal: all eigenvalues by
+    the QR sweep ``dsterf``, the last stage of ``dsbgv``, so they are
+    its values bit for bit; a few by bisection (``dstebz``, O(n) each),
+    when :meth:`lowest` asks for fewer than one per
+    ``_BISECT_DOFS_PER_EIGENVALUE`` dofs.  Once the sweep has run,
+    :meth:`largest` and :meth:`count_below` read it, else they bisect
+    and count by Sturm sequences.
     """
-    mass, stiffness = np.asarray(mass, dtype=float), np.asarray(stiffness, dtype=float)
-    if mass.ndim != 2 or mass.shape != stiffness.shape:
-        raise ValueError(f"bands of shape {mass.shape} and {stiffness.shape}")
-    dinv, scaled = _jacobi(mass)
-    ldab, n = mass.shape
-    size = ldab * n
-    # one buffer holds every array dsbgv reads or writes, so that one
-    # address is looked up: the bands of K and M, which it overwrites, in
-    # Fortran (column-major) order, then w (n), z (1) and work (3n)
-    buf = np.empty(2 * size + 4 * n + 1)
-    for k, band in enumerate((band_congruence(stiffness, dinv), scaled)):
-        buf[k * size:(k + 1) * size].reshape(n, ldab).T[...] = band
-    base = buf.ctypes.data
-    ab, bb, w, z, work = (
-        base + buf.itemsize * offset
-        for offset in (0, size, 2 * size, 2 * size + n, 2 * size + n + 1)
-    )
-    info = ctypes.c_int(0)
 
-    def ref(value):
-        return ctypes.byref(ctypes.c_int(value))
+    def __init__(self, mass, stiffness):
+        mass, stiffness = np.asarray(mass, dtype=float), np.asarray(stiffness, dtype=float)
+        if mass.ndim != 2 or mass.shape != stiffness.shape:
+            raise ValueError(f"bands of shape {mass.shape} and {stiffness.shape}")
+        dinv, scaled = _jacobi(mass)
+        ldab, n = mass.shape
+        size = ldab * n
+        # one buffer holds every array the stages read or write, so that
+        # one address is looked up: the bands of K and M, which they
+        # overwrite, in Fortran (column-major) order, then d (n), e (n),
+        # work (2n) and the unreferenced x and q (1)
+        buf = np.zeros(2 * size + 4 * n + 1)
+        for k, band in enumerate((band_congruence(stiffness, dinv), scaled)):
+            buf[k * size:(k + 1) * size].reshape(n, ldab).T[...] = band
+        base = buf.ctypes.data
+        ab, bb, d, e, work, unused = (
+            base + buf.itemsize * offset
+            for offset in (0, size, 2 * size, 2 * size + n, 2 * size + 2 * n, 2 * size + 4 * n)
+        )
+        info = ctypes.c_int(0)
 
-    _dsbgv()(
-        b"N", b"L", ref(n), ref(ldab - 1), ref(ldab - 1), ab, ref(ldab), bb, ref(ldab),
-        w, z, ref(1), work, ctypes.byref(info),
-    )
-    if info.value > n:  # the split Cholesky factorization of M failed
-        raise LinAlgError("mass matrix is not positive definite")
-    if info.value > 0:
-        raise LinAlgError(f"dsbgv: {info.value} eigenvalues failed to converge")
-    if info.value < 0:
-        raise ValueError(f"dsbgv argument {-info.value} is invalid")
-    return buf[2 * size:2 * size + n].copy()
+        def ref(value):
+            return ctypes.byref(ctypes.c_int(value))
+
+        def call(name, signature, *args):
+            _lapack(name, signature)(*args, ctypes.byref(info))
+            if info.value < 0:
+                raise ValueError(f"{name} argument {-info.value} is invalid")
+            return info.value
+
+        kd = ref(ldab - 1)
+        if call("dpbstf", "ciidii", b"L", ref(n), kd, bb, ref(ldab)):
+            # the split Cholesky factorization of M failed
+            raise LinAlgError("mass matrix is not positive definite")
+        call("dsbgst", "cciiididididi",
+             b"N", b"L", ref(n), kd, kd, ab, ref(ldab), bb, ref(ldab), unused, ref(1), work)
+        call("dsbtrd", "cciididddidi",
+             b"N", b"L", ref(n), kd, ab, ref(ldab), d, e, unused, ref(1), work)
+        start = 2 * size
+        self._d, self._e = buf[start:start + n].copy(), buf[start + n:start + 2 * n - 1].copy()
+        self._sweep = None
+
+    def _all(self):
+        """Every eigenvalue, ascending, by the QR sweep, run once."""
+        if self._sweep is None:
+            w, info = dsterf(self._d, self._e)
+            if info:
+                raise LinAlgError(f"dsterf: {info} eigenvalues failed to converge")
+            self._sweep = w
+        return self._sweep
+
+    def _bisect(self, first, last):
+        """Eigenvalues ``first`` to ``last`` (1-based, ascending) by
+        bisection.  The absolute tolerance is the least dstebz takes,
+        the one that resolves each to the precision of its Sturm count:
+        with dstebz's default the smallest eigenvalue moves by 2%."""
+        m, w, _, _, info = dstebz(self._d, self._e, 2, 0.0, 0.0, first, last,
+                                  2.0 * np.finfo(float).tiny, b"E")
+        if info:
+            raise LinAlgError(f"dstebz failed with info = {info}")
+        return w[:m]
+
+    def lowest(self, count=None):
+        """The ``count`` smallest eigenvalues, ascending (all by default;
+        a count above n gives all n): bisected while each has at least
+        ``_BISECT_DOFS_PER_EIGENVALUE`` dofs, else the head of the sweep."""
+        if (count is not None and self._sweep is None
+                and _BISECT_DOFS_PER_EIGENVALUE * count < len(self._d)):
+            return self._bisect(1, count)
+        return self._all()[:count].copy()
+
+    def largest(self):
+        """The largest eigenvalue."""
+        if self._sweep is not None:
+            return float(self._sweep[-1])
+        n = len(self._d)
+        return float(self._bisect(n, n)[0])
+
+    def count_below(self, value):
+        """The number of eigenvalues below ``value``; by the Sturm counts
+        of a dstebz interval, the eigenvalues at most ``value``, when no
+        sweep has run (one equal to ``value`` is the only difference).
+        The tolerance is ``value`` itself: the count does not depend on
+        it, and the bisection inside the interval stops at once."""
+        if self._sweep is not None:
+            return int(np.sum(self._sweep < value))
+        m, _, _, _, info = dstebz(self._d, self._e, 1, -np.inf, value, 0, 0, abs(value), b"E")
+        if info:
+            raise LinAlgError(f"dstebz failed with info = {info}")
+        return int(m)
+
+
+def band_pencil_eigenvalues(mass, stiffness):
+    """All eigenvalues, ascending, of the pencil of the lower bands of M
+    and K: those of LAPACK ``dsbgv``, bit for bit (:class:`BandPencil`)."""
+    return BandPencil(mass, stiffness).lowest()
 
 
 def free_band(ab, free):

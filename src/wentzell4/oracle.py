@@ -62,6 +62,7 @@ __all__ = [
     "dense_decompose",
     "psd_ok",
     "near_zero_count",
+    "kernel_ceiling",
     "exact_propagator",
     "green_residual",
     "green_battery",
@@ -92,18 +93,26 @@ KERNEL_REL_TOL = 1e-9
 BANDED_EIGENVALUE_GAP_TOL = 5e-14
 
 
-def _spectral_scale(eigenvalues):
-    return max(float(eigenvalues[-1]), 1.0)
+def _spectral_scale(largest):
+    return max(float(largest), 1.0)
 
 
 def psd_ok(eigenvalues):
-    """Positive semidefiniteness of an ascending pencil spectrum."""
-    return bool(eigenvalues[0] >= -PSD_REL_TOL * _spectral_scale(eigenvalues))
+    """Positive semidefiniteness of an ascending pencil spectrum; only
+    its first and last entries are read, so the pair (smallest, largest)
+    serves as well."""
+    return bool(eigenvalues[0] >= -PSD_REL_TOL * _spectral_scale(eigenvalues[-1]))
+
+
+def kernel_ceiling(largest):
+    """The value below which an eigenvalue counts as zero, in a spectrum
+    whose largest eigenvalue is ``largest``."""
+    return KERNEL_REL_TOL * _spectral_scale(largest)
 
 
 def near_zero_count(eigenvalues):
     """Number of eigenvalues that count as zero: the kernel dimension."""
-    return int(np.sum(eigenvalues < KERNEL_REL_TOL * _spectral_scale(eigenvalues)))
+    return int(np.sum(eigenvalues < kernel_ceiling(eigenvalues[-1])))
 
 
 @dataclass(frozen=True)

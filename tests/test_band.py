@@ -1,10 +1,11 @@
 """The lower band storage of M and K against dense copies."""
+import ctypes
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
@@ -14,10 +15,12 @@ from wentzell4.discretization import WeightKind, _gauss_legendre, build_mesh, sh
 from wentzell4.evolution import ProblemConfig, Scheme, _polynomial_load, run
 from wentzell4.forms import (
     PENCIL,
+    BandPencil,
     OperatorForm,
     WentzellParams,
     _BandedSPD,
     _jacobi,
+    _lapack,
     assemble,
     band_congruence,
     band_matvec,
@@ -32,6 +35,7 @@ from wentzell4.oracle import (
     _case_matrix,
     _eigh,
     dense_decompose,
+    kernel_ceiling,
     near_zero_count,
     psd_ok,
 )
@@ -488,6 +492,90 @@ def test_banded_pencil_eigenvalues_refuse_a_singular_mass():
         band_pencil_eigenvalues(bad, sys.K)
 
 
+def dsbgv_eigenvalues(mass, stiffness):
+    """The reference: all eigenvalues by one LAPACK dsbgv call on the
+    Jacobi-equilibrated bands, through the same capsule machinery."""
+    dinv, scaled = _jacobi(mass)
+    ldab, n = mass.shape
+    ab = np.asfortranarray(band_congruence(stiffness, dinv))
+    bb = np.asfortranarray(scaled)
+    w, z, work, info = np.empty(n), np.empty(1), np.empty(3 * n), ctypes.c_int(0)
+
+    def ref(value):
+        return ctypes.byref(ctypes.c_int(value))
+
+    _lapack("dsbgv", "cciiidididdidi")(
+        b"N", b"L", ref(n), ref(ldab - 1), ref(ldab - 1), ab.ctypes.data, ref(ldab),
+        bb.ctypes.data, ref(ldab), w.ctypes.data, z.ctypes.data, ref(1), work.ctypes.data,
+        ctypes.byref(info),
+    )
+    assert info.value == 0, info.value
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=systems)
+def test_band_pencil_sweep_is_dsbgv_bit_for_bit(spec):
+    # dsbgv's stages called one at a time, then its QR sweep dsterf
+    sys = build(spec)
+    w = BandPencil(sys.M, sys.K).lowest()
+    assert w.tobytes() == dsbgv_eigenvalues(sys.M, sys.K).tobytes()
+
+
+def check_bisection_against_sweep(sys, k):
+    # bisection runs when each of the k eigenvalues has at least 40 dofs
+    assert 40 * k < len(sys.free)
+    bisected, swept = BandPencil(sys.M, sys.K), BandPencil(sys.M, sys.K)
+    w = swept.lowest()
+    lowest = bisected.lowest(k)
+    largest = bisected.largest()
+    ceiling = kernel_ceiling(largest)
+    count = bisected.count_below(ceiling)
+    assert bisected._sweep is None  # no sweep ran
+    assert len(lowest) == k and np.all(np.diff(lowest) >= 0.0)
+    assert np.max(np.abs(lowest - w[:k])) <= BANDED_EIGENVALUE_GAP_TOL * max(w[-1], 1.0)
+    assert abs(largest - w[-1]) <= 1e-14 * abs(w[-1])
+    assert count == swept.count_below(ceiling) == near_zero_count(w)
+    assert psd_ok((lowest[0], largest)) == psd_ok(w)
+    return lowest, w[:k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=systems, data=st.data())
+def test_band_pencil_bisection_matches_the_sweep(spec, data):
+    sys = build(spec)
+    assume(len(sys.free) > 40)
+    k = data.draw(st.integers(min_value=1, max_value=(len(sys.free) - 1) // 40))
+    check_bisection_against_sweep(sys, k)
+
+
+@pytest.mark.parametrize("form, K", [(OperatorForm.DIVERGENCE, 0.5), (OperatorForm.NON_DIVERGENCE, 1.5)])
+@pytest.mark.parametrize("k", [1, 6, 25])
+def test_band_pencil_bisection_matches_the_sweep_at_1026_dofs(form, K, k):
+    sys = assemble(form, build_mesh(512, 0.5), power_profile(0.5, K),
+                   WentzellParams(1.0, 1.0, -0.5, -0.5))
+    lowest, swept = check_bisection_against_sweep(sys, k)
+    # damped ends, no kernel: each to 1e-4 of itself (1.9e-6 measured),
+    # where dstebz's default tolerance moves lambda_1 by 2%
+    assert np.max(np.abs(lowest / swept - 1.0)) <= 1e-4
+
+
+def test_band_pencil_keeps_the_text_of_a_singular_mass():
+    sys = build((OperatorForm.DIVERGENCE, False, 8, 0.5, 0.5, -1.0, 1.0))
+    bad = sys.M.copy()
+    bad[1, 3] = 2.0 * np.sqrt(sys.M[0, 3] * sys.M[0, 4])
+    with pytest.raises(LinAlgError, match="^mass matrix is not positive definite$"):
+        BandPencil(bad, sys.K)
+
+
+def test_band_pencil_clamps_a_count_above_n():
+    sys = build((OperatorForm.NON_DIVERGENCE, True, 8, 0.5, 0.5, -1.0, 1.0))
+    n = len(sys.free)
+    w = BandPencil(sys.M, sys.K).lowest()
+    for count in (n, n + 1, 10 * n):
+        assert BandPencil(sys.M, sys.K).lowest(count).tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize(
     "entry, value",
     [
@@ -556,21 +644,24 @@ def test_run_and_resolvent_memory_is_linear_in_n(tmp_path):
 
 
 def test_spectrum_memory_is_linear_in_n(tmp_path):
-    # the dense pencil at n = 2048 would take 134 MB per matrix
-    config = tmp_path / "spectrum.json"
-    config.write_text(json.dumps({
+    # the dense pencil at n = 2048 would take 134 MB per matrix; a count
+    # of all 4097 eigenvalues writes the full list, the default 6 bisects
+    doc = {
         "operator": "nondivergence",
         "coefficient": {"x0": 0.5, "K": 1.5},
         "wentzell": {"beta0": 1, "beta1": 2, "gamma0": -0.5, "gamma1": 0},
         "mesh": {"n": 2048},
         "time": {"T": 1.0},
-    }))
-    tracemalloc.start()
-    try:
-        status = main(["spectrum", "--config", str(config), "--out", str(tmp_path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert status == 0 and peak < 30e6, peak
-    # header plus 4098 dofs less the one pinned at x0
-    assert len((tmp_path / "spectrum.csv").read_text().splitlines()) == 1 + 4097
+    }
+    config = tmp_path / "spectrum.json"
+    # header plus 4098 dofs less the one pinned at x0, then the default 6
+    for spectrum, lines in (({"count": 4097}, 1 + 4097), ({}, 1 + 6)):
+        config.write_text(json.dumps(dict(doc, spectrum=spectrum)))
+        tracemalloc.start()
+        try:
+            status = main(["spectrum", "--config", str(config), "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0 and peak < 30e6, peak
+        assert len((tmp_path / "spectrum.csv").read_text().splitlines()) == lines

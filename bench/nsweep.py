@@ -11,7 +11,9 @@ Crank-Nicolson, dt = 0.01; non-divergence: strong class, implicit Euler,
 dt = 4e-4) and measures, each the median over ``--repeats`` rounds that
 time every quantity once, so that a slow spell of the machine falls on
 all of them alike, with the minimum over the rounds beside it under the
-same key plus ``_min``:
+same key plus ``_min``.  Each round starts one quantity later than the
+round before, so no quantity is always the first of its round, whose
+timing reads high on small meshes:
 
   assemble_ms       one ``build_system``: mesh, quadrature rules and the
                     bands of M and K
@@ -34,13 +36,15 @@ same key plus ``_min``:
                     states in place, timed over 2 * dofs steps
   csv_row_us        ``Trajectory.write_csv`` of those 2 * dofs steps, per
                     row of its 5 fields
-  tridiagonal_ms    one ``BandPencil`` of the system's M and K: the
-                    Jacobi scaling and dsbgv's reduction of the pencil
-                    to a tridiagonal, without an eigenvalue
+  tridiagonal_ms    one band reduction of the system's M and K, the
+                    stages of dsbgv before its QR sweep: the Jacobi
+                    scaling and the reduction of the pencil to a
+                    tridiagonal, without an eigenvalue
   spectrum_ms       what ``spectrum`` computes at its default count
-                    (``cli.SPECTRUM_COUNT``): the reduction, the bottom
-                    eigenvalues, the largest and the kernel count, by
-                    bisection and Sturm counts where ``BandPencil`` bisects
+                    (``cli.SPECTRUM_COUNT``), ``forms.pencil_spectrum``:
+                    the bottom eigenvalues, the largest and the kernel
+                    count, by shift-invert Lanczos and Cholesky bisection
+                    where it takes that path
   spectrum_all_ms   the same with every eigenvalue: the reduction and
                     the QR sweep ``dsterf``, which answers the rest
   inverse_build_ms  forming the propagator S = A^{-1} R by the refined
@@ -90,7 +94,13 @@ from wentzell4.evolution import (  # noqa: E402
     initial_dofs,
     make_state,
 )
-from wentzell4.forms import BandPencil, OperatorForm, WentzellParams, band_matvec  # noqa: E402
+from wentzell4.forms import (  # noqa: E402
+    OperatorForm,
+    WentzellParams,
+    _tridiagonal,
+    band_matvec,
+    pencil_spectrum,
+)
 from wentzell4.oracle import kernel_ceiling  # noqa: E402
 
 SIZES = (8, 16, 32, 64, 128, 256, 512)
@@ -99,7 +109,7 @@ CASES = (
     (OperatorForm.DIVERGENCE, 0.5, Scheme.CRANK_NICOLSON, 0.01),
     (OperatorForm.NON_DIVERGENCE, 1.5, Scheme.IMPLICIT_EULER, 4e-4),
 )
-# the timed quantities, in the order of a round
+# the timed quantities, in the order of the first round
 TIMINGS = (
     "assemble_ms", "banded_step_us", "solve_us", "plain_solve_us", "matvec_us", "dense_step_us",
     "inverse_build_ms", "propagator_loop_us", "csv_row_us", "ld_matvec_us",
@@ -142,14 +152,6 @@ def _propagate_rows(propagate, states):
         propagate(state, after)
 
 
-def _spectrum(system, count=None):
-    """What ``spectrum`` computes for ``count`` (all eigenvalues when
-    None): the bottom eigenvalues, the largest and the kernel count."""
-    pencil = BandPencil(system.M, system.K)
-    pencil.lowest(count)
-    pencil.count_below(kernel_ceiling(pencil.largest()))
-
-
 def measure(form, K, scheme, dt, n, repeats):
     """One row: the two step paths of one step matrix."""
     config = ProblemConfig(form, power_profile(0.5, K), WentzellParams(1.0, 1.0, -0.5, -0.5),
@@ -165,24 +167,27 @@ def measure(form, K, scheme, dt, n, repeats):
     states[0] = u0
     _propagate_rows(dense.propagate, states)
     trajectory = make_state(system, scheme, dt, states)
-    rounds = [
-        (
-            _seconds(build_system, config),
-            _seconds(_chain, banded.step_free, u0) / STEPS_PER_TIMING,
-            _seconds(_same, solver.solve, b) / STEPS_PER_TIMING,
-            _seconds(_same, solver._solve_once, b) / STEPS_PER_TIMING,
-            _seconds(_same, band_matvec, banded._rhs, u0) / STEPS_PER_TIMING,
-            _seconds(_chain, dense.step_free, u0) / STEPS_PER_TIMING,
-            _seconds(dense._form_propagator),
-            _seconds(_propagate_rows, dense.propagate, states) / (2 * m),
-            _seconds(trajectory.write_csv, io.StringIO()) / len(states),
-            _seconds(_same, band_matvec, solver.rows, u0) / STEPS_PER_TIMING,
-            _seconds(BandPencil, system.M, system.K),
-            _seconds(_spectrum, system, SPECTRUM_COUNT),
-            _seconds(_spectrum, system),
-        )
-        for _ in range(repeats)
-    ]
+    timed = {
+        "assemble_ms": lambda: _seconds(build_system, config),
+        "banded_step_us": lambda: _seconds(_chain, banded.step_free, u0) / STEPS_PER_TIMING,
+        "solve_us": lambda: _seconds(_same, solver.solve, b) / STEPS_PER_TIMING,
+        "plain_solve_us": lambda: _seconds(_same, solver._solve_once, b) / STEPS_PER_TIMING,
+        "matvec_us": lambda: _seconds(_same, band_matvec, banded._rhs, u0) / STEPS_PER_TIMING,
+        "dense_step_us": lambda: _seconds(_chain, dense.step_free, u0) / STEPS_PER_TIMING,
+        "inverse_build_ms": lambda: _seconds(dense._form_propagator),
+        "propagator_loop_us": lambda: _seconds(_propagate_rows, dense.propagate, states) / (2 * m),
+        "csv_row_us": lambda: _seconds(trajectory.write_csv, io.StringIO()) / len(states),
+        "ld_matvec_us": lambda: _seconds(_same, band_matvec, solver.rows, u0) / STEPS_PER_TIMING,
+        "tridiagonal_ms": lambda: _seconds(_tridiagonal, system.M, system.K),
+        "spectrum_ms": lambda: _seconds(pencil_spectrum, system.M, system.K, SPECTRUM_COUNT,
+                                        kernel_ceiling),
+        "spectrum_all_ms": lambda: _seconds(pencil_spectrum, system.M, system.K, m, kernel_ceiling),
+    }
+    rounds = []
+    for r in range(repeats):
+        start = r % len(TIMINGS)
+        seconds = {key: timed[key]() for key in TIMINGS[start:] + TIMINGS[:start]}
+        rounds.append([seconds[key] for key in TIMINGS])
     scales = [1e3 if key.endswith("_ms") else 1e6 for key in TIMINGS]  # from seconds
     columns = list(zip(TIMINGS, zip(*rounds), scales))
     medians = {key: statistics.median(t) * c for key, t, c in columns}

@@ -35,7 +35,7 @@ from .evolution import (
     solvable,
     write_csv,
 )
-from .forms import BandPencil, OperatorForm, WentzellParams, band_matvec, row_band
+from .forms import OperatorForm, WentzellParams, band_matvec, pencil_spectrum, row_band
 from .oracle import SUITES, kernel_ceiling, psd_ok, verification_report
 
 __all__ = ["ConfigError", "CliConfig", "parse_config", "dispatch", "main"]
@@ -187,10 +187,8 @@ def _cmd_verify(config: CliConfig, out: Path):
 def _cmd_spectrum(config: CliConfig, out: Path):
     system = build_system(config.problem)
     with solvable("spectrum"):
-        pencil = BandPencil(system.M, system.K)
-        lowest = pencil.lowest(config.spectrum_count)
-        largest = pencil.largest()
-        kernel = pencil.count_below(kernel_ceiling(largest))
+        lowest, largest, kernel = pencil_spectrum(
+            system.M, system.K, config.spectrum_count, kernel_ceiling)
     write_csv(out / "spectrum.csv", "index,eigenvalue", lowest.tolist())
     ok = psd_ok((lowest[0], largest))
     _write_json(

@@ -38,17 +38,22 @@ copies exist only through :meth:`AssembledSystem.to_dense`, for the
 oracle and tests, and in the propagator of a long run on a small mesh
 (:class:`evolution.TimeStepper`).
 
-Eigenvalues.  :class:`BandPencil` reduces the pencil to one symmetric
-tridiagonal matrix by the stages of LAPACK ``dsbgv``, called directly
-on the bands, and answers each question from it: all eigenvalues by
-``dsbgv``'s own last stage, the QR sweep ``dsterf``, so they keep its
-bits (:func:`band_pencil_eigenvalues`, for the oracle), and a few
-eigenvalues, the largest or the count below a value by bisection and
-Sturm counts (``dstebz``), O(n) each against the sweep's O(n^2).  At
-1026 dofs the reduction takes 14 ms, the sweep 14 ms more, and the
-bottom 6 eigenvalues, the largest and the kernel count together 4 ms
-more (BENCH_30.json, the fastest of 11 rounds; one core of a 2-vCPU
-x86-64 VM).
+Eigenvalues.  :func:`pencil_spectrum` answers what ``spectrum``
+reports, the bottom eigenvalues, the largest and the kernel count, by
+one of two paths.  The QR sweep reduces the pencil to one symmetric
+tridiagonal matrix by the stages of LAPACK ``dsbgv``, called directly on
+the bands, and sweeps it with ``dsbgv``'s own last stage, ``dsterf``,
+so every eigenvalue keeps its bits (:func:`band_pencil_eigenvalues`, for
+the oracle too); it costs O(n^2).  The Lanczos path touches the band
+only through O(n) factorizations, solves and products: the largest
+eigenvalue by bisection on sigma, where the Cholesky factorization of
+sigma M - K succeeds exactly above it, and the bottom ones by block
+shift-invert Lanczos on the refined solve of K + M.  It answers while
+each requested eigenvalue has more than 50 dofs, and is the more
+accurate at the bottom: lambda_1 of the damped test problem is 3.6e-7
+off at n = 512 against the sweep's 1.8e-3.  At 1026 dofs the sweep
+takes 28 ms and the Lanczos path 7 ms (bench/nsweep.py; one core of a
+2-vCPU x86-64 VM).
 
 The element blocks are exactly symmetric, as each stores one computed
 value at (i, j) and (j, i), and an entry of the band sums
@@ -83,7 +88,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cython_lapack
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dstebz, dsterf
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dsterf
 from scipy.sparse import _sparsetools
 
 from .coefficient import (
@@ -100,7 +105,6 @@ __all__ = [
     "OperatorForm",
     "WentzellParams",
     "AssembledSystem",
-    "BandPencil",
     "Pencil",
     "PENCIL",
     "assemble",
@@ -113,6 +117,7 @@ __all__ = [
     "element_blocks",
     "free_band",
     "gram_matrix",
+    "pencil_spectrum",
     "point_terms",
     "row_band",
 ]
@@ -336,133 +341,234 @@ class _BandedSPD:
         return x + self._solve_once((b - band_matvec(self.rows, x)).astype(float))
 
 
-# Bisection costs O(n) per eigenvalue and the QR sweep O(n^2) for all,
-# so they break even at a fixed number of dofs per eigenvalue: about 35
-# for the bottom ones alone (at 514 and 1026 dofs, 0.27 and 0.5 ms per
-# eigenvalue against a sweep of 4.0 and 13.6 ms), and about 43 for the 6
-# of ``spectrum`` with its largest eigenvalue and kernel count, which
-# break even at 258 dofs (BENCH_30.json)
-_BISECT_DOFS_PER_EIGENVALUE = 40
+def _tridiagonal(mass, stiffness):
+    """The pencil reduced to one symmetric tridiagonal matrix ``(d, e)``
+    by the stages of LAPACK ``dsbgv`` without eigenvectors, each called
+    directly: ``dpbstf`` (the split Cholesky factor of M), ``dsbgst``
+    (Crawford's reduction to a standard band) and ``dsbtrd`` (the band to
+    a tridiagonal), on the bands Jacobi-equilibrated by 1/sqrt(diag M),
+    a congruence that leaves the spectrum unchanged; O(n^2) time and O(n)
+    memory.  A mass that is not positive definite, or whose equilibration
+    is out of double range, raises LinAlgError."""
+    mass, stiffness = np.asarray(mass, dtype=float), np.asarray(stiffness, dtype=float)
+    if mass.ndim != 2 or mass.shape != stiffness.shape:
+        raise ValueError(f"bands of shape {mass.shape} and {stiffness.shape}")
+    dinv, scaled = _jacobi(mass)
+    ldab, n = mass.shape
+    size = ldab * n
+    # one buffer holds every array the stages read or write, so that
+    # one address is looked up: the bands of K and M, which they
+    # overwrite, in Fortran (column-major) order, then d (n), e (n),
+    # work (2n) and the unreferenced x and q (1)
+    buf = np.zeros(2 * size + 4 * n + 1)
+    for k, band in enumerate((band_congruence(stiffness, dinv), scaled)):
+        buf[k * size:(k + 1) * size].reshape(n, ldab).T[...] = band
+    base = buf.ctypes.data
+    ab, bb, d, e, work, unused = (
+        base + buf.itemsize * offset
+        for offset in (0, size, 2 * size, 2 * size + n, 2 * size + 2 * n, 2 * size + 4 * n)
+    )
+    info = ctypes.c_int(0)
 
+    def ref(value):
+        return ctypes.byref(ctypes.c_int(value))
 
-class BandPencil:
-    """Eigenvalues of the symmetric-definite pencil K v = lambda M v given
-    by the lower bands of M and K.
+    def call(name, signature, *args):
+        _lapack(name, signature)(*args, ctypes.byref(info))
+        if info.value < 0:
+            raise ValueError(f"{name} argument {-info.value} is invalid")
+        return info.value
 
-    Both bands are Jacobi-equilibrated by 1/sqrt(diag M), a congruence
-    that leaves the spectrum unchanged, and reduced to one symmetric
-    tridiagonal matrix by the stages of LAPACK ``dsbgv`` without
-    eigenvectors, each called directly: ``dpbstf`` (the split Cholesky
-    factor of M), ``dsbgst`` (Crawford's reduction to a standard band)
-    and ``dsbtrd`` (the band to a tridiagonal), O(n^2) time and O(n)
-    memory.  A mass that is not positive definite, or whose
-    equilibration is out of double range, raises LinAlgError.
-
-    Every question is answered from the tridiagonal: all eigenvalues by
-    the QR sweep ``dsterf``, the last stage of ``dsbgv``, so they are
-    its values bit for bit; a few by bisection (``dstebz``, O(n) each),
-    when :meth:`lowest` asks for fewer than one per
-    ``_BISECT_DOFS_PER_EIGENVALUE`` dofs.  Once the sweep has run,
-    :meth:`largest` and :meth:`count_below` read it, else they bisect
-    and count by Sturm sequences.
-    """
-
-    def __init__(self, mass, stiffness):
-        mass, stiffness = np.asarray(mass, dtype=float), np.asarray(stiffness, dtype=float)
-        if mass.ndim != 2 or mass.shape != stiffness.shape:
-            raise ValueError(f"bands of shape {mass.shape} and {stiffness.shape}")
-        dinv, scaled = _jacobi(mass)
-        ldab, n = mass.shape
-        size = ldab * n
-        # one buffer holds every array the stages read or write, so that
-        # one address is looked up: the bands of K and M, which they
-        # overwrite, in Fortran (column-major) order, then d (n), e (n),
-        # work (2n) and the unreferenced x and q (1)
-        buf = np.zeros(2 * size + 4 * n + 1)
-        for k, band in enumerate((band_congruence(stiffness, dinv), scaled)):
-            buf[k * size:(k + 1) * size].reshape(n, ldab).T[...] = band
-        base = buf.ctypes.data
-        ab, bb, d, e, work, unused = (
-            base + buf.itemsize * offset
-            for offset in (0, size, 2 * size, 2 * size + n, 2 * size + 2 * n, 2 * size + 4 * n)
-        )
-        info = ctypes.c_int(0)
-
-        def ref(value):
-            return ctypes.byref(ctypes.c_int(value))
-
-        def call(name, signature, *args):
-            _lapack(name, signature)(*args, ctypes.byref(info))
-            if info.value < 0:
-                raise ValueError(f"{name} argument {-info.value} is invalid")
-            return info.value
-
-        kd = ref(ldab - 1)
-        if call("dpbstf", "ciidii", b"L", ref(n), kd, bb, ref(ldab)):
-            # the split Cholesky factorization of M failed
-            raise LinAlgError("mass matrix is not positive definite")
-        call("dsbgst", "cciiididididi",
-             b"N", b"L", ref(n), kd, kd, ab, ref(ldab), bb, ref(ldab), unused, ref(1), work)
-        call("dsbtrd", "cciididddidi",
-             b"N", b"L", ref(n), kd, ab, ref(ldab), d, e, unused, ref(1), work)
-        start = 2 * size
-        self._d, self._e = buf[start:start + n].copy(), buf[start + n:start + 2 * n - 1].copy()
-        self._sweep = None
-
-    def _all(self):
-        """Every eigenvalue, ascending, by the QR sweep, run once."""
-        if self._sweep is None:
-            w, info = dsterf(self._d, self._e)
-            if info:
-                raise LinAlgError(f"dsterf: {info} eigenvalues failed to converge")
-            self._sweep = w
-        return self._sweep
-
-    def _bisect(self, first, last):
-        """Eigenvalues ``first`` to ``last`` (1-based, ascending) by
-        bisection.  The absolute tolerance is the least dstebz takes,
-        the one that resolves each to the precision of its Sturm count:
-        with dstebz's default the smallest eigenvalue moves by 2%."""
-        m, w, _, _, info = dstebz(self._d, self._e, 2, 0.0, 0.0, first, last,
-                                  2.0 * np.finfo(float).tiny, b"E")
-        if info:
-            raise LinAlgError(f"dstebz failed with info = {info}")
-        return w[:m]
-
-    def lowest(self, count=None):
-        """The ``count`` smallest eigenvalues, ascending (all by default;
-        a count above n gives all n): bisected while each has at least
-        ``_BISECT_DOFS_PER_EIGENVALUE`` dofs, else the head of the sweep."""
-        if (count is not None and self._sweep is None
-                and _BISECT_DOFS_PER_EIGENVALUE * count < len(self._d)):
-            return self._bisect(1, count)
-        return self._all()[:count].copy()
-
-    def largest(self):
-        """The largest eigenvalue."""
-        if self._sweep is not None:
-            return float(self._sweep[-1])
-        n = len(self._d)
-        return float(self._bisect(n, n)[0])
-
-    def count_below(self, value):
-        """The number of eigenvalues below ``value``; by the Sturm counts
-        of a dstebz interval, the eigenvalues at most ``value``, when no
-        sweep has run (one equal to ``value`` is the only difference).
-        The tolerance is ``value`` itself: the count does not depend on
-        it, and the bisection inside the interval stops at once."""
-        if self._sweep is not None:
-            return int(np.sum(self._sweep < value))
-        m, _, _, _, info = dstebz(self._d, self._e, 1, -np.inf, value, 0, 0, abs(value), b"E")
-        if info:
-            raise LinAlgError(f"dstebz failed with info = {info}")
-        return int(m)
+    kd = ref(ldab - 1)
+    if call("dpbstf", "ciidii", b"L", ref(n), kd, bb, ref(ldab)):
+        # the split Cholesky factorization of M failed
+        raise LinAlgError("mass matrix is not positive definite")
+    call("dsbgst", "cciiididididi",
+         b"N", b"L", ref(n), kd, kd, ab, ref(ldab), bb, ref(ldab), unused, ref(1), work)
+    call("dsbtrd", "cciididddidi",
+         b"N", b"L", ref(n), kd, ab, ref(ldab), d, e, unused, ref(1), work)
+    start = 2 * size
+    return buf[start:start + n].copy(), buf[start + n:start + 2 * n - 1].copy()
 
 
 def band_pencil_eigenvalues(mass, stiffness):
-    """All eigenvalues, ascending, of the pencil of the lower bands of M
-    and K: those of LAPACK ``dsbgv``, bit for bit (:class:`BandPencil`)."""
-    return BandPencil(mass, stiffness).lowest()
+    """All eigenvalues, ascending, of the pencil K v = lambda M v of the
+    lower bands of M and K: the QR sweep ``dsterf`` of the reduction
+    (:func:`_tridiagonal`), the last stage of ``dsbgv``, so they are
+    ``dsbgv``'s values bit for bit; O(n^2) time."""
+    w, info = dsterf(*_tridiagonal(mass, stiffness))
+    if info:
+        raise LinAlgError(f"dsterf: {info} eigenvalues failed to converge")
+    return w
+
+
+def _largest(mass, stiffness):
+    """The largest eigenvalue of the pencil, by bisection on sigma: by
+    Sylvester's law of inertia, sigma M - K is positive definite, and its
+    Cholesky factorization ``dpbtrf`` succeeds, exactly when sigma is
+    above it.  The bands are Jacobi-equilibrated by 1/sqrt(diag M) once,
+    so the bracket starts at the largest diagonal entry of the scaled K,
+    a Rayleigh quotient; its width doubles until the factorization
+    succeeds, then halves to the last bit, about 55 factorizations of
+    O(n) each."""
+    dinv, mass = _jacobi(mass)
+    stiffness = band_congruence(stiffness, dinv)
+    if dpbtrf(mass, lower=1)[1]:
+        raise LinAlgError("mass matrix is not positive definite")
+
+    shifted = np.empty_like(mass, order="F")  # each factorization overwrites it
+
+    def above(sigma):
+        np.multiply(mass, sigma, out=shifted)
+        np.subtract(shifted, stiffness, out=shifted)
+        return dpbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0
+
+    lo = float(stiffness[0].max())
+    step = max(abs(lo), np.finfo(float).tiny)
+    while not above(lo + step):
+        lo += step
+        step *= 2.0
+        if not math.isfinite(lo + step):
+            raise LinAlgError("largest eigenvalue is out of double range")
+    hi = lo + step
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+# Each shift-invert Lanczos step is one refined solve of K + sigma M at
+# this shift, whose spectrum transform 1/(lambda + sigma) keeps the
+# bottom eigenvalues apart.  A Ritz value counts as converged once its
+# residual bound is below this fraction of itself: lambda + sigma is then
+# within that fraction of an eigenvalue, inside the sweep's own error
+# (eps * lambda_max) up to the kernel threshold at 1026 dofs.  The Krylov
+# space is that of a block of start vectors: one vector finds a double
+# eigenvalue once, or only after the rounding of many steps has grown
+# its second direction (a double kernel next to an eigenvalue 0.35 was
+# counted once and made lambda_2 = lambda_3), and the kernel of a pencil
+# with neutral ends is double
+_LANCZOS_SHIFT = 1.0
+_LANCZOS_TOL = 1e-8
+_LANCZOS_BLOCK = 2
+# the sweep answers for a run that has not converged in this many steps
+_LANCZOS_MAX_STEPS = 300
+
+
+def _lanczos(mass, stiffness, count, ceiling):
+    """The ``count`` smallest eigenvalues of the pencil, ascending, and
+    the number below ``ceiling``, by block shift-invert Lanczos (Ericsson
+    and Ruhe, Math. Comp. 35, 1980): the Krylov space of (K + sigma M)^-1
+    M from ``_LANCZOS_BLOCK`` fixed-seed start vectors, in the M inner
+    product, with full reorthogonalization, run until the first
+    ``count`` Ritz values have converged and the first one at or above
+    ``ceiling``.  Only converged Ritz values, from the bottom up, are
+    returned; None if that takes more than ``_LANCZOS_MAX_STEPS`` steps
+    or the space stops growing.  Each step costs one refined solve,
+    three products with M (two for the inner products of the
+    reorthogonalization against every vector before it, one for the
+    norm) and an eigensolve of the projection; the basis grows with the
+    steps."""
+    n = mass.shape[1]
+    block = _LANCZOS_BLOCK
+    solver = _BandedSPD(stiffness + _LANCZOS_SHIFT * mass)
+    rows = row_band(mass)
+    most = min(n - block, _LANCZOS_MAX_STEPS)
+    basis = np.empty((0, n))  # the M-orthonormal Lanczos vectors, one per row
+    pending = []  # M times each vector no step has started from yet
+    # the projection of the operator on them, column by column: its lower
+    # band holds the block recurrence, the rest what reorthogonalization
+    # removes
+    h = np.zeros((most + block, most))
+    size = 0
+
+    def append(w, column=None):
+        """M-orthogonalize w against the basis, by classical Gram-Schmidt
+        twice, and append it normalized; its coefficients go to
+        ``column`` of h.  False if nothing is left of it."""
+        nonlocal basis, size
+        if size == len(basis):  # room for twice as many vectors, up to the last
+            grown = np.empty((min(max(2 * size, 16), most + block), n))
+            grown[:size] = basis
+            basis = grown
+        for _ in range(2):
+            c = basis[:size] @ band_matvec(rows, w)
+            w -= c @ basis[:size]
+            if column is not None:
+                h[:size, column] += c
+        mw = band_matvec(rows, w)
+        b = math.sqrt(max(float(w @ mw), 0.0))
+        if column is not None:
+            h[size, column] = b
+        if not b > 0.0:
+            return False
+        basis[size] = w / b
+        pending.append(mw / b)
+        size += 1
+        return True
+
+    # fixed seeds: a symmetric start such as all ones misses every
+    # antisymmetric mode of a symmetric problem
+    for w in np.random.default_rng(0).standard_normal((block, n)):
+        append(w)
+    for steps in range(1, most + 1):
+        if not append(solver.solve(pending.pop(0)), steps - 1):
+            return None  # an invariant subspace: no further step
+        # the Ritz pairs of the block recurrence (the lower band), and the
+        # bound on the residual of each from the rows below the block
+        theta, vectors = np.linalg.eigh(h[:steps, :steps])
+        residual = np.linalg.norm(h[steps:steps + block, :steps] @ vectors, axis=0)
+        converged = (residual <= _LANCZOS_TOL * theta)[::-1]
+        ready = len(converged) if converged.all() else int(np.argmin(converged))
+        # ascending eigenvalues lambda = 1/theta - sigma
+        found = 1.0 / theta[::-1] - _LANCZOS_SHIFT
+        if ready >= count and found[ready - 1] >= ceiling:
+            # the values are those of the whole projection made symmetric:
+            # the solve is not exactly self-adjoint, and the recurrence
+            # misses the coefficients this leaves on the earlier vectors
+            # (without them the bottom 20 at 1026 dofs move by up to 0.71
+            # of the sweep's gate against the dense solve, with them 0.001)
+            projection = h[:steps, :steps]
+            found = 1.0 / np.linalg.eigvalsh(0.5 * (projection + projection.T))[::-1] - _LANCZOS_SHIFT
+            return found[:count], int(np.sum(found[:ready] < ceiling))
+    return None
+
+
+# The sweep costs O(n^2) for every eigenvalue, the Lanczos path O(n) per
+# step plus a fixed cost (the bisection of the largest, the steps up to
+# the kernel count), so the sweep answers for small systems and large
+# counts: the Lanczos path answers while each of the ``count`` has more
+# than this many dofs.  At the default count 6 they break even at about
+# 300 dofs: Lanczos takes 2.4-4.3 ms at 258 dofs against the sweep's
+# 1.9-2.7, 2.9-3.8 against 3.2-3.8 at 306-322 dofs and 2.9-3.5 against
+# 6.2-6.6 at 514 (medians of 15 calls on one pinned core of a 2-vCPU
+# x86-64 VM)
+_LANCZOS_MIN_DOFS_PER_EIGENVALUE = 50
+
+
+def pencil_spectrum(mass, stiffness, count, kernel_ceiling):
+    """The ``count`` smallest eigenvalues of the pencil K v = lambda M v
+    of the lower bands of M and K, ascending (all n when ``count`` is n or
+    more), the largest, and the number below ``kernel_ceiling(largest)``.
+
+    While each of the ``count`` has more than
+    ``_LANCZOS_MIN_DOFS_PER_EIGENVALUE`` dofs, the largest is bisected
+    (:func:`_largest`) and the bottom ones and the count come from
+    shift-invert Lanczos (:func:`_lanczos`), O(n) per step; otherwise,
+    or if Lanczos does not converge, every number is read from the QR
+    sweep (:func:`band_pencil_eigenvalues`), O(n^2)."""
+    if _LANCZOS_MIN_DOFS_PER_EIGENVALUE * count < mass.shape[1]:
+        largest = _largest(mass, stiffness)
+        found = _lanczos(mass, stiffness, count, kernel_ceiling(largest))
+        if found is not None:
+            return found[0], largest, found[1]
+    w = band_pencil_eigenvalues(mass, stiffness)
+    largest = float(w[-1])
+    return w[:count].copy(), largest, int(np.sum(w < kernel_ceiling(largest)))
 
 
 def free_band(ab, free):

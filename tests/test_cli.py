@@ -171,8 +171,20 @@ def test_spectrum_kernel_of_neutral_divergence(tmp_path):
             "wentzell": {"gamma0": -0.5, "gamma1": -1.0},
             "mesh": {"n": 24},
         },
-        # 258 dofs: the default 6 eigenvalues are bisected
+        # 258 dofs: the default 6 eigenvalues come from the sweep, at the
+        # break-even of the two paths
         {"wentzell": {"gamma0": -0.5, "gamma1": -1.0}, "mesh": {"n": 128}},
+        # 514 dofs, shift-invert Lanczos: neutral equal ends at x0 = 1/2
+        # give a double kernel (the constants and x - 1/2) and symmetric
+        # and antisymmetric modes, which a symmetric start vector misses
+        {"mesh": {"n": 256}},
+        # K = 0 with damped ends, on the Lanczos path: the top of the
+        # spectrum clusters, and the largest comes from Cholesky bisection
+        {
+            "coefficient": {"x0": 0.5, "K": 0.0},
+            "wentzell": {"beta1": 1.5, "gamma0": -1.0, "gamma1": -0.5},
+            "mesh": {"n": 256},
+        },
     ],
 )
 def test_spectrum_forms_no_dense_matrix(tmp_path, monkeypatch, overrides):

@@ -55,3 +55,23 @@ def test_dense_max_dofs_keeps_a_margin_on_the_break_even_count():
         assert nsweep.dense_max_dofs(rows({128: low, 256: high, 512: (None, None)})) == 258
     limit = nsweep.BREAK_EVEN_MARGIN * nsweep._DENSE_MIN_STEPS_PER_DOF
     assert nsweep.dense_max_dofs(rows({128: (0.5, 1.01 * limit), 256: (3.0, 3.0)})) == 0
+
+
+def test_nsweep_rounds_start_one_quantity_later_each(monkeypatch):
+    # the first timing of a round reads high on small meshes, so no
+    # quantity may be the first of every round
+    nsweep = load_nsweep()
+    calls = []
+    seconds = nsweep._seconds
+
+    def record(fn, *args):
+        calls.append(fn)
+        return seconds(fn, *args)
+
+    monkeypatch.setattr(nsweep, "_seconds", record)
+    nsweep.measure(*nsweep.CASES[0], 8, 3)
+    size = len(nsweep.TIMINGS)
+    rounds = [calls[r * size:(r + 1) * size] for r in range(3)]
+    assert len(calls) == 3 * size
+    assert rounds[1] == rounds[0][1:] + rounds[0][:1]
+    assert rounds[2] == rounds[0][2:] + rounds[0][:2]

@@ -62,7 +62,7 @@ bit, and M = M^T and K = K^T hold with no rounding gap.
 
 Solvers.  :class:`_BandedSPD` is a banded Cholesky factorization (LAPACK
 ``dpbtrf``, the call ``cholesky_banded`` makes, made directly) after
-Jacobi equilibration, the step :class:`BandPencil` shares,
+Jacobi equilibration, the step both eigenvalue paths share,
 plus one round of refinement against a longdouble residual that equals
 the dense one bit for bit.  Equilibration leaves a step matrix
 ill-conditioned (condition number 7.3e9 for the Crank-Nicolson matrix of

@@ -1,5 +1,5 @@
-"""Cost of assembly, of the two step paths of ``TimeStepper`` and of the
-pencil's eigenvalues against the mesh size.
+"""Cost of assembly, of the two step paths of ``run`` and of the pencil's
+eigenvalues against the mesh size.
 
     OPENBLAS_NUM_THREADS=1 python3 bench/nsweep.py [--sizes 8 16 ...] \
         [--repeats 5] --out BENCH_30.json
@@ -29,11 +29,11 @@ timing reads high on small meshes:
   ld_matvec_us      one longdouble ``band_matvec`` of the step matrix's
                     rows ``_BandedSPD.rows`` with a float vector, the
                     product of the refined solve's residual
-  dense_step_us     one ``step_free`` by the propagator product, chained
-                    on fresh arrays that store no state
+  dense_step_us     one propagator product ``S.dot``, chained on fresh
+                    arrays that store no state
   propagator_loop_us  one step of ``run``'s unforced propagator loop,
-                    ``TimeStepper.propagate`` into the next row of the
-                    states in place, timed over 2 * dofs steps
+                    ``S.dot`` into the next row of the states in place,
+                    timed over 2 * dofs steps
   csv_row_us        ``Trajectory.write_csv`` of those 2 * dofs steps, per
                     row of its 5 fields
   tridiagonal_ms    one band reduction of the system's M and K, the
@@ -47,9 +47,10 @@ timing reads high on small meshes:
                     where it takes that path
   spectrum_all_ms   the same with every eigenvalue: the reduction and
                     the QR sweep ``dsterf``, which answers the rest
-  inverse_build_ms  forming the propagator S = A^{-1} R by the refined
-                    banded solve of the columns of R (the name is
-                    that of earlier BENCH files, whose keys stay fixed)
+  inverse_build_ms  ``TimeStepper.propagator``: forming S = A^{-1} R by
+                    the refined banded solve of the columns of R (the
+                    name is that of earlier BENCH files, whose keys stay
+                    fixed)
   break_even_steps  inverse_build / (banded_step - dense_step): the step
                     count from which forming S pays; null where the dense
                     step is not faster
@@ -58,7 +59,7 @@ timing reads high on small meshes:
 
 and, read off the rows, ``dense_max_dofs``: the largest dof count up to
 which every row repays forming S within ``dense_min_steps_per_dof``
-steps per dof, the shortest run ``TimeStepper`` forms it for, with the
+steps per dof, the shortest run ``run`` forms it for, with the
 margin ``break_even_margin``: a row counts only if it breaks even within
 that fraction of the steps, and a mesh size only if both of its rows
 count.  Break-even counts near the threshold (sweeps of one tree gave
@@ -159,23 +160,22 @@ def measure(form, K, scheme, dt, n, repeats):
     system = build_system(config)
     u0 = initial_dofs(system, config.u0)
     m = len(u0)
-    banded = TimeStepper(system, dt, scheme)  # no step count: banded
-    dense = TimeStepper(system, dt, scheme)
-    dense._form_propagator()
-    solver, b = banded._solver, banded.step_free(u0)
+    stepper = TimeStepper(system, dt, scheme)
+    S = stepper.propagator()
+    solver, b = stepper._solver, stepper.step_free(u0)
     states = np.empty((2 * m + 1, m))
     states[0] = u0
-    _propagate_rows(dense.propagate, states)
+    _propagate_rows(S.dot, states)
     trajectory = make_state(system, scheme, dt, states)
     timed = {
         "assemble_ms": lambda: _seconds(build_system, config),
-        "banded_step_us": lambda: _seconds(_chain, banded.step_free, u0) / STEPS_PER_TIMING,
+        "banded_step_us": lambda: _seconds(_chain, stepper.step_free, u0) / STEPS_PER_TIMING,
         "solve_us": lambda: _seconds(_same, solver.solve, b) / STEPS_PER_TIMING,
         "plain_solve_us": lambda: _seconds(_same, solver._solve_once, b) / STEPS_PER_TIMING,
-        "matvec_us": lambda: _seconds(_same, band_matvec, banded._rhs, u0) / STEPS_PER_TIMING,
-        "dense_step_us": lambda: _seconds(_chain, dense.step_free, u0) / STEPS_PER_TIMING,
-        "inverse_build_ms": lambda: _seconds(dense._form_propagator),
-        "propagator_loop_us": lambda: _seconds(_propagate_rows, dense.propagate, states) / (2 * m),
+        "matvec_us": lambda: _seconds(_same, band_matvec, stepper._rhs, u0) / STEPS_PER_TIMING,
+        "dense_step_us": lambda: _seconds(_chain, S.dot, u0) / STEPS_PER_TIMING,
+        "inverse_build_ms": lambda: _seconds(stepper.propagator),
+        "propagator_loop_us": lambda: _seconds(_propagate_rows, S.dot, states) / (2 * m),
         "csv_row_us": lambda: _seconds(trajectory.write_csv, io.StringIO()) / len(states),
         "ld_matvec_us": lambda: _seconds(_same, band_matvec, solver.rows, u0) / STEPS_PER_TIMING,
         "tridiagonal_ms": lambda: _seconds(_tridiagonal, system.M, system.K),
@@ -194,8 +194,8 @@ def measure(form, K, scheme, dt, n, repeats):
     minima = {f"{key}_min": min(t) * c for key, t, c in columns}
     banded_us, dense_us = medians["banded_step_us"], medians["dense_step_us"]
     build_us = medians["inverse_build_ms"] * 1e3
-    banded_norms = _norms(system, banded, u0, 2 * m)
-    dense_norms = _norms(system, dense, u0, 2 * m)
+    banded_norms = _norms(system, stepper.step_free, u0, 2 * m)
+    dense_norms = _norms(system, S.dot, u0, 2 * m)
     row = {"form": form.value, "n": n, "dofs": m, **medians}
     row["break_even_steps"] = build_us / (banded_us - dense_us) if dense_us < banded_us else None
     row["norm_rel_diff"] = float(np.max(np.abs(dense_norms - banded_norms) / banded_norms))
@@ -203,10 +203,10 @@ def measure(form, K, scheme, dt, n, repeats):
     return {key: row[key] for key in ROW_KEYS}
 
 
-def _norms(system, stepper, u, count):
+def _norms(system, step, u, count):
     norms = [system.mass_norm_sq(u)]
     for _ in range(count):
-        u = stepper.step_free(u)
+        u = step(u)
         norms.append(system.mass_norm_sq(u))
     return np.array(norms)
 

@@ -28,10 +28,9 @@ rounding of a step-by-step evaluation.
 
 Every matrix is read in the lower band storage of :mod:`forms`, so a step
 costs O(n); the banded Cholesky solver and its equilibration live there too.
-A long run on a small mesh is the exception: :class:`TimeStepper` then
-forms the propagator S of its step once, each step is one dense product,
-and an unforced run writes ``S u`` of each state straight into the row of
-the next one.
+A long unforced run on a small mesh is the exception: :func:`run` then
+forms the propagator S of the step once (:meth:`TimeStepper.propagator`)
+and writes ``S u`` of each state straight into the row of the next one.
 """
 from __future__ import annotations
 
@@ -214,8 +213,8 @@ def manufactured_divergence_forcing(system, witness_coeffs, rate=1.0):
 
 _THETA = {Scheme.IMPLICIT_EULER: 1.0, Scheme.CRANK_NICOLSON: 0.5}
 
-# A run of n_steps steps on m free dofs forms its propagator when
-# m <= _DENSE_MAX_DOFS and n_steps >= _DENSE_MIN_STEPS_PER_DOF * m, read
+# An unforced run of n_steps steps on m free dofs steps by its propagator
+# when m <= _DENSE_MAX_DOFS and n_steps >= _DENSE_MIN_STEPS_PER_DOF * m, read
 # off bench/nsweep.py (BENCH_22.json; one core of a 2-vCPU x86-64 VM): a
 # step by the propagator costs 2.3 to 3 against 33 to 43 us for a
 # refined banded one up to 66 dofs, and 16 against 85 us at 257 and 258;
@@ -240,32 +239,16 @@ class TimeStepper:
     """One factorization of the theta-scheme per (system, dt, scheme);
     reused across steps.
 
-    A stepper told its step count ``n_steps`` forms, when the step matrix
-    A = M + theta dt K is small and the run long enough to repay it, the
-    propagator S = A^{-1} R of R = M - (1 - theta) dt K once, by the
-    refined banded solve of the columns of R.  Each step is then one
-    dense product S u, plus A^{-1} times the load term when forced
-    (A^{-1} is formed on the first forced step, by the refined banded
-    solve of the unit vectors).  ``propagate(u_free, out=None)`` forms
-    S u, the one place that product is written: it is the propagator's
-    bound ``ndarray.dot``, set with S, so a call is the BLAS product with
-    no Python frame around it (the call ``np.matmul`` makes, bit for
-    bit; ``out`` must be a C-contiguous float array and is returned).
-    :meth:`step_free` calls it for a fresh array, and an unforced
-    :func:`run` calls it with the next row of its states as ``out``, with
-    no other work per step (at 65 free dofs, march's mesh, 0.98 us per
-    step against 1.35 us through a method calling ``np.dot``, the median
-    of 200 interleaved rounds, faster in 199; one core of a 2-vCPU
-    x86-64 VM, BLAS at one thread).  It checks nothing, so a state that
-    is not finite is stepped on, and :func:`make_state` ends the
-    trajectory before it.  Without ``n_steps`` every step is a refined
-    banded solve, which raises LinAlgError on a right-hand side that is
-    not finite.  A step matrix with an entry that is not finite raises
-    ConfigError("time.dt"); a finite one without a Cholesky factor,
-    LinAlgError.
+    :meth:`step_free` is the refined banded solve of A u+ = R u plus the
+    load term, A = M + theta dt K and R = M - (1 - theta) dt K; it raises
+    LinAlgError on a right-hand side that is not finite.
+    :meth:`propagator` forms the step's propagator S = A^{-1} R, by which
+    :func:`run` steps a long unforced run on a small mesh.  A step matrix
+    with an entry that is not finite raises ConfigError("time.dt"); a
+    finite one without a Cholesky factor, LinAlgError.
     """
 
-    def __init__(self, system, dt, scheme=Scheme.IMPLICIT_EULER, n_steps=None):
+    def __init__(self, system, dt, scheme=Scheme.IMPLICIT_EULER):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         self.dt = float(dt)
@@ -280,43 +263,22 @@ class TimeStepper:
         self._solver = _BandedSPD(lhs)
         self._rhs_band = rhs
         self._rhs = row_band(rhs)
-        m = lhs.shape[1]
-        self._propagator = None
-        if (n_steps is not None and m <= _DENSE_MAX_DOFS
-                and n_steps >= _DENSE_MIN_STEPS_PER_DOF * m):
-            self._form_propagator()
 
-    def _form_propagator(self):
-        """Form S = A^{-1} R by the refined banded solve of the columns
-        of R; every later step is a product with it.  The product
-        A^{-1} @ R would round each entry of S against the far larger
-        terms |A^{-1}| |R| that cancel in it, as a banded step rounds
-        R u: on Crank-Nicolson runs its norms drift from exact steps by
-        0.04 to 19 times as much as the banded path's, those of the
-        solved S by 0.0005 to 0.12 times as much (see README).  Sets
-        ``propagate`` to the bound product of S."""
-        self._propagator = self._solver.solve(band_to_dense(self._rhs_band))
-        self.propagate = self._propagator.dot
-
-    @functools.cached_property
-    def _inverse(self):
-        """A^{-1}, by the refined banded solve of the unit vectors: the
-        load term of a forced step by the propagator."""
-        return self._solver.solve(np.eye(len(self._rhs)))
+    def propagator(self):
+        """S = A^{-1} R, by the refined banded solve of the columns of R.
+        The product A^{-1} @ R would round each entry of S against the far
+        larger terms |A^{-1}| |R| that cancel in it, as a banded step
+        rounds R u: on Crank-Nicolson runs its norms drift from exact
+        steps by 0.04 to 19 times as much as the banded path's, those of
+        the solved S by 0.0005 to 0.12 times as much (see README)."""
+        return self._solver.solve(band_to_dense(self._rhs_band))
 
     def step_free(self, u_free, load_now=None, load_next=None):
         """Advance free-dof coefficients; vectorized over trailing columns."""
-        if load_next is not None:
-            theta = self.theta
-            load = self.dt * (theta * load_next + (1.0 - theta) * load_now)
-        if self._propagator is not None:
-            u_next = self.propagate(u_free)
-            if load_next is not None:
-                u_next += self._inverse @ load
-            return u_next
         rhs = band_matvec(self._rhs, u_free)
         if load_next is not None:
-            rhs += load
+            theta = self.theta
+            rhs += self.dt * (theta * load_next + (1.0 - theta) * load_now)
         return self._solver.solve(rhs)
 
 
@@ -632,20 +594,25 @@ def run(config: ProblemConfig) -> Trajectory:
     """Integrate the configured problem to its final time.
 
     The loop steps the free dofs into one preallocated array, a row per
-    state, and does nothing else; an unforced run on the propagator path
-    writes each product ``S u`` into its row in place
-    (``TimeStepper.propagate``), and every other run stores the
-    result of :meth:`TimeStepper.step_free`, with the bits of either.  It
-    stops at the first step that raises, with the time of that step
-    accumulated as t + dt (on the banded path this includes the step
-    after a non-finite state; the propagator steps on through it) or, in
-    a forced run, at the first checked state whose norm or forcing norm
-    is not finite, and
-    :func:`make_state` does the bookkeeping of all steps once, ending the
-    trajectory before the first state whose norm is not finite.  A finite
-    step matrix without a Cholesky factor in double precision aborts the
-    run at t = 0; a step count whose states cannot be allocated raises
-    ConfigError("time.dt").
+    state, and does nothing else.  An unforced run of at least
+    _DENSE_MIN_STEPS_PER_DOF steps per free dof on at most
+    _DENSE_MAX_DOFS of them forms the propagator S of the step once
+    (:meth:`TimeStepper.propagator`) and writes each product ``S u`` into
+    the next row in place, through the bound ``S.dot``: the BLAS call
+    ``np.matmul`` makes, bit for bit, with no Python frame around it (at
+    march's 65 free dofs 0.98 us per step against 1.35 us through a
+    method calling ``np.dot``; one core of a 2-vCPU x86-64 VM, BLAS at
+    one thread).  Every other run stores the result of
+    :meth:`TimeStepper.step_free`.  The loop stops at the first step that
+    raises, with the time of that step accumulated as t + dt (on the
+    banded path this includes the step after a non-finite state; the
+    propagator checks nothing and steps on through it) or, in a forced
+    run, at the first checked state whose norm or forcing norm is not
+    finite, and :func:`make_state` does the bookkeeping of all steps
+    once, ending the trajectory before the first state whose norm is not
+    finite.  A finite step matrix without a Cholesky factor in double
+    precision aborts the run at t = 0; a step count whose states cannot
+    be allocated raises ConfigError("time.dt").
     """
     system = build_system(config)
     dt = config.resolved_dt()
@@ -655,20 +622,21 @@ def run(config: ProblemConfig) -> Trajectory:
         forcing = resolve_forcing(system, config.forcing)
     with solvable("project_u0"):
         u0 = initial_dofs(system, config.u0, config.project_u0)
-    forced = forcing.vector is not None
+    forced, m = forcing.vector is not None, len(u0)
     try:
-        u = np.empty((n_steps + 1, len(u0)))
+        u = np.empty((n_steps + 1, m))
     except (MemoryError, ValueError) as exc:
         raise ConfigError("time.dt", f"T/dt = {config.T / dt:.3g} steps: {exc}") from None
     u[0] = u0
     try:
-        stepper = TimeStepper(system, dt, scheme, n_steps)
+        stepper = TimeStepper(system, dt, scheme)
+        dense = not forced and m <= _DENSE_MAX_DOFS and n_steps >= _DENSE_MIN_STEPS_PER_DOF * m
+        propagate = stepper.propagator().dot if dense else None
     except LinAlgError as exc:
         return make_state(system, scheme, dt, u[:1], forcing, f"step matrix at t = 0.0: {exc}")
     k, count, aborted = 0, n_steps + 1, None
     try:
-        if stepper._propagator is not None and not forced:
-            propagate = stepper.propagate
+        if propagate is not None:
             for k, (state, after) in enumerate(itertools.pairwise(u)):
                 propagate(state, after)
         else:

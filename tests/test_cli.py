@@ -237,7 +237,7 @@ def test_resolvent_outputs_and_gate(tmp_path):
                 "forcing": {"kind": "separable", "space": "parabola", "rate": 0.7},
             },
         ),
-        # 100 steps on 18 free dofs: run steps by the propagator
+        # 100 steps on 18 free dofs, forced: run steps by the banded solve
         (
             "run",
             {"trajectory.csv", "summary.json"},

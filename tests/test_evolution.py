@@ -1,3 +1,4 @@
+import collections
 import io
 import math
 
@@ -20,6 +21,7 @@ from wentzell4.evolution import (
     initial_dofs,
     make_state,
     manufactured_divergence_forcing,
+    parse_forcing,
     resolve_forcing,
     resolve_space_spec,
     resolvent_solve,
@@ -343,19 +345,23 @@ def test_run_ends_before_the_first_state_whose_norm_overflows():
     assert np.all(np.isfinite(traj.norm_mu_sq)) and np.all(np.isfinite(traj.dofs))
 
 
-@pytest.mark.parametrize("dense_max_dofs", [evolution._DENSE_MAX_DOFS, 0], ids=["propagator", "banded"])
-def test_forced_run_stops_soon_after_the_norm_overflows(monkeypatch, dense_max_dofs):
+def _counted_calls(monkeypatch):
+    """Count the calls of TimeStepper.propagator and .step_free, by name."""
+    calls = collections.Counter()
+    for name in ("propagator", "step_free"):
+
+        def counted(self, *args, _method=getattr(TimeStepper, name), _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(TimeStepper, name, counted)
+    return calls
+
+
+def test_forced_run_stops_soon_after_the_norm_overflows(monkeypatch):
     # the run of the test above: the norm of state 45 overflows, its load
     # only at step 88; checking every 16th state stops the loop at 48
-    monkeypatch.setattr(evolution, "_DENSE_MAX_DOFS", dense_max_dofs)
-    calls = []
-    step_free = TimeStepper.step_free
-
-    def counted(self, *args):
-        calls.append(self._propagator is not None)
-        return step_free(self, *args)
-
-    monkeypatch.setattr(TimeStepper, "step_free", counted)
+    calls = _counted_calls(monkeypatch)
     cfg = ProblemConfig(
         OperatorForm.DIVERGENCE, power_profile(0.5, 0.5), WentzellParams(1.0, 1.0), T=1.0, n=16,
         forcing={"kind": "separable", "space": "one", "rate": -800},
@@ -364,8 +370,38 @@ def test_forced_run_stops_soon_after_the_norm_overflows(monkeypatch, dense_max_d
         traj = run(cfg)
     assert traj.aborted == "step from t = 0.4400000000000002: step produced a non-finite state"
     assert len(traj.times) == 45
-    assert set(calls) == {dense_max_dofs > 0}
-    assert len(calls) == 48
+    assert dict(calls) == {"step_free": 48}
+
+
+# (form, K, n, steps, forcing, free dofs, calls): at most _DENSE_MAX_DOFS
+# = 258 free dofs and at least _DENSE_MIN_STEPS_PER_DOF = 2 steps per dof
+_SELECTION_CASES = {
+    "258-dofs-516-steps": (OperatorForm.DIVERGENCE, 0.5, 128, 516, None, 258, {"propagator": 1}),
+    "258-dofs-515-steps": (OperatorForm.DIVERGENCE, 0.5, 128, 515, None, 258, {"step_free": 515}),
+    "259-dofs-518-steps": (OperatorForm.NON_DIVERGENCE, 1.5, 129, 518, None, 259, {"step_free": 518}),
+    # demo 03's forced run
+    "forced-33-dofs-100-steps": (OperatorForm.NON_DIVERGENCE, 1.5, 16, 100,
+                                 {"kind": "separable", "space": "one", "rate": 1.0}, 33,
+                                 {"step_free": 100}),
+}
+
+
+@pytest.mark.parametrize(
+    "form, K, n, steps, forcing, dofs, expected", _SELECTION_CASES.values(), ids=_SELECTION_CASES
+)
+def test_run_steps_by_the_propagator_only_long_unforced_runs_on_small_meshes(
+    monkeypatch, form, K, n, steps, forcing, dofs, expected
+):
+    calls = _counted_calls(monkeypatch)
+    cfg = ProblemConfig(
+        form, power_profile(0.5, K), WentzellParams(1.0, 1.0, -1.0, -1.0), T=0.01 * steps,
+        dt=0.01, n=n, u0={"poly": [0.0, 0.25, -1.25, 2.0, -1.0]}, forcing=forcing,
+    )
+    traj = run(cfg)
+    assert len(traj.system.free) == dofs
+    assert traj.aborted is None and len(traj.times) == steps + 1
+    assert dict(calls) == expected
+    assert _takes_propagator(cfg) == ("propagator" in expected)
 
 
 def test_unforced_run_takes_no_norm_in_its_step_loop(monkeypatch):
@@ -382,7 +418,7 @@ def test_unforced_run_takes_no_norm_in_its_step_loop(monkeypatch):
         dt=0.01, n=16, u0="bump_cubed",
     )
     traj = run(cfg)
-    assert TimeStepper(traj.system, cfg.dt, cfg.scheme, 100)._propagator is not None
+    assert _takes_propagator(cfg)
     assert norms == [traj.dofs.shape]  # make_state's one stacked call
 
 
@@ -420,25 +456,43 @@ def test_contraction_random_initial_data(data):
         u = new
 
 
+def _takes_propagator(config):
+    """Whether run steps ``config`` by the propagator: unforced, at most
+    _DENSE_MAX_DOFS free dofs and at least _DENSE_MIN_STEPS_PER_DOF steps
+    per free dof."""
+    m = len(build_system(config).free)
+    steps = max(1, round(config.T / config.resolved_dt()))
+    return (parse_forcing(config.forcing)[0] == "zero" and m <= evolution._DENSE_MAX_DOFS
+            and steps >= evolution._DENSE_MIN_STEPS_PER_DOF * m)
+
+
+def _step(config, stepper):
+    """The step of the path run takes for ``config``: the propagator
+    product or the banded step_free."""
+    return stepper.propagator().dot if _takes_propagator(config) else stepper.step_free
+
+
 def _reference_run(config):
-    """The run as a per-step loop on the free dofs: one step_free of a
-    stepper built as run builds it, one band_quadratic per norm and energy
-    and a scalar slack per step; the summary as sums over Python lists."""
+    """The run as a per-step loop on the free dofs: one step of a stepper
+    built as run builds it, on the path run takes, one band_quadratic per
+    norm and energy and a scalar slack per step; the summary as sums over
+    Python lists."""
     system = build_system(config)
     dt = config.resolved_dt()
     n_steps = max(1, round(config.T / dt))
     forcing = resolve_forcing(system, config.forcing)
-    stepper = TimeStepper(system, dt, config.scheme, n_steps)
+    stepper = TimeStepper(system, dt, config.scheme)
+    step = _step(config, stepper)
     theta = stepper.theta
     u = initial_dofs(system, config.u0, config.project_u0)
     t = 0.0
     times, norms, energies = [t], [band_quadratic(system.M, u)], [band_quadratic(system.K, u)]
     slacks, h_sqs = [], []
     for _ in range(n_steps):
-        loads = (None, None)
+        loads = ()
         if forcing.vector is not None:
             loads = (forcing.load(t), forcing.load(t + dt))
-        new = stepper.step_free(u, *loads)
+        new = step(u, *loads)
         t_new = t + dt
         norm, energy = band_quadratic(system.M, new), band_quadratic(system.K, new)
         h_sq = theta * forcing.mass_norm_sq(t_new) + (1.0 - theta) * forcing.mass_norm_sq(t)
@@ -491,10 +545,9 @@ _FORCING = st.one_of(
     gamma=st.floats(min_value=-2.0, max_value=0.0),
     u0=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=5),
 )
-# at least 2 steps per free dof: the stepper forms its propagator
+# unforced, at least 2 steps per free dof: run steps by the propagator
 @example(form=OperatorForm.NON_DIVERGENCE, K=1.5, scheme=Scheme.IMPLICIT_EULER,
-         forcing={"kind": "separable", "space": "linear", "rate": 0.7}, project_u0=False,
-         n=4, steps=60, gamma=-1.0, u0=[0.5, -1.0, 0.3])
+         forcing=None, project_u0=False, n=4, steps=60, gamma=-1.0, u0=[0.5, -1.0, 0.3])
 # fewer: every step is a banded solve
 @example(form=OperatorForm.DIVERGENCE, K=0.5, scheme=Scheme.CRANK_NICOLSON,
          forcing=None, project_u0=True, n=16, steps=60, gamma=-0.5, u0=[1.0, 0.2])
@@ -522,18 +575,18 @@ def test_run_equals_the_per_step_loop_bit_for_bit(
 
 
 def _step_free_run(config):
-    """run as a loop of one TimeStepper.step_free call per row, each
-    written into its row, with the aborts of that loop: the reference of
-    the propagator path's in-place loop."""
+    """run as a loop of one step call per row on the path run takes, each
+    result written into its row, with the aborts of that loop: the
+    reference of the propagator path's in-place loop."""
     system = build_system(config)
     dt = config.resolved_dt()
     n_steps = max(1, round(config.T / dt))
     forcing = resolve_forcing(system, config.forcing)
     forced = forcing.vector is not None
-    stepper = TimeStepper(system, dt, config.scheme, n_steps)
+    step = _step(config, TimeStepper(system, dt, config.scheme))
     u = np.empty((n_steps + 1, len(system.free)))
     u[0] = initial_dofs(system, config.u0, config.project_u0)
-    load_now = load_next = None
+    loads = ()
     t, count, aborted = 0.0, n_steps + 1, None
     for k in range(n_steps):
         try:
@@ -544,9 +597,8 @@ def _step_free_run(config):
                 ):
                     count = k + 1
                     break
-                load_now = forcing.load(t) if k == 0 else load_next
-                load_next = forcing.load(t + dt)
-            u[k + 1] = stepper.step_free(u[k], load_now, load_next)
+                loads = (forcing.load(t) if k == 0 else loads[1], forcing.load(t + dt))
+            u[k + 1] = step(u[k], *loads)
         except (ArithmeticError, ValueError, LinAlgError) as exc:
             aborted = f"step from t = {t}: {exc}"
             count = k + 1
@@ -562,29 +614,26 @@ def _assert_same_run(traj, reference):
         assert value.shape == expected.shape and value.tobytes() == expected.tobytes(), name
 
 
-def _propagator_config(form, K, scheme, n, steps, dt, forcing=None, u0=(0.3, -0.8, 0.5, 0.9)):
+def _propagator_config(form, K, scheme, n, steps, dt, u0=(0.3, -0.8, 0.5, 0.9)):
     config = ProblemConfig(
         form, power_profile(0.5, K), WentzellParams(1.3, 0.8, -0.4, 0.0), T=dt * steps, dt=dt,
-        n=n, scheme=scheme, u0={"poly": list(u0)}, forcing=forcing,
+        n=n, scheme=scheme, u0={"poly": list(u0)},
     )
-    assert TimeStepper(build_system(config), dt, scheme, steps)._propagator is not None
+    assert _takes_propagator(config)
     return config
 
 
 @pytest.mark.parametrize(
-    "form, K, scheme, n, steps, dt, forcing",
+    "form, K, scheme, n, steps, dt",
     [
         # march: strong non-divergence, implicit Euler, 65 free dofs
-        (OperatorForm.NON_DIVERGENCE, 1.5, Scheme.IMPLICIT_EULER, 32, 2500, 4e-4, None),
-        (OperatorForm.DIVERGENCE, 0.5, Scheme.CRANK_NICOLSON, 16, 80, 0.01, None),
-        # forced runs step by step_free, on the same propagator
-        (OperatorForm.DIVERGENCE, 0.5, Scheme.IMPLICIT_EULER, 8, 60, 0.01,
-         {"kind": "separable", "space": "linear", "rate": 0.7}),
+        (OperatorForm.NON_DIVERGENCE, 1.5, Scheme.IMPLICIT_EULER, 32, 2500, 4e-4),
+        (OperatorForm.DIVERGENCE, 0.5, Scheme.CRANK_NICOLSON, 16, 80, 0.01),
     ],
-    ids=["march", "divergence-crank_nicolson", "forced"],
+    ids=["march", "divergence-crank_nicolson"],
 )
-def test_propagator_loop_keeps_the_bits_of_step_free(form, K, scheme, n, steps, dt, forcing):
-    config = _propagator_config(form, K, scheme, n, steps, dt, forcing)
+def test_propagator_loop_keeps_the_bits_of_step_free(form, K, scheme, n, steps, dt):
+    config = _propagator_config(form, K, scheme, n, steps, dt)
     traj = run(config)
     assert traj.aborted is None and len(traj.times) == steps + 1
     _assert_same_run(traj, _step_free_run(config))
@@ -592,13 +641,8 @@ def test_propagator_loop_keeps_the_bits_of_step_free(form, K, scheme, n, steps, 
 
 def _growing_propagator(monkeypatch, factor):
     """Scale every propagator by ``factor``: unforced states that grow."""
-    form = TimeStepper._form_propagator
-
-    def grown(self):
-        form(self)
-        self._propagator *= factor
-
-    monkeypatch.setattr(TimeStepper, "_form_propagator", grown)
+    propagator = TimeStepper.propagator
+    monkeypatch.setattr(TimeStepper, "propagator", lambda self: propagator(self) * factor)
 
 
 @pytest.mark.parametrize("columns", [None, 1, 3])
@@ -607,8 +651,7 @@ def test_propagate_keeps_the_bits_of_matmul(columns):
     # state or trailing columns, with inf and nan among the entries, and
     # written into a row of a larger array as the run loop does
     config = _propagator_config(OperatorForm.NON_DIVERGENCE, 1.5, Scheme.IMPLICIT_EULER, 32, 2500, 4e-4)
-    stepper = TimeStepper(build_system(config), config.dt, config.scheme, 2500)
-    S = stepper._propagator
+    S = TimeStepper(build_system(config), config.dt, config.scheme).propagator()
     rng = np.random.default_rng(7)
     shape = (len(S),) if columns is None else (len(S), columns)
     for special in (None, np.inf, -np.inf, np.nan):
@@ -617,10 +660,10 @@ def test_propagate_keeps_the_bits_of_matmul(columns):
             u[5] = special
         with np.errstate(invalid="ignore"):  # inf - inf in the sums
             expected = np.matmul(S, u)
-            assert stepper.propagate(u).tobytes() == expected.tobytes()
+            assert S.dot(u).tobytes() == expected.tobytes()
             rows = np.zeros((3,) + shape)
             row = rows[1]
-            assert stepper.propagate(u, row) is row
+            assert S.dot(u, row) is row
         assert row.tobytes() == expected.tobytes() and not rows[[0, 2]].any()
 
 
@@ -674,7 +717,7 @@ def _refined_norms(system, dt, scheme, u, steps):
     """Squared M-norms of a banded loop from u whose step solves
     A u+ = R u with R u in longdouble, refined three rounds: the
     reference of the dense path."""
-    stepper = TimeStepper(system, dt, scheme)  # no step count: banded
+    stepper = TimeStepper(system, dt, scheme)
     solver = stepper._solver
     rhs = row_band(stepper._rhs_band.astype(np.longdouble))
     norms = [system.mass_norm_sq(u)]
@@ -709,7 +752,7 @@ def test_dense_steps_keep_the_norms_of_the_banded_loop(form, K, scheme, x0, beta
     )
     traj = run(config)
     system = traj.system
-    assert TimeStepper(system, config.dt, scheme, steps)._propagator is not None
+    assert _takes_propagator(config)
     assert traj.aborted is None
     norms = _refined_norms(system, config.dt, scheme, traj.dofs[0], steps)
     np.testing.assert_allclose(traj.norm_mu_sq, norms, rtol=1e-12, atol=0.0)
@@ -744,7 +787,7 @@ def test_dense_path_is_as_near_the_refined_loop_as_the_banded_one(n, form, schem
     steps = 2 * len(build_system(config(1)).free) + 4
     traj = run(config(steps))
     system = traj.system
-    assert TimeStepper(system, dt, scheme, steps)._propagator is not None
+    assert _takes_propagator(config(steps))
     reference = _refined_norms(system, dt, scheme, traj.dofs[0], steps)
     banded_stepper = TimeStepper(system, dt, scheme)
     u = traj.dofs[0]

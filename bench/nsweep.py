@@ -2,7 +2,7 @@
 eigenvalues against the mesh size.
 
     OPENBLAS_NUM_THREADS=1 python3 bench/nsweep.py [--sizes 8 16 ...] \
-        [--repeats 5] --out BENCH_30.json
+        [--repeats 5] --out BENCH_34.json
 
 Run from the repository root; the package is imported from ``src``.  For
 each n (default 8, 16, ..., 512 elements) and both operator forms it
@@ -35,7 +35,9 @@ timing reads high on small meshes:
                     ``S.dot`` into the next row of the states in place,
                     timed over 2 * dofs steps
   csv_row_us        ``Trajectory.write_csv`` of those 2 * dofs steps, per
-                    row of its 5 fields
+                    row of its 5 fields: one ``%`` format up to 66 dofs,
+                    the numpy formatter (``csvtext.rows``) from 129 dofs,
+                    where the rows hold ``_VECTOR_CSV_MIN_VALUES`` floats
   tridiagonal_ms    one band reduction of the system's M and K, the
                     stages of dsbgv before its QR sweep: the Jacobi
                     scaling and the reduction of the pencil to a

@@ -189,7 +189,7 @@ def _cmd_spectrum(config: CliConfig, out: Path):
     with solvable("spectrum"):
         lowest, largest, kernel = pencil_spectrum(
             system.M, system.K, config.spectrum_count, kernel_ceiling)
-    write_csv(out / "spectrum.csv", "index,eigenvalue", lowest.tolist())
+    write_csv(out / "spectrum.csv", "index,eigenvalue", lowest)
     ok = psd_ok((lowest[0], largest))
     _write_json(
         out / "spectrum.json",
@@ -207,7 +207,7 @@ def _cmd_resolvent(config: CliConfig, out: Path):
     system = build_system(config.problem)
     f = initial_dofs(system, config.resolvent_f)
     u = resolvent_solve(system, config.resolvent_lambda, f)
-    write_csv(out / "resolvent.csv", "dof,value", system.expand(u).tolist())
+    write_csv(out / "resolvent.csv", "dof,value", system.expand(u))
     A = config.resolvent_lambda * system.M + system.K
     b = band_matvec(system.mass_rows, f)
     # both ratios below are invariant under a common scaling of u and b;

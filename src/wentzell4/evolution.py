@@ -38,13 +38,14 @@ import enum
 import functools
 import itertools
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.linalg import LinAlgError
 
+from . import csvtext
 from .coefficient import (
     ConfigError,
     DegenerateCoefficient,
@@ -490,10 +491,10 @@ class Trajectory:
         write_csv(
             destination,
             "step,t,norm_mu_sq,energy_form,slack",
-            self.times.tolist(),
-            self.norm_mu_sq.tolist(),
-            self.energy.tolist(),
-            [0.0] + self.slacks.tolist(),
+            self.times,
+            self.norm_mu_sq,
+            self.energy,
+            np.concatenate(([0.0], self.slacks)),
         )
 
     def summary(self):
@@ -513,24 +514,48 @@ class Trajectory:
         }
 
 
+# The fewest floats a CSV holds for write_csv to format it with numpy
+# (csvtext.rows): below, one `%` format is faster than the formatter's
+# fixed cost.  bench/nsweep.py's csv_row_us, swept with this constant set to
+# 0 and to 10**9, puts the break-even between its rows of 530 floats, where
+# the two split (2.5 and 4.3 us per row by `%`, 3.0 and 3.1 by numpy), and
+# of 1,040 floats (2.6-4.0 against 1.4-1.5 us).
+_VECTOR_CSV_MIN_VALUES = 800
+# the most floats in one block of rows: the formatter's arrays stay in
+# cache, and a long CSV's text is written a block at a time
+_CSV_BLOCK_VALUES = 4096
+
+
 def write_csv(destination, header, *columns):
     """Write ``header`` and one line per row to a path or a text stream:
-    the row index, then each column's value to 17 significant digits.
+    the row index, then each column's value to 17 significant digits,
+    with the bytes of the ``%`` format ``("%d" + ",%.17g" * k + "\\n") * n``.
 
-    The rows are one ``%`` format of the interleaved values, with the
-    bytes of a ``str.format`` call per row; columns of unequal length
-    raise ValueError.  That one call writes march's 2,501 rows of the
-    5-field trajectory to a file in 6.1 ms against 6.9 ms for a call per
-    row; nearly all of what is left is CPython's 17-digit conversion of
-    each float, about 0.6 us apiece (one core of a 2-vCPU x86-64 VM)."""
-    n, k = len(columns[0]), len(columns)
-    values = tuple(itertools.chain.from_iterable(zip(range(n), *columns, strict=True)))
-    text = header + "\n" + ("%d" + ",%.17g" * k + "\n") * n % values
-    if hasattr(destination, "write"):
-        destination.write(text)
+    Columns are sequences or arrays of floats; columns of unequal length
+    raise ValueError.  A CSV of at least ``_VECTOR_CSV_MIN_VALUES`` floats
+    is formatted by :func:`csvtext.rows` in blocks of rows, each written
+    when it is done: one x87 ``longdouble`` product per float, within
+    0.011 of a unit of the 17th digit, gives the digits unless they are
+    within 1/64 of a rounding tie, and those floats, zeros, infinities,
+    nan and |x| outside [1e-38, 1e43) take ``'%.17g' % v``.  A smaller CSV,
+    or any where ``longdouble`` is not the x87 type, is that one ``%``
+    format.  march's 2,501 rows of 5 fields take 1.7 ms against 4.9 ms for
+    the one format, whose correctly rounded conversion costs about 0.45 us
+    per float (best of 300, written to a file, one core of a 2-vCPU
+    x86-64 VM)."""
+    values = np.array(columns, dtype=float)
+    k, n = values.shape
+    if values.size < _VECTOR_CSV_MIN_VALUES or not csvtext.X87:
+        interleaved = tuple(itertools.chain.from_iterable(zip(range(n), *values.tolist())))
+        blocks = [("%d" + ",%.17g" * k + "\n") * n % interleaved]
     else:
-        with open(destination, "w", newline="") as fh:
-            fh.write(text)
+        rows = max(1, _CSV_BLOCK_VALUES // k)
+        blocks = (csvtext.rows(values[:, i:i + rows], i) for i in range(0, n, rows))
+    with (nullcontext(destination) if hasattr(destination, "write")
+          else open(destination, "w", newline="")) as fh:
+        fh.write(header + "\n")
+        for block in blocks:
+            fh.write(block)
 
 
 def _times(count, dt):

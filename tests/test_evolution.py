@@ -198,13 +198,20 @@ _CSV_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072
                1.7976931348623157e308, 0.1, 1 / 3, 9007199254740993.0]
 
 
+# rows of the test below that take the numpy formatter in blocks: more
+# than one block of _CSV_BLOCK_VALUES floats for k = 1 and k = 4
+LONG_CSV_ROWS = 5000
+
+
 @pytest.mark.parametrize("to_path", [False, True], ids=["stream", "path"])
 @pytest.mark.parametrize("k", [1, 4])
-@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("n", [0, 1, 3, LONG_CSV_ROWS])
 def test_write_csv_keeps_the_bytes_of_a_format_call_per_row(tmp_path, n, k, to_path):
     # 3 rows of 4 columns hold every value; the 1-column and 1-row cases
     # start each column at another offset
     columns = [[_CSV_VALUES[(i * k + j) % len(_CSV_VALUES)] for i in range(n)] for j in range(k)]
+    if n == LONG_CSV_ROWS:
+        assert n * k > max(evolution._VECTOR_CSV_MIN_VALUES, evolution._CSV_BLOCK_VALUES)
     row = ("{}" + ",{:.17g}" * k + "\n").format
     expected = "index,value\n" + "".join(row(i, *values) for i, values in enumerate(zip(*columns)))
     if to_path:
@@ -216,10 +223,29 @@ def test_write_csv_keeps_the_bytes_of_a_format_call_per_row(tmp_path, n, k, to_p
         assert buf.getvalue() == expected
 
 
-@pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (3, 3, 0)])
+# the last three hold more floats than write_csv's cutoff for numpy
+@pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (3, 3, 0), (1000, 999), (999, 1000), (1000, 1000, 0)])
 def test_write_csv_refuses_columns_of_unequal_length(lengths):
     with pytest.raises(ValueError):
         write_csv(io.StringIO(), "header", *([0.5] * m for m in lengths))
+
+
+def test_write_csv_formats_with_percent_where_longdouble_is_not_x87(monkeypatch):
+    # a trajectory of march's shape with values of every kind; without the
+    # x87 longdouble write_csv takes its one % format, with the same bytes
+    rng = np.random.default_rng(3)
+    columns = [rng.standard_normal(2501) * 10.0 ** rng.integers(-40, 40, 2501) for _ in range(4)]
+    columns[3][:len(_CSV_VALUES)] = _CSV_VALUES
+    columns.append(np.cumsum(np.full(2501, 4e-4)))
+
+    def text():
+        buf = io.StringIO()
+        write_csv(buf, "step,a,b,c,d,t", *columns)
+        return buf.getvalue()
+
+    formatted = text()
+    monkeypatch.setattr(evolution.csvtext, "X87", False)
+    assert text() == formatted
 
 
 def test_resolve_space_spec_forms():

@@ -42,8 +42,8 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
 from numpy.polynomial import Polynomial
-from scipy.linalg import LinAlgError
 
 from . import csvtext
 from .coefficient import (

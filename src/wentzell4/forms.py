@@ -87,10 +87,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cython_lapack
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dsterf
-from scipy.sparse import _sparsetools
+from numpy.linalg import LinAlgError
 
+from ._scipy import csr_matvec, csr_matvecs, cython_lapack, dpbtrf, dpbtrs, dsterf
 from .coefficient import (
     ConfigError,
     DegeneracyClass,
@@ -223,9 +222,9 @@ def band_matvec(rows, x):
     indptr, indices = _csr_index(n)
     out = np.zeros(x.shape, dtype=rows.dtype)
     if x.ndim == 1:
-        _sparsetools.csr_matvec(n, n, indptr, indices, rows, x, out)
+        csr_matvec(n, n, indptr, indices, rows, x, out)
     else:
-        _sparsetools.csr_matvecs(n, n, math.prod(x.shape[1:]), indptr, indices, rows, x, out)
+        csr_matvecs(n, n, math.prod(x.shape[1:]), indptr, indices, rows, x, out)
     return out
 
 

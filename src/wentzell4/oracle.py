@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dsyevr, dsyevr_lwork, dsygvd
+from numpy.linalg import LinAlgError
 
+from ._scipy import dsyevr, dsyevr_lwork, dsygvd
 from .coefficient import (
     DegeneracyClass,
     DegenerateCoefficient,
@@ -704,7 +704,10 @@ def _resolvent_checks(cases):
         if system.params.gamma0 == 0.0:
             continue
         M, K = system.to_dense()
-        pinned = np.setdiff1d(np.arange(system.mesh.n_dofs), system.free)
+        # a mask, not np.setdiff1d, whose unique call imports numpy.ma
+        free = np.zeros(system.mesh.n_dofs, dtype=bool)
+        free[system.free] = True
+        pinned = np.flatnonzero(~free)
         for lam in (0.5, 1.0, 10.0):
             A = lam * M + K
             # column k holds the free entries of the k-th draw of

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh, norm
 
 from wentzell4 import forms
+from wentzell4._scipy import dnrm2
 from wentzell4.cli import main
 from wentzell4.coefficient import power_profile
 from wentzell4.discretization import WeightKind, _gauss_legendre, build_mesh, shape_values
@@ -468,6 +469,21 @@ def test_direct_lapack_calls_keep_the_bits_of_scipy(spec, dt):
     assert np.array_equal(_eigh(A - dt * M), eigh(A - dt * M, eigvals_only=True))
     for band in (sys.M, sys.M + dt * sys.K):
         assert np.array_equal(_BandedSPD(band).factor, cholesky_banded(_jacobi(band)[1], lower=True))
+
+
+@pytest.mark.parametrize("kind", ["normal", "zeros", "huge", "tiny"])
+@pytest.mark.parametrize("n", [1, 7, 1026])
+def test_dnrm2_is_the_bits_of_scipy_norm(kind, n):
+    # resolvent's norms call dnrm2 directly, the call scipy.linalg.norm
+    # makes for a 1-D float64 vector; entries near 1e200 would overflow a
+    # sum of squares, entries near 1e-200 underflow it
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = {"normal": rng.standard_normal(n), "zeros": np.zeros(n),
+             "huge": 1e200 * rng.uniform(0.5, 2.0, n), "tiny": 1e-200 * rng.uniform(-2.0, 2.0, n)}[kind]
+        expected = norm(x, check_finite=False)
+        assert dnrm2(x) == expected, (kind, n)
+        assert np.isfinite(expected) and (kind == "zeros") == (expected == 0.0)
 
 
 def test_indefinite_band_keeps_the_text_of_cholesky_banded():

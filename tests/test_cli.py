@@ -317,14 +317,27 @@ def test_verify_builds_each_rule_once_and_keeps_nothing_between_calls(tmp_path, 
     assert reports[0] == reports[1]
 
 
-# modules no command needs; each costs start-up time and memory
-_UNLOADED = ("scipy.special", "scipy.sparse.linalg", "scipy.optimize", "mpmath", "sympy")
+def fresh_interpreter(script, *args):
+    """The JSON of the last line a fresh interpreter prints running
+    ``script`` with ``args``: it holds only what the script imports, not
+    what the tests did."""
+    env = {**os.environ, "PYTHONPATH": str(Path(wentzell4.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_no_command_loads_scipy_special(tmp_path):
-    # the Gauss rules are a table and the solvers call LAPACK directly; a
-    # fresh interpreter holds only what the commands import, not what the
-    # tests did
+# modules no command needs; each costs start-up time and memory.  The
+# package loads the four compiled scipy modules it calls from their
+# files, so the __init__ of scipy.linalg (which imports numpy.f2py and
+# numpy.testing) and of scipy.sparse never runs
+_UNLOADED = ("scipy.special", "scipy.sparse.linalg", "scipy.optimize", "mpmath", "sympy",
+             "scipy.linalg", "scipy.sparse", "numpy.f2py", "numpy.testing", "numpy.ma")
+
+
+def test_no_command_loads_a_module_it_does_not_call(tmp_path):
+    # the Gauss rules are a table and the solvers call LAPACK directly
     path = tmp_path / "config.json"
     path.write_text(cfg(mesh={"n": 4}, time={"T": 0.05, "dt": 0.01}))
     script = (
@@ -334,11 +347,76 @@ def test_no_command_loads_scipy_special(tmp_path):
         "          for c in ('run', 'spectrum', 'resolvent', 'verify')]\n"
         f"print(json.dumps([status, [m for m in {_UNLOADED!r} if m in sys.modules]]))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(wentzell4.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
+    assert fresh_interpreter(script, path, tmp_path) == [[0, 0, 0, 0], []]
+
+
+_EXTENSIONS = ("scipy.linalg._flapack", "scipy.linalg._fblas", "scipy.linalg.cython_lapack",
+               "scipy.sparse._sparsetools")
+# each function the package calls, by module
+_CALLED = (
+    ("scipy.linalg._flapack", ("dpbtrf", "dpbtrs", "dsterf", "dsyevr", "dsyevr_lwork", "dsygvd")),
+    ("scipy.linalg._fblas", ("dnrm2",)),
+    ("scipy.sparse._sparsetools", ("csr_matvec", "csr_matvecs")),
+)
+_SAME_FUNCTIONS = (
+    "all(getattr(_scipy, f) is getattr(sys.modules[m], f)"
+    f" for m, fs in {_CALLED!r} for f in fs)"
+    " and _scipy.cython_lapack is sys.modules['scipy.linalg.cython_lapack']"
+)
+
+
+def test_scipy_imported_after_the_package_gets_the_same_functions():
+    # the package loads its four extension modules from their files and
+    # leaves no entry under their names; scipy imported afterwards binds
+    # the very same functions on its packages, and works
+    assert fresh_interpreter(
+        "import json, sys\n"
+        "from wentzell4 import _scipy, cli\n"
+        f"left = [m for m in ('scipy.linalg', 'scipy.sparse') + {_EXTENSIONS!r} if m in sys.modules]\n"
+        "import scipy.linalg.cython_lapack, scipy.linalg.lapack, scipy.sparse\n"
+        "import numpy as np\n"
+        f"same = {_SAME_FUNCTIONS}\n"
+        "bound = [scipy.linalg.cython_lapack is _scipy.cython_lapack,\n"
+        "         scipy.linalg._fblas.dnrm2 is _scipy.dnrm2,\n"
+        "         scipy.linalg._flapack.dpbtrf is _scipy.dpbtrf,\n"
+        "         scipy.sparse._sparsetools.csr_matvec is _scipy.csr_matvec]\n"
+        "eigh = scipy.linalg.eigh(np.diag([2.0, 1.0]), eigvals_only=True).tolist()\n"
+        "csr = (scipy.sparse.csr_array(2.0 * np.eye(3)) @ np.ones(3)).tolist()\n"
+        "print(json.dumps([left, same, bound, eigh, csr]))\n"
+    ) == [[], True, [True] * 4, [1.0, 2.0], [2.0] * 3]
+
+
+def test_scipy_imported_before_the_package_is_what_the_package_calls():
+    # with its packages imported, each module is imported the normal way:
+    # the loader hands back the very modules scipy holds
+    assert fresh_interpreter(
+        "import json, sys\n"
+        "import scipy.linalg.cython_lapack, scipy.linalg.lapack, scipy.sparse\n"
+        "from wentzell4 import _scipy, cli\n"
+        f"same = {_SAME_FUNCTIONS}\n"
+        f"modules = [_scipy._extension(m) is sys.modules[m] for m in {_EXTENSIONS!r}]\n"
+        "print(json.dumps([same, modules]))\n"
+    ) == [True, [True] * 4]
+
+
+def test_a_module_not_found_as_a_file_is_imported_normally():
+    # with no spec found, a module comes from a normal import of its name,
+    # which runs its package's __init__; the package's second module is
+    # then imported the normal way too.  The functions are the same
+    assert fresh_interpreter(
+        # importlib.abc, once imported, reads importlib.machinery no more
+        "import importlib.abc, importlib.machinery, json, sys\n"
+        "looked_up = []\n"
+        "class NotFound:\n"
+        "    def __init__(self, *args):\n"
+        "        pass\n"
+        "    def find_spec(self, name):\n"
+        "        looked_up.append(name)\n"
+        "importlib.machinery.FileFinder = NotFound\n"
+        "from wentzell4 import _scipy, cli\n"
+        f"same = {_SAME_FUNCTIONS}\n"
+        "print(json.dumps([looked_up, same]))\n"
+    ) == [["scipy.linalg._flapack", "scipy.sparse._sparsetools"], True]
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

@@ -2,7 +2,7 @@
 eigenvalues against the mesh size.
 
     OPENBLAS_NUM_THREADS=1 python3 bench/nsweep.py [--sizes 8 16 ...] \
-        [--repeats 5] --out BENCH_34.json
+        [--repeats 5] --out BENCH_36.json
 
 Run from the repository root; the package is imported from ``src``.  For
 each n (default 8, 16, ..., 512 elements) and both operator forms it
@@ -38,17 +38,15 @@ timing reads high on small meshes:
                     row of its 5 fields: one ``%`` format up to 66 dofs,
                     the numpy formatter (``csvtext.rows``) from 129 dofs,
                     where the rows hold ``_VECTOR_CSV_MIN_VALUES`` floats
-  tridiagonal_ms    one band reduction of the system's M and K, the
-                    stages of dsbgv before its QR sweep: the Jacobi
-                    scaling and the reduction of the pencil to a
-                    tridiagonal, without an eigenvalue
   spectrum_ms       what ``spectrum`` computes at its default count
                     (``cli.SPECTRUM_COUNT``), ``forms.pencil_spectrum``:
-                    the bottom eigenvalues, the largest and the kernel
-                    count, by shift-invert Lanczos and Cholesky bisection
-                    where it takes that path
-  spectrum_all_ms   the same with every eigenvalue: the reduction and
-                    the QR sweep ``dsterf``, which answers the rest
+                    the bottom eigenvalues with their bounds, the
+                    largest and the kernel count, by the dense solve up
+                    to ``forms._DENSE_SPECTRUM_MAX_DOFS`` dofs and by
+                    shift-invert Lanczos and Cholesky bisection above
+  spectrum_all_ms   every eigenvalue with its bound, by the dense solve
+                    ``forms._dense_spectrum`` (O(n^3); ``spectrum``
+                    serves a full list only up to the dense path's cap)
   inverse_build_ms  ``TimeStepper.propagator``: forming S = A^{-1} R by
                     the refined banded solve of the columns of R (the
                     name is that of earlier BENCH files, whose keys stay
@@ -100,11 +98,11 @@ from wentzell4.evolution import (  # noqa: E402
 from wentzell4.forms import (  # noqa: E402
     OperatorForm,
     WentzellParams,
-    _tridiagonal,
+    _dense_spectrum,
     band_matvec,
     pencil_spectrum,
 )
-from wentzell4.oracle import kernel_ceiling  # noqa: E402
+from wentzell4.oracle import expected_kernel  # noqa: E402
 
 SIZES = (8, 16, 32, 64, 128, 256, 512)
 # (form, exponent K, scheme, dt): the step matrices of evolve and march
@@ -116,13 +114,12 @@ CASES = (
 TIMINGS = (
     "assemble_ms", "banded_step_us", "solve_us", "plain_solve_us", "matvec_us", "dense_step_us",
     "inverse_build_ms", "propagator_loop_us", "csv_row_us", "ld_matvec_us",
-    "tridiagonal_ms", "spectrum_ms", "spectrum_all_ms",
+    "spectrum_ms", "spectrum_all_ms",
 )
 ROW_KEYS = (
     "form", "n", "dofs", "assemble_ms", "banded_step_us", "solve_us", "plain_solve_us",
     "matvec_us", "dense_step_us", "inverse_build_ms", "break_even_steps", "norm_rel_diff",
-    "propagator_loop_us", "csv_row_us", "ld_matvec_us", "tridiagonal_ms", "spectrum_ms",
-    "spectrum_all_ms",
+    "propagator_loop_us", "csv_row_us", "ld_matvec_us", "spectrum_ms", "spectrum_all_ms",
 ) + tuple(f"{key}_min" for key in TIMINGS)
 KEYS = ("python", "numpy", "machine", "sizes", "rows", "dense_max_dofs",
         "dense_min_steps_per_dof", "break_even_margin")
@@ -180,10 +177,9 @@ def measure(form, K, scheme, dt, n, repeats):
         "propagator_loop_us": lambda: _seconds(_propagate_rows, S.dot, states) / (2 * m),
         "csv_row_us": lambda: _seconds(trajectory.write_csv, io.StringIO()) / len(states),
         "ld_matvec_us": lambda: _seconds(_same, band_matvec, solver.rows, u0) / STEPS_PER_TIMING,
-        "tridiagonal_ms": lambda: _seconds(_tridiagonal, system.M, system.K),
         "spectrum_ms": lambda: _seconds(pencil_spectrum, system.M, system.K, SPECTRUM_COUNT,
-                                        kernel_ceiling),
-        "spectrum_all_ms": lambda: _seconds(pencil_spectrum, system.M, system.K, m, kernel_ceiling),
+                                        expected_kernel(system)),
+        "spectrum_all_ms": lambda: _seconds(_dense_spectrum, system.M, system.K, m),
     }
     rounds = []
     for r in range(repeats):
@@ -255,8 +251,7 @@ def _print_row(row):
           f"ld matvec {row['ld_matvec_us']:6.1f})  dense {row['dense_step_us']:8.1f} us  "
           f"loop {row['propagator_loop_us']:8.1f} us  csv row {row['csv_row_us']:5.2f} us  "
           f"inverse {row['inverse_build_ms']:8.2f} ms  break-even {'-' if steps is None else f'{steps:.0f}'} steps  "
-          f"spectrum {row['spectrum_ms']:7.2f} ms (all {row['spectrum_all_ms']:7.2f}, "
-          f"tridiagonal {row['tridiagonal_ms']:7.2f})  "
+          f"spectrum {row['spectrum_ms']:7.2f} ms (all {row['spectrum_all_ms']:7.2f})  "
           f"norm diff {row['norm_rel_diff']:.1e}", flush=True)
 
 

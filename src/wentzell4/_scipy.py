@@ -1,10 +1,9 @@
 """The compiled scipy modules the package calls, loaded from their files.
 
-The package calls four of scipy's extension modules and nothing else of
-scipy: six LAPACK wrappers of ``scipy.linalg._flapack``, the BLAS
-``dnrm2`` of ``scipy.linalg._fblas``, the LAPACK capsules of
-``scipy.linalg.cython_lapack`` (``forms._lapack``) and the CSR products
-of ``scipy.sparse._sparsetools`` (``forms.band_matvec``).  Importing
+The package calls three of scipy's extension modules and nothing else of
+scipy: five LAPACK wrappers of ``scipy.linalg._flapack``, the BLAS
+``dnrm2`` of ``scipy.linalg._fblas`` and the CSR products of
+``scipy.sparse._sparsetools`` (``forms.band_matvec``).  Importing
 them by their names would run the ``__init__`` of ``scipy.linalg`` and
 ``scipy.sparse`` first, and with scipy 1.17 the first clones numpy's
 namespace (``scipy._lib.array_api_compat.numpy``), which imports
@@ -21,11 +20,10 @@ Two rules keep the load invisible to code that imports scipy itself:
   way, and so is one whose file is not found where it is looked for.
 - No entry is left in ``sys.modules`` under the module's name: an entry
   there would never be bound on its package, so that a later
-  ``import scipy.linalg.cython_lapack`` could not reach it as an
-  attribute.  With the entry gone, a later import of the package
-  returns the very same functions: CPython keeps a single-phase
-  extension (the f2py and CSR modules) in its extension cache, and a
-  Cython module returns its one module object.
+  ``import scipy.linalg._flapack`` could not reach it as an attribute.
+  With the entry gone, a later import of the package returns the very
+  same functions: CPython keeps a single-phase extension (the f2py and
+  CSR modules) in its extension cache.
 """
 from __future__ import annotations
 
@@ -38,11 +36,9 @@ from pathlib import Path
 __all__ = [
     "csr_matvec",
     "csr_matvecs",
-    "cython_lapack",
     "dnrm2",
     "dpbtrf",
     "dpbtrs",
-    "dsterf",
     "dsyevr",
     "dsyevr_lwork",
     "dsygvd",
@@ -66,11 +62,10 @@ def _extension(name):
 
 
 _flapack = _extension("scipy.linalg._flapack")
-dpbtrf, dpbtrs, dsterf = _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dsterf
+dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 dsyevr, dsyevr_lwork, dsygvd = _flapack.dsyevr, _flapack.dsyevr_lwork, _flapack.dsygvd
 # the call scipy.linalg.norm(x) makes for a 1-D float64 x: get_blas_funcs('nrm2',
 # ilp64='preferred') is _fblas.dnrm2 where scipy has no ILP64 BLAS
 dnrm2 = _extension("scipy.linalg._fblas").dnrm2
-cython_lapack = _extension("scipy.linalg.cython_lapack")
 _sparsetools = _extension("scipy.sparse._sparsetools")
 csr_matvec, csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs

@@ -36,7 +36,7 @@ from .evolution import (
     write_csv,
 )
 from .forms import OperatorForm, WentzellParams, band_matvec, pencil_spectrum, row_band
-from .oracle import SUITES, kernel_ceiling, psd_ok, verification_report
+from .oracle import SUITES, expected_kernel, verification_report
 
 __all__ = ["ConfigError", "CliConfig", "parse_config", "dispatch", "main"]
 
@@ -186,21 +186,29 @@ def _cmd_verify(config: CliConfig, out: Path):
 
 def _cmd_spectrum(config: CliConfig, out: Path):
     system = build_system(config.problem)
-    with solvable("spectrum"):
-        lowest, largest, kernel = pencil_spectrum(
-            system.M, system.K, config.spectrum_count, kernel_ceiling)
-    write_csv(out / "spectrum.csv", "index,eigenvalue", lowest)
-    ok = psd_ok((lowest[0], largest))
+    kernel = expected_kernel(system)
+    with solvable("spectrum"), keyed("spectrum"):
+        spectrum = pencil_spectrum(system.M, system.K, config.spectrum_count, kernel)
+    if spectrum.kernel != kernel:
+        # an eigenvalue within its rounding bound cannot be told from zero
+        raise ConfigError(
+            "mesh.n",
+            f"{spectrum.kernel} eigenvalues below their rounding bounds, where the "
+            f"kernel of the space has dimension {kernel}: the pencil is not resolved "
+            "in double precision at this n",
+        )
+    write_csv(out / "spectrum.csv", "index,eigenvalue", spectrum.lowest)
     _write_json(
         out / "spectrum.json",
         {
-            "min_eigenvalue": float(lowest[0]),
-            "max_eigenvalue": largest,
-            "near_zero_count": kernel,
-            "psd_ok": ok,
+            "min_eigenvalue": float(spectrum.lowest[0]),
+            "min_eigenvalue_bound": float(spectrum.bounds[0]),
+            "max_eigenvalue": spectrum.largest,
+            "near_zero_count": spectrum.kernel,
+            "psd_ok": spectrum.psd_ok,
         },
     )
-    return ok
+    return spectrum.psd_ok
 
 
 def _cmd_resolvent(config: CliConfig, out: Path):

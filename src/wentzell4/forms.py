@@ -39,21 +39,23 @@ oracle and tests, and in the propagator of a long run on a small mesh
 (:class:`evolution.TimeStepper`).
 
 Eigenvalues.  :func:`pencil_spectrum` answers what ``spectrum``
-reports, the bottom eigenvalues, the largest and the kernel count, by
-one of two paths.  The QR sweep reduces the pencil to one symmetric
-tridiagonal matrix by the stages of LAPACK ``dsbgv``, called directly on
-the bands, and sweeps it with ``dsbgv``'s own last stage, ``dsterf``,
-so every eigenvalue keeps its bits (:func:`band_pencil_eigenvalues`, for
-the oracle too); it costs O(n^2).  The Lanczos path touches the band
+reports, the bottom eigenvalues with a bound on the rounding error of
+each, the largest and the kernel count, by one of two paths chosen by
+size.  Small systems (up to 150 dofs) take the dense generalized
+eigensolve of LAPACK ``dsygvd`` on the Jacobi-equilibrated bands, the
+call the oracle makes too (:func:`_eigh`).  Larger ones touch the band
 only through O(n) factorizations, solves and products: the largest
 eigenvalue by bisection on sigma, where the Cholesky factorization of
 sigma M - K succeeds exactly above it, and the bottom ones by block
-shift-invert Lanczos on the refined solve of K + M.  It answers while
-each requested eigenvalue has more than 50 dofs, and is the more
-accurate at the bottom: lambda_1 of the damped test problem is 3.6e-7
-off at n = 512 against the sweep's 1.8e-3.  At 1026 dofs the sweep
-takes 28 ms and the Lanczos path 7 ms (bench/nsweep.py; one core of a
-2-vCPU x86-64 VM).
+shift-invert Lanczos on the refined solve of K + M, which stops once
+the requested count and one eigenvalue past the expected kernel have
+converged (16-18 steps on the damped test problem from n = 256 to
+16384).  Each eigenvalue's bound, ``eps |v|^T |K| |v|`` from its
+eigenvector v plus, on the dense path, ``8 eps lambda_max`` for the
+dense solve's own error (:func:`bounded_spectrum`), decides both the
+kernel count and whether the smallest counts as nonnegative.  At 1026
+dofs the Lanczos path takes about 5 ms (median of 11 calls, one core of
+a 2-vCPU x86-64 VM).
 
 The element blocks are exactly symmetric, as each stores one computed
 value at (i, j) and (j, i), and an entry of the band sums
@@ -62,7 +64,7 @@ bit, and M = M^T and K = K^T hold with no rounding gap.
 
 Solvers.  :class:`_BandedSPD` is a banded Cholesky factorization (LAPACK
 ``dpbtrf``, the call ``cholesky_banded`` makes, made directly) after
-Jacobi equilibration, the step both eigenvalue paths share,
+Jacobi equilibration, the step every eigenvalue path shares,
 plus one round of refinement against a longdouble residual that equals
 the dense one bit for bit.  Equilibration leaves a step matrix
 ill-conditioned (condition number 7.3e9 for the Crank-Nicolson matrix of
@@ -79,7 +81,6 @@ core of a 2-vCPU x86-64 VM, BLAS at one thread).
 """
 from __future__ import annotations
 
-import ctypes
 import enum
 import functools
 import math
@@ -89,7 +90,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from ._scipy import csr_matvec, csr_matvecs, cython_lapack, dpbtrf, dpbtrs, dsterf
+from ._scipy import csr_matvec, csr_matvecs, dpbtrf, dpbtrs, dsyevr, dsyevr_lwork, dsygvd
 from .coefficient import (
     ConfigError,
     DegeneracyClass,
@@ -110,12 +111,13 @@ __all__ = [
     "BANDWIDTH",
     "band_congruence",
     "band_matvec",
-    "band_pencil_eigenvalues",
+    "bounded_spectrum",
     "band_quadratic",
     "band_to_dense",
     "element_blocks",
     "free_band",
     "gram_matrix",
+    "PencilSpectrum",
     "pencil_spectrum",
     "point_terms",
     "row_band",
@@ -263,28 +265,6 @@ def band_congruence(ab, d):
     return out
 
 
-_LAPACK_ARGS = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int), "d": ctypes.c_void_p}
-
-
-@functools.cache
-def _lapack(name, signature):
-    """The LAPACK routine ``name`` as a ctypes function, each argument
-    passed by its address; ``signature`` gives their kinds in order,
-    ``c`` a character, ``i`` an integer, ``d`` a double array.
-    scipy.linalg.lapack wraps no banded generalized eigensolver stage;
-    scipy.linalg.cython_lapack exports each for Cython, as a capsule
-    holding the C function pointer."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi)
-    )
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )
-    address = get_pointer(capsule, get_name(capsule))
-    return ctypes.CFUNCTYPE(None, *(_LAPACK_ARGS[kind] for kind in signature))(address)
-
-
 def _jacobi(ab):
     """``dinv = 1/sqrt(diag A)`` and the band of diag(dinv) A diag(dinv);
     LinAlgError unless diag A is positive and finite and the result finite."""
@@ -340,67 +320,6 @@ class _BandedSPD:
         return x + self._solve_once((b - band_matvec(self.rows, x)).astype(float))
 
 
-def _tridiagonal(mass, stiffness):
-    """The pencil reduced to one symmetric tridiagonal matrix ``(d, e)``
-    by the stages of LAPACK ``dsbgv`` without eigenvectors, each called
-    directly: ``dpbstf`` (the split Cholesky factor of M), ``dsbgst``
-    (Crawford's reduction to a standard band) and ``dsbtrd`` (the band to
-    a tridiagonal), on the bands Jacobi-equilibrated by 1/sqrt(diag M),
-    a congruence that leaves the spectrum unchanged; O(n^2) time and O(n)
-    memory.  A mass that is not positive definite, or whose equilibration
-    is out of double range, raises LinAlgError."""
-    mass, stiffness = np.asarray(mass, dtype=float), np.asarray(stiffness, dtype=float)
-    if mass.ndim != 2 or mass.shape != stiffness.shape:
-        raise ValueError(f"bands of shape {mass.shape} and {stiffness.shape}")
-    dinv, scaled = _jacobi(mass)
-    ldab, n = mass.shape
-    size = ldab * n
-    # one buffer holds every array the stages read or write, so that
-    # one address is looked up: the bands of K and M, which they
-    # overwrite, in Fortran (column-major) order, then d (n), e (n),
-    # work (2n) and the unreferenced x and q (1)
-    buf = np.zeros(2 * size + 4 * n + 1)
-    for k, band in enumerate((band_congruence(stiffness, dinv), scaled)):
-        buf[k * size:(k + 1) * size].reshape(n, ldab).T[...] = band
-    base = buf.ctypes.data
-    ab, bb, d, e, work, unused = (
-        base + buf.itemsize * offset
-        for offset in (0, size, 2 * size, 2 * size + n, 2 * size + 2 * n, 2 * size + 4 * n)
-    )
-    info = ctypes.c_int(0)
-
-    def ref(value):
-        return ctypes.byref(ctypes.c_int(value))
-
-    def call(name, signature, *args):
-        _lapack(name, signature)(*args, ctypes.byref(info))
-        if info.value < 0:
-            raise ValueError(f"{name} argument {-info.value} is invalid")
-        return info.value
-
-    kd = ref(ldab - 1)
-    if call("dpbstf", "ciidii", b"L", ref(n), kd, bb, ref(ldab)):
-        # the split Cholesky factorization of M failed
-        raise LinAlgError("mass matrix is not positive definite")
-    call("dsbgst", "cciiididididi",
-         b"N", b"L", ref(n), kd, kd, ab, ref(ldab), bb, ref(ldab), unused, ref(1), work)
-    call("dsbtrd", "cciididddidi",
-         b"N", b"L", ref(n), kd, ab, ref(ldab), d, e, unused, ref(1), work)
-    start = 2 * size
-    return buf[start:start + n].copy(), buf[start + n:start + 2 * n - 1].copy()
-
-
-def band_pencil_eigenvalues(mass, stiffness):
-    """All eigenvalues, ascending, of the pencil K v = lambda M v of the
-    lower bands of M and K: the QR sweep ``dsterf`` of the reduction
-    (:func:`_tridiagonal`), the last stage of ``dsbgv``, so they are
-    ``dsbgv``'s values bit for bit; O(n^2) time."""
-    w, info = dsterf(*_tridiagonal(mass, stiffness))
-    if info:
-        raise LinAlgError(f"dsterf: {info} eigenvalues failed to converge")
-    return w
-
-
 def _largest(mass, stiffness):
     """The largest eigenvalue of the pencil, by bisection on sigma: by
     Sylvester's law of inertia, sigma M - K is positive definite, and its
@@ -409,11 +328,9 @@ def _largest(mass, stiffness):
     so the bracket starts at the largest diagonal entry of the scaled K,
     a Rayleigh quotient; its width doubles until the factorization
     succeeds, then halves to the last bit, about 55 factorizations of
-    O(n) each."""
+    O(n) each.  M must be positive definite."""
     dinv, mass = _jacobi(mass)
     stiffness = band_congruence(stiffness, dinv)
-    if dpbtrf(mass, lower=1)[1]:
-        raise LinAlgError("mass matrix is not positive definite")
 
     shifted = np.empty_like(mass, order="F")  # each factorization overwrites it
 
@@ -440,40 +357,113 @@ def _largest(mass, stiffness):
             lo = mid
 
 
+def _eigh(a, b=None, vectors=False):
+    """``scipy.linalg.eigh(a, b, eigvals_only=not vectors)`` bit for bit:
+    the LAPACK call it makes, ``dsyevr`` with the workspace of scipy's
+    ``dsyevr_lwork`` query or ``dsygvd``, without its wrapper's checks.
+    A ``b`` that is not positive definite raises the text of the other
+    eigenvalue paths."""
+    if b is None:
+        work, iwork, info = dsyevr_lwork(len(a), lower=1)
+        w, v, _, _, info = dsyevr(a, compute_v=int(vectors), lower=1, lwork=int(work), liwork=iwork)
+    else:
+        w, v, info = dsygvd(a, b, jobz="V" if vectors else "N")
+        if info > len(a):
+            raise LinAlgError("mass matrix is not positive definite")
+    if info:
+        raise LinAlgError(f"{'dsyevr' if b is None else 'dsygvd'} failed with info = {info}")
+    return (w, v) if vectors else w
+
+
+class PencilSpectrum(NamedTuple):
+    """What ``spectrum`` reports of a pencil: the bottom eigenvalues,
+    ascending, the bound on the rounding error of each, the largest
+    eigenvalue, and the kernel count, the number of eigenvalues below
+    their bounds among those resolved (every one on the dense path, the
+    bottom ``max(count, kernel + 1)`` on the Lanczos path)."""
+
+    lowest: np.ndarray
+    bounds: np.ndarray
+    largest: float
+    kernel: int
+
+    @property
+    def psd_ok(self):
+        """The smallest eigenvalue is nonnegative within its bound."""
+        return bool(self.lowest[0] >= -self.bounds[0])
+
+
+# dsygvd is backward stable for the equilibrated pencil, so each of its
+# eigenvalues carries an error of about eps * lambda_max besides the
+# rounding of K.  On the kernels of 3000 random systems of the tests'
+# strategy it reached 2.1 times that, and up to 175 times the rounding
+# term alone; the dense bounds add this many times eps * lambda_max
+_DENSE_ERROR = 8.0
+
+
+def bounded_spectrum(values, vectors, stiffness, count, largest, dense=False):
+    """The :class:`PencilSpectrum` of the ascending eigenvalues ``values``
+    and their M-normalized eigenvectors (rows of ``vectors``), of which
+    the bottom ``count`` are reported.  The bound of an eigenvalue is
+    ``eps |v|^T |K| |v|``, |K| the band with its entries made absolute:
+    the size of the rounding that K's entries carry into the Rayleigh
+    quotient of v.  It is first order and heuristic: it bounds the error
+    of lambda_1 of the damped test problem at every n from 512 to 8192,
+    by a factor of 24 to 21,000, 150-170 times tighter than ``eps *
+    lambda_max`` (ROADMAP item 18), and the Lanczos kernel values of 400
+    random systems of the tests' strategy stay within 0.26 of it.  The
+    bounds of ``dense`` values add ``_DENSE_ERROR * eps * |lambda_max|``,
+    the dense solve's own error."""
+    floor = _DENSE_ERROR * abs(largest) if dense else 0.0
+    bounds = np.finfo(float).eps * (band_quadratic(np.abs(stiffness), np.abs(vectors)) + floor)
+    return PencilSpectrum(values[:count], bounds[:count], largest, int(np.sum(values < bounds)))
+
+
+def _dense_spectrum(mass, stiffness, count):
+    """Every eigenvalue and eigenvector of the pencil, from the dense
+    generalized eigensolve ``dsygvd`` of the Jacobi-equilibrated bands;
+    its vectors are normalized in the scaled mass, so scaled back they are
+    M-normalized.  O(n^3) time and O(n^2) memory."""
+    dinv, scaled = _jacobi(mass)
+    w, z = _eigh(band_to_dense(band_congruence(stiffness, dinv)), band_to_dense(scaled),
+                 vectors=True)
+    return bounded_spectrum(w, (dinv[:, None] * z).T, stiffness, count, float(w[-1]), dense=True)
+
+
 # Each shift-invert Lanczos step is one refined solve of K + sigma M at
 # this shift, whose spectrum transform 1/(lambda + sigma) keeps the
 # bottom eigenvalues apart.  A Ritz value counts as converged once its
 # residual bound is below this fraction of itself: lambda + sigma is then
-# within that fraction of an eigenvalue, inside the sweep's own error
-# (eps * lambda_max) up to the kernel threshold at 1026 dofs.  The Krylov
-# space is that of a block of start vectors: one vector finds a double
-# eigenvalue once, or only after the rounding of many steps has grown
-# its second direction (a double kernel next to an eigenvalue 0.35 was
-# counted once and made lambda_2 = lambda_3), and the kernel of a pencil
-# with neutral ends is double
+# within that fraction of an eigenvalue.  The Krylov space is that of a
+# block of start vectors, the Weyl sequences frac(i sqrt(p)) - 1/2 of
+# these p: one vector finds a double eigenvalue once, or only after the
+# rounding of many steps has grown its second direction (a double kernel
+# next to an eigenvalue 0.35 was counted once and made lambda_2 =
+# lambda_3), and the kernel of a pencil with neutral ends is double.
+# Neither sequence is symmetric or antisymmetric, so neither misses a
+# family of modes of a symmetric problem, as all ones misses every
+# antisymmetric one
 _LANCZOS_SHIFT = 1.0
 _LANCZOS_TOL = 1e-8
-_LANCZOS_BLOCK = 2
-# the sweep answers for a run that has not converged in this many steps
+_LANCZOS_START = (2.0, 3.0)
+# a run that has not converged in this many steps is refused
 _LANCZOS_MAX_STEPS = 300
 
 
-def _lanczos(mass, stiffness, count, ceiling):
+def _lanczos(mass, stiffness, count):
     """The ``count`` smallest eigenvalues of the pencil, ascending, and
-    the number below ``ceiling``, by block shift-invert Lanczos (Ericsson
-    and Ruhe, Math. Comp. 35, 1980): the Krylov space of (K + sigma M)^-1
-    M from ``_LANCZOS_BLOCK`` fixed-seed start vectors, in the M inner
-    product, with full reorthogonalization, run until the first
-    ``count`` Ritz values have converged and the first one at or above
-    ``ceiling``.  Only converged Ritz values, from the bottom up, are
-    returned; None if that takes more than ``_LANCZOS_MAX_STEPS`` steps
-    or the space stops growing.  Each step costs one refined solve,
-    three products with M (two for the inner products of the
-    reorthogonalization against every vector before it, one for the
-    norm) and an eigensolve of the projection; the basis grows with the
-    steps."""
+    their M-normalized Ritz vectors (rows), by block shift-invert Lanczos
+    (Ericsson and Ruhe, Math. Comp. 35, 1980): the Krylov space of
+    (K + sigma M)^-1 M from the fixed start vectors ``_LANCZOS_START``,
+    in the M inner product, with full reorthogonalization, run until the
+    first ``count`` Ritz values have converged.  None if that takes more
+    than ``_LANCZOS_MAX_STEPS`` steps or the space stops growing.  Each
+    step costs one refined solve, three products with M (two for the
+    inner products of the reorthogonalization against every vector before
+    it, one for the norm) and an eigensolve of the projection; the basis
+    grows with the steps."""
     n = mass.shape[1]
-    block = _LANCZOS_BLOCK
+    block = len(_LANCZOS_START)
     solver = _BandedSPD(stiffness + _LANCZOS_SHIFT * mass)
     rows = row_band(mass)
     most = min(n - block, _LANCZOS_MAX_STEPS)
@@ -510,10 +500,8 @@ def _lanczos(mass, stiffness, count, ceiling):
         size += 1
         return True
 
-    # fixed seeds: a symmetric start such as all ones misses every
-    # antisymmetric mode of a symmetric problem
-    for w in np.random.default_rng(0).standard_normal((block, n)):
-        append(w)
+    for p in _LANCZOS_START:
+        append(np.modf(np.arange(1, n + 1) * math.sqrt(p))[0] - 0.5)
     for steps in range(1, most + 1):
         if not append(solver.solve(pending.pop(0)), steps - 1):
             return None  # an invariant subspace: no further step
@@ -523,51 +511,68 @@ def _lanczos(mass, stiffness, count, ceiling):
         residual = np.linalg.norm(h[steps:steps + block, :steps] @ vectors, axis=0)
         converged = (residual <= _LANCZOS_TOL * theta)[::-1]
         ready = len(converged) if converged.all() else int(np.argmin(converged))
-        # ascending eigenvalues lambda = 1/theta - sigma
-        found = 1.0 / theta[::-1] - _LANCZOS_SHIFT
-        if ready >= count and found[ready - 1] >= ceiling:
-            # the values are those of the whole projection made symmetric:
+        if ready >= count:
+            # the pairs are those of the whole projection made symmetric:
             # the solve is not exactly self-adjoint, and the recurrence
             # misses the coefficients this leaves on the earlier vectors
             # (without them the bottom 20 at 1026 dofs move by up to 0.71
-            # of the sweep's gate against the dense solve, with them 0.001)
+            # of oracle.BANDED_EIGENVALUE_GAP_TOL against the dense solve,
+            # with them 0.001); descending theta is ascending lambda =
+            # 1/theta - sigma
             projection = h[:steps, :steps]
-            found = 1.0 / np.linalg.eigvalsh(0.5 * (projection + projection.T))[::-1] - _LANCZOS_SHIFT
-            return found[:count], int(np.sum(found[:ready] < ceiling))
+            theta, vectors = np.linalg.eigh(0.5 * (projection + projection.T))
+            top = vectors[:, ::-1][:, :count]
+            return 1.0 / theta[::-1][:count] - _LANCZOS_SHIFT, top.T @ basis[:steps]
     return None
 
 
-# The sweep costs O(n^2) for every eigenvalue, the Lanczos path O(n) per
-# step plus a fixed cost (the bisection of the largest, the steps up to
-# the kernel count), so the sweep answers for small systems and large
-# counts: the Lanczos path answers while each of the ``count`` has more
-# than this many dofs.  At the default count 6 they break even at about
-# 300 dofs: Lanczos takes 2.4-4.3 ms at 258 dofs against the sweep's
-# 1.9-2.7, 2.9-3.8 against 3.2-3.8 at 306-322 dofs and 2.9-3.5 against
-# 6.2-6.6 at 514 (medians of 15 calls on one pinned core of a 2-vCPU
-# x86-64 VM)
-_LANCZOS_MIN_DOFS_PER_EIGENVALUE = 50
+# The dense eigensolve costs O(n^3), the Lanczos path O(n) per step plus
+# a fixed cost (the bisection of the largest, the steps up to the count),
+# so the dense solve answers up to this many dofs.  With eigenvectors and
+# bounds it takes 2.2-2.8 ms at 130 dofs against 2.2-2.5 ms for the
+# Lanczos path and the bisection, and 4.9-6.6 ms at 202 dofs against
+# 2.6-2.9 (best of 3 calls on one pinned core of a 2-vCPU x86-64 VM)
+_DENSE_SPECTRUM_MAX_DOFS = 150
+# Above it, the Lanczos path serves a count while each eigenvalue has more
+# than this many dofs, up to a largest count: on three test problems its
+# bottom values were within 4e-16 of lambda_max of the dense ones at 10
+# to 22 dofs each, and 100 eigenvalues took 160 steps at 2050 and 4098
+# dofs (0.2-0.3 s)
+_LANCZOS_MIN_DOFS_PER_EIGENVALUE = 20
+_LANCZOS_MAX_COUNT = 100
 
 
-def pencil_spectrum(mass, stiffness, count, kernel_ceiling):
-    """The ``count`` smallest eigenvalues of the pencil K v = lambda M v
-    of the lower bands of M and K, ascending (all n when ``count`` is n or
-    more), the largest, and the number below ``kernel_ceiling(largest)``.
+def pencil_spectrum(mass, stiffness, count, kernel):
+    """The :class:`PencilSpectrum` of the pencil K v = lambda M v of the
+    lower bands of M and K: its ``count`` smallest eigenvalues (all n when
+    ``count`` is n or more) with their bounds (:func:`bounded_spectrum`),
+    its largest, and its kernel count, where the kernel is expected to
+    have dimension ``kernel``.
 
-    While each of the ``count`` has more than
-    ``_LANCZOS_MIN_DOFS_PER_EIGENVALUE`` dofs, the largest is bisected
-    (:func:`_largest`) and the bottom ones and the count come from
-    shift-invert Lanczos (:func:`_lanczos`), O(n) per step; otherwise,
-    or if Lanczos does not converge, every number is read from the QR
-    sweep (:func:`band_pencil_eigenvalues`), O(n^2)."""
-    if _LANCZOS_MIN_DOFS_PER_EIGENVALUE * count < mass.shape[1]:
-        largest = _largest(mass, stiffness)
-        found = _lanczos(mass, stiffness, count, kernel_ceiling(largest))
-        if found is not None:
-            return found[0], largest, found[1]
-    w = band_pencil_eigenvalues(mass, stiffness)
-    largest = float(w[-1])
-    return w[:count].copy(), largest, int(np.sum(w < kernel_ceiling(largest)))
+    Up to ``_DENSE_SPECTRUM_MAX_DOFS`` dofs every number comes from the
+    dense eigensolve (:func:`_dense_spectrum`).  Above it the bottom
+    ``max(count, kernel + 1)`` come from shift-invert Lanczos
+    (:func:`_lanczos`), O(n) per step, so that a kernel count other than
+    ``kernel`` shows; the largest is then bisected (:func:`_largest`),
+    unless the kernel count differs, which its caller refuses (the
+    largest is None).  There a count the Lanczos path does not serve
+    raises ConfigError("count"), naming the largest it serves, and a run
+    that does not converge LinAlgError."""
+    n = mass.shape[1]
+    if n <= _DENSE_SPECTRUM_MAX_DOFS:
+        return _dense_spectrum(mass, stiffness, count)
+    served = min((n - 1) // _LANCZOS_MIN_DOFS_PER_EIGENVALUE, _LANCZOS_MAX_COUNT)
+    if count > served:
+        raise ConfigError("count", f"at most {served} eigenvalues are served at {n} free dofs")
+    if dpbtrf(_jacobi(mass)[1], lower=1)[1]:
+        raise LinAlgError("mass matrix is not positive definite")
+    found = _lanczos(mass, stiffness, max(count, kernel + 1))
+    if found is None:
+        raise LinAlgError(f"shift-invert Lanczos has not converged in {_LANCZOS_MAX_STEPS} steps")
+    spectrum = bounded_spectrum(*found, stiffness, count, None)
+    if spectrum.kernel != kernel:
+        return spectrum
+    return spectrum._replace(largest=_largest(mass, stiffness))
 
 
 def free_band(ab, free):

@@ -9,11 +9,13 @@ disagreement always points at the code under test.
 
 The dense eigensolves call the LAPACK drivers ``scipy.linalg.eigh``
 picks by default, ``dsygvd`` for a pencil and ``dsyevr`` for one matrix,
-directly (:func:`_eigh`), with every argument that decides the bits, so
-each value is eigh's without its wrapper's cost.
+directly (``forms._eigh``, which ``spectrum`` calls for small systems
+too), with every argument that decides the bits, so each value is
+eigh's without its wrapper's cost.
 
-The oracle shares quadrature with assembly and nothing with the solver.
-A verification report builds each object once and frees it with the
+The oracle shares quadrature with assembly and, of the solver, only
+that LAPACK call and the rounding bound of an eigenvalue
+(``forms.bounded_spectrum``).  A verification report builds each object once and frees it with the
 report: one mesh per (n, x0), which keeps its rules and they their Gram
 pair integrals (:mod:`discretization`), so the case matrix and the
 n = 16 level of the norm-equivalence ladder read the same ones; the
@@ -32,7 +34,6 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 from numpy.linalg import LinAlgError
 
-from ._scipy import dsyevr, dsyevr_lwork, dsygvd
 from .coefficient import (
     DegeneracyClass,
     DegenerateCoefficient,
@@ -47,11 +48,13 @@ from .forms import (
     AssembledSystem,
     OperatorForm,
     WentzellParams,
+    _eigh,
     assemble,
-    band_pencil_eigenvalues,
     band_to_dense,
+    bounded_spectrum,
     element_blocks,
     gram_matrix,
+    pencil_spectrum,
 )
 from .powers import DivergentIntegralError, PiecewisePower, _poly_in_distance
 
@@ -60,9 +63,8 @@ __all__ = [
     "SpectralDecomposition",
     "GreenReport",
     "dense_decompose",
-    "psd_ok",
+    "expected_kernel",
     "near_zero_count",
-    "kernel_ceiling",
     "exact_propagator",
     "green_residual",
     "green_battery",
@@ -84,35 +86,23 @@ class SpaceMembershipError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-# relative to max(lambda_max, 1): the floor of a pencil eigenvalue that
-# still counts as nonnegative, and the ceiling of one counted as zero
-PSD_REL_TOL = 1e-10
-KERNEL_REL_TOL = 1e-9
-# max |banded - dense| eigenvalue over max(lambda_max, 1): 1.4e-15 on the
-# case matrix, 1.0e-14 at n = 512; gated at 5 times the larger
+# max |production - dense| eigenvalue over max(lambda_max, 1).  On the
+# case matrix the production spectrum is the dense solve of the same
+# equilibrated matrices (gap 0); the tests hold the Lanczos path of
+# larger systems to this gate too (1.2e-15 on the case matrix)
 BANDED_EIGENVALUE_GAP_TOL = 5e-14
 
 
-def _spectral_scale(largest):
-    return max(float(largest), 1.0)
-
-
-def psd_ok(eigenvalues):
-    """Positive semidefiniteness of an ascending pencil spectrum; only
-    its first and last entries are read, so the pair (smallest, largest)
-    serves as well."""
-    return bool(eigenvalues[0] >= -PSD_REL_TOL * _spectral_scale(eigenvalues[-1]))
-
-
-def kernel_ceiling(largest):
-    """The value below which an eigenvalue counts as zero, in a spectrum
-    whose largest eigenvalue is ``largest``."""
-    return KERNEL_REL_TOL * _spectral_scale(largest)
-
-
-def near_zero_count(eigenvalues):
-    """Number of eigenvalues that count as zero: the kernel dimension."""
-    return int(np.sum(eigenvalues < kernel_ceiling(eigenvalues[-1])))
+def expected_kernel(system):
+    """The kernel dimension of the discrete pencil, from the space and the
+    ends: the affine functions for every form, less the one the pinned
+    value dof at x0 removes (the strong non-divergence form, whose kernel
+    is then the span of x - x0), less one for each damped end (a positive
+    point stiffness), at which a kernel function must vanish.  x0 is
+    interior, so these conditions are independent."""
+    pinned = system.mesh.n_dofs - len(system.free)
+    damped = sum(term > 0.0 for term in system.point_stiffness)
+    return max(2 - pinned - damped, 0)
 
 
 @dataclass(frozen=True)
@@ -123,20 +113,6 @@ class SpectralDecomposition:
     system: AssembledSystem
     eigenvalues: np.ndarray
     vectors: np.ndarray  # (n_free, n_free), one eigenvector per column
-
-
-def _eigh(a, b=None, vectors=False):
-    """``scipy.linalg.eigh(a, b, eigvals_only=not vectors)`` bit for bit:
-    the LAPACK call it makes, ``dsyevr`` with the workspace of scipy's
-    ``dsyevr_lwork`` query or ``dsygvd``, without its wrapper's checks."""
-    if b is None:
-        work, iwork, info = dsyevr_lwork(len(a), lower=1)
-        w, v, _, _, info = dsyevr(a, compute_v=int(vectors), lower=1, lwork=int(work), liwork=iwork)
-    else:
-        w, v, info = dsygvd(a, b, jobz="V" if vectors else "N")
-    if info:
-        raise LinAlgError(f"{'dsyevr' if b is None else 'dsygvd'} failed with info = {info}")
-    return (w, v) if vectors else w
 
 
 def dense_decompose(system: AssembledSystem) -> SpectralDecomposition:
@@ -156,6 +132,13 @@ def dense_decompose(system: AssembledSystem) -> SpectralDecomposition:
     v = dinv[:, None] * v
     v /= np.sqrt(np.einsum("ij,ij->j", v, M @ v))
     return SpectralDecomposition(system, w, v)
+
+
+def near_zero_count(decomp: SpectralDecomposition):
+    """The number of eigenvalues of a dense decomposition below their
+    bounds (:func:`forms.bounded_spectrum`): its kernel count."""
+    w = decomp.eigenvalues
+    return bounded_spectrum(w, decomp.vectors.T, decomp.system.K, len(w), w[-1], dense=True).kernel
 
 
 def exact_propagator(decomp: SpectralDecomposition, u0, t):
@@ -526,8 +509,9 @@ def pointwise_sqrt_bound(u_spec, coeff, k):
 # ---------------------------------------------------------------------------
 
 # relative slack of the min-max gate c(2n) >= c(n): the dense eigh agrees
-# with the banded dsbgv to 4.5e-10 relative at n <= 32, and the smallest
-# rise seen is 2e-8 (nondegenerate weight, n = 16 -> 32)
+# with the dense solve of the Jacobi-equilibrated bands to 8.3e-10
+# relative at n <= 32, and the smallest rise seen is 2e-8 (nondegenerate
+# weight, n = 16 -> 32)
 NESTED_REL_TOL = 1e-9
 
 
@@ -667,29 +651,28 @@ def _spectral_checks(cases):
         V = decomp.vectors
         (M,) = system.to_dense("M")
         ortho_gap = float(np.max(np.abs(V.T @ M @ V - np.eye(len(w)))))
-        # the production spectrum (banded dsbgv) against this reference
-        banded = band_pencil_eigenvalues(system.M, system.K)
-        banded_gap = float(np.max(np.abs(banded - w)) / lam_max)
-        kernel = near_zero_count(w)
+        reference = bounded_spectrum(w, V.T, system.K, len(w), w[-1], dense=True)
+        expected = expected_kernel(system)
+        # the production spectrum, every eigenvalue from the bands, against
+        # this reference
+        banded = pencil_spectrum(system.M, system.K, len(w), expected)
+        banded_gap = float(np.max(np.abs(banded.lowest - w)) / lam_max)
         computed = {
             "symmetry_gap": sym_gap,
             "min_eigenvalue_rel": min_rel,
+            "min_eigenvalue_bound": float(reference.bounds[0]),
             "orthonormality_gap": ortho_gap,
-            "near_zero_count": kernel,
+            "near_zero_count": reference.kernel,
+            "expected_kernel": expected,
             "banded_eigenvalue_gap": banded_gap,
         }
         ok = (
             sym_gap == 0.0
-            and psd_ok(w)
+            and reference.psd_ok
             and ortho_gap <= 1e-10
             and banded_gap <= BANDED_EIGENVALUE_GAP_TOL
+            and reference.kernel == expected
         )
-        gamma0 = system.params.gamma0
-        if gamma0 == 0.0:
-            # affine functions, less the one the pinned x0 value removes
-            expected = 1 if len(system.free) < system.mesh.n_dofs else 2
-            ok = ok and kernel == expected
-            computed["expected_kernel"] = expected
         out.append(Check("spectral", name, {"case": name}, computed, 1e-10, ok))
     return out
 
@@ -697,8 +680,10 @@ def _spectral_checks(cases):
 def _resolvent_checks(cases):
     from .evolution import resolvent_solve
 
-    rng = np.random.default_rng(0)
     samples = 20
+    # the right-hand sides, fixed without a random generator: the Weyl
+    # sequence frac(i sqrt(2)) - 1/2, i = 1, 2, ..., read on draw by draw
+    drawn = 0
     out = []
     for name, system in cases:
         if system.params.gamma0 == 0.0:
@@ -710,11 +695,13 @@ def _resolvent_checks(cases):
         pinned = np.flatnonzero(~free)
         for lam in (0.5, 1.0, 10.0):
             A = lam * M + K
-            # column k holds the free entries of the k-th draw of
-            # standard_normal(n_dofs).  np.delete leaves them row-major
-            # when it drops one dof and column-major when it drops none;
-            # the bits of the dense products M @ F follow that layout
-            draws = rng.standard_normal((samples, system.mesh.n_dofs))
+            # column k holds the free entries of the k-th draw of n_dofs
+            # values.  np.delete leaves them row-major when it drops one
+            # dof and column-major when it drops none; the bits of the
+            # dense products M @ F follow that layout
+            i = np.arange(drawn + 1, drawn + samples * system.mesh.n_dofs + 1)
+            drawn = i[-1]
+            draws = (np.modf(i * math.sqrt(2.0))[0] - 0.5).reshape(samples, -1)
             F = np.delete(draws, pinned, axis=1).T
             U = resolvent_solve(system, lam, F)
             B = M @ F

@@ -71,9 +71,12 @@ def test_02_nonnegativity_and_kernels():
         checks = _suite("spectral")
         assert {c["tolerance"] for c in checks} == {1e-10}
         for c in checks:
-            # the kernel dimension is gated exactly for the neutral cases
-            assert ("expected_kernel" in c["computed"]) == c["name"].endswith("_neutral")
-            # the banded production spectrum against the dense reference
+            # the kernel dimension is gated exactly for every case: the
+            # space's, less one for each damped end
+            computed = c["computed"]
+            assert computed["near_zero_count"] == computed["expected_kernel"]
+            assert (computed["expected_kernel"] == 0) == c["name"].endswith("_damped")
+            # the O(n) production spectrum against the dense reference
             assert c["computed"]["banded_eigenvalue_gap"] <= BANDED_EIGENVALUE_GAP_TOL
 
 

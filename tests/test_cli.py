@@ -20,7 +20,7 @@ from wentzell4.cli import ConfigError, dispatch, main, parse_config
 from wentzell4.discretization import WeightKind
 from wentzell4.evolution import Scheme, build_system
 from wentzell4.forms import AssembledSystem, OperatorForm
-from wentzell4.oracle import BANDED_EIGENVALUE_GAP_TOL, dense_decompose, near_zero_count, psd_ok
+from wentzell4.oracle import BANDED_EIGENVALUE_GAP_TOL, dense_decompose, expected_kernel
 
 BASE = {
     "operator": "divergence",
@@ -159,6 +159,8 @@ def test_spectrum_kernel_of_neutral_divergence(tmp_path):
     eigs = [float(ln.split(",")[1]) for ln in lines[1:]]
     lam_max = meta["max_eigenvalue"]
     assert abs(eigs[0]) <= 1e-9 * lam_max and abs(eigs[1]) <= 1e-9 * lam_max
+    # the bound of lambda_1, the first kernel eigenvalue, covers it
+    assert abs(eigs[0]) <= meta["min_eigenvalue_bound"]
 
 
 @pytest.mark.parametrize(
@@ -171,8 +173,9 @@ def test_spectrum_kernel_of_neutral_divergence(tmp_path):
             "wentzell": {"gamma0": -0.5, "gamma1": -1.0},
             "mesh": {"n": 24},
         },
-        # 258 dofs: the default 6 eigenvalues come from the sweep, at the
-        # break-even of the two paths
+        # 130 dofs, the dense solve, and 258, shift-invert Lanczos: the
+        # two sides of the dense path's cap
+        {"wentzell": {"gamma0": -0.5, "gamma1": -1.0}, "mesh": {"n": 64}},
         {"wentzell": {"gamma0": -0.5, "gamma1": -1.0}, "mesh": {"n": 128}},
         # 514 dofs, shift-invert Lanczos: neutral equal ends at x0 = 1/2
         # give a double kernel (the constants and x - 1/2) and symmetric
@@ -188,6 +191,8 @@ def test_spectrum_kernel_of_neutral_divergence(tmp_path):
     ],
 )
 def test_spectrum_forms_no_dense_matrix(tmp_path, monkeypatch, overrides):
+    # spectrum never asks the system for its dense copies: small systems
+    # form theirs from the bands, larger ones none
     config = parse_config(cfg(**overrides))
     reference = dense_decompose(build_system(config.problem))
 
@@ -197,8 +202,8 @@ def test_spectrum_forms_no_dense_matrix(tmp_path, monkeypatch, overrides):
     monkeypatch.setattr(AssembledSystem, "to_dense", refuse)
     assert dispatch("spectrum", config, tmp_path) == 0
     meta = json.loads((tmp_path / "spectrum.json").read_text())
-    assert meta["psd_ok"] is psd_ok(reference.eigenvalues)
-    assert meta["near_zero_count"] == near_zero_count(reference.eigenvalues)
+    assert meta["psd_ok"] is True
+    assert meta["near_zero_count"] == expected_kernel(reference.system)
     lines = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
     eigs = np.array([float(ln.split(",")[1]) for ln in lines])
     w = reference.eigenvalues
@@ -329,61 +334,65 @@ def fresh_interpreter(script, *args):
 
 
 # modules no command needs; each costs start-up time and memory.  The
-# package loads the four compiled scipy modules it calls from their
+# package loads the three compiled scipy modules it calls from their
 # files, so the __init__ of scipy.linalg (which imports numpy.f2py and
-# numpy.testing) and of scipy.sparse never runs
+# numpy.testing) and of scipy.sparse never runs; its start vectors and
+# test right-hand sides are Weyl sequences, not draws of numpy.random
 _UNLOADED = ("scipy.special", "scipy.sparse.linalg", "scipy.optimize", "mpmath", "sympy",
-             "scipy.linalg", "scipy.sparse", "numpy.f2py", "numpy.testing", "numpy.ma")
+             "scipy.linalg", "scipy.sparse", "numpy.f2py", "numpy.testing", "numpy.ma",
+             "numpy.random", "scipy.linalg.cython_lapack")
 
 
 def test_no_command_loads_a_module_it_does_not_call(tmp_path):
-    # the Gauss rules are a table and the solvers call LAPACK directly
+    # the Gauss rules are a table and the solvers call LAPACK directly;
+    # at n = 4 spectrum takes the dense solve, at n = 256 (514 dofs)
+    # shift-invert Lanczos
     path = tmp_path / "config.json"
     path.write_text(cfg(mesh={"n": 4}, time={"T": 0.05, "dt": 0.01}))
+    (tmp_path / "lanczos.json").write_text(cfg(mesh={"n": 256}))
     script = (
         "import json, sys\n"
         "from wentzell4.cli import main\n"
         "status = [main([c, '--config', sys.argv[1], '--out', sys.argv[2] + '/' + c])\n"
         "          for c in ('run', 'spectrum', 'resolvent', 'verify')]\n"
+        "status.append(main(['spectrum', '--config', sys.argv[2] + '/lanczos.json',\n"
+        "                    '--out', sys.argv[2] + '/lanczos']))\n"
         f"print(json.dumps([status, [m for m in {_UNLOADED!r} if m in sys.modules]]))\n"
     )
-    assert fresh_interpreter(script, path, tmp_path) == [[0, 0, 0, 0], []]
+    assert fresh_interpreter(script, path, tmp_path) == [[0, 0, 0, 0, 0], []]
 
 
-_EXTENSIONS = ("scipy.linalg._flapack", "scipy.linalg._fblas", "scipy.linalg.cython_lapack",
-               "scipy.sparse._sparsetools")
+_EXTENSIONS = ("scipy.linalg._flapack", "scipy.linalg._fblas", "scipy.sparse._sparsetools")
 # each function the package calls, by module
 _CALLED = (
-    ("scipy.linalg._flapack", ("dpbtrf", "dpbtrs", "dsterf", "dsyevr", "dsyevr_lwork", "dsygvd")),
+    ("scipy.linalg._flapack", ("dpbtrf", "dpbtrs", "dsyevr", "dsyevr_lwork", "dsygvd")),
     ("scipy.linalg._fblas", ("dnrm2",)),
     ("scipy.sparse._sparsetools", ("csr_matvec", "csr_matvecs")),
 )
 _SAME_FUNCTIONS = (
     "all(getattr(_scipy, f) is getattr(sys.modules[m], f)"
     f" for m, fs in {_CALLED!r} for f in fs)"
-    " and _scipy.cython_lapack is sys.modules['scipy.linalg.cython_lapack']"
 )
 
 
 def test_scipy_imported_after_the_package_gets_the_same_functions():
-    # the package loads its four extension modules from their files and
+    # the package loads its three extension modules from their files and
     # leaves no entry under their names; scipy imported afterwards binds
     # the very same functions on its packages, and works
     assert fresh_interpreter(
         "import json, sys\n"
         "from wentzell4 import _scipy, cli\n"
         f"left = [m for m in ('scipy.linalg', 'scipy.sparse') + {_EXTENSIONS!r} if m in sys.modules]\n"
-        "import scipy.linalg.cython_lapack, scipy.linalg.lapack, scipy.sparse\n"
+        "import scipy.linalg.lapack, scipy.sparse\n"
         "import numpy as np\n"
         f"same = {_SAME_FUNCTIONS}\n"
-        "bound = [scipy.linalg.cython_lapack is _scipy.cython_lapack,\n"
-        "         scipy.linalg._fblas.dnrm2 is _scipy.dnrm2,\n"
+        "bound = [scipy.linalg._fblas.dnrm2 is _scipy.dnrm2,\n"
         "         scipy.linalg._flapack.dpbtrf is _scipy.dpbtrf,\n"
         "         scipy.sparse._sparsetools.csr_matvec is _scipy.csr_matvec]\n"
         "eigh = scipy.linalg.eigh(np.diag([2.0, 1.0]), eigvals_only=True).tolist()\n"
         "csr = (scipy.sparse.csr_array(2.0 * np.eye(3)) @ np.ones(3)).tolist()\n"
         "print(json.dumps([left, same, bound, eigh, csr]))\n"
-    ) == [[], True, [True] * 4, [1.0, 2.0], [2.0] * 3]
+    ) == [[], True, [True] * 3, [1.0, 2.0], [2.0] * 3]
 
 
 def test_scipy_imported_before_the_package_is_what_the_package_calls():
@@ -391,12 +400,12 @@ def test_scipy_imported_before_the_package_is_what_the_package_calls():
     # the loader hands back the very modules scipy holds
     assert fresh_interpreter(
         "import json, sys\n"
-        "import scipy.linalg.cython_lapack, scipy.linalg.lapack, scipy.sparse\n"
+        "import scipy.linalg.lapack, scipy.sparse\n"
         "from wentzell4 import _scipy, cli\n"
         f"same = {_SAME_FUNCTIONS}\n"
         f"modules = [_scipy._extension(m) is sys.modules[m] for m in {_EXTENSIONS!r}]\n"
         "print(json.dumps([same, modules]))\n"
-    ) == [True, [True] * 4]
+    ) == [True, [True] * 3]
 
 
 def test_a_module_not_found_as_a_file_is_imported_normally():
@@ -621,6 +630,21 @@ def test_resolvent_norms_do_not_overflow_on_large_finite_data(tmp_path):
     report = json.loads((tmp_path / "out" / "resolvent.json").read_text(), parse_constant=refuse)
     assert report["residual_ok"] and 0.0 < report["backward_error"] <= 1e-14
     assert 0.0 < report["relative_residual"] < 1.0
+
+
+@pytest.mark.parametrize("wentzell", [{}, DAMPED])
+@pytest.mark.parametrize("x0", [1e-9, 1e-30, 1e-60])
+def test_spectrum_of_a_pencil_rounding_cannot_resolve_is_a_mesh_diagnostic(
+        tmp_path, capsys, wentzell, x0):
+    # elements of length x0 / 4 next to x0 put lambda_max near 1e34 and
+    # up: the bottom eigenvalues, -5.8e10 among them at x0 = 1e-9, lie
+    # within their bounds, and the kernel count no longer matches the space
+    path = tmp_path / "config.json"
+    path.write_text(cfg(coefficient={"x0": x0, "K": 0.5}, wentzell=wentzell, mesh={"n": 8}))
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["key"] == "mesh.n"
+    assert not (tmp_path / "out" / "spectrum.json").exists()
 
 
 def test_run_factorization_failure_aborts(tmp_path, capsys):

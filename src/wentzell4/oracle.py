@@ -54,7 +54,6 @@ from .forms import (
     bounded_spectrum,
     element_blocks,
     gram_matrix,
-    pencil_spectrum,
 )
 from .powers import DivergentIntegralError, PiecewisePower, _poly_in_distance
 
@@ -86,10 +85,12 @@ class SpaceMembershipError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-# max |production - dense| eigenvalue over max(lambda_max, 1).  On the
-# case matrix the production spectrum is the dense solve of the same
-# equilibrated matrices (gap 0); the tests hold the Lanczos path of
-# larger systems to this gate too (1.2e-15 on the case matrix)
+# max |production - dense| eigenvalue over max(lambda_max, 1), a gate of
+# the tests only: they hold both paths of forms.pencil_spectrum to it
+# against dense_decompose, the Lanczos path on the case matrix too (at
+# most 1.9e-16 there for lambda_1).  The spectral suite does not apply
+# it: on the case matrix the production spectrum is the dense solve of
+# the same equilibrated matrices, so the gap would be 0 by construction
 BANDED_EIGENVALUE_GAP_TOL = 5e-14
 
 
@@ -653,10 +654,6 @@ def _spectral_checks(cases):
         ortho_gap = float(np.max(np.abs(V.T @ M @ V - np.eye(len(w)))))
         reference = bounded_spectrum(w, V.T, system.K, len(w), w[-1], dense=True)
         expected = expected_kernel(system)
-        # the production spectrum, every eigenvalue from the bands, against
-        # this reference
-        banded = pencil_spectrum(system.M, system.K, len(w), expected)
-        banded_gap = float(np.max(np.abs(banded.lowest - w)) / lam_max)
         computed = {
             "symmetry_gap": sym_gap,
             "min_eigenvalue_rel": min_rel,
@@ -664,13 +661,11 @@ def _spectral_checks(cases):
             "orthonormality_gap": ortho_gap,
             "near_zero_count": reference.kernel,
             "expected_kernel": expected,
-            "banded_eigenvalue_gap": banded_gap,
         }
         ok = (
             sym_gap == 0.0
             and reference.psd_ok
             and ortho_gap <= 1e-10
-            and banded_gap <= BANDED_EIGENVALUE_GAP_TOL
             and reference.kernel == expected
         )
         out.append(Check("spectral", name, {"case": name}, computed, 1e-10, ok))

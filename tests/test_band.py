@@ -550,6 +550,14 @@ def test_band_pencil_lanczos_matches_dense(spec, data):
     check_lanczos_against_dense(sys, k)
 
 
+@pytest.mark.parametrize("sys", [pytest.param(sys, id=name) for name, sys in _case_matrix()])
+def test_band_pencil_lanczos_matches_dense_on_the_case_matrix(sys):
+    # at 33-34 dofs spectrum takes the dense path, so the spectral suite
+    # checks no Lanczos value; here the forced Lanczos path meets the
+    # oracle's dense solve on every case
+    check_lanczos_against_dense(sys, 1)
+
+
 @pytest.mark.parametrize("form, K", [(OperatorForm.DIVERGENCE, 0.5), (OperatorForm.NON_DIVERGENCE, 1.5)])
 # k = 51 is the most the Lanczos path takes at 1025 dofs
 @pytest.mark.parametrize("k", [1, 6, 20, 51])

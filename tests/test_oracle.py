@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
-from wentzell4 import oracle
+from wentzell4 import forms, oracle
 from wentzell4.coefficient import constant_profile, power_profile
 from wentzell4.discretization import (
     WeightKind,
@@ -21,6 +21,7 @@ from wentzell4.forms import (
     _dense_spectrum,
     assemble,
     gram_matrix,
+    pencil_spectrum,
 )
 from wentzell4.oracle import (
     NESTED_REL_TOL,
@@ -366,6 +367,39 @@ def test_case_matrix_is_assembled_once_per_report(monkeypatch):
     assert len(calls) == 16
     verification_report()
     assert len(calls) == 32  # nothing is kept from one report to the next
+
+
+def test_spectral_suite_solves_each_case_once(monkeypatch):
+    # one dense generalized eigensolve per case, through either binding of
+    # _eigh, and no production spectrum beside it
+    generalized, spectra = [], []
+    exact = forms._eigh
+
+    def counting_eigh(a, b=None, vectors=False):
+        if b is not None:
+            generalized.append(vectors)
+        return exact(a, b, vectors)
+
+    def counting_spectrum(*args):
+        spectra.append(args)
+        return pencil_spectrum(*args)
+
+    for module in (forms, oracle):
+        monkeypatch.setattr(module, "_eigh", counting_eigh)
+        monkeypatch.setattr(module, "pencil_spectrum", counting_spectrum, raising=False)
+    checks = verification_report(["spectral"])["checks"]
+    assert len(checks) == 16
+    assert generalized == [True] * 16
+    assert spectra == []
+    for c in checks:
+        assert list(c["computed"]) == [
+            "symmetry_gap",
+            "min_eigenvalue_rel",
+            "min_eigenvalue_bound",
+            "orthonormality_gap",
+            "near_zero_count",
+            "expected_kernel",
+        ], c["name"]
 
 
 def _same_bits(a, b):

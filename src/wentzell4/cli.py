@@ -223,7 +223,8 @@ def _cmd_resolvent(config: CliConfig, out: Path):
     # that A u does not overflow where u and b are finite
     exponent = np.frexp(max(np.abs(u).max(), np.abs(b).max()))[1]
     u, b = np.ldexp(u, -exponent), np.ldexp(b, -exponent)
-    # BLAS nrm2 scales as it sums; np.linalg.norm squares the entries,
+    # dnrm2 sums the squares in the range of the x87 longdouble (or BLAS
+    # scales as it sums); np.linalg.norm squares the entries in double,
     # which overflow for data near 1e160 and up
     r = float(dnrm2(band_matvec(row_band(A), u) - b))
     b_norm = max(float(dnrm2(b)), 1e-300)

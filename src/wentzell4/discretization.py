@@ -40,9 +40,9 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import Legendre, Polynomial
 
 from .coefficient import ConfigError, DegeneracyClass, classify
+from .powers import polyder, polyval
 
 __all__ = [
     "Mesh",
@@ -195,8 +195,8 @@ def evaluate(dofs, mesh: Mesh, x, d=0):
 def interpolate_poly(mesh: Mesh, coeffs):
     """All dofs of the Hermite interpolant of a polynomial: nodal values
     and slopes."""
-    p = Polynomial(np.asarray(coeffs, dtype=float))
-    return np.column_stack([p(mesh.nodes), p.deriv()(mesh.nodes)]).ravel()
+    nodes = mesh.nodes
+    return np.column_stack([polyval(nodes, coeffs), polyval(nodes, polyder(coeffs))]).ravel()
 
 
 @dataclass(frozen=True)
@@ -318,9 +318,12 @@ _MAX_FIT_DEGREE = 7
 
 @functools.lru_cache(maxsize=None)
 def _shifted_legendre_coeffs(r):
-    """Monomial coefficients of the Legendre polynomial P_r(2s - 1); only
-    r <= _MAX_FIT_DEGREE occurs.  Cached, hence read-only."""
-    coef = Legendre.basis(r).convert(kind=Polynomial)(Polynomial([-1.0, 2.0])).coef
+    """Monomial coefficients of the Legendre polynomial P_r(2s - 1), the
+    integers (-1)^(r+k) C(r, k) C(r+k, k); only r <= _MAX_FIT_DEGREE
+    occurs.  Cached, hence read-only."""
+    coef = np.array(
+        [(-1) ** (r + k) * math.comb(r, k) * math.comb(r + k, k) for k in range(r + 1)], dtype=float
+    )
     coef.setflags(write=False)
     return coef
 
@@ -393,9 +396,7 @@ def _moment_fit(min_degree):
     C = np.zeros((ncond, ncond))
     for r in range(ncond):
         C[r, : r + 1] = _shifted_legendre_coeffs(r)
-        A[r] = sigma**min_degree * np.polynomial.polynomial.polyval(
-            sigma, _shifted_legendre_coeffs(r)
-        )
+        A[r] = sigma**min_degree * polyval(sigma, _shifted_legendre_coeffs(r))
     for array in (sigma, A, C):
         array.setflags(write=False)
     return sigma, A, C

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from numpy.polynomial import Polynomial
 
 from . import csvtext
 from .coefficient import (
@@ -75,6 +74,7 @@ from .forms import (
     point_terms,
     row_band,
 )
+from .powers import polyder, polyval
 
 __all__ = [
     "Scheme",
@@ -122,12 +122,15 @@ def resolvent_solve(system: AssembledSystem, lam, f):
     lambda*M + K is coercive for every lambda > 0, since beta_j > 0 and
     gamma_j <= 0; a factorization that fails in floating point all the
     same raises ConfigError("resolvent.lambda"), and a right-hand side
-    M f that is not finite ConfigError("resolvent.f").
+    M f or a solution that is not finite ConfigError("resolvent.f").
     """
     with solvable("resolvent.lambda"):
         solver = _BandedSPD(lam * system.M + system.K)
     with solvable("resolvent.f"):
-        return solver.solve(band_matvec(system.mass_rows, f))
+        u = solver.solve(band_matvec(system.mass_rows, f))
+        if not np.isfinite(u).all():
+            raise LinAlgError("the solution is not finite")
+        return u
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +173,14 @@ def _polynomial_load(system, coeffs, weight_kind, derivative, end_terms):
     Wentzell point terms c_j p(j) at the end dofs.  The element integrals
     are ``((w p^(d)(x)) @ T) * c`` per reference rule, T its shape table
     and c the column scales (:func:`discretization.element_integrals`)."""
-    p = Polynomial(np.asarray(coeffs, dtype=float))
     rule = system.rule(weight_kind, npoints=8 if weight_kind is WeightKind.UNIT else None)
-    local = element_integrals(rule, rule.weights * p.deriv(derivative)(rule.points), derivative)
+    values = polyval(rule.points, polyder(coeffs, derivative))
+    local = element_integrals(rule, rule.weights * values, derivative)
     mesh = system.mesh
     load = np.bincount(
         mesh.element_dofs().ravel(), weights=local.ravel(), minlength=mesh.n_dofs
     )
-    load[mesh.end_dofs] += np.multiply(end_terms, p(np.array([0.0, 1.0])))
+    load[mesh.end_dofs] += np.multiply(end_terms, polyval(np.array([0.0, 1.0]), coeffs))
     return load[system.free]
 
 

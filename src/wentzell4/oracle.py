@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 from numpy.linalg import LinAlgError
 
 from .coefficient import (
@@ -55,7 +54,18 @@ from .forms import (
     element_blocks,
     gram_matrix,
 )
-from .powers import DivergentIntegralError, PiecewisePower, _poly_in_distance
+from .powers import (
+    DivergentIntegralError,
+    PiecewisePower,
+    _poly_in_distance,
+    polyder,
+    polyint,
+    polymul,
+    polyroots,
+    polysub,
+    polytrim,
+    polyval,
+)
 
 __all__ = [
     "SpaceMembershipError",
@@ -444,24 +454,24 @@ def best_linear_fit(coeffs):
     # inverse of [[1, 1/2], [1/2, 1/3]]
     q = 4.0 * b0 - 6.0 * b1
     m = -6.0 * b0 + 12.0 * b1
-    residual = npoly.polysub(p, [q, m])
+    residual = polysub(p, [q, m])
     # + 0.0 maps a root -0.0 to +0.0, as Polynomial.roots does (0.0 + 1.0 r)
-    roots = npoly.polyroots(npoly.polytrim(residual)) + 0.0
+    roots = polyroots(polytrim(residual)) + 0.0
     x = np.sort(roots.real[(roots.imag == 0.0) & (roots.real >= 0.0) & (roots.real <= 1.0)])
-    slope = npoly.polyder(residual)
+    slope = polyder(residual)
     for _ in range(2):
-        d = npoly.polyval(x, slope)
-        x = x - np.divide(npoly.polyval(x, residual), d, out=np.zeros_like(x), where=d != 0.0)
+        d = polyval(x, slope)
+        x = x - np.divide(polyval(x, residual), d, out=np.zeros_like(x), where=d != 0.0)
     return LinearFit(q, m, residual, tuple(map(float, x)))
 
 
 def _moments(c):
     """The integrals over [0, 1] of p and of x p, p the polynomial of
     ascending coefficients ``c``, each from its antiderivative."""
-    P = npoly.polyint(c)
-    XP = npoly.polyint(npoly.polymul([0.0, 1.0], c))
-    return (float(npoly.polyval(1.0, P) - npoly.polyval(0.0, P)),
-            float(npoly.polyval(1.0, XP) - npoly.polyval(0.0, XP)))
+    P = polyint(c)
+    XP = polyint(polymul([0.0, 1.0], c))
+    return (float(polyval(1.0, P) - polyval(0.0, P)),
+            float(polyval(1.0, XP) - polyval(0.0, XP)))
 
 
 def pointwise_sqrt_bound(u_spec, coeff, k):

@@ -195,6 +195,16 @@ def test_singular_rule_exact_for_fitted_degrees():
         assert got == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("r", range(8))
+def test_shifted_legendre_coefficients_are_numpys_conversion(r):
+    # the integers (-1)^(r+k) C(r, k) C(r+k, k), with the bits of numpy's
+    # P_r(2s - 1) by basis conversion and composition
+    Legendre, Polynomial = np.polynomial.Legendre, np.polynomial.Polynomial
+    expected = Legendre.basis(r).convert(kind=Polynomial)(Polynomial([-1.0, 2.0])).coef
+    got = _shifted_legendre_coeffs(r)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 def loop_fitted_rule(coeff, h, sign, min_degree):
     """The fitted weights with the moments as a dict and each right-hand
     side entry a Python sum over the shifted Legendre coefficients."""

@@ -1,12 +1,14 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
+from wentzell4 import powers
 from wentzell4.powers import DivergentIntegralError, PiecewisePower, _poly_in_distance
 
 
@@ -34,6 +36,47 @@ def test_shift_equals_polynomial_composition_bit_for_bit(coeffs, trailing_zeros,
     expected = repr(composed(coeffs, x0, side))
     assert repr(_poly_in_distance(coeffs, x0, side)) == expected
     assert repr(_poly_in_distance(np.array(coeffs), x0, side)) == expected
+
+
+def same_bits(ours, theirs, *args):
+    """Whether ours(*args) has the dtype, shape and bytes of theirs(*args),
+    or raises the error theirs raises (a subnormal leading coefficient
+    overflows the companion matrix)."""
+    try:
+        expected = np.asarray(theirs(*args))
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            ours(*args)
+        return True
+    got = np.asarray(ours(*args))
+    return (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
+
+series = st.builds(
+    lambda c, zeros: c + [0.0] * zeros,
+    st.lists(coefficient, min_size=1, max_size=10),  # degrees 0-9
+    st.integers(min_value=0, max_value=3),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    c1=st.one_of(series, st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=4)),
+    c2=series,
+    points=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), finite), min_size=1, max_size=5),
+    m=st.integers(min_value=0, max_value=11),
+)
+def test_coefficient_operations_are_the_bits_of_numpy(c1, c2, points, m):
+    x = np.array([0.0, 1.0] + points)
+    for c in (c1, c2, np.array(c1)):
+        for point in (x, 0.0, 1.0, points[0]):
+            assert same_bits(powers.polyval, npoly.polyval, point, c)
+        assert same_bits(powers.polyder, npoly.polyder, c, m)
+        for name in ("polyint", "polytrim", "polyroots"):
+            assert same_bits(getattr(powers, name), getattr(npoly, name), c), name
+    for a, b in ((c1, c2), (c2, c1), (c2, c2)):
+        assert same_bits(powers.polymul, npoly.polymul, a, b)
+        assert same_bits(powers.polysub, npoly.polysub, a, b)
 
 
 @settings(max_examples=100, deadline=None)

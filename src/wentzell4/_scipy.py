@@ -1,5 +1,4 @@
-"""The compiled scipy modules the package calls, loaded from their files,
-and the BLAS norm ``dnrm2`` in numpy.
+"""The compiled scipy modules the package calls, loaded from their files.
 
 The package calls two of scipy's extension modules and nothing else of
 scipy: five LAPACK wrappers of ``scipy.linalg._flapack`` and the CSR
@@ -15,12 +14,6 @@ the same objects either way, so every output keeps its bits.
 ``LinAlgError`` is taken from numpy: ``scipy.linalg.LinAlgError`` is the
 same class.
 
-:func:`dnrm2` is ``scipy.linalg.norm`` of a 1-D float64 vector, the
-BLAS ``dnrm2`` of ``scipy.linalg._fblas``, computed in the order of
-OpenBLAS's x86-64 kernel, which sums the squares in the x87 80-bit
-``longdouble``; the module ``_fblas`` itself (about 1.2 MB resident) is
-loaded only where that type is not at hand (``csvtext.X87`` false).
-
 Two rules keep the load invisible to code that imports scipy itself:
 
 - A module whose package is already imported is imported the normal
@@ -34,21 +27,15 @@ Two rules keep the load invisible to code that imports scipy itself:
 """
 from __future__ import annotations
 
-import functools
 import importlib
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
 from pathlib import Path
 
-import numpy as np
-
-from .csvtext import X87
-
 __all__ = [
     "csr_matvec",
     "csr_matvecs",
-    "dnrm2",
     "dpbtrf",
     "dpbtrs",
     "dsyevr",
@@ -79,29 +66,3 @@ dsyevr, dsyevr_lwork, dsygvd = _flapack.dsyevr, _flapack.dsyevr_lwork, _flapack.
 _sparsetools = _extension("scipy.sparse._sparsetools")
 csr_matvec, csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
 
-
-@functools.cache
-def _blas_dnrm2():
-    return _extension("scipy.linalg._fblas").dnrm2
-
-
-def dnrm2(x):
-    """The Euclidean norm of a 1-D float64 array, bit for bit the call
-    ``scipy.linalg.norm(x)`` makes: ``get_blas_funcs('nrm2',
-    ilp64='preferred')`` is ``_fblas.dnrm2`` where scipy has no ILP64 BLAS.
-
-    OpenBLAS's x86-64 ``dnrm2`` (``nrm2.S``, the same x87 code for every
-    CPU target) squares each entry on the x87 stack, where no square of a
-    double overflows or underflows, and adds the first 8 floor(n/8) of
-    them into four sums by index mod 4, the rest into the first in order;
-    the norm is the square root of ``((s2 + s0) + s1) + s3``, rounded to
-    double.  Without the x87 ``longdouble`` the BLAS function itself is
-    called."""
-    if not X87:
-        return _blas_dnrm2()(x)
-    squares = np.square(x, dtype=np.longdouble)
-    m = len(squares) // 8 * 8
-    s = np.add.reduce(squares[:m].reshape(-1, 4), axis=0)
-    for square in squares[m:]:
-        s[0] += square
-    return float(np.sqrt(((s[2] + s[0]) + s[1]) + s[3]))

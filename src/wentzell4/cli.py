@@ -16,13 +16,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._scipy import dnrm2
 from .coefficient import ConfigError, keyed, number, only_keys, power_profile
 from .evolution import (
     ProblemConfig,
@@ -223,11 +223,11 @@ def _cmd_resolvent(config: CliConfig, out: Path):
     # that A u does not overflow where u and b are finite
     exponent = np.frexp(max(np.abs(u).max(), np.abs(b).max()))[1]
     u, b = np.ldexp(u, -exponent), np.ldexp(b, -exponent)
-    # dnrm2 sums the squares in the range of the x87 longdouble (or BLAS
-    # scales as it sums); np.linalg.norm squares the entries in double,
-    # which overflow for data near 1e160 and up
-    r = float(dnrm2(band_matvec(row_band(A), u) - b))
-    b_norm = max(float(dnrm2(b)), 1e-300)
+    # math.hypot scales as it sums, so no square overflows or underflows;
+    # np.linalg.norm squares the entries in double, which overflow for
+    # data near 1e160 and up
+    r = math.hypot(*(band_matvec(row_band(A), u) - b).tolist())
+    b_norm = max(math.hypot(*b.tolist()), 1e-300)
     relative = r / b_norm
     # the plain relative residual has a floor of eps*||A||*||u|| / ||b||
     # that grows with refinement; the gate uses the normwise backward
@@ -235,7 +235,7 @@ def _cmd_resolvent(config: CliConfig, out: Path):
     # entry is a lower bound on ||A||_2: the error reported is never below
     # the exact one
     a_norm = float(A[0].max())
-    backward = r / (a_norm * float(dnrm2(u)) + b_norm)
+    backward = r / (a_norm * math.hypot(*u.tolist()) + b_norm)
     ok = backward <= 1e-14
     _write_json(
         out / "resolvent.json",
@@ -291,8 +291,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         return _diagnostic(str(exc), "--config")
     try:
         # non-finite values are caught and reported; warnings would add lines

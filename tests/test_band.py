@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh, norm
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
-from wentzell4 import _scipy, csvtext, forms
-from wentzell4._scipy import dnrm2
+from wentzell4 import forms
 from wentzell4.cli import main
 from wentzell4.coefficient import ConfigError
 from wentzell4.coefficient import power_profile
@@ -471,48 +470,6 @@ def test_direct_lapack_calls_keep_the_bits_of_scipy(spec, dt):
     assert np.array_equal(_eigh(A - dt * M), eigh(A - dt * M, eigvals_only=True))
     for band in (sys.M, sys.M + dt * sys.K):
         assert np.array_equal(_BandedSPD(band).factor, cholesky_banded(_jacobi(band)[1], lower=True))
-
-
-@pytest.mark.parametrize("kind", ["normal", "zeros", "huge", "tiny"])
-@pytest.mark.parametrize("n", [1, 7, 1026])
-def test_dnrm2_is_the_bits_of_scipy_norm(kind, n, monkeypatch):
-    # resolvent's norms are _scipy.dnrm2, the BLAS dnrm2 scipy.linalg.norm
-    # calls for a 1-D float64 vector: summed in the x87 longdouble where
-    # that type is at hand, else the BLAS function itself; entries near
-    # 1e200 would overflow a sum of squares in double, entries near
-    # 1e-200 underflow it
-    rng = np.random.default_rng(n)
-    for _ in range(20):
-        x = {"normal": rng.standard_normal(n), "zeros": np.zeros(n),
-             "huge": 1e200 * rng.uniform(0.5, 2.0, n), "tiny": 1e-200 * rng.uniform(-2.0, 2.0, n)}[kind]
-        expected = norm(x, check_finite=False)
-        for x87 in (True, False)[not csvtext.X87:]:
-            monkeypatch.setattr(_scipy, "X87", x87)
-            assert dnrm2(x) == expected, (kind, n, x87)
-        assert np.isfinite(expected) and (kind == "zeros") == (expected == 0.0)
-
-
-_E, _T = 2.0**-26, 2.0**-32
-
-
-@pytest.mark.parametrize(
-    "x",
-    [
-        # each norm is 1 or the next double up by where each T^2 lands, and
-        # each vector is missed by one wrong order: the last sums combined as
-        # (s3 + s1) + (s2 + s0); the squares summed pairwise, or in one sum;
-        # the ninth square added into any sum but the first
-        [0.0, 0.0, _T, _E, _T, _T, 0.0, 1.0],
-        [_E, 0.0, _T, _T, 1.0, _T, _T, 0.0],
-        [_T, 0.0, 0.0, 0.0, 0.0, _T, 1.0, _E, _T],
-    ],
-)
-def test_dnrm2_sums_in_the_order_of_the_blas_kernel(x):
-    # E^2 is an ulp of 1 in double and T^2 half an ulp of 1 in the x87
-    # longdouble, so whether a T^2 is kept depends on the sum it is added
-    # to, which random vectors almost never show
-    x = np.array(x)
-    assert dnrm2(x) == norm(x, check_finite=False)
 
 
 def test_indefinite_band_keeps_the_text_of_cholesky_banded():

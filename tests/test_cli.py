@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import norm
 
 import wentzell4
-from wentzell4 import csvtext, discretization
+from wentzell4 import _scipy, discretization
 from wentzell4.cli import ConfigError, dispatch, main, parse_config
 from wentzell4.discretization import WeightKind
-from wentzell4.evolution import Scheme, build_system
-from wentzell4.forms import AssembledSystem, OperatorForm
+from wentzell4.evolution import Scheme, build_system, initial_dofs, resolvent_solve
+from wentzell4.forms import AssembledSystem, OperatorForm, band_matvec, row_band
 from wentzell4.oracle import BANDED_EIGENVALUE_GAP_TOL, dense_decompose, expected_kernel
 
 BASE = {
@@ -338,12 +339,12 @@ def fresh_interpreter(script, *args):
 # files, so the __init__ of scipy.linalg (which imports numpy.f2py and
 # numpy.testing) and of scipy.sparse never runs; its start vectors and
 # test right-hand sides are Weyl sequences, not draws of numpy.random;
-# its polynomials are coefficient arrays of powers, and _scipy.dnrm2
-# calls the BLAS of scipy.linalg._fblas only without the x87 longdouble
+# its polynomials are coefficient arrays of powers, and resolvent's norms
+# are math.hypot, not the BLAS of scipy.linalg._fblas
 _UNLOADED = ("scipy.special", "scipy.sparse.linalg", "scipy.optimize", "mpmath", "sympy",
              "scipy.linalg", "scipy.sparse", "numpy.f2py", "numpy.testing", "numpy.ma",
              "numpy.random", "scipy.linalg.cython_lapack", "numpy.polynomial",
-             *["scipy.linalg._fblas"] * csvtext.X87)
+             "scipy.linalg._fblas")
 
 
 def test_no_command_loads_a_module_it_does_not_call(tmp_path):
@@ -375,6 +376,11 @@ _SAME_FUNCTIONS = (
     "all(getattr(_scipy, f) is getattr(sys.modules[m], f)"
     f" for m, fs in {_CALLED!r} for f in fs)"
 )
+
+
+def test_scipy_module_exports_only_the_functions_of_scipy():
+    # each of these is checked by identity against scipy's own below
+    assert sorted(_scipy.__all__) == sorted(f for _, fs in _CALLED for f in fs)
 
 
 def test_scipy_imported_after_the_package_gets_the_same_functions():
@@ -436,6 +442,18 @@ def test_main_reports_config_errors(tmp_path, capsys):
     # a directory is not a readable config either
     assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
     assert json.loads(capsys.readouterr().err)["key"] == "--config"
+
+
+def test_main_reports_a_config_that_is_not_utf8(tmp_path, capsys):
+    # JSON is UTF-8 whatever the locale; an undecodable byte is a config
+    # error, not a traceback
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"operator": "divergence\xff"}')
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["key"] == "--config"
+    assert not out.exists()
 
 
 def test_main_reports_output_errors_under_out(tmp_path, capsys):
@@ -625,10 +643,12 @@ def test_resolvent_overflowing_data_is_blamed_on_f_not_lambda(tmp_path, capsys, 
     assert not list((tmp_path / "out").glob("*"))
 
 
-def test_resolvent_norms_do_not_overflow_on_large_finite_data(tmp_path):
-    # the squares of entries near 1e200 overflow; the solve itself is fine
+# the squares of entries near 1e200 overflow, those of entries near
+# 1e-300 underflow; the solve itself is fine
+@pytest.mark.parametrize("scale", [1e200, 1e-300])
+def test_resolvent_norms_do_not_overflow_on_large_finite_data(tmp_path, scale):
     path = tmp_path / "config.json"
-    path.write_text(cfg(wentzell=DAMPED, resolvent={"lambda": 1.0, "f": {"poly": [1e200, 1e200]}}))
+    path.write_text(cfg(wentzell=DAMPED, resolvent={"lambda": 1.0, "f": {"poly": [scale, scale]}}))
     assert main(["resolvent", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def refuse(constant):
@@ -637,6 +657,37 @@ def test_resolvent_norms_do_not_overflow_on_large_finite_data(tmp_path):
     report = json.loads((tmp_path / "out" / "resolvent.json").read_text(), parse_constant=refuse)
     assert report["residual_ok"] and 0.0 < report["backward_error"] <= 1e-14
     assert 0.0 < report["relative_residual"] < 1.0
+
+
+@pytest.mark.parametrize(
+    "kind, poly",
+    [("normal", [0.3, -1.2, 2.0]), ("zeros", [0.0]), ("huge", [1e200, -3e200]), ("tiny", [1e-200, 2e-200])],
+)
+@pytest.mark.parametrize("n", [2, 7, 512])
+def test_resolvent_reports_the_norms_of_scipy(tmp_path, kind, poly, n):
+    # the residual, b and u of 6, 16 and 1026 dofs, their norms taken with
+    # scipy.linalg.norm (BLAS dnrm2, which scales as it sums) on the same
+    # scaled vectors: math.hypot gives the same ratios at every scale
+    text = cfg(wentzell=DAMPED, mesh={"n": n}, resolvent={"lambda": 1.0, "f": {"poly": poly}})
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["resolvent", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "resolvent.json").read_text())
+
+    config = parse_config(text)
+    system = build_system(config.problem)
+    f = initial_dofs(system, config.resolvent_f)
+    u = resolvent_solve(system, config.resolvent_lambda, f)
+    A = config.resolvent_lambda * system.M + system.K
+    b = band_matvec(system.mass_rows, f)
+    exponent = np.frexp(max(np.abs(u).max(), np.abs(b).max()))[1]
+    u, b = np.ldexp(u, -exponent), np.ldexp(b, -exponent)
+    r = norm(band_matvec(row_band(A), u) - b, check_finite=False)
+    b_norm = max(norm(b, check_finite=False), 1e-300)
+    backward = r / (float(A[0].max()) * norm(u, check_finite=False) + b_norm)
+    assert report["relative_residual"] == pytest.approx(r / b_norm, rel=1e-15, abs=0.0)
+    assert report["backward_error"] == pytest.approx(backward, rel=1e-15, abs=0.0)
+    assert report["residual_ok"] and (kind == "zeros") == (report["backward_error"] == 0.0)
 
 
 @pytest.mark.parametrize("wentzell", [{}, DAMPED])

@@ -34,10 +34,11 @@ timing reads high on small meshes:
   propagator_loop_us  one step of ``run``'s unforced propagator loop,
                     ``S.dot`` into the next row of the states in place,
                     timed over 2 * dofs steps
-  csv_row_us        ``Trajectory.write_csv`` of those 2 * dofs steps, per
-                    row of its 5 fields: one ``%`` format up to 66 dofs,
-                    the numpy formatter (``csvtext.rows``) from 129 dofs,
-                    where the rows hold ``_VECTOR_CSV_MIN_VALUES`` floats
+  csv_row_us        ``Trajectory.write_csv`` (``csvtext.write_csv``) of
+                    those 2 * dofs steps, per row of its 5 fields: one
+                    ``%`` format up to 66 dofs, the numpy formatter
+                    (``csvtext.rows``) from 129 dofs, where the rows hold
+                    ``csvtext._VECTOR_CSV_MIN_VALUES`` floats
   spectrum_ms       what ``spectrum`` computes at its default count
                     (``cli.SPECTRUM_COUNT``), ``forms.pencil_spectrum``:
                     the bottom eigenvalues with their bounds, the

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .coefficient import ConfigError, keyed, number, only_keys, power_profile
+from .csvtext import write_csv
 from .evolution import (
     ProblemConfig,
     Scheme,
@@ -33,7 +34,6 @@ from .evolution import (
     resolvent_solve,
     run,
     solvable,
-    write_csv,
 )
 from .forms import OperatorForm, WentzellParams, band_matvec, pencil_spectrum, row_band
 from .oracle import SUITES, expected_kernel, verification_report
@@ -214,15 +214,19 @@ def _cmd_spectrum(config: CliConfig, out: Path):
 def _cmd_resolvent(config: CliConfig, out: Path):
     system = build_system(config.problem)
     f = initial_dofs(system, config.resolvent_f)
+    # the system is linear: one exact power of two brings the largest
+    # entry of f into [0.5, 1), so that subnormal data keeps its digits in
+    # the solve and A u does not overflow where u and b are finite; both
+    # ratios below are invariant under that scaling of u and b
+    exponent = np.frexp(np.abs(f).max())[1]
+    f = np.ldexp(f, -exponent)
     u = resolvent_solve(system, config.resolvent_lambda, f)
-    write_csv(out / "resolvent.csv", "dof,value", system.expand(u))
+    solution = np.ldexp(u, exponent)
+    if not np.isfinite(solution).all():
+        raise ConfigError("resolvent.f", "not solvable in double precision: the solution is not finite")
+    write_csv(out / "resolvent.csv", "dof,value", system.expand(solution))
     A = config.resolvent_lambda * system.M + system.K
     b = band_matvec(system.mass_rows, f)
-    # both ratios below are invariant under a common scaling of u and b;
-    # one exact power of two brings their largest entry into [0.5, 1), so
-    # that A u does not overflow where u and b are finite
-    exponent = np.frexp(max(np.abs(u).max(), np.abs(b).max()))[1]
-    u, b = np.ldexp(u, -exponent), np.ldexp(b, -exponent)
     # math.hypot scales as it sums, so no square overflows or underflows;
     # np.linalg.norm squares the entries in double, which overflow for
     # data near 1e160 and up

@@ -29,14 +29,18 @@ steps, all vectorized over the block:
    trajectory that is 3% of the values, nearly all of them near a tie.
 
 One ``bytes.translate`` deletes the NULs of a block.  The kernel needs
-the x87 80-bit ``longdouble`` (:data:`X87`); ``evolution.write_csv``
-formats with ``%`` where it is not.
+the x87 80-bit ``longdouble`` (:data:`X87`); :func:`write_csv`, which
+writes every CSV of the package, formats with ``%`` where it is not and
+for short CSVs.
 """
 from __future__ import annotations
 
+import itertools
+from contextlib import nullcontext
+
 import numpy as np
 
-__all__ = ["X87", "rows"]
+__all__ = ["X87", "rows", "write_csv"]
 
 
 def _x87():
@@ -219,3 +223,47 @@ def rows(values, start=0):
     out[:, w:].reshape(m, k, 4)[...] = words.reshape(4, k, m).transpose(2, 1, 0)
     out[:, -1] |= _NEWLINE
     return out.tobytes().translate(None, b"\0 ").decode("ascii")
+
+
+# The fewest floats a CSV holds for write_csv to format it with numpy
+# (rows): below, one `%` format is faster than the formatter's fixed
+# cost.  bench/nsweep.py's csv_row_us, swept with this constant set to 0
+# and to 10**9, puts the break-even between its rows of 530 floats, where
+# the two split (2.5 and 4.3 us per row by `%`, 3.0 and 3.1 by numpy), and
+# of 1,040 floats (2.6-4.0 against 1.4-1.5 us).
+_VECTOR_CSV_MIN_VALUES = 800
+# the most floats in one block of rows: the formatter's arrays stay in
+# cache, and a long CSV's text is written a block at a time
+_CSV_BLOCK_VALUES = 4096
+
+
+def write_csv(destination, header, *columns):
+    """Write ``header`` and one line per row to a path or a text stream:
+    the row index, then each column's value to 17 significant digits,
+    with the bytes of the ``%`` format ``("%d" + ",%.17g" * k + "\\n") * n``.
+
+    Columns are sequences or arrays of floats; columns of unequal length
+    raise ValueError.  A CSV of at least ``_VECTOR_CSV_MIN_VALUES`` floats
+    is formatted by :func:`rows` in blocks of rows, each written when it
+    is done: one x87 ``longdouble`` product per float, within
+    0.011 of a unit of the 17th digit, gives the digits unless they are
+    within 1/64 of a rounding tie, and those floats, zeros, infinities,
+    nan and |x| outside [1e-38, 1e43) take ``'%.17g' % v``.  A smaller CSV,
+    or any where ``longdouble`` is not the x87 type, is that one ``%``
+    format.  march's 2,501 rows of 5 fields take 1.7 ms against 4.9 ms for
+    the one format, whose correctly rounded conversion costs about 0.45 us
+    per float (best of 300, written to a file, one core of a 2-vCPU
+    x86-64 VM)."""
+    values = np.array(columns, dtype=float)
+    k, n = values.shape
+    if values.size < _VECTOR_CSV_MIN_VALUES or not X87:
+        interleaved = tuple(itertools.chain.from_iterable(zip(range(n), *values.tolist())))
+        blocks = [("%d" + ",%.17g" * k + "\n") * n % interleaved]
+    else:
+        block_rows = max(1, _CSV_BLOCK_VALUES // k)
+        blocks = (rows(values[:, i:i + block_rows], i) for i in range(0, n, block_rows))
+    with (nullcontext(destination) if hasattr(destination, "write")
+          else open(destination, "w", newline="")) as fh:
+        fh.write(header + "\n")
+        for block in blocks:
+            fh.write(block)

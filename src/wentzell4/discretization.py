@@ -316,16 +316,13 @@ def element_integrals(rule, weighted, d, pairs=False):
 _MAX_FIT_DEGREE = 7
 
 
-@functools.lru_cache(maxsize=None)
 def _shifted_legendre_coeffs(r):
     """Monomial coefficients of the Legendre polynomial P_r(2s - 1), the
     integers (-1)^(r+k) C(r, k) C(r+k, k); only r <= _MAX_FIT_DEGREE
-    occurs.  Cached, hence read-only."""
-    coef = np.array(
+    occurs."""
+    return np.array(
         [(-1) ** (r + k) * math.comb(r, k) * math.comb(r + k, k) for k in range(r + 1)], dtype=float
     )
-    coef.setflags(write=False)
-    return coef
 
 
 # Gauss-Legendre rules on [-1, 1] for the only point counts the package
@@ -396,7 +393,7 @@ def _moment_fit(min_degree):
     C = np.zeros((ncond, ncond))
     for r in range(ncond):
         C[r, : r + 1] = _shifted_legendre_coeffs(r)
-        A[r] = sigma**min_degree * polyval(sigma, _shifted_legendre_coeffs(r))
+        A[r] = sigma**min_degree * polyval(sigma, C[r, : r + 1])
     for array in (sigma, A, C):
         array.setflags(write=False)
     return sigma, A, C

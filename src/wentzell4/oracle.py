@@ -59,11 +59,6 @@ from .powers import (
     PiecewisePower,
     _poly_in_distance,
     polyder,
-    polyint,
-    polymul,
-    polyroots,
-    polysub,
-    polytrim,
     polyval,
 )
 
@@ -447,16 +442,33 @@ def best_linear_fit(coeffs):
 
     For non-affine u the residual changes sign at least twice: it is
     L2-orthogonal to both 1 and x.  For affine u it vanishes identically
-    and no zeros are reported.
+    and no zeros are reported.  Every result has the bits of the same
+    steps through numpy.polynomial (polysub, polytrim, polyroots).
     """
-    p = np.array(coeffs, dtype=float)
+    p = np.array(coeffs, dtype=float, ndmin=1)
     b0, b1 = _moments(p)
     # inverse of [[1, 1/2], [1/2, 1/3]]
     q = 4.0 * b0 - 6.0 * b1
     m = -6.0 * b0 + 12.0 * b1
-    residual = polysub(p, [q, m])
+    # p - (q + m x) without its trailing zeros, polysub's bits: a - b and
+    # (-b) + a round the same
+    residual = np.append(p, [0.0] * (2 - len(p)))
+    residual[:2] -= (q, m)
+    kept = np.flatnonzero(residual)
+    residual = residual[: kept[-1] + 1 if kept.size else 1]
+    # the roots of the residual without its trailing zeros and nans: the
+    # sorted eigenvalues of numpy's companion matrix from degree 2 on
+    kept = np.flatnonzero(np.abs(residual) > 0)
+    c = residual[: kept[-1] + 1 if kept.size else 1]
+    n = len(c) - 1
+    roots = np.array([-c[0] / c[1]] if n == 1 else [])
+    if n > 1:
+        companion = np.zeros((n, n))
+        companion.reshape(-1)[n :: n + 1] = 1
+        companion[:, -1] -= c[:-1] / c[-1]
+        roots = np.sort(np.linalg.eigvals(companion))
     # + 0.0 maps a root -0.0 to +0.0, as Polynomial.roots does (0.0 + 1.0 r)
-    roots = polyroots(polytrim(residual)) + 0.0
+    roots = roots + 0.0
     x = np.sort(roots.real[(roots.imag == 0.0) & (roots.real >= 0.0) & (roots.real <= 1.0)])
     slope = polyder(residual)
     for _ in range(2):
@@ -467,11 +479,15 @@ def best_linear_fit(coeffs):
 
 def _moments(c):
     """The integrals over [0, 1] of p and of x p, p the polynomial of
-    ascending coefficients ``c``, each from its antiderivative."""
-    P = polyint(c)
-    XP = polyint(polymul([0.0, 1.0], c))
-    return (float(polyval(1.0, P) - polyval(0.0, P)),
-            float(polyval(1.0, XP) - polyval(0.0, XP)))
+    ascending coefficients ``c``: the sums of c_k / (k + 1) and of
+    c_k / (k + 2), each added from the highest degree down to a start of
+    0.0, the order of Horner's scheme on the antiderivative at 1."""
+    c = np.asarray(c, dtype=float).tolist()
+    b0 = b1 = 0.0
+    for k in range(len(c) - 1, -1, -1):
+        b0 = c[k] / (k + 1) + b0
+        b1 = c[k] / (k + 2) + b1
+    return b0, b1
 
 
 def pointwise_sqrt_bound(u_spec, coeff, k):

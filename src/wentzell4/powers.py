@@ -19,11 +19,6 @@ __all__ = [
     "DivergentIntegralError",
     "PiecewisePower",
     "polyder",
-    "polyint",
-    "polymul",
-    "polyroots",
-    "polysub",
-    "polytrim",
     "polyval",
 ]
 
@@ -82,28 +77,24 @@ def _poly_in_distance(coeffs, x0, side):
 
 
 # ---- coefficient arrays ------------------------------------------------
-# The functions of numpy.polynomial.polynomial the package calls, for 1-d
-# float arrays of ascending coefficients, in numpy 2.4's order of
-# operations, so that every result has numpy's bits; importing
-# numpy.polynomial would cost each start about 0.9 MB for them.
+# The two functions of numpy.polynomial.polynomial the package calls,
+# polyval and polyder, for 1-d float arrays of ascending coefficients, in
+# numpy 2.4's order of operations, so that every result has numpy's bits;
+# importing numpy.polynomial would cost each start about 0.9 MB for them.
 
 
-def _series(c, trim=True):
-    """numpy's ``as_series`` of one array: a 1-d float copy of ``c``, its
-    trailing zeros trimmed by ``trimseq`` (at least one coefficient kept)."""
+def _series(c):
+    """A 1-d float copy of ``c``."""
     c = np.array(c, dtype=float, ndmin=1)
     if c.ndim != 1 or not c.size:
         raise ValueError("polynomial coefficients must be a non-empty 1-d sequence")
-    if not trim:
-        return c
-    nonzero = np.flatnonzero(c != 0.0)
-    return c[: nonzero[-1] + 1 if nonzero.size else 1]
+    return c
 
 
 def polyval(x, c):
     """The polynomial of coefficients ``c`` at x (a float or an array) by
     Horner's scheme from ``c[-1] + x*0``."""
-    c = _series(c, trim=False)
+    c = _series(c)
     value = c[-1] + x * 0
     for a in c[-2::-1]:
         value = a + value * x
@@ -113,66 +104,12 @@ def polyval(x, c):
 def polyder(c, m=1):
     """Coefficients of the m-th derivative; ``c[:1] * 0`` from order
     ``len(c)`` on."""
-    c = _series(c, trim=False)
+    c = _series(c)
     if m >= len(c):
         return c[:1] * 0
     for _ in range(m):
         c = c[1:] * np.arange(1, len(c))
     return c
-
-
-def polyint(c):
-    """Coefficients of the antiderivative that vanishes at 0."""
-    c = _series(c, trim=False)
-    if len(c) == 1 and c[0] == 0:
-        return c + 0
-    out = np.empty(len(c) + 1)
-    out[0] = c[0] * 0
-    out[1] = c[0]
-    out[2:] = c[1:] / np.arange(2, len(c) + 1)
-    out[0] += 0 - polyval(0, out)
-    return out
-
-
-def polymul(c1, c2):
-    """Coefficients of the product, trimmed."""
-    return _series(np.convolve(_series(c1), _series(c2)))
-
-
-def polysub(c1, c2):
-    """Coefficients of the difference, trimmed."""
-    c1, c2 = _series(c1), _series(c2)
-    if len(c1) > len(c2):
-        c1[: len(c2)] -= c2
-        return _series(c1)
-    c2 = -c2
-    c2[: len(c1)] += c1
-    return _series(c2)
-
-
-def polytrim(c):
-    """``c`` without its trailing coefficients of magnitude not above 0
-    (zeros and nans); ``c[:1] * 0`` when none is left."""
-    c = _series(c)
-    kept = np.flatnonzero(np.abs(c) > 0)
-    return c[: kept[-1] + 1].copy() if kept.size else c[:1] * 0
-
-
-def polyroots(c):
-    """Roots of the polynomial, the sorted eigenvalues of its companion
-    matrix (complex where one is not real)."""
-    c = _series(c)
-    if len(c) < 2:
-        return np.array([])
-    if len(c) == 2:
-        return np.array([-c[0] / c[1]])
-    n = len(c) - 1
-    companion = np.zeros((n, n))
-    companion.reshape(-1)[n :: n + 1] = 1
-    companion[:, -1] -= c[:-1] / c[-1]
-    roots = np.linalg.eigvals(companion)
-    roots.sort()
-    return roots
 
 
 def _side_value(terms, d, power=pow):

@@ -644,8 +644,9 @@ def test_resolvent_overflowing_data_is_blamed_on_f_not_lambda(tmp_path, capsys, 
 
 
 # the squares of entries near 1e200 overflow, those of entries near
-# 1e-300 underflow; the solve itself is fine
-@pytest.mark.parametrize("scale", [1e200, 1e-300])
+# 1e-300 underflow; entries near 3e-320 are subnormal and keep their
+# digits in the solve only when f is scaled before it
+@pytest.mark.parametrize("scale", [1e200, 1e-300, 3e-320])
 def test_resolvent_norms_do_not_overflow_on_large_finite_data(tmp_path, scale):
     path = tmp_path / "config.json"
     path.write_text(cfg(wentzell=DAMPED, resolvent={"lambda": 1.0, "f": {"poly": [scale, scale]}}))

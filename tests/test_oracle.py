@@ -1,8 +1,9 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
@@ -233,6 +234,62 @@ def test_best_linear_fit_orthogonality_and_sign_changes():
         xr = np.polynomial.Polynomial([0.0, 1.0]) * r
         assert abs(xr.integ()(1.0) - xr.integ()(0.0)) <= 1e-12
         assert len(fit.zeros) >= 2
+
+
+def _numpy_moments(c):
+    P = npoly.polyint(c)
+    XP = npoly.polyint(npoly.polymul([0.0, 1.0], c))
+    return (float(npoly.polyval(1.0, P) - npoly.polyval(0.0, P)),
+            float(npoly.polyval(1.0, XP) - npoly.polyval(0.0, XP)))
+
+
+def _numpy_linear_fit(coeffs):
+    """best_linear_fit's steps through numpy.polynomial."""
+    p = np.array(coeffs, dtype=float)
+    b0, b1 = _numpy_moments(p)
+    q = 4.0 * b0 - 6.0 * b1
+    m = -6.0 * b0 + 12.0 * b1
+    residual = npoly.polysub(p, [q, m])
+    roots = npoly.polyroots(npoly.polytrim(residual)) + 0.0
+    x = np.sort(roots.real[(roots.imag == 0.0) & (roots.real >= 0.0) & (roots.real <= 1.0)])
+    slope = npoly.polyder(residual)
+    for _ in range(2):
+        d = npoly.polyval(x, slope)
+        x = x - np.divide(npoly.polyval(x, residual), d, out=np.zeros_like(x), where=d != 0.0)
+    return q, m, residual, tuple(map(float, x))
+
+
+_finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+_coefficient = st.one_of(_finite, st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 / 3.0]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    coeffs=st.lists(_coefficient, min_size=1, max_size=10),  # degrees 0-9
+    trailing_zeros=st.integers(min_value=0, max_value=3),
+)
+@example(coeffs=[0.0, 0.0, 1.0], trailing_zeros=0)
+@example(coeffs=[0.0, 0.0, 0.0, 1.0], trailing_zeros=0)
+@example(coeffs=[1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0], trailing_zeros=0)
+@example(coeffs=[2.0, -3.0], trailing_zeros=1)
+@example(coeffs=[-0.0], trailing_zeros=2)
+def test_best_linear_fit_and_moments_are_the_bits_of_numpy_polynomial(coeffs, trailing_zeros):
+    coeffs = coeffs + [0.0] * trailing_zeros
+    try:
+        expected = _numpy_linear_fit(coeffs)
+    except np.linalg.LinAlgError:
+        # a subnormal leading coefficient overflows the companion matrix
+        with pytest.raises(np.linalg.LinAlgError):
+            best_linear_fit(coeffs)
+        return
+    fit = best_linear_fit(coeffs)
+    q, m, residual, zeros = expected
+    # repr tells -0.0 from 0.0 and prints every float exactly
+    assert repr((fit.intercept, fit.slope, fit.zeros)) == repr((q, m, zeros))
+    assert (fit.residual_coeffs.dtype, fit.residual_coeffs.shape, fit.residual_coeffs.tobytes()) == (
+        residual.dtype, residual.shape, residual.tobytes())
+    for c in (coeffs, residual):
+        assert repr(oracle._moments(np.array(c))) == repr(_numpy_moments(c))
 
 
 def test_pointwise_bound_documented_cases():

@@ -27,8 +27,8 @@ What is derived from an object is kept on it, so that it is built once
 for as long as the object lives and never outlives it: a mesh keeps the
 rules :meth:`Mesh.rule` built on it (each by :func:`weighted_rule`),
 and a rule keeps the pair integrals of each derivative order
-(:meth:`QuadratureRule.pair_integrals`) that the Gram matrices and the
-element blocks of :mod:`forms` both read, and the Gram bands
+(:meth:`QuadratureRule.pair_integrals`) that the Gram matrices of
+:mod:`forms` read, and the Gram bands
 (:meth:`QuadratureRule.kept`).  Every kept array is read-only.
 """
 from __future__ import annotations

@@ -42,8 +42,9 @@ Eigenvalues.  :func:`pencil_spectrum` answers what ``spectrum``
 reports, the bottom eigenvalues with a bound on the rounding error of
 each, the largest and the kernel count, by one of two paths chosen by
 size.  Small systems (up to 150 dofs) take the dense generalized
-eigensolve of LAPACK ``dsygvd`` on the Jacobi-equilibrated bands, the
-call the oracle makes too (:func:`_eigh`).  Larger ones touch the band
+eigensolve of LAPACK ``dsygvd`` on the Jacobi-equilibrated bands,
+:func:`dense_pencil`, the one dense pencil solve, which the oracle's
+``dense_decompose`` makes too.  Larger ones touch the band
 only through O(n) factorizations, solves and products: the largest
 eigenvalue by bisection on sigma, where the Cholesky factorization of
 sigma M - K succeeds exactly above it, and the bottom ones by block
@@ -57,10 +58,10 @@ kernel count and whether the smallest counts as nonnegative.  At 1026
 dofs the Lanczos path takes about 5 ms (median of 11 calls, one core of
 a 2-vCPU x86-64 VM).
 
-The element blocks are exactly symmetric, as each stores one computed
-value at (i, j) and (j, i), and an entry of the band sums
-at most two of them, so the band is that of a dense accumulation, bit for
-bit, and M = M^T and K = K^T hold with no rounding gap.
+An element block is one computed value per pair i >= j, and an entry of
+the band sums at most two of them, so the band is that of a dense
+accumulation of the mirrored blocks, bit for bit, and a dense copy
+(:func:`band_to_dense`) has M = M^T and K = K^T with no rounding gap.
 
 Solvers.  :class:`_BandedSPD` is a banded Cholesky factorization (LAPACK
 ``dpbtrf``, the call ``cholesky_banded`` makes, made directly) after
@@ -112,9 +113,9 @@ __all__ = [
     "band_congruence",
     "band_matvec",
     "bounded_spectrum",
+    "dense_pencil",
     "band_quadratic",
     "band_to_dense",
-    "element_blocks",
     "free_band",
     "gram_matrix",
     "PencilSpectrum",
@@ -320,16 +321,15 @@ class _BandedSPD:
         return x + self._solve_once((b - band_matvec(self.rows, x)).astype(float))
 
 
-def _largest(mass, stiffness):
+def _largest(dinv, mass, stiffness):
     """The largest eigenvalue of the pencil, by bisection on sigma: by
     Sylvester's law of inertia, sigma M - K is positive definite, and its
     Cholesky factorization ``dpbtrf`` succeeds, exactly when sigma is
-    above it.  The bands are Jacobi-equilibrated by 1/sqrt(diag M) once,
-    so the bracket starts at the largest diagonal entry of the scaled K,
-    a Rayleigh quotient; its width doubles until the factorization
-    succeeds, then halves to the last bit, about 55 factorizations of
-    O(n) each.  M must be positive definite."""
-    dinv, mass = _jacobi(mass)
+    above it.  ``dinv, mass`` is :func:`_jacobi` of M, which must be
+    positive definite, and K is scaled by ``dinv`` once, so the bracket
+    starts at the largest diagonal entry of the scaled K, a Rayleigh
+    quotient; its width doubles until the factorization succeeds, then
+    halves to the last bit, about 55 factorizations of O(n) each."""
     stiffness = band_congruence(stiffness, dinv)
 
     shifted = np.empty_like(mass, order="F")  # each factorization overwrites it
@@ -419,15 +419,22 @@ def bounded_spectrum(values, vectors, stiffness, count, largest, dense=False):
     return PencilSpectrum(values[:count], bounds[:count], largest, int(np.sum(values < bounds)))
 
 
-def _dense_spectrum(mass, stiffness, count):
-    """Every eigenvalue and eigenvector of the pencil, from the dense
-    generalized eigensolve ``dsygvd`` of the Jacobi-equilibrated bands;
-    its vectors are normalized in the scaled mass, so scaled back they are
-    M-normalized.  O(n^3) time and O(n^2) memory."""
+def dense_pencil(mass, stiffness):
+    """The ascending eigenvalues of the pencil K v = lambda M v of the
+    lower bands of M and K and their M-normalized eigenvectors (columns):
+    ``dsygvd`` of the Jacobi-equilibrated bands, its vectors scaled back.
+    The band forms ``K_ij (d_i d_j)`` as a dense ``K * outer(d, d)`` does,
+    bit for bit.  O(n^3) time and O(n^2) memory."""
     dinv, scaled = _jacobi(mass)
     w, z = _eigh(band_to_dense(band_congruence(stiffness, dinv)), band_to_dense(scaled),
                  vectors=True)
-    return bounded_spectrum(w, (dinv[:, None] * z).T, stiffness, count, float(w[-1]), dense=True)
+    return w, dinv[:, None] * z
+
+
+def _dense_spectrum(mass, stiffness, count):
+    """The :class:`PencilSpectrum` of every eigenpair of :func:`dense_pencil`."""
+    w, v = dense_pencil(mass, stiffness)
+    return bounded_spectrum(w, v.T, stiffness, count, float(w[-1]), dense=True)
 
 
 # Each shift-invert Lanczos step is one refined solve of K + sigma M at
@@ -564,7 +571,8 @@ def pencil_spectrum(mass, stiffness, count, kernel):
     served = min((n - 1) // _LANCZOS_MIN_DOFS_PER_EIGENVALUE, _LANCZOS_MAX_COUNT)
     if count > served:
         raise ConfigError("count", f"at most {served} eigenvalues are served at {n} free dofs")
-    if dpbtrf(_jacobi(mass)[1], lower=1)[1]:
+    dinv, scaled = _jacobi(mass)
+    if dpbtrf(scaled, lower=1)[1]:
         raise LinAlgError("mass matrix is not positive definite")
     found = _lanczos(mass, stiffness, max(count, kernel + 1))
     if found is None:
@@ -572,7 +580,7 @@ def pencil_spectrum(mass, stiffness, count, kernel):
     spectrum = bounded_spectrum(*found, stiffness, count, None)
     if spectrum.kernel != kernel:
         return spectrum
-    return spectrum._replace(largest=_largest(mass, stiffness))
+    return spectrum._replace(largest=_largest(dinv, scaled, stiffness))
 
 
 def free_band(ab, free):
@@ -609,29 +617,14 @@ def band_to_dense(ab):
     return dense
 
 
-def element_blocks(rule, d):
-    """Local Gram blocks (n_elements, 4, 4) of the d-th basis derivatives:
-    entry (i, j) of block e is the rule's sum of w phi_i^(d) phi_j^(d)
-    over element e, from the reference shape tables of the rule
-    (:meth:`discretization.QuadratureRule.pair_integrals`, which
-    :func:`gram_matrix` reads too).  Only the 10 entries
-    i >= j are computed and each is written to (i, j) and (j, i), so
-    every block is exactly symmetric by construction."""
-    entries = rule.pair_integrals(d)
-    row, col = LOWER_PAIRS
-    blocks = np.empty((len(entries), 4, 4))
-    blocks[:, row, col] = blocks[:, col, row] = entries
-    return blocks
-
-
 def gram_matrix(rule, d):
     """Lower band of the weighted Gram matrix of the d-th basis
     derivatives, kept read-only with the rule (a caller that adds to it
-    works on a copy): the 10 lower entries of every element block (those
-    of :func:`element_blocks`, kept with the rule:
-    :meth:`QuadratureRule.pair_integrals`) scattered straight into the
-    band.  Element e owns dofs 2e..2e+3, so an entry receives at most two
-    contributions; they are added to zero in element order."""
+    works on a copy): the 10 lower entries of every element block, one
+    value per pair i >= j (:meth:`QuadratureRule.pair_integrals`, kept
+    with the rule), scattered straight into the band.  Element e owns
+    dofs 2e..2e+3, so an entry receives at most two contributions; they
+    are added to zero in element order."""
 
     def scatter(rule):
         n = rule.mesh.n_dofs

@@ -7,22 +7,23 @@ terms, nested reciprocal integrals, best linear fit, pointwise square-root
 bounds) are evaluated in the exact piecewise-power algebra, so that a
 disagreement always points at the code under test.
 
-The dense eigensolves call the LAPACK drivers ``scipy.linalg.eigh``
-picks by default, ``dsygvd`` for a pencil and ``dsyevr`` for one matrix,
-directly (``forms._eigh``, which ``spectrum`` calls for small systems
-too), with every argument that decides the bits, so each value is
-eigh's without its wrapper's cost.
-
-The oracle shares quadrature with assembly and, of the solver, only
-that LAPACK call and the rounding bound of an eigenvalue
-(``forms.bounded_spectrum``).  A verification report builds each object once and frees it with the
-report: one mesh per (n, x0), which keeps its rules and they their Gram
-pair integrals (:mod:`discretization`), so the case matrix and the
-n = 16 level of the norm-equivalence ladder read the same ones; the
-case-matrix systems, assembled once for the ``spectral`` and
-``resolvent`` suites; and the dense copies each system keeps.  A rule
-keeps its Gram bands too, so each level of the ladder forms its unit
-bands once for its three coefficients.
+The oracle shares quadrature with assembly and, of the solver, the
+rounding bound of an eigenvalue (``forms.bounded_spectrum``) and the
+dense pencil solve of ``spectrum`` up to 150 dofs, ``forms.dense_pencil``
+(``dsygvd`` of the Jacobi-equilibrated bands), which
+:func:`dense_decompose` calls.  No check is lost: a dense equilibration
+has the band's bits by construction, the band kernels keep their bit
+tests against loops, and the tests hold the Lanczos path to this solve.
+The other dense eigensolves call ``forms._eigh``, the LAPACK drivers
+``scipy.linalg.eigh`` picks (``dsygvd``, ``dsyevr``) with every argument
+that decides the bits.  A verification report builds each object once
+and frees it with the report: one mesh per (n, x0), which keeps its
+rules and they their Gram pair integrals (:mod:`discretization`), so the
+case matrix and the n = 16 level of the norm-equivalence ladder read the
+same ones; the case-matrix systems, assembled once for the ``spectral``
+and ``resolvent`` suites; and the dense copies each system keeps.  A
+rule keeps its Gram bands too, so each level of the ladder forms its
+unit bands once for its three coefficients.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .coefficient import (
     DegeneracyClass,
@@ -43,7 +43,6 @@ from .coefficient import (
 )
 from .discretization import WeightKind, build_mesh
 from .forms import (
-    PENCIL,
     AssembledSystem,
     OperatorForm,
     WentzellParams,
@@ -51,7 +50,7 @@ from .forms import (
     assemble,
     band_to_dense,
     bounded_spectrum,
-    element_blocks,
+    dense_pencil,
     gram_matrix,
 )
 from .powers import (
@@ -122,20 +121,10 @@ class SpectralDecomposition:
 
 
 def dense_decompose(system: AssembledSystem) -> SpectralDecomposition:
-    """Full dense eigensolve of the free pencil.
-
-    Both matrices are symmetrically equilibrated first (a congruence with
-    the same diagonal leaves the pencil spectrum invariant); eigenvectors
-    are mapped back and M-normalized.
-    """
-    M, K = system.to_dense()
-    diag = np.diag(M)
-    if not np.all(diag > 0.0):
-        raise LinAlgError("singular mass matrix: quadrature or constraint bug")
-    dinv = 1.0 / np.sqrt(diag)
-    scale = np.outer(dinv, dinv)
-    w, v = _eigh(K * scale, M * scale, vectors=True)
-    v = dinv[:, None] * v
+    """Full dense eigensolve of the free pencil, :func:`forms.dense_pencil`,
+    with each eigenvector normalized once more in the dense M."""
+    w, v = dense_pencil(system.M, system.K)
+    (M,) = system.to_dense("M")
     v /= np.sqrt(np.einsum("ij,ij->j", v, M @ v))
     return SpectralDecomposition(system, w, v)
 
@@ -660,23 +649,15 @@ def _green_checks():
 def _spectral_checks(cases):
     out = []
     for name, system in cases:
-        # element blocks before they are folded into the bands (symmetric
-        # by construction: one value mirrored per pair); the boundary
-        # terms are diagonal
-        pencil = PENCIL[system.form]
-        sym_gap = max(
-            float(np.max(np.abs(B - B.transpose(0, 2, 1))))
-            for B in (
-                element_blocks(system.rule(kind), d)
-                for kind, d in ((pencil.mass, 0), (pencil.stiffness, 2))
-            )
-        )
+        # the dense copies the suites read: band_to_dense writes each band
+        # entry to (i, j) and (j, i), so the gap is 0.0 by construction
+        M, K = system.to_dense()
+        sym_gap = max(float(np.max(np.abs(A - A.T))) for A in (M, K))
         decomp = dense_decompose(system)
         w = decomp.eigenvalues
         lam_max = max(float(w[-1]), 1.0)
         min_rel = float(w[0] / lam_max)
         V = decomp.vectors
-        (M,) = system.to_dense("M")
         ortho_gap = float(np.max(np.abs(V.T @ M @ V - np.eye(len(w)))))
         reference = bounded_spectrum(w, V.T, system.K, len(w), w[-1], dense=True)
         expected = expected_kernel(system)
@@ -897,12 +878,16 @@ def verification_report(suites=None):
 
 
 def _jsonable(obj):
+    """``obj`` with numpy scalars made Python ones and every non-finite
+    float the string "inf", "-inf" or "nan", which strict JSON holds."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):  # longdouble too, which .item() keeps
+        obj = float(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
     return obj

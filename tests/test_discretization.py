@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 from wentzell4.coefficient import DegeneracyClass, classify, power_profile, singular_moment
 from wentzell4.discretization import (
+    LOWER_PAIRS,
     WeightKind,
     _fitted_singular_rule,
     _gauss_legendre,
@@ -24,7 +25,14 @@ from wentzell4.discretization import (
     shape_values,
     weighted_rule,
 )
-from wentzell4.forms import PENCIL, OperatorForm, WentzellParams, assemble, element_blocks
+from wentzell4.forms import (
+    PENCIL,
+    OperatorForm,
+    WentzellParams,
+    assemble,
+    band_to_dense,
+    gram_matrix,
+)
 
 
 def test_build_mesh_uniform_midpoint():
@@ -283,11 +291,16 @@ def test_gauss_legendre_refuses_an_untabulated_count():
 
 
 def test_quadrature_symmetric_in_basis_pairs():
+    # one value per pair i >= j of every element block, kept read-only, so
+    # the Gram matrix they scatter into is exactly symmetric
     mesh = build_mesh(4, 0.5)
     rule = weighted_rule(mesh, power_profile(0.5, 0.5), WeightKind.COEFF_A)
     for d in range(3):
-        blocks = element_blocks(rule, d)
-        assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
+        entries = rule.pair_integrals(d)
+        assert entries.shape == (mesh.n_elements, len(LOWER_PAIRS[0]))
+        assert not entries.flags.writeable
+        G = band_to_dense(gram_matrix(rule, d))
+        assert np.array_equal(G, G.T)
 
 
 def loop_rule(mesh, coeff, kind, npoints=None):
@@ -360,7 +373,7 @@ def column_scales(h, d):
 def test_batched_rule_equals_element_loop_bit_for_bit(form, K, x0, n, npoints):
     coeff = power_profile(x0, K)
     mesh = build_mesh(n, x0)
-    row, col = np.tril_indices(4)
+    row, col = LOWER_PAIRS
     for kind in PENCIL[form]:
         rule = weighted_rule(mesh, coeff, kind, npoints)
         P, W, S = padded(mesh, *loop_rule(mesh, coeff, kind, npoints))
@@ -368,14 +381,13 @@ def test_batched_rule_equals_element_loop_bit_for_bit(form, K, x0, n, npoints):
         assert not (rule.points.flags.writeable or rule.weights.flags.writeable)
         for d in range(3):
             # each element alone, on its reference abscissae: the 10 lower
-            # entries (w @ (T_i T_j)) c_i c_j, mirrored
-            expected = np.empty((n, 4, 4))
+            # entries (w @ (T_i T_j)) c_i c_j
+            expected = np.empty((n, len(row)))
             for e in range(n):
                 T = shape_values(S[e], d)
                 c = column_scales(mesh.lengths()[e], d)
-                entries = (W[e] @ (T[:, row] * T[:, col])) * (c[row] * c[col])
-                expected[e, row, col] = expected[e, col, row] = entries
-            assert np.array_equal(element_blocks(rule, d), expected)
+                expected[e] = (W[e] @ (T[:, row] * T[:, col])) * (c[row] * c[col])
+            assert np.array_equal(rule.pair_integrals(d), expected)
     coeffs = [0.3, -1.0, 2.0, 0.5, -0.25]
     p = np.polynomial.Polynomial(coeffs)
     reference = np.zeros(mesh.n_dofs)

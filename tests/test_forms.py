@@ -9,7 +9,13 @@ from scipy.linalg import eigh
 
 from wentzell4 import discretization, oracle
 from wentzell4.coefficient import constant_profile, power_profile, singular_moment
-from wentzell4.discretization import WeightKind, build_mesh, interpolate_poly, weighted_rule
+from wentzell4.discretization import (
+    LOWER_PAIRS,
+    WeightKind,
+    build_mesh,
+    interpolate_poly,
+    weighted_rule,
+)
 from wentzell4.evolution import initial_dofs
 from wentzell4.forms import (
     PENCIL,
@@ -17,7 +23,6 @@ from wentzell4.forms import (
     WentzellParams,
     assemble,
     band_quadratic,
-    element_blocks,
     gram_matrix,
 )
 from wentzell4.powers import DivergentIntegralError, PiecewisePower
@@ -35,12 +40,13 @@ def gram_sq(sys, kind, d, u):
 
 
 def assert_exactly_symmetric(sys):
-    # the element blocks of M and K, before they are folded into the bands
-    # (the boundary terms are diagonal), and the dense matrices
+    # every element block of M and K is held as its 10 lower entries, one
+    # value per pair i >= j, before it is folded into the band (the
+    # boundary terms are diagonal), and the dense matrices mirror the band
     pencil = PENCIL[sys.form]
     for kind, d in ((pencil.mass, 0), (pencil.stiffness, 2)):
-        blocks = element_blocks(sys.rule(kind), d)
-        assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
+        entries = sys.rule(kind).pair_integrals(d)
+        assert entries.shape == (sys.mesh.n_elements, len(LOWER_PAIRS[0]))
     for A in sys.to_dense():
         assert np.array_equal(A, A.T)
 
@@ -182,15 +188,16 @@ def test_regular_gram_blocks_are_the_exact_integrals(n, x0):
     # 6.0e-14 at n = 512, x0 = 0.5, and grows with n.
     mesh = build_mesh(n, x0)
     rule = weighted_rule(mesh, power_profile(x0, 0.5), WeightKind.UNIT)
-    h = mesh.lengths().astype(np.longdouble)[:, None, None]
+    h = mesh.lengths().astype(np.longdouble)[:, None]
+    row, col = LOWER_PAIRS
     slope = np.array([0, 1, 0, 1])
-    slope_powers = slope[:, None] + slope[None, :]
+    slope_powers = slope[row] + slope[col]
     for d, block, power, bound in (
         (0, EXACT_MASS_BLOCK, 1, 3e-15),
         (2, EXACT_STIFFNESS_BLOCK, -3, 1.2e-15),
     ):
-        exact = block * h**power * h**slope_powers
-        error = np.abs(element_blocks(rule, d) - exact) / np.abs(exact)
+        exact = block[row, col] * h**power * h**slope_powers
+        error = np.abs(rule.pair_integrals(d) - exact) / np.abs(exact)
         assert float(error.max()) <= bound, (d, float(error.max()))
 
 

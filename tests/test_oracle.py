@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -20,7 +22,9 @@ from wentzell4.forms import (
     OperatorForm,
     WentzellParams,
     _dense_spectrum,
+    _eigh,
     assemble,
+    dense_pencil,
     gram_matrix,
     pencil_spectrum,
 )
@@ -90,6 +94,30 @@ def test_strong_nondivergence_kernel_is_pinned_linear():
     (K,) = sys.to_dense("K")
     assert K.shape == (len(sys.free),) * 2
     assert np.linalg.norm(K @ u[sys.free]) <= 1e-10 * np.abs(K).max()
+
+
+def test_dense_decompose_is_the_shared_dense_solve_bit_for_bit():
+    # the eigenvalues of the oracle are those spectrum reports up to 150
+    # dofs, and the band route of the equilibration gives the bits of the
+    # dense one, K * outer(d, d), values and vectors alike
+    for name, system in oracle._case_matrix():
+        decomp = dense_decompose(system)
+        w, v = dense_pencil(system.M, system.K)
+        assert _same_bits(decomp.eigenvalues, w), name
+        assert _same_bits(_dense_spectrum(system.M, system.K, len(w)).lowest, w), name
+        M, K = system.to_dense()
+        d = 1.0 / np.sqrt(np.diag(M))
+        scale = np.outer(d, d)
+        dense_w, dense_z = _eigh(K * scale, M * scale, vectors=True)
+        assert _same_bits(dense_w, w) and _same_bits(d[:, None] * dense_z, v), name
+
+
+def test_dense_decompose_refuses_a_mass_diagonal_that_is_not_positive(weak_system):
+    bad = weak_system.M.copy()
+    bad[0, 3] = 0.0
+    system = dataclasses.replace(weak_system, M=bad)
+    with pytest.raises(np.linalg.LinAlgError, match="^matrix diagonal is not positive and finite"):
+        dense_decompose(system)
 
 
 def test_propagator_time_zero_and_modal_decay(weak_system):
@@ -407,6 +435,32 @@ def test_verification_report_all_pass_and_shape():
     }
     for c in rep["checks"]:
         assert {"suite", "name", "inputs", "computed", "tolerance", "pass"} <= set(c)
+    json.dumps(rep, allow_nan=False)  # strict JSON: no NaN or Infinity token
+
+
+def test_jsonable_writes_every_non_finite_float_as_a_string():
+    inf, nan = math.inf, math.nan
+    obj = {
+        "a": -inf,
+        "b": np.float64(inf),
+        "c": [nan, np.float32(-inf), np.float64(nan), np.longdouble(-inf)],
+        "d": (1.5, np.float64(-0.0), np.int64(3), True, np.longdouble(0.25)),
+        "e": inf,
+    }
+    out = oracle._jsonable(obj)
+    assert out == {
+        "a": "-inf",
+        "b": "inf",
+        "c": ["nan", "-inf", "nan", "-inf"],
+        "d": [1.5, -0.0, 3, True, 0.25],
+        "e": "inf",
+    }
+    assert math.copysign(1.0, out["d"][1]) == -1.0
+    assert type(out["d"][2]) is int and type(out["d"][4]) is float
+    assert json.dumps(out, allow_nan=False) == (
+        '{"a": "-inf", "b": "inf", "c": ["nan", "-inf", "nan", "-inf"], '
+        '"d": [1.5, -0.0, 3, true, 0.25], "e": "inf"}'
+    )
 
 
 def test_case_matrix_is_assembled_once_per_report(monkeypatch):

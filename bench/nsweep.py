@@ -16,7 +16,7 @@ round before, so no quantity is always the first of its round, whose
 timing reads high on small meshes:
 
   assemble_ms       one ``build_system``: mesh, quadrature rules and the
-                    bands of M and K
+                    rows (n, 7) of M and K
   banded_step_us    one ``step_free`` by the refined banded solve
   solve_us          one refined banded solve ``_BandedSPD.solve`` of the
                     step matrix: two plain solves and one longdouble

@@ -27,7 +27,7 @@ for form, K in ((OperatorForm.DIVERGENCE, 0.5), (OperatorForm.NON_DIVERGENCE, 1.
     print(f"\n{form.value}, a = |x - 1/2|^{K}")
     pinned = tuple(sorted(set(range(mesh.n_dofs)) - set(system.free.tolist())))
     print(f"  dofs: {mesh.n_dofs}, constrained: {pinned}")
-    print(f"  band storage: M and K are {system.M.shape} arrays (4 diagonals)")
+    print(f"  row storage: M and K are {system.M.shape} arrays (7 entries per row)")
     M, K = system.to_dense()
     print(f"  max |M - M^T| = {np.max(np.abs(M - M.T))}")
     print(f"  max |K - K^T| = {np.max(np.abs(K - K.T))}")

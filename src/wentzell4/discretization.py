@@ -28,7 +28,7 @@ for as long as the object lives and never outlives it: a mesh keeps the
 rules :meth:`Mesh.rule` built on it (each by :func:`weighted_rule`),
 and a rule keeps the pair integrals of each derivative order
 (:meth:`QuadratureRule.pair_integrals`) that the Gram matrices of
-:mod:`forms` read, and the Gram bands
+:mod:`forms` read, and the rows of the Gram matrices
 (:meth:`QuadratureRule.kept`).  Every kept array is read-only.
 """
 from __future__ import annotations

@@ -26,8 +26,9 @@ array; the times, norms, energies and slacks of all steps are computed
 after it, in one batched pass (:func:`make_state`) that keeps the
 rounding of a step-by-step evaluation.
 
-Every matrix is read in the lower band storage of :mod:`forms`, so a step
-costs O(n); the banded Cholesky solver and its equilibration live there too.
+Every matrix is read as the symmetric rows (n, 7) that :mod:`forms`
+stores, so a step costs O(n); the banded Cholesky solver and its
+equilibration live there too.
 A long unforced run on a small mesh is the exception: :func:`run` then
 forms the propagator S of the step once (:meth:`TimeStepper.propagator`)
 and writes ``S u`` of each state straight into the row of the next one.
@@ -72,7 +73,6 @@ from .forms import (
     band_matvec,
     band_to_dense,
     point_terms,
-    row_band,
 )
 from .powers import polyder, polyval
 
@@ -126,7 +126,7 @@ def resolvent_solve(system: AssembledSystem, lam, f):
     with solvable("resolvent.lambda"):
         solver = _BandedSPD(lam * system.M + system.K)
     with solvable("resolvent.f"):
-        u = solver.solve(band_matvec(system.mass_rows, f))
+        u = solver.solve(band_matvec(system.M, f))
         if not np.isfinite(u).all():
             raise LinAlgError("the solution is not finite")
         return u
@@ -264,8 +264,7 @@ class TimeStepper:
                     "M + theta dt K or M - (1 - theta) dt K has an entry that is not finite"
                 )
         self._solver = _BandedSPD(lhs)
-        self._rhs_band = rhs
-        self._rhs = row_band(rhs)
+        self._rhs = rhs
 
     def propagator(self):
         """S = A^{-1} R, by the refined banded solve of the columns of R.
@@ -274,7 +273,7 @@ class TimeStepper:
         rounds R u: on Crank-Nicolson runs its norms drift from exact
         steps by 0.04 to 19 times as much as the banded path's, those of
         the solved S by 0.0005 to 0.12 times as much (see README)."""
-        return self._solver.solve(band_to_dense(self._rhs_band))
+        return self._solver.solve(band_to_dense(self._rhs))
 
     def step_free(self, u_free, load_now=None, load_next=None):
         """Advance free-dof coefficients; vectorized over trailing columns."""
@@ -344,7 +343,7 @@ def resolve_forcing(system, spec) -> Forcing:
     kind, coeffs, rate = parse_forcing(spec)
     if kind == "separable":
         p = initial_dofs(system, coeffs)
-        mp = band_matvec(system.mass_rows, p)
+        mp = band_matvec(system.M, p)
         forcing = Forcing(rate, mp, float(p @ mp))
     elif kind == "manufactured":
         forcing = manufactured_divergence_forcing(system, coeffs, rate=rate)

@@ -16,35 +16,37 @@ with, so the loads, projections, norms and oracle checks that pair with
 M and K read the table and these, never a second copy of the choice.
 
 Storage.  Cubic Hermite dofs couple at most three apart, so every matrix
-is held in LAPACK lower band storage ``ab`` of shape (4, n):
-``ab[k, j] = A[j + k, j]``, entries past the end of a diagonal kept at
-zero.  Assembly computes the 10 lower entries of all element blocks in
-one batch, a matrix product per reference rule of the quadrature rule
-(:func:`discretization.element_integrals`), scatters them into the band
-and keeps only the rows and columns of the free dofs
-(:func:`free_band`), so n is the number of free dofs and a pinned dof has
-no entry anywhere.  Every vector is held on the free dofs too, and
-:meth:`AssembledSystem.expand` forms a full-dof vector only where one
-is written out or evaluated.  The time step, the norms and the solvers
-read the bands directly, at O(n) cost: a kernel that reduces or
-rescales a band reads diagonal k as the slices ``ab[k, :n-k]``,
-``x[k:]`` and ``x[:n-k]``.  Every product of a matrix with a vector
-(a step's right-hand side, the solver's residual) is :func:`band_matvec`
-over its rows (n, 7), built once per matrix (:func:`row_band`): they are
-the data of a CSR matrix with seven entries per row, which scipy's
+is held as its symmetric rows, an array (n, 7) with
+``rows[i, o] = A[i, i + o - 3]`` and +0.0 in the six entries that fall
+outside the matrix (the padding).  Assembly computes the 10 lower
+entries of all element blocks in one batch, a matrix product per
+reference rule of the quadrature rule
+(:func:`discretization.element_integrals`), scatters all 16 entries of
+each block into the rows and keeps only the rows and columns of the
+free dofs (:func:`free_band`), so n is the number of free dofs and a
+pinned dof has no entry anywhere.  Every vector is held on the free dofs
+too, and :meth:`AssembledSystem.expand` forms a full-dof vector only
+where one is written out or evaluated.  The time step, the norms and the
+solvers read the rows directly, at O(n) cost: a kernel that reduces a
+matrix reads diagonal k as the slices ``rows[:n-k, 3+k]``, ``x[k:]`` and
+``x[:n-k]``.  Every product of a matrix with a vector (a step's
+right-hand side, the solver's residual) is :func:`band_matvec`: the rows
+are the data of a CSR matrix with seven entries per row, which scipy's
 compiled CSR loop applies, and that loop's order of summation is what
-the bits of every product rest on.  Dense
-copies exist only through :meth:`AssembledSystem.to_dense`, for the
-oracle and tests, and in the propagator of a long run on a small mesh
+the bits of every product rest on.  LAPACK's lower band storage
+``ab[k, j] = A[j + k, j]`` is the view ``rows.T[3:]``, formed only as
+the argument of the Cholesky factorization ``dpbtrf``.  Dense copies
+exist only through :meth:`AssembledSystem.to_dense`, for the oracle and
+tests, and in the propagator of a long run on a small mesh
 (:class:`evolution.TimeStepper`).
 
 Eigenvalues.  :func:`pencil_spectrum` answers what ``spectrum``
 reports, the bottom eigenvalues with a bound on the rounding error of
 each, the largest and the kernel count, by one of two paths chosen by
 size.  Small systems (up to 150 dofs) take the dense generalized
-eigensolve of LAPACK ``dsygvd`` on the Jacobi-equilibrated bands,
+eigensolve of LAPACK ``dsygvd`` on the Jacobi-equilibrated matrices,
 :func:`dense_pencil`, the one dense pencil solve, which the oracle's
-``dense_decompose`` makes too.  Larger ones touch the band
+``dense_decompose`` makes too.  Larger ones touch the rows
 only through O(n) factorizations, solves and products: the largest
 eigenvalue by bisection on sigma, where the Cholesky factorization of
 sigma M - K succeeds exactly above it, and the bottom ones by block
@@ -58,10 +60,14 @@ kernel count and whether the smallest counts as nonnegative.  At 1026
 dofs the Lanczos path takes about 5 ms (median of 11 calls, one core of
 a 2-vCPU x86-64 VM).
 
-An element block is one computed value per pair i >= j, and an entry of
-the band sums at most two of them, so the band is that of a dense
-accumulation of the mirrored blocks, bit for bit, and a dense copy
+An element block is one computed value per pair i >= j, written to
+(i, j) and (j, i), and an entry of the rows sums at most two of them in
+element order, so the rows are those of a dense accumulation of the
+mirrored blocks, bit for bit: ``rows[i, 3+k] == rows[i+k, 3-k]``.  So
+the lower half that ``dpbtrf`` reads holds the values of the upper half
+that :func:`band_matvec` reads too, and a dense copy
 (:func:`band_to_dense`) has M = M^T and K = K^T with no rounding gap.
+Sums, scalings and congruences of the rows keep that.
 
 Solvers.  :class:`_BandedSPD` is a banded Cholesky factorization (LAPACK
 ``dpbtrf``, the call ``cholesky_banded`` makes, made directly) after
@@ -121,7 +127,6 @@ __all__ = [
     "PencilSpectrum",
     "pencil_spectrum",
     "point_terms",
-    "row_band",
 ]
 
 
@@ -170,37 +175,22 @@ BANDWIDTH = 3
 
 @functools.lru_cache(maxsize=16)
 def _csr_index(n):
-    """Read-only CSR ``indptr`` (0, 7, 14, ...) and column ``indices``
-    of the rows (n, 7) of :func:`row_band`: entry (i, o) sits in column
-    i + o - 3, clipped into range, where a row past an end holds zero."""
+    """Read-only CSR ``indptr`` (0, 7, 14, ...), the (n, 7) columns of the
+    entries of rows (n, 7), i + o - 3 for entry (i, o) clipped into range
+    (the CSR ``indices``), and the mask of the padding, the entries whose
+    column the clip moved: they hold +0.0."""
     width = 2 * BANDWIDTH + 1
     indptr = np.arange(0, width * n + 1, width)
-    offsets = np.arange(-BANDWIDTH, BANDWIDTH + 1)
-    indices = np.clip(np.arange(n)[:, None] + offsets, 0, n - 1).ravel()
-    for a in (indptr, indices):
+    unclipped = np.arange(n)[:, None] + np.arange(-BANDWIDTH, BANDWIDTH + 1)
+    columns = np.clip(unclipped, 0, n - 1)
+    padding = columns != unclipped
+    for a in (indptr, columns, padding):
         a.setflags(write=False)
-    return indptr, indices
-
-
-def row_band(ab):
-    """The rows of the symmetric matrix with lower band ``ab``, as a
-    contiguous array (n, 7) with entry (i, o) = A[i, i + o - 3] and zero
-    outside the matrix; the dtype of ``ab`` is kept.  :func:`band_matvec`
-    takes this form, so a matrix applied many times is expanded once:
-    the rows are the data of a CSR matrix with seven entries per row,
-    the zeros past each end included (:func:`_csr_index`).  Diagonal k
-    of the band is column 3 + k, read from the top, and column 3 - k,
-    read from the bottom."""
-    n = ab.shape[1]
-    rows = np.zeros((n, 2 * BANDWIDTH + 1), dtype=ab.dtype)
-    for k in range(BANDWIDTH + 1):
-        m = max(n - k, 0)
-        rows[:m, BANDWIDTH + k] = rows[k:, BANDWIDTH - k] = ab[k, :m]
-    return rows
+    return indptr, columns, padding
 
 
 def band_matvec(rows, x):
-    """A @ x from ``rows = row_band(A)``, in the dtype of ``rows``; x may
+    """A @ x from the rows (n, 7) of A, in the dtype of ``rows``; x may
     carry trailing columns.
 
     The rows are the data of a CSR matrix with seven entries per row
@@ -222,58 +212,59 @@ def band_matvec(rows, x):
     n = len(rows)
     if len(x) != n:  # a full-dof vector is refused, not misread
         raise ValueError(f"vector of {len(x)} entries for a band of {n} dofs")
-    indptr, indices = _csr_index(n)
+    indptr, columns, _ = _csr_index(n)
     out = np.zeros(x.shape, dtype=rows.dtype)
     if x.ndim == 1:
-        csr_matvec(n, n, indptr, indices, rows, x, out)
+        csr_matvec(n, n, indptr, columns, rows, x, out)
     else:
-        csr_matvecs(n, n, math.prod(x.shape[1:]), indptr, indices, rows, x, out)
+        csr_matvecs(n, n, math.prod(x.shape[1:]), indptr, columns, rows, x, out)
     return out
 
 
-def band_quadratic(ab, x):
-    """x^T A x for the symmetric matrix with lower band ``ab``; for x of
+def band_quadratic(rows, x):
+    """x^T A x for the symmetric matrix with rows ``rows``; for x of
     shape (s, n), the array of the s values x[i]^T A x[i].
 
-    Diagonal k is summed from slices, ``ab[k, :n-k] x[k:] x[:n-k]`` in
-    column order, so a stack of any length takes one call and no copy.
+    Diagonal k is summed from slices, ``rows[:n-k, 3+k] x[k:] x[:n-k]``
+    in column order, so a stack of any length takes one call and no copy.
     The value is 1, 2, 2, 2 times the four diagonal sums, added term by
     term from zero as BLAS forms a dot product of four entries; the
     weights make every product exact.  A row of a stack gives the bits
     of the same vector alone.
     """
     x = np.asarray(x, dtype=float)
-    n = ab.shape[1]
+    n = len(rows)
     if x.shape[-1] != n:  # a full-dof vector is refused, not misread
         raise ValueError(f"vector of {x.shape[-1]} entries for a band of {n} dofs")
-    rows = x.reshape(-1, n)
+    stack = x.reshape(-1, n)
     per = [
-        np.einsum("j,sj,sj->s", ab[k, : max(n - k, 0)], rows[:, k:], rows[:, : max(n - k, 0)])
+        np.einsum("j,sj,sj->s", rows[: max(n - k, 0), BANDWIDTH + k], stack[:, k:],
+                  stack[:, : max(n - k, 0)])
         for k in range(BANDWIDTH + 1)
     ]
     out = 0.0 + per[0] + 2.0 * per[1] + 2.0 * per[2] + 2.0 * per[3]
     return out if x.ndim > 1 else float(out[0])
 
 
-def band_congruence(ab, d):
-    """Lower band of diag(d) A diag(d): entry (k, j) times d[j + k] * d[j],
-    and +0.0 past the end of each diagonal.  One product over the whole
-    band, with j + k clipped into range; the entries it forms past the
-    ends are then overwritten, whatever the band holds there."""
-    idx = np.arange(len(ab))[:, None] + np.arange(len(d))
-    out = ab * (d.take(idx, mode="clip") * d)
-    out[idx >= len(d)] = 0.0
+def band_congruence(rows, d):
+    """Rows of diag(d) A diag(d): entry (i, o) times d[i + o - 3] * d[i],
+    and +0.0 in the padding.  One product over all rows, through the
+    clipped columns of :func:`_csr_index`; the padding is then
+    overwritten, whatever the rows hold there."""
+    _, columns, padding = _csr_index(len(d))
+    out = rows * (d[columns] * d[:, None])
+    out[padding] = 0.0
     return out
 
 
-def _jacobi(ab):
-    """``dinv = 1/sqrt(diag A)`` and the band of diag(dinv) A diag(dinv);
+def _jacobi(rows):
+    """``dinv = 1/sqrt(diag A)`` and the rows of diag(dinv) A diag(dinv);
     LinAlgError unless diag A is positive and finite and the result finite."""
-    diag = ab[0]
+    diag = rows[:, BANDWIDTH]
     if not (diag.min() > 0.0 and diag.max() < math.inf):  # nan fails both
         raise LinAlgError("matrix diagonal is not positive and finite")
     dinv = 1.0 / np.sqrt(diag)
-    scaled = band_congruence(ab, dinv)
+    scaled = band_congruence(rows, dinv)
     if not np.isfinite(scaled).all():
         raise LinAlgError("equilibrated matrix is out of double range")
     return dinv, scaled
@@ -281,23 +272,23 @@ def _jacobi(ab):
 
 class _BandedSPD:
     """Banded SPD solver with Jacobi equilibration and refinement; takes
-    the matrix as a lower band (4, n) and keeps its longdouble rows
-    (:func:`row_band`) for the residual.
+    the matrix as rows (n, 7) and keeps them in longdouble for the
+    residual.
 
-    The factor is ``cholesky_banded``'s call, ``dpbtrf``, made directly,
-    and an indefinite band raises its text.  A solve costs two
+    The factor is ``cholesky_banded``'s call, ``dpbtrf``, made directly
+    on the lower band of the equilibrated rows, the view ``rows.T[3:]``,
+    and an indefinite matrix raises its text.  A solve costs two
     ``dpbtrs`` calls and one longdouble residual
-    ``b - band_matvec(rows, x)``: 26 us each and 20 us for the
-    product, of 87 us at 1026 dofs (BENCH_27.json; see the module
-    docstring)."""
+    ``b - band_matvec(rows, x)``: 26 us each and 20 us for the product,
+    of 87 us at 1026 dofs (BENCH_27.json; see the module docstring)."""
 
-    def __init__(self, ab):
-        ab = np.asarray(ab, dtype=float)
-        self.dinv, scaled = _jacobi(ab)
-        self.factor, info = dpbtrf(scaled, lower=1)
+    def __init__(self, A):
+        A = np.asarray(A, dtype=float)
+        self.dinv, scaled = _jacobi(A)
+        self.factor, info = dpbtrf(scaled.T[BANDWIDTH:], lower=1)
         if info > 0:
             raise LinAlgError(f"{info}-th leading minor not positive definite")
-        self.rows = row_band(ab.astype(np.longdouble))
+        self.rows = A.astype(np.longdouble)
 
     def _solve_once(self, b):
         # LAPACK's banded Cholesky solve, as cho_solve_banded calls it but
@@ -329,9 +320,9 @@ def _largest(dinv, mass, stiffness):
     positive definite, and K is scaled by ``dinv`` once, so the bracket
     starts at the largest diagonal entry of the scaled K, a Rayleigh
     quotient; its width doubles until the factorization succeeds, then
-    halves to the last bit, about 55 factorizations of O(n) each."""
-    stiffness = band_congruence(stiffness, dinv)
-
+    halves to the last bit, about 55 factorizations of O(n) each, on the
+    lower bands, the views ``rows.T[3:]``."""
+    mass, stiffness = mass.T[BANDWIDTH:], band_congruence(stiffness, dinv).T[BANDWIDTH:]
     shifted = np.empty_like(mass, order="F")  # each factorization overwrites it
 
     def above(sigma):
@@ -405,7 +396,7 @@ def bounded_spectrum(values, vectors, stiffness, count, largest, dense=False):
     """The :class:`PencilSpectrum` of the ascending eigenvalues ``values``
     and their M-normalized eigenvectors (rows of ``vectors``), of which
     the bottom ``count`` are reported.  The bound of an eigenvalue is
-    ``eps |v|^T |K| |v|``, |K| the band with its entries made absolute:
+    ``eps |v|^T |K| |v|``, |K| the rows with their entries made absolute:
     the size of the rounding that K's entries carry into the Rayleigh
     quotient of v.  It is first order and heuristic: it bounds the error
     of lambda_1 of the damped test problem at every n from 512 to 8192,
@@ -421,10 +412,10 @@ def bounded_spectrum(values, vectors, stiffness, count, largest, dense=False):
 
 def dense_pencil(mass, stiffness):
     """The ascending eigenvalues of the pencil K v = lambda M v of the
-    lower bands of M and K and their M-normalized eigenvectors (columns):
-    ``dsygvd`` of the Jacobi-equilibrated bands, its vectors scaled back.
-    The band forms ``K_ij (d_i d_j)`` as a dense ``K * outer(d, d)`` does,
-    bit for bit.  O(n^3) time and O(n^2) memory."""
+    rows of M and K and their M-normalized eigenvectors (columns):
+    ``dsygvd`` of the Jacobi-equilibrated matrices, its vectors scaled
+    back.  The rows form ``K_ij (d_i d_j)`` as a dense ``K * outer(d, d)``
+    does, bit for bit.  O(n^3) time and O(n^2) memory."""
     dinv, scaled = _jacobi(mass)
     w, z = _eigh(band_to_dense(band_congruence(stiffness, dinv)), band_to_dense(scaled),
                  vectors=True)
@@ -469,10 +460,9 @@ def _lanczos(mass, stiffness, count):
     inner products of the reorthogonalization against every vector before
     it, one for the norm) and an eigensolve of the projection; the basis
     grows with the steps."""
-    n = mass.shape[1]
+    n = len(mass)
     block = len(_LANCZOS_START)
     solver = _BandedSPD(stiffness + _LANCZOS_SHIFT * mass)
-    rows = row_band(mass)
     most = min(n - block, _LANCZOS_MAX_STEPS)
     basis = np.empty((0, n))  # the M-orthonormal Lanczos vectors, one per row
     pending = []  # M times each vector no step has started from yet
@@ -492,11 +482,11 @@ def _lanczos(mass, stiffness, count):
             grown[:size] = basis
             basis = grown
         for _ in range(2):
-            c = basis[:size] @ band_matvec(rows, w)
+            c = basis[:size] @ band_matvec(mass, w)
             w -= c @ basis[:size]
             if column is not None:
                 h[:size, column] += c
-        mw = band_matvec(rows, w)
+        mw = band_matvec(mass, w)
         b = math.sqrt(max(float(w @ mw), 0.0))
         if column is not None:
             h[size, column] = b
@@ -551,7 +541,7 @@ _LANCZOS_MAX_COUNT = 100
 
 def pencil_spectrum(mass, stiffness, count, kernel):
     """The :class:`PencilSpectrum` of the pencil K v = lambda M v of the
-    lower bands of M and K: its ``count`` smallest eigenvalues (all n when
+    rows of M and K: its ``count`` smallest eigenvalues (all n when
     ``count`` is n or more) with their bounds (:func:`bounded_spectrum`),
     its largest, and its kernel count, where the kernel is expected to
     have dimension ``kernel``.
@@ -565,14 +555,14 @@ def pencil_spectrum(mass, stiffness, count, kernel):
     largest is None).  There a count the Lanczos path does not serve
     raises ConfigError("count"), naming the largest it serves, and a run
     that does not converge LinAlgError."""
-    n = mass.shape[1]
+    n = len(mass)
     if n <= _DENSE_SPECTRUM_MAX_DOFS:
         return _dense_spectrum(mass, stiffness, count)
     served = min((n - 1) // _LANCZOS_MIN_DOFS_PER_EIGENVALUE, _LANCZOS_MAX_COUNT)
     if count > served:
         raise ConfigError("count", f"at most {served} eigenvalues are served at {n} free dofs")
     dinv, scaled = _jacobi(mass)
-    if dpbtrf(scaled, lower=1)[1]:
+    if dpbtrf(scaled.T[BANDWIDTH:], lower=1)[1]:
         raise LinAlgError("mass matrix is not positive definite")
     found = _lanczos(mass, stiffness, max(count, kernel + 1))
     if found is None:
@@ -583,56 +573,47 @@ def pencil_spectrum(mass, stiffness, count, kernel):
     return spectrum._replace(largest=_largest(dinv, scaled, stiffness))
 
 
-def free_band(ab, free):
-    """Lower band of A[free][:, free].  Dropping dofs never widens the
-    band: two free dofs at most 3 apart after renumbering but more than 3
-    apart before meet in a zero entry."""
+def free_band(rows, free):
+    """Rows of A[free][:, free], gathered through the clipped columns of
+    :func:`_csr_index`, +0.0 in the padding.  Dropping dofs never widens
+    the band: two free dofs at most 3 apart after renumbering but more
+    than 3 apart before meet in a zero entry."""
     n = len(free)
-    rows = np.arange(n) + np.arange(BANDWIDTH + 1)[:, None]
-    offset = free[np.minimum(rows, n - 1)] - free
-    keep = (rows < n) & (offset <= BANDWIDTH)
-    return np.where(keep, ab[np.minimum(offset, BANDWIDTH), free], 0.0)
+    _, columns, padding = _csr_index(n)
+    offset = free[columns] - free[:, None]
+    keep = ~padding & (np.abs(offset) <= BANDWIDTH)
+    return np.where(keep, rows[free[:, None], BANDWIDTH + offset.clip(-BANDWIDTH, BANDWIDTH)], 0.0)
 
 
-@functools.lru_cache(maxsize=16)
-def _band_index(width, n):
-    """Read-only flat indices, for the entries (k, j), k < width and
-    j < n - k, of a lower band (width, n): of the band itself, and of
-    A[j + k, j] and A[j, j + k] in an n x n matrix."""
-    k, j = np.nonzero(np.arange(n) < n - np.arange(width)[:, None])
-    index = k * n + j, (j + k) * n + j, j * n + j + k
-    for a in index:
-        a.setflags(write=False)
-    return index
-
-
-def band_to_dense(ab):
-    """Dense symmetric matrix from a lower band of any width: one scatter
-    per triangle, the diagonal written twice with the same value."""
-    width, n = ab.shape
-    band, lower, upper = _band_index(min(width, n), n)
-    dense = np.zeros((n, n), dtype=ab.dtype)
-    flat = dense.ravel()
-    flat[lower] = flat[upper] = np.take(ab, band)
+def band_to_dense(rows):
+    """Dense matrix from rows (n, 7): each entry but the padding scattered
+    to its row and its column of :func:`_csr_index`, once."""
+    n = len(rows)
+    _, columns, padding = _csr_index(n)
+    i, o = np.nonzero(~padding)
+    dense = np.zeros((n, n), dtype=rows.dtype)
+    dense[i, columns[i, o]] = rows[i, o]
     return dense
 
 
 def gram_matrix(rule, d):
-    """Lower band of the weighted Gram matrix of the d-th basis
-    derivatives, kept read-only with the rule (a caller that adds to it
-    works on a copy): the 10 lower entries of every element block, one
-    value per pair i >= j (:meth:`QuadratureRule.pair_integrals`, kept
-    with the rule), scattered straight into the band.  Element e owns
-    dofs 2e..2e+3, so an entry receives at most two contributions; they
-    are added to zero in element order."""
+    """Rows of the weighted Gram matrix of the d-th basis derivatives,
+    kept read-only with the rule (a caller that adds to it works on a
+    copy): the 10 lower entries of every element block, one value per
+    pair i >= j (:meth:`QuadratureRule.pair_integrals`, kept with the
+    rule), scattered straight into the rows, each to (i, j) and (j, i).
+    Element e owns dofs 2e..2e+3, so an entry receives at most two
+    contributions; they are added to zero in element order."""
 
     def scatter(rule):
-        n = rule.mesh.n_dofs
-        row, col = LOWER_PAIRS
-        flat = (row - col) * n + rule.mesh.element_dofs()[:, col]
-        entries = rule.pair_integrals(d)
-        summed = np.bincount(flat.ravel(), weights=entries.ravel(), minlength=4 * n)
-        return summed.reshape(BANDWIDTH + 1, n)
+        width = 2 * BANDWIDTH + 1
+        pair = np.zeros((4, 4), dtype=int)  # the pair of LOWER_PAIRS of (r, c)
+        pair[LOWER_PAIRS] = pair[LOWER_PAIRS[::-1]] = np.arange(len(LOWER_PAIRS[0]))
+        row, col = np.indices((4, 4)).reshape(2, -1)
+        flat = rule.mesh.element_dofs()[:, row] * width + (BANDWIDTH + col - row)
+        entries = rule.pair_integrals(d)[:, pair.ravel()]
+        summed = np.bincount(flat.ravel(), weights=entries.ravel(), minlength=width * rule.mesh.n_dofs)
+        return summed.reshape(-1, width)
 
     return rule.kept(("gram", d), scatter)
 
@@ -649,13 +630,13 @@ class AssembledSystem:
 
     ``free`` lists the dofs of ``mesh`` that are not pinned to zero: all
     of them, or all but the value dof at x0.  M, K and
-    ``stiffness_interior`` (K without its boundary terms) are lower bands
-    of shape (4, len(free)): rows and columns of the free dofs only, the
-    coordinates of every vector that pairs with them.  ``point_mass`` and
-    ``point_stiffness`` are the terms assembly added to M and K at
-    ``mesh.end_dofs``.  The quadrature rules are those the mesh keeps
-    (:meth:`rule`), and the dense copies and the rows of M are formed on
-    the first request and kept read-only with the system.
+    ``stiffness_interior`` (K without its boundary terms) are symmetric
+    rows of shape (len(free), 7), the form every kernel takes: rows and
+    columns of the free dofs only, the coordinates of every vector that
+    pairs with them.  ``point_mass`` and ``point_stiffness`` are the
+    terms assembly added to M and K at ``mesh.end_dofs``.  The quadrature
+    rules are those the mesh keeps (:meth:`rule`), and the dense copies
+    are formed on the first request and kept read-only with the system.
     """
 
     form: OperatorForm
@@ -685,13 +666,6 @@ class AssembledSystem:
                 dense.setflags(write=False)
                 self._dense[name] = dense
         return tuple(self._dense[name] for name in names)
-
-    @functools.cached_property
-    def mass_rows(self):
-        """``row_band(M)``, read-only: the rows every product with M reads."""
-        rows = row_band(self.M)
-        rows.setflags(write=False)
-        return rows
 
     def expand(self, free_values):
         """The full-dof array of free-dof values (leading axis), zero on
@@ -748,7 +722,7 @@ def assemble(form, mesh, coeff, params) -> AssembledSystem:
     its stiffness weight plus -gamma_j/beta_j c_j, c_j the stiffness
     weight at the end j.  A 1/a mass in the strong class pins the value
     dof at x0 (functions vanish there), which is exactly what keeps its
-    integrals finite for exponents K < 2; the bands keep the free dofs only.
+    integrals finite for exponents K < 2; the rows keep the free dofs only.
     """
     form = OperatorForm(form)
     pencil = PENCIL[form]
@@ -759,10 +733,10 @@ def assemble(form, mesh, coeff, params) -> AssembledSystem:
         free = np.delete(free, 2 * mesh.x0_index)  # the value dof at x0
     point_mass, point_stiffness = point_terms(form, coeff, params)
     M = gram_matrix(mesh.rule(coeff, pencil.mass), 0).copy()
-    M[0, mesh.end_dofs] += point_mass
+    M[mesh.end_dofs, BANDWIDTH] += point_mass
     S = gram_matrix(mesh.rule(coeff, pencil.stiffness), 2)
     K = S.copy()
-    K[0, mesh.end_dofs] += point_stiffness
-    if len(free) < mesh.n_dofs:  # else the bands are those of every dof already
-        M, K, S = (free_band(ab, free) for ab in (M, K, S))
+    K[mesh.end_dofs, BANDWIDTH] += point_stiffness
+    if len(free) < mesh.n_dofs:  # else the rows are those of every dof already
+        M, K, S = (free_band(rows, free) for rows in (M, K, S))
     return AssembledSystem(form, mesh, free, coeff, params, M, K, S, point_mass, point_stiffness)

@@ -10,9 +10,9 @@ disagreement always points at the code under test.
 The oracle shares quadrature with assembly and, of the solver, the
 rounding bound of an eigenvalue (``forms.bounded_spectrum``) and the
 dense pencil solve of ``spectrum`` up to 150 dofs, ``forms.dense_pencil``
-(``dsygvd`` of the Jacobi-equilibrated bands), which
+(``dsygvd`` of the Jacobi-equilibrated matrices), which
 :func:`dense_decompose` calls.  No check is lost: a dense equilibration
-has the band's bits by construction, the band kernels keep their bit
+has the rows' bits by construction, the row kernels keep their bit
 tests against loops, and the tests hold the Lanczos path to this solve.
 The other dense eigensolves call ``forms._eigh``, the LAPACK drivers
 ``scipy.linalg.eigh`` picks (``dsygvd``, ``dsyevr``) with every argument
@@ -22,8 +22,8 @@ rules and they their Gram pair integrals (:mod:`discretization`), so the
 case matrix and the n = 16 level of the norm-equivalence ladder read the
 same ones; the case-matrix systems, assembled once for the ``spectral``
 and ``resolvent`` suites; and the dense copies each system keeps.  A
-rule keeps its Gram bands too, so each level of the ladder forms its
-unit bands once for its three coefficients.
+rule keeps its Gram matrices too, so each level of the ladder forms its
+unit ones once for its three coefficients.
 """
 from __future__ import annotations
 
@@ -649,8 +649,8 @@ def _green_checks():
 def _spectral_checks(cases):
     out = []
     for name, system in cases:
-        # the dense copies the suites read: band_to_dense writes each band
-        # entry to (i, j) and (j, i), so the gap is 0.0 by construction
+        # the dense copies the suites read: band_to_dense writes entry (i, j)
+        # from row i, so the gap compares the mirrored entries of the rows
         M, K = system.to_dense()
         sym_gap = max(float(np.max(np.abs(A - A.T))) for A in (M, K))
         decomp = dense_decompose(system)

@@ -1,4 +1,4 @@
-"""The lower band storage of M and K against dense copies."""
+"""The row storage of M and K against dense copies."""
 import json
 import tracemalloc
 
@@ -13,7 +13,7 @@ from wentzell4.cli import main
 from wentzell4.coefficient import ConfigError
 from wentzell4.coefficient import power_profile
 from wentzell4.discretization import WeightKind, _gauss_legendre, build_mesh, shape_values
-from wentzell4.evolution import ProblemConfig, Scheme, _polynomial_load, run
+from wentzell4.evolution import ProblemConfig, Scheme, TimeStepper, _polynomial_load, run
 from wentzell4.forms import (
     PENCIL,
     OperatorForm,
@@ -27,7 +27,6 @@ from wentzell4.forms import (
     band_to_dense,
     gram_matrix,
     pencil_spectrum,
-    row_band,
 )
 from wentzell4.oracle import (
     BANDED_EIGENVALUE_GAP_TOL,
@@ -59,6 +58,40 @@ def build(spec):
 
 
 LOWER = np.tril_indices(4)
+
+
+def rows_of(dense):
+    """The rows (n, 7) of a dense matrix, ``rows[i, o] = dense[i, i + o - 3]``
+    and +0.0 outside it: the reference of the storage every kernel reads."""
+    n = len(dense)
+    rows = np.zeros((n, 7), dtype=dense.dtype)
+    for i in range(n):
+        for o in range(7):
+            if 0 <= i + o - 3 < n:
+                rows[i, o] = dense[i, i + o - 3]
+    return rows
+
+
+def symmetric(lower):
+    """The dense symmetric matrix whose diagonal k, k = 0..3, below and
+    above the main one is ``lower[k, :n-k]``."""
+    n = lower.shape[1]
+    dense = np.zeros((n, n), dtype=lower.dtype)
+    for k in range(min(4, n)):
+        j = np.arange(n - k)
+        dense[j + k, j] = dense[j, j + k] = lower[k, : n - k]
+    return dense
+
+
+def padding(n):
+    """The mask of the entries (i, o) of rows (n, 7) outside the matrix."""
+    column = np.arange(n)[:, None] + np.arange(-3, 4)
+    return (column < 0) | (column >= n)
+
+
+def same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 def reference_shapes(rule, e, d):
@@ -170,10 +203,10 @@ def test_band_kernels_match_dense(spec, seed):
         assert A.shape == (n, n)
         scale = np.abs(A).max()
         np.testing.assert_allclose(
-            band_matvec(row_band(band), x), A @ x, rtol=0, atol=1e-13 * scale * np.abs(x).sum()
+            band_matvec(band, x), A @ x, rtol=0, atol=1e-13 * scale * np.abs(x).sum()
         )
         np.testing.assert_allclose(
-            band_matvec(row_band(band), X), A @ X, rtol=0, atol=1e-13 * scale * np.abs(X).sum()
+            band_matvec(band, X), A @ X, rtol=0, atol=1e-13 * scale * np.abs(X).sum()
         )
         assert abs(band_quadratic(band, x) - x @ A @ x) <= 1e-13 * scale * np.abs(x).sum() ** 2
     assert sys.mass_norm_sq(x) == band_quadratic(sys.M, x)
@@ -200,13 +233,13 @@ def test_stacked_quadratic_is_the_rows_one_by_one_bit_for_bit(spec, seed, rows):
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_band_quadratic_refuses_a_vector_of_another_length(n):
-    ab = np.ones((4, n))
+    rows = rows_of(symmetric(np.ones((4, n))))
     for length in (n - 1, n + 1):
         for shape in ((length,), (3, length)):
             with pytest.raises(ValueError, match=f"vector of {length} entries"):
-                band_quadratic(ab, np.ones(shape))
+                band_quadratic(rows, np.ones(shape))
     with pytest.raises(ValueError):
-        band_matvec(row_band(ab), np.ones(n + 1))
+        band_matvec(rows, np.ones(n + 1))
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), int(np.random.default_rng(7).integers(9, 2000))])
@@ -214,22 +247,26 @@ def test_band_congruence_is_the_entrywise_loop_bit_for_bit(n):
     rng = np.random.default_rng(n)
     ab = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-8, 9, (4, n))
     ab[rng.random((4, n)) < 0.2] = -0.0
+    rows = rows_of(symmetric(ab))
+    pad = padding(n)
+    rows[pad] = np.where(rng.random(pad.sum()) < 0.5, -0.0, rng.standard_normal(pad.sum()))
     d = rng.uniform(0.5, 2.0, n) * 10.0 ** rng.integers(-8, 9, n)
-    expected = np.zeros((4, n))
-    for k in range(4):
-        for j in range(n - k):
-            expected[k, j] = ab[k, j] * (d[j + k] * d[j])
-    got = band_congruence(ab, d)
-    assert np.array_equal(got, expected)
-    assert np.array_equal(np.signbit(got), np.signbit(expected))  # +0.0 past the ends
+    expected = np.zeros((n, 7))
+    for i in range(n):
+        for o in range(7):
+            if 0 <= i + o - 3 < n:
+                expected[i, o] = rows[i, o] * (d[i + o - 3] * d[i])
+    got = band_congruence(rows, d)
+    assert same_bits(got, expected)  # +0.0 in the padding
+    assert_symmetric_rows(got)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 34, 1026])
 def test_band_congruence_is_the_diagonal_loop_bit_for_bit_with_inf_and_nan(n):
-    """The one product over the band against a loop over its diagonals,
+    """The one product over the rows against a loop over the diagonals,
     each a slice product, in the bits of every entry: nan payloads, the
-    signs of zeros and +0.0 past the end of each diagonal, whatever the
-    band holds there."""
+    signs of zeros and +0.0 in the padding, whatever the rows hold
+    there."""
     rng = np.random.default_rng(n)
     ab = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-150, 150, (4, n))
     special = rng.random((4, n))
@@ -237,44 +274,48 @@ def test_band_congruence_is_the_diagonal_loop_bit_for_bit_with_inf_and_nan(n):
     ab[(special >= 0.1) & (special < 0.2)] = -np.inf
     ab[(special >= 0.2) & (special < 0.3)] = np.nan
     ab[(special >= 0.3) & (special < 0.4)] = -0.0
-    ab[:, -1] = [0.0, np.nan, -np.inf, np.inf]  # past the end but for k = 0
+    rows = rows_of(symmetric(ab))
+    pad = padding(n)
+    rows[pad] = np.resize([0.0, np.nan, -np.inf, np.inf, -0.0], pad.sum())
     d = rng.uniform(0.5, 2.0, n) * 10.0 ** rng.integers(-150, 150, n)
-    expected = np.zeros((4, n))
+    expected = np.zeros((n, 7))
     with np.errstate(all="ignore"):  # products overflow, inf times a tiny d
         for k in range(min(4, n)):
-            expected[k, : n - k] = ab[k, : n - k] * (d[k:] * d[: n - k])
-        got = band_congruence(ab, d)
+            expected[: n - k, 3 + k] = rows[: n - k, 3 + k] * (d[k:] * d[: n - k])
+            expected[k:, 3 - k] = rows[k:, 3 - k] * (d[: n - k] * d[k:])
+        got = band_congruence(rows, d)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 34])
-def test_band_to_dense_is_the_diagonal_loop_bit_for_bit(n):
-    """The two scatters against the former loop over the diagonals, in
-    the bits of every entry: any width, float and longdouble, nan, inf
-    and signed zeros, and whatever the band holds past a diagonal's end."""
+def test_band_to_dense_is_the_row_loop_bit_for_bit(n):
+    """The scatter against a loop over the entries of the rows, in the
+    bits of every entry: float and longdouble, nan, inf and signed zeros,
+    rows that are not symmetric, and whatever the padding holds."""
     rng = np.random.default_rng(n)
-    for width in (1, 2, 4, 6):
-        for dtype in (float, np.longdouble):
-            ab = rng.standard_normal((width, n)).astype(dtype)
-            ab.ravel()[rng.permutation(ab.size)[:4]] = [np.nan, -np.inf, -0.0, 0.0][: ab.size]
-            ab[1:, -1] = np.nan  # past the end of each off-diagonal
-            expected = np.zeros((n, n), dtype=dtype)
-            for k in range(min(width, n)):
-                j = np.arange(n - k)
-                expected[j + k, j] = expected[j, j + k] = ab[k, : n - k]
-            got = band_to_dense(ab)
-            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-            assert band_to_dense(np.asfortranarray(ab)).tobytes() == expected.tobytes()
+    for dtype in (float, np.longdouble):
+        rows = rng.standard_normal((n, 7)).astype(dtype)
+        rows.ravel()[rng.permutation(rows.size)[:4]] = [np.nan, -np.inf, -0.0, 0.0]
+        rows[padding(n)] = np.nan
+        expected = np.zeros((n, n), dtype=dtype)
+        for i in range(n):
+            for o in range(7):
+                j = i + o - 3
+                if 0 <= j < n:  # a slice copies every byte of a longdouble
+                    expected[i, j : j + 1] = rows[i, o : o + 1]
+        got = band_to_dense(rows)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert band_to_dense(np.asfortranarray(rows)).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_band_to_dense_of_a_band_wider_than_the_matrix(n):
-    ab = np.random.default_rng(n).standard_normal((4, n))
+def test_band_to_dense_of_rows_wider_than_the_matrix(n):
+    rows = np.random.default_rng(n).standard_normal((n, 7))
     expected = np.zeros((n, n))
-    for k in range(4):
-        for j in range(n - k):
-            expected[j + k, j] = expected[j, j + k] = ab[k, j]
-    assert np.array_equal(band_to_dense(ab), expected)
+    for i in range(n):
+        for j in range(n):
+            expected[i, j] = rows[i, j - i + 3]
+    assert np.array_equal(band_to_dense(rows), expected)
 
 
 @pytest.mark.parametrize("form", list(OperatorForm))
@@ -292,14 +333,15 @@ def test_bands_are_the_free_rows_of_the_element_loop_bit_for_bit(form, strong, r
     K[ends, ends] += sys.point_stiffness
     free = np.ix_(sys.free, sys.free)
     for band, dense in ((sys.M, M), (sys.K, K), (sys.stiffness_interior, S)):
-        assert band.shape == (4, len(sys.free))
+        assert band.shape == (len(sys.free), 7)
         assert np.array_equal(band_to_dense(band), dense[free])
+        assert same_bits(band, rows_of(dense[free]))
     pinned = np.setdiff1d(np.arange(sys.mesh.n_dofs), sys.free)
     if len(pinned):
         # the pinned value dof at x0 is gone and its neighbours close up
         c = 2 * sys.mesh.x0_index
         assert pinned.tolist() == [c] and len(sys.free) == sys.mesh.n_dofs - 1
-        assert sys.K[1, c - 1] == K[c + 1, c - 1] and sys.K[0, c] == K[c + 1, c + 1]
+        assert sys.K[c, 2] == sys.K[c - 1, 4] == K[c + 1, c - 1] and sys.K[c, 3] == K[c + 1, c + 1]
     # expand puts free-dof values back in place, zero on the pinned dof
     x = np.random.default_rng(seed).standard_normal(len(sys.free))
     full = sys.expand(x)
@@ -310,32 +352,57 @@ def test_bands_are_the_free_rows_of_the_element_loop_bit_for_bit(form, strong, r
 def test_case_matrix_bands_are_on_the_free_dofs():
     for name, sys in _case_matrix():
         bands = (sys.M, sys.K, sys.stiffness_interior)
-        assert all(band.shape == (4, len(sys.free)) for band in bands), name
+        assert all(band.shape == (len(sys.free), 7) for band in bands), name
         assert dense_decompose(sys).vectors.shape == (len(sys.free),) * 2, name
 
 
-@pytest.mark.parametrize("dtype", [float, np.longdouble])
-@pytest.mark.parametrize("n", range(1, 9))
-def test_row_band_holds_the_rows_of_the_dense_matrix(n, dtype):
-    rng = np.random.default_rng(n)
-    ab = rng.standard_normal((4, n)).astype(dtype)
-    ab[rng.random((4, n)) < 0.3] = -0.0
+def assert_symmetric_rows(rows):
+    """The storage invariant: contiguous rows (n, 7) with +0.0 in the
+    padding, diagonal k read from the top (column 3 + k) equal bit for
+    bit to diagonal k read from the bottom (column 3 - k), and the view
+    rows.T[3:] that dpbtrf reads equal to the lower band of the dense
+    matrix, whose upper half band_matvec reads."""
+    n = len(rows)
+    assert rows.shape == (n, 7) and rows.flags.c_contiguous
+    pad = rows[padding(n)]
+    assert not pad.any() and not np.signbit(pad).any()
     for k in range(1, 4):
-        ab[k, max(n - k, 0):] = 0.0  # past the end of diagonal k
-    dense = band_to_dense(ab)
-    expected = np.zeros((n, 7), dtype=dtype)
-    for i in range(n):
-        for o in range(7):
-            if 0 <= i + o - 3 < n:
-                expected[i, o] = dense[i, i + o - 3]
-    rows = row_band(ab)
-    assert rows.dtype == dtype and rows.flags.c_contiguous
-    assert np.array_equal(rows, expected)
-    assert np.array_equal(np.signbit(rows), np.signbit(expected))
+        assert same_bits(rows[: max(n - k, 0), 3 + k], rows[k:, 3 - k]), k
+    dense = band_to_dense(rows)
+    lower = np.zeros((4, n), dtype=rows.dtype)
+    for k in range(min(4, n)):
+        lower[k, : n - k] = np.diagonal(dense, -k)
+    assert same_bits(rows.T[3:], lower)
+    assert same_bits(rows, rows_of(dense))
+
+
+# strong non-divergence: the value dof at x0 is pinned
+PINNED = (OperatorForm.NON_DIVERGENCE, True, 16, 0.5, 0.5, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("name, sys", [pytest.param(name, sys, id=name) for name, sys in
+                                       [*_case_matrix(), ("pinned", build(PINNED))]])
+def test_every_matrix_the_package_forms_is_symmetric_rows(name, sys):
+    # dpbtrf reads only the lower half and band_matvec both, so the one
+    # format rests on the mirrored entries being the same bits
+    if name == "pinned":
+        assert len(sys.free) == sys.mesh.n_dofs - 1
+    matrices = {name: getattr(sys, name) for name in ("M", "K", "stiffness_interior")}
+    for scheme in Scheme:
+        stepper = TimeStepper(sys, 0.01, scheme)
+        matrices[f"{scheme.value} A"] = stepper._solver.rows
+        matrices[f"{scheme.value} R"] = stepper._rhs
+    matrices["lambda M + K"] = 1.5 * sys.M + sys.K
+    matrices["K + M"] = sys.K + 1.0 * sys.M  # the Lanczos shift
+    for name in ("M", "lambda M + K"):
+        matrices[f"equilibrated {name}"] = _jacobi(matrices[name])[1]
+    for rows in matrices.values():
+        assert len(rows) == len(sys.free)
+        assert_symmetric_rows(rows)
 
 
 def sequential_matvec(rows, x):
-    """A @ x from row_band(A): each row's seven products added one by one,
+    """A @ x from the rows of A: each row's seven products added one by one,
     in ascending column order, from +0.0."""
     n = len(rows)
     total = np.zeros(x.shape, dtype=rows.dtype)
@@ -358,7 +425,7 @@ def test_band_matvec_is_the_sequential_sum_bit_for_bit(n, dtype, seed):
     # entries over 16 decades and signed zeros, so rows that sum to a zero
     rng = np.random.default_rng(seed)
     ab = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-8, 9, (4, n))
-    rows = row_band(ab.astype(dtype))
+    rows = rows_of(symmetric(ab.astype(dtype)))
     for shape in ((n,), (n, 3)):
         x = _signed_zeros(rng, rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
         for v in (x, -np.zeros(shape)):
@@ -378,7 +445,7 @@ def test_band_matvec_keeps_the_sequential_sum_on_inf_nan_and_stacked_columns(n, 
     rng = np.random.default_rng(n)
     ab = _signed_zeros(rng, rng.standard_normal((4, n)))
     ab[rng.random((4, n)) < 0.3] = 0.0
-    rows = row_band(ab.astype(dtype))
+    rows = rows_of(symmetric(ab.astype(dtype)))
     inf_first = rng.standard_normal(n)
     inf_first[0] = np.inf
     nan_last = rng.standard_normal(n)
@@ -397,15 +464,17 @@ def test_band_matvec_keeps_the_sequential_sum_on_inf_nan_and_stacked_columns(n, 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_fused_residual_equals_the_dense_longdouble_residual_bit_for_bit(n, seed):
-    # entries over 16 decades, a diagonal that dominates: a band the
+    # entries over 16 decades, a diagonal that dominates: a matrix the
     # solver factors; it refines against b - band_matvec(rows, x) on its
     # longdouble rows, which is the dense longdouble residual
     rng = np.random.default_rng(seed)
     ab = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-8, 9, (4, n))
-    ab[0] = np.abs(ab[0]) + 2.0 * np.abs(band_to_dense(ab)).sum(axis=0)
-    solver = _BandedSPD(ab)
-    assert np.array_equal(solver.rows, row_band(ab.astype(np.longdouble)))
-    A = band_to_dense(ab).astype(np.longdouble)
+    dense = symmetric(ab)
+    np.fill_diagonal(dense, np.abs(ab[0]) + 2.0 * np.abs(dense).sum(axis=0))
+    rows = rows_of(dense)
+    solver = _BandedSPD(rows)
+    assert same_bits(solver.rows, rows.astype(np.longdouble))
+    A = band_to_dense(rows).astype(np.longdouble)
     for shape in ((n,), (n, 3)):
         x = _signed_zeros(rng, rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
         b = _signed_zeros(rng, rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape))
@@ -431,7 +500,7 @@ def test_longdouble_residual_and_solve_match_dense_bit_for_bit(spec, seed, dt):
     X = rng.standard_normal((len(A), 3))
     for v in (x, X):
         dense = A.astype(np.longdouble) @ v.astype(np.longdouble)
-        assert np.array_equal(band_matvec(row_band(band.astype(np.longdouble)), v), dense)
+        assert np.array_equal(band_matvec(band.astype(np.longdouble), v), dense)
     b = rng.standard_normal(len(A))
     assert np.array_equal(_BandedSPD(band).solve(b), dense_refined_solve(A, b))
 
@@ -469,7 +538,8 @@ def test_direct_lapack_calls_keep_the_bits_of_scipy(spec, dt):
     assert np.array_equal(_eigh(K, A), eigh(K, A, eigvals_only=True))
     assert np.array_equal(_eigh(A - dt * M), eigh(A - dt * M, eigvals_only=True))
     for band in (sys.M, sys.M + dt * sys.K):
-        assert np.array_equal(_BandedSPD(band).factor, cholesky_banded(_jacobi(band)[1], lower=True))
+        expected = cholesky_banded(_jacobi(band)[1].T[3:], lower=True)
+        assert np.array_equal(_BandedSPD(band).factor, expected)
 
 
 def test_indefinite_band_keeps_the_text_of_cholesky_banded():
@@ -477,9 +547,9 @@ def test_indefinite_band_keeps_the_text_of_cholesky_banded():
     # same leading minor, with the same message, as cholesky_banded
     sys = build((OperatorForm.DIVERGENCE, False, 8, 0.5, 0.5, -1.0, 1.0))
     bad = sys.M.copy()
-    bad[1, 3] = 2.0 * np.sqrt(sys.M[0, 3] * sys.M[0, 4])
+    bad[3, 4] = bad[4, 2] = 2.0 * np.sqrt(sys.M[3, 3] * sys.M[4, 3])
     with pytest.raises(LinAlgError) as expected:
-        cholesky_banded(_jacobi(bad)[1], lower=True)
+        cholesky_banded(_jacobi(bad)[1].T[3:], lower=True)
     assert str(expected.value) == "5-th leading minor not positive definite"
     with pytest.raises(LinAlgError) as raised:
         _BandedSPD(bad)
@@ -617,7 +687,7 @@ def test_band_pencil_keeps_the_text_of_a_singular_mass(n):
     # on both paths: 66 dofs by the dense solve, 202 by Lanczos
     sys = build((OperatorForm.DIVERGENCE, False, n, 0.5, 0.5, -1.0, 1.0))
     bad = sys.M.copy()
-    bad[1, 3] = 2.0 * np.sqrt(sys.M[0, 3] * sys.M[0, 4])
+    bad[3, 4] = bad[4, 2] = 2.0 * np.sqrt(sys.M[3, 3] * sys.M[4, 3])
     with pytest.raises(LinAlgError, match="^mass matrix is not positive definite$"):
         pencil_spectrum(bad, sys.K, 1, 0)
 
@@ -646,20 +716,22 @@ def test_lanczos_path_refuses_a_count_it_does_not_serve():
 @pytest.mark.parametrize(
     "entry, value",
     [
-        ((0, 3), 0.0),
-        ((0, 3), -1.0),
-        ((0, 3), np.inf),
-        ((0, 3), np.nan),
+        ((3, 3), 0.0),
+        ((3, 3), -1.0),
+        ((3, 3), np.inf),
+        ((3, 3), np.nan),
         # a positive, finite diagonal, but a coupling whose equilibration
         # overflows
-        ((1, 3), 1e308),
+        ((3, 4), 1e308),
     ],
 )
 def test_solver_and_pencil_refuse_the_same_bad_bands(entry, value):
-    # both go through one Jacobi step, so one bad band fails both alike
+    # both go through one Jacobi step, so one bad matrix fails both alike;
+    # the entry (i, o) is set with its mirror (i + o - 3, 6 - o)
     sys = build((OperatorForm.DIVERGENCE, False, 8, 0.5, 0.5, -1.0, 1.0))
     bad = sys.M.copy()
-    bad[entry] = value
+    i, o = entry
+    bad[i, o] = bad[i + o - 3, 6 - o] = value
     with np.errstate(over="ignore"):
         with pytest.raises(LinAlgError):
             _BandedSPD(bad)

@@ -20,7 +20,7 @@ from wentzell4 import _scipy, discretization
 from wentzell4.cli import ConfigError, dispatch, main, parse_config
 from wentzell4.discretization import WeightKind
 from wentzell4.evolution import Scheme, build_system, initial_dofs, resolvent_solve
-from wentzell4.forms import AssembledSystem, OperatorForm, band_matvec, row_band
+from wentzell4.forms import AssembledSystem, OperatorForm, band_matvec
 from wentzell4.oracle import BANDED_EIGENVALUE_GAP_TOL, dense_decompose, expected_kernel
 
 BASE = {
@@ -680,12 +680,12 @@ def test_resolvent_reports_the_norms_of_scipy(tmp_path, kind, poly, n):
     f = initial_dofs(system, config.resolvent_f)
     u = resolvent_solve(system, config.resolvent_lambda, f)
     A = config.resolvent_lambda * system.M + system.K
-    b = band_matvec(system.mass_rows, f)
+    b = band_matvec(system.M, f)
     exponent = np.frexp(max(np.abs(u).max(), np.abs(b).max()))[1]
     u, b = np.ldexp(u, -exponent), np.ldexp(b, -exponent)
-    r = norm(band_matvec(row_band(A), u) - b, check_finite=False)
+    r = norm(band_matvec(A, u) - b, check_finite=False)
     b_norm = max(norm(b, check_finite=False), 1e-300)
-    backward = r / (float(A[0].max()) * norm(u, check_finite=False) + b_norm)
+    backward = r / (float(A[:, 3].max()) * norm(u, check_finite=False) + b_norm)
     assert report["relative_residual"] == pytest.approx(r / b_norm, rel=1e-15, abs=0.0)
     assert report["backward_error"] == pytest.approx(backward, rel=1e-15, abs=0.0)
     assert report["residual_ok"] and (kind == "zeros") == (report["backward_error"] == 0.0)

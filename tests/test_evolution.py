@@ -35,7 +35,6 @@ from wentzell4.forms import (
     assemble,
     band_matvec,
     band_quadratic,
-    row_band,
 )
 from wentzell4.oracle import dense_decompose
 
@@ -690,7 +689,7 @@ def _refined_norms(system, dt, scheme, u, steps):
     reference of the dense path."""
     stepper = TimeStepper(system, dt, scheme)
     solver = stepper._solver
-    rhs = row_band(stepper._rhs_band.astype(np.longdouble))
+    rhs = stepper._rhs.astype(np.longdouble)
     norms = [system.mass_norm_sq(u)]
     for _ in range(steps):
         b = band_matvec(rhs, u)
